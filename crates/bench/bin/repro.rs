@@ -2687,10 +2687,12 @@ become audit-flagged override grants carrying the incident id, the
 declaration auto-expires on the event-time clock, a later lockdown
 default-denies everything except a pinned guard authorization, and a
 separation-of-duty constraint refuses a tainted entry in every mode.
-All situation ops are durable WAL records: a follower tails them
-in-stream (policy_epoch bumps, enforcement_epoch still — it must never
-park NeedsBootstrap) and converges to the primary's state digest; a
-crash + recovery must restore the declared mode, pins and constraints.
+All situation ops — and the grant and token revocation issued
+mid-drill — are durable WAL records: a follower tails them in-stream
+(policy_epoch bumps, enforcement_epoch still — it must never park
+NeedsBootstrap), converges to the primary's state digest and refuses
+the revoked token; a crash + recovery must restore the declared mode,
+pins and constraints.
 Exits non-zero if any override lacks its incident id, any rewrite
 leaks past its mode, the follower re-bootstraps, or recovery loses the
 declaration.
@@ -2931,7 +2933,7 @@ fn situations(args: &[String]) {
 
     // The Admin gate: an ingest-scoped token may feed events but its
     // KIND_SITUATION frame dies PermissionDenied.
-    match root
+    let sensor_token = match root
         .admin(AdminOp::MintToken {
             subject: guard,
             scopes: vec![Scope::Ingest { locations: None }],
@@ -2940,9 +2942,9 @@ fn situations(args: &[String]) {
         })
         .expect("mint ingest token")
     {
-        AdminOutcome::TokenMinted { .. } => {}
+        AdminOutcome::TokenMinted { id } => id,
         other => panic!("unexpected mint outcome {other:?}"),
-    }
+    };
     let mut sensor = LtamClient::connect(&addr).expect("sensor client");
     sensor.hello(SENSOR_SECRET).expect("sensor handshake");
     let scoped_token_refused = matches!(
@@ -3039,6 +3041,42 @@ fn situations(args: &[String]) {
     // Phase 4 — separation of duty, binding in every mode: whoever
     // opened the general office this window cannot also enter the lab.
     op(&mut root, SituationOp::Declare(SituationMode::Normal));
+    // Two admin edits mid-drill ride the same policy log: the bystander
+    // is granted the lab and walks in (a follower that missed the grant
+    // would flag the entry and digest differently), and the sensor's
+    // token is revoked (the follower must stop resolving its secret).
+    root.admin(AdminOp::AddAuthorization(
+        Authorization::new(
+            ltam_time::Interval::ALL,
+            ltam_time::Interval::ALL,
+            bystander,
+            lab,
+            EntryLimit::Unbounded,
+        )
+        .expect("valid bystander authorization"),
+    ))
+    .expect("grant over the wire");
+    root.admin(AdminOp::RevokeToken { id: sensor_token })
+        .expect("revoke over the wire");
+    let admin_ops = 2u64;
+    root.ingest(&[
+        Event::Request {
+            time: Time(126),
+            subject: bystander,
+            location: lab,
+        },
+        Event::Enter {
+            time: Time(126),
+            subject: bystander,
+            location: lab,
+        },
+        Event::Exit {
+            time: Time(127),
+            subject: bystander,
+            location: lab,
+        },
+    ])
+    .expect("granted bystander visit");
     match op(
         &mut root,
         SituationOp::AddConstraint(WorkflowConstraint::SeparationOfDuty {
@@ -3098,11 +3136,19 @@ fn situations(args: &[String]) {
             .expect("follower violations"),
     );
     let f_status = f_probe.status().expect("follower status");
+    let revoked_at_follower = matches!(
+        f_probe.hello(SENSOR_SECRET),
+        Err(ClientError::Server {
+            code: ErrorCode::Unauthenticated,
+            ..
+        })
+    );
     let follower_state_match = follower_converged
         && p_violations == f_violations
         && status.state_digest == f_status.state_digest
         && status.policy_epoch == f_status.policy_epoch
-        && status.enforcement_epoch == f_status.enforcement_epoch;
+        && status.enforcement_epoch == f_status.enforcement_epoch
+        && revoked_at_follower;
     let follower_rebootstraps = ltam_obs::counter_value(
         registry,
         "repl_state_transitions_total",
@@ -3220,7 +3266,7 @@ fn situations(args: &[String]) {
     } else {
         banner("Extension: situation-aware enforcement drill");
         println!(
-            "{staff} staff, {responders} responders, {shards} shards; {situation_ops} situation ops declared over the wire"
+            "{staff} staff, {responders} responders, {shards} shards; {situation_ops} situation ops and {admin_ops} admin ops issued over the wire"
         );
         println!(
             "admin gate: ingest-scoped KIND_SITUATION frame {}",
@@ -3231,7 +3277,7 @@ fn situations(args: &[String]) {
             }
         );
         println!(
-            "epochs: policy +{policy_epoch_bumps} (expected {situation_ops} situation ops + 0), enforcement {}",
+            "epochs: policy +{policy_epoch_bumps} (expected {situation_ops} situation ops + {admin_ops} admin ops), enforcement {}",
             if enforcement_epoch_moved { "MOVED (BUG)" } else { "untouched" }
         );
         println!(
@@ -3262,7 +3308,7 @@ fn situations(args: &[String]) {
             }
         );
         println!(
-            "follower: converged: {}; state match (violations, digest, epochs): {}; re-bootstraps: {follower_rebootstraps}",
+            "follower: converged: {}; state match (violations, digest, epochs, revoked token refused): {}; re-bootstraps: {follower_rebootstraps}",
             if follower_converged { "YES" } else { "NO" },
             if follower_state_match { "YES" } else { "NO" }
         );
@@ -3296,9 +3342,9 @@ fn situations(args: &[String]) {
         eprintln!("situations drill FAILED: a non-admin token declared a situation");
         failed = true;
     }
-    if policy_epoch_bumps != situation_ops || enforcement_epoch_moved {
+    if policy_epoch_bumps != situation_ops + admin_ops || enforcement_epoch_moved {
         eprintln!(
-            "situations drill FAILED: epochs moved wrong (policy +{policy_epoch_bumps} for {situation_ops} ops, enforcement moved: {enforcement_epoch_moved})"
+            "situations drill FAILED: epochs moved wrong (policy +{policy_epoch_bumps} for {situation_ops} + {admin_ops} ops, enforcement moved: {enforcement_epoch_moved})"
         );
         failed = true;
     }
@@ -3321,7 +3367,9 @@ fn situations(args: &[String]) {
         failed = true;
     }
     if !follower_converged || !follower_state_match || follower_rebootstraps != 0 {
-        eprintln!("situations drill FAILED: the follower diverged or re-bootstrapped on a situation record");
+        eprintln!(
+            "situations drill FAILED: the follower diverged or re-bootstrapped on a policy record"
+        );
         failed = true;
     }
     if !recovery_restores_declaration || !recovered_decisions_hold {

@@ -7,10 +7,11 @@
 //! report on), and a temporal [`Interval`] of validity — the same
 //! entry-window shape as a Definition 4 authorization, applied to the
 //! wire. Tokens live inside the policy core ([`WireAuth`]), so minting
-//! and revoking are ordinary policy edits: durable through snapshots,
-//! epoch-stamped, and re-evaluated against the *live* policy on every
-//! frame — a revoked or expired token dies on its next request without
-//! a restart.
+//! and revoking are ordinary policy edits: logged in the store's WAL
+//! (and so replayed by recovery and by every follower), epoch-stamped,
+//! and re-evaluated against the *live* policy on every frame — a
+//! revoked or expired token dies on its next request without a
+//! restart.
 //!
 //! [`TrustPolicy`] carries per-sensor trust levels (after *Trust for
 //! Location-based Authorisation*): events reported by a source below
@@ -241,8 +242,7 @@ impl TrustPolicy {
 
 /// The wire-facing half of a policy core: token registry, trust
 /// policy, and the enforcement switch. Lives inside `PolicyCore` so
-/// every edit is an ordinary epoch-swapped, snapshot-durable policy
-/// edit.
+/// every edit is an ordinary epoch-swapped, WAL-logged policy edit.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct WireAuth {
     /// When `true`, unauthenticated connections are refused everything
@@ -313,10 +313,11 @@ impl WireAuth {
 }
 
 /// One remote-administration operation — the wire's admin RPC body and
-/// the unit the durable store persists. Every variant is an ordinary
-/// policy edit under the hood (an epoch swap plus an immediate
-/// snapshot), so an acknowledged admin op survives a crash exactly like
-/// a local [`crate::db::AuthorizationDb`] edit does.
+/// the unit the durable store persists. Every variant is a
+/// deterministic function of (policy state, op), so the store logs the
+/// op itself as one WAL record and recovery and followers replay it at
+/// its sequence position: an acknowledged admin op survives a crash,
+/// and reaches every enforcement point, exactly like a sensor event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AdminOp {
     /// Mint a capability token. The secret is caller-supplied so a
@@ -359,8 +360,8 @@ pub enum AdminOp {
         /// Whether unauthenticated connections are refused.
         required: bool,
     },
-    /// Grant a location-temporal authorization (Definition 4) — the
-    /// remote form of `DurableEngine::update_policy` + `add_authorization`.
+    /// Grant a location-temporal authorization (Definition 4); the id
+    /// is drawn from the database's own counter.
     AddAuthorization(crate::model::Authorization),
     /// Durably revoke an authorization and lapse its in-flight grants.
     RevokeAuthorization {

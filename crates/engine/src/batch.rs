@@ -32,7 +32,7 @@ use crate::retention::{HistoryWatermarks, PrunedHistory};
 use crate::shard::{PolicyView, ShardState, ShardStateImage};
 use crate::violation::{Alert, Violation};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use ltam_core::capability::WireAuth;
+use ltam_core::capability::{AdminOp, AdminOutcome, WireAuth};
 use ltam_core::db::{AuthId, Provenance};
 use ltam_core::decision::Decision;
 use ltam_core::model::Authorization;
@@ -220,6 +220,53 @@ impl PolicyCore {
         self.situation.apply(op)
     }
 
+    /// Apply one [`PolicyOp`] to this core. Every arm is a deterministic
+    /// function of (policy state, op) — ids come from the registries'
+    /// own counters — so replaying a logged op at its sequence position
+    /// reproduces the original edit exactly. (`RevokeAuthorization` only
+    /// edits the database here; [`ShardedEngine::apply_policy_op`] also
+    /// lapses per-shard grants.)
+    pub fn apply_op(&mut self, op: &PolicyOp) -> PolicyOutcome {
+        match op {
+            PolicyOp::Situation(op) => PolicyOutcome::Situation(self.apply_situation(op)),
+            PolicyOp::Admin(op) => PolicyOutcome::Admin(self.apply_admin(op.clone())),
+        }
+    }
+
+    fn apply_admin(&mut self, op: AdminOp) -> AdminOutcome {
+        match op {
+            AdminOp::MintToken {
+                subject,
+                scopes,
+                validity,
+                secret,
+            } => AdminOutcome::TokenMinted {
+                id: self.wire.mint(subject, scopes, validity, secret),
+            },
+            AdminOp::RevokeToken { id } => AdminOutcome::TokenRevoked {
+                existed: self.wire.revoke(id),
+            },
+            AdminOp::SetTrust { subject, level } => {
+                self.wire.trust.set_level(subject, level);
+                AdminOutcome::TrustSet
+            }
+            AdminOp::SetTrustThreshold { threshold } => {
+                self.wire.trust.threshold = threshold;
+                AdminOutcome::TrustSet
+            }
+            AdminOp::SetAuthRequired { required } => {
+                self.wire.required = required;
+                AdminOutcome::AuthRequiredSet
+            }
+            AdminOp::AddAuthorization(auth) => AdminOutcome::AuthorizationAdded {
+                id: self.add_authorization(auth),
+            },
+            AdminOp::RevokeAuthorization { id } => AdminOutcome::AuthorizationRevoked {
+                existed: self.revoke_authorization(id).is_some(),
+            },
+        }
+    }
+
     /// The immutable view shards enforce against.
     pub fn view(&self) -> PolicyView<'_> {
         PolicyView {
@@ -272,6 +319,29 @@ impl PolicyCore {
             situation: image.situation.unwrap_or_default(),
         }
     }
+}
+
+/// One loggable policy edit: the single record shape the durable store
+/// appends to its WAL, recovery replays at its sequence position, and
+/// followers apply in-stream. Edits with no op form (tunables,
+/// prohibitions, bulk loads) go through the closure path instead
+/// (`DurableEngine::update_policy`).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PolicyOp {
+    /// A token, trust, or authorization edit.
+    Admin(AdminOp),
+    /// A mode declaration, responder/pin edit, or workflow-constraint
+    /// change.
+    Situation(SituationOp),
+}
+
+/// What an applied [`PolicyOp`] produced (mirrors the variants).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyOutcome {
+    /// The outcome of a [`PolicyOp::Admin`].
+    Admin(AdminOutcome),
+    /// The outcome of a [`PolicyOp::Situation`].
+    Situation(SituationOutcome),
 }
 
 /// Serializable image of a [`PolicyCore`] — the read-mostly half of an
@@ -729,6 +799,17 @@ impl ShardedEngine {
             shard.lock().invalidate_auth(id);
         }
         revoked
+    }
+
+    /// Apply one [`PolicyOp`] as one epoch swap; an authorization
+    /// revocation also lapses its grants and counters on every shard.
+    pub fn apply_policy_op(&self, op: &PolicyOp) -> PolicyOutcome {
+        if let PolicyOp::Admin(AdminOp::RevokeAuthorization { id }) = op {
+            return PolicyOutcome::Admin(AdminOutcome::AuthorizationRevoked {
+                existed: self.revoke_authorization(*id).is_some(),
+            });
+        }
+        self.update_policy(|p| p.apply_op(op))
     }
 
     // --- batch ingestion ---------------------------------------------------

@@ -44,8 +44,8 @@ pub mod violation;
 
 pub use baseline::{CardReaderEngine, Enforcement};
 pub use batch::{
-    BatchOutcome, EngineStatus, Event, PolicyCore, PolicyImage, ShardStats, ShardStatusRow,
-    ShardedEngine,
+    BatchOutcome, EngineStatus, Event, PolicyCore, PolicyImage, PolicyOp, PolicyOutcome,
+    ShardStats, ShardStatusRow, ShardedEngine,
 };
 pub use engine::{AccessControlEngine, AuditRecord, EngineConfig, DEFAULT_GRANT_TTL};
 pub use movement::{Contact, MovementEvent, MovementKind, MovementsDb, Stay};

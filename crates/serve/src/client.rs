@@ -469,7 +469,9 @@ impl LtamClient {
 
     /// Send one admin RPC (token mint/revoke, trust edits,
     /// authorization grants…). The connection must be authenticated
-    /// with an admin-scoped token (or the server's root token).
+    /// with an admin-scoped token (or the server's root token); only a
+    /// primary accepts it — followers pick the op up from the
+    /// replicated WAL.
     pub fn admin(&mut self, op: AdminOp) -> Result<AdminOutcome, ClientError> {
         match self.call(&Request::Admin(op))? {
             Response::Admin { outcome } => Ok(outcome),

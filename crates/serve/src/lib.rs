@@ -25,13 +25,15 @@
 //!   verifies the served violation multiset against an in-process run
 //!   of the same trace.
 //! * [`replica`] — read replicas: [`bootstrap_follower`] copies the
-//!   primary's newest snapshot + archive chain over the wire, and
-//!   [`Server::start_follower`] tails the primary's WAL
-//!   (resume-from-(segment, offset)), replaying verified batches
-//!   through normal ingest and serving read-only queries at a
-//!   monotone watermark. Writes at a follower are refused with
-//!   [`ErrorCode::NotPrimary`]; an enforcement-epoch swap parks the
-//!   follower for re-bootstrap rather than risking divergence.
+//!   primary's newest snapshot, archive chain and the WAL behind the
+//!   snapshot over the wire, and [`Server::start_follower`] tails the
+//!   primary's WAL (resume-from-(segment, offset)), replaying verified
+//!   batches through normal ingest and policy ops through the normal
+//!   policy path, and serving read-only queries at a monotone
+//!   watermark. Writes at a follower are refused with
+//!   [`ErrorCode::NotPrimary`]; an enforcement-epoch swap (a closure
+//!   policy edit on the primary) parks the follower for re-bootstrap
+//!   rather than risking divergence.
 //!
 //! Since PR 9 the wire is **policy-governed**: a `Hello` handshake
 //! maps a connection to an LTAM subject via a capability token

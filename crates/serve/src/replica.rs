@@ -10,23 +10,28 @@
 //! primary keeps no per-follower state at all — a follower that dies
 //! costs it nothing, and any number may tail the same primary.
 //!
-//! [`bootstrap_follower`] copies the primary's newest snapshot, archive
-//! chain and policy-epoch marker into a fresh directory and opens it
-//! with the normal [`DurableEngine::open`] path — every CRC, version
-//! and epoch check crash recovery performs runs against the shipped
-//! bytes too. From there the replication loop (spawned by
-//! `Server::start_follower`) tails the primary's WAL with a
-//! [`TailScanner`]: verified record batches are replayed through the
-//! follower's own group-commit thread — **normal ingest**, so the
-//! follower WAL-logs, snapshots and enforces exactly like a primary —
-//! and the published watermark rises to the applied sequence.
+//! [`bootstrap_follower`] copies the primary's newest snapshot, its
+//! archive chain and the WAL segments behind the snapshot into a fresh
+//! directory and opens it with the normal [`DurableEngine::open`] path
+//! — every CRC and version check crash recovery performs runs against
+//! the shipped bytes too, and the policy ops logged since the snapshot
+//! are replayed before the follower serves its first frame. From there
+//! the replication loop (spawned by `Server::start_follower`) tails the
+//! primary's WAL with a [`TailScanner`]: verified records are replayed
+//! through the follower's own group-commit thread — event batches
+//! through **normal ingest**, policy ops through the same
+//! [`CommitHandle::policy`] path a primary's admin RPCs take — so the
+//! follower WAL-logs, snapshots, enforces and authenticates exactly
+//! like a primary, and the published watermark rises to the applied
+//! sequence.
 //!
 //! ## The never-diverge contract
 //!
-//! The loop only ever applies bytes that verified (CRC + total event
-//! decoding) at the correct cursor, with a policy epoch matching its
-//! own. Everything else parks it: an epoch swap or compacted-away
-//! segment sets [`ReplicaState::NeedsBootstrap`]; persistent
+//! The loop only ever applies bytes that verified (CRC + total record
+//! decoding) at the correct cursor, with an enforcement epoch matching
+//! its own. Everything else parks it: a closure policy edit on the
+//! primary (the one kind of edit the WAL cannot carry) or a
+//! compacted-away segment sets [`ReplicaState::NeedsBootstrap`]; persistent
 //! verification faults do the same after a bounded retry (one poll's
 //! worth of patience covers an append caught mid-write); transport
 //! errors set [`ReplicaState::Disconnected`] and retry forever. A
@@ -242,12 +247,11 @@ fn fetch_file(
 }
 
 /// Bootstrap a follower store in `dir` from the primary at
-/// `primary_addr`: fetch the newest snapshot, the archive chain and
-/// the policy-epoch marker, then open the directory through the
-/// normal recovery path (which re-verifies every shipped byte — CRCs,
-/// versions, the epoch marker — and positions the WAL at the snapshot
-/// sequence). The returned engine is ready for
-/// `Server::start_follower`.
+/// `primary_addr`: fetch the newest snapshot, the archive chain and the
+/// WAL from the snapshot's cover point on, then open the directory
+/// through the normal recovery path (which re-verifies every shipped
+/// byte and replays the WAL tail, policy ops included). The returned
+/// engine is ready for `Server::start_follower`.
 ///
 /// `dir` must not already hold a store; the store config's shard
 /// count is irrelevant — the follower inherits the shard count baked
@@ -295,14 +299,22 @@ pub fn bootstrap_follower_as(
         fetch_file(&mut client, dir, *archive, chunk_bytes)?;
     }
     fetch_file(&mut client, dir, snapshot, chunk_bytes)?;
-    // The marker last: it must never claim an epoch newer than the
-    // fetched snapshot's (open refuses that as a policy revert), and
-    // fetching it after the snapshot can only make it *older* if the
-    // primary bumps concurrently — wait, older is the safe direction;
-    // a *newer* marker surfaces as a loud open refusal and the
-    // bootstrap is retried.
-    if let Some(marker) = manifest.epoch_marker {
-        fetch_file(&mut client, dir, marker, chunk_bytes)?;
+    // The WAL from the snapshot's cover point on: op-shaped policy
+    // edits since the snapshot exist only there, and a follower must
+    // not come up — and start answering frames — under an older policy
+    // (an open wire, a since-revoked token) than the primary's. A
+    // record torn by a racing append is truncated by the open below and
+    // re-fetched by the tailing loop (`len: 0`: a segment that may
+    // still be growing has no expected length to check against). The
+    // primary's epoch marker is *not* copied: it describes the
+    // primary's acks, and the follower writes its own as it applies ops.
+    let ReplFileId::Snapshot { seq: covered, .. } = snapshot.file else {
+        return Err(io::Error::other("manifest snapshot is not a snapshot id"));
+    };
+    let from = manifest.wal_segments.iter().rposition(|&s| s <= covered);
+    for &first_seq in &manifest.wal_segments[from.unwrap_or(0)..] {
+        let file = ReplFileId::WalSegment { first_seq };
+        fetch_file(&mut client, dir, ReplFile { file, len: 0 }, chunk_bytes)?;
     }
     let (engine, _alerts, report) = DurableEngine::open(dir, config)?;
     if let Some(e) = report.archive_error {
@@ -390,13 +402,11 @@ pub(crate) fn replicate_loop(
             .primary_epoch
             .store(manifest.enforcement_epoch, Ordering::Release);
         if manifest.enforcement_epoch != view.enforcement_epoch() {
-            // Enforcement-relevant policy edits are not WAL records:
-            // tailing cannot carry such a swap across. Park — apply
+            // A closure edit (`DurableEngine::update_policy`) is not a
+            // WAL record: tailing cannot carry it across. Park — apply
             // nothing — until an operator re-bootstraps from a
-            // post-swap snapshot. (Wire-auth-only edits — token mints,
-            // trust tweaks — bump the *policy* epoch but not this one:
-            // they do not change how events are judged, so the tail
-            // keeps flowing through them.)
+            // post-swap snapshot. (Op-shaped edits bump only the
+            // *policy* epoch: they arrive in the tail itself.)
             shared.set_state(
                 STATE_NEEDS_BOOTSTRAP,
                 Some(format!(
@@ -491,17 +501,16 @@ pub(crate) fn replicate_loop(
             );
             let mut commit_failed = false;
             for batch in step.batches {
-                if batch.events().is_empty() && !matches!(batch, TailBatch::Situation(_)) {
+                if batch.events().is_empty() && !matches!(batch, TailBatch::Policy(_)) {
                     continue;
                 }
                 // Replay each shipped record as what it *was*: trusted
                 // batches through enforcement, quarantine records onto
-                // the follower's own quarantine ledger, situation ops
-                // through the follower's own durable situation path (so
-                // it judges every later record exactly as the primary
-                // did, with its own WAL record and snapshot) — so a
-                // follower's answers flag exactly what the primary's
-                // do.
+                // the follower's own quarantine ledger, policy ops
+                // through the follower's own durable policy path (its
+                // own WAL record at the same sequence) — so it judges
+                // every later record, and gates every later frame,
+                // exactly as the primary does.
                 let committed = match batch {
                     TailBatch::Events(events) => commit.commit(events).map(|_| ()),
                     TailBatch::Quarantine {
@@ -509,7 +518,7 @@ pub(crate) fn replicate_loop(
                         level,
                         events,
                     } => commit.commit_quarantine(source, level, events).map(|_| ()),
-                    TailBatch::Situation(op) => commit.situation(op).map(|_| ()),
+                    TailBatch::Policy(op) => commit.policy(op).map(|_| ()),
                 };
                 if let Err(e) = committed {
                     // The *follower's* own store failed — nothing wrong

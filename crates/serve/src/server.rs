@@ -79,10 +79,9 @@ use crate::wire::{
     self, ErrorCode, FrameAssembler, HistoryQuery, ReplChunk, ReplChunkMeta, ReplManifest,
     ReplRequest, Request, Response, ServerRole, ServerStatus,
 };
-use ltam_core::capability::{AdminOutcome, AuthRefusal, Capability, Scope, TokenId, WireAuth};
+use ltam_core::capability::{AuthRefusal, Capability, Scope, TokenId, WireAuth};
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{BatchOutcome, Event};
-use ltam_situate::SituationOutcome;
+use ltam_engine::batch::{BatchOutcome, Event, PolicyOp, PolicyOutcome};
 use ltam_store::replica::{
     archive_files, epoch_marker_file, newest_snapshot, read_file_chunk, wal_segment_ids, ReplFileId,
 };
@@ -180,10 +179,9 @@ enum Done {
     /// A below-trust sensor's batch, durably held on the quarantine
     /// ledger instead of entering trusted history.
     Quarantine(io::Result<usize>),
-    /// An admin RPC applied as a durable policy edit.
-    Admin(io::Result<AdminOutcome>),
-    /// A situation RPC applied as a durable, WAL-logged policy edit.
-    Situation(io::Result<SituationOutcome>),
+    /// An admin or situation RPC applied as a durable, WAL-logged
+    /// policy op.
+    Policy(io::Result<PolicyOutcome>),
 }
 
 /// A commit completion routed back to the poll thread that owns the
@@ -1183,96 +1181,10 @@ fn dispatch(
         }
         Request::Hello { .. } => unreachable!("Hello answered before the gate"),
         Request::Admin(op) => {
-            if let Some(replica) = &shared.replica {
-                // A follower's policy is a bootstrap-time copy of the
-                // primary's; editing it here would fork the two.
-                refused("not_primary").inc();
-                push_response(
-                    conn,
-                    &Response::Error {
-                        code: ErrorCode::NotPrimary,
-                        role: Some(shared.role),
-                        message: format!(
-                            "admin RPCs edit policy on the primary at {}; followers pick the \
-                             edit up at their next bootstrap",
-                            replica.primary_addr()
-                        ),
-                    },
-                );
-                return;
-            }
-            let slot = conn.next_slot;
-            conn.next_slot += 1;
-            conn.pending.push_back(SlotState::Waiting(slot));
-            let done = {
-                let shared = Arc::clone(shared);
-                let conn_id = conn.id;
-                move |result: io::Result<AdminOutcome>| {
-                    let t = &shared.threads[index];
-                    t.inbox.lock().done.push(Completion {
-                        conn: conn_id,
-                        slot,
-                        done: Done::Admin(result),
-                    });
-                    let _ = t.waker.wake();
-                }
-            };
-            if commit.submit_admin(op, done).is_err() {
-                let frame = response_frame(&Response::Error {
-                    code: ErrorCode::Internal,
-                    role: Some(shared.role),
-                    message: "server is shutting down".into(),
-                });
-                *conn.pending.back_mut().expect("slot just pushed") = SlotState::Ready(frame);
-            }
-            return;
+            return submit_policy(conn, PolicyOp::Admin(op), index, shared, commit);
         }
         Request::Situation(op) => {
-            if let Some(replica) = &shared.replica {
-                // Followers receive situation ops through the replicated
-                // WAL — at the exact stream position the primary applied
-                // them — so a direct declaration here would double-apply
-                // or, worse, fork the judging order.
-                refused("not_primary").inc();
-                push_response(
-                    conn,
-                    &Response::Error {
-                        code: ErrorCode::NotPrimary,
-                        role: Some(shared.role),
-                        message: format!(
-                            "situations are declared on the primary at {}; followers replay \
-                             them from the replicated WAL",
-                            replica.primary_addr()
-                        ),
-                    },
-                );
-                return;
-            }
-            let slot = conn.next_slot;
-            conn.next_slot += 1;
-            conn.pending.push_back(SlotState::Waiting(slot));
-            let done = {
-                let shared = Arc::clone(shared);
-                let conn_id = conn.id;
-                move |result: io::Result<SituationOutcome>| {
-                    let t = &shared.threads[index];
-                    t.inbox.lock().done.push(Completion {
-                        conn: conn_id,
-                        slot,
-                        done: Done::Situation(result),
-                    });
-                    let _ = t.waker.wake();
-                }
-            };
-            if commit.submit_situation(op, done).is_err() {
-                let frame = response_frame(&Response::Error {
-                    code: ErrorCode::Internal,
-                    role: Some(shared.role),
-                    message: "server is shutting down".into(),
-                });
-                *conn.pending.back_mut().expect("slot just pushed") = SlotState::Ready(frame);
-            }
-            return;
+            return submit_policy(conn, PolicyOp::Situation(op), index, shared, commit);
         }
         Request::Ingest(events) => (events, WriteKind::Ingest),
         Request::Check(event) => (vec![event], WriteKind::Check),
@@ -1380,6 +1292,59 @@ fn dispatch(
     }
 }
 
+/// Submit an admin or situation RPC to the commit thread as one policy
+/// op (a follower refuses: it receives policy ops through the
+/// replicated WAL, at the exact stream position the primary applied
+/// them — an edit made here would double-apply or fork the two).
+fn submit_policy(
+    conn: &mut Conn,
+    op: PolicyOp,
+    index: usize,
+    shared: &Arc<Shared>,
+    commit: &CommitHandle,
+) {
+    if let Some(replica) = &shared.replica {
+        refused("not_primary").inc();
+        push_response(
+            conn,
+            &Response::Error {
+                code: ErrorCode::NotPrimary,
+                role: Some(shared.role),
+                message: format!(
+                    "policy edits are made on the primary at {}; followers replay them from \
+                     the replicated WAL",
+                    replica.primary_addr()
+                ),
+            },
+        );
+        return;
+    }
+    let slot = conn.next_slot;
+    conn.next_slot += 1;
+    conn.pending.push_back(SlotState::Waiting(slot));
+    let done = {
+        let shared = Arc::clone(shared);
+        let conn_id = conn.id;
+        move |result: io::Result<PolicyOutcome>| {
+            let t = &shared.threads[index];
+            t.inbox.lock().done.push(Completion {
+                conn: conn_id,
+                slot,
+                done: Done::Policy(result),
+            });
+            let _ = t.waker.wake();
+        }
+    };
+    if commit.submit_policy(op, done).is_err() {
+        let frame = response_frame(&Response::Error {
+            code: ErrorCode::Internal,
+            role: Some(shared.role),
+            message: "server is shutting down".into(),
+        });
+        *conn.pending.back_mut().expect("slot just pushed") = SlotState::Ready(frame);
+    }
+}
+
 /// Turn a commit completion into its slot's ready response. Every
 /// completion is for a frame that passed the capability gate, so its
 /// error frames carry the unredacted role.
@@ -1423,17 +1388,12 @@ fn apply_completion(conn: &mut Conn, completion: Completion, role: ServerRole) {
             role,
             message: format!("quarantine batch not durable: {e}"),
         },
-        Done::Admin(Ok(outcome)) => Response::Admin { outcome },
-        Done::Admin(Err(e)) => Response::Error {
+        Done::Policy(Ok(PolicyOutcome::Admin(outcome))) => Response::Admin { outcome },
+        Done::Policy(Ok(PolicyOutcome::Situation(outcome))) => Response::Situation { outcome },
+        Done::Policy(Err(e)) => Response::Error {
             code: ErrorCode::Internal,
             role,
-            message: format!("admin edit not durable: {e}"),
-        },
-        Done::Situation(Ok(outcome)) => Response::Situation { outcome },
-        Done::Situation(Err(e)) => Response::Error {
-            code: ErrorCode::Internal,
-            role,
-            message: format!("situation edit not durable: {e}"),
+            message: format!("policy edit not durable: {e}"),
         },
     };
     let frame = response_frame(&response);

@@ -216,14 +216,14 @@ pub enum ReplRequest {
 pub struct ReplManifest {
     /// Events durably applied on the primary (the WAL sequence).
     pub applied: u64,
-    /// The primary's current policy epoch. A follower whose engine is
-    /// on a different epoch must re-bootstrap — policy edits are not
-    /// WAL records, so tailing cannot carry them across.
+    /// The primary's current policy epoch (every durable policy edit).
+    /// Informational: op-shaped edits reach a follower as WAL records,
+    /// so its own count catches up as it tails.
     pub policy_epoch: u64,
     /// The primary's enforcement epoch — the epoch followers actually
-    /// compare: wire-auth edits (token mint/revoke, trust changes) bump
-    /// `policy_epoch` without touching this, and must not park a
-    /// follower in `NeedsBootstrap`.
+    /// compare. It moves only on closure edits
+    /// (`DurableEngine::update_policy`), which the WAL cannot carry: a
+    /// follower on a different one must re-bootstrap.
     pub enforcement_epoch: u64,
     /// The primary's movement-retention watermark (chronons; 0 = never
     /// pruned).
@@ -503,9 +503,9 @@ pub struct ServerStatus {
     pub snapshot_seq: u64,
     /// Policy epoch (bumped by every durable policy edit).
     pub policy_epoch: u64,
-    /// Enforcement epoch (bumped only by edits that change what
-    /// enforcement means — the replication barrier; wire-auth edits
-    /// bump `policy_epoch` alone).
+    /// Enforcement epoch (bumped only by closure policy edits — the
+    /// replication barrier; every op-shaped edit bumps `policy_epoch`
+    /// alone).
     pub enforcement_epoch: u64,
     /// Is a valid token required on this server's wire?
     pub auth_required: bool,

@@ -328,8 +328,8 @@ mod replication {
             .into_iter()
             .map(|b| match b {
                 TailBatch::Events(events) => events,
-                TailBatch::Quarantine { .. } | TailBatch::Situation(_) => {
-                    panic!("plain WALs hold no quarantine or situation records")
+                TailBatch::Quarantine { .. } | TailBatch::Policy(_) => {
+                    panic!("plain WALs hold no quarantine or policy records")
                 }
             })
             .collect()

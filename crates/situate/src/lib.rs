@@ -200,8 +200,8 @@ impl WorkflowConstraint {
 }
 
 /// A durable situation edit — the situation counterpart of the serving
-/// tier's `AdminOp`: WAL-logged, snapshotted immediately, replicated to
-/// followers in-stream.
+/// tier's `AdminOp`: one WAL record, replayed by recovery and by
+/// followers at its stream position.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SituationOp {
     /// Replace the declared mode (declaring [`SituationMode::Normal`]

@@ -12,9 +12,8 @@
 //! is the second line of defense.)
 
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::Event;
+use ltam_engine::batch::{Event, PolicyOp};
 use ltam_graph::LocationId;
-use ltam_situate::SituationOp;
 use ltam_time::Time;
 use std::fmt;
 
@@ -30,13 +29,14 @@ const TAG_TICK: u8 = 3;
 /// events), and an event can never alias it.
 pub const QUARANTINE_SENTINEL: u8 = 0x51;
 
-/// Sentinel first byte of a **situation** record payload (a durable
-/// [`SituationOp`]: mode declaration, responder/pin registration, or a
-/// workflow-constraint edit). Same rationale as [`QUARANTINE_SENTINEL`]:
-/// outside the event tag range, so older decoders truncate at the record
-/// instead of misreading it. The body is the op's JSON — situation ops
-/// are rare control records, so self-describing beats compact.
-pub const SITUATION_SENTINEL: u8 = 0x52;
+/// Sentinel first byte of a **policy** record payload (a durable
+/// [`PolicyOp`]: a token, trust or authorization edit, a mode
+/// declaration, a responder/pin registration, or a workflow-constraint
+/// edit). Same rationale as [`QUARANTINE_SENTINEL`]: outside the event
+/// tag range, so a decoder that does not know it truncates at the
+/// record instead of misreading it. The body is the op in the
+/// [`binval`](crate::binval) encoding, like snapshots.
+pub const POLICY_SENTINEL: u8 = 0x52;
 
 /// Why a buffer failed to decode as an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,8 +57,8 @@ pub enum DecodeError {
         /// Total bytes in the payload.
         len: usize,
     },
-    /// A situation record's JSON body did not parse as a [`SituationOp`].
-    BadSituation,
+    /// A policy record's body did not decode as a [`PolicyOp`].
+    BadPolicyOp,
 }
 
 impl fmt::Display for DecodeError {
@@ -71,8 +71,8 @@ impl fmt::Display for DecodeError {
             DecodeError::TrailingBytes { consumed, len } => {
                 write!(f, "{} trailing bytes after the event", len - consumed)
             }
-            DecodeError::BadSituation => {
-                write!(f, "situation record body is not a valid situation op")
+            DecodeError::BadPolicyOp => {
+                write!(f, "policy record body is not a valid policy op")
             }
         }
     }
@@ -237,10 +237,11 @@ pub enum RecordPayload {
         /// The quarantined events (non-empty).
         events: Vec<Event>,
     },
-    /// A durable situation op: [`SITUATION_SENTINEL`], then the op as
-    /// JSON. Carries no events but still consumes one sequence number so
-    /// followers replay it at the same position in the stream.
-    Situation(SituationOp),
+    /// A durable policy op: [`POLICY_SENTINEL`], then the op in binval.
+    /// Carries no events but still consumes one sequence number so
+    /// recovery and followers apply it at the same position in the
+    /// stream.
+    Policy(PolicyOp),
 }
 
 impl RecordPayload {
@@ -248,16 +249,16 @@ impl RecordPayload {
     pub fn events(&self) -> &[Event] {
         match self {
             RecordPayload::Events(events) | RecordPayload::Quarantine { events, .. } => events,
-            RecordPayload::Situation(_) => &[],
+            RecordPayload::Policy(_) => &[],
         }
     }
 
-    /// Number of WAL sequence numbers the record consumes. Situation
+    /// Number of WAL sequence numbers the record consumes. Policy
     /// records carry no events but still take one slot: replication
     /// cursors must pass through them at a well-defined position.
     pub fn seq_count(&self) -> u64 {
         match self {
-            RecordPayload::Situation(_) => 1,
+            RecordPayload::Policy(_) => 1,
             _ => self.events().len() as u64,
         }
     }
@@ -274,15 +275,14 @@ pub fn encode_quarantine(source: SubjectId, level: u8, events: &[Event], out: &m
     }
 }
 
-/// Append the situation-record encoding of `op` to `out`: the sentinel
-/// followed by the op's JSON.
-pub fn encode_situation(op: &SituationOp, out: &mut Vec<u8>) {
-    out.push(SITUATION_SENTINEL);
-    let json = serde_json::to_string(op).expect("situation ops always serialize");
-    out.extend_from_slice(json.as_bytes());
+/// Append the policy-record encoding of `op` to `out`: the sentinel
+/// followed by the op in binval.
+pub fn encode_policy_op(op: &PolicyOp, out: &mut Vec<u8>) {
+    out.push(POLICY_SENTINEL);
+    out.extend_from_slice(&crate::binval::encode(op));
 }
 
-/// Decode a whole record payload — quarantine or situation if it opens
+/// Decode a whole record payload — quarantine or policy if it opens
 /// with the matching sentinel, a concatenated event batch otherwise.
 /// Total, like every decoder here: arbitrary bytes yield a payload or a
 /// [`DecodeError`], never a panic; an empty batch (of either kind) is an
@@ -314,13 +314,9 @@ pub fn decode_record_payload(buf: &[u8]) -> Result<RecordPayload, DecodeError> {
                 events,
             })
         }
-        Some(&SITUATION_SENTINEL) => {
-            let op = std::str::from_utf8(&buf[1..])
-                .ok()
-                .and_then(|json| serde_json::from_str(json).ok())
-                .ok_or(DecodeError::BadSituation)?;
-            Ok(RecordPayload::Situation(op))
-        }
+        Some(&POLICY_SENTINEL) => crate::binval::decode(&buf[1..])
+            .map(RecordPayload::Policy)
+            .map_err(|_| DecodeError::BadPolicyOp),
         _ => Ok(RecordPayload::Events(decode_events(buf)?)),
     }
 }
@@ -451,32 +447,32 @@ mod tests {
     }
 
     #[test]
-    fn situation_payloads_round_trip_and_bad_json_errors() {
-        use ltam_situate::{IncidentId, SituationMode};
-        let op = SituationOp::Declare(SituationMode::Emergency {
+    fn policy_payloads_round_trip_and_bad_bodies_error() {
+        use ltam_situate::{IncidentId, SituationMode, SituationOp};
+        let op = PolicyOp::Situation(SituationOp::Declare(SituationMode::Emergency {
             incident: IncidentId(7),
             until: Time(500),
-        });
+        }));
         let mut buf = Vec::new();
-        encode_situation(&op, &mut buf);
-        assert_eq!(buf[0], SITUATION_SENTINEL);
+        encode_policy_op(&op, &mut buf);
+        assert_eq!(buf[0], POLICY_SENTINEL);
         assert_eq!(
             decode_record_payload(&buf).unwrap(),
-            RecordPayload::Situation(op.clone())
+            RecordPayload::Policy(op.clone())
         );
-        assert_eq!(RecordPayload::Situation(op).seq_count(), 1);
-        // Any truncation breaks the JSON and is an error, never a panic.
+        assert_eq!(RecordPayload::Policy(op).seq_count(), 1);
+        // Any truncation breaks the body and is an error, never a panic.
         for cut in 0..buf.len() {
             assert!(decode_record_payload(&buf[..cut]).is_err(), "cut {cut}");
         }
         // Garbage after the sentinel is rejected, not misread.
         assert_eq!(
-            decode_record_payload(&[SITUATION_SENTINEL, b'{', b'x']),
-            Err(DecodeError::BadSituation)
+            decode_record_payload(&[POLICY_SENTINEL, b'{', b'x']),
+            Err(DecodeError::BadPolicyOp)
         );
         // The two sentinels never alias each other or any event tag.
-        assert_ne!(SITUATION_SENTINEL, QUARANTINE_SENTINEL);
-        const { assert!(SITUATION_SENTINEL > TAG_TICK) };
+        assert_ne!(POLICY_SENTINEL, QUARANTINE_SENTINEL);
+        const { assert!(POLICY_SENTINEL > TAG_TICK) };
     }
 
     #[test]

@@ -20,27 +20,30 @@
 //!   sequence `>= snapshot.seq` through the normal ingest path. A torn or
 //!   bit-flipped WAL tail is truncated at the last intact record — never
 //!   a panic, never a lost record *before* the damage.
-//! * **Policy edits** — [`DurableEngine::update_policy`] and
-//!   [`DurableEngine::revoke_authorization`] apply the epoch swap (and,
-//!   for revocation, per-shard grant/counter invalidation) and snapshot
-//!   immediately: admin changes are rare and the WAL intentionally
-//!   carries only sensor events, so the snapshot is what makes policy
-//!   durable. Each acknowledged edit also advances an on-disk
-//!   policy-epoch marker; recovery refuses a snapshot fallback that
-//!   would silently revert an acknowledged edit.
+//! * **Policy edits** — every op-shaped edit ([`PolicyOp`]: tokens,
+//!   trust, authorization add/revoke, situation ops) is one WAL record
+//!   through [`DurableEngine::apply_policy`]: appended, then applied as
+//!   one epoch swap, and replayed at its sequence position by recovery
+//!   and by followers. Edits with no op form go through
+//!   [`DurableEngine::update_policy`], which snapshots immediately (a
+//!   closure cannot be logged). Each acknowledged edit of either kind
+//!   advances an on-disk policy-epoch marker; recovery refuses to come
+//!   up below it — the records or the snapshot carrying an acked edit
+//!   are missing — rather than silently revert.
 
 use crate::archive::{ArchiveData, ArchiveStore, LazyArchive};
 use crate::crc::crc32;
 use crate::history::{self, HistoryError};
 use crate::snapshot::{SnapshotStore, StoreSnapshot};
 use crate::wal::{Wal, WalBatch, WalConfig, WalRecovery};
-use ltam_core::capability::{AdminOp, AdminOutcome, WireAuth};
+use ltam_core::capability::{AdminOp, AdminOutcome};
 use ltam_core::db::AuthId;
-use ltam_core::model::Authorization;
 use ltam_core::retention::RetentionPolicy;
 use ltam_core::subject::SubjectId;
 use ltam_core::AuthorizationDb;
-use ltam_engine::batch::{shard_of, BatchOutcome, Event, PolicyCore, ShardedEngine};
+use ltam_engine::batch::{
+    shard_of, BatchOutcome, Event, PolicyCore, PolicyOp, PolicyOutcome, ShardedEngine,
+};
 use ltam_engine::movement::{Contact, MovementKind};
 use ltam_engine::shard::{ShardState, ShardStateImage};
 use ltam_engine::violation::Alert;
@@ -105,10 +108,10 @@ pub struct RecoveryReport {
     /// WAL-tail quarantine events reloaded onto the quarantine ledger
     /// (they never pass through enforcement).
     pub replayed_quarantined: usize,
-    /// WAL-tail situation ops re-applied during replay, each at its own
-    /// sequence position (a mode declaration changes how every later
+    /// WAL-tail policy ops re-applied during replay, each at its own
+    /// sequence position (a policy edit changes how every later
     /// replayed event is judged).
-    pub replayed_situations: usize,
+    pub replayed_policy_ops: usize,
     /// Violations raised during replay (already counted in the snapshot
     /// run's history if the crash lost no state — replay re-detects them).
     pub replayed_violations: usize,
@@ -160,11 +163,11 @@ pub struct DurableEngine {
     applied: u64,
     since_snapshot: u64,
     policy_epoch: u64,
-    /// Enforcement-policy edits acknowledged so far — the replication
-    /// barrier. A strict subset of `policy_epoch`'s bumps: wire-auth
-    /// edits (token mint/revoke, trust changes) are durable policy
-    /// edits but do not change what the WAL's events mean, so a
-    /// follower keeps tailing across them instead of re-bootstrapping.
+    /// Closure edits ([`DurableEngine::update_policy`]) acknowledged so
+    /// far — the replication barrier. A strict subset of
+    /// `policy_epoch`'s bumps: op-shaped edits travel in the WAL, so a
+    /// follower tails across them; a closure edit exists only in the
+    /// snapshot taken behind it, so a follower must re-bootstrap.
     enforcement_epoch: u64,
     /// Highest event time seen — the monitoring clock retention
     /// maintenance runs against. Quarantined events deliberately do
@@ -194,8 +197,8 @@ struct StatusCells {
 
 /// A background snapshot write in flight: the engine was imaged and the
 /// WAL rotated synchronously; the encode + write + fsync run on this
-/// thread. Joined (and the WAL compacted) before the next snapshot,
-/// any policy edit, or drop.
+/// thread. Joined (and the WAL compacted) before the next snapshot
+/// (cadence, closure edit, shutdown) or drop.
 #[derive(Debug)]
 struct PendingSnapshot {
     join: JoinHandle<io::Result<PathBuf>>,
@@ -304,9 +307,10 @@ impl Drop for StoreLock {
 }
 
 /// Marker file recording the highest **acknowledged** policy epoch
-/// (`"LTPE"` magic, version, epoch u64, CRC). Written after the snapshot
-/// carrying a policy edit lands, so snapshot fallback can detect — and
-/// refuse — a recovery that would silently revert an acked edit.
+/// (`"LTPE"` magic, version, epoch u64, CRC). Written after the WAL
+/// record (or, for a closure edit, the snapshot) carrying a policy edit
+/// is durable, so recovery can detect — and refuse — coming up in a
+/// state that silently reverts an acked edit.
 const EPOCH_MARKER: &str = "policy.epoch";
 
 fn write_epoch_marker(dir: &Path, fsync: bool, epoch: u64) -> io::Result<()> {
@@ -374,7 +378,7 @@ impl DurableEngine {
         let (wal, recovered) = Wal::open(dir, config.wal())?;
         if !recovered.events.is_empty()
             || !recovered.quarantined.is_empty()
-            || !recovered.situations.is_empty()
+            || !recovered.policy_ops.is_empty()
         {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
@@ -484,7 +488,7 @@ impl DurableEngine {
             let wal_start = [
                 recovered.events.first().map(|&(s, _)| s),
                 recovered.quarantined.first().map(|&(s, _)| s),
-                recovered.situations.first().map(|&(s, _)| s),
+                recovered.policy_ops.first().map(|&(s, _)| s),
             ]
             .into_iter()
             .flatten()
@@ -498,24 +502,6 @@ impl DurableEngine {
                          only {}; events in between are lost (was the log compacted past a \
                          snapshot that is now corrupt?)",
                         snap.seq
-                    ),
-                ));
-            }
-        }
-
-        // The WAL preserves events across a snapshot fallback, but policy
-        // edits live only in snapshots: recovering from a snapshot with a
-        // smaller policy epoch than the store ever acknowledged would
-        // silently re-enforce under the reverted policy. Refuse.
-        if let Some(acked_epoch) = read_epoch_marker(dir) {
-            if snap.policy_epoch < acked_epoch {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "policy revert: the usable snapshot carries policy epoch {} but edits \
-                         through epoch {acked_epoch} were acknowledged; recovering would \
-                         silently undo them (is the newest snapshot corrupt?)",
-                        snap.policy_epoch
                     ),
                 ));
             }
@@ -542,11 +528,10 @@ impl DurableEngine {
             .filter(|&&(seq, _)| seq >= snap.seq)
             .copied()
             .collect();
-        let replay_situations: Vec<(u64, SituationOp)> = recovered
-            .situations
-            .iter()
-            .filter(|&&(seq, _)| seq >= snap.seq)
-            .cloned()
+        let replay_ops: Vec<(u64, PolicyOp)> = recovered
+            .policy_ops
+            .into_iter()
+            .filter(|&(seq, _)| seq >= snap.seq)
             .collect();
         let archive = ArchiveStore::with_fsync(dir, config.fsync);
         // A broken archive chain must not hide behind a healthy-looking
@@ -577,7 +562,7 @@ impl DurableEngine {
             snapshot_seq: snap.seq,
             replayed: replay.len(),
             replayed_quarantined,
-            replayed_situations: replay_situations.len(),
+            replayed_policy_ops: replay_ops.len(),
             replayed_violations: 0,
             truncated_bytes: recovered.truncated_bytes,
             dropped_segments: recovered.dropped_segments,
@@ -585,15 +570,13 @@ impl DurableEngine {
             archive_covered_to,
             archive_error,
         };
-        // Replay events and situation ops merged by sequence: a mode
-        // declaration (or constraint edit) in the tail changes how every
-        // later event is judged, so it must be re-applied at exactly the
-        // position it held on the uninterrupted run. Each op bumps the
-        // in-memory policy epoch like the live path did; the snapshot
-        // that normally follows an op never landed (that is why it is
-        // still in the tail), so the cadence will take one later.
+        // Replay events and policy ops merged by sequence: an op in the
+        // tail changes how every later event is judged, so it must be
+        // re-applied at exactly the position it held on the
+        // uninterrupted run. Each op bumps the in-memory policy epoch
+        // like the live path did.
         let mut policy_epoch = snap.policy_epoch;
-        if !replay.is_empty() || !replay_situations.is_empty() {
+        if !replay.is_empty() || !replay_ops.is_empty() {
             let _span = ltam_obs::timed!(
                 "store_recovery_replay_seconds",
                 "WAL-tail replay time during open (one sample per recovery)"
@@ -608,15 +591,30 @@ impl DurableEngine {
                     *at = end;
                 }
             };
-            for (op_seq, op) in &replay_situations {
+            for (op_seq, op) in &replay_ops {
                 let end = at + replay[at..].partition_point(|&(s, _)| s < *op_seq);
                 ingest_upto(&engine, end, &mut at);
-                engine.update_policy(|p| {
-                    p.apply_situation(op);
-                });
+                engine.apply_policy_op(op);
                 policy_epoch += 1;
             }
             ingest_upto(&engine, replay.len(), &mut at);
+        }
+        // Op-shaped edits survive a snapshot fallback by construction
+        // (they are in the WAL); closure edits live only in snapshots.
+        // Either way, coming up below the acknowledged epoch means the
+        // records or the snapshot carrying an acked edit are gone, and
+        // enforcing under the reverted policy would be silent. Refuse.
+        if let Some(acked_epoch) = read_epoch_marker(dir) {
+            if policy_epoch < acked_epoch {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "policy revert: recovery reaches policy epoch {policy_epoch} but edits \
+                         through epoch {acked_epoch} were acknowledged; recovering would \
+                         silently undo them (are the newest snapshot or WAL records missing?)"
+                    ),
+                ));
+            }
         }
         report.retention_watermark = engine.retention_watermark().get();
         // Re-seed the monitoring clock from the replayed tail so
@@ -654,12 +652,11 @@ impl DurableEngine {
 
     /// The wrapped engine, for reads and queries.
     ///
-    /// **Mutations through this reference bypass durability**: events fed
-    /// to the engine directly are not WAL-logged, and admin calls like
-    /// `ShardedEngine::revoke_authorization` are not snapshotted — a
-    /// crash silently un-does them. Use [`DurableEngine::ingest`],
-    /// [`DurableEngine::update_policy`] and
-    /// [`DurableEngine::revoke_authorization`] instead.
+    /// **Mutations through this reference bypass durability**: events
+    /// and policy edits fed to the engine directly are not WAL-logged —
+    /// a crash silently un-does them. Use [`DurableEngine::ingest`],
+    /// [`DurableEngine::apply_policy`] and
+    /// [`DurableEngine::update_policy`] instead.
     pub fn engine(&self) -> &ShardedEngine {
         &self.engine
     }
@@ -680,9 +677,8 @@ impl DurableEngine {
         self.policy_epoch
     }
 
-    /// The current enforcement epoch (bumped only by edits that change
-    /// what enforcement means — the replication barrier; see the field
-    /// docs).
+    /// The current enforcement epoch (bumped only by closure edits —
+    /// the replication barrier; see the field docs).
     pub fn enforcement_epoch(&self) -> u64 {
         self.enforcement_epoch
     }
@@ -817,11 +813,13 @@ impl DurableEngine {
         self.retention_error.take()
     }
 
-    /// Apply a policy edit as one epoch swap and make it durable: the
-    /// WAL carries only sensor events, so the edit is snapshotted
-    /// immediately and the acknowledged policy epoch is advanced (which
-    /// recovery checks — a snapshot fallback will refuse to revert this
-    /// edit rather than silently re-enforce under the old policy).
+    /// Apply a closure edit as one epoch swap and make it durable — the
+    /// escape hatch for edits with no [`PolicyOp`] form (tunables,
+    /// prohibitions, rules, bulk loads). A closure cannot be logged, so
+    /// the edit is snapshotted immediately, both epochs advance (every
+    /// follower must re-bootstrap behind it), and the acknowledged
+    /// policy epoch is recorded (recovery refuses a snapshot fallback
+    /// that would revert this edit).
     ///
     /// On `Err` the edit is live in memory but **not durable**: a crash
     /// before a later successful snapshot reverts it.
@@ -834,95 +832,56 @@ impl DurableEngine {
         Ok(r)
     }
 
-    /// Apply a wire-auth edit (token mint/revoke, trust change) with the
-    /// same durability protocol as [`DurableEngine::update_policy`] —
-    /// epoch bump, immediate snapshot, acked-epoch marker — but
-    /// **without** advancing the enforcement epoch: the edit changes who
-    /// may talk to this store, not what its event history means, so
-    /// followers keep tailing across it.
-    pub fn update_wire_policy<R>(&mut self, f: impl FnOnce(&mut WireAuth) -> R) -> io::Result<R> {
-        let r = self.engine.update_policy(|p| f(p.wire_mut()));
-        self.policy_epoch += 1;
-        self.snapshot_keep_wal()?;
-        write_epoch_marker(&self.dir, self.config.fsync, self.policy_epoch)?;
-        Ok(r)
-    }
-
-    /// Apply one [`AdminOp`] durably and return its outcome. This is
-    /// the single dispatch point the serving tier's admin RPCs funnel
-    /// through: each arm routes to the durability path with the right
-    /// epoch semantics (wire-auth edits skip the enforcement-epoch
-    /// bump; authorization edits take it).
-    pub fn apply_admin(&mut self, op: AdminOp) -> io::Result<AdminOutcome> {
-        match op {
-            AdminOp::MintToken {
-                subject,
-                scopes,
-                validity,
-                secret,
-            } => self.update_wire_policy(|w| AdminOutcome::TokenMinted {
-                id: w.mint(subject, scopes, validity, secret),
-            }),
-            AdminOp::RevokeToken { id } => {
-                self.update_wire_policy(|w| AdminOutcome::TokenRevoked {
-                    existed: w.revoke(id),
-                })
-            }
-            AdminOp::SetTrust { subject, level } => self.update_wire_policy(|w| {
-                w.trust.set_level(subject, level);
-                AdminOutcome::TrustSet
-            }),
-            AdminOp::SetTrustThreshold { threshold } => self.update_wire_policy(|w| {
-                w.trust.threshold = threshold;
-                AdminOutcome::TrustSet
-            }),
-            AdminOp::SetAuthRequired { required } => self.update_wire_policy(|w| {
-                w.required = required;
-                AdminOutcome::AuthRequiredSet
-            }),
-            AdminOp::AddAuthorization(auth) => {
-                self.update_policy(|p| AdminOutcome::AuthorizationAdded {
-                    id: p.add_authorization(auth),
-                })
-            }
-            AdminOp::RevokeAuthorization { id } => {
-                self.revoke_authorization(id)
-                    .map(|revoked| AdminOutcome::AuthorizationRevoked {
-                        existed: revoked.is_some(),
-                    })
-            }
-        }
-    }
-
-    /// Durably apply one [`SituationOp`] — a mode declaration, a
-    /// responder/pin edit, or a workflow-constraint change.
+    /// Durably apply one [`PolicyOp`] — the only op-shaped durability
+    /// path. The op is WAL-appended (own record kind, one sequence
+    /// number) *then* applied as one epoch swap, so it commits in
+    /// stream position: recovery replays it, and a follower tailing the
+    /// log applies it, exactly where the primary did — every later
+    /// event is judged, and every later frame authenticated, under the
+    /// same policy everywhere. Only the policy epoch advances; nothing
+    /// is snapshotted and no follower re-bootstraps.
     ///
-    /// Unlike admin edits, situation ops change what the event stream
-    /// *means*, so they are **WAL-logged** (own record kind, one
-    /// sequence number) before the epoch swap: a follower tailing the
-    /// log re-applies the op at the same stream position and judges
-    /// every later event identically — no re-bootstrap, because only
-    /// the policy epoch bumps, never the enforcement epoch. The
-    /// immediate snapshot then covers the op's sequence, and the acked
-    /// epoch marker protects it from snapshot fallback, exactly like
-    /// [`DurableEngine::update_wire_policy`]. A crash between the WAL
-    /// append and the snapshot replays the op at its recorded position
-    /// on recovery.
-    pub fn apply_situation(&mut self, op: &SituationOp) -> io::Result<SituationOutcome> {
-        self.wal.append_mixed(&[WalBatch::Situation(op)])?;
-        let outcome = self.engine.update_policy(|p| p.apply_situation(op));
+    /// `Err` from the append means nothing happened (retry is safe).
+    /// `Err` from the acked-epoch marker means the op *is* logged and
+    /// applied but unacknowledged, like any commit whose ack was lost.
+    pub fn apply_policy(&mut self, op: &PolicyOp) -> io::Result<PolicyOutcome> {
+        self.wal.append_mixed(&[WalBatch::Policy(op)])?;
+        let outcome = self.engine.apply_policy_op(op);
         self.policy_epoch += 1;
         self.applied += 1;
         self.since_snapshot += 1;
-        self.snapshot_keep_wal()?;
-        write_epoch_marker(&self.dir, self.config.fsync, self.policy_epoch)?;
+        self.publish_cells();
         ltam_obs::gauge!(
             "situate_mode",
             "Declared situation mode (0 = normal, 1 = emergency, 2 = lockdown)"
         )
         .set(self.engine.policy().situation().mode_gauge());
-        self.publish_cells();
+        write_epoch_marker(&self.dir, self.config.fsync, self.policy_epoch)?;
         Ok(outcome)
+    }
+
+    /// [`DurableEngine::apply_policy`] for one [`AdminOp`].
+    pub fn apply_admin(&mut self, op: AdminOp) -> io::Result<AdminOutcome> {
+        match self.apply_policy(&PolicyOp::Admin(op))? {
+            PolicyOutcome::Admin(outcome) => Ok(outcome),
+            PolicyOutcome::Situation(_) => unreachable!("admin ops yield admin outcomes"),
+        }
+    }
+
+    /// [`DurableEngine::apply_policy`] for one [`SituationOp`].
+    pub fn apply_situation(&mut self, op: &SituationOp) -> io::Result<SituationOutcome> {
+        match self.apply_policy(&PolicyOp::Situation(op.clone()))? {
+            PolicyOutcome::Situation(outcome) => Ok(outcome),
+            PolicyOutcome::Admin(_) => unreachable!("situation ops yield situation outcomes"),
+        }
+    }
+
+    /// [`DurableEngine::apply_policy`] for an authorization revocation
+    /// (which also lapses its pending grants and usage counters on
+    /// every shard); returns whether the authorization existed.
+    pub fn revoke_authorization(&mut self, id: AuthId) -> io::Result<bool> {
+        let outcome = self.apply_admin(AdminOp::RevokeAuthorization { id })?;
+        Ok(outcome == AdminOutcome::AuthorizationRevoked { existed: true })
     }
 
     /// Durably record a batch from a below-trust-threshold sensor on
@@ -951,21 +910,6 @@ impl DurableEngine {
         self.since_snapshot += events.len() as u64;
         self.publish_cells();
         Ok(events.len())
-    }
-
-    /// Durably revoke an authorization: removes it from the policy epoch
-    /// **and** lapses its pending grants and usage counters on every
-    /// shard (via [`ShardedEngine::revoke_authorization`]), then
-    /// snapshots like [`DurableEngine::update_policy`]. This is the only
-    /// crash-safe revocation path — the same call on
-    /// [`DurableEngine::engine`] would not survive a restart.
-    pub fn revoke_authorization(&mut self, id: AuthId) -> io::Result<Option<Authorization>> {
-        let revoked = self.engine.revoke_authorization(id);
-        self.policy_epoch += 1;
-        self.enforcement_epoch += 1;
-        self.snapshot()?;
-        write_epoch_marker(&self.dir, self.config.fsync, self.policy_epoch)?;
-        Ok(revoked)
     }
 
     /// Image the engine at the current WAL position, write the snapshot,
@@ -1003,7 +947,7 @@ impl DurableEngine {
     /// file is durable, recovery falls back to the previous snapshot and
     /// replays the full WAL (compaction is deferred to the join for
     /// exactly this reason). The write is joined — and any error
-    /// surfaced — by the next snapshot, policy edit, or drop.
+    /// surfaced — by the next snapshot or drop.
     pub fn snapshot_async(&mut self) -> io::Result<u64> {
         self.snapshot_finish()?;
         let snapshot = self.image();
@@ -1036,24 +980,6 @@ impl DurableEngine {
             Ok(Err(e)) => Err(e),
             Err(_) => Err(io::Error::other("background snapshot writer panicked")),
         }
-    }
-
-    /// Write a snapshot but leave the WAL alone: no rotation, no
-    /// compaction. This is the snapshot the **tail-transparent** policy
-    /// edits take (wire-auth edits, situation ops — the ones followers
-    /// keep tailing across): a storm of such edits through
-    /// [`DurableEngine::snapshot`] would rotate and compact the log
-    /// under a briefly-lagging follower's cursor, parking it
-    /// `NeedsBootstrap` for no semantic reason. The snapshot file alone
-    /// carries the edit's durability (the epoch marker is written after
-    /// it lands); compaction waits for the event-cadence snapshots.
-    fn snapshot_keep_wal(&mut self) -> io::Result<u64> {
-        self.snapshot_finish()?;
-        let snapshot = self.image();
-        self.snapshots.write(&snapshot)?;
-        self.since_snapshot = 0;
-        self.publish_cells();
-        Ok(self.applied)
     }
 
     fn image(&self) -> StoreSnapshot {
@@ -1104,9 +1030,9 @@ impl DurableEngine {
         if !ltam_obs::disabled() {
             // Scrape-visible epoch gauges: `store_policy_epoch` moves on
             // every durable policy edit; `store_enforcement_epoch` only
-            // on edits that change what enforcement means. An
-            // enforcement bump outside a change window is an operator
-            // alert (every follower re-bootstraps behind it).
+            // on closure edits. An enforcement bump outside a change
+            // window is an operator alert (every follower re-bootstraps
+            // behind it).
             ltam_obs::gauge!(
                 "store_policy_epoch",
                 "Durable policy epoch (bumped by every acknowledged policy edit)"
@@ -1114,8 +1040,8 @@ impl DurableEngine {
             .set(self.policy_epoch as i64);
             ltam_obs::gauge!(
                 "store_enforcement_epoch",
-                "Enforcement epoch (bumped only by edits that change enforcement semantics; \
-                 followers re-bootstrap when it moves)"
+                "Enforcement epoch (bumped only by closure policy edits; followers \
+                 re-bootstrap when it moves)"
             )
             .set(self.enforcement_epoch as i64);
         }
@@ -1229,10 +1155,15 @@ impl DurableEngine {
             .archive
             .append_run(live_from.get(), horizon.get(), &prunable)?;
         drop(archive_span);
-        self.engine.apply_retention(policy, horizon);
         // A new segment exists (and may have replaced a stranded one):
-        // the next query rescans the chain and reloads lazily.
+        // the next query rescans the chain and reloads lazily. Invalidate
+        // *before* the live watermark advances — a concurrent reader that
+        // sees the new watermark must also see the chain that covers it,
+        // or it refuses safely-archived history as `Unarchived`. The
+        // other order is the crash-between-steps overlap the tier merge
+        // already clips.
         self.archive_cache.lock().invalidate();
+        self.engine.apply_retention(policy, horizon);
         Ok(RetentionOutcome {
             watermark: horizon,
             pruned: prunable.len(),
@@ -2189,7 +2120,7 @@ mod tests {
     fn durable_revocation_survives_restart_and_lapses_grants() {
         let dir = ScratchDir::new("durable-revoke");
         let (core, alice, cais) = campus_core();
-        {
+        let op_offset = {
             let (mut durable, _alerts) =
                 DurableEngine::create(dir.path(), core, 2, test_config()).unwrap();
             let out = durable
@@ -2208,23 +2139,47 @@ mod tests {
                 .next()
                 .map(|(id, _, _)| id)
                 .unwrap();
-            assert!(durable.revoke_authorization(id).unwrap().is_some());
+            // Where the revocation's WAL record is about to start.
+            let segment = Wal::segment_files(dir.path()).unwrap().pop().unwrap();
+            let op_offset = std::fs::metadata(segment).unwrap().len();
+            assert!(durable.revoke_authorization(id).unwrap());
+            op_offset
+        };
+        {
+            // Only the creation-time snapshot exists: the revocation is
+            // replayed from the WAL, after the request it lapses.
+            let (mut durable, _alerts, report) =
+                DurableEngine::open(dir.path(), test_config()).unwrap();
+            assert_eq!(report.snapshot_seq, 0);
+            assert_eq!((report.replayed, report.replayed_policy_ops), (1, 1));
+            // The pending grant lapsed with the revocation and the
+            // revocation itself survived the restart: walking in is
+            // unauthorized.
+            let out = durable
+                .ingest(&[Event::Enter {
+                    time: Time(11),
+                    subject: alice,
+                    location: cais,
+                }])
+                .unwrap();
+            assert_eq!(out.violations.len(), 1);
+            assert!(matches!(
+                out.violations[0],
+                ltam_engine::violation::Violation::UnauthorizedEntry { .. }
+            ));
         }
-        let (mut durable, _alerts, _) = DurableEngine::open(dir.path(), test_config()).unwrap();
-        // The pending grant lapsed with the revocation and the revocation
-        // itself survived the restart: walking in is unauthorized.
-        let out = durable
-            .ingest(&[Event::Enter {
-                time: Time(11),
-                subject: alice,
-                location: cais,
-            }])
+        // Cut the acked revocation's record (and everything after it)
+        // off the log: coming up without it would silently re-grant, so
+        // the acked-epoch marker refuses.
+        let segment = Wal::segment_files(dir.path()).unwrap().pop().unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(segment)
             .unwrap();
-        assert_eq!(out.violations.len(), 1);
-        assert!(matches!(
-            out.violations[0],
-            ltam_engine::violation::Violation::UnauthorizedEntry { .. }
-        ));
+        file.set_len(op_offset).unwrap();
+        let err = DurableEngine::open(dir.path(), test_config()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("policy revert"), "{err}");
     }
 
     /// A two-subject store: Alice and Bob overlap in CAIS during

@@ -32,10 +32,8 @@
 
 use crate::durable::DurableEngine;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use ltam_core::capability::{AdminOp, AdminOutcome};
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{BatchOutcome, Event};
-use ltam_situate::{SituationOp, SituationOutcome};
+use ltam_engine::batch::{BatchOutcome, Event, PolicyOp, PolicyOutcome};
 use std::io;
 use std::thread::JoinHandle;
 
@@ -59,9 +57,9 @@ impl Default for GroupCommitConfig {
 
 /// One queued unit of durable work. Everything that mutates the engine
 /// flows through this queue — ingest batches, quarantine batches from
-/// below-trust sensors, and admin (policy/token) operations — so all
-/// three commit in submission order on the single commit thread, and
-/// admin ops are serialized with the ingest they govern.
+/// below-trust sensors, and policy ops — so all three commit in
+/// submission order on the single commit thread, and policy ops are
+/// serialized with the ingest they govern.
 enum Job {
     /// A trusted ingest batch and the completion to run after its
     /// fsync (or failure).
@@ -80,16 +78,11 @@ enum Job {
         events: Vec<Event>,
         done: Box<dyn FnOnce(io::Result<usize>) + Send>,
     },
-    /// A policy/token administration operation.
-    Admin {
-        op: AdminOp,
-        done: Box<dyn FnOnce(io::Result<AdminOutcome>) + Send>,
-    },
-    /// A situation operation (mode declaration, responder/pin edit, or
-    /// a workflow-constraint change).
-    Situation {
-        op: SituationOp,
-        done: Box<dyn FnOnce(io::Result<SituationOutcome>) + Send>,
+    /// A policy op (admin or situation edit), logged as its own WAL
+    /// record.
+    Policy {
+        op: PolicyOp,
+        done: Box<dyn FnOnce(io::Result<PolicyOutcome>) + Send>,
     },
 }
 
@@ -98,9 +91,8 @@ impl Job {
     fn event_count(&self) -> usize {
         match self {
             Job::Ingest { events, .. } | Job::Quarantine { events, .. } => events.len(),
-            // Admin and situation ops snapshot inline; count them like a
-            // small batch so a flood of them still bounds the group.
-            Job::Admin { .. } | Job::Situation { .. } => 1,
+            // One WAL sequence number, like a one-event batch.
+            Job::Policy { .. } => 1,
         }
     }
 }
@@ -194,58 +186,29 @@ impl CommitHandle {
             .unwrap_or_else(|_| Err(io::Error::other("commit thread died before acking")))
     }
 
-    /// Queue an admin operation; `done` runs once it is applied and
-    /// durable (admin edits snapshot before acking).
-    pub fn submit_admin(
+    /// Queue a policy op; `done` runs once it is WAL-logged and applied.
+    /// It commits in queue position, so a revocation or a mode declared
+    /// before a batch governs that batch.
+    pub fn submit_policy(
         &self,
-        op: AdminOp,
-        done: impl FnOnce(io::Result<AdminOutcome>) + Send + 'static,
-    ) -> Result<(), Box<AdminOp>> {
+        op: PolicyOp,
+        done: impl FnOnce(io::Result<PolicyOutcome>) + Send + 'static,
+    ) -> Result<(), Box<PolicyOp>> {
         self.tx
-            .send(Job::Admin {
+            .send(Job::Policy {
                 op,
                 done: Box::new(done),
             })
             .map_err(|e| match e.0 {
-                Job::Admin { op, .. } => Box::new(op),
+                Job::Policy { op, .. } => Box::new(op),
                 _ => unreachable!("send returns the job it was given"),
             })
     }
 
-    /// Queue an admin operation and block until it is durable.
-    pub fn admin(&self, op: AdminOp) -> io::Result<AdminOutcome> {
+    /// Queue a policy op and block until it is durable.
+    pub fn policy(&self, op: PolicyOp) -> io::Result<PolicyOutcome> {
         let (tx, rx) = unbounded();
-        self.submit_admin(op, move |result| {
-            let _ = tx.send(result);
-        })
-        .map_err(|_| io::Error::other("commit thread is shut down"))?;
-        rx.recv()
-            .unwrap_or_else(|_| Err(io::Error::other("commit thread died before acking")))
-    }
-
-    /// Queue a situation operation; `done` runs once it is applied,
-    /// WAL-logged, and snapshotted. It commits in queue position, so a
-    /// mode declared before a batch governs that batch.
-    pub fn submit_situation(
-        &self,
-        op: SituationOp,
-        done: impl FnOnce(io::Result<SituationOutcome>) + Send + 'static,
-    ) -> Result<(), Box<SituationOp>> {
-        self.tx
-            .send(Job::Situation {
-                op,
-                done: Box::new(done),
-            })
-            .map_err(|e| match e.0 {
-                Job::Situation { op, .. } => Box::new(op),
-                _ => unreachable!("send returns the job it was given"),
-            })
-    }
-
-    /// Queue a situation operation and block until it is durable.
-    pub fn situation(&self, op: SituationOp) -> io::Result<SituationOutcome> {
-        let (tx, rx) = unbounded();
-        self.submit_situation(op, move |result| {
+        self.submit_policy(op, move |result| {
             let _ = tx.send(result);
         })
         .map_err(|_| io::Error::other("commit thread is shut down"))?;
@@ -353,8 +316,8 @@ fn commit_loop(
         .observe(jobs.len() as u64);
         // Walk the group in submission order. Consecutive ingest jobs
         // coalesce into one `commit_group` call (one WAL write + one
-        // fsync); quarantine and admin jobs commit where they stand so
-        // ordering against neighboring ingest is preserved — an admin
+        // fsync); quarantine and policy jobs commit where they stand so
+        // ordering against neighboring ingest is preserved — a
         // revocation submitted before a batch governs that batch.
         let mut iter = jobs.into_iter().peekable();
         while let Some(job) = iter.next() {
@@ -401,8 +364,7 @@ fn commit_loop(
                     events,
                     done,
                 } => done(engine.commit_quarantine(source, level, &events)),
-                Job::Admin { op, done } => done(engine.apply_admin(op)),
-                Job::Situation { op, done } => done(engine.apply_situation(&op)),
+                Job::Policy { op, done } => done(engine.apply_policy(&op)),
             }
         }
         // Acks are out; now the cadence work (snapshot imaging is

@@ -32,8 +32,7 @@ use crate::codec::{decode_record_payload, RecordPayload};
 use crate::crc::crc32;
 use crate::wal::{RECORD_HEADER_LEN, SEGMENT_HEADER_LEN, WAL_MAGIC, WAL_VERSION};
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::Event;
-use ltam_situate::SituationOp;
+use ltam_engine::batch::{Event, PolicyOp};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -291,10 +290,11 @@ pub enum TailBatch {
         /// The quarantined events.
         events: Vec<Event>,
     },
-    /// A situation record: the follower re-applies the op to its own
+    /// A policy record: the follower re-applies the op to its own
     /// policy at the same stream position the primary did, keeping the
-    /// two judging identically from that sequence on.
-    Situation(SituationOp),
+    /// two judging — and authenticating — identically from that
+    /// sequence on.
+    Policy(PolicyOp),
 }
 
 impl TailBatch {
@@ -302,7 +302,7 @@ impl TailBatch {
     pub fn events(&self) -> &[Event] {
         match self {
             TailBatch::Events(events) | TailBatch::Quarantine { events, .. } => events,
-            TailBatch::Situation(_) => &[],
+            TailBatch::Policy(_) => &[],
         }
     }
 }
@@ -478,9 +478,9 @@ impl TailScanner {
                         level,
                         events: events.split_off(skip),
                     },
-                    // A situation record is one seq; reaching this arm
+                    // A policy record is one seq; reaching this arm
                     // means it is wholly above `skip_below` (skip == 0).
-                    RecordPayload::Situation(op) => TailBatch::Situation(op),
+                    RecordPayload::Policy(op) => TailBatch::Policy(op),
                 });
             }
             self.next_seq += count;
@@ -548,7 +548,7 @@ mod tests {
             .into_iter()
             .map(|b| match b {
                 TailBatch::Events(events) => events,
-                TailBatch::Quarantine { .. } | TailBatch::Situation(_) => {
+                TailBatch::Quarantine { .. } | TailBatch::Policy(_) => {
                     panic!("expected a plain batch")
                 }
             })

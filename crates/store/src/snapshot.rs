@@ -13,12 +13,6 @@
 //! └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Version 1 files carried the same header with a JSON payload; they
-//! are still **read** (an upgraded store recovers from its last v1
-//! snapshot) but no longer written — at drill scale the JSON encode
-//! alone cost tens of milliseconds per snapshot, which was the p99
-//! outlier in the serving tier (see `binval`).
-//!
 //! `seq` is the number of WAL events already **applied** to the captured
 //! state: recovery loads the snapshot and replays WAL records with
 //! sequence numbers `>= seq`. The CRC covers the payload; a snapshot that
@@ -39,8 +33,6 @@ use std::path::{Path, PathBuf};
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LTSN";
 /// On-disk snapshot format version written by this build.
 pub const SNAPSHOT_VERSION: u16 = 2;
-/// Oldest snapshot format version still readable (JSON payload).
-pub const SNAPSHOT_VERSION_JSON: u16 = 1;
 /// Bytes of the snapshot header.
 pub const SNAPSHOT_HEADER_LEN: usize = 28;
 /// Valid snapshots kept on disk (newest first); older ones are pruned.
@@ -55,9 +47,10 @@ pub struct StoreSnapshot {
     /// WAL events applied to this state (replay resumes here).
     pub seq: u64,
     /// Policy edits acknowledged up to this state. Recovery compares
-    /// this against the store's policy-epoch marker: falling back to a
-    /// snapshot with a *smaller* epoch would silently revert an
-    /// acknowledged policy change, so it is refused instead.
+    /// the epoch it reaches — this plus one per replayed WAL policy op
+    /// — against the store's policy-epoch marker: coming up below an
+    /// acknowledged epoch would silently revert a policy change, so it
+    /// is refused instead.
     pub policy_epoch: u64,
     /// Shard count the states were captured under.
     pub shards: usize,
@@ -65,12 +58,12 @@ pub struct StoreSnapshot {
     pub policy: PolicyImage,
     /// Per-shard mutable state, in shard order (`states.len() == shards`).
     pub states: Vec<ShardStateImage>,
-    /// Enforcement-policy edits acknowledged up to this state — the
-    /// replication barrier. Wire-auth edits (token mint/revoke, trust
-    /// tweaks) bump `policy_epoch` for durability but not this counter,
-    /// so a follower need not re-bootstrap over them. Absent in
-    /// snapshots written before the split; recovery then falls back to
-    /// `policy_epoch` (every edit was an enforcement edit back then).
+    /// Closure policy edits acknowledged up to this state — the
+    /// replication barrier. Op-shaped edits bump `policy_epoch` but not
+    /// this counter (they travel in the WAL, so a follower need not
+    /// re-bootstrap over them). Absent in snapshots written before the
+    /// split; recovery then falls back to `policy_epoch` (every edit
+    /// was an enforcement edit back then).
     pub enforcement_epoch: Option<u64>,
     /// The quarantine ledger: events from below-trust-threshold sensors
     /// held out of enforcement state. Absent in older snapshots (the
@@ -300,7 +293,7 @@ fn read_snapshot(
         return Ok(None);
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_JSON {
+    if version != SNAPSHOT_VERSION {
         return Ok(None);
     }
     let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
@@ -323,15 +316,7 @@ fn read_snapshot(
     if bytes.len() != end || crc32(payload) != crc {
         return Ok(None);
     }
-    let decoded = if version == SNAPSHOT_VERSION_JSON {
-        let Ok(text) = std::str::from_utf8(payload) else {
-            return Ok(None);
-        };
-        serde_json::from_str::<StoreSnapshot>(text)
-    } else {
-        crate::binval::decode::<StoreSnapshot>(payload)
-    };
-    match decoded {
+    match crate::binval::decode::<StoreSnapshot>(payload) {
         Ok(snap)
             if snap.seq == seq
                 && snap.policy_epoch == expected_epoch
@@ -414,37 +399,6 @@ mod tests {
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() / 3]).unwrap();
         assert_eq!(store.load_latest().unwrap().unwrap().seq, 10);
-    }
-
-    #[test]
-    fn version_1_json_snapshots_still_load() {
-        // A store written before the binary payload (format v2) must
-        // recover from its existing v1 snapshot after an upgrade.
-        let dir = ScratchDir::new("snap-v1-compat");
-        let snap = snapshot(33);
-        let payload = serde_json::to_string(&snap).unwrap();
-        let payload = payload.as_bytes();
-        let mut bytes = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload.len());
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION_JSON.to_le_bytes());
-        bytes.extend_from_slice(&0u16.to_le_bytes());
-        bytes.extend_from_slice(&snap.seq.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        fs::create_dir_all(dir.path()).unwrap();
-        fs::write(snapshot_path(dir.path(), 33, 0), &bytes).unwrap();
-
-        let store = SnapshotStore::new(dir.path());
-        let back = store.load_latest().unwrap().unwrap();
-        assert_eq!(back.seq, 33);
-        assert_eq!(back.states.len(), 2);
-
-        // And the next write upgrades in place: newest is now v2.
-        let newest = store.write(&snapshot(40)).unwrap();
-        let head = fs::read(&newest).unwrap();
-        assert_eq!(u16::from_le_bytes([head[4], head[5]]), SNAPSHOT_VERSION);
-        assert_eq!(store.load_latest().unwrap().unwrap().seq, 40);
     }
 
     #[test]

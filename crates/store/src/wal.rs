@@ -1,6 +1,6 @@
 //! Segmented, append-only write-ahead log for [`Event`] streams.
 //!
-//! ## On-disk format (version 1)
+//! ## On-disk format (version 2)
 //!
 //! A WAL is a directory of segment files named `wal-<first_seq>.log`,
 //! where `<first_seq>` is the zero-padded sequence number of the
@@ -17,9 +17,10 @@
 //!
 //! The CRC covers the payload; the payload is the [`codec`](crate::codec)
 //! binary encoding of **one or more** concatenated events — one record
-//! per appended batch. (Before group commit landed, every record held
-//! exactly one event; such logs are a special case of this format and
-//! still replay, so the version stays 1.) A record is the unit of
+//! per appended batch — or a sentinel-tagged quarantine batch or policy
+//! op. (Version 1 carried policy-record bodies as JSON; no store of
+//! that format was ever released, so a version-1 segment is refused at
+//! open rather than read.) A record is the unit of
 //! atomicity: recovery keeps it in full or discards it in full, which is
 //! what makes an appended batch all-or-nothing across a crash. Appends
 //! take **one `fsync` per call** — [`Wal::append_batches`] stacks many
@@ -46,12 +47,11 @@
 //! records are at sequence numbers below a snapshot's cover point.
 
 use crate::codec::{
-    decode_record_payload, encode_event, encode_quarantine, encode_situation, RecordPayload,
+    decode_record_payload, encode_event, encode_policy_op, encode_quarantine, RecordPayload,
 };
 use crate::crc::crc32;
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{Event, QuarantinedEvent};
-use ltam_situate::SituationOp;
+use ltam_engine::batch::{Event, PolicyOp, QuarantinedEvent};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -59,7 +59,7 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every WAL segment.
 pub const WAL_MAGIC: [u8; 4] = *b"LTWL";
 /// On-disk format version written into segment headers.
-pub const WAL_VERSION: u16 = 1;
+pub const WAL_VERSION: u16 = 2;
 /// Bytes of the segment header.
 pub const SEGMENT_HEADER_LEN: u64 = 16;
 /// Bytes of a record header (length + CRC).
@@ -95,11 +95,11 @@ pub struct WalRecovery {
     /// occupy sequence numbers interleaved with `events`; they replay
     /// onto the quarantine ledger, never through enforcement).
     pub quarantined: Vec<(u64, QuarantinedEvent)>,
-    /// Every intact situation record, in sequence order. These interleave
+    /// Every intact policy record, in sequence order. These interleave
     /// with `events` and must be re-applied **at their sequence position**
-    /// during replay — a mode declaration changes how every later event
-    /// is judged.
-    pub situations: Vec<(u64, SituationOp)>,
+    /// during replay — a policy edit changes how every later event is
+    /// judged.
+    pub policy_ops: Vec<(u64, PolicyOp)>,
     /// Bytes cut off the damaged segment (0 for a clean log).
     pub truncated_bytes: u64,
     /// Whole segments disregarded because they followed (or were) a
@@ -126,8 +126,8 @@ pub enum WalBatch<'a> {
         /// The quarantined events.
         events: &'a [Event],
     },
-    /// A situation op (one record, one sequence number, no events).
-    Situation(&'a SituationOp),
+    /// A policy op (one record, one sequence number, no events).
+    Policy(&'a PolicyOp),
 }
 
 impl WalBatch<'_> {
@@ -135,15 +135,15 @@ impl WalBatch<'_> {
     pub fn events(&self) -> &[Event] {
         match self {
             WalBatch::Events(events) | WalBatch::Quarantine { events, .. } => events,
-            WalBatch::Situation(_) => &[],
+            WalBatch::Policy(_) => &[],
         }
     }
 
     /// Sequence numbers the batch consumes (events, or one for a
-    /// situation op).
+    /// policy op).
     pub fn seq_count(&self) -> u64 {
         match self {
-            WalBatch::Situation(_) => 1,
+            WalBatch::Policy(_) => 1,
             _ => self.events().len() as u64,
         }
     }
@@ -216,6 +216,14 @@ fn create_segment(dir: &Path, first_seq: u64, fsync: bool) -> io::Result<(Segmen
         },
         file,
     ))
+}
+
+/// The format version of a segment with an intact magic but a version
+/// this build does not read — another build's log, not damage, so it is
+/// refused outright instead of being repaired away as a torn header.
+fn foreign_version(bytes: &[u8]) -> Option<u16> {
+    let version = u16::from_le_bytes([*bytes.get(4)?, *bytes.get(5)?]);
+    (bytes[0..4] == WAL_MAGIC && version != WAL_VERSION).then_some(version)
 }
 
 /// Parse one segment's bytes. Returns the records that scanned cleanly
@@ -335,6 +343,16 @@ impl Wal {
                 break;
             }
             let bytes = fs::read(path)?;
+            if let Some(version) = foreign_version(&bytes) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} is WAL format version {version}; this build reads only version \
+                         {WAL_VERSION} and will not guess at its records",
+                        path.display()
+                    ),
+                ));
+            }
             let (scanned, valid_len, bad_at) = scan_segment(&bytes, *first_seq);
             let mut records = 0u64;
             for record in scanned {
@@ -362,8 +380,8 @@ impl Wal {
                             records += 1;
                         }
                     }
-                    RecordPayload::Situation(op) => {
-                        recovery.situations.push((first_seq + records, op));
+                    RecordPayload::Policy(op) => {
+                        recovery.policy_ops.push((first_seq + records, op));
                         records += 1;
                     }
                 }
@@ -550,7 +568,7 @@ impl Wal {
                     level,
                     events,
                 } => encode_quarantine(*source, *level, events, &mut payload),
-                WalBatch::Situation(op) => encode_situation(op, &mut payload),
+                WalBatch::Policy(op) => encode_policy_op(op, &mut payload),
             }
             buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             buf.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -838,22 +856,24 @@ mod tests {
     }
 
     #[test]
-    fn situation_records_take_one_seq_and_recover_in_position() {
-        let dir = ScratchDir::new("wal-situation");
+    fn policy_records_take_one_seq_and_recover_in_position() {
+        use ltam_core::capability::{AdminOp, TokenId};
+        use ltam_situate::{SituationMode, SituationOp};
+        let dir = ScratchDir::new("wal-policy");
         let config = WalConfig {
             segment_bytes: 1 << 20,
             fsync: false,
         };
-        let lockdown = SituationOp::Declare(ltam_situate::SituationMode::Lockdown);
-        let responder = SituationOp::AddResponder(SubjectId(7));
+        let lockdown = PolicyOp::Situation(SituationOp::Declare(SituationMode::Lockdown));
+        let revoke = PolicyOp::Admin(AdminOp::RevokeToken { id: TokenId(7) });
         {
             let (mut wal, _) = Wal::open(dir.path(), config).unwrap();
             wal.append_batch(&events(5)).unwrap(); // seqs 0..5
-            let first = wal.append_mixed(&[WalBatch::Situation(&lockdown)]).unwrap();
+            let first = wal.append_mixed(&[WalBatch::Policy(&lockdown)]).unwrap();
             assert_eq!(first, 5);
             assert_eq!(wal.next_seq(), 6);
             let mid = events(3);
-            wal.append_mixed(&[WalBatch::Events(&mid), WalBatch::Situation(&responder)])
+            wal.append_mixed(&[WalBatch::Events(&mid), WalBatch::Policy(&revoke)])
                 .unwrap(); // seqs 6..9 then 9
             assert_eq!(wal.next_seq(), 10);
         }
@@ -861,7 +881,31 @@ mod tests {
         assert_eq!(wal.next_seq(), 10);
         let seqs: Vec<u64> = rec.events.iter().map(|&(s, _)| s).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4, 6, 7, 8]);
-        assert_eq!(rec.situations, vec![(5, lockdown), (9, responder)]);
+        assert_eq!(rec.policy_ops, vec![(5, lockdown), (9, revoke)]);
+    }
+
+    #[test]
+    fn a_segment_of_another_format_version_is_refused_not_repaired() {
+        let dir = ScratchDir::new("wal-version");
+        let config = WalConfig {
+            segment_bytes: 1 << 20,
+            fsync: false,
+        };
+        {
+            let (mut wal, _) = Wal::open(dir.path(), config).unwrap();
+            wal.append_batch(&events(5)).unwrap();
+        }
+        let path = segment_path(dir.path(), 0);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = Wal::open(dir.path(), config).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            bytes,
+            "the old log is left untouched"
+        );
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! Property tests for the durability layer's on-disk formats.
 //!
-//! The codec contract: arbitrary events round-trip bit-exactly, and
-//! arbitrary *bytes* — truncations, bit flips, garbage — decode to an
-//! error, never a panic. The WAL contract: whatever survives a damaged
-//! tail is an exact prefix of what was appended.
+//! The codec contract: arbitrary events and policy ops round-trip
+//! bit-exactly, and arbitrary *bytes* — truncations, bit flips, garbage
+//! — decode to an error, never a panic. The WAL contract: whatever
+//! survives a damaged tail is an exact prefix of what was appended.
 
+use ltam_core::capability::{AdminOp, Scope, TokenId};
+use ltam_core::db::AuthId;
+use ltam_core::model::{Authorization, EntryLimit};
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::Event;
+use ltam_engine::batch::{Event, PolicyOp};
 use ltam_graph::LocationId;
+use ltam_situate::{ConstraintId, IncidentId, SituationMode, SituationOp, WorkflowConstraint};
+use ltam_store::codec::{decode_record_payload, encode_policy_op, RecordPayload, POLICY_SENTINEL};
 use ltam_store::{decode_event, decode_event_exact, event_bytes, ScratchDir, Wal, WalConfig};
-use ltam_time::Time;
+use ltam_time::{Interval, Time};
 use proptest::prelude::*;
 
 fn arb_event() -> impl Strategy<Value = Event> {
@@ -34,8 +39,175 @@ fn arb_event() -> impl Strategy<Value = Event> {
     ]
 }
 
+fn arb_window() -> impl Strategy<Value = Interval> {
+    (0u64..1_000_000, 0u64..1_000_000).prop_map(|(a, b)| Interval::lit(a.min(b), a.max(b)))
+}
+
+fn arb_scope() -> impl Strategy<Value = Scope> {
+    prop_oneof![
+        Just(Scope::Query),
+        Just(Scope::Replicate),
+        Just(Scope::Admin),
+        (
+            any::<bool>(),
+            prop::collection::vec((0u32..=u32::MAX).prop_map(LocationId), 0..4)
+        )
+            .prop_map(|(all, list)| Scope::Ingest {
+                locations: if all { None } else { Some(list) },
+            }),
+    ]
+}
+
+/// Every `AdminOp` variant.
+fn arb_admin_op() -> impl Strategy<Value = AdminOp> {
+    let authorization = (
+        0u64..1_000,
+        0u64..1_000,
+        0u64..1_000,
+        (0u32..=u32::MAX, 0u32..=u32::MAX, 0u32..8),
+    )
+        .prop_map(|(start, entry_len, exit_len, (s, l, limit))| {
+            Authorization::new(
+                Interval::lit(start, start + entry_len),
+                Interval::lit(start, start + entry_len + exit_len),
+                SubjectId(s),
+                LocationId(l),
+                if limit == 0 {
+                    EntryLimit::Unbounded
+                } else {
+                    EntryLimit::Finite(limit)
+                },
+            )
+            .expect("exit window covers the entry window")
+        });
+    prop_oneof![
+        (
+            0u32..=u32::MAX,
+            prop::collection::vec(arb_scope(), 0..4),
+            arb_window(),
+            "[ -~]{0,24}",
+        )
+            .prop_map(|(s, scopes, validity, secret)| AdminOp::MintToken {
+                subject: SubjectId(s),
+                scopes,
+                validity,
+                secret,
+            }),
+        any::<u64>().prop_map(|id| AdminOp::RevokeToken { id: TokenId(id) }),
+        (0u32..=u32::MAX, any::<u8>()).prop_map(|(s, level)| AdminOp::SetTrust {
+            subject: SubjectId(s),
+            level,
+        }),
+        any::<u8>().prop_map(|threshold| AdminOp::SetTrustThreshold { threshold }),
+        any::<bool>().prop_map(|required| AdminOp::SetAuthRequired { required }),
+        authorization.prop_map(AdminOp::AddAuthorization),
+        any::<u64>().prop_map(|id| AdminOp::RevokeAuthorization { id: AuthId(id) }),
+    ]
+}
+
+/// Every `SituationOp` variant (and every mode and constraint shape).
+fn arb_situation_op() -> impl Strategy<Value = SituationOp> {
+    let location = || (0u32..=u32::MAX).prop_map(LocationId);
+    let mode = prop_oneof![
+        Just(SituationMode::Normal),
+        Just(SituationMode::Lockdown),
+        (any::<u64>(), any::<u64>()).prop_map(|(incident, until)| SituationMode::Emergency {
+            incident: IncidentId(incident),
+            until: Time(until),
+        }),
+    ];
+    let constraint = prop_oneof![
+        (location(), location(), any::<u64>()).prop_map(|(first, second, window)| {
+            WorkflowConstraint::SeparationOfDuty {
+                first,
+                second,
+                window,
+            }
+        }),
+        (location(), location(), any::<u64>()).prop_map(|(prerequisite, dependent, window)| {
+            WorkflowConstraint::BindingOfDuty {
+                prerequisite,
+                dependent,
+                window,
+            }
+        }),
+        (prop::collection::vec(location(), 0..5), any::<u64>())
+            .prop_map(|(steps, window)| WorkflowConstraint::OrderedSteps { steps, window }),
+    ];
+    prop_oneof![
+        mode.prop_map(SituationOp::Declare),
+        (0u32..=u32::MAX).prop_map(|s| SituationOp::AddResponder(SubjectId(s))),
+        (0u32..=u32::MAX).prop_map(|s| SituationOp::RemoveResponder(SubjectId(s))),
+        any::<u64>().prop_map(|id| SituationOp::Pin(AuthId(id))),
+        any::<u64>().prop_map(|id| SituationOp::Unpin(AuthId(id))),
+        constraint.prop_map(SituationOp::AddConstraint),
+        any::<u32>().prop_map(|id| SituationOp::RemoveConstraint(ConstraintId(id))),
+    ]
+}
+
+fn arb_policy_op() -> impl Strategy<Value = PolicyOp> {
+    prop_oneof![
+        arb_admin_op().prop_map(PolicyOp::Admin),
+        arb_situation_op().prop_map(PolicyOp::Situation),
+    ]
+}
+
+fn policy_record(op: &PolicyOp) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    encode_policy_op(op, &mut bytes);
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary policy ops — every admin and situation variant —
+    /// encode → decode to the identical op, as one one-sequence record.
+    #[test]
+    fn policy_records_round_trip_every_variant(op in arb_policy_op()) {
+        let bytes = policy_record(&op);
+        prop_assert_eq!(bytes[0], POLICY_SENTINEL);
+        let back = decode_record_payload(&bytes).expect("encoded ops decode");
+        prop_assert_eq!(back.seq_count(), 1);
+        prop_assert_eq!(back, RecordPayload::Policy(op));
+    }
+
+    /// Every strict prefix of a policy record is a decode error — a
+    /// torn op is never applied as a shorter, different op.
+    #[test]
+    fn truncated_policy_records_always_error(op in arb_policy_op(), cut in 0usize..512) {
+        let bytes = policy_record(&op);
+        prop_assume!(cut < bytes.len());
+        prop_assert!(decode_record_payload(&bytes[..cut]).is_err());
+    }
+
+    /// Bit-flipped policy records never panic: they decode to some
+    /// record or return an error. (The record CRC catches the flips
+    /// the codec cannot.)
+    #[test]
+    fn bit_flipped_policy_records_never_panic(
+        op in arb_policy_op(),
+        byte in 0usize..512,
+        bit in 0u8..8,
+    ) {
+        let mut bytes = policy_record(&op);
+        let i = byte % bytes.len();
+        bytes[i] ^= 1 << bit;
+        let _ = decode_record_payload(&bytes); // must return, Ok or Err
+    }
+
+    /// Arbitrary bytes after the policy sentinel decode or error, never
+    /// panic — and never come back as anything but a policy record.
+    #[test]
+    fn arbitrary_bytes_after_the_policy_sentinel_never_panic(
+        body in prop::collection::vec(0u8..=255, 0..96),
+    ) {
+        let mut bytes = vec![POLICY_SENTINEL];
+        bytes.extend_from_slice(&body);
+        if let Ok(record) = decode_record_payload(&bytes) {
+            prop_assert!(matches!(record, RecordPayload::Policy(_)));
+        }
+    }
 
     /// Arbitrary events encode → decode to the identical event, and the
     /// decoder consumes exactly the bytes the encoder produced.

@@ -13,7 +13,8 @@ use ltam::graph::examples::ntu_campus;
 use ltam::graph::LocationId;
 use ltam::serve::wire::{self, HistoryQuery, ReplRequest, Request, Response};
 use ltam::serve::{
-    ClientError, ErrorCode, IngestReply, LtamClient, Server, ServerConfig, ServerRole,
+    bootstrap_follower_as, ClientError, ErrorCode, IngestReply, LtamClient, ReplicaConfig,
+    ReplicaState, Server, ServerConfig, ServerRole,
 };
 use ltam::store::{DurableEngine, ScratchDir, StoreConfig};
 use ltam::time::{Interval, Time};
@@ -572,4 +573,101 @@ fn revocations_and_trust_edits_survive_restart() {
         status.auth_required,
         "auth-required flag must survive restart"
     );
+}
+
+/// The follower leg: every enforcement point judges a token under the
+/// same registry. A follower tailing a locked primary comes up locked
+/// (the bootstrap replays the logged policy ops), refuses a token on
+/// every frame kind once the primary's `RevokeToken` record has passed
+/// its watermark, and honours a token minted after it was bootstrapped
+/// — all from the replicated WAL, without ever re-bootstrapping.
+#[test]
+fn a_tailing_follower_refuses_a_revoked_token_and_honours_a_fresh_one() {
+    let p_dir = ScratchDir::new("auth-follower-p");
+    let f_dir = ScratchDir::new("auth-follower-f");
+    let (primary, mut root, alice, cais) = start_locked_server(&p_dir);
+    let p_addr = primary.local_addr().to_string();
+    mint(
+        &mut root,
+        SubjectId(900),
+        vec![Scope::Replicate],
+        Interval::ALL,
+        "repl-secret",
+    );
+    let victim = mint(
+        &mut root,
+        SubjectId(9),
+        vec![Scope::Ingest { locations: None }, Scope::Query],
+        Interval::ALL,
+        "field-sensor",
+    );
+    root.ingest(&[enter(11, alice, cais)]).unwrap();
+
+    let f_engine =
+        bootstrap_follower_as(f_dir.path(), &p_addr, Some("repl-secret"), store_config()).unwrap();
+    let mut replica = ReplicaConfig::new(&p_addr);
+    replica.poll_interval = Duration::from_millis(2);
+    replica.token = Some("repl-secret".to_string());
+    let follower = Server::start_follower(f_engine, "127.0.0.1:0", auth_config(), replica).unwrap();
+    let f_addr = follower.local_addr().to_string();
+    let mut probe = LtamClient::connect(&f_addr).unwrap();
+    probe.hello(ROOT_SECRET).unwrap();
+
+    // Locked from its first frame, and the primary's tokens resolve.
+    let mut anon = LtamClient::connect(&f_addr).unwrap();
+    expect_refusal(
+        anon.whereabouts(alice, Time(12)),
+        ErrorCode::Unauthenticated,
+        "anonymous at the follower",
+    );
+    let mut sensor = LtamClient::connect(&f_addr).unwrap();
+    sensor.hello("field-sensor").unwrap();
+    assert_eq!(sensor.whereabouts(alice, Time(12)).unwrap(), Some(cais));
+
+    // Revoked on the primary: dead at the follower on every frame kind
+    // as soon as the record is behind its watermark. (The capability
+    // gate runs before the follower's read-only refusals, so writes and
+    // admin frames die `PermissionDenied` too, not `NotPrimary`.)
+    root.admin(AdminOp::RevokeToken { id: victim }).unwrap();
+    let revoked_at = root.status().unwrap().events_ingested;
+    probe
+        .wait_for_watermark(revoked_at, Duration::from_secs(20))
+        .unwrap();
+    refuse_every_frame_kind(
+        &mut sensor,
+        alice,
+        cais,
+        ErrorCode::PermissionDenied,
+        "revoked on the primary, asked at the follower",
+    );
+    expect_refusal(
+        LtamClient::connect(&f_addr).unwrap().hello("field-sensor"),
+        ErrorCode::Unauthenticated,
+        "revoked secret re-presented at the follower",
+    );
+
+    // Minted on the primary after the bootstrap: honoured at the
+    // follower, on the same socket the revocation just refused.
+    mint(
+        &mut root,
+        SubjectId(9),
+        vec![Scope::Query],
+        Interval::ALL,
+        "field-sensor-2",
+    );
+    let p_status = root.status().unwrap();
+    probe
+        .wait_for_watermark(p_status.events_ingested, Duration::from_secs(20))
+        .unwrap();
+    sensor.hello("field-sensor-2").unwrap();
+    assert_eq!(sensor.whereabouts(alice, Time(12)).unwrap(), Some(cais));
+
+    // Same policy log position on both sides, and nobody was parked.
+    let f_status = probe.status().unwrap();
+    assert_eq!(f_status.policy_epoch, p_status.policy_epoch);
+    assert_eq!(f_status.enforcement_epoch, 0);
+    assert_eq!(f_status.replica.unwrap().state, ReplicaState::Streaming);
+
+    drop(follower.abort().unwrap());
+    drop(primary.abort().unwrap());
 }

@@ -558,9 +558,9 @@ mod auth_faults {
             .unwrap();
         mint(&mut root, vec![Scope::Replicate], "repl-secret");
 
-        // Seed some history, then bootstrap legitimately. The final
-        // mint doubles as a durable snapshot point, so the bootstrap
-        // ships the seeded history too.
+        // Seed some history, then bootstrap legitimately: the bootstrap
+        // ships the WAL behind the snapshot, so the follower starts with
+        // the seeded history and every policy op (the lock, both mints).
         let half = trace.events.len() / 2;
         for chunk in trace.events[..half].chunks(64) {
             root.ingest(chunk).unwrap();
@@ -570,6 +570,8 @@ mod auth_faults {
         let f_engine =
             bootstrap_follower_as(f_dir.path(), &p_addr, Some("repl-secret"), store(false))
                 .unwrap();
+        let bootstrapped = f_engine.applied();
+        assert_eq!(bootstrapped, root.status().unwrap().events_ingested);
 
         // ...but tail with a token that can only *query*. The identity
         // is real, the scope is wrong: every manifest probe dies
@@ -602,7 +604,7 @@ mod auth_faults {
 
         // The parked follower still serves authenticated reads from
         // its intact bootstrap-time store.
-        assert_eq!(probe.status().unwrap().events_ingested, half as u64);
+        assert_eq!(probe.status().unwrap().events_ingested, bootstrapped);
 
         // Swapping in the replicate-scoped secret — a pure credential
         // fix, no re-bootstrap — lets the same store resume the tail.
@@ -627,15 +629,207 @@ mod auth_faults {
         for chunk in trace.events[half..].chunks(64) {
             root.ingest(chunk).unwrap();
         }
+        // Policy ops consume WAL sequence numbers like events, so the
+        // convergence target is the primary's own applied count.
+        let p_status = root.status().unwrap();
         probe
-            .wait_for_watermark(trace.events.len() as u64, Duration::from_secs(30))
+            .wait_for_watermark(p_status.events_ingested, Duration::from_secs(30))
             .unwrap();
-        assert_eq!(
-            probe.status().unwrap().state_digest,
-            root.status().unwrap().state_digest
-        );
+        assert_eq!(probe.status().unwrap().state_digest, p_status.state_digest);
 
         drop(follower.abort().unwrap());
         drop(primary.abort().unwrap());
+    }
+}
+
+/// Policy-log faults, for every [`PolicyOp`] variant: a crash between
+/// the op's WAL append and its apply, and a crash that leaves only a
+/// pre-edit snapshot on disk, must both recover to exactly what an
+/// uninterrupted run reaches — same enforcement digest, same violation
+/// multiset, same policy, same policy epoch.
+mod policy_log_faults {
+    use ltam::core::capability::{AdminOp, Scope, TokenId};
+    use ltam::core::subject::SubjectId;
+    use ltam::engine::batch::{Event, PolicyOp};
+    use ltam::engine::violation::Violation;
+    use ltam::graph::LocationId;
+    use ltam::situate::{ConstraintId, IncidentId, SituationMode, SituationOp, WorkflowConstraint};
+    use ltam::store::wal::WalBatch;
+    use ltam::store::{DurableEngine, ScratchDir, StoreConfig, Wal, WalConfig};
+    use ltam::time::{Interval, Time};
+    use ltam_bench::{serve_workload, violation_multiset};
+    use ltam_sim::{multi_shard_trace, TraceWorld};
+
+    const SEGMENT_BYTES: u64 = 16 * 1024;
+
+    fn store() -> StoreConfig {
+        StoreConfig {
+            segment_bytes: SEGMENT_BYTES,
+            snapshot_every: 0,
+            fsync: false,
+            retention: None,
+        }
+    }
+
+    fn constraint() -> WorkflowConstraint {
+        WorkflowConstraint::SeparationOfDuty {
+            first: LocationId(1),
+            second: LocationId(2),
+            window: 50,
+        }
+    }
+
+    /// Edits every run applies before the op under test, so the
+    /// removing variants (revoke, unpin, remove) have something to hit.
+    fn prelude(trace: &TraceWorld) -> Vec<PolicyOp> {
+        let pinned = trace.build_policy_core().db().iter().nth(1).unwrap().0;
+        vec![
+            PolicyOp::Admin(AdminOp::MintToken {
+                subject: SubjectId(700),
+                scopes: vec![Scope::Query],
+                validity: Interval::ALL,
+                secret: "prelude".into(),
+            }),
+            PolicyOp::Situation(SituationOp::AddResponder(SubjectId(1))),
+            PolicyOp::Situation(SituationOp::Pin(pinned)),
+            PolicyOp::Situation(SituationOp::AddConstraint(constraint())),
+        ]
+    }
+
+    /// One op per `AdminOp` and `SituationOp` variant.
+    fn every_variant(trace: &TraceWorld) -> Vec<PolicyOp> {
+        let core = trace.build_policy_core();
+        let mut grants = core.db().iter();
+        let (revoked, regrant, _) = grants.next().unwrap();
+        let (pinned, _, _) = grants.next().unwrap();
+        let admin = [
+            AdminOp::MintToken {
+                subject: SubjectId(701),
+                scopes: vec![Scope::Ingest { locations: None }, Scope::Admin],
+                validity: Interval::lit(0, 1_000_000),
+                secret: "minted-mid-stream".into(),
+            },
+            AdminOp::RevokeToken { id: TokenId(0) },
+            AdminOp::SetTrust {
+                subject: SubjectId(3),
+                level: 2,
+            },
+            AdminOp::SetTrustThreshold { threshold: 1 },
+            AdminOp::SetAuthRequired { required: true },
+            AdminOp::AddAuthorization(*regrant),
+            AdminOp::RevokeAuthorization { id: revoked },
+        ];
+        let situation = [
+            SituationOp::Declare(SituationMode::Emergency {
+                incident: IncidentId(4),
+                until: Time(u64::MAX),
+            }),
+            SituationOp::AddResponder(SubjectId(2)),
+            SituationOp::RemoveResponder(SubjectId(1)),
+            SituationOp::Pin(revoked),
+            SituationOp::Unpin(pinned),
+            SituationOp::AddConstraint(constraint()),
+            SituationOp::RemoveConstraint(ConstraintId(0)),
+        ];
+        admin
+            .into_iter()
+            .map(PolicyOp::Admin)
+            .chain(situation.into_iter().map(PolicyOp::Situation))
+            .collect()
+    }
+
+    #[derive(Clone, Copy)]
+    enum Crash {
+        /// No crash: the reference run.
+        Never,
+        /// The op's record reached the WAL; the process died before the
+        /// engine applied it (and before any ack).
+        AfterAppendBeforeApply,
+        /// The op was applied and acked; the process died with only the
+        /// creation-time snapshot on disk.
+        AfterAck,
+    }
+
+    fn ingest(engine: &mut DurableEngine, events: &[Event]) {
+        for chunk in events.chunks(64) {
+            engine.ingest(chunk).unwrap();
+        }
+    }
+
+    /// What two runs must agree on: the enforcement digest, the
+    /// violation multiset, everything a policy op can edit (token
+    /// registry and trust, situation overlay, authorization rows and
+    /// the id high-water mark), and the policy epoch.
+    fn fingerprint(engine: &DurableEngine) -> (u64, Vec<Violation>, String, u64) {
+        let policy = engine.engine().policy();
+        (
+            engine.read_view().engine().state_digest(),
+            violation_multiset(engine.engine().violations()),
+            format!(
+                "{:?} {:?} {:?} {}",
+                policy.wire(),
+                policy.situation(),
+                policy.db().export_rows(),
+                policy.db().next_id()
+            ),
+            engine.policy_epoch(),
+        )
+    }
+
+    fn run(trace: &TraceWorld, op: &PolicyOp, crash: Crash) -> (u64, Vec<Violation>, String, u64) {
+        let dir = ScratchDir::new("policy-log-fault");
+        let half = trace.events.len() / 2;
+        let (mut engine, _alerts) =
+            DurableEngine::create(dir.path(), trace.build_policy_core(), 2, store()).unwrap();
+        for edit in prelude(trace) {
+            engine.apply_policy(&edit).unwrap();
+        }
+        ingest(&mut engine, &trace.events[..half]);
+        let mut engine = match crash {
+            Crash::Never => {
+                engine.apply_policy(op).unwrap();
+                engine
+            }
+            Crash::AfterAppendBeforeApply => {
+                drop(engine);
+                let wal_config = WalConfig {
+                    segment_bytes: SEGMENT_BYTES,
+                    fsync: false,
+                };
+                let (mut wal, _) = Wal::open(dir.path(), wal_config).unwrap();
+                wal.append_mixed(&[WalBatch::Policy(op)]).unwrap();
+                drop(wal);
+                let (engine, _alerts, report) = DurableEngine::open(dir.path(), store()).unwrap();
+                assert_eq!(report.replayed_policy_ops, 5, "prelude + the torn op");
+                engine
+            }
+            Crash::AfterAck => {
+                engine.apply_policy(op).unwrap();
+                drop(engine);
+                let (engine, _alerts, report) = DurableEngine::open(dir.path(), store()).unwrap();
+                assert_eq!(report.snapshot_seq, 0, "only the pre-edit snapshot exists");
+                engine
+            }
+        };
+        ingest(&mut engine, &trace.events[half..]);
+        fingerprint(&engine)
+    }
+
+    #[test]
+    fn every_policy_op_recovers_to_the_uninterrupted_runs_state() {
+        let trace = multi_shard_trace(&serve_workload(8, 600));
+        for op in every_variant(&trace) {
+            let reference = run(&trace, &op, Crash::Never);
+            for (crash, name) in [
+                (Crash::AfterAppendBeforeApply, "after append, before apply"),
+                (Crash::AfterAck, "with only a pre-edit snapshot"),
+            ] {
+                assert_eq!(
+                    run(&trace, &op, crash),
+                    reference,
+                    "{op:?}: a crash {name} diverged from the uninterrupted run"
+                );
+            }
+        }
     }
 }

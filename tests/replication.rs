@@ -1,8 +1,9 @@
 //! Watermark monotonicity: a follower's published read watermark may
 //! stall, but it must never move backward — not across network cuts
 //! and reconnects, not across a follower kill + re-bootstrap, and not
-//! across a policy-epoch swap (which parks the follower for
-//! re-bootstrap rather than risking divergence).
+//! across a closure policy edit (the one kind of edit the WAL cannot
+//! carry, which parks the follower for re-bootstrap rather than
+//! risking divergence).
 
 use std::time::{Duration, Instant};
 
@@ -297,13 +298,14 @@ fn mint_repl_token(root: &mut LtamClient, secret: &str) -> TokenId {
     }
 }
 
-/// An admin-op and situation-op storm concurrent with a tailing
-/// follower: wire-auth edits (mint/revoke/trust) and situation ops
-/// (responders, declarations, pins, constraints) all bump the policy
-/// epoch without touching the enforcement epoch, and their snapshots
-/// leave the WAL uncompacted — so a briefly-lagging follower keeps
-/// tailing straight through the storm. It must never park
-/// `NeedsBootstrap`, and it converges to the same state digest.
+/// A policy-op storm concurrent with a tailing follower: wire-auth
+/// edits (mint/trust), authorization revocations and re-grants of the
+/// trace's own authorizations, and situation ops (responders,
+/// declarations, constraints) are each one WAL record — no snapshot, no
+/// rotation, no enforcement-epoch bump — so the follower replays every
+/// one at its stream position. It must never park `NeedsBootstrap`,
+/// and it converges to the same state digest *and* the same policy
+/// epoch as the primary.
 #[test]
 fn admin_and_situation_storm_never_parks_a_tailing_follower() {
     use ltam::situate::{IncidentId, SituationMode, SituationOp, WorkflowConstraint};
@@ -313,8 +315,18 @@ fn admin_and_situation_storm_never_parks_a_tailing_follower() {
     let n = trace.events.len();
 
     let p_dir = ScratchDir::new("storm-primary");
-    let (engine, _alerts) =
-        DurableEngine::create(p_dir.path(), trace.build_policy_core(), 2, primary_store()).unwrap();
+    let core = trace.build_policy_core();
+    // Authorizations the trace's own subjects enter under: revoking and
+    // re-granting them mid-stream changes how later events are judged,
+    // so digest equality below also proves in-position replay.
+    let mut live: Vec<_> = core
+        .db()
+        .iter()
+        .take(8)
+        .map(|(id, auth, _)| (id, *auth))
+        .collect();
+    let mut revoked = Vec::new();
+    let (engine, _alerts) = DurableEngine::create(p_dir.path(), core, 2, primary_store()).unwrap();
     let config = ServerConfig {
         root_token: Some(ROOT.to_string()),
         ..ServerConfig::default()
@@ -332,15 +344,16 @@ fn admin_and_situation_storm_never_parks_a_tailing_follower() {
     probe.hello(ROOT).unwrap();
 
     // Interleave the event stream with the storm: every chunk of 64
-    // events is followed by one wire-auth edit and one situation op.
-    // The 16 KiB segments mean the WAL rotates often — if any of these
-    // edits compacted the log behind the follower's cursor, it would
-    // park NeedsBootstrap within a few chunks.
+    // events is followed by one admin op and one situation op. The
+    // 16 KiB segments mean the WAL rotates often — if any of these
+    // edits compacted the log behind the follower's cursor, or moved
+    // the enforcement epoch, it would park NeedsBootstrap within a few
+    // chunks.
     let mut last = 0u64;
-    let mut situation_ops = 0u64;
+    let mut policy_ops = 0u64;
     for (i, chunk) in trace.events.chunks(64).enumerate() {
         root.ingest(chunk).unwrap();
-        match i % 3 {
+        match i % 4 {
             0 => {
                 root.admin(AdminOp::MintToken {
                     subject: SubjectId(5_000 + i as u32),
@@ -357,7 +370,18 @@ fn admin_and_situation_storm_never_parks_a_tailing_follower() {
                 })
                 .unwrap();
             }
-            _ => {}
+            2 => {
+                let (id, auth) = live.remove(0);
+                revoked.push(auth);
+                root.admin(AdminOp::RevokeAuthorization { id }).unwrap();
+            }
+            _ => {
+                let auth = revoked.remove(0);
+                match root.admin(AdminOp::AddAuthorization(auth)).unwrap() {
+                    AdminOutcome::AuthorizationAdded { id } => live.push((id, auth)),
+                    other => panic!("unexpected grant outcome {other:?}"),
+                }
+            }
         }
         let op = match i % 4 {
             0 => SituationOp::AddResponder(SubjectId(6_000 + i as u32)),
@@ -373,36 +397,35 @@ fn admin_and_situation_storm_never_parks_a_tailing_follower() {
             _ => SituationOp::Declare(SituationMode::Normal),
         };
         root.situation(op).unwrap();
-        situation_ops += 1;
+        policy_ops += 2;
 
         let replica = probe.status().unwrap().replica.unwrap();
         assert_ne!(
             replica.state,
             ReplicaState::NeedsBootstrap,
-            "a tail-transparent edit storm must never park the follower (chunk {i})"
+            "a policy-op storm must never park the follower (chunk {i})"
         );
         last = assert_monotone(&mut probe, last, "during the storm");
     }
 
-    // Situation ops consume WAL sequence numbers like events, so the
+    // Policy ops consume WAL sequence numbers like events, so the
     // convergence target is the primary's own applied count.
     let p_status = root.status().unwrap();
-    assert!(p_status.events_ingested >= n as u64 + situation_ops);
+    assert_eq!(p_status.events_ingested, n as u64 + policy_ops);
+    assert_eq!(p_status.policy_epoch, policy_ops);
     probe
         .wait_for_watermark(p_status.events_ingested, Duration::from_secs(30))
         .expect("the follower tails through the whole storm");
 
+    // Every op replayed in-stream: same judged history, same policy
+    // log position, and the enforcement epoch never moved on either.
     let f_status = probe.status().unwrap();
     assert_eq!(f_status.state_digest, p_status.state_digest);
-    // Every situation op replayed in-stream bumps the follower's policy
-    // epoch (wire-auth edits are primary-local, so the primary's count
-    // runs ahead of it); the enforcement epoch never moved on either.
-    assert!(
-        f_status.policy_epoch >= situation_ops,
-        "follower replayed {} policy bumps for {situation_ops} situation ops",
-        f_status.policy_epoch
+    assert_eq!(f_status.policy_epoch, p_status.policy_epoch);
+    assert_eq!(
+        (f_status.enforcement_epoch, p_status.enforcement_epoch),
+        (0, 0)
     );
-    assert_eq!(f_status.enforcement_epoch, p_status.enforcement_epoch);
     let replica = f_status.replica.unwrap();
     assert_ne!(replica.state, ReplicaState::NeedsBootstrap);
 
@@ -412,7 +435,7 @@ fn admin_and_situation_storm_never_parks_a_tailing_follower() {
 
 /// Replication against a locked wire: an anonymous bootstrap is
 /// refused outright; a replicate-scoped token bootstraps and tails
-/// (straight through wire-auth-only policy-epoch bumps); revoking the
+/// (straight through the admin ops in the stream); revoking the
 /// token mid-tail parks the follower `Disconnected` — *not*
 /// `NeedsBootstrap`, its store is not suspect, only its credential —
 /// and re-minting the same secret resumes the tail with a monotone
@@ -466,9 +489,8 @@ fn replication_under_auth_revocation_parks_disconnected_and_remint_resumes() {
         .wait_for_watermark(half as u64, Duration::from_secs(20))
         .unwrap();
 
-    // A wire-auth-only edit (another mint) bumps the policy epoch but
-    // not the enforcement epoch: the follower tails straight through
-    // it instead of parking for re-bootstrap.
+    // An admin op (another mint) is one more WAL record: the follower
+    // replays it in-stream instead of parking for re-bootstrap.
     mint_repl_token(&mut root, "bystander-secret");
     let three_quarters = half + (n - half) / 2;
     for chunk in trace.events[half..three_quarters].chunks(64) {
@@ -520,24 +542,28 @@ fn replication_under_auth_revocation_parks_disconnected_and_remint_resumes() {
     // re-authenticates and the tail resumes, monotone, to convergence.
     let new_id = mint_repl_token(&mut root, REPL);
     assert_ne!(new_id, token_id);
+    // Policy ops consume WAL sequence numbers like events, so the
+    // convergence target is the primary's own applied count.
+    let p_status = root.status().unwrap();
+    let target = p_status.events_ingested;
+    assert!(target > n as u64);
     let mut last = frozen;
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         last = assert_monotone(&mut probe, last, "while resuming after re-mint");
-        if last >= n as u64 {
+        if last >= target {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "follower never converged after re-mint (watermark {last}/{n})"
+            "follower never converged after re-mint (watermark {last}/{target})"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
 
     // No divergence: digests match across primary and follower.
-    let p_digest = root.status().unwrap().state_digest;
     let f_status = probe.status().unwrap();
-    assert_eq!(f_status.state_digest, p_digest);
+    assert_eq!(f_status.state_digest, p_status.state_digest);
     assert_eq!(f_status.replica.unwrap().state, ReplicaState::Streaming);
 
     drop(follower.abort().unwrap());

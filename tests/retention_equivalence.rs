@@ -169,3 +169,62 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
         .expect("valid interval");
     assert!(durable.contacts(SubjectId(0), recent).is_ok());
 }
+
+/// A reader hammering a below-watermark query while retention runs
+/// must never be told `Unarchived`: the archive segment covering a new
+/// watermark is durable *and visible* before the watermark advances.
+/// (The ledger's `history_query` workload counted hundreds of these
+/// refusals per run when the archive cache was invalidated only after
+/// the live prune.)
+#[test]
+fn a_concurrent_reader_never_sees_unarchived_across_retention_runs() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const RUNS: u64 = 40;
+    let trace = multi_shard_trace(&TraceConfig {
+        subjects: SUBJECTS,
+        events: 20_000,
+        grid: 8,
+        tick_every: 0,
+        tailgater_fraction: 0.1,
+        overstayer_fraction: 0.1,
+        seed: 7,
+    });
+    let dir = ScratchDir::new("retention-reader-race");
+    let store = StoreConfig {
+        retention: None, // retention runs are driven explicitly below
+        snapshot_every: 0,
+        ..config()
+    };
+    let (mut engine, _alerts) =
+        DurableEngine::create(dir.path(), trace.build_policy_core(), SHARDS, store).unwrap();
+    let view = engine.read_view();
+    let policy = RetentionPolicy::keep_last(HORIZON);
+    let done = AtomicBool::new(false);
+    let per_run = trace.events.len() / RUNS as usize;
+
+    let (queries, runs) = std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            let mut queries = 0u64;
+            while !done.load(Ordering::Acquire) {
+                // Chronon 0 is below the watermark from the first run on.
+                match view.contacts(SubjectId(queries as u32 % 16), Interval::lit(0, 40)) {
+                    Ok(_) => queries += 1,
+                    Err(e) => panic!("query {queries} refused mid-retention: {e}"),
+                }
+            }
+            queries
+        });
+        let mut runs = 0u64;
+        for chunk in trace.events.chunks(per_run) {
+            engine.ingest(chunk).unwrap();
+            let outcome = engine.run_retention_with(&policy, engine.clock()).unwrap();
+            runs += u64::from(outcome.pruned > 0);
+        }
+        done.store(true, Ordering::Release);
+        (reader.join().unwrap(), runs)
+    });
+    assert!(runs >= 20, "only {runs} retention runs pruned anything");
+    assert!(queries > runs, "the reader barely ran ({queries} queries)");
+    assert!(engine.retention_watermark() > Time(40));
+}

@@ -253,8 +253,10 @@ fn situations_store() -> StoreConfig {
 /// Declarations are durable: a crash (drop without shutdown is
 /// crash-equivalent) loses neither the declared mode, the responder
 /// set, nor the constraint table, and WAL-tail events replay under the
-/// same declaration they were judged under live. Losing the snapshots
-/// that acked a declaration is refused, never silently reverted.
+/// same declaration they were judged under live. Losing every
+/// post-declaration snapshot recovers the same state from the WAL;
+/// losing the WAL records of an acked declaration is refused, never
+/// silently reverted.
 #[test]
 fn declarations_survive_a_crash_and_acked_edits_never_revert() {
     let ntu = ntu_campus();
@@ -291,8 +293,8 @@ fn declarations_survive_a_crash_and_acked_edits_never_revert() {
     let enforcement = durable.enforcement_epoch();
 
     // Judged under the emergency: overridden. This batch lands in the
-    // WAL *after* the declaration's record and snapshot, so recovery
-    // replays it under the recovered declaration.
+    // WAL *after* the declaration's record, so recovery replays it
+    // under the recovered declaration.
     let outcome = durable
         .ingest(&[Event::Request {
             time: Time(20),
@@ -303,43 +305,49 @@ fn declarations_survive_a_crash_and_acked_edits_never_revert() {
     assert_eq!(outcome.granted, 1);
     drop(durable); // crash
 
-    let (durable, _alerts, report) =
-        DurableEngine::open_with_shards(dir.path(), situations_store(), 2).unwrap();
-    assert!(report.replayed >= 1, "the post-declaration batch replays");
-    let policy = durable.engine().policy();
-    assert_eq!(
-        policy.situation().mode(),
-        SituationMode::Emergency {
-            incident: IncidentId(3),
-            until: Time(500)
-        }
-    );
-    assert!(policy.situation().is_responder(MEDIC));
-    assert_eq!(policy.situation().constraints().count(), 1);
-    assert_eq!(durable.policy_epoch(), epoch);
-    assert_eq!(durable.enforcement_epoch(), enforcement);
-
-    // The replayed request was judged under the recovered emergency,
-    // exactly as live: the audit trail holds one denial (pre-declare)
+    // What every recovery below must reach: the declared state, and the
+    // audit trail of an uninterrupted run — one denial (pre-declare)
     // and one override (post-declare) for the responder.
-    let shard = durable.engine().shard_for(MEDIC);
-    let decisions = durable.engine().read_shard(shard, |s| {
-        s.audit().iter().map(|r| r.decision).collect::<Vec<_>>()
-    });
-    assert_eq!(
-        decisions,
-        vec![
-            Decision::Denied {
-                reason: DenyReason::NoAuthorization
-            },
-            Decision::GrantedOverride { incident: 3 },
-        ]
-    );
+    let assert_recovered = |durable: &DurableEngine| {
+        let policy = durable.engine().policy();
+        assert_eq!(
+            policy.situation().mode(),
+            SituationMode::Emergency {
+                incident: IncidentId(3),
+                until: Time(500)
+            }
+        );
+        assert!(policy.situation().is_responder(MEDIC));
+        assert_eq!(policy.situation().constraints().count(), 1);
+        assert_eq!(durable.policy_epoch(), epoch);
+        assert_eq!(durable.enforcement_epoch(), enforcement);
+        let shard = durable.engine().shard_for(MEDIC);
+        let decisions = durable.engine().read_shard(shard, |s| {
+            s.audit().iter().map(|r| r.decision).collect::<Vec<_>>()
+        });
+        assert_eq!(
+            decisions,
+            vec![
+                Decision::Denied {
+                    reason: DenyReason::NoAuthorization
+                },
+                Decision::GrantedOverride { incident: 3 },
+            ]
+        );
+    };
+
+    let (mut durable, _alerts, report) =
+        DurableEngine::open_with_shards(dir.path(), situations_store(), 2).unwrap();
+    assert_eq!(report.replayed_policy_ops, 3, "no snapshot follows an op");
+    assert!(report.replayed >= 1, "the post-declaration batch replays");
+    assert_recovered(&durable);
+    durable.snapshot().unwrap(); // a post-declaration image now exists
     drop(durable);
 
-    // Destroy every snapshot that acked the situation edits, leaving
-    // only the pre-declaration image. Recovering from it would silently
-    // clear an acknowledged emergency — the store must refuse instead.
+    // Destroy every snapshot taken after the situation edits, leaving
+    // only the pre-declaration image: the ops are still in the WAL, so
+    // the fallback recovers the acknowledged emergency instead of
+    // clearing it.
     let mut snaps: Vec<_> = std::fs::read_dir(dir.path())
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -350,11 +358,24 @@ fn declarations_survive_a_crash_and_acked_edits_never_revert() {
     for newer in &snaps[1..] {
         std::fs::remove_file(newer).unwrap();
     }
+    let (durable, _alerts, report) =
+        DurableEngine::open_with_shards(dir.path(), situations_store(), 2).unwrap();
+    assert_eq!((report.snapshot_seq, report.replayed_policy_ops), (0, 3));
+    assert_recovered(&durable);
+    drop(durable);
+
+    // Lose the log as well: nothing left on disk carries the acked
+    // declarations, and coming up without them would silently clear an
+    // emergency — the store must refuse instead.
+    for segment in ltam::store::Wal::segment_files(dir.path()).unwrap() {
+        std::fs::remove_file(segment).unwrap();
+    }
     let err = match DurableEngine::open_with_shards(dir.path(), situations_store(), 2) {
         Ok(_) => panic!("recovering over an acked declaration must refuse"),
         Err(e) => e,
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("policy revert"), "{err}");
 }
 
 /// Mode swaps are atomic with respect to in-flight batches: while one
