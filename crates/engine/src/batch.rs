@@ -17,7 +17,11 @@
 //! worker (fed over `crossbeam` channels), and the per-shard results are
 //! merged — in shard order, so the outcome is deterministic — into one
 //! [`BatchOutcome`] whose violations are forwarded to the security desk
-//! with globally monotone alert sequence numbers.
+//! with globally monotone alert sequence numbers. Several batches can
+//! share one dispatch ([`ShardedEngine::ingest_group`] — what a durable
+//! store's commit group is applied through): each shard gets its slices
+//! of all of them in one job and reports one result per batch, so the
+//! outcomes equal those of ingesting the batches one after another.
 //!
 //! Because every per-subject invariant (pending grants, active stays,
 //! movement timelines, entry counters — an `AuthId` belongs to exactly
@@ -452,9 +456,11 @@ pub struct EngineStatus {
     pub per_shard: Vec<ShardStatusRow>,
 }
 
-/// What one shard reports back for its slice of a batch.
+/// What one shard reports back for its slice of one batch.
 #[derive(Debug, Default)]
 struct ShardOutcome {
+    /// Events of the batch routed to this shard (ticks included).
+    events: usize,
     granted: usize,
     denied: usize,
     violations: Vec<Violation>,
@@ -462,10 +468,15 @@ struct ShardOutcome {
 
 #[derive(Debug)]
 enum Job {
+    /// One shard's share of a dispatch: the shard's events of every
+    /// batch in the group, concatenated in batch order. `cuts[b]` is
+    /// the end offset of batch `b`'s slice, so the worker can report
+    /// one [`ShardOutcome`] per batch.
     Batch {
         epoch: Arc<PolicyCore>,
         events: Vec<Event>,
-        done: Sender<(usize, ShardOutcome)>,
+        cuts: Vec<usize>,
+        done: Sender<(usize, Vec<ShardOutcome>)>,
     },
 }
 
@@ -524,28 +535,40 @@ fn worker_loop(shard: usize, state: Arc<Mutex<ShardState>>, jobs: Receiver<Job>)
     let batch_seconds = ltam_obs::registry().histogram(
         "engine_shard_batch_seconds",
         &[("shard", shard_label(shard))],
-        "Time one shard spent applying its slice of an ingest batch",
+        "Time one shard spent applying one dispatch: its slice of an ingest batch, or of \
+         every batch in a commit group",
         ltam_obs::Unit::SecondsFromMicros,
     );
     while let Ok(Job::Batch {
         epoch,
         events,
+        cuts,
         done,
     }) = jobs.recv()
     {
         let started = (!ltam_obs::disabled()).then(std::time::Instant::now);
         let policy = epoch.view();
-        let mut out = ShardOutcome::default();
+        let mut outs = Vec::with_capacity(cuts.len());
         let mut guard = state.lock();
-        for e in &events {
-            apply_event(&mut guard, &policy, e, &mut out);
+        let mut start = 0;
+        for &end in &cuts {
+            let slice = &events[start..end];
+            let mut out = ShardOutcome {
+                events: slice.len(),
+                ..ShardOutcome::default()
+            };
+            for e in slice {
+                apply_event(&mut guard, &policy, e, &mut out);
+            }
+            outs.push(out);
+            start = end;
         }
         drop(guard);
         if let Some(started) = started {
             batch_seconds.observe(started.elapsed().as_micros() as u64);
         }
         // The coordinator may have been dropped mid-batch; nothing to do.
-        let _ = done.send((shard, out));
+        let _ = done.send((shard, outs));
     }
 }
 
@@ -823,32 +846,63 @@ impl ShardedEngine {
     /// movement database's physical-consistency checks need; `Tick`
     /// events are broadcast to every shard at their position in the
     /// batch.
+    ///
+    /// This is [`ShardedEngine::ingest_group`] with a group of one.
     pub fn ingest(&self, events: &[Event]) -> BatchOutcome {
+        self.ingest_group(&[events])
+            .pop()
+            .expect("one batch in, one outcome out")
+    }
+
+    /// Ingest several batches under **one** dispatch: every batch is
+    /// split by shard, each shard's worker receives its slices of all
+    /// of them in one job (one channel hop and one reply per shard, not
+    /// one per batch), applies them slice by slice, and the per-batch
+    /// results are reassembled in shard order.
+    ///
+    /// The outcomes — every [`BatchOutcome`] field, and the alert
+    /// stream (batch order, then shard order, then detection order) —
+    /// are exactly what calling [`ShardedEngine::ingest`] on each batch
+    /// in turn produces: a subject's events all land on one shard in
+    /// input order, ticks are broadcast at their position, and shards
+    /// share no mutable state, so the batch boundaries inside a group
+    /// carry no enforcement meaning, only result attribution. The whole
+    /// group is judged under one policy epoch, as one batch is.
+    pub fn ingest_group(&self, batches: &[&[Event]]) -> Vec<BatchOutcome> {
         let epoch = self.policy.read().clone();
         let n = self.shards.len();
-        let mut groups: Vec<Vec<Event>> = vec![Vec::new(); n];
-        for e in events {
-            match e.subject() {
-                Some(s) => groups[shard_of(s, n)].push(*e),
-                None => {
-                    for g in &mut groups {
-                        g.push(*e);
+        // Per shard: its events of the whole group, and where each
+        // batch's slice of them ends.
+        let mut groups: Vec<(Vec<Event>, Vec<usize>)> = (0..n)
+            .map(|_| (Vec::new(), Vec::with_capacity(batches.len())))
+            .collect();
+        for batch in batches {
+            for e in *batch {
+                match e.subject() {
+                    Some(s) => groups[shard_of(s, n)].0.push(*e),
+                    None => {
+                        for (g, _) in &mut groups {
+                            g.push(*e);
+                        }
                     }
                 }
             }
+            for (g, cuts) in &mut groups {
+                cuts.push(g.len());
+            }
         }
-        let group_sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
 
         let (done_tx, done_rx) = unbounded();
         let mut dispatched = 0usize;
-        for (i, g) in groups.into_iter().enumerate() {
-            if g.is_empty() {
+        for (i, (events, cuts)) in groups.into_iter().enumerate() {
+            if events.is_empty() {
                 continue;
             }
             self.workers[i]
                 .send(Job::Batch {
                     epoch: Arc::clone(&epoch),
-                    events: g,
+                    events,
+                    cuts,
                     done: done_tx.clone(),
                 })
                 .expect("worker thread alive");
@@ -856,49 +910,60 @@ impl ShardedEngine {
         }
         drop(done_tx);
 
-        let mut results: Vec<Option<ShardOutcome>> = (0..n).map(|_| None).collect();
+        // One reply per dispatched shard: its outcomes in batch order.
+        let mut results: Vec<Option<std::vec::IntoIter<ShardOutcome>>> =
+            (0..n).map(|_| None).collect();
         for _ in 0..dispatched {
-            let (shard, out) = done_rx.recv().expect("worker reports its batch");
-            results[shard] = Some(out);
+            let (shard, outs) = done_rx.recv().expect("worker reports its batch");
+            debug_assert_eq!(outs.len(), batches.len());
+            results[shard] = Some(outs.into_iter());
         }
 
-        // Merge deterministically in shard index order.
-        let mut outcome = BatchOutcome {
-            processed: events.len(),
-            ..BatchOutcome::default()
-        };
-        for (i, slot) in results.into_iter().enumerate() {
-            let Some(out) = slot else {
-                if group_sizes[i] == 0 {
+        // Merge deterministically: batch order, then shard index order.
+        let mut outcomes = Vec::with_capacity(batches.len());
+        let (mut granted, mut denied) = (0usize, 0usize);
+        for batch in batches {
+            let mut outcome = BatchOutcome {
+                processed: batch.len(),
+                ..BatchOutcome::default()
+            };
+            for (i, outs) in results.iter_mut().enumerate() {
+                let Some(outs) = outs else {
+                    continue; // nothing in the group routed to shard `i`
+                };
+                let out = outs.next().expect("one shard outcome per batch");
+                if out.events == 0 {
                     continue;
                 }
-                unreachable!("dispatched shard {i} never reported");
-            };
-            outcome.per_shard.push(ShardStats {
-                shard: i,
-                events: group_sizes[i],
-                violations: out.violations.len(),
-            });
-            outcome.granted += out.granted;
-            outcome.denied += out.denied;
-            outcome.violations.extend(out.violations);
+                outcome.per_shard.push(ShardStats {
+                    shard: i,
+                    events: out.events,
+                    violations: out.violations.len(),
+                });
+                outcome.granted += out.granted;
+                outcome.denied += out.denied;
+                outcome.violations.extend(out.violations);
+            }
+            granted += outcome.granted;
+            denied += outcome.denied;
+            for &v in &outcome.violations {
+                self.alert(v);
+            }
+            outcomes.push(outcome);
         }
         ltam_obs::counter!(
             "engine_decisions_total",
             "Access-request decisions, by outcome",
             "outcome" => "granted"
         )
-        .inc_by(outcome.granted as u64);
+        .inc_by(granted as u64);
         ltam_obs::counter!(
             "engine_decisions_total",
             "Access-request decisions, by outcome",
             "outcome" => "denied"
         )
-        .inc_by(outcome.denied as u64);
-        for &v in &outcome.violations {
-            self.alert(v);
-        }
-        outcome
+        .inc_by(denied as u64);
+        outcomes
     }
 
     fn alert(&self, violation: Violation) {

@@ -1,6 +1,8 @@
 //! Property-based tests for the enforcement engine and the query language.
 
 use ltam_core::model::{Authorization, EntryLimit};
+use ltam_core::subject::SubjectId;
+use ltam_engine::batch::{Event, PolicyCore, ShardedEngine};
 use ltam_engine::engine::AccessControlEngine;
 use ltam_engine::query::{parse, Query};
 use ltam_engine::report::security_report;
@@ -41,8 +43,90 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Subjects the sharded-engine property spreads over the shards.
+const GROUP_SUBJECTS: u32 = 6;
+
+/// A sharded engine over four rooms: every subject may enter every room
+/// twice, up to time 50 (so later requests are denied), and must leave
+/// by time 60 (so later ticks raise overstays).
+fn sharded_world(
+    shards: usize,
+) -> (
+    ShardedEngine,
+    crossbeam::channel::Receiver<ltam_engine::violation::Alert>,
+    Vec<ltam_graph::LocationId>,
+) {
+    let mut model = LocationModel::new("W");
+    let ids: Vec<_> = (0..4)
+        .map(|i| model.add_primitive(model.root(), format!("r{i}")).unwrap())
+        .collect();
+    let mut core = PolicyCore::new(model);
+    for s in 0..GROUP_SUBJECTS {
+        for &l in &ids {
+            core.add_authorization(
+                Authorization::new(
+                    Interval::lit(0, 50),
+                    Interval::lit(0, 60),
+                    SubjectId(s),
+                    l,
+                    EntryLimit::Finite(2),
+                )
+                .unwrap(),
+            );
+        }
+    }
+    let (engine, alerts) = ShardedEngine::new(core, shards);
+    (engine, alerts, ids)
+}
+
+/// One random sharded-engine event: `(kind, subject, room, time)`.
+fn arb_event() -> impl Strategy<Value = (u8, u32, u8, u64)> {
+    (0u8..7, 0..GROUP_SUBJECTS, 0u8..4, 0u64..100)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A commit group is applied through one shard dispatch
+    /// (`ingest_group`); nothing observable may tell it from ingesting
+    /// its batches one after another: every `BatchOutcome` field, the
+    /// alert stream with its sequence numbers, and the shard state.
+    #[test]
+    fn ingest_group_equals_sequential_ingest(
+        group in prop::collection::vec(prop::collection::vec(arb_event(), 0..=40usize), 0..=12usize),
+        shards in 1usize..=4,
+    ) {
+        let (grouped, grouped_alerts, ids) = sharded_world(shards);
+        let (sequential, sequential_alerts, _) = sharded_world(shards);
+        let batches: Vec<Vec<Event>> = group
+            .iter()
+            .map(|batch| {
+                batch
+                    .iter()
+                    .map(|&(kind, subject, room, t)| {
+                        let (time, subject, location) =
+                            (Time(t), SubjectId(subject), ids[room as usize]);
+                        match kind {
+                            0 | 1 => Event::Request { time, subject, location },
+                            2 | 3 => Event::Enter { time, subject, location },
+                            4 | 5 => Event::Exit { time, subject, location },
+                            _ => Event::Tick { now: time },
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let slices: Vec<&[Event]> = batches.iter().map(Vec::as_slice).collect();
+        let together = grouped.ingest_group(&slices);
+        let one_by_one: Vec<_> = slices.iter().map(|b| sequential.ingest(b)).collect();
+        prop_assert_eq!(together, one_by_one);
+        // `(violation, seq)` pairs, in the order the security desk sees them.
+        prop_assert_eq!(
+            grouped_alerts.try_iter().collect::<Vec<_>>(),
+            sequential_alerts.try_iter().collect::<Vec<_>>()
+        );
+        prop_assert_eq!(grouped.export_images(), sequential.export_images());
+    }
 
     /// However requests, entries, exits and ticks interleave (including
     /// physically impossible ones), the ledger never exceeds the limit,

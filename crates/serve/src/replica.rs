@@ -499,20 +499,38 @@ pub(crate) fn replicate_loop(
                 chunk.meta.file_len,
                 chunk.meta.sealed,
             );
+            // Replay each shipped record as what it *was*: trusted
+            // batches through enforcement, quarantine records onto the
+            // follower's own quarantine ledger, policy ops through the
+            // follower's own durable policy path (its own WAL record at
+            // the same sequence) — so it judges every later record, and
+            // gates every later frame, exactly as the primary does.
+            //
+            // Consecutive trusted records go to the commit thread as
+            // **one run** (one queue hop, one WAL write, one fsync, one
+            // shard dispatch — not one of each per record; a primary
+            // serving swipes emits one-event records by the hundred
+            // thousand). A run is all-or-nothing at the WAL, so a
+            // failure can never leave a later record applied behind an
+            // earlier one that was not. Quarantine and policy records
+            // keep their own blocking calls, and so fence the order.
             let mut commit_failed = false;
-            for batch in step.batches {
-                if batch.events().is_empty() && !matches!(batch, TailBatch::Policy(_)) {
-                    continue;
-                }
-                // Replay each shipped record as what it *was*: trusted
-                // batches through enforcement, quarantine records onto
-                // the follower's own quarantine ledger, policy ops
-                // through the follower's own durable policy path (its
-                // own WAL record at the same sequence) — so it judges
-                // every later record, and gates every later frame,
-                // exactly as the primary does.
+            let mut batches = step
+                .batches
+                .into_iter()
+                .filter(|b| !b.events().is_empty() || matches!(b, TailBatch::Policy(_)))
+                .peekable();
+            while let Some(batch) = batches.next() {
                 let committed = match batch {
-                    TailBatch::Events(events) => commit.commit(events).map(|_| ()),
+                    TailBatch::Events(events) => {
+                        let mut run = vec![events];
+                        while let Some(TailBatch::Events(events)) =
+                            batches.next_if(|b| matches!(b, TailBatch::Events(_)))
+                        {
+                            run.push(events);
+                        }
+                        commit.commit_run(run).map(|_| ())
+                    }
                     TailBatch::Quarantine {
                         source,
                         level,

@@ -206,6 +206,25 @@ struct Inbox {
 struct ThreadHandle {
     waker: Waker,
     inbox: Mutex<Inbox>,
+    /// Set by the first completion posted since the poll thread last
+    /// took its inbox — the only one that pokes the waker. The poll
+    /// thread clears it **before** taking the inbox, so a completion
+    /// that finds it set was pushed before that take and will be seen
+    /// by it; clearing after the take would strand a completion pushed
+    /// in between until the next tick.
+    notified: AtomicBool,
+}
+
+impl ThreadHandle {
+    /// Post a commit completion and make sure the poll thread will look
+    /// at its inbox: one `eventfd` write per inbox take, however many
+    /// completions a commit group acks in between.
+    fn complete(&self, completion: Completion) {
+        self.inbox.lock().done.push(completion);
+        if !self.notified.swap(true, Ordering::SeqCst) {
+            let _ = self.waker.wake();
+        }
+    }
 }
 
 struct Shared {
@@ -298,6 +317,7 @@ impl Server {
             handles.push(ThreadHandle {
                 waker,
                 inbox: Mutex::new(Inbox::default()),
+                notified: AtomicBool::new(false),
             });
             pollers.push(poll);
         }
@@ -503,6 +523,10 @@ fn poll_loop(
     let mut next_conn_id = index as u64;
     let mut accepting = listener.is_some();
     let mut draining: Option<Instant> = None;
+    // Connection slots that received completions this pass.
+    let mut touched: Vec<usize> = Vec::new();
+    // The read buffer every connection's `read_input` borrows.
+    let mut scratch = vec![0u8; 32 * 1024];
     if let Some(l) = &listener {
         if poll
             .registry()
@@ -530,20 +554,33 @@ fn poll_loop(
         let shutting = shared.shutdown.load(Ordering::SeqCst);
 
         // 1. Inbox first: handed-off connections and commit
-        //    completions (the waker may be why we woke).
-        let inbox = std::mem::take(&mut *shared.threads[index].inbox.lock());
+        //    completions (the waker may be why we woke). `notified` is
+        //    cleared before the take — see `ThreadHandle::notified`.
+        let me = &shared.threads[index];
+        me.notified.store(false, Ordering::SeqCst);
+        let inbox = std::mem::take(&mut *me.inbox.lock());
         for (stream, id) in inbox.conns {
             admit(stream, id, &mut conns, &mut by_id, &poll, &shared, now);
         }
+        // A commit group acks many requests at once: fill every slot
+        // first, then flush each touched connection once, so a group's
+        // replies leave in one socket write per connection.
+        touched.clear();
         for completion in inbox.done {
             let Some(&slot) = by_id.get(&completion.conn) else {
                 continue; // connection died before its commit finished
             };
             if let Some(conn) = conns[slot].as_mut() {
                 apply_completion(conn, completion, shared.role);
-                if !flush(conn, now) || !update_interest(conn, &poll, &shared.config) {
-                    close_conn(&mut conns, &mut by_id, slot, &poll, &shared);
-                }
+                touched.push(slot);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for &slot in &touched {
+            let conn = conns[slot].as_mut().expect("touched slots are occupied");
+            if !flush(conn, now) || !update_interest(conn, &poll, &shared.config) {
+                close_conn(&mut conns, &mut by_id, slot, &poll, &shared);
             }
         }
 
@@ -564,7 +601,7 @@ fn poll_loop(
                                 keep = flush(conn, now);
                             }
                             if keep && ev.is_readable() {
-                                keep = read_input(conn, index, &shared, &commit, now);
+                                keep = read_input(conn, &mut scratch, index, &shared, &commit, now);
                             }
                             if keep && ev.is_error() && conn.drained() {
                                 keep = false;
@@ -840,17 +877,17 @@ fn read_paused(conn: &Conn, config: &ServerConfig) -> bool {
 /// Returns false when the connection should close now.
 fn read_input(
     conn: &mut Conn,
+    scratch: &mut [u8],
     index: usize,
     shared: &Arc<Shared>,
     commit: &CommitHandle,
     now: Instant,
 ) -> bool {
-    let mut scratch = [0u8; 32 * 1024];
     loop {
         if read_paused(conn, &shared.config) {
             return true;
         }
-        let n = match conn.stream.read(&mut scratch) {
+        let n = match conn.stream.read(scratch) {
             Ok(0) => {
                 // EOF: the peer is done sending. Answer everything in
                 // flight, then close — pipelined clients half-close
@@ -929,16 +966,13 @@ fn refusal_code(refusal: &AuthRefusal) -> ErrorCode {
 }
 
 /// Every location a write batch touches (for ingest-scope coverage).
-fn batch_locations(events: &[Event]) -> Vec<ltam_graph::LocationId> {
-    events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Request { location, .. }
-            | Event::Enter { location, .. }
-            | Event::Exit { location, .. } => Some(*location),
-            Event::Tick { .. } => None,
-        })
-        .collect()
+fn batch_locations(events: &[Event]) -> impl Iterator<Item = &ltam_graph::LocationId> {
+    events.iter().filter_map(|e| match e {
+        Event::Request { location, .. }
+        | Event::Enter { location, .. }
+        | Event::Exit { location, .. } => Some(location),
+        Event::Tick { .. } => None,
+    })
 }
 
 /// The outcome of the per-frame capability gate.
@@ -1002,12 +1036,12 @@ fn gate_request(conn: &Conn, request: &Request, wire_auth: &WireAuth, shared: &S
         };
     }
     if needed == Capability::Ingest {
-        let locations = match request {
-            Request::Ingest(events) => batch_locations(events),
-            Request::Check(event) => batch_locations(std::slice::from_ref(event)),
-            _ => Vec::new(),
+        let events = match request {
+            Request::Ingest(events) => events.as_slice(),
+            Request::Check(event) => std::slice::from_ref(event),
+            _ => &[],
         };
-        if let Err(refusal) = token.permits_locations(locations.iter()) {
+        if let Err(refusal) = token.permits_locations(batch_locations(events)) {
             return Gate::Refuse {
                 code: refusal_code(&refusal),
                 message: format!("refusing Ingest frame: {refusal}"),
@@ -1219,13 +1253,11 @@ fn dispatch(
                 let shared = Arc::clone(shared);
                 let conn_id = conn.id;
                 move |result: io::Result<usize>| {
-                    let t = &shared.threads[index];
-                    t.inbox.lock().done.push(Completion {
+                    shared.threads[index].complete(Completion {
                         conn: conn_id,
                         slot,
                         done: Done::Quarantine(result),
                     });
-                    let _ = t.waker.wake();
                 }
             };
             if commit
@@ -1271,13 +1303,11 @@ fn dispatch(
                 };
                 latency.observe(t.elapsed().as_micros() as u64);
             }
-            let t = &shared.threads[index];
-            t.inbox.lock().done.push(Completion {
+            shared.threads[index].complete(Completion {
                 conn: conn_id,
                 slot,
                 done: Done::Write { kind, result },
             });
-            let _ = t.waker.wake();
         }
     };
     if commit.submit(events, done).is_err() {
@@ -1326,13 +1356,11 @@ fn submit_policy(
         let shared = Arc::clone(shared);
         let conn_id = conn.id;
         move |result: io::Result<PolicyOutcome>| {
-            let t = &shared.threads[index];
-            t.inbox.lock().done.push(Completion {
+            shared.threads[index].complete(Completion {
                 conn: conn_id,
                 slot,
                 done: Done::Policy(result),
             });
-            let _ = t.waker.wake();
         }
     };
     if commit.submit_policy(op, done).is_err() {

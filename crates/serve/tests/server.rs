@@ -384,3 +384,201 @@ fn ingest_is_all_or_nothing_per_batch_over_the_wire() {
     }
     server.shutdown().unwrap();
 }
+
+/// Eight subjects at CAIS: the even ones hold an open-ended
+/// authorization, the odd ones none — their swipes are denied and
+/// their entries are tailgates.
+fn swipe_core() -> (PolicyCore, LocationId) {
+    let ntu = ntu_campus();
+    let cais = ntu.cais;
+    let mut core = PolicyCore::new(ntu.model);
+    for s in (0..8u32).step_by(2) {
+        core.add_authorization(
+            Authorization::new(
+                Interval::ALL,
+                Interval::ALL,
+                SubjectId(s),
+                cais,
+                EntryLimit::Unbounded,
+            )
+            .unwrap(),
+        );
+    }
+    (core, cais)
+}
+
+/// `connections` peers each write 256 one-event frames — swipes
+/// (`Check`), entries and exits (`Ingest`) — before any of them reads a
+/// byte, so the server commits them in large groups: one shard
+/// dispatch, one wake and one socket write for many frames. Replies
+/// must still come back in request order, each carrying exactly its own
+/// frame's decision and violations — what a reference engine fed the
+/// same frames one by one reports.
+fn pipelined_one_event_frames_keep_their_own_replies(connections: u32) {
+    const FRAMES: u64 = 256;
+    let dir = ScratchDir::new(&format!("serve-attribution-{connections}"));
+    let (core, cais) = swipe_core();
+    let (reference, _reference_alerts) = ltam_engine::batch::ShardedEngine::new(core.clone(), 2);
+    let (engine, _alerts) = DurableEngine::create(dir.path(), core, 2, store_config()).unwrap();
+    let server = Server::start(
+        engine,
+        "127.0.0.1:0",
+        ServerConfig {
+            max_pipeline: 512,
+            ..quick_config()
+        },
+    )
+    .unwrap();
+
+    // Each connection owns its own subjects, so a frame's outcome does
+    // not depend on how the server interleaves the connections.
+    let per_conn = 8 / connections;
+    let mut peers = Vec::new();
+    for c in 0..connections {
+        let mut frames = Vec::new();
+        let mut expected = Vec::new();
+        for i in 0..FRAMES {
+            let subject = SubjectId(c * per_conn + (i % per_conn as u64) as u32);
+            let (time, location) = (Time(10 + i), cais);
+            // Per subject: swipe, walk in, walk out, swipe, ...
+            let event = match (i / per_conn as u64) % 3 {
+                0 => Event::Request {
+                    time,
+                    subject,
+                    location,
+                },
+                1 => Event::Enter {
+                    time,
+                    subject,
+                    location,
+                },
+                _ => Event::Exit {
+                    time,
+                    subject,
+                    location,
+                },
+            };
+            let request = match event {
+                Event::Request { .. } => Request::Check(event),
+                _ => Request::Ingest(vec![event]),
+            };
+            let outcome = reference.ingest(&[event]);
+            expected.push(match request {
+                Request::Check(_) => wire::Response::Access {
+                    granted: outcome.granted == 1,
+                },
+                _ => wire::Response::Ingested {
+                    processed: outcome.processed,
+                    granted: outcome.granted,
+                    denied: outcome.denied,
+                    violations: outcome.violations,
+                },
+            });
+            let mut frame = Vec::new();
+            wire::write_frame(&mut frame, &wire::encode_request(&request)).unwrap();
+            frames.push(frame);
+        }
+        let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        peers.push((stream, frames, expected));
+    }
+    for (_, _, expected) in &peers {
+        // The script is worth running: grants, denials and tailgates.
+        use wire::Response::{Access, Ingested};
+        let has = |p: fn(&wire::Response) -> bool| expected.iter().any(p);
+        assert!(has(|r| matches!(r, Access { granted: true })));
+        assert!(has(|r| matches!(r, Access { granted: false })));
+        assert!(has(
+            |r| matches!(r, Ingested { violations, .. } if !violations.is_empty())
+        ));
+    }
+
+    // Everything is written, interleaved across the connections in
+    // bursts, before anything is read.
+    for burst in 0..4 {
+        for (stream, frames, _) in &mut peers {
+            for frame in &frames[burst * 64..(burst + 1) * 64] {
+                stream.write_all(frame).unwrap();
+            }
+        }
+    }
+    for (stream, _, expected) in &mut peers {
+        for (i, want) in expected.iter().enumerate() {
+            let payload = wire::read_frame(stream, wire::DEFAULT_MAX_FRAME_BYTES).unwrap();
+            let got = wire::decode_response(&payload).unwrap();
+            assert_eq!(&got, want, "reply {i} is not frame {i}'s own");
+        }
+    }
+    drop(peers);
+    let engine = server.shutdown().unwrap();
+    assert_eq!(engine.applied(), FRAMES * connections as u64);
+    assert_eq!(
+        engine.engine().violation_count(),
+        reference.violation_count()
+    );
+}
+
+#[test]
+fn pipelined_one_event_frames_get_their_own_replies_in_order() {
+    pipelined_one_event_frames_keep_their_own_replies(1);
+    pipelined_one_event_frames_keep_their_own_replies(2);
+}
+
+#[test]
+fn completions_never_wait_for_the_poll_tick() {
+    // A completion pokes the poll thread's waker only when it is the
+    // first since the thread last took its inbox. If that hand-off
+    // dropped wake-ups, replies would sit in the inbox until other
+    // traffic or the poll tick (100 ms here) turned the loop over, and
+    // at depth 1 a stalled client sends nothing that could. Four
+    // clients keep completions racing the poll thread's inbox takes.
+    // (A timing test cannot force the one interleaving that the
+    // clear-before-take order in `poll_loop` exists for; it does catch
+    // a flag that is cleared late enough, or never, to matter.)
+    const CLIENTS: u32 = 4;
+    const SWIPES: u64 = 5_000;
+    let wakeups = || {
+        ltam_obs::counter_value(ltam_obs::registry(), "serve_poll_wakeups_total", &[]).unwrap_or(0)
+    };
+    let dir = ScratchDir::new("serve-lost-wakeup");
+    let (core, cais) = swipe_core();
+    let (engine, _alerts) = DurableEngine::create(dir.path(), core, 2, store_config()).unwrap();
+    // The default read timeout leaves the poll tick at its 100 ms cap.
+    let server = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr().to_string();
+    let before = wakeups();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = LtamClient::connect(&addr).unwrap();
+                let mut slow = 0usize;
+                for i in 0..SWIPES {
+                    let sent = std::time::Instant::now();
+                    let granted = client.check_access(Time(i), SubjectId(c), cais).unwrap();
+                    assert_eq!(granted, c % 2 == 0);
+                    if sent.elapsed() >= Duration::from_millis(100) {
+                        slow += 1;
+                    }
+                }
+                slow
+            })
+        })
+        .collect();
+    let slow: usize = clients.into_iter().map(|t| t.join().unwrap()).sum();
+    let woke = wakeups() - before;
+    assert!(
+        slow <= 2,
+        "{slow} round trips took a whole poll tick: a completion's wake-up was lost"
+    );
+    // Nor may the loop spin: a pass needs a request to arrive or a
+    // completion's poke, and there is at most one poke per completion.
+    // (Passes share arrivals and pokes, so the count is usually near
+    // one per swipe; how near is the scheduler's business.)
+    let completions = CLIENTS as u64 * SWIPES;
+    assert!(
+        woke <= 2 * completions + 1_000,
+        "{woke} poll passes for {completions} swipes: more than one per arrival and poke"
+    );
+    let engine = server.shutdown().unwrap();
+    assert_eq!(engine.applied(), completions);
+}

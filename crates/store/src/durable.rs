@@ -735,8 +735,10 @@ impl DurableEngine {
     /// commit thread drains its submission queue into (see
     /// [`GroupCommit`](crate::GroupCommit)). Each batch stays its own
     /// WAL record (all-or-nothing across a crash, exactly as if it had
-    /// been ingested alone) and is enforced in submission order, so the
-    /// returned outcomes line up with `batches`.
+    /// been ingested alone); the group is then enforced through **one**
+    /// shard dispatch ([`ShardedEngine::ingest_group`]), whose outcomes
+    /// are those of ingesting the batches one by one in submission
+    /// order, so they line up with `batches`.
     ///
     /// `Err` means no batch in the group reached the WAL (and the
     /// engine was not touched): every submitter may safely retry.
@@ -746,15 +748,13 @@ impl DurableEngine {
     /// commit latency path.
     pub fn commit_group(&mut self, batches: &[&[Event]]) -> io::Result<Vec<BatchOutcome>> {
         self.wal.append_batches(batches)?;
-        let mut outcomes = Vec::with_capacity(batches.len());
+        let outcomes = self.engine.ingest_group(batches);
         for batch in batches {
-            let outcome = self.engine.ingest(batch);
             self.applied += batch.len() as u64;
             self.since_snapshot += batch.len() as u64;
             if let Some(t) = batch.iter().map(Event::time).max() {
                 self.clock = self.clock.max(t);
             }
-            outcomes.push(outcome);
         }
         self.publish_cells();
         Ok(outcomes)
@@ -931,10 +931,16 @@ impl DurableEngine {
         Ok(self.applied)
     }
 
-    /// Image the engine at the current WAL position **synchronously**
-    /// (about a millisecond), then hand the expensive part — encoding
-    /// and durably writing the multi-megabyte snapshot file — to a
-    /// background thread. Returns the covered sequence.
+    /// Image the engine at the current WAL position **synchronously**,
+    /// then hand the rest — encoding and durably writing the
+    /// multi-megabyte snapshot file — to a background thread. Returns
+    /// the covered sequence.
+    ///
+    /// Imaging is not free: besides every shard's live state it calls
+    /// [`PolicyCore::image`], which clones every authorization row on
+    /// the calling (commit) thread, so the stall grows with the policy
+    /// (milliseconds at a hundred thousand authorizations), not just
+    /// with live history.
     ///
     /// Unlike [`DurableEngine::snapshot`], the WAL is **not** rotated
     /// here: rotation costs several journal commits (seal + create +
@@ -956,9 +962,10 @@ impl DurableEngine {
             join: std::thread::spawn(move || {
                 lower_thread_priority();
                 // Grace period: imaging just stalled the commit thread
-                // for ~a millisecond, so a backlog of batches is about
-                // to group-commit. Let their fsyncs hit a quiet journal
-                // before this thread starts competing for CPU and disk.
+                // (it clones the policy and the live state), so a
+                // backlog of batches is about to group-commit. Let their
+                // fsyncs hit a quiet journal before this thread starts
+                // competing for CPU and disk.
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 store.write(&snapshot)
             }),

@@ -13,6 +13,10 @@
 //! ([`DurableEngine::commit_group`]), and then acks every waiter. Under
 //! load, the queue is never empty when the fsync returns, so the cost
 //! amortizes across more and more batches exactly when it matters.
+//! The flush is not the only thing a group shares: `commit_group`
+//! enforces the whole group through **one** shard dispatch
+//! (`ShardedEngine::ingest_group`), so a run of one-event batches pays
+//! one worker hop per shard, not one per batch.
 //!
 //! ## Ordering and atomicity
 //!
@@ -70,6 +74,14 @@ enum Job {
         /// `store_group_queue_wait_seconds` span.
         queued_at: std::time::Instant,
     },
+    /// Several trusted ingest batches submitted as one unit: they join
+    /// the surrounding run's single `commit_group` call side by side,
+    /// so either all of them reach the WAL or none does.
+    Run {
+        batches: Vec<Vec<Event>>,
+        done: Box<dyn FnOnce(io::Result<Vec<BatchOutcome>>) + Send>,
+        queued_at: std::time::Instant,
+    },
     /// Events from a below-trust-threshold sensor, bound for the
     /// quarantine ledger (durable, but never enforced).
     Quarantine {
@@ -91,9 +103,25 @@ impl Job {
     fn event_count(&self) -> usize {
         match self {
             Job::Ingest { events, .. } | Job::Quarantine { events, .. } => events.len(),
+            Job::Run { batches, .. } => batches.iter().map(Vec::len).sum(),
             // One WAL sequence number, like a one-event batch.
             Job::Policy { .. } => 1,
         }
+    }
+
+    /// The trusted ingest batches this job carries (none for quarantine
+    /// and policy jobs, which commit on their own).
+    fn ingest_batches(&self) -> &[Vec<Event>] {
+        match self {
+            Job::Ingest { events, .. } => std::slice::from_ref(events),
+            Job::Run { batches, .. } => batches,
+            Job::Quarantine { .. } | Job::Policy { .. } => &[],
+        }
+    }
+
+    /// Does this job join a run of ingest batches (one `commit_group`)?
+    fn joins_run(&self) -> bool {
+        matches!(self, Job::Ingest { .. } | Job::Run { .. })
     }
 }
 
@@ -139,11 +167,30 @@ impl CommitHandle {
     /// Queue a batch and block until it is durable — the convenience
     /// shape for tests and non-event-loop callers.
     pub fn commit(&self, events: Vec<Event>) -> io::Result<BatchOutcome> {
+        let mut outcomes = self.commit_run(vec![events])?;
+        Ok(outcomes.pop().expect("one batch in, one outcome out"))
+    }
+
+    /// Queue several batches as **one** queue entry and block until
+    /// they are durable. The batches stay separate WAL records with
+    /// separate outcomes (returned in order), but they ride one
+    /// `commit_group` call — one WAL write, one fsync, one shard
+    /// dispatch — and so are all-or-nothing at the WAL: `Err` means
+    /// none of them was logged or applied. That is what a caller
+    /// replaying an ordered stream (a follower tailing its primary)
+    /// needs; separately submitted batches could not promise it, since
+    /// a later one may succeed after an earlier one failed.
+    pub fn commit_run(&self, batches: Vec<Vec<Event>>) -> io::Result<Vec<BatchOutcome>> {
         let (tx, rx) = unbounded();
-        self.submit(events, move |result| {
-            let _ = tx.send(result);
-        })
-        .map_err(|_| io::Error::other("commit thread is shut down"))?;
+        self.tx
+            .send(Job::Run {
+                batches,
+                done: Box::new(move |result| {
+                    let _ = tx.send(result);
+                }),
+                queued_at: std::time::Instant::now(),
+            })
+            .map_err(|_| io::Error::other("commit thread is shut down"))?;
         rx.recv()
             .unwrap_or_else(|_| Err(io::Error::other("commit thread died before acking")))
     }
@@ -288,11 +335,12 @@ fn commit_loop(
             let now = std::time::Instant::now();
             let wait = ltam_obs::histogram!(
                 "store_group_queue_wait_seconds",
-                "Time an ingest batch waited in the group-commit queue before its group formed",
+                "Time an ingest batch (or a follower's run of them) waited in the group-commit \
+                 queue before its group formed",
                 SecondsFromMicros
             );
             for job in &jobs {
-                if let Job::Ingest { queued_at, .. } = job {
+                if let Job::Ingest { queued_at, .. } | Job::Run { queued_at, .. } = job {
                     wait.observe(now.duration_since(*queued_at).as_micros() as u64);
                 }
             }
@@ -315,32 +363,37 @@ fn commit_loop(
         )
         .observe(jobs.len() as u64);
         // Walk the group in submission order. Consecutive ingest jobs
-        // coalesce into one `commit_group` call (one WAL write + one
-        // fsync); quarantine and policy jobs commit where they stand so
-        // ordering against neighboring ingest is preserved — a
-        // revocation submitted before a batch governs that batch.
+        // coalesce into one `commit_group` call (one WAL write, one
+        // fsync, one shard dispatch); quarantine and policy jobs commit
+        // where they stand so ordering against neighboring ingest is
+        // preserved — a revocation submitted before a batch governs
+        // that batch.
         let mut iter = jobs.into_iter().peekable();
         while let Some(job) = iter.next() {
             match job {
-                Job::Ingest { .. } => {
+                Job::Ingest { .. } | Job::Run { .. } => {
                     let mut run = vec![job];
-                    while iter.peek().is_some_and(|j| matches!(j, Job::Ingest { .. })) {
+                    while iter.peek().is_some_and(Job::joins_run) {
                         run.push(iter.next().expect("peeked"));
                     }
                     let batches: Vec<&[Event]> = run
                         .iter()
-                        .map(|j| match j {
-                            Job::Ingest { events, .. } => events.as_slice(),
-                            _ => unreachable!("run holds only ingest jobs"),
-                        })
+                        .flat_map(|j| j.ingest_batches().iter().map(Vec::as_slice))
                         .collect();
                     let result = engine.commit_group(&batches);
                     match result {
                         Ok(outcomes) => {
-                            debug_assert_eq!(outcomes.len(), run.len());
-                            for (job, outcome) in run.into_iter().zip(outcomes) {
-                                if let Job::Ingest { done, .. } = job {
-                                    done(Ok(outcome));
+                            debug_assert_eq!(outcomes.len(), batches.len());
+                            let mut outcomes = outcomes.into_iter();
+                            for job in run {
+                                match job {
+                                    Job::Ingest { done, .. } => {
+                                        done(Ok(outcomes.next().expect("one outcome per batch")))
+                                    }
+                                    Job::Run { batches, done, .. } => {
+                                        done(Ok(outcomes.by_ref().take(batches.len()).collect()))
+                                    }
+                                    _ => unreachable!("run holds only ingest jobs"),
                                 }
                             }
                         }
@@ -348,11 +401,12 @@ fn commit_loop(
                             // The run never reached the WAL: every
                             // submitter gets the same verdict and may
                             // retry.
-                            let kind = e.kind();
-                            let message = e.to_string();
+                            let verdict = || io::Error::new(e.kind(), e.to_string());
                             for job in run {
-                                if let Job::Ingest { done, .. } = job {
-                                    done(Err(io::Error::new(kind, message.clone())));
+                                match job {
+                                    Job::Ingest { done, .. } => done(Err(verdict())),
+                                    Job::Run { done, .. } => done(Err(verdict())),
+                                    _ => unreachable!("run holds only ingest jobs"),
                                 }
                             }
                         }
@@ -367,8 +421,10 @@ fn commit_loop(
                 Job::Policy { op, done } => done(engine.apply_policy(&op)),
             }
         }
-        // Acks are out; now the cadence work (snapshot imaging is
-        // about a millisecond — the expensive write is backgrounded).
+        // Acks are out; now the cadence work. A snapshot's encode and
+        // write are backgrounded, but its imaging is not: it clones the
+        // whole policy (every authorization row) and every shard's live
+        // state on this thread, and the next group waits behind it.
         engine.maintain();
     }
     engine
@@ -457,11 +513,16 @@ mod tests {
         let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
         let acked = Arc::new(AtomicUsize::new(0));
         let mut ranks = Vec::new();
+        // One request in the middle is from a subject nobody authorized:
+        // the group is applied through one shard dispatch, and that
+        // batch alone must come back denied.
+        const DENIED: u64 = 25;
         for i in 0..50u64 {
             let acked = Arc::clone(&acked);
             let (tx, rx) = unbounded();
+            let subject = if i == DENIED { 999 } else { (i % 4) as u32 };
             handle
-                .submit(vec![request(i, (i % 4) as u32)], move |result| {
+                .submit(vec![request(i, subject)], move |result| {
                     let rank = acked.fetch_add(1, Ordering::SeqCst);
                     let _ = tx.send((rank, result.unwrap().granted));
                 })
@@ -471,11 +532,37 @@ mod tests {
         for (i, rx) in ranks.into_iter().enumerate() {
             let (rank, granted) = rx.recv().unwrap();
             assert_eq!(rank, i, "acks ran in submission order");
-            assert_eq!(granted, 1);
+            assert_eq!(granted, usize::from(i as u64 != DENIED), "batch {i}");
         }
         drop(handle);
         let engine = gc.shutdown().unwrap();
         assert_eq!(engine.applied(), 50);
+    }
+
+    #[test]
+    fn a_run_is_one_queue_entry_with_one_outcome_per_batch() {
+        let dir = ScratchDir::new("group-run");
+        let engine = store(dir.path(), true);
+        let fsyncs_before = engine.wal_fsyncs();
+        let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
+        // Four batches: the second denied, the third empty.
+        let outcomes = handle
+            .commit_run(vec![
+                vec![request(1, 0), request(2, 1)],
+                vec![request(3, 999)],
+                vec![],
+                vec![request(4, 2)],
+            ])
+            .unwrap();
+        let shape: Vec<_> = outcomes
+            .iter()
+            .map(|o| (o.processed, o.granted, o.denied))
+            .collect();
+        assert_eq!(shape, [(2, 2, 0), (1, 0, 1), (0, 0, 0), (1, 1, 0)]);
+        drop(handle);
+        let engine = gc.shutdown().unwrap();
+        assert_eq!(engine.applied(), 4);
+        assert_eq!(engine.wal_fsyncs() - fsyncs_before, 1, "one run, one flush");
     }
 
     #[test]
