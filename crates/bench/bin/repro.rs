@@ -1148,8 +1148,12 @@ fn retention(args: &[String]) {
     let mut queries_match = true;
     let mut mismatch = String::new();
     let expected_violations = violation_multiset(reference.violations().to_vec());
-    let got_violations =
-        violation_multiset(durable.violations_in(all).expect("tier-aware violations"));
+    let got_violations = violation_multiset(
+        durable
+            .read_view()
+            .violations_in(all)
+            .expect("tier-aware violations"),
+    );
     if got_violations != expected_violations {
         queries_match = false;
         mismatch = format!(
@@ -1165,14 +1169,22 @@ fn retention(args: &[String]) {
         (0..=8).map(|i| ltam_time::Time(span * i / 8)).collect();
     for &s in &sample_subjects {
         for &t in &sample_times {
-            let got = durable.whereabouts(s, t).expect("tier-aware whereabouts");
+            let got = durable
+                .read_view()
+                .whereabouts(s, t)
+                .expect("tier-aware whereabouts");
             let want = reference.movements().whereabouts(s, t);
             if got != want {
                 queries_match = false;
                 mismatch = format!("whereabouts({s}, {t}): {got:?} != {want:?}");
             }
         }
-        let got = contact_multiset(durable.contacts(s, all).expect("tier-aware contacts"));
+        let got = contact_multiset(
+            durable
+                .read_view()
+                .contacts(s, all)
+                .expect("tier-aware contacts"),
+        );
         let want = contact_multiset(reference.movements().contacts(s, all));
         if got != want {
             queries_match = false;

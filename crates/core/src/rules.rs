@@ -244,23 +244,6 @@ impl RuleEngine {
         self.rules.is_empty()
     }
 
-    /// Export rules with their ids (persistence). Custom operator
-    /// *registrations* are code and must be re-registered by the host.
-    pub fn export(&self) -> Vec<(RuleId, Rule)> {
-        self.rules.iter().map(|(&id, r)| (id, r.clone())).collect()
-    }
-
-    /// Restore rules preserving their ids; the id counter resumes past the
-    /// largest restored id.
-    pub fn import(rules: impl IntoIterator<Item = (RuleId, Rule)>) -> RuleEngine {
-        let mut engine = RuleEngine::new();
-        for (id, rule) in rules {
-            engine.next = engine.next.max(id.0 + 1);
-            engine.rules.insert(id, rule);
-        }
-        engine
-    }
-
     /// Register a custom subject operator under `name`.
     pub fn register_subject_op(
         &mut self,

@@ -1345,7 +1345,7 @@ mod tests {
             status.per_shard.iter().map(|r| r.violations).sum::<usize>(),
             status.live_violations
         );
-        // The status round-trips through JSON (the wire carries it).
+        // The status is serializable (the wire carries it as a binval body).
         let json = serde_json::to_string(&status).unwrap();
         let back: EngineStatus = serde_json::from_str(&json).unwrap();
         assert_eq!(back, status);

@@ -245,50 +245,6 @@ impl AccessControlEngine {
         self.rules.remove_rule(id)
     }
 
-    /// Export declarative rules with ids (persistence; see
-    /// [`crate::snapshot::EngineSnapshot`]).
-    pub fn rules_export(&self) -> Vec<(ltam_core::db::RuleId, Rule)> {
-        self.rules.export()
-    }
-
-    /// Rebuild internal state from snapshot parts (crate-internal; use
-    /// [`AccessControlEngine::restore`]).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn restore_parts(
-        &mut self,
-        rows: Vec<(AuthId, Authorization, ltam_core::db::Provenance)>,
-        next_auth_id: u64,
-        prohibitions: ProhibitionDb,
-        rules: Vec<(ltam_core::db::RuleId, Rule)>,
-        ledger: UsageLedger,
-        profiles: UserProfileDb,
-        movements: MovementsDb,
-        violations: Vec<Violation>,
-        violations_pruned: u64,
-        active: Vec<(SubjectId, LocationId, AuthId)>,
-    ) {
-        self.db = AuthorizationDb::import_rows(rows);
-        self.db.reserve_ids_through(next_auth_id);
-        self.prohibitions = prohibitions;
-        self.rules = RuleEngine::import(rules);
-        self.state.ledger = ledger;
-        self.profiles = profiles;
-        self.state.movements = movements;
-        // Pruned violations keep counting toward the alert sequence so
-        // restored alerts never repeat a sequence number.
-        self.alert_seq = violations.len() as u64 + violations_pruned;
-        self.state.violations_pruned = violations_pruned;
-        self.state.violations = violations;
-        self.state.active_auth = active.into_iter().map(|(s, l, a)| (s, (l, a))).collect();
-        self.state.pending.clear();
-        self.state.overstay_alerted.clear();
-    }
-
-    /// The authorizations currently governing open stays (persistence).
-    pub fn active_stays(&self) -> Vec<(SubjectId, LocationId, AuthId)> {
-        self.state.active_stays()
-    }
-
     /// Detect authorization conflicts (§4: overlapping/adjacent entry
     /// windows for the same subject and location).
     pub fn conflicts(&self) -> Vec<ltam_core::Conflict> {

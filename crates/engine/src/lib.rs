@@ -38,7 +38,6 @@ pub mod report;
 pub mod retention;
 pub mod shard;
 pub mod shared;
-pub mod snapshot;
 pub mod view;
 pub mod violation;
 
@@ -55,6 +54,5 @@ pub use report::{security_report, SecurityReport};
 pub use retention::{HistoryWatermarks, PrunedHistory};
 pub use shard::{PendingImage, PolicyView, ShardState, ShardStateImage};
 pub use shared::SharedEngine;
-pub use snapshot::EngineSnapshot;
 pub use view::EngineReadView;
 pub use violation::{Alert, Violation};

@@ -466,12 +466,11 @@ impl ShardState {
 
     /// Export the complete mutable state as a serializable image.
     ///
-    /// Unlike [`EngineSnapshot`](crate::snapshot::EngineSnapshot) (which
-    /// deliberately drops pending grants on operator-driven backups), the
-    /// image is **exhaustive**: crash recovery must reproduce the exact
-    /// enforcement state, or replaying the WAL tail after a restart would
-    /// raise violations an uninterrupted run never saw. Collections are
-    /// sorted so equal states export byte-identical images.
+    /// The image is **exhaustive** — pending grants included: crash
+    /// recovery must reproduce the exact enforcement state, or replaying
+    /// the WAL tail after a restart would raise violations an
+    /// uninterrupted run never saw. Collections are sorted so equal
+    /// states export byte-identical images.
     pub fn image(&self) -> ShardStateImage {
         let mut pending: Vec<PendingImage> = self
             .pending
@@ -736,8 +735,8 @@ mod tests {
         assert_eq!(restored.audit(), s.audit());
         assert_eq!(restored.active_stays(), s.active_stays());
         assert_eq!(restored.ledger().total_entries(), 1);
-        // Unlike EngineSnapshot, pending grants DO survive an image: crash
-        // recovery must not turn a granted entry into a violation.
+        // Pending grants survive an image: crash recovery must not turn
+        // a granted entry into a violation.
         let mut pending = ShardState::new();
         assert!(pending
             .request_enter(&policy, Time(10), ALICE, CAIS)

@@ -13,21 +13,29 @@
 //! The framing deliberately mirrors the WAL record format
 //! (`ltam-store`'s `wal.rs`): the CRC covers the payload, and the
 //! integer encodings are the same LEB128 varints
-//! ([`ltam_store::put_varint`]). Bodies come in two shapes:
+//! ([`ltam_store::put_varint`]). Bodies come in two shapes, both
+//! binary, both shared with the store:
 //!
-//! * **binary** — the hot ingest path ([`Request::Ingest`],
+//! * **events** — the hot ingest path ([`Request::Ingest`],
 //!   [`Request::Check`]) carries events in the WAL event codec
 //!   ([`ltam_store::encode_event`]), so a sensor batch costs the same
 //!   bytes on the wire as it does in the log;
-//! * **JSON** — queries and every response, exactly like archive
-//!   segments pair a binary events block with a JSON records block.
+//! * **structured** — queries, replication, admin and situation
+//!   requests and every response are one [`ltam_store::binval`] value,
+//!   the encoding snapshots, policy-op records and the archive's
+//!   records block use.
+//!
+//! ([`Request::Hello`] is the raw token bytes and [`Request::Metrics`]
+//! has no body at all.)
 //!
 //! Decoding is **total**: arbitrary bytes either decode to a message or
-//! return a [`WireError`] — never a panic — and a corrupted frame can
-//! never decode to a *wrong-but-valid* message, because the CRC is
-//! checked before the body is looked at (CRC32 catches every single-bit
-//! flip in the payload). The workspace's serve property tests assert
-//! all of this the same way the codec's do.
+//! return a [`WireError`] — never a panic, never an allocation sized by
+//! a count the peer merely announced (request bodies are decoded
+//! *before* the capability gate) — and a corrupted frame can never
+//! decode to a *wrong-but-valid* message, because the CRC is checked
+//! before the body is looked at (CRC32 catches every single-bit flip in
+//! the payload). The workspace's serve property tests assert all of
+//! this the same way the codec's do.
 
 use ltam_core::capability::{AdminOp, AdminOutcome, Scope, TokenId};
 use ltam_core::subject::SubjectId;
@@ -36,6 +44,7 @@ use ltam_engine::movement::Contact;
 use ltam_engine::Violation;
 use ltam_graph::LocationId;
 use ltam_situate::{SituationOp, SituationOutcome};
+use ltam_store::binval;
 use ltam_store::codec::{decode_event, encode_event, get_varint, put_varint, DecodeError};
 use ltam_store::crc32;
 use ltam_store::replica::{ReplFile, ReplFileId};
@@ -89,8 +98,9 @@ pub enum WireError {
     BadCount(u64),
     /// A `Check` body must be a `Request` event (a door swipe).
     NotARequest,
-    /// A JSON body failed to parse as the expected message.
-    BadJson(String),
+    /// A structured body failed to decode as the expected message (or a
+    /// `Hello` token was not UTF-8).
+    BadBody(String),
 }
 
 impl fmt::Display for WireError {
@@ -106,7 +116,7 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes => write!(f, "trailing bytes after the message body"),
             WireError::BadCount(n) => write!(f, "implausible event count {n} for the body size"),
             WireError::NotARequest => write!(f, "Check body must be a Request event"),
-            WireError::BadJson(e) => write!(f, "bad JSON body: {e}"),
+            WireError::BadBody(e) => write!(f, "bad message body: {e}"),
         }
     }
 }
@@ -176,7 +186,7 @@ pub enum Request {
         /// The token secret minted by an admin.
         token: String,
     },
-    /// A policy/token administration operation (tag `0x09`, JSON body).
+    /// A policy/token administration operation (tag `0x09`).
     /// Requires an authenticated connection whose token carries
     /// [`Scope::Admin`] (or the server's root token), regardless of
     /// whether auth is otherwise required. Answered with
@@ -184,13 +194,13 @@ pub enum Request {
     Admin(AdminOp),
     /// A situation operation — declare/clear an emergency or lockdown,
     /// edit responders/pins, or install a workflow constraint (tag
-    /// `0x0A`, JSON body). Admin-gated like [`Request::Admin`]; only a
+    /// `0x0A`). Admin-gated like [`Request::Admin`]; only a
     /// primary accepts it (followers receive the op through the
     /// replicated WAL instead). Answered with [`Response::Situation`].
     Situation(SituationOp),
 }
 
-/// What a follower asks its primary for (JSON-bodied, tag `0x05`).
+/// What a follower asks its primary for (tag `0x05`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReplRequest {
     /// The primary's current shippable-file inventory and positions
@@ -266,10 +276,8 @@ pub struct ReplChunkMeta {
     pub retention_watermark: u64,
 }
 
-/// A shipped chunk: metadata plus the raw file bytes (binary frame,
-/// tag `0x06` — the bytes travel uncopied next to a small JSON header,
-/// mirroring how archive segments pair a JSON block with binary
-/// events).
+/// A shipped chunk: metadata plus the raw file bytes (tag `0x06` — the
+/// bytes travel uncopied behind a small length-prefixed header).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplChunk {
     /// The chunk's provenance and the primary's positions.
@@ -278,13 +286,13 @@ pub struct ReplChunk {
     pub bytes: Vec<u8>,
 }
 
-/// What a replication exchange can answer with: a binary chunk or an
-/// ordinary JSON response (manifest, error).
+/// What a replication exchange can answer with: a chunk of file bytes
+/// or an ordinary response (manifest, error).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplReply {
     /// A shipped chunk of file bytes.
     Chunk(ReplChunk),
-    /// A JSON response (a manifest or a refusal).
+    /// An ordinary response (a manifest or a refusal).
     Other(Box<Response>),
 }
 
@@ -379,9 +387,7 @@ pub enum ServerRole {
     Follower,
 }
 
-/// A response from the serving tier. Always JSON-bodied (tag
-/// `0x04`): responses carry structured query results, which is
-/// exactly the shape the archive's JSON block already serializes.
+/// A response from the serving tier (tag `0x04`).
 ///
 /// `Status` is much larger than its siblings; responses are
 /// transient (encoded or consumed immediately), so boxing it would
@@ -744,6 +750,21 @@ impl FrameAssembler {
     }
 }
 
+// --- structured bodies -----------------------------------------------------
+
+/// Append a structured message: its kind byte, then `value` as one
+/// [`binval`] value.
+fn body<T: Serialize>(kind: u8, value: &T, out: &mut Vec<u8>) {
+    out.push(kind);
+    binval::encode_into(value, out);
+}
+
+/// Decode a structured body (everything after the kind byte) as
+/// exactly one [`binval`] value of type `T`.
+fn parse<T: Deserialize>(body: &[u8]) -> Result<T, WireError> {
+    binval::decode(body).map_err(|e| WireError::BadBody(e.0))
+}
+
 // --- request encoding ------------------------------------------------------
 
 /// Encode a request payload (frame it with [`write_frame`]).
@@ -761,43 +782,15 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             out.push(KIND_CHECK);
             encode_event(event, &mut out);
         }
-        Request::Query(query) => {
-            out.push(KIND_QUERY);
-            out.extend_from_slice(
-                serde_json::to_string(query)
-                    .expect("queries serialize")
-                    .as_bytes(),
-            );
-        }
-        Request::Repl(repl) => {
-            out.push(KIND_REPL);
-            out.extend_from_slice(
-                serde_json::to_string(repl)
-                    .expect("repl requests serialize")
-                    .as_bytes(),
-            );
-        }
+        Request::Query(query) => body(KIND_QUERY, query, &mut out),
+        Request::Repl(repl) => body(KIND_REPL, repl, &mut out),
         Request::Metrics => out.push(KIND_METRICS),
         Request::Hello { token } => {
             out.push(KIND_HELLO);
             out.extend_from_slice(token.as_bytes());
         }
-        Request::Admin(op) => {
-            out.push(KIND_ADMIN);
-            out.extend_from_slice(
-                serde_json::to_string(op)
-                    .expect("admin ops serialize")
-                    .as_bytes(),
-            );
-        }
-        Request::Situation(op) => {
-            out.push(KIND_SITUATION);
-            out.extend_from_slice(
-                serde_json::to_string(op)
-                    .expect("situation ops serialize")
-                    .as_bytes(),
-            );
-        }
+        Request::Admin(op) => body(KIND_ADMIN, op, &mut out),
+        Request::Situation(op) => body(KIND_SITUATION, op, &mut out),
     }
     out
 }
@@ -836,17 +829,8 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             }
             Ok(Request::Check(event))
         }
-        KIND_QUERY => {
-            let text = std::str::from_utf8(body).map_err(|e| WireError::BadJson(e.to_string()))?;
-            let query =
-                serde_json::from_str(text).map_err(|e| WireError::BadJson(e.to_string()))?;
-            Ok(Request::Query(query))
-        }
-        KIND_REPL => {
-            let text = std::str::from_utf8(body).map_err(|e| WireError::BadJson(e.to_string()))?;
-            let repl = serde_json::from_str(text).map_err(|e| WireError::BadJson(e.to_string()))?;
-            Ok(Request::Repl(repl))
-        }
+        KIND_QUERY => parse(body).map(Request::Query),
+        KIND_REPL => parse(body).map(Request::Repl),
         KIND_METRICS => {
             if !body.is_empty() {
                 return Err(WireError::TrailingBytes);
@@ -855,20 +839,12 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         }
         KIND_HELLO => {
             let token = std::str::from_utf8(body)
-                .map_err(|e| WireError::BadJson(e.to_string()))?
+                .map_err(|e| WireError::BadBody(e.to_string()))?
                 .to_string();
             Ok(Request::Hello { token })
         }
-        KIND_ADMIN => {
-            let text = std::str::from_utf8(body).map_err(|e| WireError::BadJson(e.to_string()))?;
-            let op = serde_json::from_str(text).map_err(|e| WireError::BadJson(e.to_string()))?;
-            Ok(Request::Admin(op))
-        }
-        KIND_SITUATION => {
-            let text = std::str::from_utf8(body).map_err(|e| WireError::BadJson(e.to_string()))?;
-            let op = serde_json::from_str(text).map_err(|e| WireError::BadJson(e.to_string()))?;
-            Ok(Request::Situation(op))
-        }
+        KIND_ADMIN => parse(body).map(Request::Admin),
+        KIND_SITUATION => parse(body).map(Request::Situation),
         other => Err(WireError::BadKind(other)),
     }
 }
@@ -877,10 +853,8 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 
 /// Encode a response payload (frame it with [`write_frame`]).
 pub fn encode_response(response: &Response) -> Vec<u8> {
-    let json = serde_json::to_string(response).expect("responses serialize");
-    let mut out = Vec::with_capacity(1 + json.len());
-    out.push(KIND_RESPONSE);
-    out.extend_from_slice(json.as_bytes());
+    let mut out = Vec::with_capacity(64);
+    body(KIND_RESPONSE, response, &mut out);
     out
 }
 
@@ -890,29 +864,28 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     if kind != KIND_RESPONSE {
         return Err(WireError::BadKind(kind));
     }
-    let text = std::str::from_utf8(body).map_err(|e| WireError::BadJson(e.to_string()))?;
-    serde_json::from_str(text).map_err(|e| WireError::BadJson(e.to_string()))
+    parse(body)
 }
 
 // --- replication chunk encoding --------------------------------------------
 
-/// Encode a shipped chunk: `[kind 0x06][varint meta_len][meta JSON]
-/// [raw file bytes]` — the only binary *response* in the protocol,
-/// because base64-ing megabytes of WAL through JSON would double the
-/// bytes on the replication path for nothing.
+/// Encode a shipped chunk: `[kind 0x06][varint meta_len][meta]
+/// [raw file bytes]` — the one reply that is not a [`Response`], so
+/// megabytes of WAL travel as they lie on disk instead of as a
+/// structured array of bytes.
 pub fn encode_repl_chunk(chunk: &ReplChunk) -> Vec<u8> {
-    let meta = serde_json::to_string(&chunk.meta).expect("chunk meta serializes");
+    let meta = binval::encode(&chunk.meta);
     let mut out = Vec::with_capacity(1 + 10 + meta.len() + chunk.bytes.len());
     out.push(KIND_REPL_CHUNK);
     put_varint(&mut out, meta.len() as u64);
-    out.extend_from_slice(meta.as_bytes());
+    out.extend_from_slice(&meta);
     out.extend_from_slice(&chunk.bytes);
     out
 }
 
-/// Decode the reply to a replication request: a binary chunk (tag
-/// `0x06`) or an ordinary JSON response (tag `0x04` — a manifest or a
-/// refusal). Total, like every decoder here.
+/// Decode the reply to a replication request: a chunk (tag `0x06`) or
+/// an ordinary response (tag `0x04` — a manifest or a refusal). Total,
+/// like every decoder here.
 pub fn decode_repl_reply(payload: &[u8]) -> Result<ReplReply, WireError> {
     let (&kind, body) = payload.split_first().ok_or(WireError::EmptyPayload)?;
     match kind {
@@ -923,16 +896,12 @@ pub fn decode_repl_reply(payload: &[u8]) -> Result<ReplReply, WireError> {
                 .checked_add(at)
                 .filter(|&e| e <= body.len());
             let Some(end) = end else {
-                return Err(WireError::BadJson(format!(
+                return Err(WireError::BadBody(format!(
                     "chunk meta length {meta_len} exceeds the body"
                 )));
             };
-            let text = std::str::from_utf8(&body[at..end])
-                .map_err(|e| WireError::BadJson(e.to_string()))?;
-            let meta: ReplChunkMeta =
-                serde_json::from_str(text).map_err(|e| WireError::BadJson(e.to_string()))?;
             Ok(ReplReply::Chunk(ReplChunk {
-                meta,
+                meta: parse(&body[at..end])?,
                 bytes: body[end..].to_vec(),
             }))
         }
@@ -986,6 +955,13 @@ mod tests {
                 subject: SubjectId(3),
                 level: 2,
             }),
+            Request::Situation(SituationOp::Declare(ltam_situate::SituationMode::Lockdown)),
+            Request::Situation(SituationOp::AddConstraint(
+                ltam_situate::WorkflowConstraint::OrderedSteps {
+                    steps: vec![LocationId(1), LocationId(4)],
+                    window: 30,
+                },
+            )),
         ]
     }
 
@@ -1118,6 +1094,37 @@ mod tests {
     }
 
     #[test]
+    fn implausible_body_counts_are_refused_by_every_structured_kind() {
+        // The binval twin of the test above: an array announcing more
+        // elements than the body has bytes never sizes an allocation
+        // (`ltam-store`'s `binval_prealloc` test measures the allocator;
+        // this pins that every pre-gate kind routes through that one
+        // decoder and surfaces its refusal as `BadBody`).
+        for kind in [KIND_QUERY, KIND_REPL, KIND_ADMIN, KIND_SITUATION] {
+            let mut payload = vec![kind, 0x07];
+            put_varint(&mut payload, u64::MAX >> 1);
+            assert!(
+                matches!(decode_request(&payload), Err(WireError::BadBody(_))),
+                "kind {kind:#04x}"
+            );
+        }
+        let mut payload = vec![KIND_RESPONSE, 0x08];
+        put_varint(&mut payload, u64::MAX >> 1);
+        assert!(matches!(
+            decode_response(&payload),
+            Err(WireError::BadBody(_))
+        ));
+    }
+
+    #[test]
+    fn a_hello_token_must_be_utf8() {
+        assert!(matches!(
+            decode_request(&[KIND_HELLO, 0xC3, 0x28]),
+            Err(WireError::BadBody(_))
+        ));
+    }
+
+    #[test]
     fn assembler_yields_frames_regardless_of_chunking() {
         let mut stream = Vec::new();
         for r in sample_requests() {
@@ -1182,7 +1189,7 @@ mod tests {
             ReplReply::Chunk(got) => assert_eq!(got, chunk),
             other => panic!("expected a chunk, got {other:?}"),
         }
-        // A JSON error response decodes through the same entry point.
+        // An error response decodes through the same entry point.
         let err = Response::Error {
             code: ErrorCode::Gone,
             message: "segment compacted".into(),
@@ -1218,7 +1225,7 @@ mod tests {
         put_varint(&mut bogus, u64::MAX);
         assert!(matches!(
             decode_repl_reply(&bogus),
-            Err(WireError::BadJson(_)) | Err(WireError::Codec(_))
+            Err(WireError::BadBody(_)) | Err(WireError::Codec(_))
         ));
     }
 

@@ -4,18 +4,51 @@
 //! wrong-but-valid message** (the frame CRC is checked before any body
 //! is interpreted, and CRC32 catches every single-bit flip of the
 //! payload).
+//!
+//! One family covers both directions: every property below draws from
+//! [`arb_message`], which generates every [`Request`] kind and every
+//! [`Response`] variant. Event bodies exercise the varint event codec,
+//! everything else the one structured codec (`ltam_store::binval`).
 
-use ltam_core::capability::{AdminOp, Scope, TokenId};
+use ltam_core::capability::{AdminOp, AdminOutcome, Scope, TokenId};
+use ltam_core::db::AuthId;
+use ltam_core::model::{Authorization, EntryLimit};
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::Event;
+use ltam_engine::batch::{EngineStatus, Event, QuarantinedEvent, ShardStatusRow};
+use ltam_engine::movement::Contact;
+use ltam_engine::{HistoryWatermarks, Violation};
 use ltam_graph::LocationId;
 use ltam_serve::wire::{
-    decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    FrameAssembler, HistoryQuery, Request, Response, DEFAULT_MAX_FRAME_BYTES,
+    decode_repl_reply, decode_request, decode_response, encode_request, encode_response,
+    read_frame, write_frame, ErrorCode, FrameAssembler, HistoryQuery, ReplManifest, ReplicaState,
+    ReplicaStatus, Request, Response, ServerRole, ServerStatus, WireError, DEFAULT_MAX_FRAME_BYTES,
 };
+use ltam_situate::{
+    ConstraintId, IncidentId, SituationMode, SituationOp, SituationOutcome, WorkflowConstraint,
+};
+use ltam_store::replica::{ReplFile, ReplFileId};
 use ltam_time::{Interval, Time};
 use proptest::prelude::*;
 use std::io::Cursor;
+
+/// `None` or `Some` of the inner strategy, evenly.
+fn arb_opt<S: Strategy>(inner: S) -> impl Strategy<Value = Option<S::Value>> {
+    (any::<bool>(), inner).prop_map(|(some, v)| some.then_some(v))
+}
+
+fn arb_subject() -> impl Strategy<Value = SubjectId> {
+    (0u32..=u32::MAX).prop_map(SubjectId)
+}
+
+fn arb_location() -> impl Strategy<Value = LocationId> {
+    (0u32..=u32::MAX).prop_map(LocationId)
+}
+
+/// Printable ASCII plus a few multi-byte characters and a newline (the
+/// metrics exposition is multi-line text).
+fn arb_text(max: usize) -> impl Strategy<Value = String> {
+    format!("[ -~é世\n]{{0,{max}}}")
+}
 
 fn arb_event() -> impl Strategy<Value = Event> {
     let fields = || (0u64..=u64::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX);
@@ -40,7 +73,11 @@ fn arb_event() -> impl Strategy<Value = Event> {
 }
 
 fn arb_window() -> impl Strategy<Value = Interval> {
-    (0u64..1_000_000, 0u64..1_000_000).prop_map(|(a, b)| Interval::lit(a.min(b), a.max(b)))
+    prop_oneof![
+        4 => (0u64..1_000_000, 0u64..1_000_000)
+            .prop_map(|(a, b)| Interval::lit(a.min(b), a.max(b))),
+        1 => Just(Interval::ALL),
+    ]
 }
 
 fn arb_scope() -> impl Strategy<Value = Scope> {
@@ -48,115 +85,487 @@ fn arb_scope() -> impl Strategy<Value = Scope> {
         Just(Scope::Query),
         Just(Scope::Replicate),
         Just(Scope::Admin),
-        (
-            any::<bool>(),
-            prop::collection::vec((0u32..=u32::MAX).prop_map(LocationId), 0..4)
-        )
-            .prop_map(|(all, list)| Scope::Ingest {
-                locations: if all { None } else { Some(list) },
-            }),
+        arb_opt(prop::collection::vec(arb_location(), 0..4))
+            .prop_map(|locations| Scope::Ingest { locations }),
     ]
 }
 
+/// Every `AdminOp` variant.
 fn arb_admin_op() -> impl Strategy<Value = AdminOp> {
+    let authorization = (
+        0u64..1_000,
+        0u64..1_000,
+        0u64..1_000,
+        (arb_subject(), arb_location(), 0u32..8),
+    )
+        .prop_map(|(start, entry_len, exit_len, (subject, location, limit))| {
+            Authorization::new(
+                Interval::lit(start, start + entry_len),
+                Interval::lit(start, start + entry_len + exit_len),
+                subject,
+                location,
+                if limit == 0 {
+                    EntryLimit::Unbounded
+                } else {
+                    EntryLimit::Finite(limit)
+                },
+            )
+            .expect("exit window covers the entry window")
+        });
     prop_oneof![
         (
-            0u32..=u32::MAX,
+            arb_subject(),
             prop::collection::vec(arb_scope(), 0..4),
             arb_window(),
-            "[ -~]{0,24}",
+            arb_text(24),
         )
-            .prop_map(|(s, scopes, validity, secret)| AdminOp::MintToken {
-                subject: SubjectId(s),
+            .prop_map(|(subject, scopes, validity, secret)| AdminOp::MintToken {
+                subject,
                 scopes,
                 validity,
                 secret,
             }),
         any::<u64>().prop_map(|id| AdminOp::RevokeToken { id: TokenId(id) }),
-        (0u32..=u32::MAX, any::<u8>()).prop_map(|(s, level)| AdminOp::SetTrust {
-            subject: SubjectId(s),
-            level,
-        }),
+        (arb_subject(), any::<u8>())
+            .prop_map(|(subject, level)| AdminOp::SetTrust { subject, level }),
         any::<u8>().prop_map(|threshold| AdminOp::SetTrustThreshold { threshold }),
         any::<bool>().prop_map(|required| AdminOp::SetAuthRequired { required }),
+        authorization.prop_map(AdminOp::AddAuthorization),
+        any::<u64>().prop_map(|id| AdminOp::RevokeAuthorization { id: AuthId(id) }),
     ]
 }
 
+fn arb_mode() -> impl Strategy<Value = SituationMode> {
+    prop_oneof![
+        Just(SituationMode::Normal),
+        Just(SituationMode::Lockdown),
+        (any::<u64>(), any::<u64>()).prop_map(|(incident, until)| SituationMode::Emergency {
+            incident: IncidentId(incident),
+            until: Time(until),
+        }),
+    ]
+}
+
+/// Every `SituationOp` variant (and every mode and constraint shape).
+fn arb_situation_op() -> impl Strategy<Value = SituationOp> {
+    let constraint = prop_oneof![
+        (arb_location(), arb_location(), any::<u64>()).prop_map(|(first, second, window)| {
+            WorkflowConstraint::SeparationOfDuty {
+                first,
+                second,
+                window,
+            }
+        }),
+        (arb_location(), arb_location(), any::<u64>()).prop_map(
+            |(prerequisite, dependent, window)| WorkflowConstraint::BindingOfDuty {
+                prerequisite,
+                dependent,
+                window,
+            }
+        ),
+        (prop::collection::vec(arb_location(), 0..5), any::<u64>())
+            .prop_map(|(steps, window)| WorkflowConstraint::OrderedSteps { steps, window }),
+    ];
+    prop_oneof![
+        arb_mode().prop_map(SituationOp::Declare),
+        arb_subject().prop_map(SituationOp::AddResponder),
+        arb_subject().prop_map(SituationOp::RemoveResponder),
+        any::<u64>().prop_map(|id| SituationOp::Pin(AuthId(id))),
+        any::<u64>().prop_map(|id| SituationOp::Unpin(AuthId(id))),
+        constraint.prop_map(SituationOp::AddConstraint),
+        any::<u32>().prop_map(|id| SituationOp::RemoveConstraint(ConstraintId(id))),
+    ]
+}
+
+fn arb_file_id() -> impl Strategy<Value = ReplFileId> {
+    prop_oneof![
+        (any::<u64>(), any::<u64>()).prop_map(|(seq, epoch)| ReplFileId::Snapshot { seq, epoch }),
+        (any::<u64>(), any::<u64>()).prop_map(|(from, to)| ReplFileId::Archive { from, to }),
+        any::<u64>().prop_map(|first_seq| ReplFileId::WalSegment { first_seq }),
+        Just(ReplFileId::EpochMarker),
+    ]
+}
+
+fn arb_history_query() -> impl Strategy<Value = HistoryQuery> {
+    prop_oneof![
+        (arb_subject(), any::<u64>()).prop_map(|(subject, t)| HistoryQuery::Whereabouts {
+            subject,
+            at: Time(t)
+        }),
+        (arb_location(), arb_window())
+            .prop_map(|(location, window)| HistoryQuery::PresentDuring { location, window }),
+        (arb_subject(), arb_window())
+            .prop_map(|(subject, window)| HistoryQuery::Contacts { subject, window }),
+        arb_window().prop_map(|window| HistoryQuery::ViolationsIn { window }),
+        (arb_opt(arb_subject()), arb_window())
+            .prop_map(|(source, window)| HistoryQuery::Quarantine { source, window }),
+        Just(HistoryQuery::Status),
+    ]
+}
+
+/// Every `Request` kind. (`Request::Repl` has its own strategy in the
+/// replication module below and rides the same codec.)
 fn arb_request() -> impl Strategy<Value = Request> {
-    let swipe = (0u64..=u64::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX).prop_map(|(t, s, l)| {
+    let swipe = (any::<u64>(), arb_subject(), arb_location()).prop_map(|(t, subject, location)| {
         Request::Check(Event::Request {
             time: Time(t),
-            subject: SubjectId(s),
-            location: LocationId(l),
+            subject,
+            location,
         })
     });
     prop_oneof![
         prop::collection::vec(arb_event(), 0..24).prop_map(Request::Ingest),
         swipe,
-        (0u32..=u32::MAX, 0u64..=u64::MAX).prop_map(|(s, t)| Request::Query(
-            HistoryQuery::Whereabouts {
-                subject: SubjectId(s),
-                at: Time(t),
-            }
-        )),
-        (0u32..=u32::MAX, arb_window()).prop_map(|(l, w)| Request::Query(
-            HistoryQuery::PresentDuring {
-                location: LocationId(l),
-                window: w,
-            }
-        )),
-        (0u32..=u32::MAX, arb_window()).prop_map(|(s, w)| Request::Query(HistoryQuery::Contacts {
-            subject: SubjectId(s),
-            window: w,
-        })),
-        arb_window().prop_map(|w| Request::Query(HistoryQuery::ViolationsIn { window: w })),
-        Just(Request::Query(HistoryQuery::Status)),
-        // The metrics scrape frame rides every damage property below:
-        // round-trip, truncation totality, bit-flip rejection, and
-        // chunking invariance, same as every other kind.
+        arb_history_query().prop_map(Request::Query),
         Just(Request::Metrics),
-        // So do the auth frames: arbitrary token secrets (any UTF-8,
-        // including empty) and every simple admin RPC. A flipped bit
-        // in a Hello or a MintToken must never authenticate as — or
-        // mint — something else; the frame CRC plus these decoders
-        // guarantee refusal instead.
-        "[ -~]{0,32}".prop_map(|token| Request::Hello { token }),
+        // The auth frames: arbitrary token secrets (any UTF-8,
+        // including empty) and every admin and situation RPC. A flipped
+        // bit in a Hello, a MintToken or a Declare must never
+        // authenticate as — or mint, or declare — something else; the
+        // frame CRC plus these decoders guarantee refusal instead.
+        arb_text(32).prop_map(|token| Request::Hello { token }),
         arb_admin_op().prop_map(Request::Admin),
-        (any::<bool>(), 0u32..=u32::MAX, arb_window()).prop_map(|(all, s, window)| {
-            Request::Query(HistoryQuery::Quarantine {
-                source: if all { None } else { Some(SubjectId(s)) },
-                window,
-            })
+        arb_situation_op().prop_map(Request::Situation),
+    ]
+}
+
+fn arb_violation() -> impl Strategy<Value = Violation> {
+    (
+        0u8..4,
+        any::<u64>(),
+        arb_subject(),
+        arb_location(),
+        any::<u64>(),
+    )
+        .prop_map(|(pick, t, subject, location, auth)| {
+            let (time, auth) = (Time(t), AuthId(auth));
+            match pick {
+                0 => Violation::UnauthorizedEntry {
+                    time,
+                    subject,
+                    location,
+                },
+                1 => Violation::ExitOutsideWindow {
+                    time,
+                    subject,
+                    location,
+                    auth,
+                },
+                2 => Violation::Overstay {
+                    detected_at: time,
+                    subject,
+                    location,
+                    auth,
+                },
+                _ => Violation::InconsistentMovement {
+                    time,
+                    subject,
+                    location,
+                },
+            }
+        })
+}
+
+fn arb_quarantined() -> impl Strategy<Value = QuarantinedEvent> {
+    (arb_subject(), any::<u8>(), arb_event()).prop_map(|(source, level, event)| QuarantinedEvent {
+        source,
+        level,
+        event,
+    })
+}
+
+fn arb_contact() -> impl Strategy<Value = Contact> {
+    (arb_subject(), arb_location(), arb_window()).prop_map(|(other, location, overlap)| Contact {
+        other,
+        location,
+        overlap,
+    })
+}
+
+fn arb_replica_status() -> impl Strategy<Value = ReplicaStatus> {
+    let state = prop::sample::select(vec![
+        ReplicaState::CatchingUp,
+        ReplicaState::Streaming,
+        ReplicaState::Disconnected,
+        ReplicaState::NeedsBootstrap,
+    ]);
+    (
+        arb_text(24),
+        prop::collection::vec(any::<u64>(), 4),
+        state,
+        arb_opt(arb_text(40)),
+    )
+        .prop_map(|(primary_addr, n, state, last_error)| ReplicaStatus {
+            primary_addr,
+            watermark: n[0],
+            applied: n[1],
+            primary_applied: n[2],
+            primary_epoch: n[3],
+            state,
+            last_error,
+        })
+}
+
+/// A `ServerStatus` with every field drawn, the follower-only replica
+/// block and the archive error both present and absent.
+fn arb_status() -> impl Strategy<Value = ServerStatus> {
+    let engine = (
+        prop::collection::vec(any::<u64>(), 11),
+        prop::collection::vec(prop::collection::vec(any::<usize>(), 4), 0..4),
+    )
+        .prop_map(|(n, rows)| EngineStatus {
+            shards: rows.len(),
+            live_movement_events: n[0] as usize,
+            live_violations: n[1] as usize,
+            audit_records: n[2] as usize,
+            events_pruned: n[3],
+            violations_pruned: n[4],
+            audit_pruned: n[5],
+            total_entries: n[6],
+            watermarks: HistoryWatermarks {
+                movements: Time(n[7]),
+                audit: Time(n[8]),
+                violations: Time(n[9]),
+            },
+            per_shard: rows
+                .iter()
+                .map(|r| ShardStatusRow {
+                    shard: r[0],
+                    movement_events: r[1],
+                    violations: r[2],
+                    audit_records: r[3],
+                })
+                .collect(),
+        });
+    (
+        prop::collection::vec(any::<u64>(), 16),
+        (any::<bool>(), any::<bool>(), any::<u16>()),
+        arb_opt(arb_text(40)),
+        engine,
+        prop::collection::vec((any::<u64>(), any::<u64>()), 0..4),
+        arb_opt(arb_replica_status()),
+    )
+        .prop_map(
+            |(
+                n,
+                (auth_required, follower, version),
+                archive_error,
+                engine,
+                per_connection,
+                replica,
+            )| {
+                ServerStatus {
+                    events_ingested: n[0],
+                    snapshot_seq: n[1],
+                    policy_epoch: n[2],
+                    enforcement_epoch: n[3],
+                    auth_required,
+                    quarantined_events: n[4] as usize,
+                    retention_watermark: n[5],
+                    archive_covered_to: n[6],
+                    archive_error,
+                    archive_segments_loaded: n[7] as usize,
+                    wal_fsyncs: n[8],
+                    engine,
+                    connections_active: n[9] as usize,
+                    connections_total: n[10],
+                    refused_busy: n[11],
+                    requests_served: n[12],
+                    protocol_errors: n[13],
+                    per_connection,
+                    role: if follower {
+                        ServerRole::Follower
+                    } else {
+                        ServerRole::Primary
+                    },
+                    state_digest: n[14],
+                    replica,
+                    uptime_chronons: n[15],
+                    snapshot_format_version: version,
+                }
+            },
+        )
+}
+
+fn arb_manifest() -> impl Strategy<Value = ReplManifest> {
+    let file = || (arb_file_id(), any::<u64>()).prop_map(|(file, len)| ReplFile { file, len });
+    (
+        prop::collection::vec(any::<u64>(), 4),
+        arb_opt(file()),
+        prop::collection::vec(file(), 0..4),
+        prop::collection::vec(any::<u64>(), 0..6),
+        arb_opt(file()),
+    )
+        .prop_map(
+            |(n, snapshot, archives, wal_segments, epoch_marker)| ReplManifest {
+                applied: n[0],
+                policy_epoch: n[1],
+                enforcement_epoch: n[2],
+                retention_watermark: n[3],
+                snapshot,
+                archives,
+                wal_segments,
+                epoch_marker,
+            },
+        )
+}
+
+fn arb_admin_outcome() -> impl Strategy<Value = AdminOutcome> {
+    prop_oneof![
+        any::<u64>().prop_map(|id| AdminOutcome::TokenMinted { id: TokenId(id) }),
+        any::<bool>().prop_map(|existed| AdminOutcome::TokenRevoked { existed }),
+        Just(AdminOutcome::TrustSet),
+        Just(AdminOutcome::AuthRequiredSet),
+        any::<u64>().prop_map(|id| AdminOutcome::AuthorizationAdded { id: AuthId(id) }),
+        any::<bool>().prop_map(|existed| AdminOutcome::AuthorizationRevoked { existed }),
+    ]
+}
+
+fn arb_situation_outcome() -> impl Strategy<Value = SituationOutcome> {
+    prop_oneof![
+        arb_mode().prop_map(|mode| SituationOutcome::Declared { mode }),
+        any::<bool>().prop_map(|added| SituationOutcome::ResponderAdded { added }),
+        any::<bool>().prop_map(|existed| SituationOutcome::ResponderRemoved { existed }),
+        any::<bool>().prop_map(|added| SituationOutcome::Pinned { added }),
+        any::<bool>().prop_map(|existed| SituationOutcome::Unpinned { existed }),
+        any::<u32>().prop_map(|id| SituationOutcome::ConstraintAdded {
+            id: ConstraintId(id)
+        }),
+        any::<bool>().prop_map(|existed| SituationOutcome::ConstraintRemoved { existed }),
+    ]
+}
+
+/// Every `Response` variant.
+fn arb_response() -> impl Strategy<Value = Response> {
+    let code = prop::sample::select(vec![
+        ErrorCode::Busy,
+        ErrorCode::BadRequest,
+        ErrorCode::Unarchived,
+        ErrorCode::Internal,
+        ErrorCode::NotPrimary,
+        ErrorCode::Gone,
+        ErrorCode::Stale,
+        ErrorCode::Unauthenticated,
+        ErrorCode::PermissionDenied,
+    ]);
+    let role = prop::sample::select(vec![
+        None,
+        Some(ServerRole::Primary),
+        Some(ServerRole::Follower),
+    ]);
+    prop_oneof![
+        (
+            prop::collection::vec(any::<usize>(), 3),
+            prop::collection::vec(arb_violation(), 0..8),
+        )
+            .prop_map(|(n, violations)| Response::Ingested {
+                processed: n[0],
+                granted: n[1],
+                denied: n[2],
+                violations,
+            }),
+        any::<bool>().prop_map(|granted| Response::Access { granted }),
+        arb_opt(arb_location()).prop_map(|location| Response::Whereabouts { location }),
+        prop::collection::vec((arb_subject(), arb_window()), 0..8)
+            .prop_map(|rows| Response::Present { rows }),
+        (
+            prop::collection::vec(arb_contact(), 0..8),
+            prop::collection::vec(arb_quarantined(), 0..4),
+        )
+            .prop_map(|(contacts, quarantined)| Response::Contacts {
+                contacts,
+                quarantined,
+            }),
+        prop::collection::vec(arb_violation(), 0..8)
+            .prop_map(|violations| Response::Violations { violations }),
+        prop::collection::vec(arb_quarantined(), 0..8)
+            .prop_map(|events| Response::Quarantine { events }),
+        (
+            any::<u64>(),
+            arb_subject(),
+            prop::collection::vec(arb_scope(), 0..4),
+        )
+            .prop_map(|(token, subject, scopes)| Response::Welcome {
+                token: TokenId(token),
+                subject,
+                scopes,
+            }),
+        arb_admin_outcome().prop_map(|outcome| Response::Admin { outcome }),
+        arb_situation_outcome().prop_map(|outcome| Response::Situation { outcome }),
+        any::<usize>().prop_map(|held| Response::Quarantined { held }),
+        arb_status().prop_map(|status| Response::Status { status }),
+        arb_manifest().prop_map(|manifest| Response::ReplManifest { manifest }),
+        arb_text(200).prop_map(|text| Response::Metrics { text }),
+        (code, arb_text(60), role).prop_map(|(code, message, role)| Response::Error {
+            code,
+            message,
+            role,
         }),
     ]
 }
 
-/// Frame a request exactly as the client would put it on the wire.
-fn framed(request: &Request) -> Vec<u8> {
+/// A frame's worth of meaning, in either direction. (Transient, like
+/// `Response` itself: boxing the large variant would buy nothing.)
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, PartialEq)]
+enum Message {
+    Request(Request),
+    Response(Response),
+}
+
+fn arb_message() -> impl Strategy<Value = Message> {
+    prop_oneof![
+        arb_request().prop_map(Message::Request),
+        arb_response().prop_map(Message::Response),
+    ]
+}
+
+/// Kind byte of every response payload (requests use the others).
+const KIND_RESPONSE: u8 = 0x04;
+
+fn encode(message: &Message) -> Vec<u8> {
+    match message {
+        Message::Request(r) => encode_request(r),
+        Message::Response(r) => encode_response(r),
+    }
+}
+
+/// Decode a payload the way its receiving end would: the kind byte says
+/// which direction it travels.
+fn decode(payload: &[u8]) -> Result<Message, WireError> {
+    if payload.first() == Some(&KIND_RESPONSE) {
+        decode_response(payload).map(Message::Response)
+    } else {
+        decode_request(payload).map(Message::Request)
+    }
+}
+
+/// Frame a message exactly as its sender would put it on the wire.
+fn framed(message: &Message) -> Vec<u8> {
     let mut bytes = Vec::new();
-    write_frame(&mut bytes, &encode_request(request)).expect("vec write");
+    write_frame(&mut bytes, &encode(message)).expect("vec write");
     bytes
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Arbitrary requests survive the full frame → parse round trip
+    /// Arbitrary messages survive the full frame → parse round trip
     /// bit-exactly.
     #[test]
-    fn framed_requests_round_trip(request in arb_request()) {
-        let bytes = framed(&request);
+    fn framed_messages_round_trip(message in arb_message()) {
+        let bytes = framed(&message);
         let payload = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME_BYTES)
             .expect("intact frames read");
-        prop_assert_eq!(decode_request(&payload).expect("intact payloads decode"), request);
+        prop_assert_eq!(decode(&payload).expect("intact payloads decode"), message);
     }
 
-    /// Every strict prefix of a framed request fails to read — the
+    /// Every strict prefix of a framed message fails to read — the
     /// stream can tear anywhere (header, payload, mid-varint) without
     /// a panic or a silent success.
     #[test]
-    fn truncated_frames_always_error(request in arb_request(), cut_seed in 0usize..4096) {
-        let bytes = framed(&request);
+    fn truncated_frames_always_error(message in arb_message(), cut_seed in 0usize..65536) {
+        let bytes = framed(&message);
         let cut = cut_seed % bytes.len();
         let result = read_frame(&mut Cursor::new(&bytes[..cut]), DEFAULT_MAX_FRAME_BYTES);
         prop_assert!(result.is_err(), "cut at {} of {}", cut, bytes.len());
@@ -168,40 +577,78 @@ proptest! {
     /// header flip either breaks the read or breaks the CRC check.)
     #[test]
     fn bit_flipped_frames_never_yield_a_wrong_message(
-        request in arb_request(),
-        byte_seed in 0usize..4096,
+        message in arb_message(),
+        byte_seed in 0usize..65536,
         bit in 0u8..8,
     ) {
-        let mut bytes = framed(&request);
+        let mut bytes = framed(&message);
         let i = byte_seed % bytes.len();
         bytes[i] ^= 1 << bit;
         let outcome = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME_BYTES)
             .map_err(|_| ())
-            .and_then(|payload| decode_request(&payload).map_err(|_| ()));
+            .and_then(|payload| decode(&payload).map_err(|_| ()));
         prop_assert!(outcome.is_err(), "flip at byte {} bit {}", i, bit);
     }
 
-    /// Arbitrary garbage never panics the frame reader or the decoders.
+    /// Behind the CRC, the body decoders are total on *near-valid*
+    /// input too: a payload cut or bit-flipped without the frame
+    /// noticing decodes to a message or an error, never a panic — and a
+    /// cut structured body is always an error (one binval value is never
+    /// a strict prefix of another).
     #[test]
-    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(0u8..=255, 0..256)) {
+    fn damaged_payloads_never_panic(
+        message in arb_message(),
+        seed in 0usize..65536,
+        bit in 0u8..8,
+    ) {
+        let payload = encode(&message);
+        let cut = 1 + seed % payload.len();
+        let structured = !matches!(
+            message,
+            Message::Request(Request::Hello { .. } | Request::Metrics)
+        );
+        if cut < payload.len() && structured {
+            prop_assert!(decode(&payload[..cut]).is_err(), "cut at {} of {}", cut, payload.len());
+        }
+        let mut flipped = payload.clone();
+        flipped[seed % payload.len()] ^= 1 << bit;
+        let _ = decode(&flipped);
+        let _ = decode_repl_reply(&flipped);
+    }
+
+    /// Arbitrary garbage never panics the frame reader or the decoders
+    /// — neither raw bytes, nor a *valid* kind byte followed by a tail
+    /// weighted toward binval's tag bytes (so the garbage gets past
+    /// kind dispatch and deep into the body decoder).
+    #[test]
+    fn arbitrary_bytes_never_panic(
+        bytes in prop::collection::vec(0u8..=255, 0..256),
+        kind in 0x01u8..=0x0A,
+        tail in prop::collection::vec(prop_oneof![3 => 0u8..=8, 1 => 0u8..=255], 0..256),
+    ) {
         let _ = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME_BYTES);
-        let _ = decode_request(&bytes);
-        let _ = decode_response(&bytes);
+        let mut body = vec![kind];
+        body.extend_from_slice(&tail);
+        for payload in [&bytes, &body] {
+            let _ = decode_request(payload);
+            let _ = decode_response(payload);
+            let _ = decode_repl_reply(payload);
+        }
     }
 
     /// The incremental assembler is chunking-invariant: TCP may hand
     /// the same framed stream to the poll loop cut at **any** byte
     /// boundaries — mid-header, mid-payload, many frames per chunk —
-    /// and the decoded request sequence must be identical to reading
+    /// and the decoded message sequence must be identical to reading
     /// the stream whole.
     #[test]
     fn assembler_decodes_identically_across_arbitrary_splits(
-        requests in prop::collection::vec(arb_request(), 1..10),
+        messages in prop::collection::vec(arb_message(), 1..10),
         cut_seeds in prop::collection::vec(0usize..65536, 0..32),
     ) {
         let mut stream = Vec::new();
-        for r in &requests {
-            stream.extend_from_slice(&framed(r));
+        for m in &messages {
+            stream.extend_from_slice(&framed(m));
         }
         let mut cuts: Vec<usize> = cut_seeds.iter().map(|c| c % (stream.len() + 1)).collect();
         cuts.sort_unstable();
@@ -213,53 +660,28 @@ proptest! {
             asm.push(&stream[at..end]);
             at = end;
             while let Some(payload) = asm.next_frame().expect("intact stream") {
-                decoded.push(decode_request(&payload).expect("intact payload"));
+                decoded.push(decode(&payload).expect("intact payload"));
             }
         }
-        prop_assert_eq!(decoded, requests);
+        prop_assert_eq!(decoded, messages);
         prop_assert!(!asm.mid_frame(), "stream fully consumed");
     }
 
-    /// A framed stream of many requests parses back message by message
+    /// A framed stream of many messages parses back message by message
     /// (connections carry back-to-back frames).
     #[test]
-    fn framed_streams_parse_frame_by_frame(requests in prop::collection::vec(arb_request(), 0..12)) {
+    fn framed_streams_parse_frame_by_frame(messages in prop::collection::vec(arb_message(), 0..12)) {
         let mut stream = Vec::new();
-        for r in &requests {
-            stream.extend_from_slice(&framed(r));
+        for m in &messages {
+            stream.extend_from_slice(&framed(m));
         }
         let mut cursor = Cursor::new(&stream);
         let mut back = Vec::new();
         while (cursor.position() as usize) < stream.len() {
             let payload = read_frame(&mut cursor, DEFAULT_MAX_FRAME_BYTES).expect("stream frame");
-            back.push(decode_request(&payload).expect("stream payload"));
+            back.push(decode(&payload).expect("stream payload"));
         }
-        prop_assert_eq!(back, requests);
-    }
-
-    /// Responses round-trip too (violations and contact rows travel
-    /// the other way).
-    #[test]
-    fn framed_responses_round_trip(granted in any::<bool>(), n in 0usize..8) {
-        let response = Response::Ingested {
-            processed: n,
-            granted: n,
-            denied: 0,
-            violations: (0..n)
-                .map(|i| ltam_engine::Violation::UnauthorizedEntry {
-                    time: Time(i as u64),
-                    subject: SubjectId(i as u32),
-                    location: LocationId(1),
-                })
-                .collect(),
-        };
-        let access = Response::Access { granted };
-        for r in [&response, &access] {
-            let mut bytes = Vec::new();
-            write_frame(&mut bytes, &encode_response(r)).unwrap();
-            let payload = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME_BYTES).unwrap();
-            prop_assert_eq!(&decode_response(&payload).unwrap(), r);
-        }
+        prop_assert_eq!(back, messages);
     }
 }
 
@@ -267,22 +689,10 @@ proptest! {
 
 mod replication {
     use super::*;
-    use ltam_serve::wire::{
-        decode_repl_reply, encode_repl_chunk, ReplChunk, ReplChunkMeta, ReplReply, ReplRequest,
-    };
-    use ltam_store::replica::{wal_segment_ids, ReplFileId, TailBatch};
+    use ltam_serve::wire::{encode_repl_chunk, ReplChunk, ReplChunkMeta, ReplReply, ReplRequest};
+    use ltam_store::replica::{wal_segment_ids, TailBatch};
     use ltam_store::{ScratchDir, TailScanner, Wal, WalConfig};
     use std::path::Path;
-
-    fn arb_file_id() -> impl Strategy<Value = ReplFileId> {
-        prop_oneof![
-            (any::<u64>(), any::<u64>())
-                .prop_map(|(seq, epoch)| ReplFileId::Snapshot { seq, epoch }),
-            (any::<u64>(), any::<u64>()).prop_map(|(from, to)| ReplFileId::Archive { from, to }),
-            any::<u64>().prop_map(|first_seq| ReplFileId::WalSegment { first_seq }),
-            Just(ReplFileId::EpochMarker),
-        ]
-    }
 
     fn arb_repl_request() -> impl Strategy<Value = ReplRequest> {
         prop_oneof![
@@ -383,11 +793,11 @@ mod replication {
         /// exact round trips for arbitrary file ids and cursors.
         #[test]
         fn framed_repl_requests_round_trip(repl in arb_repl_request()) {
-            let request = Request::Repl(repl);
-            let bytes = framed(&request);
+            let message = Message::Request(Request::Repl(repl));
+            let bytes = framed(&message);
             let payload = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME_BYTES)
                 .expect("intact frames read");
-            prop_assert_eq!(decode_request(&payload).expect("intact payloads decode"), request);
+            prop_assert_eq!(decode(&payload).expect("intact payloads decode"), message);
         }
 
         /// Chunk frames round-trip bit-exactly (the raw segment bytes

@@ -1,7 +1,7 @@
 //! The cold archive tier: where pruned history goes when retention
 //! bounds the live engine.
 //!
-//! ## On-disk format (version 1)
+//! ## On-disk format (version 2)
 //!
 //! Each retention run writes (at most) one segment
 //! `arch-<from>-<to>.arch`, where `[from, to)` is the **watermark
@@ -20,13 +20,19 @@
 //! ```text
 //! ┌──────────────── header (44 bytes) ────────────────────────────────┐
 //! │ magic "LTAR" │ version u16 LE │ reserved u16 │ from u64 │ to u64  │
-//! │ events_len u64 LE │ json_len u64 LE │ crc32 u32 LE               │
+//! │ events_len u64 LE │ records_len u64 LE │ crc32 u32 LE            │
 //! ├──────────────── events block (events_len bytes) ──────────────────┤
 //! │ pruned movement events, each framed by the WAL event codec        │
-//! ├──────────────── json block (json_len bytes) ──────────────────────┤
-//! │ JSON of ArchiveRecords: stays, audit, violations                  │
+//! ├──────────────── records block (records_len bytes) ────────────────┤
+//! │ one binval value — ArchiveRecords: stays, audit, violations       │
 //! └───────────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! The two blocks are the workspace's two codecs with their usual jobs:
+//! events in the varint event codec, everything structured in
+//! [`crate::binval`]. Version 1 carried the records block as JSON; like
+//! WAL v1 and snapshot v1 it has no reader — any version but the
+//! current one is refused outright.
 //!
 //! The CRC covers both blocks. Unlike snapshots — where a corrupt file
 //! falls back to an older one — a corrupt archive segment is the *only*
@@ -45,6 +51,7 @@
 //! no record is ever lost or double-archived. Readers ignore a
 //! superseded same-start segment if a crash strands one.
 
+use crate::binval;
 use crate::codec::{decode_event, encode_event};
 use crate::crc::crc32;
 use ltam_core::subject::SubjectId;
@@ -63,12 +70,12 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every archive segment.
 pub const ARCHIVE_MAGIC: [u8; 4] = *b"LTAR";
 /// On-disk archive format version.
-pub const ARCHIVE_VERSION: u16 = 1;
+pub const ARCHIVE_VERSION: u16 = 2;
 /// Bytes of the archive segment header.
 pub const ARCHIVE_HEADER_LEN: usize = 44;
 
-/// The JSON half of a segment (movement events travel in the binary
-/// block; see the module docs).
+/// The records block of a segment (movement events travel in the
+/// events block; see the module docs).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct ArchiveRecords {
     stays: Vec<(SubjectId, Stay)>,
@@ -260,7 +267,7 @@ impl ArchiveStore {
                 written += 1;
             }
         }
-        let json = ArchiveRecords {
+        let records = ArchiveRecords {
             stays: records
                 .stays
                 .iter()
@@ -280,22 +287,20 @@ impl ArchiveStore {
                 .copied()
                 .collect(),
         };
-        written += json.stays.len() + json.audit.len() + json.violations.len();
-        let json_block = serde_json::to_string(&json)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let json_block = json_block.as_bytes();
+        written += records.stays.len() + records.audit.len() + records.violations.len();
+        let records_block = binval::encode(&records);
 
         let mut bytes =
-            Vec::with_capacity(ARCHIVE_HEADER_LEN + events_block.len() + json_block.len());
+            Vec::with_capacity(ARCHIVE_HEADER_LEN + events_block.len() + records_block.len());
         bytes.extend_from_slice(&ARCHIVE_MAGIC);
         bytes.extend_from_slice(&ARCHIVE_VERSION.to_le_bytes());
         bytes.extend_from_slice(&0u16.to_le_bytes());
         bytes.extend_from_slice(&from.to_le_bytes());
         bytes.extend_from_slice(&horizon.to_le_bytes());
         bytes.extend_from_slice(&(events_block.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(json_block.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&(records_block.len() as u64).to_le_bytes());
         let mut payload = events_block;
-        payload.extend_from_slice(json_block);
+        payload.extend_from_slice(&records_block);
         bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
 
@@ -498,8 +503,8 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
     if bytes.len() < ARCHIVE_HEADER_LEN || bytes[0..4] != ARCHIVE_MAGIC {
         return Err(corrupt(path, "bad magic or truncated header"));
     }
-    if u16::from_le_bytes([bytes[4], bytes[5]]) != ARCHIVE_VERSION {
-        return Err(corrupt(path, "unknown format version"));
+    if u16::from_le_bytes([bytes[4], bytes[5]]) != ARCHIVE_VERSION || bytes[6..8] != [0, 0] {
+        return Err(corrupt(path, "unsupported format version"));
     }
     let from = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let to = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
@@ -507,13 +512,13 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
         return Err(corrupt(path, "header range disagrees with the file name"));
     }
     let events_len = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let json_len = u64::from_le_bytes(bytes[32..40].try_into().expect("8 bytes"));
+    let records_len = u64::from_le_bytes(bytes[32..40].try_into().expect("8 bytes"));
     let crc = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes"));
     // Corrupted length fields can hold anything; all arithmetic checked.
     let total = usize::try_from(events_len)
         .ok()
-        .zip(usize::try_from(json_len).ok())
-        .and_then(|(e, j)| e.checked_add(j))
+        .zip(usize::try_from(records_len).ok())
+        .and_then(|(e, r)| e.checked_add(r))
         .and_then(|p| p.checked_add(ARCHIVE_HEADER_LEN));
     let Some(total) = total else {
         return Err(corrupt(path, "length fields overflow"));
@@ -525,7 +530,7 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
     if crc32(payload) != crc {
         return Err(corrupt(path, "CRC mismatch"));
     }
-    let (events_block, json_block) = payload.split_at(events_len as usize);
+    let (events_block, records_block) = payload.split_at(events_len as usize);
     let mut events = Vec::new();
     let mut at = 0usize;
     while at < events_block.len() {
@@ -562,9 +567,8 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
         };
         events.push(movement);
     }
-    let text = std::str::from_utf8(json_block).map_err(|_| corrupt(path, "non-UTF-8 JSON"))?;
-    let records: ArchiveRecords =
-        serde_json::from_str(text).map_err(|e| corrupt(path, &format!("bad JSON: {e}")))?;
+    let records: ArchiveRecords = binval::decode(records_block)
+        .map_err(|e| corrupt(path, &format!("undecodable records block: {e}")))?;
     Ok(SegmentData {
         stays: records.stays,
         audit: records.audit,
@@ -896,6 +900,26 @@ mod tests {
         // Truncation is caught too.
         std::fs::write(&seg, &bytes[..bytes.len() / 2]).unwrap();
         assert!(store.load().is_err());
+    }
+
+    #[test]
+    fn other_format_versions_are_refused_outright() {
+        let dir = ScratchDir::new("arch-version");
+        let store = ArchiveStore::with_fsync(dir.path(), false);
+        store.append_run(0, 50, &history(&[(5, 10)])).unwrap();
+        let seg = segment_path(dir.path(), 0, 50);
+        let good = std::fs::read(&seg).unwrap();
+        // No legacy reader: a v1 (JSON records block) segment — or any
+        // future version — is refused on its header alone.
+        for version in [0u16, 1, ARCHIVE_VERSION + 1] {
+            let mut bytes = good.clone();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(&seg, &bytes).unwrap();
+            let err = store.load().unwrap_err();
+            assert!(err.to_string().contains("format version"), "{err}");
+        }
+        std::fs::write(&seg, &good).unwrap();
+        assert!(store.load().is_ok());
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! A compact, self-describing binary encoding of the serde data model —
-//! the payload format of version-2 snapshots.
+//! the workspace's **one codec for structured bodies**: snapshot
+//! payloads, policy-op WAL records, the archive segment's records block
+//! and every structured frame body on the `ltam-serve` wire (events
+//! alone travel in the varint event codec, [`crate::codec`]).
 //!
 //! Snapshots were JSON (format version 1) until profiling showed the
 //! text encoding dominating the snapshot stall: a mid-drill snapshot
@@ -25,8 +28,12 @@
 //! ```
 //!
 //! Like the event codec, decoding is **total**: arbitrary bytes either
-//! decode or return an error — no panics, no unbounded preallocation
-//! from corrupt counts.
+//! decode or return an error — no panics, and no allocation sized by a
+//! number the input merely announces: wire request bodies are decoded
+//! *before* the capability gate, so this decoder faces unauthenticated
+//! peers. A count only ever reserves up to `MAX_PREALLOC` elements;
+//! past that, memory grows as elements actually decode — at most one
+//! [`Value`] per input byte, so the frame-size cap bounds it.
 
 use crate::codec::{get_varint, put_varint, DecodeError};
 use serde::{Deserialize, Error, Serialize, Serializer, Value};
@@ -44,9 +51,15 @@ const TAG_OBJECT: u8 = 0x08;
 /// Encode any serializable value to the binary form, streaming (no
 /// intermediate [`Value`] tree).
 pub fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let mut ser = BinSerializer { out: Vec::new() };
-    value.serialize(&mut ser);
-    ser.out
+    let mut out = Vec::new();
+    encode_into(value, &mut out);
+    out
+}
+
+/// [`encode`], appending to `out` (a wire frame writes its kind byte
+/// first and the body straight after it).
+pub fn encode_into<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
+    value.serialize(&mut BinSerializer { out });
 }
 
 /// Decode a value previously produced by [`encode`]. Trailing bytes are
@@ -64,11 +77,11 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
     T::from_value(&value)
 }
 
-struct BinSerializer {
-    out: Vec<u8>,
+struct BinSerializer<'a> {
+    out: &'a mut Vec<u8>,
 }
 
-impl Serializer for BinSerializer {
+impl Serializer for BinSerializer<'_> {
     fn emit_null(&mut self) {
         self.out.push(TAG_NULL);
     }
@@ -77,11 +90,11 @@ impl Serializer for BinSerializer {
     }
     fn emit_u64(&mut self, n: u64) {
         self.out.push(TAG_U64);
-        put_varint(&mut self.out, n);
+        put_varint(self.out, n);
     }
     fn emit_i64(&mut self, n: i64) {
         self.out.push(TAG_I64);
-        put_varint(&mut self.out, zigzag(n));
+        put_varint(self.out, zigzag(n));
     }
     fn emit_f64(&mut self, n: f64) {
         self.out.push(TAG_F64);
@@ -89,21 +102,21 @@ impl Serializer for BinSerializer {
     }
     fn emit_str(&mut self, s: &str) {
         self.out.push(TAG_STR);
-        put_varint(&mut self.out, s.len() as u64);
+        put_varint(self.out, s.len() as u64);
         self.out.extend_from_slice(s.as_bytes());
     }
     fn begin_array(&mut self, len: usize) {
         self.out.push(TAG_ARRAY);
-        put_varint(&mut self.out, len as u64);
+        put_varint(self.out, len as u64);
     }
     fn elem(&mut self, _index: usize) {}
     fn end_array(&mut self) {}
     fn begin_object(&mut self, len: usize) {
         self.out.push(TAG_OBJECT);
-        put_varint(&mut self.out, len as u64);
+        put_varint(self.out, len as u64);
     }
     fn field(&mut self, _index: usize, key: &str) {
-        put_varint(&mut self.out, key.len() as u64);
+        put_varint(self.out, key.len() as u64);
         self.out.extend_from_slice(key.as_bytes());
     }
     fn end_object(&mut self) {}
@@ -128,9 +141,27 @@ fn get_str(bytes: &[u8], at: &mut usize) -> Result<String, DecodeError> {
     if end > bytes.len() {
         return Err(DecodeError::UnexpectedEof);
     }
-    let s = std::str::from_utf8(&bytes[*at..end]).map_err(|_| DecodeError::BadTag(TAG_STR))?;
+    let s = std::str::from_utf8(&bytes[*at..end]).map_err(|_| DecodeError::BadUtf8)?;
     *at = end;
     Ok(s.to_string())
+}
+
+/// Most elements an announced array/object count may reserve up front.
+/// A count is attacker-chosen and an element costs one input byte but
+/// 32 bytes of [`Value`] (56 per object pair), so trusting a count that
+/// merely fits the remaining bytes would let one 16 MiB frame reserve
+/// hundreds of megabytes before its first element fails to decode.
+const MAX_PREALLOC: usize = 1024;
+
+/// Read an array/object element count. Every element costs at least one
+/// byte, so a count beyond the remaining bytes is corrupt.
+fn get_count(bytes: &[u8], at: &mut usize) -> Result<usize, DecodeError> {
+    let count = get_varint(bytes, at)?;
+    let count = usize::try_from(count).map_err(|_| DecodeError::VarintOverflow)?;
+    if count > bytes.len() - *at {
+        return Err(DecodeError::UnexpectedEof);
+    }
+    Ok(count)
 }
 
 fn decode_value(bytes: &[u8], at: &mut usize, depth: u32) -> Result<Value, DecodeError> {
@@ -156,27 +187,16 @@ fn decode_value(bytes: &[u8], at: &mut usize, depth: u32) -> Result<Value, Decod
         }
         TAG_STR => Ok(Value::Str(get_str(bytes, at)?)),
         TAG_ARRAY => {
-            let count = get_varint(bytes, at)?;
-            let count = usize::try_from(count).map_err(|_| DecodeError::VarintOverflow)?;
-            // Every element costs at least one tag byte, so a count
-            // beyond the remaining bytes is corrupt — checked before
-            // preallocating.
-            if count > bytes.len() - *at {
-                return Err(DecodeError::UnexpectedEof);
-            }
-            let mut items = Vec::with_capacity(count);
+            let count = get_count(bytes, at)?;
+            let mut items = Vec::with_capacity(count.min(MAX_PREALLOC));
             for _ in 0..count {
                 items.push(decode_value(bytes, at, depth + 1)?);
             }
             Ok(Value::Array(items))
         }
         TAG_OBJECT => {
-            let count = get_varint(bytes, at)?;
-            let count = usize::try_from(count).map_err(|_| DecodeError::VarintOverflow)?;
-            if count > bytes.len() - *at {
-                return Err(DecodeError::UnexpectedEof);
-            }
-            let mut pairs = Vec::with_capacity(count);
+            let count = get_count(bytes, at)?;
+            let mut pairs = Vec::with_capacity(count.min(MAX_PREALLOC));
             for _ in 0..count {
                 let key = get_str(bytes, at)?;
                 let value = decode_value(bytes, at, depth + 1)?;
@@ -251,6 +271,8 @@ mod tests {
         assert!(decode::<Value>(&[TAG_STR, 0x05, b'a']).is_err()); // short str
         assert!(decode::<Value>(&[TAG_ARRAY, 0xFF, 0xFF, 0xFF, 0x7F]).is_err()); // absurd count
         assert!(decode::<Value>(&[TAG_U64]).is_err()); // missing varint
+        let err = decode::<Value>(&[TAG_STR, 0x02, 0xC3, 0x28]).unwrap_err();
+        assert!(err.0.contains("BadUtf8"), "named as a string error: {err}");
         let trailing = [&encode(&Value::Null)[..], &[0x00]].concat();
         assert!(decode::<Value>(&trailing).is_err());
         // Deep nesting is refused, not a stack overflow.

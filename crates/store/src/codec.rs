@@ -59,6 +59,9 @@ pub enum DecodeError {
     },
     /// A policy record's body did not decode as a [`PolicyOp`].
     BadPolicyOp,
+    /// A length-prefixed string (a `binval` string or object key) was
+    /// not UTF-8.
+    BadUtf8,
 }
 
 impl fmt::Display for DecodeError {
@@ -74,6 +77,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadPolicyOp => {
                 write!(f, "policy record body is not a valid policy op")
             }
+            DecodeError::BadUtf8 => write!(f, "string is not valid UTF-8"),
         }
     }
 }

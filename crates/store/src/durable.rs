@@ -1191,106 +1191,6 @@ impl DurableEngine {
     pub fn archive_covered_to(&self) -> io::Result<u64> {
         self.archive_cache.lock().coverage_end(&self.archive)
     }
-
-    /// Tier-aware historical whereabouts: answered from live state at
-    /// or after the retention watermark (or by a live stay straddling
-    /// it), from the archive before it. Refuses
-    /// ([`HistoryError::Unarchived`]) only when the answer would need
-    /// discarded-and-unarchived history.
-    pub fn whereabouts(
-        &self,
-        subject: SubjectId,
-        t: Time,
-    ) -> Result<Option<LocationId>, HistoryError> {
-        tiered_whereabouts(&self.engine, &self.archive, &self.archive_cache, subject, t)
-    }
-
-    /// Tier-aware presence query: who was in `location` during
-    /// `window`, with clipped overlap intervals, merged across tiers.
-    pub fn present_during(
-        &self,
-        location: LocationId,
-        window: Interval,
-    ) -> Result<Vec<(SubjectId, Interval)>, HistoryError> {
-        tiered_present_during(
-            &self.engine,
-            &self.archive,
-            &self.archive_cache,
-            location,
-            window,
-        )
-    }
-
-    /// Tier-aware contact tracing — the paper's SARS query — merged
-    /// across live state and the archive, so an operator can trace
-    /// across the retention boundary exactly as if history were
-    /// unbounded.
-    ///
-    /// ```
-    /// use ltam_core::model::{Authorization, EntryLimit};
-    /// use ltam_core::retention::RetentionPolicy;
-    /// use ltam_core::subject::SubjectId;
-    /// use ltam_engine::batch::{Event, PolicyCore};
-    /// use ltam_graph::examples::ntu_campus;
-    /// use ltam_store::{DurableEngine, ScratchDir, StoreConfig};
-    /// use ltam_time::{Interval, Time};
-    ///
-    /// let ntu = ntu_campus();
-    /// let cais = ntu.cais;
-    /// let mut core = PolicyCore::new(ntu.model);
-    /// let (alice, bob) = (SubjectId(0), SubjectId(1));
-    /// for s in [alice, bob] {
-    ///     core.add_authorization(
-    ///         Authorization::new(Interval::ALL, Interval::ALL, s, cais, EntryLimit::Unbounded)
-    ///             .unwrap(),
-    ///     );
-    /// }
-    /// let dir = ScratchDir::new("doc-tiered-contacts");
-    /// let config = StoreConfig {
-    ///     retention: Some(RetentionPolicy::keep_last(100)),
-    ///     fsync: false,
-    ///     ..StoreConfig::default()
-    /// };
-    /// let (mut engine, _alerts) = DurableEngine::create(dir.path(), core, 2, config).unwrap();
-    /// // Alice and Bob overlap in CAIS during [12, 20]...
-    /// engine.ingest(&[
-    ///     Event::Request { time: Time(10), subject: alice, location: cais },
-    ///     Event::Enter { time: Time(10), subject: alice, location: cais },
-    ///     Event::Request { time: Time(12), subject: bob, location: cais },
-    ///     Event::Enter { time: Time(12), subject: bob, location: cais },
-    ///     Event::Exit { time: Time(20), subject: alice, location: cais },
-    ///     Event::Exit { time: Time(25), subject: bob, location: cais },
-    /// ]).unwrap();
-    /// // ...then time passes and retention spills those stays to the archive.
-    /// engine.run_retention(Time(500)).unwrap();
-    /// assert_eq!(engine.retention_watermark(), Time(400));
-    /// assert_eq!(engine.engine().read_shard(0, |s| s.movements().len())
-    ///     + engine.engine().read_shard(1, |s| s.movements().len()), 0);
-    /// // The contact-tracing join still sees the archived co-location.
-    /// let contacts = engine.contacts(alice, Interval::lit(0, 500)).unwrap();
-    /// assert_eq!(contacts.len(), 1);
-    /// assert_eq!(contacts[0].other, bob);
-    /// assert_eq!(contacts[0].overlap, Interval::lit(12, 20));
-    /// ```
-    pub fn contacts(
-        &self,
-        subject: SubjectId,
-        window: Interval,
-    ) -> Result<Vec<Contact>, HistoryError> {
-        tiered_contacts(
-            &self.engine,
-            &self.archive,
-            &self.archive_cache,
-            subject,
-            window,
-        )
-    }
-
-    /// Tier-aware violation report over `window` (multiset semantics:
-    /// archived violations first, then live in shard order).
-    pub fn violations_in(&self, window: Interval) -> Result<Vec<Violation>, HistoryError> {
-        tiered_violations_in(&self.engine, &self.archive, &self.archive_cache, window)
-    }
 }
 
 impl Drop for DurableEngine {
@@ -1303,115 +1203,7 @@ impl Drop for DurableEngine {
     }
 }
 
-// --- the shared, tier-aware read path ---------------------------------------
-//
-// Free functions over the shared pieces (`ShardedEngine`, the archive
-// store, the lazy archive cache) so [`DurableEngine`] and [`ReadView`]
-// answer queries through literally the same code.
-
-/// Chain-scan the archive and return the per-segment lazy view for
-/// a query reaching down to `requested`, refusing if the chain does
-/// not reach the querying class's live watermark — the gap would
-/// mean discarded-and-unarchived history. Only segments the query
-/// can touch have their payloads read (see [`LazyArchive`]); the
-/// coverage check itself is a directory listing.
-fn archive_view<'a>(
-    archive: &ArchiveStore,
-    cache: &'a mut LazyArchive,
-    requested: Time,
-    live_from: Time,
-) -> Result<&'a ArchiveData, HistoryError> {
-    let covered = cache.coverage_end(archive)?;
-    if covered < live_from.get() {
-        return Err(HistoryError::Unarchived {
-            requested,
-            archived_to: covered,
-            live_from,
-        });
-    }
-    Ok(cache.view_for(archive, requested, live_from)?)
-}
-
-fn tiered_whereabouts(
-    engine: &ShardedEngine,
-    archive: &ArchiveStore,
-    cache: &parking_lot::Mutex<LazyArchive>,
-    subject: SubjectId,
-    t: Time,
-) -> Result<Option<LocationId>, HistoryError> {
-    let live_from = engine.retention_watermark();
-    let live = history::merged_whereabouts(engine, None, subject, t);
-    if live.is_some() || t >= live_from {
-        return Ok(live);
-    }
-    let mut cache = cache.lock();
-    let archive = archive_view(archive, &mut cache, t, live_from)?;
-    Ok(history::merged_whereabouts(
-        engine,
-        Some(archive),
-        subject,
-        t,
-    ))
-}
-
-fn tiered_present_during(
-    engine: &ShardedEngine,
-    archive: &ArchiveStore,
-    cache: &parking_lot::Mutex<LazyArchive>,
-    location: LocationId,
-    window: Interval,
-) -> Result<Vec<(SubjectId, Interval)>, HistoryError> {
-    let live_from = engine.retention_watermark();
-    if window.start() >= live_from {
-        return Ok(history::merged_present_during(
-            engine, None, location, window,
-        ));
-    }
-    let mut cache = cache.lock();
-    let archive = archive_view(archive, &mut cache, window.start(), live_from)?;
-    Ok(history::merged_present_during(
-        engine,
-        Some(archive),
-        location,
-        window,
-    ))
-}
-
-fn tiered_contacts(
-    engine: &ShardedEngine,
-    archive: &ArchiveStore,
-    cache: &parking_lot::Mutex<LazyArchive>,
-    subject: SubjectId,
-    window: Interval,
-) -> Result<Vec<Contact>, HistoryError> {
-    let live_from = engine.retention_watermark();
-    if window.start() >= live_from {
-        return Ok(history::merged_contacts(engine, None, subject, window));
-    }
-    let mut cache = cache.lock();
-    let archive = archive_view(archive, &mut cache, window.start(), live_from)?;
-    Ok(history::merged_contacts(
-        engine,
-        Some(archive),
-        subject,
-        window,
-    ))
-}
-
-fn tiered_violations_in(
-    engine: &ShardedEngine,
-    archive: &ArchiveStore,
-    cache: &parking_lot::Mutex<LazyArchive>,
-    window: Interval,
-) -> Result<Vec<Violation>, HistoryError> {
-    let live_from = engine.watermarks().violations;
-    if window.start() >= live_from {
-        return Ok(history::merged_violations(engine, None, window));
-    }
-    let mut cache = cache.lock();
-    let archive = archive_view(archive, &mut cache, window.start(), live_from)?;
-    Ok(history::merged_violations(engine, Some(archive), window))
-}
+// --- the tier-aware read path -----------------------------------------------
 
 /// A cloneable, read-only view over a [`DurableEngine`] — the serving
 /// tier's read path. Queries answer **concurrently** with the writer:
@@ -1493,8 +1285,41 @@ impl ReadView {
         self.archive_cache.lock().coverage_end(&self.archive)
     }
 
-    /// Tier-aware historical whereabouts (see
-    /// [`DurableEngine::whereabouts`]).
+    /// Run a tier-merging query that reaches down to `requested`: over
+    /// live state alone when that is at or past `live_from` (the
+    /// querying class's live watermark), otherwise with the archive
+    /// view merged in — refusing if the archive chain does not reach
+    /// `live_from`, since the gap would mean discarded-and-unarchived
+    /// history. Only segments the query can touch have their payloads
+    /// read (see [`LazyArchive`]); the coverage check itself is a
+    /// directory listing.
+    fn tiered<T>(
+        &self,
+        requested: Time,
+        live_from: Time,
+        merge: impl FnOnce(&ShardedEngine, Option<&ArchiveData>) -> T,
+    ) -> Result<T, HistoryError> {
+        if requested >= live_from {
+            return Ok(merge(&self.engine, None));
+        }
+        let mut cache = self.archive_cache.lock();
+        let covered = cache.coverage_end(&self.archive)?;
+        if covered < live_from.get() {
+            return Err(HistoryError::Unarchived {
+                requested,
+                archived_to: covered,
+                live_from,
+            });
+        }
+        let archive = cache.view_for(&self.archive, requested, live_from)?;
+        Ok(merge(&self.engine, Some(archive)))
+    }
+
+    /// Tier-aware historical whereabouts: answered from live state at
+    /// or after the retention watermark (or by a live stay straddling
+    /// it), from the archive before it. Refuses
+    /// ([`HistoryError::Unarchived`]) only when the answer would need
+    /// discarded-and-unarchived history.
     pub fn whereabouts(
         &self,
         subject: SubjectId,
@@ -1505,11 +1330,18 @@ impl ReadView {
             "ReadView historical query latency, by kind",
             "kind" => "whereabouts"
         );
-        tiered_whereabouts(&self.engine, &self.archive, &self.archive_cache, subject, t)
+        let live_from = self.engine.retention_watermark();
+        let live = history::merged_whereabouts(&self.engine, None, subject, t);
+        if live.is_some() || t >= live_from {
+            return Ok(live);
+        }
+        self.tiered(t, live_from, |engine, archive| {
+            history::merged_whereabouts(engine, archive, subject, t)
+        })
     }
 
-    /// Tier-aware presence query (see
-    /// [`DurableEngine::present_during`]).
+    /// Tier-aware presence query: who was in `location` during
+    /// `window`, with clipped overlap intervals, merged across tiers.
     pub fn present_during(
         &self,
         location: LocationId,
@@ -1520,16 +1352,63 @@ impl ReadView {
             "ReadView historical query latency, by kind",
             "kind" => "present_during"
         );
-        tiered_present_during(
-            &self.engine,
-            &self.archive,
-            &self.archive_cache,
-            location,
-            window,
-        )
+        let live_from = self.engine.retention_watermark();
+        self.tiered(window.start(), live_from, |engine, archive| {
+            history::merged_present_during(engine, archive, location, window)
+        })
     }
 
-    /// Tier-aware contact tracing (see [`DurableEngine::contacts`]).
+    /// Tier-aware contact tracing — the paper's SARS query — merged
+    /// across live state and the archive, so an operator can trace
+    /// across the retention boundary exactly as if history were
+    /// unbounded.
+    ///
+    /// ```
+    /// use ltam_core::model::{Authorization, EntryLimit};
+    /// use ltam_core::retention::RetentionPolicy;
+    /// use ltam_core::subject::SubjectId;
+    /// use ltam_engine::batch::{Event, PolicyCore};
+    /// use ltam_graph::examples::ntu_campus;
+    /// use ltam_store::{DurableEngine, ScratchDir, StoreConfig};
+    /// use ltam_time::{Interval, Time};
+    ///
+    /// let ntu = ntu_campus();
+    /// let cais = ntu.cais;
+    /// let mut core = PolicyCore::new(ntu.model);
+    /// let (alice, bob) = (SubjectId(0), SubjectId(1));
+    /// for s in [alice, bob] {
+    ///     core.add_authorization(
+    ///         Authorization::new(Interval::ALL, Interval::ALL, s, cais, EntryLimit::Unbounded)
+    ///             .unwrap(),
+    ///     );
+    /// }
+    /// let dir = ScratchDir::new("doc-tiered-contacts");
+    /// let config = StoreConfig {
+    ///     retention: Some(RetentionPolicy::keep_last(100)),
+    ///     fsync: false,
+    ///     ..StoreConfig::default()
+    /// };
+    /// let (mut engine, _alerts) = DurableEngine::create(dir.path(), core, 2, config).unwrap();
+    /// // Alice and Bob overlap in CAIS during [12, 20]...
+    /// engine.ingest(&[
+    ///     Event::Request { time: Time(10), subject: alice, location: cais },
+    ///     Event::Enter { time: Time(10), subject: alice, location: cais },
+    ///     Event::Request { time: Time(12), subject: bob, location: cais },
+    ///     Event::Enter { time: Time(12), subject: bob, location: cais },
+    ///     Event::Exit { time: Time(20), subject: alice, location: cais },
+    ///     Event::Exit { time: Time(25), subject: bob, location: cais },
+    /// ]).unwrap();
+    /// // ...then time passes and retention spills those stays to the archive.
+    /// engine.run_retention(Time(500)).unwrap();
+    /// assert_eq!(engine.retention_watermark(), Time(400));
+    /// assert_eq!(engine.engine().read_shard(0, |s| s.movements().len())
+    ///     + engine.engine().read_shard(1, |s| s.movements().len()), 0);
+    /// // The contact-tracing join still sees the archived co-location.
+    /// let contacts = engine.read_view().contacts(alice, Interval::lit(0, 500)).unwrap();
+    /// assert_eq!(contacts.len(), 1);
+    /// assert_eq!(contacts[0].other, bob);
+    /// assert_eq!(contacts[0].overlap, Interval::lit(12, 20));
+    /// ```
     pub fn contacts(
         &self,
         subject: SubjectId,
@@ -1540,24 +1419,24 @@ impl ReadView {
             "ReadView historical query latency, by kind",
             "kind" => "contacts"
         );
-        tiered_contacts(
-            &self.engine,
-            &self.archive,
-            &self.archive_cache,
-            subject,
-            window,
-        )
+        let live_from = self.engine.retention_watermark();
+        self.tiered(window.start(), live_from, |engine, archive| {
+            history::merged_contacts(engine, archive, subject, window)
+        })
     }
 
-    /// Tier-aware violation report (see
-    /// [`DurableEngine::violations_in`]).
+    /// Tier-aware violation report over `window` (multiset semantics:
+    /// archived violations first, then live in shard order).
     pub fn violations_in(&self, window: Interval) -> Result<Vec<Violation>, HistoryError> {
         let _span = ltam_obs::timed!(
             "store_view_query_seconds",
             "ReadView historical query latency, by kind",
             "kind" => "violations_in"
         );
-        tiered_violations_in(&self.engine, &self.archive, &self.archive_cache, window)
+        let live_from = self.engine.watermarks().violations;
+        self.tiered(window.start(), live_from, |engine, archive| {
+            history::merged_violations(engine, archive, window)
+        })
     }
 }
 
@@ -2282,16 +2161,32 @@ mod tests {
 
         // Tier-aware queries answer across the boundary exactly as an
         // unpruned engine would.
-        assert_eq!(durable.whereabouts(alice, Time(15)).unwrap(), Some(cais)); // archive
-        assert_eq!(durable.whereabouts(alice, Time(205)).unwrap(), Some(cais)); // live
-        assert_eq!(durable.whereabouts(bob, Time(50)).unwrap(), None);
-        let contacts = durable.contacts(alice, Interval::lit(0, 300)).unwrap();
+        assert_eq!(
+            durable.read_view().whereabouts(alice, Time(15)).unwrap(),
+            Some(cais)
+        ); // archive
+        assert_eq!(
+            durable.read_view().whereabouts(alice, Time(205)).unwrap(),
+            Some(cais)
+        ); // live
+        assert_eq!(
+            durable.read_view().whereabouts(bob, Time(50)).unwrap(),
+            None
+        );
+        let contacts = durable
+            .read_view()
+            .contacts(alice, Interval::lit(0, 300))
+            .unwrap();
         assert_eq!(contacts.len(), 1);
         assert_eq!(contacts[0].other, bob);
         assert_eq!(contacts[0].overlap, Interval::lit(12, 20));
-        let present = durable.present_during(cais, Interval::lit(0, 300)).unwrap();
+        let present = durable
+            .read_view()
+            .present_during(cais, Interval::lit(0, 300))
+            .unwrap();
         assert_eq!(present.len(), 3, "{present:?}"); // Alice×2 + Bob×1
         assert!(durable
+            .read_view()
             .violations_in(Interval::lit(0, 300))
             .unwrap()
             .is_empty());
@@ -2326,8 +2221,14 @@ mod tests {
         assert_eq!(report.archive_covered_to, 150);
         assert_eq!(durable.retention_watermark(), Time(150));
         // Archived history is still reachable through the merge...
-        assert_eq!(durable.whereabouts(alice, Time(15)).unwrap(), Some(cais));
-        let contacts = durable.contacts(alice, Interval::lit(0, 300)).unwrap();
+        assert_eq!(
+            durable.read_view().whereabouts(alice, Time(15)).unwrap(),
+            Some(cais)
+        );
+        let contacts = durable
+            .read_view()
+            .contacts(alice, Interval::lit(0, 300))
+            .unwrap();
         assert_eq!(contacts.len(), 1);
         assert_eq!(contacts[0].other, bob);
         // ...and pruned history stays pruned: the time-regression guard
@@ -2360,7 +2261,10 @@ mod tests {
         // Queries stay correct: the archive is only consulted below the
         // watermark, which never advanced.
         assert_eq!(
-            durable.whereabouts(SubjectId(0), Time(15)).unwrap(),
+            durable
+                .read_view()
+                .whereabouts(SubjectId(0), Time(15))
+                .unwrap(),
             Some(cais)
         );
         // The re-run after "recovery" replaces the stranded segment
@@ -2377,6 +2281,7 @@ mod tests {
         assert_eq!(data.stays_of(SubjectId(0)).len(), 1);
         assert_eq!(data.stays_of(SubjectId(1)).len(), 1);
         let contacts = durable
+            .read_view()
             .contacts(SubjectId(0), Interval::lit(0, 300))
             .unwrap();
         assert_eq!(contacts.len(), 1, "no duplicate contact rows");
@@ -2425,7 +2330,10 @@ mod tests {
         let outcome = durable.run_retention_with(&policy, Time(250)).unwrap();
         assert_eq!(outcome.watermark, Time(150));
         assert_eq!(outcome.archived, outcome.pruned);
-        assert_eq!(durable.whereabouts(bob, Time(65)).unwrap(), Some(cais));
+        assert_eq!(
+            durable.read_view().whereabouts(bob, Time(65)).unwrap(),
+            Some(cais)
+        );
         let data = durable.archive.load().unwrap();
         assert_eq!(data.stays_of(bob).len(), 2, "no loss, no duplicates");
     }
@@ -2472,16 +2380,25 @@ mod tests {
         durable.archive.append_run(110, 150, &prunable).unwrap();
         // Time-based clipping would admit the archived copy (70 < 110);
         // segment provenance (starts at 110, not below it) must not.
-        let present = durable.present_during(cais, Interval::lit(50, 80)).unwrap();
+        let present = durable
+            .read_view()
+            .present_during(cais, Interval::lit(50, 80))
+            .unwrap();
         assert_eq!(present, vec![(bob, Interval::lit(60, 70))], "counted once");
-        let contacts = durable.contacts(bob, Interval::lit(50, 80)).unwrap();
+        let contacts = durable
+            .read_view()
+            .contacts(bob, Interval::lit(50, 80))
+            .unwrap();
         assert!(contacts.is_empty(), "{contacts:?}");
         // After the run completes (replacing the stranded segment and
         // applying the prune), the stay counts exactly once — from the
         // archive this time.
         durable.run_retention_with(&policy, Time(250)).unwrap();
         assert_eq!(durable.retention_watermark(), Time(150));
-        let present = durable.present_during(cais, Interval::lit(50, 80)).unwrap();
+        let present = durable
+            .read_view()
+            .present_during(cais, Interval::lit(50, 80))
+            .unwrap();
         assert_eq!(present, vec![(bob, Interval::lit(60, 70))]);
     }
 
@@ -2512,12 +2429,18 @@ mod tests {
         // the first run's archived violation.
         let r2 = durable.run_retention_with(&policy, Time(400)).unwrap();
         assert_eq!(r2.pruned, 1, "only the t=300 violation");
-        let vs = durable.violations_in(Interval::lit(0, 50)).unwrap();
+        let vs = durable
+            .read_view()
+            .violations_in(Interval::lit(0, 50))
+            .unwrap();
         assert_eq!(vs.len(), 1, "the t=10 violation survived the second run");
         assert_eq!(vs[0].time(), Time(10));
         // Movements were never pruned: live whereabouts still answers.
         assert_eq!(
-            durable.whereabouts(SubjectId(5), Time(10)).unwrap(),
+            durable
+                .read_view()
+                .whereabouts(SubjectId(5), Time(10))
+                .unwrap(),
             Some(cais)
         );
         assert_eq!(durable.retention_watermark(), Time::ZERO);
@@ -2546,14 +2469,21 @@ mod tests {
             }
         }
         // Below the watermark with a live miss: refuse loudly.
-        let err = durable.whereabouts(bob, Time(15)).unwrap_err();
+        let err = durable.read_view().whereabouts(bob, Time(15)).unwrap_err();
         assert!(matches!(err, HistoryError::Unarchived { .. }), "{err}");
         assert!(err.to_string().contains("refusing"), "{err}");
-        let err = durable.contacts(alice, Interval::lit(0, 300)).unwrap_err();
+        let err = durable
+            .read_view()
+            .contacts(alice, Interval::lit(0, 300))
+            .unwrap_err();
         assert!(matches!(err, HistoryError::Unarchived { .. }));
         // At or above the watermark: live answers as usual.
-        assert_eq!(durable.whereabouts(alice, Time(205)).unwrap(), Some(cais));
+        assert_eq!(
+            durable.read_view().whereabouts(alice, Time(205)).unwrap(),
+            Some(cais)
+        );
         assert!(durable
+            .read_view()
             .contacts(alice, Interval::lit(150, 300))
             .unwrap()
             .is_empty());
@@ -2608,8 +2538,14 @@ mod tests {
         assert!(live_peak <= 60, "live history unbounded: peak {live_peak}");
         // Nothing was lost: whereabouts across the whole trace still
         // answer through the archive.
-        assert_eq!(durable.whereabouts(alice, Time(2)).unwrap(), Some(cais));
-        assert_eq!(durable.whereabouts(alice, Time(3_902)).unwrap(), Some(cais));
+        assert_eq!(
+            durable.read_view().whereabouts(alice, Time(2)).unwrap(),
+            Some(cais)
+        );
+        assert_eq!(
+            durable.read_view().whereabouts(alice, Time(3_902)).unwrap(),
+            Some(cais)
+        );
     }
 
     #[test]
@@ -2645,8 +2581,14 @@ mod tests {
             .unwrap();
         assert_eq!(out.violations.len(), 1, "guard lost in redistribution");
         // Tiered queries still merge the archive.
-        assert_eq!(durable.whereabouts(alice, Time(15)).unwrap(), Some(cais));
-        let contacts = durable.contacts(alice, Interval::lit(0, 300)).unwrap();
+        assert_eq!(
+            durable.read_view().whereabouts(alice, Time(15)).unwrap(),
+            Some(cais)
+        );
+        let contacts = durable
+            .read_view()
+            .contacts(alice, Interval::lit(0, 300))
+            .unwrap();
         assert_eq!(contacts.len(), 1);
         assert_eq!(contacts[0].other, bob);
     }

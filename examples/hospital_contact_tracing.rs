@@ -81,7 +81,7 @@ fn main() {
     // history in live state. This example never prunes, so that holds;
     // assert it, because under a retention policy the same query would
     // refuse once t=0 fell behind the watermark, and the tier-aware
-    // `DurableEngine::contacts` (which merges the archive) would be the
+    // `ReadView::contacts` (which merges the archive) would be the
     // right entry point instead.
     assert!(
         engine.movements().covers(Time(0)),

@@ -105,7 +105,12 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
 
     // 1. Violation report over all time: exact multiset equivalence.
     let all = Interval::ALL;
-    let got = violation_multiset(durable.violations_in(all).expect("tiered violations"));
+    let got = violation_multiset(
+        durable
+            .read_view()
+            .violations_in(all)
+            .expect("tiered violations"),
+    );
     let want = violation_multiset(reference.violations().to_vec());
     assert_eq!(got.len(), want.len());
     assert_eq!(got, want, "violation multisets diverge");
@@ -116,7 +121,10 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
         let s = SubjectId(i);
         for q in 0..=16 {
             let t = Time(span.get() * q / 16);
-            let got = durable.whereabouts(s, t).expect("tiered whereabouts");
+            let got = durable
+                .read_view()
+                .whereabouts(s, t)
+                .expect("tiered whereabouts");
             let want = reference.movements().whereabouts(s, t);
             assert_eq!(got, want, "whereabouts({s}, {t})");
         }
@@ -125,7 +133,12 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
     // 3. Contact tracing over the whole span, crossing the boundary.
     for i in (0..SUBJECTS as u32).step_by(41) {
         let s = SubjectId(i);
-        let got = contact_multiset(durable.contacts(s, all).expect("tiered contacts"));
+        let got = contact_multiset(
+            durable
+                .read_view()
+                .contacts(s, all)
+                .expect("tiered contacts"),
+        );
         let want = contact_multiset(reference.movements().contacts(s, all));
         assert_eq!(got, want, "contacts({s}) diverge");
         assert!(
@@ -138,6 +151,7 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
     let boundary = Interval::lit(watermark.get().saturating_sub(200), watermark.get() + 200);
     for l in [LocationId(1), LocationId(9), LocationId(30)] {
         let mut got = durable
+            .read_view()
             .present_during(l, boundary)
             .expect("tiered presence");
         let mut want = reference.movements().present_during(l, boundary);
@@ -162,12 +176,12 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
         drop(durable);
         DurableEngine::open(dir.path(), config()).expect("reopen store")
     };
-    let err = durable.contacts(SubjectId(0), all).unwrap_err();
+    let err = durable.read_view().contacts(SubjectId(0), all).unwrap_err();
     assert!(matches!(err, HistoryError::Unarchived { .. }), "{err}");
     // ...while queries wholly inside the live window still answer.
     let recent = Interval::new(durable.retention_watermark(), ltam::time::Bound::Unbounded)
         .expect("valid interval");
-    assert!(durable.contacts(SubjectId(0), recent).is_ok());
+    assert!(durable.read_view().contacts(SubjectId(0), recent).is_ok());
 }
 
 /// A reader hammering a below-watermark query while retention runs
