@@ -164,6 +164,14 @@ impl PolicyCore {
         &self.db
     }
 
+    /// The authorization database, mutably, beside the graph it is
+    /// derived against — for the single-threaded engine's rule
+    /// derivation and conflict resolution, which edit the one while
+    /// reading the other.
+    pub(crate) fn db_mut(&mut self) -> (&mut AuthorizationDb, &EffectiveGraph) {
+        (&mut self.db, &self.graph)
+    }
+
     /// The prohibition store.
     pub fn prohibitions(&self) -> &ProhibitionDb {
         &self.prohibitions

@@ -18,9 +18,10 @@
 //! 4. **Rules** are re-derived on demand; revoked derived authorizations
 //!    drop their usage counters.
 
+use crate::batch::PolicyCore;
 use crate::movement::MovementsDb;
 use crate::profile::UserProfileDb;
-use crate::shard::{PolicyView, ShardState};
+use crate::shard::ShardState;
 use crate::violation::{Alert, Violation};
 use crossbeam::channel::Sender;
 use ltam_core::db::{AuthId, AuthorizationDb};
@@ -78,19 +79,14 @@ pub struct AuditRecord {
 /// The LTAM enforcement engine.
 ///
 /// Internally this is one [`ShardState`] (the per-subject mutable half)
-/// over the policy stores (the read-mostly half) — the same split the
-/// concurrent [`ShardedEngine`](crate::batch::ShardedEngine) partitions
-/// across threads, so both run identical enforcement code.
+/// over one [`PolicyCore`] (the read-mostly half) — the same two pieces
+/// the concurrent [`ShardedEngine`](crate::batch::ShardedEngine)
+/// partitions across threads, so both run identical enforcement code.
 #[derive(Debug)]
 pub struct AccessControlEngine {
-    model: LocationModel,
-    graph: EffectiveGraph,
-    db: AuthorizationDb,
-    prohibitions: ProhibitionDb,
+    core: PolicyCore,
     profiles: UserProfileDb,
     rules: RuleEngine,
-    config: EngineConfig,
-    situation: ltam_situate::SituationPolicy,
     state: ShardState,
     alert_seq: u64,
     alert_tx: Option<Sender<Alert>>,
@@ -99,16 +95,10 @@ pub struct AccessControlEngine {
 impl AccessControlEngine {
     /// Build an engine for a location layout.
     pub fn new(model: LocationModel) -> AccessControlEngine {
-        let graph = EffectiveGraph::build(&model);
         AccessControlEngine {
-            model,
-            graph,
-            db: AuthorizationDb::new(),
-            prohibitions: ProhibitionDb::new(),
+            core: PolicyCore::new(model),
             profiles: UserProfileDb::new(),
             rules: RuleEngine::new(),
-            config: EngineConfig::default(),
-            situation: ltam_situate::SituationPolicy::default(),
             state: ShardState::new(),
             alert_seq: 0,
             alert_tx: None,
@@ -117,7 +107,7 @@ impl AccessControlEngine {
 
     /// Override the enforcement tunables.
     pub fn set_config(&mut self, config: EngineConfig) {
-        self.config = config;
+        self.core.set_config(config);
     }
 
     /// Route alerts to a channel (the security desk).
@@ -129,19 +119,19 @@ impl AccessControlEngine {
 
     /// The location layout.
     pub fn model(&self) -> &LocationModel {
-        &self.model
+        self.core.model()
     }
 
     /// The flattened location graph.
     pub fn graph(&self) -> &EffectiveGraph {
-        &self.graph
+        self.core.graph()
     }
 
     /// The authorization database (read-only; mutate via
     /// [`AccessControlEngine::add_authorization`] /
     /// [`AccessControlEngine::revoke_authorization`]).
     pub fn db(&self) -> &AuthorizationDb {
-        &self.db
+        self.core.db()
     }
 
     /// The movements database.
@@ -186,18 +176,18 @@ impl AccessControlEngine {
 
     /// Insert an explicitly created authorization.
     pub fn add_authorization(&mut self, auth: Authorization) -> AuthId {
-        self.db.insert(auth)
+        self.core.add_authorization(auth)
     }
 
     /// Add a prohibition: denial takes precedence over every grant in the
     /// blocked window (lockdowns, quarantines, badge suspensions).
     pub fn add_prohibition(&mut self, prohibition: Prohibition) {
-        self.prohibitions.insert(prohibition);
+        self.core.add_prohibition(prohibition);
     }
 
     /// The prohibition store.
     pub fn prohibitions(&self) -> &ProhibitionDb {
-        &self.prohibitions
+        self.core.prohibitions()
     }
 
     /// Expand a recurring grant over `horizon` and insert every occurrence.
@@ -207,7 +197,10 @@ impl AccessControlEngine {
         horizon: Interval,
     ) -> Result<Vec<AuthId>, RecurringError> {
         let auths = expand_recurring(recurring, horizon)?;
-        Ok(auths.into_iter().map(|a| self.db.insert(a)).collect())
+        Ok(auths
+            .into_iter()
+            .map(|a| self.core.add_authorization(a))
+            .collect())
     }
 
     /// Revoke an authorization and drop its usage counters.
@@ -215,12 +208,12 @@ impl AccessControlEngine {
         // Usage counters and any pending grant on a revoked authorization
         // lapse with it.
         self.state.invalidate_auth(id);
-        self.db.revoke(id)
+        self.core.revoke_authorization(id)
     }
 
     /// The situation overlay governing this engine's decisions.
     pub fn situation(&self) -> &ltam_situate::SituationPolicy {
-        &self.situation
+        self.core.situation()
     }
 
     /// Apply a situation edit (declare a mode, register responders,
@@ -231,7 +224,7 @@ impl AccessControlEngine {
         &mut self,
         op: &ltam_situate::SituationOp,
     ) -> ltam_situate::SituationOutcome {
-        self.situation.apply(op)
+        self.core.apply_situation(op)
     }
 
     /// Register an authorization rule (§4).
@@ -248,7 +241,7 @@ impl AccessControlEngine {
     /// Detect authorization conflicts (§4: overlapping/adjacent entry
     /// windows for the same subject and location).
     pub fn conflicts(&self) -> Vec<ltam_core::Conflict> {
-        ltam_core::detect_conflicts(&self.db)
+        ltam_core::detect_conflicts(self.core.db())
     }
 
     /// Resolve all conflicts with `strategy`; usage counters and pending
@@ -257,7 +250,7 @@ impl AccessControlEngine {
         &mut self,
         strategy: ltam_core::ResolutionStrategy,
     ) -> ltam_core::conflict::ResolutionReport {
-        let report = ltam_core::resolve_conflicts(&mut self.db, strategy);
+        let report = ltam_core::resolve_conflicts(self.core.db_mut().0, strategy);
         for &(_, removed) in &report.resolved {
             self.state.invalidate_auth(removed);
         }
@@ -267,9 +260,8 @@ impl AccessControlEngine {
     /// Re-derive all rules to a fixpoint, clearing counters of anything
     /// revoked. Returns the derivation report.
     pub fn apply_rules(&mut self) -> ltam_core::rules::DerivationReport {
-        let report = self
-            .rules
-            .apply_to_fixpoint(&mut self.db, &self.profiles, &self.graph, 8);
+        let (db, graph) = self.core.db_mut();
+        let report = self.rules.apply_to_fixpoint(db, &self.profiles, graph, 8);
         for &id in &report.revoked {
             self.state.invalidate_auth(id);
         }
@@ -303,13 +295,8 @@ impl AccessControlEngine {
     /// Process an access request (Definition 6). A grant is remembered so
     /// the subsequent physical entry is recognized as authorized.
     pub fn request_enter(&mut self, t: Time, subject: SubjectId, location: LocationId) -> Decision {
-        let policy = PolicyView {
-            db: &self.db,
-            prohibitions: &self.prohibitions,
-            config: self.config,
-            situation: &self.situation,
-        };
-        self.state.request_enter(&policy, t, subject, location)
+        self.state
+            .request_enter(&self.core.view(), t, subject, location)
     }
 
     /// Forward a freshly recorded violation to the security desk.
@@ -333,13 +320,9 @@ impl AccessControlEngine {
         subject: SubjectId,
         location: LocationId,
     ) -> Option<Violation> {
-        let policy = PolicyView {
-            db: &self.db,
-            prohibitions: &self.prohibitions,
-            config: self.config,
-            situation: &self.situation,
-        };
-        let raised = self.state.observe_enter(&policy, t, subject, location);
+        let raised = self
+            .state
+            .observe_enter(&self.core.view(), t, subject, location);
         if let Some(v) = raised {
             self.alert(v);
         }
@@ -353,13 +336,9 @@ impl AccessControlEngine {
         subject: SubjectId,
         location: LocationId,
     ) -> Option<Violation> {
-        let policy = PolicyView {
-            db: &self.db,
-            prohibitions: &self.prohibitions,
-            config: self.config,
-            situation: &self.situation,
-        };
-        let raised = self.state.observe_exit(&policy, t, subject, location);
+        let raised = self
+            .state
+            .observe_exit(&self.core.view(), t, subject, location);
         if let Some(v) = raised {
             self.alert(v);
         }
@@ -369,13 +348,7 @@ impl AccessControlEngine {
     /// Advance the monitoring clock: raise an overstay alert (once per
     /// stay) for every subject still inside after their exit window closed.
     pub fn tick(&mut self, now: Time) -> Vec<Violation> {
-        let policy = PolicyView {
-            db: &self.db,
-            prohibitions: &self.prohibitions,
-            config: self.config,
-            situation: &self.situation,
-        };
-        let raised = self.state.tick(&policy, now);
+        let raised = self.state.tick(&self.core.view(), now);
         for &v in &raised {
             self.alert(v);
         }
@@ -388,10 +361,10 @@ impl AccessControlEngine {
     pub fn query_context(&self) -> crate::query::QueryContext<'_> {
         let watermarks = self.state.watermarks();
         crate::query::QueryContext {
-            model: &self.model,
-            graph: &self.graph,
-            db: &self.db,
-            prohibitions: &self.prohibitions,
+            model: self.core.model(),
+            graph: self.core.graph(),
+            db: self.core.db(),
+            prohibitions: self.core.prohibitions(),
             ledger: self.state.ledger(),
             movements: self.state.movements(),
             violations: self.state.violations(),
@@ -413,11 +386,11 @@ impl AccessControlEngine {
     /// prohibitions applied (blocked windows cannot carry a route).
     pub fn inaccessible_for(&self, subject: SubjectId) -> InaccessibleReport {
         let auths = restrict_authorizations(
-            &self.db.per_location_for_subject(subject),
+            &self.core.db().per_location_for_subject(subject),
             subject,
-            &self.prohibitions,
+            self.core.prohibitions(),
         );
-        find_inaccessible(&self.graph, &auths)
+        find_inaccessible(self.core.graph(), &auths)
     }
 
     /// Earliest authorized visit to `target` starting outside at `from`
@@ -429,17 +402,17 @@ impl AccessControlEngine {
         from: Time,
     ) -> Option<Itinerary> {
         let auths = restrict_authorizations(
-            &self.db.per_location_for_subject(subject),
+            &self.core.db().per_location_for_subject(subject),
             subject,
-            &self.prohibitions,
+            self.core.prohibitions(),
         );
-        earliest_visit(&self.graph, &auths, target, from)
+        earliest_visit(self.core.graph(), &auths, target, from)
     }
 
     /// The complement: locations the subject can reach.
     pub fn accessible_for(&self, subject: SubjectId) -> Vec<LocationId> {
         let report = self.inaccessible_for(subject);
-        self.graph
+        self.graph()
             .locations()
             .filter(|l| !report.is_inaccessible(*l))
             .collect()

@@ -17,11 +17,11 @@
 //! the shipped bytes too, and the policy ops logged since the snapshot
 //! are replayed before the follower serves its first frame. From there
 //! the replication loop (spawned by `Server::start_follower`) tails the
-//! primary's WAL with a [`TailScanner`]: verified records are replayed
-//! through the follower's own group-commit thread — event batches
-//! through **normal ingest**, policy ops through the same
-//! [`CommitHandle::policy`] path a primary's admin RPCs take — so the
-//! follower WAL-logs, snapshots, enforces and authenticates exactly
+//! primary's WAL with a [`TailScanner`]: each chunk's verified records
+//! go to the follower's own group-commit thread as one
+//! [`CommitHandle::commit`] call — the same submission a primary's
+//! requests take, and the same `DurableEngine::commit` behind it — so
+//! the follower WAL-logs, snapshots, enforces and authenticates exactly
 //! like a primary, and the published watermark rises to the applied
 //! sequence.
 //!
@@ -48,8 +48,8 @@
 
 use crate::client::{ClientError, LtamClient};
 use crate::wire::{ErrorCode, ReplManifest, ReplicaState, ReplicaStatus};
-use ltam_store::replica::{ReplFile, ReplFileId, TailBatch, TailScanner};
-use ltam_store::{CommitHandle, DurableEngine, ReadView, StoreConfig};
+use ltam_store::replica::{ReplFile, ReplFileId, TailScanner};
+use ltam_store::{CommitHandle, DurableEngine, ReadView, RecordOutcome, StoreConfig};
 use parking_lot::Mutex;
 use std::fs;
 use std::io::{self, Write};
@@ -499,59 +499,35 @@ pub(crate) fn replicate_loop(
                 chunk.meta.file_len,
                 chunk.meta.sealed,
             );
-            // Replay each shipped record as what it *was*: trusted
+            // Commit the chunk's records as what they *were* — trusted
             // batches through enforcement, quarantine records onto the
-            // follower's own quarantine ledger, policy ops through the
-            // follower's own durable policy path (its own WAL record at
-            // the same sequence) — so it judges every later record, and
-            // gates every later frame, exactly as the primary does.
-            //
-            // Consecutive trusted records go to the commit thread as
-            // **one run** (one queue hop, one WAL write, one fsync, one
-            // shard dispatch — not one of each per record; a primary
-            // serving swipes emits one-event records by the hundred
-            // thousand). A run is all-or-nothing at the WAL, so a
-            // failure can never leave a later record applied behind an
-            // earlier one that was not. Quarantine and policy records
-            // keep their own blocking calls, and so fence the order.
-            let mut commit_failed = false;
-            let mut batches = step
-                .batches
-                .into_iter()
-                .filter(|b| !b.events().is_empty() || matches!(b, TailBatch::Policy(_)))
-                .peekable();
-            while let Some(batch) = batches.next() {
-                let committed = match batch {
-                    TailBatch::Events(events) => {
-                        let mut run = vec![events];
-                        while let Some(TailBatch::Events(events)) =
-                            batches.next_if(|b| matches!(b, TailBatch::Events(_)))
-                        {
-                            run.push(events);
-                        }
-                        commit.commit_run(run).map(|_| ())
-                    }
-                    TailBatch::Quarantine {
-                        source,
-                        level,
-                        events,
-                    } => commit.commit_quarantine(source, level, events).map(|_| ()),
-                    TailBatch::Policy(op) => commit.policy(op).map(|_| ()),
-                };
+            // follower's own quarantine ledger, policy ops as epoch
+            // swaps at the same sequence — in **one** submission: one
+            // queue hop, one WAL write, one fsync, one shard dispatch
+            // per run of trusted records (a primary serving swipes
+            // emits one-event records by the hundred thousand). The
+            // submission is all-or-nothing at the WAL, so a failure can
+            // never leave a later record applied behind an earlier one
+            // that was not.
+            if !step.records.is_empty() {
+                let committed = commit.commit(step.records).and_then(|outcomes| {
+                    // An op whose acked-epoch marker did not land is
+                    // applied but is still a store failure to report.
+                    outcomes.into_iter().try_for_each(|outcome| match outcome {
+                        RecordOutcome::Policy(Err(e)) => Err(e),
+                        _ => Ok(()),
+                    })
+                });
                 if let Err(e) = committed {
                     // The *follower's* own store failed — nothing wrong
                     // with the shipped bytes. The scanner cursor is now
                     // ahead of the applied state, so it must be rebuilt.
                     shared.set_state(STATE_DISCONNECTED, Some(format!("local commit: {e}")));
                     scanner = None;
-                    commit_failed = true;
-                    break;
+                    sleep_while(&stop, config.poll_interval);
+                    break true;
                 }
                 shared.publish(view.applied());
-            }
-            if commit_failed {
-                sleep_while(&stop, config.poll_interval);
-                break true;
             }
             if let Some(fault) = step.fault {
                 faults += 1;

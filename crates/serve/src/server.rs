@@ -25,16 +25,19 @@
 //!
 //! ## The write path: group commit
 //!
-//! Writes ([`Request::Ingest`], [`Request::Check`]) are **submitted**,
-//! not executed, by poll threads: the events go to `ltam-store`'s
-//! [`GroupCommit`] thread, which drains every batch queued while the
-//! previous `fsync` ran, appends them all under **one** WAL write +
+//! Writes ([`Request::Ingest`], [`Request::Check`], and the admin and
+//! situation RPCs) are **submitted**, not executed, by poll threads:
+//! each becomes one [`WalRecord`] — a trusted batch, a quarantine batch
+//! if its sensor is below the trust threshold, or a policy op — handed
+//! to `ltam-store`'s [`GroupCommit`] thread through the one
+//! `submit_write`. The commit thread drains every record queued while
+//! the previous `fsync` ran, appends them all under **one** WAL write +
 //! one `fsync`, applies them in submission order, and then completes
 //! each waiter — the completion re-enters the owning poll thread via
-//! its inbox and wakes it. Durability semantics are unchanged: a batch
+//! its inbox and wakes it. Durability semantics are unchanged: a write
 //! is acked only after its bytes are synced, and it stays
 //! all-or-nothing across a crash (its own WAL record). What changed is
-//! the *sharing*: N connections' batches cost one flush, not N.
+//! the *sharing*: N connections' writes cost one flush, not N.
 //!
 //! ## The read path: around the write lock
 //!
@@ -81,12 +84,13 @@ use crate::wire::{
 };
 use ltam_core::capability::{AuthRefusal, Capability, Scope, TokenId, WireAuth};
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{BatchOutcome, Event, PolicyOp, PolicyOutcome};
+use ltam_engine::batch::{Event, PolicyOp, PolicyOutcome};
 use ltam_store::replica::{
     archive_files, epoch_marker_file, newest_snapshot, read_file_chunk, wal_segment_ids, ReplFileId,
 };
 use ltam_store::{
     CommitHandle, DurableEngine, GroupCommit, GroupCommitConfig, HistoryError, ReadView,
+    RecordOutcome, WalRecord,
 };
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
@@ -161,27 +165,23 @@ struct Stats {
     per_connection: Mutex<BTreeMap<u64, u64>>,
 }
 
-/// Was the in-flight write a batch ingest or a single swipe? (Decides
-/// the response shape when its commit completes.)
-#[derive(Debug, Clone, Copy)]
-enum WriteKind {
+/// How an in-flight write is answered. The committed record's
+/// [`RecordOutcome`] says what it was; the shape adds what the outcome
+/// cannot: a swipe's one-bit answer versus a batch's counts, which
+/// latency series the write belongs to, and what to call it when it
+/// fails.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reply {
+    /// A batch ingest ([`Request::Ingest`]).
     Ingest,
+    /// A single swipe ([`Request::Check`]).
     Check,
-}
-
-/// What a commit-thread job finished as (decides the response shape).
-enum Done {
-    /// An ingest or swipe batch committed through enforcement.
-    Write {
-        kind: WriteKind,
-        result: io::Result<BatchOutcome>,
-    },
     /// A below-trust sensor's batch, durably held on the quarantine
     /// ledger instead of entering trusted history.
-    Quarantine(io::Result<usize>),
+    Quarantine,
     /// An admin or situation RPC applied as a durable, WAL-logged
     /// policy op.
-    Policy(io::Result<PolicyOutcome>),
+    Policy,
 }
 
 /// A commit completion routed back to the poll thread that owns the
@@ -189,7 +189,8 @@ enum Done {
 struct Completion {
     conn: u64,
     slot: u64,
-    done: Done,
+    reply: Reply,
+    result: io::Result<RecordOutcome>,
 }
 
 /// Work posted to a poll thread from outside its loop.
@@ -815,7 +816,7 @@ fn accept_all(
 /// from wedging the accept pass.
 fn refuse_busy(mut stream: TcpStream, shared: &Shared) {
     shared.stats.refused_busy.fetch_add(1, Ordering::SeqCst);
-    refused("busy").inc();
+    refused(ErrorCode::Busy).inc();
     let _ = stream.set_write_timeout(Some(
         shared.config.read_timeout.max(Duration::from_millis(50)),
     ));
@@ -855,14 +856,40 @@ fn visible_role(conn: &Conn, shared: &Shared) -> Option<ServerRole> {
 }
 
 /// The `serve_refused_total{code=...}` counter. Refusals are error
-/// paths, so the per-call registry lock is acceptable; `code` names
+/// paths, so the per-call registry lock is acceptable; the label is
 /// the [`ErrorCode`] sent back, snake_cased.
-fn refused(code: &'static str) -> &'static ltam_obs::Counter {
+fn refused(code: ErrorCode) -> &'static ltam_obs::Counter {
+    let code = match code {
+        ErrorCode::Busy => "busy",
+        ErrorCode::BadRequest => "bad_request",
+        ErrorCode::Unarchived => "unarchived",
+        ErrorCode::Internal => "internal",
+        ErrorCode::NotPrimary => "not_primary",
+        ErrorCode::Gone => "gone",
+        ErrorCode::Stale => "stale",
+        ErrorCode::Unauthenticated => "unauthenticated",
+        ErrorCode::PermissionDenied => "permission_denied",
+    };
     ltam_obs::registry().counter(
         "serve_refused_total",
         &[("code", code)],
         "Requests refused with an error frame, by error code",
     )
+}
+
+/// Refuse the frame at hand: count it under its error code and answer
+/// with an error frame carrying the role this connection may see.
+fn refuse(conn: &mut Conn, shared: &Shared, code: ErrorCode, message: String) {
+    refused(code).inc();
+    let role = visible_role(conn, shared);
+    push_response(
+        conn,
+        &Response::Error {
+            code,
+            role,
+            message,
+        },
+    );
 }
 
 /// Is this connection refusing further input? (Pipeline or write
@@ -911,16 +938,8 @@ fn read_input(
                     // Answer once (after anything already in flight),
                     // then close.
                     shared.stats.protocol_errors.fetch_add(1, Ordering::SeqCst);
-                    refused("bad_request").inc();
-                    let role = visible_role(conn, shared);
-                    push_response(
-                        conn,
-                        &Response::Error {
-                            code: ErrorCode::BadRequest,
-                            role,
-                            message: format!("unreadable frame: {e}"),
-                        },
-                    );
+                    let message = format!("unreadable frame: {e}");
+                    refuse(conn, shared, ErrorCode::BadRequest, message);
                     conn.closing = true;
                     return flush(conn, now);
                 }
@@ -934,6 +953,21 @@ fn read_input(
             return true;
         }
     }
+}
+
+/// The `serve_request_seconds{kind}` latency series. (The `ltam-obs`
+/// macros intern literals, so the series' one name and help text live
+/// here rather than at each kind's site.)
+macro_rules! request_seconds {
+    ($kind:literal) => {
+        ltam_obs::histogram!(
+            "serve_request_seconds",
+            "Server-side request latency by request kind (queries: decode to encoded \
+             response; writes: decode to durable)",
+            SecondsFromMicros,
+            "kind" => $kind
+        )
+    };
 }
 
 /// Decode one frame's request and either answer it inline (queries,
@@ -1079,17 +1113,8 @@ fn answer_hello(conn: &mut Conn, secret: &str, wire_auth: &WireAuth, shared: &Sh
         Some(token) => {
             let now = shared.view.clock();
             if !token.validity.contains(now) {
-                refused("unauthenticated").inc();
-                let role = visible_role(conn, shared);
-                push_response(
-                    conn,
-                    &Response::Error {
-                        code: ErrorCode::Unauthenticated,
-                        role,
-                        message: format!("token not valid at monitoring time {}", now.0),
-                    },
-                );
-                return;
+                let message = format!("token not valid at monitoring time {}", now.0);
+                return refuse(conn, shared, ErrorCode::Unauthenticated, message);
             }
             conn.auth = ConnAuth::Token(token.id);
             push_response(
@@ -1101,18 +1126,12 @@ fn answer_hello(conn: &mut Conn, secret: &str, wire_auth: &WireAuth, shared: &Sh
                 },
             );
         }
-        None => {
-            refused("unauthenticated").inc();
-            let role = visible_role(conn, shared);
-            push_response(
-                conn,
-                &Response::Error {
-                    code: ErrorCode::Unauthenticated,
-                    role,
-                    message: "unknown or revoked token".into(),
-                },
-            );
-        }
+        None => refuse(
+            conn,
+            shared,
+            ErrorCode::Unauthenticated,
+            "unknown or revoked token".into(),
+        ),
     }
 }
 
@@ -1129,18 +1148,8 @@ fn dispatch(
             // Framing was intact (CRC passed) but the body is not a
             // request: answer in-band and stay in sync.
             shared.stats.protocol_errors.fetch_add(1, Ordering::SeqCst);
-            refused("bad_request").inc();
             count_served(conn, shared);
-            let role = visible_role(conn, shared);
-            push_response(
-                conn,
-                &Response::Error {
-                    code: ErrorCode::BadRequest,
-                    role,
-                    message: e.to_string(),
-                },
-            );
-            return;
+            return refuse(conn, shared, ErrorCode::BadRequest, e.to_string());
         }
     };
     count_served(conn, shared);
@@ -1153,58 +1162,26 @@ fn dispatch(
     // --- the capability gate, against the live policy ---------------------
     let policy = shared.view.engine().policy();
     let wire_auth = policy.wire();
-    if let Request::Hello { token } = &request {
-        answer_hello(conn, token, wire_auth, shared);
-        return;
-    }
     let source = match gate_request(conn, &request, wire_auth, shared) {
         Gate::Allow { source } => source,
-        Gate::Refuse { code, message } => {
-            refused(match code {
-                ErrorCode::Unauthenticated => "unauthenticated",
-                _ => "permission_denied",
-            })
-            .inc();
-            let role = visible_role(conn, shared);
-            push_response(
-                conn,
-                &Response::Error {
-                    code,
-                    role,
-                    message,
-                },
-            );
-            return;
-        }
+        Gate::Refuse { code, message } => return refuse(conn, shared, code, message),
     };
-    let (events, kind) = match request {
+    let (events, reply) = match request {
+        // `Hello` needs no capability (the gate lets it through): it
+        // is how a connection acquires one.
+        Request::Hello { token } => return answer_hello(conn, &token, wire_auth, shared),
         Request::Query(query) => {
-            let _span = ltam_obs::timed!(
-                "serve_request_seconds",
-                "Server-side request latency by request kind (queries: decode to encoded \
-                 response; writes: decode to durable)",
-                "kind" => "query"
-            );
+            let _span = ltam_obs::Span::start(request_seconds!("query"));
             push_response(conn, &answer_query(query, shared));
             return;
         }
         Request::Repl(repl) => {
-            let _span = ltam_obs::timed!(
-                "serve_request_seconds",
-                "Server-side request latency by request kind (queries: decode to encoded \
-                 response; writes: decode to durable)",
-                "kind" => "repl"
-            );
+            let _span = ltam_obs::Span::start(request_seconds!("repl"));
             answer_repl(conn, repl, shared);
             return;
         }
         Request::Metrics => {
-            let _span = ltam_obs::timed!(
-                "serve_request_seconds",
-                "Server-side request latency by request kind (queries: decode to encoded \
-                 response; writes: decode to durable)",
-                "kind" => "metrics"
-            );
+            let _span = ltam_obs::Span::start(request_seconds!("metrics"));
             push_response(
                 conn,
                 &Response::Metrics {
@@ -1213,215 +1190,138 @@ fn dispatch(
             );
             return;
         }
-        Request::Hello { .. } => unreachable!("Hello answered before the gate"),
         Request::Admin(op) => {
-            return submit_policy(conn, PolicyOp::Admin(op), index, shared, commit);
+            let record = WalRecord::Policy(PolicyOp::Admin(op));
+            return submit_write(conn, record, Reply::Policy, index, shared, commit);
         }
         Request::Situation(op) => {
-            return submit_policy(conn, PolicyOp::Situation(op), index, shared, commit);
+            let record = WalRecord::Policy(PolicyOp::Situation(op));
+            return submit_write(conn, record, Reply::Policy, index, shared, commit);
         }
-        Request::Ingest(events) => (events, WriteKind::Ingest),
-        Request::Check(event) => (vec![event], WriteKind::Check),
+        Request::Ingest(events) => (events, Reply::Ingest),
+        Request::Check(event) => (vec![event], Reply::Check),
     };
-    if let Some(replica) = &shared.replica {
-        // Followers are read-only: a write acked here would fork
-        // history from the primary's. Refuse loudly, naming where
-        // writes go.
-        refused("not_primary").inc();
-        push_response(
-            conn,
-            &Response::Error {
-                code: ErrorCode::NotPrimary,
-                role: Some(shared.role),
-                message: format!(
-                    "this server is a read-only follower; send writes to the primary at {}",
-                    replica.primary_addr()
-                ),
-            },
-        );
-        return;
-    }
     // Trust routing: an authenticated source below the trust threshold
     // has its events durably *quarantined* — never entering trusted
     // history, never advancing the monitoring clock — and is told so.
-    if let Some((subject, level)) = source {
-        if !wire_auth.trust.trusted(subject) {
-            let slot = conn.next_slot;
-            conn.next_slot += 1;
-            conn.pending.push_back(SlotState::Waiting(slot));
-            let done = {
-                let shared = Arc::clone(shared);
-                let conn_id = conn.id;
-                move |result: io::Result<usize>| {
-                    shared.threads[index].complete(Completion {
-                        conn: conn_id,
-                        slot,
-                        done: Done::Quarantine(result),
-                    });
-                }
-            };
-            if commit
-                .submit_quarantine(subject, level, events, done)
-                .is_err()
-            {
-                let frame = response_frame(&Response::Error {
-                    code: ErrorCode::Internal,
-                    role: Some(shared.role),
-                    message: "server is shutting down".into(),
-                });
-                *conn.pending.back_mut().expect("slot just pushed") = SlotState::Ready(frame);
-            }
-            return;
-        }
-    }
-    let slot = conn.next_slot;
-    conn.next_slot += 1;
-    conn.pending.push_back(SlotState::Waiting(slot));
-    // Write latency spans the submit-to-durable window: the span ends
-    // on the commit thread, right after this batch's fsync returned.
-    let submitted = (!ltam_obs::disabled()).then(Instant::now);
-    let done = {
-        let shared = Arc::clone(shared);
-        let conn_id = conn.id;
-        move |result: io::Result<BatchOutcome>| {
-            if let Some(t) = submitted {
-                let latency = match kind {
-                    WriteKind::Ingest => ltam_obs::histogram!(
-                        "serve_request_seconds",
-                        "Server-side request latency by request kind (queries: decode to \
-                         encoded response; writes: decode to durable)",
-                        SecondsFromMicros,
-                        "kind" => "ingest"
-                    ),
-                    WriteKind::Check => ltam_obs::histogram!(
-                        "serve_request_seconds",
-                        "Server-side request latency by request kind (queries: decode to \
-                         encoded response; writes: decode to durable)",
-                        SecondsFromMicros,
-                        "kind" => "check"
-                    ),
-                };
-                latency.observe(t.elapsed().as_micros() as u64);
-            }
-            shared.threads[index].complete(Completion {
-                conn: conn_id,
-                slot,
-                done: Done::Write { kind, result },
-            });
-        }
+    let (record, reply) = match source {
+        Some((source, level)) if !wire_auth.trust.trusted(source) => (
+            WalRecord::Quarantine {
+                source,
+                level,
+                events,
+            },
+            Reply::Quarantine,
+        ),
+        _ => (WalRecord::Events(events), reply),
     };
-    if commit.submit(events, done).is_err() {
-        // Commit thread already gone (shutdown race): fail the slot
-        // in place.
-        let frame = response_frame(&Response::Error {
-            code: ErrorCode::Internal,
-            role: Some(shared.role),
-            message: "server is shutting down".into(),
-        });
-        *conn.pending.back_mut().expect("slot just pushed") = SlotState::Ready(frame);
-    }
+    submit_write(conn, record, reply, index, shared, commit);
 }
 
-/// Submit an admin or situation RPC to the commit thread as one policy
-/// op (a follower refuses: it receives policy ops through the
-/// replicated WAL, at the exact stream position the primary applied
-/// them — an edit made here would double-apply or fork the two).
-fn submit_policy(
+/// Submit one write — one [`WalRecord`] — to the commit thread, taking
+/// the connection's next response slot; the completion fills the slot
+/// once the record's group is durable and applied. A follower refuses:
+/// a write acked here would fork history from the primary's, and policy
+/// ops reach it through the replicated WAL, at the exact stream
+/// position the primary applied them — an edit made here would
+/// double-apply or fork the two.
+fn submit_write(
     conn: &mut Conn,
-    op: PolicyOp,
+    record: WalRecord,
+    reply: Reply,
     index: usize,
     shared: &Arc<Shared>,
     commit: &CommitHandle,
 ) {
     if let Some(replica) = &shared.replica {
-        refused("not_primary").inc();
-        push_response(
-            conn,
-            &Response::Error {
-                code: ErrorCode::NotPrimary,
-                role: Some(shared.role),
-                message: format!(
-                    "policy edits are made on the primary at {}; followers replay them from \
-                     the replicated WAL",
-                    replica.primary_addr()
-                ),
-            },
+        let message = format!(
+            "this server is a read-only follower; send writes and policy edits to the primary \
+             at {} (followers replay both from the replicated WAL)",
+            replica.primary_addr()
         );
-        return;
+        return refuse(conn, shared, ErrorCode::NotPrimary, message);
     }
     let slot = conn.next_slot;
     conn.next_slot += 1;
-    conn.pending.push_back(SlotState::Waiting(slot));
+    // Write latency spans the submit-to-durable window: the span ends
+    // on the commit thread, right after this record's fsync returned.
+    let latency = match reply {
+        Reply::Ingest => Some(request_seconds!("ingest")),
+        Reply::Check => Some(request_seconds!("check")),
+        Reply::Quarantine | Reply::Policy => None,
+    };
+    let submitted = latency
+        .filter(|_| !ltam_obs::disabled())
+        .map(|latency| (latency, Instant::now()));
     let done = {
         let shared = Arc::clone(shared);
-        let conn_id = conn.id;
-        move |result: io::Result<PolicyOutcome>| {
+        let conn = conn.id;
+        move |result: io::Result<Vec<RecordOutcome>>| {
+            if let Some((latency, t)) = submitted {
+                latency.observe(t.elapsed().as_micros() as u64);
+            }
+            // One record in, one outcome out.
+            let result = result.and_then(|mut outcomes| {
+                outcomes
+                    .pop()
+                    .ok_or_else(|| io::Error::other("commit returned no outcome"))
+            });
             shared.threads[index].complete(Completion {
-                conn: conn_id,
+                conn,
                 slot,
-                done: Done::Policy(result),
+                reply,
+                result,
             });
         }
     };
-    if commit.submit_policy(op, done).is_err() {
-        let frame = response_frame(&Response::Error {
-            code: ErrorCode::Internal,
-            role: Some(shared.role),
-            message: "server is shutting down".into(),
+    conn.pending
+        .push_back(match commit.submit(vec![record], done) {
+            Ok(()) => SlotState::Waiting(slot),
+            // Commit thread already gone (shutdown race): fail the slot
+            // in place.
+            Err(_) => SlotState::Ready(response_frame(&Response::Error {
+                code: ErrorCode::Internal,
+                role: Some(shared.role),
+                message: "server is shutting down".into(),
+            })),
         });
-        *conn.pending.back_mut().expect("slot just pushed") = SlotState::Ready(frame);
-    }
 }
 
 /// Turn a commit completion into its slot's ready response. Every
 /// completion is for a frame that passed the capability gate, so its
 /// error frames carry the unredacted role.
 fn apply_completion(conn: &mut Conn, completion: Completion, role: ServerRole) {
-    let role = Some(role);
-    let response = match completion.done {
-        Done::Write {
-            kind: WriteKind::Ingest,
-            result: Ok(outcome),
-        } => Response::Ingested {
+    let response = match completion.result {
+        Ok(RecordOutcome::Events(outcome)) if completion.reply == Reply::Check => {
+            Response::Access {
+                granted: outcome.granted == 1,
+            }
+        }
+        Ok(RecordOutcome::Events(outcome)) => Response::Ingested {
             processed: outcome.processed,
             granted: outcome.granted,
             denied: outcome.denied,
             violations: outcome.violations,
         },
-        Done::Write {
-            kind: WriteKind::Check,
-            result: Ok(outcome),
-        } => Response::Access {
-            granted: outcome.granted == 1,
-        },
-        Done::Write {
-            kind: WriteKind::Ingest,
-            result: Err(e),
-        } => Response::Error {
+        Ok(RecordOutcome::Quarantined(held)) => Response::Quarantined { held },
+        Ok(RecordOutcome::Policy(Ok(PolicyOutcome::Admin(outcome)))) => Response::Admin { outcome },
+        Ok(RecordOutcome::Policy(Ok(PolicyOutcome::Situation(outcome)))) => {
+            Response::Situation { outcome }
+        }
+        // Not in the WAL at all, or (a policy op) logged and applied
+        // but its acked-epoch marker missing: unacknowledged either way.
+        Ok(RecordOutcome::Policy(Err(e))) | Err(e) => Response::Error {
             code: ErrorCode::Internal,
-            role,
-            message: format!("batch not durable: {e}"),
-        },
-        Done::Write {
-            kind: WriteKind::Check,
-            result: Err(e),
-        } => Response::Error {
-            code: ErrorCode::Internal,
-            role,
-            message: format!("swipe not durable: {e}"),
-        },
-        Done::Quarantine(Ok(held)) => Response::Quarantined { held },
-        Done::Quarantine(Err(e)) => Response::Error {
-            code: ErrorCode::Internal,
-            role,
-            message: format!("quarantine batch not durable: {e}"),
-        },
-        Done::Policy(Ok(PolicyOutcome::Admin(outcome))) => Response::Admin { outcome },
-        Done::Policy(Ok(PolicyOutcome::Situation(outcome))) => Response::Situation { outcome },
-        Done::Policy(Err(e)) => Response::Error {
-            code: ErrorCode::Internal,
-            role,
-            message: format!("policy edit not durable: {e}"),
+            role: Some(role),
+            message: format!(
+                "{} not durable: {e}",
+                match completion.reply {
+                    Reply::Ingest => "batch",
+                    Reply::Check => "swipe",
+                    Reply::Quarantine => "quarantine batch",
+                    Reply::Policy => "policy edit",
+                }
+            ),
         },
     };
     let frame = response_frame(&response);
@@ -1561,7 +1461,7 @@ fn answer_query(query: HistoryQuery, shared: &Shared) -> Response {
         if let Some(replica) = &shared.replica {
             let applied = view.applied();
             if applied < replica.floor() {
-                refused("stale").inc();
+                refused(ErrorCode::Stale).inc();
                 return Response::Error {
                     code: ErrorCode::Stale,
                     role,
@@ -1611,16 +1511,8 @@ fn answer_query(query: HistoryQuery, shared: &Shared) -> Response {
 /// a follower refuses them (replication chains from the primary only).
 fn answer_repl(conn: &mut Conn, request: ReplRequest, shared: &Shared) {
     if shared.role != ServerRole::Primary {
-        refused("bad_request").inc();
-        push_response(
-            conn,
-            &Response::Error {
-                code: ErrorCode::BadRequest,
-                role: Some(shared.role),
-                message: "replication is served by the primary, not a follower".into(),
-            },
-        );
-        return;
+        let message = "replication is served by the primary, not a follower".into();
+        return refuse(conn, shared, ErrorCode::BadRequest, message);
     }
     let view = &shared.view;
     let dir = view.dir();
@@ -1691,18 +1583,11 @@ fn answer_repl(conn: &mut Conn, request: ReplRequest, shared: &Shared) {
                     conn.pending.push_back(SlotState::Ready(frame));
                 }
                 Ok(None) => {
-                    refused("gone").inc();
-                    push_response(
-                        conn,
-                        &Response::Error {
-                            code: ErrorCode::Gone,
-                            role: Some(shared.role),
-                            message: format!(
-                                "{} is gone (pruned or compacted); re-list the manifest",
-                                file.file_name()
-                            ),
-                        },
+                    let message = format!(
+                        "{} is gone (pruned or compacted); re-list the manifest",
+                        file.file_name()
                     );
+                    refuse(conn, shared, ErrorCode::Gone, message);
                 }
                 Err(e) => push_response(
                     conn,

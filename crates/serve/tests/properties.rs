@@ -690,8 +690,8 @@ proptest! {
 mod replication {
     use super::*;
     use ltam_serve::wire::{encode_repl_chunk, ReplChunk, ReplChunkMeta, ReplReply, ReplRequest};
-    use ltam_store::replica::{wal_segment_ids, TailBatch};
-    use ltam_store::{ScratchDir, TailScanner, Wal, WalConfig};
+    use ltam_store::replica::wal_segment_ids;
+    use ltam_store::{ScratchDir, TailScanner, Wal, WalConfig, WalRecord};
     use std::path::Path;
 
     fn arb_repl_request() -> impl Strategy<Value = ReplRequest> {
@@ -731,14 +731,14 @@ mod replication {
             )
     }
 
-    /// Unwrap plain-event tail batches (these WALs hold no quarantine
+    /// Unwrap plain-event tail records (these WALs hold no quarantine
     /// records; shipping one here would be a scanner bug).
-    fn plain(batches: Vec<TailBatch>) -> Vec<Vec<Event>> {
-        batches
+    fn plain(records: Vec<WalRecord>) -> Vec<Vec<Event>> {
+        records
             .into_iter()
-            .map(|b| match b {
-                TailBatch::Events(events) => events,
-                TailBatch::Quarantine { .. } | TailBatch::Policy(_) => {
+            .map(|r| match r {
+                WalRecord::Events(events) => events,
+                WalRecord::Quarantine { .. } | WalRecord::Policy(_) => {
                     panic!("plain WALs hold no quarantine or policy records")
                 }
             })
@@ -779,7 +779,7 @@ mod replication {
             let end = (at + chunk.max(1)).min(bytes.len());
             let step = scanner.apply(&bytes[at..end], bytes.len() as u64, sealed);
             assert_eq!(step.fault, None, "intact logs never fault");
-            out.extend(plain(step.batches));
+            out.extend(plain(step.records));
             if scanner.segment() == seg && scanner.offset() as usize >= bytes.len() && !sealed {
                 return out;
             }
@@ -882,7 +882,7 @@ mod replication {
                 let end = (at + chunk).min(bytes.len());
                 let step = scanner.apply(&bytes[at..end], file_len, sealed);
                 let fault = step.fault;
-                got.extend(plain(step.batches));
+                got.extend(plain(step.records));
                 if fault.is_some() || scanner.offset() as usize >= bytes.len() {
                     break;
                 }

@@ -159,7 +159,7 @@ impl TraceWorld {
             fsync: false, // fixtures are rewritable artifacts, not live logs
         };
         let (mut wal, recovered) = ltam_store::Wal::open(dir, config)?;
-        if !recovered.events.is_empty() {
+        if !recovered.records.is_empty() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::AlreadyExists,
                 format!("{} already holds a WAL fixture", dir.display()),
@@ -177,7 +177,7 @@ impl TraceWorld {
 /// or corrupted tail, like any WAL open).
 pub fn read_events_wal(dir: &std::path::Path) -> std::io::Result<Vec<Event>> {
     let (_, recovered) = ltam_store::Wal::open(dir, ltam_store::WalConfig::default())?;
-    Ok(recovered.events.into_iter().map(|(_, e)| e).collect())
+    Ok(recovered.events().map(|(_, e)| e).collect())
 }
 
 /// Where one simulated subject is in its request → enter → exit cycle.

@@ -102,8 +102,14 @@ pub struct ArchiveStore {
     fsync: bool,
 }
 
+/// The file name of the segment covering watermarks `[from, to)` — the
+/// one place the `arch-*.arch` format is spelled.
+pub(crate) fn segment_file_name(from: u64, to: u64) -> String {
+    format!("arch-{from:020}-{to:020}.arch")
+}
+
 fn segment_path(dir: &Path, from: u64, to: u64) -> PathBuf {
-    dir.join(format!("arch-{from:020}-{to:020}.arch"))
+    dir.join(segment_file_name(from, to))
 }
 
 fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
@@ -141,14 +147,10 @@ impl ArchiveStore {
         }
     }
 
-    /// Segment files split into the **active chain** (sorted, one
-    /// segment per start, largest end wins) and **superseded** files (a
-    /// same-start segment a crash-repeated run replaced but whose
-    /// deletion did not land). The chain must start at the epoch and
-    /// each segment must start where the previous ended (anything else
-    /// means segments were deleted or hand-copied — refuse rather than
-    /// serve a gappy tier).
-    fn scan(&self) -> io::Result<(Vec<SegmentRow>, Vec<PathBuf>)> {
+    /// Every segment file in the directory as `(from, to, path)`,
+    /// sorted by coverage — superseded files included, chain validity
+    /// not checked (what replication ships verbatim).
+    pub(crate) fn listing(&self) -> io::Result<Vec<(u64, u64, PathBuf)>> {
         let mut all = Vec::new();
         match fs::read_dir(&self.dir) {
             Ok(entries) => {
@@ -165,9 +167,20 @@ impl ArchiveStore {
             Err(e) => return Err(e),
         }
         all.sort_by_key(|&(from, to, _)| (from, to));
+        Ok(all)
+    }
+
+    /// Segment files split into the **active chain** (sorted, one
+    /// segment per start, largest end wins) and **superseded** files (a
+    /// same-start segment a crash-repeated run replaced but whose
+    /// deletion did not land). The chain must start at the epoch and
+    /// each segment must start where the previous ended (anything else
+    /// means segments were deleted or hand-copied — refuse rather than
+    /// serve a gappy tier).
+    fn scan(&self) -> io::Result<(Vec<SegmentRow>, Vec<PathBuf>)> {
         let mut chain: Vec<SegmentRow> = Vec::new();
         let mut superseded = Vec::new();
-        for (from, to, path) in all {
+        for (from, to, path) in self.listing()? {
             match chain.last() {
                 Some(&(last_from, _, _)) if last_from == from => {
                     // Same start: the later (larger-end) segment is a

@@ -11,6 +11,7 @@
 //! corruption is normally caught by the per-record CRC first; the decoder
 //! is the second line of defense.)
 
+use crate::wal::WalBatch;
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::{Event, PolicyOp};
 use ltam_graph::LocationId;
@@ -222,17 +223,22 @@ pub fn decode_event_exact(buf: &[u8]) -> Result<Event, DecodeError> {
     Ok(event)
 }
 
-/// A decoded WAL record payload: either a plain ingest batch or a
-/// quarantine batch (events from an under-trusted source, logged for
-/// the quarantine ledger but never enforced). Both kinds occupy WAL
-/// sequence numbers — one per event — so replication cursors and the
-/// applied watermark advance uniformly.
+/// One WAL record, decoded and owned — the unit of commit, recovery and
+/// replication: a commit job holds it, [`Wal::open`](crate::Wal::open)
+/// recovers it, the follower's
+/// [`TailScanner`](crate::replica::TailScanner) yields it, and
+/// [`DurableEngine::commit`](crate::DurableEngine::commit) applies it.
+/// Every kind occupies WAL sequence numbers — one per event, one per
+/// policy op — so replication cursors and the applied watermark advance
+/// uniformly.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordPayload {
-    /// One or more concatenated events — the classic record shape.
+pub enum WalRecord {
+    /// One or more concatenated events — a trusted ingest batch.
     Events(Vec<Event>),
-    /// A quarantined batch: [`QUARANTINE_SENTINEL`], then the source and
-    /// its trust level as varints, then the events.
+    /// A quarantined batch (events from an under-trusted source, logged
+    /// for the quarantine ledger but never enforced):
+    /// [`QUARANTINE_SENTINEL`], then the source and its trust level as
+    /// varints, then the events.
     Quarantine {
         /// The authenticated source whose events were quarantined.
         source: SubjectId,
@@ -248,23 +254,26 @@ pub enum RecordPayload {
     Policy(PolicyOp),
 }
 
-impl RecordPayload {
-    /// The events the record carries, whichever kind it is.
-    pub fn events(&self) -> &[Event] {
-        match self {
-            RecordPayload::Events(events) | RecordPayload::Quarantine { events, .. } => events,
-            RecordPayload::Policy(_) => &[],
-        }
+impl WalRecord {
+    /// Number of WAL sequence numbers the record consumes (see
+    /// [`WalBatch::seq_count`]).
+    pub fn seq_count(&self) -> u64 {
+        WalBatch::from(self).seq_count()
     }
 
-    /// Number of WAL sequence numbers the record consumes. Policy
-    /// records carry no events but still take one slot: replication
-    /// cursors must pass through them at a well-defined position.
-    pub fn seq_count(&self) -> u64 {
-        match self {
-            RecordPayload::Policy(_) => 1,
-            _ => self.events().len() as u64,
+    /// The record minus its first `n` sequence numbers — the part at or
+    /// above a floor (a snapshot's cover point, a follower's applied
+    /// sequence) that lies `n` past the record's first sequence.
+    /// `None` when the floor covers the whole record.
+    pub fn skip(mut self, n: u64) -> Option<WalRecord> {
+        if n >= self.seq_count() {
+            return None;
         }
+        // A policy record is one sequence number, so `n` is 0 for it.
+        if let WalRecord::Events(events) | WalRecord::Quarantine { events, .. } = &mut self {
+            events.drain(..n as usize);
+        }
+        Some(self)
     }
 }
 
@@ -291,7 +300,7 @@ pub fn encode_policy_op(op: &PolicyOp, out: &mut Vec<u8>) {
 /// Total, like every decoder here: arbitrary bytes yield a payload or a
 /// [`DecodeError`], never a panic; an empty batch (of either kind) is an
 /// error, matching the WAL's one-or-more-events record contract.
-pub fn decode_record_payload(buf: &[u8]) -> Result<RecordPayload, DecodeError> {
+pub fn decode_record_payload(buf: &[u8]) -> Result<WalRecord, DecodeError> {
     let decode_events = |buf: &[u8]| -> Result<Vec<Event>, DecodeError> {
         let mut at = 0usize;
         let mut events = Vec::new();
@@ -312,16 +321,16 @@ pub fn decode_record_payload(buf: &[u8]) -> Result<RecordPayload, DecodeError> {
             let level = get_varint(buf, &mut at)?;
             let level = u8::try_from(level).map_err(|_| DecodeError::IdOutOfRange(level))?;
             let events = decode_events(&buf[at..])?;
-            Ok(RecordPayload::Quarantine {
+            Ok(WalRecord::Quarantine {
                 source: SubjectId(source),
                 level,
                 events,
             })
         }
         Some(&POLICY_SENTINEL) => crate::binval::decode(&buf[1..])
-            .map(RecordPayload::Policy)
+            .map(WalRecord::Policy)
             .map_err(|_| DecodeError::BadPolicyOp),
-        _ => Ok(RecordPayload::Events(decode_events(buf)?)),
+        _ => Ok(WalRecord::Events(decode_events(buf)?)),
     }
 }
 
@@ -405,7 +414,7 @@ mod tests {
         encode_quarantine(SubjectId(9), 3, &events, &mut buf);
         assert_eq!(
             decode_record_payload(&buf).unwrap(),
-            RecordPayload::Quarantine {
+            WalRecord::Quarantine {
                 source: SubjectId(9),
                 level: 3,
                 events: events.clone(),
@@ -427,7 +436,7 @@ mod tests {
             let decoded = decode_record_payload(&buf[..cut]);
             if boundaries.contains(&cut) {
                 assert!(
-                    matches!(decoded, Ok(RecordPayload::Quarantine { .. })),
+                    matches!(decoded, Ok(WalRecord::Quarantine { .. })),
                     "boundary cut {cut}"
                 );
             } else {
@@ -442,7 +451,7 @@ mod tests {
         }
         assert_eq!(
             decode_record_payload(&plain).unwrap(),
-            RecordPayload::Events(events)
+            WalRecord::Events(events)
         );
         // An empty quarantine batch is invalid, like an empty record.
         let mut empty = Vec::new();
@@ -462,9 +471,9 @@ mod tests {
         assert_eq!(buf[0], POLICY_SENTINEL);
         assert_eq!(
             decode_record_payload(&buf).unwrap(),
-            RecordPayload::Policy(op.clone())
+            WalRecord::Policy(op.clone())
         );
-        assert_eq!(RecordPayload::Policy(op).seq_count(), 1);
+        assert_eq!(WalRecord::Policy(op).seq_count(), 1);
         // Any truncation breaks the body and is an error, never a panic.
         for cut in 0..buf.len() {
             assert!(decode_record_payload(&buf[..cut]).is_err(), "cut {cut}");

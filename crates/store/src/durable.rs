@@ -4,11 +4,13 @@
 //!
 //! ## Protocol
 //!
-//! * **Ingest** — the batch is appended to the WAL (one `fsync`), *then*
-//!   handed to [`ShardedEngine::ingest`]. A crash between the two replays
-//!   the batch on recovery, which is exactly what an uninterrupted run
-//!   would have computed: enforcement is deterministic per subject, so
-//!   WAL-then-apply gives effectively-once semantics.
+//! * **Commit** — every mutation is a [`WalRecord`] (a trusted event
+//!   batch, a quarantine batch, a [`PolicyOp`]).
+//!   [`DurableEngine::commit`] appends a group of them to the WAL (one
+//!   write, one `fsync`), *then* applies them in order. A crash between
+//!   the two replays the records on recovery, which is exactly what an
+//!   uninterrupted run would have computed: enforcement is deterministic
+//!   per subject, so WAL-then-apply gives effectively-once semantics.
 //! * **Snapshot** — every [`StoreConfig::snapshot_every`] events (or on
 //!   demand), the full engine state is imaged at the current WAL
 //!   position, written atomically, the WAL rotates, and segments no
@@ -16,15 +18,15 @@
 //!   fall back to the previous snapshot if the newest is damaged, so
 //!   compaction trails the oldest retained one, not the newest).
 //! * **Recover** — [`DurableEngine::open`] loads the newest valid
-//!   snapshot, rebuilds the engine from it, and replays WAL records with
-//!   sequence `>= snapshot.seq` through the normal ingest path. A torn or
-//!   bit-flipped WAL tail is truncated at the last intact record — never
-//!   a panic, never a lost record *before* the damage.
+//!   snapshot, rebuilds the engine from it, and applies the WAL records
+//!   at sequence `>= snapshot.seq` through the same routine the live
+//!   path applies a freshly appended group with. A torn or bit-flipped
+//!   WAL tail is truncated at the last intact record — never a panic,
+//!   never a lost record *before* the damage.
 //! * **Policy edits** — every op-shaped edit ([`PolicyOp`]: tokens,
-//!   trust, authorization add/revoke, situation ops) is one WAL record
-//!   through [`DurableEngine::apply_policy`]: appended, then applied as
-//!   one epoch swap, and replayed at its sequence position by recovery
-//!   and by followers. Edits with no op form go through
+//!   trust, authorization add/revoke, situation ops) is one WAL record,
+//!   applied at its sequence position live, by recovery and by
+//!   followers alike. Edits with no op form go through
 //!   [`DurableEngine::update_policy`], which snapshots immediately (a
 //!   closure cannot be logged). Each acknowledged edit of either kind
 //!   advances an on-disk policy-epoch marker; recovery refuses to come
@@ -32,10 +34,11 @@
 //!   are missing — rather than silently revert.
 
 use crate::archive::{ArchiveData, ArchiveStore, LazyArchive};
+use crate::codec::WalRecord;
 use crate::crc::crc32;
 use crate::history::{self, HistoryError};
 use crate::snapshot::{SnapshotStore, StoreSnapshot};
-use crate::wal::{Wal, WalBatch, WalConfig, WalRecovery};
+use crate::wal::{Wal, WalBatch, WalConfig};
 use ltam_core::capability::{AdminOp, AdminOutcome};
 use ltam_core::db::AuthId;
 use ltam_core::retention::RetentionPolicy;
@@ -132,6 +135,20 @@ pub struct RecoveryReport {
     /// but below-watermark queries will fail until it is repaired, so
     /// operators should alert on this (see `docs/OPERATIONS.md` §6.6).
     pub archive_error: Option<String>,
+}
+
+/// What applying one WAL record produced — one per record of a
+/// [`DurableEngine::commit`] group, in order.
+#[derive(Debug)]
+pub enum RecordOutcome {
+    /// A trusted batch went through enforcement.
+    Events(BatchOutcome),
+    /// A quarantine batch was held on the ledger: how many events.
+    Quarantined(usize),
+    /// A policy op was applied. `Err` means the op **is** logged and
+    /// applied but its acked-epoch marker could not be written: it must
+    /// not be acknowledged, like any commit whose ack was lost.
+    Policy(io::Result<PolicyOutcome>),
 }
 
 /// A [`ShardedEngine`] with a durable event log and snapshots underneath.
@@ -311,7 +328,7 @@ impl Drop for StoreLock {
 /// record (or, for a closure edit, the snapshot) carrying a policy edit
 /// is durable, so recovery can detect — and refuse — coming up in a
 /// state that silently reverts an acked edit.
-const EPOCH_MARKER: &str = "policy.epoch";
+pub(crate) const EPOCH_MARKER: &str = "policy.epoch";
 
 fn write_epoch_marker(dir: &Path, fsync: bool, epoch: u64) -> io::Result<()> {
     let mut bytes = Vec::with_capacity(20);
@@ -320,7 +337,7 @@ fn write_epoch_marker(dir: &Path, fsync: bool, epoch: u64) -> io::Result<()> {
     bytes.extend_from_slice(&0u16.to_le_bytes());
     bytes.extend_from_slice(&epoch.to_le_bytes());
     bytes.extend_from_slice(&crc32(&epoch.to_le_bytes()).to_le_bytes());
-    let tmp = dir.join("policy.epoch.tmp");
+    let tmp = dir.join(format!("{EPOCH_MARKER}.tmp"));
     {
         let mut f = std::fs::OpenOptions::new()
             .create(true)
@@ -376,10 +393,7 @@ impl DurableEngine {
             ));
         }
         let (wal, recovered) = Wal::open(dir, config.wal())?;
-        if !recovered.events.is_empty()
-            || !recovered.quarantined.is_empty()
-            || !recovered.policy_ops.is_empty()
-        {
+        if !recovered.records.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("{} already holds WAL segments; use open()", dir.display()),
@@ -454,7 +468,7 @@ impl DurableEngine {
                 format!("{} holds no valid snapshot; use create()", dir.display()),
             )
         })?;
-        let (mut wal, recovered): (Wal, WalRecovery) = Wal::open(dir, config.wal())?;
+        let (mut wal, recovered) = Wal::open(dir, config.wal())?;
         if wal.next_seq() < snap.seq {
             // The log ends before the snapshot's cover point. If WAL
             // repair truncated or quarantined anything to get here, the
@@ -485,15 +499,10 @@ impl DurableEngine {
             // range starts *after* the snapshot we are recovering from,
             // events in between are unrecoverable — refuse rather than
             // silently resurrect a state with a hole in its history.
-            let wal_start = [
-                recovered.events.first().map(|&(s, _)| s),
-                recovered.quarantined.first().map(|&(s, _)| s),
-                recovered.policy_ops.first().map(|&(s, _)| s),
-            ]
-            .into_iter()
-            .flatten()
-            .min()
-            .unwrap_or(wal.next_seq());
+            let wal_start = recovered
+                .records
+                .first()
+                .map_or(wal.next_seq(), |&(first, _)| first);
             if wal_start > snap.seq {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -507,11 +516,6 @@ impl DurableEngine {
             }
         }
 
-        // Older snapshots predate the epoch split: every policy edit was
-        // an enforcement edit then, so the durability counter is the
-        // right floor.
-        let enforcement_epoch = snap.enforcement_epoch.unwrap_or(snap.policy_epoch);
-        let snapshot_quarantine = snap.quarantine.unwrap_or_default();
         let policy = PolicyCore::from_image(snap.policy);
         let shards = shards_override.unwrap_or(snap.shards);
         let images = if shards == snap.shards {
@@ -521,18 +525,8 @@ impl DurableEngine {
         };
         let states: Vec<ShardState> = images.into_iter().map(ShardState::from_image).collect();
         let (engine, alerts) = ShardedEngine::with_states(policy, states);
+        engine.load_quarantine(snap.quarantine.unwrap_or_default());
 
-        let replay: Vec<(u64, Event)> = recovered
-            .events
-            .iter()
-            .filter(|&&(seq, _)| seq >= snap.seq)
-            .copied()
-            .collect();
-        let replay_ops: Vec<(u64, PolicyOp)> = recovered
-            .policy_ops
-            .into_iter()
-            .filter(|&(seq, _)| seq >= snap.seq)
-            .collect();
         let archive = ArchiveStore::with_fsync(dir, config.fsync);
         // A broken archive chain must not hide behind a healthy-looking
         // zero: it means below-watermark queries will refuse until the
@@ -541,93 +535,24 @@ impl DurableEngine {
             Ok(covered) => (covered, None),
             Err(e) => (0, Some(e.to_string())),
         };
-        // Rebuild the quarantine ledger: the snapshot's image plus the
-        // WAL tail's quarantine records past the snapshot point
-        // (`load_quarantine` replaces, so build the full list first).
-        let mut quarantine = snapshot_quarantine;
-        let replayed_quarantined = recovered
-            .quarantined
-            .iter()
-            .filter(|&&(seq, _)| seq >= snap.seq)
-            .count();
-        quarantine.extend(
-            recovered
-                .quarantined
-                .iter()
-                .filter(|&&(seq, _)| seq >= snap.seq)
-                .map(|&(_, q)| q),
-        );
-        engine.load_quarantine(quarantine);
         let mut report = RecoveryReport {
             snapshot_seq: snap.seq,
-            replayed: replay.len(),
-            replayed_quarantined,
-            replayed_policy_ops: replay_ops.len(),
-            replayed_violations: 0,
             truncated_bytes: recovered.truncated_bytes,
             dropped_segments: recovered.dropped_segments,
-            retention_watermark: 0,
+            retention_watermark: engine.retention_watermark().get(),
             archive_covered_to,
             archive_error,
+            ..RecoveryReport::default()
         };
-        // Replay events and policy ops merged by sequence: an op in the
-        // tail changes how every later event is judged, so it must be
-        // re-applied at exactly the position it held on the
-        // uninterrupted run. Each op bumps the in-memory policy epoch
-        // like the live path did.
-        let mut policy_epoch = snap.policy_epoch;
-        if !replay.is_empty() || !replay_ops.is_empty() {
-            let _span = ltam_obs::timed!(
-                "store_recovery_replay_seconds",
-                "WAL-tail replay time during open (one sample per recovery)"
-            );
-            let mut at = 0usize;
-            let mut chunk: Vec<Event> = Vec::new();
-            let mut ingest_upto = |engine: &ShardedEngine, end: usize, at: &mut usize| {
-                if end > *at {
-                    chunk.clear();
-                    chunk.extend(replay[*at..end].iter().map(|&(_, e)| e));
-                    report.replayed_violations += engine.ingest(&chunk).violations.len();
-                    *at = end;
-                }
-            };
-            for (op_seq, op) in &replay_ops {
-                let end = at + replay[at..].partition_point(|&(s, _)| s < *op_seq);
-                ingest_upto(&engine, end, &mut at);
-                engine.apply_policy_op(op);
-                policy_epoch += 1;
-            }
-            ingest_upto(&engine, replay.len(), &mut at);
-        }
-        // Op-shaped edits survive a snapshot fallback by construction
-        // (they are in the WAL); closure edits live only in snapshots.
-        // Either way, coming up below the acknowledged epoch means the
-        // records or the snapshot carrying an acked edit are gone, and
-        // enforcing under the reverted policy would be silent. Refuse.
-        if let Some(acked_epoch) = read_epoch_marker(dir) {
-            if policy_epoch < acked_epoch {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "policy revert: recovery reaches policy epoch {policy_epoch} but edits \
-                         through epoch {acked_epoch} were acknowledged; recovering would \
-                         silently undo them (are the newest snapshot or WAL records missing?)"
-                    ),
-                ));
-            }
-        }
-        report.retention_watermark = engine.retention_watermark().get();
-        // Re-seed the monitoring clock from the replayed tail so
-        // ingest-driven retention resumes at the right point (a stale
-        // clock only delays the next run, never prunes early).
-        let clock = replay
-            .iter()
-            .map(|(_, e)| e.time())
-            .max()
-            .unwrap_or(Time::ZERO)
+        // Token validity is judged against the clock, so it must not
+        // restart at zero: the snapshot's, floored by the retention
+        // watermark (all an older snapshot has); the replay below
+        // advances it past whatever the tail holds.
+        let clock = snap
+            .clock
+            .map_or(Time::ZERO, Time)
             .max(engine.retention_watermark());
-        let applied = wal.next_seq().max(snap.seq);
-        let durable = DurableEngine {
+        let mut durable = DurableEngine {
             dir: dir.to_path_buf(),
             config,
             engine: Arc::new(engine),
@@ -637,16 +562,62 @@ impl DurableEngine {
             archive_cache: Arc::new(parking_lot::Mutex::new(LazyArchive::new())),
             cells: Arc::new(StatusCells::default()),
             pending_snapshot: None,
-            applied,
-            since_snapshot: applied - snap.seq,
-            policy_epoch,
-            enforcement_epoch,
+            applied: snap.seq,
+            since_snapshot: 0,
+            policy_epoch: snap.policy_epoch,
+            // Older snapshots predate the epoch split: every policy
+            // edit was an enforcement edit then, so the durability
+            // counter is the right floor.
+            enforcement_epoch: snap.enforcement_epoch.unwrap_or(snap.policy_epoch),
             clock,
             snapshot_error: None,
             retention_error: None,
             _lock: lock,
         };
-        durable.publish_cells();
+        // Replay the WAL tail from the snapshot's cover point on, in
+        // log order, through the routine the live path applies with.
+        let tail: Vec<WalRecord> = recovered
+            .records
+            .into_iter()
+            .filter_map(|(first, record)| record.skip(snap.seq.saturating_sub(first)))
+            .collect();
+        let replay_span = (!tail.is_empty()).then(|| {
+            ltam_obs::timed!(
+                "store_recovery_replay_seconds",
+                "WAL-tail replay time during open (one sample per recovery)"
+            )
+        });
+        let views: Vec<WalBatch<'_>> = tail.iter().map(WalBatch::from).collect();
+        for outcome in durable.apply(&views) {
+            match outcome {
+                RecordOutcome::Events(outcome) => {
+                    report.replayed += outcome.processed;
+                    report.replayed_violations += outcome.violations.len();
+                }
+                RecordOutcome::Quarantined(held) => report.replayed_quarantined += held,
+                RecordOutcome::Policy(_) => report.replayed_policy_ops += 1,
+            }
+        }
+        drop(replay_span);
+        debug_assert_eq!(durable.applied, durable.wal.next_seq());
+        // Op-shaped edits survive a snapshot fallback by construction
+        // (they are in the WAL); closure edits live only in snapshots.
+        // Either way, coming up below the acknowledged epoch means the
+        // records or the snapshot carrying an acked edit are gone, and
+        // enforcing under the reverted policy would be silent. Refuse.
+        if let Some(acked_epoch) = read_epoch_marker(dir) {
+            if durable.policy_epoch < acked_epoch {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "policy revert: recovery reaches policy epoch {} but edits \
+                         through epoch {acked_epoch} were acknowledged; recovering would \
+                         silently undo them (are the newest snapshot or WAL records missing?)",
+                        durable.policy_epoch
+                    ),
+                ));
+            }
+        }
         Ok((durable, alerts, report))
     }
 
@@ -715,49 +686,116 @@ impl DurableEngine {
         }
     }
 
-    /// Durably ingest a batch: WAL-append + `fsync`, then enforce, then
-    /// snapshot if the cadence says so.
+    /// Durably commit a group of records — the one durability path (a
+    /// commit thread drains its queue into it, a follower commits each
+    /// tailed chunk through it, every other mutator here wraps it): one
+    /// WAL write and one `fsync` for the group, then the records are
+    /// applied in order, one [`RecordOutcome`] each. Each stays its own
+    /// WAL record, all-or-nothing across a crash.
     ///
-    /// `Err` means exactly one thing: the batch did **not** reach the
-    /// WAL (the engine was not touched either) — retrying is safe. A
-    /// failure of the piggybacked automatic snapshot does not fail the
-    /// batch (its durability rests on the WAL, not the snapshot); the
-    /// error is deferred to [`DurableEngine::take_snapshot_error`] and
-    /// the snapshot retries at the next cadence point.
+    /// `Err` means **nothing** in the group reached the WAL (and the
+    /// engine was not touched): every submitter may safely retry. A
+    /// group that held policy ops ends with one acked-epoch marker
+    /// write, whose failure fails only those records' outcomes.
+    ///
+    /// Maintenance (retention, snapshot cadence) is deliberately **not**
+    /// run here — callers ack their waiters first, then call
+    /// [`DurableEngine::maintain`], keeping snapshot stalls out of the
+    /// commit latency path.
+    pub fn commit(&mut self, records: &[WalBatch<'_>]) -> io::Result<Vec<RecordOutcome>> {
+        self.wal.append_mixed(records)?;
+        let mut outcomes = self.apply(records);
+        if records.iter().any(|r| matches!(r, WalBatch::Policy(_))) {
+            if let Err(e) = write_epoch_marker(&self.dir, self.config.fsync, self.policy_epoch) {
+                for outcome in &mut outcomes {
+                    if let RecordOutcome::Policy(acked) = outcome {
+                        *acked = Err(io::Error::new(e.kind(), e.to_string()));
+                    }
+                }
+            }
+        }
+        Ok(outcomes)
+    }
+
+    /// Apply records that are already in the WAL, in order — the
+    /// **one** apply routine, for a group just appended
+    /// ([`DurableEngine::commit`]) and for the tail recovery replays. A
+    /// maximal run of event batches takes one shard dispatch
+    /// ([`ShardedEngine::ingest_group`], whose outcomes are those of
+    /// ingesting the batches one by one) and advances the clock; a
+    /// quarantine batch goes onto the ledger, never through enforcement
+    /// and never moving the clock (see the `clock` field); a policy op
+    /// is one epoch swap where it stands, governing exactly the records
+    /// after it, and bumps only the policy epoch.
+    fn apply(&mut self, records: &[WalBatch<'_>]) -> Vec<RecordOutcome> {
+        let mut outcomes = Vec::with_capacity(records.len());
+        let epoch_before = self.policy_epoch;
+        let both_events = |a: &WalBatch<'_>, b: &WalBatch<'_>| {
+            matches!((a, b), (WalBatch::Events(_), WalBatch::Events(_)))
+        };
+        for run in records.chunk_by(both_events) {
+            match run[0] {
+                WalBatch::Events(_) => {
+                    let batches: Vec<&[Event]> = run.iter().map(WalBatch::events).collect();
+                    if let Some(t) = batches.iter().copied().flatten().map(Event::time).max() {
+                        self.clock = self.clock.max(t);
+                    }
+                    let enforced = self.engine.ingest_group(&batches);
+                    outcomes.extend(enforced.into_iter().map(RecordOutcome::Events));
+                }
+                WalBatch::Quarantine {
+                    source,
+                    level,
+                    events,
+                } => {
+                    self.engine.ingest_quarantined(source, level, events);
+                    outcomes.push(RecordOutcome::Quarantined(events.len()));
+                }
+                WalBatch::Policy(op) => {
+                    outcomes.push(RecordOutcome::Policy(Ok(self.engine.apply_policy_op(op))));
+                    self.policy_epoch += 1;
+                }
+            }
+        }
+        let slots: u64 = records.iter().map(WalBatch::seq_count).sum();
+        self.applied += slots;
+        self.since_snapshot += slots;
+        self.publish_cells();
+        if self.policy_epoch != epoch_before {
+            ltam_obs::gauge!(
+                "situate_mode",
+                "Declared situation mode (0 = normal, 1 = emergency, 2 = lockdown)"
+            )
+            .set(self.engine.policy().situation().mode_gauge());
+        }
+        outcomes
+    }
+
+    /// Durably ingest one batch ([`DurableEngine::commit_group`] of
+    /// one), then run maintenance. A failure of the piggybacked
+    /// automatic snapshot does not fail the batch (its durability rests
+    /// on the WAL, not the snapshot); the error is deferred to
+    /// [`DurableEngine::take_snapshot_error`] and the snapshot retries
+    /// at the next cadence point.
     pub fn ingest(&mut self, events: &[Event]) -> io::Result<BatchOutcome> {
         let mut outcomes = self.commit_group(&[events])?;
         self.maintain();
         Ok(outcomes.pop().expect("one batch in, one outcome out"))
     }
 
-    /// Durably commit several independently-submitted batches under
-    /// **one** WAL write and one `fsync` — the group-commit primitive a
-    /// commit thread drains its submission queue into (see
-    /// [`GroupCommit`](crate::GroupCommit)). Each batch stays its own
-    /// WAL record (all-or-nothing across a crash, exactly as if it had
-    /// been ingested alone); the group is then enforced through **one**
-    /// shard dispatch ([`ShardedEngine::ingest_group`]), whose outcomes
-    /// are those of ingesting the batches one by one in submission
-    /// order, so they line up with `batches`.
-    ///
-    /// `Err` means no batch in the group reached the WAL (and the
-    /// engine was not touched): every submitter may safely retry.
-    /// Maintenance (retention, snapshot cadence) is deliberately **not**
-    /// run here — callers ack their waiters first, then call
-    /// [`DurableEngine::maintain`], keeping snapshot stalls out of the
-    /// commit latency path.
+    /// [`DurableEngine::commit`] for a group of trusted event batches:
+    /// one WAL record each, one `fsync`, one shard dispatch, outcomes
+    /// lined up with `batches`.
     pub fn commit_group(&mut self, batches: &[&[Event]]) -> io::Result<Vec<BatchOutcome>> {
-        self.wal.append_batches(batches)?;
-        let outcomes = self.engine.ingest_group(batches);
-        for batch in batches {
-            self.applied += batch.len() as u64;
-            self.since_snapshot += batch.len() as u64;
-            if let Some(t) = batch.iter().map(Event::time).max() {
-                self.clock = self.clock.max(t);
-            }
-        }
-        self.publish_cells();
-        Ok(outcomes)
+        let records: Vec<WalBatch<'_>> = batches.iter().map(|b| WalBatch::Events(b)).collect();
+        let outcomes = self.commit(&records)?;
+        Ok(outcomes
+            .into_iter()
+            .filter_map(|outcome| match outcome {
+                RecordOutcome::Events(outcome) => Some(outcome),
+                _ => None,
+            })
+            .collect())
     }
 
     /// Run the ingest-path maintenance that used to ride every batch:
@@ -832,32 +870,15 @@ impl DurableEngine {
         Ok(r)
     }
 
-    /// Durably apply one [`PolicyOp`] — the only op-shaped durability
-    /// path. The op is WAL-appended (own record kind, one sequence
-    /// number) *then* applied as one epoch swap, so it commits in
-    /// stream position: recovery replays it, and a follower tailing the
-    /// log applies it, exactly where the primary did — every later
-    /// event is judged, and every later frame authenticated, under the
-    /// same policy everywhere. Only the policy epoch advances; nothing
-    /// is snapshotted and no follower re-bootstraps.
-    ///
-    /// `Err` from the append means nothing happened (retry is safe).
-    /// `Err` from the acked-epoch marker means the op *is* logged and
-    /// applied but unacknowledged, like any commit whose ack was lost.
+    /// [`DurableEngine::commit`] for one [`PolicyOp`]. `Err` from the
+    /// append means nothing happened (retry is safe); `Err` from the
+    /// acked-epoch marker means the op *is* logged and applied but
+    /// unacknowledged, like any commit whose ack was lost.
     pub fn apply_policy(&mut self, op: &PolicyOp) -> io::Result<PolicyOutcome> {
-        self.wal.append_mixed(&[WalBatch::Policy(op)])?;
-        let outcome = self.engine.apply_policy_op(op);
-        self.policy_epoch += 1;
-        self.applied += 1;
-        self.since_snapshot += 1;
-        self.publish_cells();
-        ltam_obs::gauge!(
-            "situate_mode",
-            "Declared situation mode (0 = normal, 1 = emergency, 2 = lockdown)"
-        )
-        .set(self.engine.policy().situation().mode_gauge());
-        write_epoch_marker(&self.dir, self.config.fsync, self.policy_epoch)?;
-        Ok(outcome)
+        match self.commit(&[WalBatch::Policy(op)])?.pop() {
+            Some(RecordOutcome::Policy(acked)) => acked,
+            _ => Err(io::Error::other("a policy record yields a policy outcome")),
+        }
     }
 
     /// [`DurableEngine::apply_policy`] for one [`AdminOp`].
@@ -884,31 +905,20 @@ impl DurableEngine {
         Ok(outcome == AdminOutcome::AuthorizationRevoked { existed: true })
     }
 
-    /// Durably record a batch from a below-trust-threshold sensor on
-    /// the quarantine ledger: WAL-append (own record kind) + `fsync`,
-    /// then onto the in-memory ledger — never through enforcement, and
-    /// never advancing the monitoring clock (see the `clock` field
-    /// docs). Quarantined events consume WAL sequence numbers like any
-    /// other record, so `applied` and replication stay uniform. Returns
-    /// the number of events quarantined.
+    /// [`DurableEngine::commit`] for one batch from a
+    /// below-trust-threshold sensor, held on the quarantine ledger.
+    /// Returns the number of events quarantined.
     pub fn commit_quarantine(
         &mut self,
         source: SubjectId,
         level: u8,
         events: &[Event],
     ) -> io::Result<usize> {
-        if events.is_empty() {
-            return Ok(0);
-        }
-        self.wal.append_mixed(&[WalBatch::Quarantine {
+        self.commit(&[WalBatch::Quarantine {
             source,
             level,
             events,
         }])?;
-        self.engine.ingest_quarantined(source, level, events);
-        self.applied += events.len() as u64;
-        self.since_snapshot += events.len() as u64;
-        self.publish_cells();
         Ok(events.len())
     }
 
@@ -998,6 +1008,7 @@ impl DurableEngine {
             states: self.engine.export_images(),
             enforcement_epoch: Some(self.enforcement_epoch),
             quarantine: Some(self.engine.export_quarantine()),
+            clock: Some(self.clock.get()),
         }
     }
 

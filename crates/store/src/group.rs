@@ -1,5 +1,5 @@
-//! [`GroupCommit`] — a dedicated commit thread that coalesces ingest
-//! batches from many submitters into one WAL write + one `fsync`.
+//! [`GroupCommit`] — a dedicated commit thread that coalesces records
+//! from many submitters into one WAL write + one `fsync`.
 //!
 //! ## Why
 //!
@@ -8,25 +8,30 @@
 //! has *many* concurrent submitters (one per connection), and giving
 //! each its own fsync serializes the whole tier on the disk's flush
 //! latency. Group commit is the classic fix: submitters queue, a
-//! single commit thread drains whatever has accumulated, appends every
-//! batch under **one** WAL write + one `fsync`
-//! ([`DurableEngine::commit_group`]), and then acks every waiter. Under
-//! load, the queue is never empty when the fsync returns, so the cost
-//! amortizes across more and more batches exactly when it matters.
-//! The flush is not the only thing a group shares: `commit_group`
-//! enforces the whole group through **one** shard dispatch
-//! (`ShardedEngine::ingest_group`), so a run of one-event batches pays
-//! one worker hop per shard, not one per batch.
+//! single commit thread drains whatever has accumulated, commits every
+//! record of every queued job in **one** [`DurableEngine::commit`] call
+//! — one WAL write, one `fsync`, and one shard dispatch
+//! (`ShardedEngine::ingest_group`) per run of event batches, so a run
+//! of one-event batches pays one worker hop per shard, not one per
+//! batch — and then acks every waiter. Under load, the queue is never
+//! empty when the fsync returns, so the cost amortizes across more and
+//! more records exactly when it matters.
 //!
 //! ## Ordering and atomicity
 //!
-//! Batches commit and are enforced in submission (queue) order; each
-//! batch stays its own WAL record, so it is all-or-nothing across a
-//! crash exactly as if it had been ingested alone. A waiter is acked
-//! only after its batch's fsync returned — never before durability —
-//! and acks go out **before** maintenance (retention, snapshot
-//! cadence), so a snapshot stall delays the *next* group, not the acks
-//! of the one already durable.
+//! Everything that mutates the engine flows through this queue as
+//! [`WalRecord`]s — trusted batches, quarantine batches from
+//! below-trust sensors, policy ops — and is committed and applied in
+//! submission (queue) order on the single commit thread, so a
+//! revocation or a mode declaration queued before a batch governs that
+//! batch. Each record stays its own WAL record, so it is all-or-nothing
+//! across a crash exactly as if it had been committed alone; a *job's*
+//! records share one group, so `Err` means none of them (nor anything
+//! else in the group) reached the WAL. A waiter is acked only after its
+//! group's fsync returned — never before durability — and acks go out
+//! **before** maintenance (retention, snapshot cadence), so a snapshot
+//! stall delays the *next* group, not the acks of the one already
+//! durable.
 //!
 //! ## Shutdown
 //!
@@ -34,10 +39,10 @@
 //! drains what is left, runs a final maintenance pass, and parks the
 //! engine for [`GroupCommit::shutdown`] to reclaim.
 
-use crate::durable::DurableEngine;
+use crate::codec::WalRecord;
+use crate::durable::{DurableEngine, RecordOutcome};
+use crate::wal::WalBatch;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{BatchOutcome, Event, PolicyOp, PolicyOutcome};
 use std::io;
 use std::thread::JoinHandle;
 
@@ -59,70 +64,20 @@ impl Default for GroupCommitConfig {
     }
 }
 
-/// One queued unit of durable work. Everything that mutates the engine
-/// flows through this queue — ingest batches, quarantine batches from
-/// below-trust sensors, and policy ops — so all three commit in
-/// submission order on the single commit thread, and policy ops are
-/// serialized with the ingest they govern.
-enum Job {
-    /// A trusted ingest batch and the completion to run after its
-    /// fsync (or failure).
-    Ingest {
-        events: Vec<Event>,
-        done: Box<dyn FnOnce(io::Result<BatchOutcome>) + Send>,
-        /// When the batch entered the queue — the start of its
-        /// `store_group_queue_wait_seconds` span.
-        queued_at: std::time::Instant,
-    },
-    /// Several trusted ingest batches submitted as one unit: they join
-    /// the surrounding run's single `commit_group` call side by side,
-    /// so either all of them reach the WAL or none does.
-    Run {
-        batches: Vec<Vec<Event>>,
-        done: Box<dyn FnOnce(io::Result<Vec<BatchOutcome>>) + Send>,
-        queued_at: std::time::Instant,
-    },
-    /// Events from a below-trust-threshold sensor, bound for the
-    /// quarantine ledger (durable, but never enforced).
-    Quarantine {
-        source: SubjectId,
-        level: u8,
-        events: Vec<Event>,
-        done: Box<dyn FnOnce(io::Result<usize>) + Send>,
-    },
-    /// A policy op (admin or situation edit), logged as its own WAL
-    /// record.
-    Policy {
-        op: PolicyOp,
-        done: Box<dyn FnOnce(io::Result<PolicyOutcome>) + Send>,
-    },
-}
+/// What a job's submitter gets back: one outcome per record it
+/// submitted, in order — or the one error that kept the whole group out
+/// of the WAL.
+type Done = Box<dyn FnOnce(io::Result<Vec<RecordOutcome>>) + Send>;
 
-impl Job {
-    /// Events this job contributes toward the group-size cap.
-    fn event_count(&self) -> usize {
-        match self {
-            Job::Ingest { events, .. } | Job::Quarantine { events, .. } => events.len(),
-            Job::Run { batches, .. } => batches.iter().map(Vec::len).sum(),
-            // One WAL sequence number, like a one-event batch.
-            Job::Policy { .. } => 1,
-        }
-    }
-
-    /// The trusted ingest batches this job carries (none for quarantine
-    /// and policy jobs, which commit on their own).
-    fn ingest_batches(&self) -> &[Vec<Event>] {
-        match self {
-            Job::Ingest { events, .. } => std::slice::from_ref(events),
-            Job::Run { batches, .. } => batches,
-            Job::Quarantine { .. } | Job::Policy { .. } => &[],
-        }
-    }
-
-    /// Does this job join a run of ingest batches (one `commit_group`)?
-    fn joins_run(&self) -> bool {
-        matches!(self, Job::Ingest { .. } | Job::Run { .. })
-    }
+/// One queued unit of durable work: the records one submitter wants
+/// committed together, and the completion to run after their fsync (or
+/// failure).
+struct Job {
+    records: Vec<WalRecord>,
+    done: Done,
+    /// When the job entered the queue — the start of its
+    /// `store_group_queue_wait_seconds` span.
+    queued_at: std::time::Instant,
 }
 
 /// A cloneable submission handle onto a [`GroupCommit`] thread. Every
@@ -140,122 +95,40 @@ impl std::fmt::Debug for CommitHandle {
 }
 
 impl CommitHandle {
-    /// Queue a batch and return immediately; `done` runs on the commit
-    /// thread once the batch is durable (or failed). Keep the callback
-    /// cheap — it delays every later waiter in the group — typically a
-    /// channel send plus a waker poke.
+    /// Queue `records` as **one** queue entry and return immediately;
+    /// `done` runs on the commit thread once they are durable and
+    /// applied (one outcome per record, in order) or failed. Keep the
+    /// callback cheap — it delays every later waiter in the group —
+    /// typically a channel send plus a waker poke.
+    ///
+    /// The records stay separate WAL records but ride one
+    /// [`DurableEngine::commit`] call, so they are all-or-nothing at
+    /// the WAL: `Err` means none of them was logged or applied.
+    /// Separately submitted records could not promise that, since a
+    /// later one may succeed after an earlier one failed.
     ///
     /// Errors only if the commit thread is gone (shut down), handing
-    /// the events back.
+    /// the records back.
     pub fn submit(
         &self,
-        events: Vec<Event>,
-        done: impl FnOnce(io::Result<BatchOutcome>) + Send + 'static,
-    ) -> Result<(), Vec<Event>> {
+        records: Vec<WalRecord>,
+        done: impl FnOnce(io::Result<Vec<RecordOutcome>>) + Send + 'static,
+    ) -> Result<(), Vec<WalRecord>> {
         self.tx
-            .send(Job::Ingest {
-                events,
+            .send(Job {
+                records,
                 done: Box::new(done),
                 queued_at: std::time::Instant::now(),
             })
-            .map_err(|e| match e.0 {
-                Job::Ingest { events, .. } => events,
-                _ => unreachable!("send returns the job it was given"),
-            })
+            .map_err(|e| e.0.records)
     }
 
-    /// Queue a batch and block until it is durable — the convenience
-    /// shape for tests and non-event-loop callers.
-    pub fn commit(&self, events: Vec<Event>) -> io::Result<BatchOutcome> {
-        let mut outcomes = self.commit_run(vec![events])?;
-        Ok(outcomes.pop().expect("one batch in, one outcome out"))
-    }
-
-    /// Queue several batches as **one** queue entry and block until
-    /// they are durable. The batches stay separate WAL records with
-    /// separate outcomes (returned in order), but they ride one
-    /// `commit_group` call — one WAL write, one fsync, one shard
-    /// dispatch — and so are all-or-nothing at the WAL: `Err` means
-    /// none of them was logged or applied. That is what a caller
-    /// replaying an ordered stream (a follower tailing its primary)
-    /// needs; separately submitted batches could not promise it, since
-    /// a later one may succeed after an earlier one failed.
-    pub fn commit_run(&self, batches: Vec<Vec<Event>>) -> io::Result<Vec<BatchOutcome>> {
+    /// [`CommitHandle::submit`], blocking until the records are durable
+    /// — the shape for callers replaying an ordered stream (a follower
+    /// tailing its primary), tests and other non-event-loop callers.
+    pub fn commit(&self, records: Vec<WalRecord>) -> io::Result<Vec<RecordOutcome>> {
         let (tx, rx) = unbounded();
-        self.tx
-            .send(Job::Run {
-                batches,
-                done: Box::new(move |result| {
-                    let _ = tx.send(result);
-                }),
-                queued_at: std::time::Instant::now(),
-            })
-            .map_err(|_| io::Error::other("commit thread is shut down"))?;
-        rx.recv()
-            .unwrap_or_else(|_| Err(io::Error::other("commit thread died before acking")))
-    }
-
-    /// Queue a quarantine batch (events from a below-trust sensor);
-    /// `done` runs once the batch is durable on the quarantine ledger.
-    pub fn submit_quarantine(
-        &self,
-        source: SubjectId,
-        level: u8,
-        events: Vec<Event>,
-        done: impl FnOnce(io::Result<usize>) + Send + 'static,
-    ) -> Result<(), Vec<Event>> {
-        self.tx
-            .send(Job::Quarantine {
-                source,
-                level,
-                events,
-                done: Box::new(done),
-            })
-            .map_err(|e| match e.0 {
-                Job::Quarantine { events, .. } => events,
-                _ => unreachable!("send returns the job it was given"),
-            })
-    }
-
-    /// Queue a quarantine batch and block until it is durable.
-    pub fn commit_quarantine(
-        &self,
-        source: SubjectId,
-        level: u8,
-        events: Vec<Event>,
-    ) -> io::Result<usize> {
-        let (tx, rx) = unbounded();
-        self.submit_quarantine(source, level, events, move |result| {
-            let _ = tx.send(result);
-        })
-        .map_err(|_| io::Error::other("commit thread is shut down"))?;
-        rx.recv()
-            .unwrap_or_else(|_| Err(io::Error::other("commit thread died before acking")))
-    }
-
-    /// Queue a policy op; `done` runs once it is WAL-logged and applied.
-    /// It commits in queue position, so a revocation or a mode declared
-    /// before a batch governs that batch.
-    pub fn submit_policy(
-        &self,
-        op: PolicyOp,
-        done: impl FnOnce(io::Result<PolicyOutcome>) + Send + 'static,
-    ) -> Result<(), Box<PolicyOp>> {
-        self.tx
-            .send(Job::Policy {
-                op,
-                done: Box::new(done),
-            })
-            .map_err(|e| match e.0 {
-                Job::Policy { op, .. } => Box::new(op),
-                _ => unreachable!("send returns the job it was given"),
-            })
-    }
-
-    /// Queue a policy op and block until it is durable.
-    pub fn policy(&self, op: PolicyOp) -> io::Result<PolicyOutcome> {
-        let (tx, rx) = unbounded();
-        self.submit_policy(op, move |result| {
+        self.submit(records, move |result| {
             let _ = tx.send(result);
         })
         .map_err(|_| io::Error::other("commit thread is shut down"))?;
@@ -313,36 +186,42 @@ fn commit_loop(
     rx: Receiver<Job>,
     config: GroupCommitConfig,
 ) -> DurableEngine {
+    let slots = |job: &Job| job.records.iter().map(WalRecord::seq_count).sum::<u64>();
     while let Ok(first) = rx.recv() {
-        let mut total = first.event_count();
+        let mut total = slots(&first);
         let mut jobs = vec![first];
         // Natural batching: drain whatever queued while the previous
         // group's fsync ran. No linger timer — waiting for more work
         // when the disk is idle only adds latency; under load the queue
         // is never empty here.
-        while total < config.max_group_events {
+        while total < config.max_group_events as u64 {
             match rx.try_recv() {
                 Ok(job) => {
-                    total += job.event_count();
+                    total += slots(&job);
                     jobs.push(job);
                 }
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
             }
         }
-        // The group is formed: its shape and each member's time-in-queue
-        // are the observables PR 6's p99 hunt wanted and lacked.
+        // The group is formed, in submission order: every record of
+        // every job, borrowed — no event is copied on the way to the
+        // WAL or the shards.
+        let records: Vec<WalBatch<'_>> = jobs
+            .iter()
+            .flat_map(|job| job.records.iter().map(WalBatch::from))
+            .collect();
+        // Its shape and each member's time-in-queue are the observables
+        // PR 6's p99 hunt wanted and lacked.
         if !ltam_obs::disabled() {
             let now = std::time::Instant::now();
             let wait = ltam_obs::histogram!(
                 "store_group_queue_wait_seconds",
-                "Time an ingest batch (or a follower's run of them) waited in the group-commit \
-                 queue before its group formed",
+                "Time a submission (a request's record, or a follower's chunk of them) waited \
+                 in the group-commit queue before its group formed",
                 SecondsFromMicros
             );
             for job in &jobs {
-                if let Job::Ingest { queued_at, .. } | Job::Run { queued_at, .. } = job {
-                    wait.observe(now.duration_since(*queued_at).as_micros() as u64);
-                }
+                wait.observe(now.duration_since(job.queued_at).as_micros() as u64);
             }
         }
         ltam_obs::counter!(
@@ -355,70 +234,27 @@ fn commit_loop(
             "Events coalesced into one commit group",
             None
         )
-        .observe(total as u64);
+        .observe(total);
         ltam_obs::histogram!(
             "store_group_batches",
-            "Ingest batches coalesced into one commit group",
+            "WAL records coalesced into one commit group",
             None
         )
-        .observe(jobs.len() as u64);
-        // Walk the group in submission order. Consecutive ingest jobs
-        // coalesce into one `commit_group` call (one WAL write, one
-        // fsync, one shard dispatch); quarantine and policy jobs commit
-        // where they stand so ordering against neighboring ingest is
-        // preserved — a revocation submitted before a batch governs
-        // that batch.
-        let mut iter = jobs.into_iter().peekable();
-        while let Some(job) = iter.next() {
-            match job {
-                Job::Ingest { .. } | Job::Run { .. } => {
-                    let mut run = vec![job];
-                    while iter.peek().is_some_and(Job::joins_run) {
-                        run.push(iter.next().expect("peeked"));
-                    }
-                    let batches: Vec<&[Event]> = run
-                        .iter()
-                        .flat_map(|j| j.ingest_batches().iter().map(Vec::as_slice))
-                        .collect();
-                    let result = engine.commit_group(&batches);
-                    match result {
-                        Ok(outcomes) => {
-                            debug_assert_eq!(outcomes.len(), batches.len());
-                            let mut outcomes = outcomes.into_iter();
-                            for job in run {
-                                match job {
-                                    Job::Ingest { done, .. } => {
-                                        done(Ok(outcomes.next().expect("one outcome per batch")))
-                                    }
-                                    Job::Run { batches, done, .. } => {
-                                        done(Ok(outcomes.by_ref().take(batches.len()).collect()))
-                                    }
-                                    _ => unreachable!("run holds only ingest jobs"),
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            // The run never reached the WAL: every
-                            // submitter gets the same verdict and may
-                            // retry.
-                            let verdict = || io::Error::new(e.kind(), e.to_string());
-                            for job in run {
-                                match job {
-                                    Job::Ingest { done, .. } => done(Err(verdict())),
-                                    Job::Run { done, .. } => done(Err(verdict())),
-                                    _ => unreachable!("run holds only ingest jobs"),
-                                }
-                            }
-                        }
-                    }
+        .observe(records.len() as u64);
+        match engine.commit(&records) {
+            Ok(outcomes) => {
+                let mut outcomes = outcomes.into_iter();
+                for job in jobs {
+                    let own = outcomes.by_ref().take(job.records.len()).collect();
+                    (job.done)(Ok(own));
                 }
-                Job::Quarantine {
-                    source,
-                    level,
-                    events,
-                    done,
-                } => done(engine.commit_quarantine(source, level, &events)),
-                Job::Policy { op, done } => done(engine.apply_policy(&op)),
+            }
+            // The group never reached the WAL: every submitter gets the
+            // same verdict and may retry.
+            Err(e) => {
+                for job in jobs {
+                    (job.done)(Err(io::Error::new(e.kind(), e.to_string())));
+                }
             }
         }
         // Acks are out; now the cadence work. A snapshot's encode and
@@ -437,7 +273,7 @@ mod tests {
     use crate::scratch::ScratchDir;
     use ltam_core::model::{Authorization, EntryLimit};
     use ltam_core::subject::SubjectId;
-    use ltam_engine::batch::PolicyCore;
+    use ltam_engine::batch::{BatchOutcome, Event, PolicyCore};
     use ltam_graph::examples::ntu_campus;
     use ltam_time::{Interval, Time};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -476,6 +312,22 @@ mod tests {
         }
     }
 
+    /// One trusted one-event record.
+    fn swipe(t: u64, s: u32) -> Vec<WalRecord> {
+        vec![WalRecord::Events(vec![request(t, s)])]
+    }
+
+    /// The enforcement outcomes of an all-`Events` commit.
+    fn batches(outcomes: Vec<RecordOutcome>) -> Vec<BatchOutcome> {
+        outcomes
+            .into_iter()
+            .map(|o| match o {
+                RecordOutcome::Events(outcome) => outcome,
+                other => panic!("expected an enforcement outcome, got {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn concurrent_submitters_all_commit_with_far_fewer_fsyncs() {
         let dir = ScratchDir::new("group-basic");
@@ -487,8 +339,8 @@ mod tests {
                 let h = handle.clone();
                 std::thread::spawn(move || {
                     for i in 0..25u64 {
-                        let out = h.commit(vec![request(i, thread)]).unwrap();
-                        assert_eq!(out.granted, 1);
+                        let out = batches(h.commit(swipe(i, thread)).unwrap());
+                        assert_eq!(out[0].granted, 1);
                     }
                 })
             })
@@ -522,9 +374,9 @@ mod tests {
             let (tx, rx) = unbounded();
             let subject = if i == DENIED { 999 } else { (i % 4) as u32 };
             handle
-                .submit(vec![request(i, subject)], move |result| {
+                .submit(swipe(i, subject), move |result| {
                     let rank = acked.fetch_add(1, Ordering::SeqCst);
-                    let _ = tx.send((rank, result.unwrap().granted));
+                    let _ = tx.send((rank, batches(result.unwrap())[0].granted));
                 })
                 .unwrap();
             ranks.push(rx);
@@ -547,14 +399,14 @@ mod tests {
         let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
         // Four batches: the second denied, the third empty.
         let outcomes = handle
-            .commit_run(vec![
-                vec![request(1, 0), request(2, 1)],
-                vec![request(3, 999)],
-                vec![],
-                vec![request(4, 2)],
+            .commit(vec![
+                WalRecord::Events(vec![request(1, 0), request(2, 1)]),
+                WalRecord::Events(vec![request(3, 999)]),
+                WalRecord::Events(vec![]),
+                WalRecord::Events(vec![request(4, 2)]),
             ])
             .unwrap();
-        let shape: Vec<_> = outcomes
+        let shape: Vec<_> = batches(outcomes)
             .iter()
             .map(|o| (o.processed, o.granted, o.denied))
             .collect();
@@ -566,12 +418,58 @@ mod tests {
     }
 
     #[test]
+    fn a_mixed_job_commits_in_order_under_one_flush() {
+        use ltam_core::capability::AdminOp;
+        use ltam_engine::batch::{PolicyOp, PolicyOutcome};
+        let dir = ScratchDir::new("group-mixed");
+        let engine = store(dir.path(), true);
+        let fsyncs_before = engine.wal_fsyncs();
+        let auth = engine.engine().policy().db().iter().next().unwrap().0;
+        let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
+        // Subject 0's only authorization is revoked between two of its
+        // swipes, and a quarantine batch rides along: the revocation
+        // governs exactly the records after it, and the quarantined
+        // events never reach enforcement or the clock.
+        let outcomes = handle
+            .commit(vec![
+                WalRecord::Events(vec![request(1, 0)]),
+                WalRecord::Quarantine {
+                    source: SubjectId(40),
+                    level: 0,
+                    events: vec![request(900, 0), request(901, 1)],
+                },
+                WalRecord::Policy(PolicyOp::Admin(AdminOp::RevokeAuthorization { id: auth })),
+                WalRecord::Events(vec![request(2, 0)]),
+            ])
+            .unwrap();
+        assert!(matches!(&outcomes[0], RecordOutcome::Events(o) if o.granted == 1));
+        assert!(matches!(outcomes[1], RecordOutcome::Quarantined(2)));
+        assert!(matches!(
+            outcomes[2],
+            RecordOutcome::Policy(Ok(PolicyOutcome::Admin(_)))
+        ));
+        assert!(matches!(&outcomes[3], RecordOutcome::Events(o) if o.denied == 1));
+        drop(handle);
+        let engine = gc.shutdown().unwrap();
+        assert_eq!(engine.applied(), 5, "1 + 2 + 1 + 1 sequence numbers");
+        assert_eq!(engine.policy_epoch(), 1);
+        assert_eq!(engine.clock(), Time(2), "quarantine never moves the clock");
+        assert_eq!(engine.engine().quarantine_len(), 2);
+        // One append + one marker write; the marker is not a WAL fsync.
+        assert_eq!(
+            engine.wal_fsyncs() - fsyncs_before,
+            1,
+            "one group, one flush"
+        );
+    }
+
+    #[test]
     fn shutdown_drains_queued_batches_before_returning_the_engine() {
         let dir = ScratchDir::new("group-drain");
         let engine = store(dir.path(), false);
         let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
         for i in 0..100u64 {
-            handle.submit(vec![request(i, 0)], drop).unwrap();
+            handle.submit(swipe(i, 0), drop).unwrap();
         }
         drop(handle);
         let engine = gc.shutdown().unwrap();

@@ -7,7 +7,9 @@
 //!
 //! * [`codec`] — a compact binary codec for
 //!   [`Event`](ltam_engine::batch::Event) (varint fields, total decoding:
-//!   arbitrary bytes decode or error, never panic),
+//!   arbitrary bytes decode or error, never panic) and [`WalRecord`],
+//!   the one owned shape of a WAL record — the unit of commit, recovery
+//!   and replication,
 //! * [`crc`] — CRC-32 (IEEE) for record and snapshot integrity,
 //! * [`wal`] — a segmented, append-only write-ahead log: length-prefixed
 //!   CRC'd records, fsync-per-batch, byte-threshold segment rotation, and
@@ -15,9 +17,9 @@
 //! * [`snapshot`] — versioned, atomically-written snapshots of the full
 //!   engine state (policy epoch + every shard's mutable state) stamped
 //!   with the WAL position they cover,
-//! * [`durable`] — [`DurableEngine`]: WAL-append before ingest, periodic
-//!   snapshots, recovery (snapshot + WAL-tail replay through the normal
-//!   ingest path) and compaction,
+//! * [`durable`] — [`DurableEngine`]: WAL-append before apply, periodic
+//!   snapshots, recovery (snapshot + WAL-tail replay through the same
+//!   apply routine the live path uses) and compaction,
 //! * [`archive`] — the cold tier: segmented, CRC'd archive files holding
 //!   history that retention pruned from live state (stays, audit records,
 //!   violations, raw events in the WAL codec), written atomically
@@ -57,15 +59,16 @@ pub mod wal;
 pub use archive::{ArchiveData, ArchiveRunReport, ArchiveStore, LazyArchive, ARCHIVE_VERSION};
 pub use codec::{
     decode_event, decode_event_exact, encode_event, event_bytes, get_varint, put_varint,
-    DecodeError,
+    DecodeError, WalRecord,
 };
 pub use crc::crc32;
 pub use durable::{
-    redistribute, DurableEngine, ReadView, RecoveryReport, RetentionOutcome, StoreConfig,
+    redistribute, DurableEngine, ReadView, RecordOutcome, RecoveryReport, RetentionOutcome,
+    StoreConfig,
 };
 pub use group::{CommitHandle, GroupCommit, GroupCommitConfig};
 pub use history::HistoryError;
 pub use replica::{ChunkRead, ReplFile, ReplFileId, TailFault, TailScanner, TailStep};
 pub use scratch::{copy_flat_dir, ScratchDir};
 pub use snapshot::{SnapshotStore, StoreSnapshot, SNAPSHOT_VERSION};
-pub use wal::{Wal, WalConfig, WalRecovery, WAL_VERSION};
+pub use wal::{Wal, WalBatch, WalConfig, WalRecovery, WAL_VERSION};

@@ -14,11 +14,12 @@
 //!   id and refuses anything outside the store directory by design;
 //! * a **[`TailScanner`]**: the follower-side resume state machine that
 //!   consumes raw WAL segment bytes fetched from `(segment, offset)`
-//!   cursors, verifies every record the same way crash recovery does
-//!   (header, length bounds, CRC32, total event decoding), and yields
-//!   intact batches **preserving the primary's record boundaries** — so
-//!   replaying them through normal ingest commits the same groups the
-//!   primary committed. A damaged or torn region is reported as a
+//!   cursors, verifies every record with the very functions crash
+//!   recovery uses (`wal::segment_header_ok`, `wal::next_record`:
+//!   header, length bounds, CRC32, total decoding), and yields intact
+//!   [`WalRecord`]s **preserving the primary's record boundaries and
+//!   kinds** — so committing them applies the same records the primary
+//!   committed. A damaged or torn region is reported as a
 //!   [`TailFault`] with the exact resume cursor; the scanner never
 //!   yields a wrong-but-valid record, and never advances past bytes it
 //!   could not verify.
@@ -28,11 +29,10 @@
 //! `failure_injection.rs`, and the serve property tests) proves the
 //! never-diverge contract under truncation, bit flips and crashes.
 
-use crate::codec::{decode_record_payload, RecordPayload};
-use crate::crc::crc32;
-use crate::wal::{RECORD_HEADER_LEN, SEGMENT_HEADER_LEN, WAL_MAGIC, WAL_VERSION};
-use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{Event, PolicyOp};
+use crate::archive::ArchiveStore;
+use crate::codec::WalRecord;
+use crate::snapshot::SnapshotStore;
+use crate::wal::{next_record, segment_header_ok, Scanned, SEGMENT_HEADER_LEN};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
@@ -67,15 +67,14 @@ pub enum ReplFileId {
 }
 
 impl ReplFileId {
-    /// The well-known file name this id maps to (store-relative; the
-    /// formats mirror `wal.rs`, `snapshot.rs`, `archive.rs` and
-    /// `durable.rs` exactly).
+    /// The well-known file name this id maps to (store-relative),
+    /// spelled by the module that owns each format.
     pub fn file_name(&self) -> String {
-        match self {
-            ReplFileId::Snapshot { seq, epoch } => format!("snap-{seq:020}-{epoch:010}.snap"),
-            ReplFileId::Archive { from, to } => format!("arch-{from:020}-{to:020}.arch"),
-            ReplFileId::WalSegment { first_seq } => format!("wal-{first_seq:020}.log"),
-            ReplFileId::EpochMarker => "policy.epoch".to_string(),
+        match *self {
+            ReplFileId::Snapshot { seq, epoch } => crate::snapshot::snapshot_file_name(seq, epoch),
+            ReplFileId::Archive { from, to } => crate::archive::segment_file_name(from, to),
+            ReplFileId::WalSegment { first_seq } => crate::wal::segment_file_name(first_seq),
+            ReplFileId::EpochMarker => crate::durable::EPOCH_MARKER.to_string(),
         }
     }
 
@@ -107,32 +106,13 @@ fn file_len(path: &Path) -> io::Result<Option<u64>> {
 /// The newest snapshot in `dir` (highest covered sequence, then highest
 /// epoch), if any — the bootstrap anchor a follower fetches first.
 pub fn newest_snapshot(dir: &Path) -> io::Result<Option<ReplFile>> {
-    let mut best: Option<(u64, u64)> = None;
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let Some(rest) = name
-            .strip_prefix("snap-")
-            .and_then(|r| r.strip_suffix(".snap"))
-        else {
-            continue;
-        };
-        let Some((seq, epoch)) = rest.split_once('-') else {
-            continue;
-        };
-        let (Ok(seq), Ok(epoch)) = (seq.parse::<u64>(), epoch.parse::<u64>()) else {
-            continue;
-        };
-        if best.is_none_or(|b| (seq, epoch) > b) {
-            best = Some((seq, epoch));
-        }
-    }
-    let Some((seq, epoch)) = best else {
+    let Some((seq, epoch, path)) = SnapshotStore::new(dir).listing()?.into_iter().next() else {
         return Ok(None);
     };
-    let id = ReplFileId::Snapshot { seq, epoch };
-    Ok(file_len(&id.path(dir))?.map(|len| ReplFile { file: id, len }))
+    Ok(file_len(&path)?.map(|len| ReplFile {
+        file: ReplFileId::Snapshot { seq, epoch },
+        len,
+    }))
 }
 
 /// Every archive segment in `dir`, sorted by coverage start — the cold
@@ -140,31 +120,16 @@ pub fn newest_snapshot(dir: &Path) -> io::Result<Option<ReplFile>> {
 /// segments are immutable once written).
 pub fn archive_files(dir: &Path) -> io::Result<Vec<ReplFile>> {
     let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        let Some(rest) = name
-            .strip_prefix("arch-")
-            .and_then(|r| r.strip_suffix(".arch"))
-        else {
-            continue;
-        };
-        let Some((from, to)) = rest.split_once('-') else {
-            continue;
-        };
-        let (Ok(from), Ok(to)) = (from.parse::<u64>(), to.parse::<u64>()) else {
-            continue;
-        };
-        out.push(ReplFile {
-            file: ReplFileId::Archive { from, to },
-            len: entry.metadata()?.len(),
-        });
+    for (from, to, path) in ArchiveStore::new(dir).listing()? {
+        // A segment superseded and deleted since the listing is simply
+        // no longer part of the tier.
+        if let Some(len) = file_len(&path)? {
+            out.push(ReplFile {
+                file: ReplFileId::Archive { from, to },
+                len,
+            });
+        }
     }
-    out.sort_by_key(|f| match f.file {
-        ReplFileId::Archive { from, to } => (from, to),
-        _ => unreachable!("only archive ids pushed"),
-    });
     Ok(out)
 }
 
@@ -172,21 +137,10 @@ pub fn archive_files(dir: &Path) -> io::Result<Vec<ReplFile>> {
 /// All but the last are sealed (immutable); the last is the active
 /// segment the primary is appending to.
 pub fn wal_segment_ids(dir: &Path) -> io::Result<Vec<u64>> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("wal-")
-            .and_then(|r| r.strip_suffix(".log"))
-            .and_then(|d| d.parse::<u64>().ok())
-        {
-            out.push(seq);
-        }
-    }
-    out.sort_unstable();
-    Ok(out)
+    Ok(crate::wal::list_segments(dir)?
+        .into_iter()
+        .map(|(first_seq, _)| first_seq)
+        .collect())
 }
 
 /// The policy-epoch marker, if one has ever been written (absent until
@@ -273,49 +227,17 @@ impl std::fmt::Display for TailFault {
     }
 }
 
-/// One verified WAL record yielded by the scanner, preserving the
-/// primary's record *kind*: a plain ingest batch replays through
-/// enforcement, a quarantine batch goes back onto the follower's
-/// quarantine ledger — never through enforcement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TailBatch {
-    /// A trusted ingest batch (one WAL record).
-    Events(Vec<Event>),
-    /// A quarantine record: events from a below-trust sensor.
-    Quarantine {
-        /// The sensor the events came from.
-        source: SubjectId,
-        /// Its trust level when the primary quarantined the batch.
-        level: u8,
-        /// The quarantined events.
-        events: Vec<Event>,
-    },
-    /// A policy record: the follower re-applies the op to its own
-    /// policy at the same stream position the primary did, keeping the
-    /// two judging — and authenticating — identically from that
-    /// sequence on.
-    Policy(PolicyOp),
-}
-
-impl TailBatch {
-    /// The record's events, whatever its kind.
-    pub fn events(&self) -> &[Event] {
-        match self {
-            TailBatch::Events(events) | TailBatch::Quarantine { events, .. } => events,
-            TailBatch::Policy(_) => &[],
-        }
-    }
-}
-
-/// What one [`TailScanner::apply`] call produced: every batch that
-/// verified (in order, record boundaries preserved), and optionally the
-/// fault that stopped the scan. `fault: None` with no batches simply
-/// means "need more bytes" — a partial record at the active segment's
-/// tail is normal, not damage.
+/// What one [`TailScanner::apply`] call produced: every record that
+/// verified (in order, boundaries and kinds preserved — a trusted batch
+/// replays through enforcement, a quarantine batch goes back onto the
+/// follower's quarantine ledger, a policy op is re-applied at the same
+/// stream position), and optionally the fault that stopped the scan.
+/// `fault: None` with no records simply means "need more bytes" — a
+/// partial record at the active segment's tail is normal, not damage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailStep {
-    /// Verified batches, one per WAL record.
-    pub batches: Vec<TailBatch>,
+    /// Verified records, one per WAL record.
+    pub records: Vec<WalRecord>,
     /// The verification failure that stopped the scan, if any.
     pub fault: Option<TailFault>,
 }
@@ -334,7 +256,7 @@ pub struct TailStep {
 /// a retry (or a reconnect) re-fetches from there, so a transiently
 /// torn read heals and a real corruption faults again, deterministically.
 /// Events below the `skip_below` floor (already applied via the
-/// bootstrap snapshot) are trimmed from the yielded batches.
+/// bootstrap snapshot) are trimmed from the yielded records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailScanner {
     segment: u64,
@@ -384,7 +306,7 @@ impl TailScanner {
     /// this pass: a `hard` stop discards the unverified remainder and
     /// reports a fault at the commit point (the retry cursor); a soft
     /// one keeps it for the next chunk to complete.
-    fn pause(&mut self, pos: usize, batches: Vec<TailBatch>, hard: bool, reason: &str) -> TailStep {
+    fn pause(&mut self, pos: usize, records: Vec<WalRecord>, hard: bool, reason: &str) -> TailStep {
         self.committed += pos as u64;
         self.buf.drain(..pos);
         let fault = if hard {
@@ -397,7 +319,7 @@ impl TailScanner {
         } else {
             None
         };
-        TailStep { batches, fault }
+        TailStep { records, fault }
     }
 
     /// Verify and consume `chunk`, which must hold the segment's bytes
@@ -408,84 +330,43 @@ impl TailScanner {
     /// flight) — the scanner waits rather than faulting.
     pub fn apply(&mut self, chunk: &[u8], file_len: u64, sealed: bool) -> TailStep {
         self.buf.extend_from_slice(chunk);
-        let mut batches = Vec::new();
+        let mut records = Vec::new();
         // Did the fetched bytes reach the end of the file as it existed
         // when read? Only then can a partial record in a sealed segment
         // be called damage rather than a short read.
         let saw_eof = self.committed + self.buf.len() as u64 >= file_len;
         let mut pos = 0usize;
         if self.committed == 0 {
-            let Some(header) = self.buf.get(..SEGMENT_HEADER_LEN as usize) else {
+            if self.buf.len() < SEGMENT_HEADER_LEN as usize {
                 // Header still being written (or chunked): poll again,
                 // unless the sealed file genuinely ends inside it.
                 let hard = sealed && saw_eof;
-                return self.pause(0, batches, hard, "sealed segment shorter than its header");
-            };
-            let header_ok = header[0..4] == WAL_MAGIC
-                && u16::from_le_bytes([header[4], header[5]]) == WAL_VERSION
-                && u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")) == self.segment;
-            if !header_ok {
-                return self.pause(0, batches, true, "bad segment header");
+                return self.pause(0, records, hard, "sealed segment shorter than its header");
+            }
+            if !segment_header_ok(&self.buf, self.segment) {
+                return self.pause(0, records, true, "bad segment header");
             }
             pos = SEGMENT_HEADER_LEN as usize;
         }
-        loop {
-            let avail = &self.buf[pos..];
-            if avail.is_empty() {
-                self.committed += pos as u64;
-                self.buf.drain(..pos);
-                break;
+        while pos < self.buf.len() {
+            match next_record(&self.buf[pos..]) {
+                Scanned::Complete { record, len } => {
+                    let count = record.seq_count();
+                    records.extend(record.skip(self.skip_below.saturating_sub(self.next_seq)));
+                    self.next_seq += count;
+                    pos += len;
+                }
+                // A partial record at the tail: carried to the next
+                // chunk (or damage, if the sealed file ends here).
+                Scanned::Partial => {
+                    let hard = sealed && saw_eof;
+                    return self.pause(pos, records, hard, "sealed segment ends mid record");
+                }
+                Scanned::Damaged(reason) => return self.pause(pos, records, true, reason),
             }
-            let Some(header) = avail.get(..RECORD_HEADER_LEN as usize) else {
-                // Partial record header at the tail: carried to the
-                // next chunk (or damage, if the sealed file ends here).
-                let hard = sealed && saw_eof;
-                return self.pause(pos, batches, hard, "sealed segment ends mid record header");
-            };
-            let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-            let start = RECORD_HEADER_LEN as usize;
-            let Some(payload) = start.checked_add(len).and_then(|end| avail.get(start..end)) else {
-                // Partial payload at the tail.
-                let hard = sealed && saw_eof;
-                return self.pause(pos, batches, hard, "sealed segment ends mid record payload");
-            };
-            if crc32(payload) != crc {
-                return self.pause(pos, batches, true, "record CRC mismatch");
-            }
-            // The payload must decode *exactly* into one record (plain
-            // or quarantine) — same totality bar as crash recovery's
-            // scan.
-            let Ok(record) = decode_record_payload(payload) else {
-                return self.pause(
-                    pos,
-                    batches,
-                    true,
-                    "record payload is not a clean event batch",
-                );
-            };
-            let count = record.seq_count();
-            if self.next_seq + count > self.skip_below {
-                let skip = self.skip_below.saturating_sub(self.next_seq) as usize;
-                batches.push(match record {
-                    RecordPayload::Events(mut events) => TailBatch::Events(events.split_off(skip)),
-                    RecordPayload::Quarantine {
-                        source,
-                        level,
-                        mut events,
-                    } => TailBatch::Quarantine {
-                        source,
-                        level,
-                        events: events.split_off(skip),
-                    },
-                    // A policy record is one seq; reaching this arm
-                    // means it is wholly above `skip_below` (skip == 0).
-                    RecordPayload::Policy(op) => TailBatch::Policy(op),
-                });
-            }
-            self.next_seq += count;
-            pos += start + len;
         }
+        self.committed += pos as u64;
+        self.buf.clear();
         // Fully consumed a sealed segment: hop to the next one (WAL
         // segments are seq-contiguous, so its first sequence is exactly
         // the next event's).
@@ -494,13 +375,13 @@ impl TailScanner {
                 // A sealed segment with zero records cannot be followed
                 // by another (the successor would collide on the same
                 // name); refuse rather than loop.
-                return self.pause(0, batches, true, "sealed segment holds no records");
+                return self.pause(0, records, true, "sealed segment holds no records");
             }
             self.segment = self.next_seq;
             self.committed = 0;
         }
         TailStep {
-            batches,
+            records,
             fault: None,
         }
     }
@@ -512,6 +393,7 @@ mod tests {
     use crate::scratch::ScratchDir;
     use crate::wal::{Wal, WalConfig};
     use ltam_core::subject::SubjectId;
+    use ltam_engine::batch::Event;
     use ltam_graph::LocationId;
     use ltam_time::Time;
 
@@ -543,19 +425,19 @@ mod tests {
     }
 
     /// Unwrap plain batches (the pre-quarantine shape most tests build).
-    fn plain(batches: Vec<TailBatch>) -> Vec<Vec<Event>> {
-        batches
+    fn plain(records: Vec<WalRecord>) -> Vec<Vec<Event>> {
+        records
             .into_iter()
-            .map(|b| match b {
-                TailBatch::Events(events) => events,
-                TailBatch::Quarantine { .. } | TailBatch::Policy(_) => {
+            .map(|r| match r {
+                WalRecord::Events(events) => events,
+                WalRecord::Quarantine { .. } | WalRecord::Policy(_) => {
                     panic!("expected a plain batch")
                 }
             })
             .collect()
     }
 
-    fn drive_scanner(dir: &Path, scanner: &mut TailScanner, chunk_bytes: u32) -> Vec<TailBatch> {
+    fn drive_scanner(dir: &Path, scanner: &mut TailScanner, chunk_bytes: u32) -> Vec<WalRecord> {
         let mut out = Vec::new();
         loop {
             let segs = wal_segment_ids(dir).unwrap();
@@ -573,7 +455,7 @@ mod tests {
             let at_end = chunk.bytes.is_empty() && !sealed;
             let step = scanner.apply(&chunk.bytes, chunk.file_len, sealed);
             assert_eq!(step.fault, None, "clean log never faults");
-            out.extend(step.batches);
+            out.extend(step.records);
             if at_end {
                 return out;
             }
@@ -629,10 +511,10 @@ mod tests {
             let mut scanner = TailScanner::start(0, &[0]).unwrap();
             let step = scanner.apply(&full[..cut], cut as u64, false);
             assert_eq!(step.fault, None, "cut at {cut} is a wait, not a fault");
-            let yielded: usize = step.batches.iter().map(|b| b.events().len()).sum();
+            let yielded = step.records.iter().map(WalRecord::seq_count).sum::<u64>() as usize;
             assert!(yielded <= 3);
             // Whatever was yielded is an exact prefix of the real events.
-            let flat: Vec<Event> = plain(step.batches).into_iter().flatten().collect();
+            let flat: Vec<Event> = plain(step.records).into_iter().flatten().collect();
             let expected: Vec<Event> = (0..yielded as u64).map(event).collect();
             assert_eq!(flat, expected);
         }
@@ -649,7 +531,7 @@ mod tests {
             let mut scanner = TailScanner::start(0, &[0]).unwrap();
             let step = scanner.apply(&full[..cut], cut as u64, true);
             let fault = step.fault.clone();
-            let flat: Vec<Event> = plain(step.batches).into_iter().flatten().collect();
+            let flat: Vec<Event> = plain(step.records).into_iter().flatten().collect();
             let expected: Vec<Event> = (0..flat.len() as u64).map(event).collect();
             assert_eq!(flat, expected, "prefix property at cut {cut}");
             assert!(
@@ -671,7 +553,7 @@ mod tests {
             damaged[byte] ^= 0x10;
             let mut scanner = TailScanner::start(0, &[0]).unwrap();
             let step = scanner.apply(&damaged, damaged.len() as u64, true);
-            let flat: Vec<Event> = plain(step.batches).into_iter().flatten().collect();
+            let flat: Vec<Event> = plain(step.records).into_iter().flatten().collect();
             let expected: Vec<Event> = (0..flat.len() as u64).map(event).collect();
             assert_eq!(
                 flat, expected,
@@ -709,13 +591,13 @@ mod tests {
         assert_eq!(
             got,
             vec![
-                TailBatch::Events(trusted),
-                TailBatch::Quarantine {
+                WalRecord::Events(trusted),
+                WalRecord::Quarantine {
                     source: SubjectId(9),
                     level: 1,
                     events: held.clone(),
                 },
-                TailBatch::Events(tail),
+                WalRecord::Events(tail),
             ]
         );
         assert_eq!(scanner.next_seq(), 6, "quarantine records consume seqs");
@@ -725,7 +607,7 @@ mod tests {
         let got = drive_scanner(dir.path(), &mut scanner, 1 << 20);
         assert_eq!(
             got[0],
-            TailBatch::Quarantine {
+            WalRecord::Quarantine {
                 source: SubjectId(9),
                 level: 1,
                 events: held[1..].to_vec(),

@@ -69,6 +69,13 @@ pub struct StoreSnapshot {
     /// held out of enforcement state. Absent in older snapshots (the
     /// ledger was necessarily empty before trust existed).
     pub quarantine: Option<Vec<QuarantinedEvent>>,
+    /// The monitoring clock (highest trusted event time) at this state.
+    /// Token validity is judged against it, so it must survive a
+    /// restart whose WAL tail holds no event: without it an expired
+    /// token would be accepted again until traffic re-advanced the
+    /// clock. Absent in older snapshots; recovery then re-seeds the
+    /// clock from the replayed tail and the retention watermark alone.
+    pub clock: Option<u64>,
 }
 
 /// Reads and writes [`StoreSnapshot`]s in a store directory.
@@ -78,12 +85,14 @@ pub struct SnapshotStore {
     fsync: bool,
 }
 
-fn snapshot_path(dir: &Path, seq: u64, epoch: u64) -> PathBuf {
+/// The file name of the snapshot covering `seq` at policy epoch `epoch`
+/// — the one place the `snap-*.snap` format is spelled.
+pub(crate) fn snapshot_file_name(seq: u64, epoch: u64) -> String {
     // Both coordinates go in the name: policy edits snapshot without
     // advancing `seq`, and keying by seq alone would overwrite the
     // previous snapshot in place — collapsing the keep-2 fallback to a
     // single file.
-    dir.join(format!("snap-{seq:020}-{epoch:010}.snap"))
+    format!("snap-{seq:020}-{epoch:010}.snap")
 }
 
 fn parse_snapshot_name(name: &str) -> Option<(u64, u64)> {
@@ -108,9 +117,10 @@ impl SnapshotStore {
         }
     }
 
-    /// Snapshot files present in `dir`, newest first — by `(seq, epoch)`,
-    /// both of which are nondecreasing over a store's lifetime.
-    fn listing(&self) -> io::Result<Vec<(u64, u64, PathBuf)>> {
+    /// Snapshot files present in `dir` as `(seq, epoch, path)`, newest
+    /// first — by `(seq, epoch)`, both of which are nondecreasing over a
+    /// store's lifetime. Validity is not checked.
+    pub(crate) fn listing(&self) -> io::Result<Vec<(u64, u64, PathBuf)>> {
         let mut out = Vec::new();
         match fs::read_dir(&self.dir) {
             Ok(entries) => {
@@ -219,7 +229,9 @@ impl SnapshotStore {
                 f.sync_data()?;
             }
         }
-        let path = snapshot_path(&self.dir, snapshot.seq, snapshot.policy_epoch);
+        let path = self
+            .dir
+            .join(snapshot_file_name(snapshot.seq, snapshot.policy_epoch));
         fs::rename(&tmp, &path)?;
         if self.fsync {
             // Propagate directory-fsync failures: callers ack durability
@@ -346,6 +358,7 @@ mod tests {
             states: vec![ShardState::new().image(), ShardState::new().image()],
             enforcement_epoch: Some(0),
             quarantine: Some(Vec::new()),
+            clock: Some(0),
         }
     }
 

@@ -23,8 +23,8 @@
 //! open rather than read.) A record is the unit of
 //! atomicity: recovery keeps it in full or discards it in full, which is
 //! what makes an appended batch all-or-nothing across a crash. Appends
-//! take **one `fsync` per call** — [`Wal::append_batches`] stacks many
-//! batches into that single fsync, which is the group-commit path — and
+//! take **one `fsync` per call** — [`Wal::append_mixed`] stacks many
+//! records into that single fsync, which is the group-commit path — and
 //! a segment rotates once it crosses [`WalConfig::segment_bytes`]
 //! (checked at append granularity, so a segment may exceed the threshold
 //! by at most one append).
@@ -33,25 +33,32 @@
 //!
 //! [`Wal::open`] scans every segment in sequence order and stops at the
 //! **first** invalid byte: a torn record header, a short payload, a CRC
-//! mismatch, a payload that is not exactly one event, or a segment whose
-//! header or name disagrees with the expected sequence. Everything before
-//! that point is returned as recovered `(seq, Event)` pairs and is never
-//! dropped; everything from that point on is disregarded, because record
+//! mismatch, a payload that does not decode exactly as one record (one
+//! or more events, a quarantine batch, or a policy op), or a segment
+//! whose header or name disagrees with the expected sequence.
+//! Everything before that point is returned as recovered
+//! `(first_seq, WalRecord)` pairs in log order and is never dropped;
+//! everything from that point on is disregarded, because record
 //! boundaries after a corrupt region cannot be trusted. The damaged
 //! segment is truncated to its last valid record, so the log is
 //! immediately appendable again; later segments (which may hold intact,
 //! acked records) are renamed to `*.quarantine` — set aside for
 //! operators, never deleted.
 //!
+//! "Is this record intact" is decided in exactly one place —
+//! `segment_header_ok` and `next_record` — which the follower's
+//! [`TailScanner`](crate::replica::TailScanner) shares, so crash
+//! recovery and tailing cannot disagree on what a valid log is.
+//!
 //! Compaction ([`Wal::compact`]) removes sealed segments all of whose
 //! records are at sequence numbers below a snapshot's cover point.
 
 use crate::codec::{
-    decode_record_payload, encode_event, encode_policy_op, encode_quarantine, RecordPayload,
+    decode_record_payload, encode_event, encode_policy_op, encode_quarantine, WalRecord,
 };
 use crate::crc::crc32;
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{Event, PolicyOp, QuarantinedEvent};
+use ltam_engine::batch::{Event, PolicyOp};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -89,17 +96,13 @@ impl Default for WalConfig {
 /// What [`Wal::open`] found (and repaired) on disk.
 #[derive(Debug, Clone, Default)]
 pub struct WalRecovery {
-    /// Every intact plain-record event, in sequence order.
-    pub events: Vec<(u64, Event)>,
-    /// Every intact quarantine-record event, in sequence order (these
-    /// occupy sequence numbers interleaved with `events`; they replay
-    /// onto the quarantine ledger, never through enforcement).
-    pub quarantined: Vec<(u64, QuarantinedEvent)>,
-    /// Every intact policy record, in sequence order. These interleave
-    /// with `events` and must be re-applied **at their sequence position**
-    /// during replay — a policy edit changes how every later event is
-    /// judged.
-    pub policy_ops: Vec<(u64, PolicyOp)>,
+    /// Every intact record with the sequence number of its first slot,
+    /// in log order. Trusted batches, quarantine batches and policy ops
+    /// interleave exactly as they were committed: replay must apply
+    /// them in this order — a policy op changes how every later event
+    /// is judged, and a quarantine record never passes through
+    /// enforcement.
+    pub records: Vec<(u64, WalRecord)>,
     /// Bytes cut off the damaged segment (0 for a clean log).
     pub truncated_bytes: u64,
     /// Whole segments disregarded because they followed (or were) a
@@ -108,11 +111,26 @@ pub struct WalRecovery {
     pub dropped_segments: usize,
 }
 
-/// One batch in a mixed append group: either a trusted ingest batch or
-/// a quarantine batch (events from a below-trust sensor, recorded under
-/// their own WAL record kind). Both consume sequence numbers uniformly
-/// — one per event — so replication and the applied watermark never
-/// care which kind a record was.
+impl WalRecovery {
+    /// Every trusted (plain-record) event with its sequence number, in
+    /// log order — what a reader of an events-only log (a trace
+    /// fixture) wants.
+    pub fn events(&self) -> impl Iterator<Item = (u64, Event)> + '_ {
+        self.records
+            .iter()
+            .filter_map(|(first, record)| match record {
+                WalRecord::Events(events) => Some((*first..).zip(events.iter().copied())),
+                _ => None,
+            })
+            .flatten()
+    }
+}
+
+/// The borrowed view of a [`WalRecord`] — what [`Wal::append_mixed`]
+/// takes, so a caller holding `&[Event]` slices appends them without
+/// copying. Every kind consumes sequence numbers uniformly — one per
+/// event, one per policy op — so replication and the applied watermark
+/// never care which kind a record was.
 #[derive(Debug, Clone, Copy)]
 pub enum WalBatch<'a> {
     /// A plain ingest batch (one record, concatenated events).
@@ -130,21 +148,40 @@ pub enum WalBatch<'a> {
     Policy(&'a PolicyOp),
 }
 
-impl WalBatch<'_> {
+impl<'a> WalBatch<'a> {
     /// The batch's events, whatever its kind.
-    pub fn events(&self) -> &[Event] {
+    pub fn events(&self) -> &'a [Event] {
         match self {
             WalBatch::Events(events) | WalBatch::Quarantine { events, .. } => events,
             WalBatch::Policy(_) => &[],
         }
     }
 
-    /// Sequence numbers the batch consumes (events, or one for a
-    /// policy op).
+    /// Sequence numbers the batch consumes: one per event, or one for a
+    /// policy op (which carries no events but must sit at a
+    /// well-defined position for replication cursors to pass through).
     pub fn seq_count(&self) -> u64 {
         match self {
             WalBatch::Policy(_) => 1,
             _ => self.events().len() as u64,
+        }
+    }
+}
+
+impl<'a> From<&'a WalRecord> for WalBatch<'a> {
+    fn from(record: &'a WalRecord) -> WalBatch<'a> {
+        match record {
+            WalRecord::Events(events) => WalBatch::Events(events),
+            WalRecord::Quarantine {
+                source,
+                level,
+                events,
+            } => WalBatch::Quarantine {
+                source: *source,
+                level: *level,
+                events,
+            },
+            WalRecord::Policy(op) => WalBatch::Policy(op),
         }
     }
 }
@@ -155,7 +192,7 @@ struct Segment {
     path: PathBuf,
     /// Valid bytes (records end exactly here).
     len: u64,
-    /// Events in the segment (a record may hold several).
+    /// Sequence numbers in the segment (a record may hold several).
     records: u64,
 }
 
@@ -177,8 +214,15 @@ pub struct Wal {
     poisoned: bool,
 }
 
+/// The file name of the segment whose first record is `first_seq` —
+/// the one place the `wal-*.log` format is spelled ([`list_segments`]
+/// parses it back).
+pub(crate) fn segment_file_name(first_seq: u64) -> String {
+    format!("wal-{first_seq:020}.log")
+}
+
 fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
-    dir.join(format!("wal-{first_seq:020}.log"))
+    dir.join(segment_file_name(first_seq))
 }
 
 fn segment_header(first_seq: u64) -> [u8; 16] {
@@ -226,48 +270,87 @@ fn foreign_version(bytes: &[u8]) -> Option<u16> {
     (bytes[0..4] == WAL_MAGIC && version != WAL_VERSION).then_some(version)
 }
 
-/// Parse one segment's bytes. Returns the records that scanned cleanly
-/// and, if the segment is damaged, the byte offset of the first invalid
-/// byte.
-fn scan_segment(bytes: &[u8], expected_first_seq: u64) -> (Vec<RecordPayload>, u64, Option<u64>) {
-    let header_ok = bytes.len() >= SEGMENT_HEADER_LEN as usize
-        && bytes[0..4] == WAL_MAGIC
-        && u16::from_le_bytes([bytes[4], bytes[5]]) == WAL_VERSION
-        && u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) == expected_first_seq;
-    if !header_ok {
+/// Does `bytes` open with the header of a segment of this format whose
+/// first sequence is `first_seq`? (`false` for fewer than
+/// [`SEGMENT_HEADER_LEN`] bytes.)
+pub(crate) fn segment_header_ok(bytes: &[u8], first_seq: u64) -> bool {
+    let want = segment_header(first_seq);
+    // Magic + version, then the sequence; the reserved field is not
+    // interpreted.
+    bytes
+        .get(..SEGMENT_HEADER_LEN as usize)
+        .is_some_and(|h| h[..6] == want[..6] && h[8..] == want[8..])
+}
+
+/// What [`next_record`] found at the front of a byte run.
+#[derive(Debug)]
+pub(crate) enum Scanned {
+    /// A whole record that verified; it occupies the first `len` bytes.
+    Complete {
+        /// The decoded record.
+        record: WalRecord,
+        /// Bytes the record takes, header included.
+        len: usize,
+    },
+    /// The bytes end inside the record's header or payload: a torn tail
+    /// to crash recovery, "fetch more" to a follower mid-append.
+    Partial,
+    /// The record is all there and does not verify.
+    Damaged(&'static str),
+}
+
+/// Verify the record at the front of `bytes` (which must be non-empty):
+/// length bounds, CRC32 over the payload, and an exact, total decode —
+/// one or more events, a quarantine batch or a policy op; anything
+/// else, including an empty payload, is damage. The one record
+/// verifier: [`Wal::open`] and the follower's tail scanner both call
+/// it.
+pub(crate) fn next_record(bytes: &[u8]) -> Scanned {
+    let start = RECORD_HEADER_LEN as usize;
+    let Some(header) = bytes.get(..start) else {
+        return Scanned::Partial;
+    };
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    let Some(payload) = start.checked_add(len).and_then(|end| bytes.get(start..end)) else {
+        return Scanned::Partial;
+    };
+    if crc32(payload) != crc {
+        return Scanned::Damaged("record CRC mismatch");
+    }
+    match decode_record_payload(payload) {
+        Ok(record) => Scanned::Complete {
+            record,
+            len: start + len,
+        },
+        Err(_) => Scanned::Damaged("record payload does not decode as exactly one record"),
+    }
+}
+
+/// Parse one segment's bytes. Returns the records that scanned cleanly,
+/// the length of the valid prefix and, if the segment is damaged, the
+/// byte offset of the first invalid byte.
+fn scan_segment(bytes: &[u8], expected_first_seq: u64) -> (Vec<WalRecord>, u64, Option<u64>) {
+    if !segment_header_ok(bytes, expected_first_seq) {
         return (Vec::new(), 0, Some(0));
     }
     let mut records = Vec::new();
     let mut at = SEGMENT_HEADER_LEN as usize;
-    loop {
-        if at == bytes.len() {
-            return (records, at as u64, None);
+    while at < bytes.len() {
+        match next_record(&bytes[at..]) {
+            Scanned::Complete { record, len } => {
+                records.push(record);
+                at += len;
+            }
+            Scanned::Partial | Scanned::Damaged(_) => return (records, at as u64, Some(at as u64)),
         }
-        let Some(header) = bytes.get(at..at + RECORD_HEADER_LEN as usize) else {
-            return (records, at as u64, Some(at as u64));
-        };
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        let start = at + RECORD_HEADER_LEN as usize;
-        let Some(payload) = start.checked_add(len).and_then(|end| bytes.get(start..end)) else {
-            return (records, at as u64, Some(at as u64));
-        };
-        if crc32(payload) != crc {
-            return (records, at as u64, Some(at as u64));
-        }
-        // A record payload must decode exactly — one or more events, or
-        // a quarantine batch; anything else (including an empty payload)
-        // marks the record, and everything after it, invalid.
-        let Ok(record) = decode_record_payload(payload) else {
-            return (records, at as u64, Some(at as u64));
-        };
-        records.push(record);
-        at = start + len;
     }
+    (records, at as u64, None)
 }
 
-/// `dir`'s segment files as `(first_seq, path)`, sorted by sequence.
-fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+/// `dir`'s segment files as `(first_seq, path)`, sorted by sequence —
+/// without opening (or repairing) the log.
+pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut out: Vec<(u64, PathBuf)> = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -325,8 +408,8 @@ fn free_quarantine_slot(path: &Path) -> io::Result<PathBuf> {
 impl Wal {
     /// Open (or create) the WAL in `dir`, repairing any torn tail: the
     /// damaged segment is truncated to its last intact record and later
-    /// segments are removed. Returns the log positioned for appending and
-    /// everything it recovered.
+    /// segments are quarantined (renamed aside, never deleted). Returns
+    /// the log positioned for appending and everything it recovered.
     pub fn open(dir: &Path, config: WalConfig) -> io::Result<(Wal, WalRecovery)> {
         fs::create_dir_all(dir)?;
         let names = list_segments(dir)?;
@@ -356,35 +439,9 @@ impl Wal {
             let (scanned, valid_len, bad_at) = scan_segment(&bytes, *first_seq);
             let mut records = 0u64;
             for record in scanned {
-                match record {
-                    RecordPayload::Events(events) => {
-                        for event in events {
-                            recovery.events.push((first_seq + records, event));
-                            records += 1;
-                        }
-                    }
-                    RecordPayload::Quarantine {
-                        source,
-                        level,
-                        events,
-                    } => {
-                        for event in events {
-                            recovery.quarantined.push((
-                                first_seq + records,
-                                QuarantinedEvent {
-                                    source,
-                                    level,
-                                    event,
-                                },
-                            ));
-                            records += 1;
-                        }
-                    }
-                    RecordPayload::Policy(op) => {
-                        recovery.policy_ops.push((first_seq + records, op));
-                        records += 1;
-                    }
-                }
+                let count = record.seq_count();
+                recovery.records.push((first_seq + records, record));
+                records += count;
             }
             segments.push(Segment {
                 first_seq: *first_seq,
@@ -598,7 +655,7 @@ impl Wal {
         .inc_by(buf.len() as u64);
         ltam_obs::counter!(
             "store_wal_records_total",
-            "Events appended to the write-ahead log"
+            "Sequence numbers appended to the write-ahead log (one per event, one per policy op)"
         )
         .inc_by(total);
         self.active.len += buf.len() as u64;
@@ -700,7 +757,7 @@ mod tests {
         let all = events(500);
         {
             let (mut wal, rec) = Wal::open(dir.path(), WalConfig::default()).unwrap();
-            assert!(rec.events.is_empty());
+            assert!(rec.records.is_empty());
             for chunk in all.chunks(37) {
                 wal.append_batch(chunk).unwrap();
             }
@@ -709,9 +766,9 @@ mod tests {
         let (wal, rec) = Wal::open(dir.path(), WalConfig::default()).unwrap();
         assert_eq!(wal.next_seq(), 500);
         assert_eq!(rec.truncated_bytes, 0);
-        let got: Vec<Event> = rec.events.iter().map(|&(_, e)| e).collect();
+        let got: Vec<Event> = rec.events().map(|(_, e)| e).collect();
         assert_eq!(got, all);
-        let seqs: Vec<u64> = rec.events.iter().map(|&(s, _)| s).collect();
+        let seqs: Vec<u64> = rec.events().map(|(s, _)| s).collect();
         assert_eq!(seqs, (0..500).collect::<Vec<_>>());
     }
 
@@ -728,7 +785,7 @@ mod tests {
         }
         assert!(wal.segment_paths().len() > 2, "{:?}", wal.segment_paths());
         let (_, rec) = Wal::open(dir.path(), config).unwrap();
-        assert_eq!(rec.events.len(), 400);
+        assert_eq!(rec.events().count(), 400);
     }
 
     #[test]
@@ -751,14 +808,14 @@ mod tests {
         f.set_len(len - 3).unwrap(); // tear the last record
         drop(f);
         let (wal, rec) = Wal::open(dir.path(), config).unwrap();
-        assert_eq!(rec.events.len(), 99, "only the torn record is lost");
+        assert_eq!(rec.events().count(), 99, "only the torn record is lost");
         assert!(rec.truncated_bytes > 0);
         assert_eq!(wal.next_seq(), 99);
         // The log is appendable again and a further reopen is clean.
         let mut wal = wal;
         wal.append_batch(&[ev(99)]).unwrap();
         let (_, rec) = Wal::open(dir.path(), config).unwrap();
-        assert_eq!(rec.events.len(), 100);
+        assert_eq!(rec.events().count(), 100);
         assert_eq!(rec.truncated_bytes, 0);
     }
 
@@ -782,7 +839,7 @@ mod tests {
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         let (_, rec) = Wal::open(dir.path(), config).unwrap();
-        let got: Vec<Event> = rec.events.iter().map(|&(_, e)| e).collect();
+        let got: Vec<Event> = rec.events().map(|(_, e)| e).collect();
         assert!(got.len() < all.len());
         assert_eq!(got[..], all[..got.len()], "recovered events are a prefix");
     }
@@ -809,7 +866,7 @@ mod tests {
         f.set_len(len - 3).unwrap(); // tear into the last record
         drop(f);
         let (_, rec) = Wal::open(dir.path(), config).unwrap();
-        assert_eq!(rec.events.len(), 90, "the torn batch is lost in full");
+        assert_eq!(rec.events().count(), 90, "the torn batch is lost in full");
         // Tearing deep into the middle record still cuts at a batch edge.
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         let len = fs::metadata(&path).unwrap().len();
@@ -817,7 +874,7 @@ mod tests {
         drop(f);
         let (_, rec) = Wal::open(dir.path(), config).unwrap();
         assert_eq!(
-            rec.events.len() % 10,
+            rec.events().count() % 10,
             0,
             "recovery cuts at a batch boundary"
         );
@@ -848,10 +905,10 @@ mod tests {
             assert_eq!(wal.fsyncs(), 2, "an empty group costs nothing");
         }
         let (_, rec) = Wal::open(dir.path(), config).unwrap();
-        assert_eq!(rec.events.len(), 63);
-        let got: Vec<Event> = rec.events.iter().take(60).map(|&(_, e)| e).collect();
+        assert_eq!(rec.events().count(), 63);
+        let got: Vec<Event> = rec.events().take(60).map(|(_, e)| e).collect();
         assert_eq!(got, all);
-        let seqs: Vec<u64> = rec.events.iter().map(|&(s, _)| s).collect();
+        let seqs: Vec<u64> = rec.events().map(|(s, _)| s).collect();
         assert_eq!(seqs, (0..63).collect::<Vec<_>>());
     }
 
@@ -866,22 +923,31 @@ mod tests {
         };
         let lockdown = PolicyOp::Situation(SituationOp::Declare(SituationMode::Lockdown));
         let revoke = PolicyOp::Admin(AdminOp::RevokeToken { id: TokenId(7) });
+        let mid = events(3);
         {
             let (mut wal, _) = Wal::open(dir.path(), config).unwrap();
             wal.append_batch(&events(5)).unwrap(); // seqs 0..5
             let first = wal.append_mixed(&[WalBatch::Policy(&lockdown)]).unwrap();
             assert_eq!(first, 5);
             assert_eq!(wal.next_seq(), 6);
-            let mid = events(3);
             wal.append_mixed(&[WalBatch::Events(&mid), WalBatch::Policy(&revoke)])
                 .unwrap(); // seqs 6..9 then 9
             assert_eq!(wal.next_seq(), 10);
         }
         let (wal, rec) = Wal::open(dir.path(), config).unwrap();
         assert_eq!(wal.next_seq(), 10);
-        let seqs: Vec<u64> = rec.events.iter().map(|&(s, _)| s).collect();
+        let seqs: Vec<u64> = rec.events().map(|(s, _)| s).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4, 6, 7, 8]);
-        assert_eq!(rec.policy_ops, vec![(5, lockdown), (9, revoke)]);
+        // One list, log order: each record at its first sequence.
+        assert_eq!(
+            rec.records,
+            vec![
+                (0, WalRecord::Events(events(5))),
+                (5, WalRecord::Policy(lockdown)),
+                (6, WalRecord::Events(mid)),
+                (9, WalRecord::Policy(revoke)),
+            ]
+        );
     }
 
     #[test]
@@ -926,9 +992,7 @@ mod tests {
         assert_eq!(wal.segment_paths().len(), before - removed);
         // Records >= 150 are still on disk.
         let (_, rec) = Wal::open(dir.path(), config).unwrap();
-        assert!(rec.events.iter().any(|&(s, _)| s == 150));
-        assert!(rec.events.iter().all(|&(s, _)| s < 150 || s <= 199));
-        let last = rec.events.last().unwrap().0;
-        assert_eq!(last, 199);
+        assert!(rec.events().any(|(s, _)| s == 150));
+        assert_eq!(rec.events().last().unwrap().0, 199);
     }
 }

@@ -73,7 +73,7 @@ fn flipped_byte_truncates_cleanly_and_preserves_the_prefix() {
         recovery.truncated_bytes > 0,
         "the flip must be detected and truncated"
     );
-    let got: Vec<Event> = recovery.events.iter().map(|&(_, e)| e).collect();
+    let got: Vec<Event> = recovery.events().map(|(_, e)| e).collect();
     assert!(!got.is_empty(), "records before the flip survive");
     assert!(got.len() < events.len(), "records after the flip are cut");
     assert_eq!(
@@ -86,12 +86,12 @@ fn flipped_byte_truncates_cleanly_and_preserves_the_prefix() {
     {
         let (mut wal, second) = Wal::open(dir.path(), config).expect("reopen repaired log");
         assert_eq!(second.truncated_bytes, 0, "repair already happened");
-        assert_eq!(second.events.len(), got.len());
+        assert_eq!(second.events().count(), got.len());
         wal.append_batch(&fixture_events(8))
             .expect("append after repair");
     }
     let (_, third) = Wal::open(dir.path(), config).expect("final open");
-    assert_eq!(third.events.len(), got.len() + 8);
+    assert_eq!(third.events().count(), got.len() + 8);
 }
 
 #[test]
@@ -118,7 +118,7 @@ fn flipped_segment_header_drops_only_that_segment_and_later() {
     std::fs::write(mid, &bytes).expect("write damaged segment");
 
     let (_, recovery) = Wal::open(dir.path(), config).expect("recovery handles a dead segment");
-    let got: Vec<Event> = recovery.events.iter().map(|&(_, e)| e).collect();
+    let got: Vec<Event> = recovery.events().map(|(_, e)| e).collect();
     assert!(!got.is_empty());
     assert!(got.len() < events.len());
     assert_eq!(

@@ -3,22 +3,26 @@
 //! The codec contract: arbitrary events and policy ops round-trip
 //! bit-exactly, and arbitrary *bytes* — truncations, bit flips, garbage
 //! — decode to an error, never a panic. The WAL contract: whatever
-//! survives a damaged tail is an exact prefix of what was appended.
+//! survives a damaged tail is an exact prefix of what was appended. The
+//! record contract: a [`WalRecord`] means the same thing to the live
+//! commit path, to crash recovery and to a follower's tail scanner.
 
 use ltam_core::capability::{AdminOp, Scope, TokenId};
 use ltam_core::db::AuthId;
 use ltam_core::decision::{AccessRequest, Decision, DenyReason};
 use ltam_core::model::{Authorization, EntryLimit};
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{Event, PolicyOp};
+use ltam_engine::batch::{Event, PolicyCore, PolicyOp, QuarantinedEvent};
 use ltam_engine::movement::{MovementEvent, MovementKind, Stay};
 use ltam_engine::retention::PrunedHistory;
 use ltam_engine::{AuditRecord, Violation};
 use ltam_graph::LocationId;
 use ltam_situate::{ConstraintId, IncidentId, SituationMode, SituationOp, WorkflowConstraint};
-use ltam_store::codec::{decode_record_payload, encode_policy_op, RecordPayload, POLICY_SENTINEL};
+use ltam_store::codec::{decode_record_payload, encode_policy_op, WalRecord, POLICY_SENTINEL};
+use ltam_store::replica::wal_segment_ids;
 use ltam_store::{
-    decode_event, decode_event_exact, event_bytes, ArchiveStore, ScratchDir, Wal, WalConfig,
+    copy_flat_dir, decode_event, decode_event_exact, event_bytes, ArchiveStore, DurableEngine,
+    ReplFileId, ScratchDir, StoreConfig, TailScanner, Wal, WalBatch, WalConfig,
 };
 use ltam_time::{Interval, Time};
 use proptest::prelude::*;
@@ -175,7 +179,7 @@ proptest! {
         prop_assert_eq!(bytes[0], POLICY_SENTINEL);
         let back = decode_record_payload(&bytes).expect("encoded ops decode");
         prop_assert_eq!(back.seq_count(), 1);
-        prop_assert_eq!(back, RecordPayload::Policy(op));
+        prop_assert_eq!(back, WalRecord::Policy(op));
     }
 
     /// Every strict prefix of a policy record is a decode error — a
@@ -211,7 +215,7 @@ proptest! {
         let mut bytes = vec![POLICY_SENTINEL];
         bytes.extend_from_slice(&body);
         if let Ok(record) = decode_record_payload(&bytes) {
-            prop_assert!(matches!(record, RecordPayload::Policy(_)));
+            prop_assert!(matches!(record, WalRecord::Policy(_)));
         }
     }
 
@@ -312,14 +316,267 @@ proptest! {
         drop(f);
 
         let (_, recovery) = Wal::open(dir.path(), config).expect("recover");
-        let got: Vec<Event> = recovery.events.iter().map(|&(_, e)| e).collect();
+        let got: Vec<Event> = recovery.events().map(|(_, e)| e).collect();
         prop_assert!(got.len() <= events.len());
         prop_assert_eq!(&got[..], &events[..got.len()]);
         // The repaired log reopens with zero further truncation.
         let (_, second) = Wal::open(dir.path(), config).expect("reopen");
-        prop_assert_eq!(second.events.len(), got.len());
+        prop_assert_eq!(second.events().count(), got.len());
         prop_assert_eq!(second.truncated_bytes, 0);
     }
+}
+
+// --- one record, one apply: live commit, recovery and tailing agree ---------
+
+/// Small-domain events, so requests, entries and exits actually meet
+/// the authorizations (and each other) instead of all being strangers.
+fn arb_campus_event() -> impl Strategy<Value = Event> {
+    let fields = || (0u64..400, 0u32..6, 0u32..8);
+    prop_oneof![
+        fields().prop_map(|(t, s, l)| Event::Request {
+            time: Time(t),
+            subject: SubjectId(s),
+            location: LocationId(l),
+        }),
+        fields().prop_map(|(t, s, l)| Event::Enter {
+            time: Time(t),
+            subject: SubjectId(s),
+            location: LocationId(l),
+        }),
+        fields().prop_map(|(t, s, l)| Event::Exit {
+            time: Time(t),
+            subject: SubjectId(s),
+            location: LocationId(l),
+        }),
+        (0u64..400).prop_map(|t| Event::Tick { now: Time(t) }),
+    ]
+}
+
+/// Every record kind, empty batches included (the WAL skips them; the
+/// apply routine must not care).
+fn arb_record() -> impl Strategy<Value = WalRecord> {
+    prop_oneof![
+        prop::collection::vec(arb_campus_event(), 0..6).prop_map(WalRecord::Events),
+        (
+            0u32..6,
+            any::<u8>(),
+            prop::collection::vec(arb_campus_event(), 0..4)
+        )
+            .prop_map(|(s, level, events)| WalRecord::Quarantine {
+                source: SubjectId(s),
+                level,
+                events,
+            }),
+        arb_policy_op().prop_map(WalRecord::Policy),
+    ]
+}
+
+fn campus_core() -> PolicyCore {
+    let mut core = PolicyCore::new(ltam_graph::examples::ntu_campus().model);
+    for s in 0..6u32 {
+        for l in 0..8u32 {
+            let auth = Authorization::new(
+                Interval::lit(0, 300),
+                Interval::lit(0, 350),
+                SubjectId(s),
+                LocationId(l),
+                EntryLimit::Finite(2),
+            );
+            core.add_authorization(auth.expect("exit window covers the entry window"));
+        }
+    }
+    core
+}
+
+/// Small segments, so a handful of records spans several of them.
+fn campus_store(dir: &std::path::Path) -> DurableEngine {
+    let config = StoreConfig {
+        segment_bytes: 96,
+        snapshot_every: 0,
+        fsync: false,
+        retention: None,
+    };
+    DurableEngine::create(dir, campus_core(), 2, config)
+        .expect("create store")
+        .0
+}
+
+/// Everything a record can move: enforcement state and the quarantine
+/// ledger (digest + the ledger itself), everything a policy op can edit,
+/// and the store's own bookkeeping.
+type Fingerprint = (u64, Vec<QuarantinedEvent>, String, (u64, u64, Time));
+
+fn fingerprint(engine: &DurableEngine) -> Fingerprint {
+    let policy = engine.engine().policy();
+    (
+        engine.read_view().engine().state_digest(),
+        engine.engine().export_quarantine(),
+        format!(
+            "{:?} {:?} {:?} {}",
+            policy.wire(),
+            policy.situation(),
+            policy.db().export_rows(),
+            policy.db().next_id()
+        ),
+        (engine.applied(), engine.policy_epoch(), engine.clock()),
+    )
+}
+
+/// Commit `records` as one mixed group into a fresh store in `dir`.
+fn commit_as_one_group(dir: &std::path::Path, records: &[WalRecord]) -> DurableEngine {
+    let mut engine = campus_store(dir);
+    let views: Vec<WalBatch<'_>> = records.iter().map(WalBatch::from).collect();
+    engine.commit(&views).expect("commit group");
+    engine
+}
+
+/// Tail `dir`'s whole log from sequence 0, `chunk` bytes per fetch.
+fn scan_log(dir: &std::path::Path, chunk: usize) -> Vec<WalRecord> {
+    let segments = wal_segment_ids(dir).expect("list segments");
+    let mut scanner = TailScanner::start(0, &segments).expect("segment 0 exists");
+    let mut out = Vec::new();
+    loop {
+        let segment = scanner.segment();
+        let sealed = segments.iter().any(|&s| s > segment);
+        let path = ReplFileId::WalSegment { first_seq: segment }.path(dir);
+        let bytes = std::fs::read(&path).expect("read segment");
+        let at = scanner.offset() as usize;
+        let end = (at + chunk).min(bytes.len());
+        let step = scanner.apply(&bytes[at..end], bytes.len() as u64, sealed);
+        assert_eq!(step.fault, None, "an intact log never faults");
+        out.extend(step.records);
+        if !sealed && scanner.segment() == segment && scanner.offset() as usize >= bytes.len() {
+            return out;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// An arbitrary interleaving of event, quarantine and policy
+    /// records reaches the same state whether each record is committed
+    /// by its own call, all of them as one mixed group, or the group's
+    /// directory is crash-recovered.
+    #[test]
+    fn single_commits_one_mixed_group_and_recovery_reach_the_same_state(
+        records in prop::collection::vec(arb_record(), 1..14),
+    ) {
+        let one_by_one = ScratchDir::new("prop-apply-single");
+        let mut engine = campus_store(one_by_one.path());
+        for record in &records {
+            engine.commit(&[WalBatch::from(record)]).expect("commit record");
+        }
+        let want = fingerprint(&engine);
+
+        let grouped = ScratchDir::new("prop-apply-group");
+        let engine = commit_as_one_group(grouped.path(), &records);
+        prop_assert_eq!(&fingerprint(&engine), &want, "one mixed group");
+        drop(engine); // no shutdown snapshot: only the creation one exists
+        let config = StoreConfig { snapshot_every: 0, fsync: false, ..StoreConfig::default() };
+        let (engine, _alerts, report) =
+            DurableEngine::open(grouped.path(), config).expect("recover");
+        prop_assert_eq!(report.snapshot_seq, 0);
+        prop_assert_eq!(&fingerprint(&engine), &want, "crash recovery");
+    }
+
+    /// A follower tailing a log's segment files, at any fetch size, is
+    /// handed record-for-record what crash recovery reads from them:
+    /// the records that were committed, at contiguous sequences.
+    #[test]
+    fn tailing_yields_record_for_record_what_recovery_reads(
+        records in prop::collection::vec(arb_record(), 1..14),
+        chunk in 1usize..200,
+    ) {
+        let dir = ScratchDir::new("prop-tail-vs-open");
+        // One commit per record, so the small segments rotate.
+        let mut engine = campus_store(dir.path());
+        for record in &records {
+            engine.commit(&[WalBatch::from(record)]).expect("commit record");
+        }
+        drop(engine);
+        let logged: Vec<WalRecord> =
+            records.into_iter().filter(|r| r.seq_count() > 0).collect();
+        let (_, recovery) = Wal::open(dir.path(), WalConfig::default()).expect("open log");
+        let mut next = 0;
+        for (first, record) in &recovery.records {
+            prop_assert_eq!(*first, next, "records are sequence-contiguous");
+            next += record.seq_count();
+        }
+        let recovered: Vec<WalRecord> = recovery.records.into_iter().map(|(_, r)| r).collect();
+        prop_assert_eq!(&recovered, &logged);
+        prop_assert_eq!(scan_log(dir.path(), chunk), recovered, "chunk {}", chunk);
+    }
+}
+
+/// Cut a mixed group at every byte of its segment: recovery applies
+/// exactly a whole-record prefix — the state of a store that committed
+/// just those records — so never half a record, and never a policy op
+/// without every record before it.
+#[test]
+fn a_torn_mixed_group_recovers_to_a_whole_record_prefix() {
+    use ltam_situate::SituationMode::Lockdown;
+    let request = |t, s| Event::Request {
+        time: Time(t),
+        subject: SubjectId(s),
+        location: LocationId(1),
+    };
+    let records = vec![
+        WalRecord::Events(vec![request(10, 0), request(11, 1)]),
+        WalRecord::Policy(PolicyOp::Situation(SituationOp::Declare(Lockdown))),
+        WalRecord::Quarantine {
+            source: SubjectId(5),
+            level: 0,
+            events: vec![request(900, 2)],
+        },
+        WalRecord::Events(vec![request(12, 0)]),
+        WalRecord::Policy(PolicyOp::Admin(AdminOp::SetTrustThreshold { threshold: 3 })),
+        WalRecord::Events(vec![request(13, 1), Event::Tick { now: Time(20) }]),
+    ];
+    // What each whole-record prefix leaves behind.
+    let prefixes: Vec<Fingerprint> = (0..=records.len())
+        .map(|k| {
+            let dir = ScratchDir::new("torn-group-prefix");
+            fingerprint(&commit_as_one_group(dir.path(), &records[..k]))
+        })
+        .collect();
+
+    let full = ScratchDir::new("torn-group-full");
+    // One segment holds the whole group (rotation is checked per append).
+    drop(commit_as_one_group(full.path(), &records));
+    let segment = ReplFileId::WalSegment { first_seq: 0 };
+    let len = std::fs::metadata(segment.path(full.path())).unwrap().len();
+    let config = StoreConfig {
+        snapshot_every: 0,
+        fsync: false,
+        ..StoreConfig::default()
+    };
+    let mut reached = std::collections::BTreeSet::new();
+    for cut in 0..=len {
+        let torn = ScratchDir::new("torn-group-cut");
+        copy_flat_dir(full.path(), torn.path()).unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(segment.path(torn.path()))
+            .unwrap();
+        file.set_len(cut).unwrap();
+        drop(file);
+        // A crash mid-append precedes the acked-epoch marker, which is
+        // only written after the group is durable and applied.
+        std::fs::remove_file(ReplFileId::EpochMarker.path(torn.path())).unwrap();
+        let (engine, _alerts, _report) = DurableEngine::open(torn.path(), config).unwrap();
+        let got = fingerprint(&engine);
+        let k = prefixes
+            .iter()
+            .position(|p| *p == got)
+            .unwrap_or_else(|| panic!("cut at {cut} of {len} is no whole-record prefix: {got:?}"));
+        reached.insert(k);
+    }
+    assert_eq!(
+        reached.into_iter().collect::<Vec<_>>(),
+        (0..=records.len()).collect::<Vec<_>>(),
+        "every prefix length, and nothing else, is reachable"
+    );
 }
 
 // --- the archive segment (format v2: events block + binval records block) --

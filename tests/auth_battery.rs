@@ -575,6 +575,61 @@ fn revocations_and_trust_edits_survive_restart() {
     );
 }
 
+/// The monitoring clock is durable: a token that expired stays expired
+/// across a clean restart and at a freshly bootstrapped follower, even
+/// though the snapshot either comes up from leaves no WAL tail whose
+/// events could re-advance the clock past the expiry.
+#[test]
+fn an_expired_token_stays_expired_across_restart_and_bootstrap() {
+    let p_dir = ScratchDir::new("auth-clock-p");
+    let f_dir = ScratchDir::new("auth-clock-f");
+    let (server, mut root, _alice, _cais) = start_locked_server(&p_dir);
+    mint(
+        &mut root,
+        SubjectId(900),
+        vec![Scope::Replicate],
+        Interval::ALL,
+        "repl-secret",
+    );
+    mint(
+        &mut root,
+        SubjectId(8),
+        vec![Scope::Query],
+        Interval::lit(0, 100),
+        "short-lived",
+    );
+    let hello = |addr: &str| LtamClient::connect(addr).unwrap().hello("short-lived");
+    let addr = server.local_addr().to_string();
+    hello(&addr).expect("valid until the clock passes 100");
+    root.ingest(&[Event::Tick { now: Time(250) }]).unwrap();
+    expect_refusal(hello(&addr), ErrorCode::Unauthenticated, "before restart");
+
+    // A clean shutdown ends with a snapshot: the reopen replays nothing.
+    drop(root);
+    drop(server.shutdown().unwrap());
+    let (engine, _alerts, report) = DurableEngine::open(p_dir.path(), store_config()).unwrap();
+    assert_eq!(report.replayed, 0, "the snapshot covers the whole log");
+    assert_eq!(engine.clock(), Time(250), "the clock rode the snapshot");
+    let primary = Server::start(engine, "127.0.0.1:0", auth_config()).unwrap();
+    let p_addr = primary.local_addr().to_string();
+    expect_refusal(hello(&p_addr), ErrorCode::Unauthenticated, "after restart");
+
+    // A follower bootstrapped from that snapshot judges the same way.
+    let f_engine =
+        bootstrap_follower_as(f_dir.path(), &p_addr, Some("repl-secret"), store_config()).unwrap();
+    let mut replica = ReplicaConfig::new(&p_addr);
+    replica.token = Some("repl-secret".to_string());
+    let follower = Server::start_follower(f_engine, "127.0.0.1:0", auth_config(), replica).unwrap();
+    expect_refusal(
+        hello(&follower.local_addr().to_string()),
+        ErrorCode::Unauthenticated,
+        "at a freshly bootstrapped follower",
+    );
+
+    drop(follower.abort().unwrap());
+    drop(primary.abort().unwrap());
+}
+
 /// The follower leg: every enforcement point judges a token under the
 /// same registry. A follower tailing a locked primary comes up locked
 /// (the bootstrap replays the logged policy ops), refuses a token on
