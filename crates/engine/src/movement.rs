@@ -371,32 +371,59 @@ impl MovementsDb {
         timeline.partition_point(|s| matches!(s.exit, Some(e) if e < horizon))
     }
 
+    /// Split the log's events prunable at `horizon` from the rest:
+    /// calls `pruned` or `kept` for each event in log order and returns
+    /// the index just past the last prunable one. Each pruned stay is
+    /// closed, i.e. exactly one Enter and one Exit event — and they are
+    /// the *first* log events of that subject, because per-subject
+    /// events are chronological. So the prunable events sit at the
+    /// front of the arrival-ordered log, and the walk stops as soon as
+    /// every subject's quota is met: the tail it never visits is kept.
+    fn split_prunable_events(
+        &self,
+        horizon: Time,
+        mut pruned: impl FnMut(&MovementEvent),
+        mut kept: impl FnMut(&MovementEvent),
+    ) -> usize {
+        let mut quotas: BTreeMap<SubjectId, usize> = BTreeMap::new();
+        let mut remaining = 0;
+        for (&subject, timeline) in &self.timelines {
+            let k = Self::prunable_prefix(timeline, horizon);
+            if k > 0 {
+                quotas.insert(subject, 2 * k);
+                remaining += 2 * k;
+            }
+        }
+        let mut visited = 0;
+        for e in &self.log {
+            if remaining == 0 {
+                break;
+            }
+            visited += 1;
+            match quotas.get_mut(&e.subject) {
+                Some(r) if *r > 0 => {
+                    *r -= 1;
+                    remaining -= 1;
+                    pruned(e);
+                }
+                _ => kept(e),
+            }
+        }
+        visited
+    }
+
     /// The history that [`MovementsDb::apply_prune`] at `horizon` would
     /// drop, without mutating anything: the pruned stays (with their
     /// subjects) and the log events backing them, both in stored order.
     /// A durable deployment archives these *before* pruning.
     pub fn collect_prunable(&self, horizon: Time) -> (Vec<MovementEvent>, Vec<(SubjectId, Stay)>) {
         let mut stays = Vec::new();
-        // Each pruned stay is closed, i.e. exactly one Enter and one
-        // Exit event — and they are the *first* log events of that
-        // subject, because per-subject events are chronological.
-        let mut remaining: BTreeMap<SubjectId, usize> = BTreeMap::new();
         for (&subject, timeline) in &self.timelines {
             let k = Self::prunable_prefix(timeline, horizon);
-            if k > 0 {
-                stays.extend(timeline[..k].iter().map(|&s| (subject, s)));
-                remaining.insert(subject, 2 * k);
-            }
+            stays.extend(timeline[..k].iter().map(|&s| (subject, s)));
         }
         let mut events = Vec::new();
-        for e in &self.log {
-            if let Some(r) = remaining.get_mut(&e.subject) {
-                if *r > 0 {
-                    events.push(*e);
-                    *r -= 1;
-                }
-            }
-        }
+        self.split_prunable_events(horizon, |e| events.push(*e), |_| {});
         (events, stays)
     }
 
@@ -409,25 +436,17 @@ impl MovementsDb {
     /// regression) all survive, so pruning is invisible to
     /// `record_enter`/`record_exit`.
     pub fn apply_prune(&mut self, horizon: Time) -> u64 {
-        let mut remaining: BTreeMap<SubjectId, usize> = BTreeMap::new();
-        for (&subject, timeline) in &mut self.timelines {
+        // Only the walked front of the log changes; the tail moves down
+        // over the gap in one piece.
+        let mut kept = Vec::new();
+        let visited = self.split_prunable_events(horizon, |_| {}, |e| kept.push(*e));
+        let dropped = (visited - kept.len()) as u64;
+        self.log.splice(..visited, kept);
+        for timeline in self.timelines.values_mut() {
             let k = Self::prunable_prefix(timeline, horizon);
-            if k > 0 {
-                timeline.drain(..k);
-                remaining.insert(subject, 2 * k);
-            }
+            timeline.drain(..k);
         }
         self.timelines.retain(|_, t| !t.is_empty());
-        let before = self.log.len();
-        let mut kept = Vec::with_capacity(before);
-        for e in self.log.drain(..) {
-            match remaining.get_mut(&e.subject) {
-                Some(r) if *r > 0 => *r -= 1,
-                _ => kept.push(e),
-            }
-        }
-        self.log = kept;
-        let dropped = (before - self.log.len()) as u64;
         self.pruned_events = Some(self.pruned_events() + dropped);
         self.watermark = Some(self.watermark().max(horizon));
         dropped
@@ -700,19 +719,51 @@ mod tests {
 
     #[test]
     fn collect_prunable_matches_apply_prune() {
-        let db = pruneable_db();
-        let (events, stays) = db.collect_prunable(Time(30));
-        let mut pruned = db.clone();
-        pruned.apply_prune(Time(30));
-        // Retained log + pruned events = the original log (order within
-        // each side preserved).
-        assert_eq!(events.len() + pruned.len(), db.len());
-        for e in &events {
-            assert!(db.log().contains(e));
-            assert!(!pruned.log().contains(e));
-        }
-        for (s, stay) in &stays {
-            assert!(!pruned.timeline(*s).contains(stay));
+        // Beyond `pruneable_db`: clocks are only per-subject monotone, so
+        // CAROL's events arrive *after* later-stamped ones of ALICE and
+        // BOB (a prunable event deep in the log), BOB holds a stay open
+        // across the horizon, and ALICE a closed one straddling it.
+        const CAROL: SubjectId = SubjectId(2);
+        let mut late = pruneable_db();
+        late.record_exit(Time(60), ALICE, CAIS).unwrap();
+        late.record_enter(Time(28), BOB, CAIS).unwrap();
+        late.record_enter(Time(5), CAROL, GO).unwrap();
+        late.record_exit(Time(8), CAROL, GO).unwrap();
+        late.record_enter(Time(70), ALICE, GO).unwrap();
+        for (db, horizon) in [(pruneable_db(), 30), (late.clone(), 30), (late, 55)] {
+            let horizon = Time(horizon);
+            // The definition the early-exit walk must reproduce: an event
+            // is prunable iff it is among its subject's first 2k, k the
+            // subject's count of closed stays with exit < horizon.
+            let mut quota: BTreeMap<SubjectId, usize> = BTreeMap::new();
+            for e in db.log() {
+                let closed_before = |s: &&Stay| matches!(s.exit, Some(x) if x < horizon);
+                let k = db
+                    .timeline(e.subject)
+                    .iter()
+                    .take_while(closed_before)
+                    .count();
+                quota.entry(e.subject).or_insert(2 * k);
+            }
+            let (want_pruned, want_kept): (Vec<_>, Vec<_>) = db.log().iter().partition(|e| {
+                let q = quota.get_mut(&e.subject).unwrap();
+                let prunable = *q > 0;
+                *q -= usize::from(prunable);
+                prunable
+            });
+            let (events, stays) = db.collect_prunable(horizon);
+            let mut pruned = db.clone();
+            let dropped = pruned.apply_prune(horizon);
+            // Same events, same order, on both sides of the split.
+            assert_eq!(events, want_pruned, "horizon {horizon}");
+            assert_eq!(pruned.log(), want_kept, "horizon {horizon}");
+            assert_eq!(dropped as usize, events.len());
+            assert_eq!(events.len(), 2 * stays.len());
+            for (s, stay) in &stays {
+                assert!(matches!(stay.exit, Some(x) if x < horizon));
+                assert!(db.timeline(*s).contains(stay));
+                assert!(!pruned.timeline(*s).contains(stay));
+            }
         }
     }
 

@@ -20,15 +20,18 @@ use ltam_engine::{HistoryWatermarks, Violation};
 use ltam_graph::LocationId;
 use ltam_serve::wire::{
     decode_repl_reply, decode_request, decode_response, encode_request, encode_response,
-    read_frame, write_frame, ErrorCode, FrameAssembler, HistoryQuery, ReplManifest, ReplicaState,
-    ReplicaStatus, Request, Response, ServerRole, ServerStatus, WireError, DEFAULT_MAX_FRAME_BYTES,
+    read_frame, write_frame, ErrorCode, FrameAssembler, HistoryQuery, ReplManifest, ReplRequest,
+    ReplicaState, ReplicaStatus, Request, Response, ServerRole, ServerStatus, WireError,
+    DEFAULT_MAX_FRAME_BYTES,
 };
 use ltam_situate::{
     ConstraintId, IncidentId, SituationMode, SituationOp, SituationOutcome, WorkflowConstraint,
 };
+use ltam_store::binval;
 use ltam_store::replica::{ReplFile, ReplFileId};
 use ltam_time::{Interval, Time};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 use std::io::Cursor;
 
 /// `None` or `Some` of the inner strategy, evenly.
@@ -522,6 +525,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
 
 /// Kind byte of every response payload (requests use the others).
 const KIND_RESPONSE: u8 = 0x04;
+/// Kind bytes of the requests with a structured (`binval`) body.
+const KIND_QUERY: u8 = 0x03;
+const KIND_REPL: u8 = 0x05;
+const KIND_ADMIN: u8 = 0x09;
+const KIND_SITUATION: u8 = 0x0A;
 
 fn encode(message: &Message) -> Vec<u8> {
     match message {
@@ -547,8 +555,83 @@ fn framed(message: &Message) -> Vec<u8> {
     bytes
 }
 
+/// Decode a structured body as a `T` directly and through a [`Value`]
+/// tree: both routes must refuse, or both must accept and agree
+/// (compared as encodings, which is exact for floats).
+fn routes_agree<T: Deserialize + Serialize>(body: &[u8]) {
+    let direct = binval::decode::<T>(body);
+    let via_tree = binval::decode::<Value>(body).and_then(|tree| T::from_value(&tree));
+    match (direct, via_tree) {
+        (Ok(a), Ok(b)) => assert_eq!(binval::encode(&a), binval::encode(&b), "routes disagree"),
+        (Err(_), Err(_)) => {}
+        (direct, via_tree) => panic!(
+            "one route refused {body:02x?}: direct {:?}, via the tree {:?}",
+            direct.map(|_| ()),
+            via_tree.map(|_| ())
+        ),
+    }
+}
+
+/// [`routes_agree`] for the body type a payload's kind byte selects
+/// (event-codec and raw bodies have no second route).
+fn body_routes_agree(payload: &[u8]) {
+    let Some((&kind, body)) = payload.split_first() else {
+        return;
+    };
+    match kind {
+        KIND_QUERY => routes_agree::<HistoryQuery>(body),
+        KIND_RESPONSE => routes_agree::<Response>(body),
+        KIND_REPL => routes_agree::<ReplRequest>(body),
+        KIND_ADMIN => routes_agree::<AdminOp>(body),
+        KIND_SITUATION => routes_agree::<SituationOp>(body),
+        _ => {}
+    }
+}
+
+/// `check` over `bytes` intact and damaged at every byte from `from`
+/// on: cut there, bit `bit` flipped there, and — where the byte follows
+/// a string/array/object tag, so is a length or a count wherever that
+/// byte really is a tag — inflated.
+fn for_each_damage(bytes: &[u8], from: usize, bit: u8, check: impl Fn(&[u8])) {
+    check(bytes);
+    let mut damaged = bytes.to_vec();
+    for i in from..bytes.len() {
+        check(&bytes[..i]);
+        damaged[i] ^= 1 << bit;
+        check(&damaged);
+        if i > 0 && (0x06..=0x08).contains(&bytes[i - 1]) {
+            for inflated in [bytes[i].wrapping_add(1), 0x7F, 0xFF] {
+                damaged[i] = inflated;
+                check(&damaged);
+            }
+        }
+        damaged[i] = bytes[i];
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Behind the frame CRC there is one body decoder with two routes —
+    /// straight into the message type, and through a `Value` tree that
+    /// `from_value` then walks. They are the same function: on every
+    /// message's body, intact and damaged at every byte, both refuse or
+    /// both accept and agree.
+    #[test]
+    fn damaged_bodies_decode_alike_on_both_routes(message in arb_message(), bit in 0u8..8) {
+        for_each_damage(&encode(&message), 1, bit, body_routes_agree);
+    }
+
+    /// …and on garbage weighted toward binval's tag bytes, under every
+    /// structured kind.
+    #[test]
+    fn arbitrary_bodies_decode_alike_on_both_routes(
+        tail in prop::collection::vec(prop_oneof![3 => 0u8..=8, 1 => 0u8..=255], 0..64),
+    ) {
+        for kind in [KIND_QUERY, KIND_RESPONSE, KIND_REPL, KIND_ADMIN, KIND_SITUATION] {
+            body_routes_agree(&[&[kind][..], &tail].concat());
+        }
+    }
 
     /// Arbitrary messages survive the full frame → parse round trip
     /// bit-exactly.
@@ -798,6 +881,13 @@ mod replication {
             let payload = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_FRAME_BYTES)
                 .expect("intact frames read");
             prop_assert_eq!(decode(&payload).expect("intact payloads decode"), message);
+        }
+
+        /// The chunk-meta prefix is the one structured body outside
+        /// `Request`/`Response`; the same two-route rule holds for it.
+        #[test]
+        fn damaged_chunk_metas_decode_alike_on_both_routes(chunk in arb_chunk(), bit in 0u8..8) {
+            for_each_damage(&binval::encode(&chunk.meta), 0, bit, routes_agree::<ReplChunkMeta>);
         }
 
         /// Chunk frames round-trip bit-exactly (the raw segment bytes

@@ -421,7 +421,8 @@ fn merge_segment(data: &mut ArchiveData, from: u64, seg: SegmentData) {
 /// Loaded segments accumulate monotonically: classes with different
 /// watermarks share one cache, and loading a superset is always sound
 /// because the per-record provenance filter still applies at query
-/// time.
+/// time. A retention run does not empty the cache of a store that is
+/// being queried — see [`LazyArchive::chain_changed`].
 #[derive(Debug, Default)]
 pub struct LazyArchive {
     /// Scanned chain rows, cached after the first scan.
@@ -429,6 +430,9 @@ pub struct LazyArchive {
     /// Chain starts whose payloads are merged into `data`.
     loaded: std::collections::BTreeSet<u64>,
     data: ArchiveData,
+    /// A query read payloads through this cache since the last
+    /// [`LazyArchive::chain_changed`].
+    queried: bool,
 }
 
 impl LazyArchive {
@@ -437,10 +441,21 @@ impl LazyArchive {
         LazyArchive::default()
     }
 
-    /// Drop everything; the next query rescans and reloads. Call after
-    /// any retention run (it may have appended or replaced segments).
-    pub fn invalidate(&mut self) {
-        *self = LazyArchive::default();
+    /// A retention run rewrote the chain from `replaced_from` on (it
+    /// appended a segment there, replacing whatever a crash-repeated
+    /// run had stranded at or past it): the chain is rescanned at the
+    /// next query. Loaded payloads are kept — segments below
+    /// `replaced_from` are immutable — unless one of them was in the
+    /// rewritten range, or nobody queried since the previous run (a
+    /// store that is only written to holds no archive in memory).
+    pub fn chain_changed(&mut self, replaced_from: u64) {
+        let rewritten = self.loaded.range(replaced_from..).next().is_some();
+        if rewritten || !self.queried {
+            *self = LazyArchive::default();
+        } else {
+            self.chain = None;
+            self.queried = false;
+        }
     }
 
     /// Chain coverage end (exclusive), scanning the directory on first
@@ -480,6 +495,7 @@ impl LazyArchive {
         applied_below: Time,
     ) -> io::Result<&ArchiveData> {
         self.ensure_chain(store)?;
+        self.queried = true;
         let needed: Vec<SegmentRow> = self
             .chain
             .as_deref()
@@ -975,7 +991,28 @@ mod tests {
         cold.view_for(&store, Time::ZERO, Time(100)).unwrap();
         assert_eq!(cold.segments_loaded(), 2);
 
-        lazy.invalidate();
+        // A retention run appending [150, 200) leaves a queried cache's
+        // payloads alone: the rescan finds the new segment and the next
+        // query loads only that one.
+        store.append_run(150, 200, &history(&[(160, 170)])).unwrap();
+        lazy.chain_changed(150);
+        assert_eq!(lazy.segments_loaded(), 3);
+        assert_eq!(lazy.coverage_end(&store).unwrap(), 200);
+        let view = lazy.view_for(&store, Time::ZERO, Time::MAX).unwrap();
+        assert_eq!(view.stays_of(SubjectId(1)).len(), 4);
+        assert_eq!(lazy.segments_loaded(), 4);
+
+        // A run that rewrites a loaded segment (a crash-repeated run
+        // replacing the one it stranded) drops everything…
+        store.append_run(150, 250, &history(&[(160, 170)])).unwrap();
+        lazy.chain_changed(150);
+        assert_eq!(lazy.segments_loaded(), 0);
+        // …and so does a run nobody queried since the last one: a store
+        // that is only written to holds no archive in memory.
+        lazy.view_for(&store, Time::ZERO, Time::MAX).unwrap();
+        lazy.chain_changed(250);
+        assert_eq!(lazy.segments_loaded(), 4);
+        lazy.chain_changed(250);
         assert_eq!(lazy.segments_loaded(), 0);
     }
 

@@ -27,16 +27,21 @@
 //! 0x08 object           varint count + (varint key length + key + value)*
 //! ```
 //!
+//! Decoding mirrors encoding: [`decode`] reads the target type straight
+//! out of the bytes through the streaming [`serde::Deserializer`] path
+//! ([`BinDeserializer`]) and allocates only what that type holds — a
+//! [`serde::Value`] tree is built only when `Value` *is* the target type.
+//!
 //! Like the event codec, decoding is **total**: arbitrary bytes either
 //! decode or return an error — no panics, and no allocation sized by a
 //! number the input merely announces: wire request bodies are decoded
 //! *before* the capability gate, so this decoder faces unauthenticated
-//! peers. A count only ever reserves up to `MAX_PREALLOC` elements;
-//! past that, memory grows as elements actually decode — at most one
-//! [`Value`] per input byte, so the frame-size cap bounds it.
+//! peers. A count never exceeds the bytes that remain and only ever
+//! reserves up to [`serde::MAX_PREALLOC`] elements; past that, memory
+//! grows as elements actually decode, so the frame-size cap bounds it.
 
 use crate::codec::{get_varint, put_varint, DecodeError};
-use serde::{Deserialize, Error, Serialize, Serializer, Value};
+use serde::{Deserialize, Deserializer, Error, Kind, Serialize, Serializer};
 
 const TAG_NULL: u8 = 0x00;
 const TAG_FALSE: u8 = 0x01;
@@ -49,7 +54,7 @@ const TAG_ARRAY: u8 = 0x07;
 const TAG_OBJECT: u8 = 0x08;
 
 /// Encode any serializable value to the binary form, streaming (no
-/// intermediate [`Value`] tree).
+/// intermediate [`serde::Value`] tree).
 pub fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
     let mut out = Vec::new();
     encode_into(value, &mut out);
@@ -65,16 +70,10 @@ pub fn encode_into<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
 /// Decode a value previously produced by [`encode`]. Trailing bytes are
 /// an error: the payload is exactly one value.
 pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
-    let mut at = 0;
-    let value = decode_value(bytes, &mut at, 0)
-        .map_err(|e| Error(format!("binary payload: {e:?} at offset {at}")))?;
-    if at != bytes.len() {
-        return Err(Error(format!(
-            "binary payload: {} trailing bytes after value",
-            bytes.len() - at
-        )));
-    }
-    T::from_value(&value)
+    let mut d = BinDeserializer::new(bytes);
+    let value = T::deserialize(&mut d)?;
+    d.finish()?;
+    Ok(value)
 }
 
 struct BinSerializer<'a> {
@@ -131,86 +130,156 @@ fn unzigzag(n: u64) -> i64 {
 }
 
 /// Nesting depth cap: a hostile payload of `[[[[...` tags must not
-/// overflow the decoder's stack.
+/// overflow the stack of a recursive reader ([`Deserializer::skip`], the
+/// [`serde::Value`] tree builder).
 const MAX_DEPTH: u32 = 512;
 
-fn get_str(bytes: &[u8], at: &mut usize) -> Result<String, DecodeError> {
-    let len = get_varint(bytes, at)?;
-    let len = usize::try_from(len).map_err(|_| DecodeError::VarintOverflow)?;
-    let end = at.checked_add(len).ok_or(DecodeError::UnexpectedEof)?;
-    if end > bytes.len() {
-        return Err(DecodeError::UnexpectedEof);
-    }
-    let s = std::str::from_utf8(&bytes[*at..end]).map_err(|_| DecodeError::BadUtf8)?;
-    *at = end;
-    Ok(s.to_string())
+/// The streaming source over one encoded payload — the read-side mirror
+/// of the serializer above, under the module's totality rules.
+pub struct BinDeserializer<'a> {
+    bytes: &'a [u8],
+    at: usize,
+    /// Compounds currently open.
+    depth: u32,
 }
 
-/// Most elements an announced array/object count may reserve up front.
-/// A count is attacker-chosen and an element costs one input byte but
-/// 32 bytes of [`Value`] (56 per object pair), so trusting a count that
-/// merely fits the remaining bytes would let one 16 MiB frame reserve
-/// hundreds of megabytes before its first element fails to decode.
-const MAX_PREALLOC: usize = 1024;
-
-/// Read an array/object element count. Every element costs at least one
-/// byte, so a count beyond the remaining bytes is corrupt.
-fn get_count(bytes: &[u8], at: &mut usize) -> Result<usize, DecodeError> {
-    let count = get_varint(bytes, at)?;
-    let count = usize::try_from(count).map_err(|_| DecodeError::VarintOverflow)?;
-    if count > bytes.len() - *at {
-        return Err(DecodeError::UnexpectedEof);
+impl<'a> BinDeserializer<'a> {
+    /// A source positioned at the first byte of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> BinDeserializer<'a> {
+        BinDeserializer {
+            bytes,
+            at: 0,
+            depth: 0,
+        }
     }
-    Ok(count)
+
+    /// Check that the value read was the whole payload.
+    pub fn finish(&self) -> Result<(), Error> {
+        match self.bytes.len() - self.at {
+            0 => Ok(()),
+            trailing => Err(Error(format!(
+                "binary payload: {trailing} trailing bytes after value"
+            ))),
+        }
+    }
+
+    #[cold]
+    fn fail(&self, e: DecodeError) -> Error {
+        Error(format!("binary payload: {e:?} at offset {}", self.at))
+    }
+
+    fn varint(&mut self) -> Result<u64, Error> {
+        get_varint(self.bytes, &mut self.at).map_err(|e| self.fail(e))
+    }
+
+    /// Consume the next tag byte, which must be `tag`.
+    fn expect(&mut self, tag: u8, expected: &str) -> Result<(), Error> {
+        if self.bytes.get(self.at) == Some(&tag) {
+            self.at += 1;
+            return Ok(());
+        }
+        Err(serde::kind_err(expected, self.peek()?))
+    }
+
+    /// Consume `len` raw bytes.
+    fn take(&mut self, len: usize) -> Result<&'a [u8], Error> {
+        match self.bytes[self.at..].get(..len) {
+            Some(raw) => {
+                self.at += len;
+                Ok(raw)
+            }
+            None => Err(self.fail(DecodeError::UnexpectedEof)),
+        }
+    }
+
+    /// Consume a varint length and that many UTF-8 bytes.
+    fn str_body(&mut self) -> Result<&'a str, Error> {
+        let len = self.varint()?;
+        let len = usize::try_from(len).map_err(|_| self.fail(DecodeError::VarintOverflow))?;
+        let raw = self.take(len)?;
+        std::str::from_utf8(raw).map_err(|_| self.fail(DecodeError::BadUtf8))
+    }
+
+    /// Open a compound: consume its tag and element count. Every element
+    /// costs at least one byte, so a count beyond the remaining bytes is
+    /// corrupt; elements of a compound already `MAX_DEPTH` deep are
+    /// refused.
+    fn begin(&mut self, tag: u8, expected: &str) -> Result<usize, Error> {
+        self.expect(tag, expected)?;
+        let count = self.varint()?;
+        let count = usize::try_from(count).map_err(|_| self.fail(DecodeError::VarintOverflow))?;
+        if count > self.bytes.len() - self.at {
+            return Err(self.fail(DecodeError::UnexpectedEof));
+        }
+        if count > 0 && self.depth >= MAX_DEPTH {
+            return Err(self.fail(DecodeError::BadTag(tag)));
+        }
+        self.depth += 1;
+        Ok(count)
+    }
 }
 
-fn decode_value(bytes: &[u8], at: &mut usize, depth: u32) -> Result<Value, DecodeError> {
-    if depth > MAX_DEPTH {
-        return Err(DecodeError::BadTag(TAG_ARRAY));
+impl Deserializer for BinDeserializer<'_> {
+    fn peek(&mut self) -> Result<Kind, Error> {
+        match self.bytes.get(self.at) {
+            Some(&TAG_NULL) => Ok(Kind::Null),
+            Some(&(TAG_FALSE | TAG_TRUE)) => Ok(Kind::Bool),
+            Some(&TAG_U64) => Ok(Kind::U64),
+            Some(&TAG_I64) => Ok(Kind::I64),
+            Some(&TAG_F64) => Ok(Kind::F64),
+            Some(&TAG_STR) => Ok(Kind::Str),
+            Some(&TAG_ARRAY) => Ok(Kind::Array),
+            Some(&TAG_OBJECT) => Ok(Kind::Object),
+            Some(&other) => Err(self.fail(DecodeError::BadTag(other))),
+            None => Err(self.fail(DecodeError::UnexpectedEof)),
+        }
     }
-    let &tag = bytes.get(*at).ok_or(DecodeError::UnexpectedEof)?;
-    *at += 1;
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_U64 => Ok(Value::U64(get_varint(bytes, at)?)),
-        TAG_I64 => Ok(Value::I64(unzigzag(get_varint(bytes, at)?))),
-        TAG_F64 => {
-            let end = at.checked_add(8).ok_or(DecodeError::UnexpectedEof)?;
-            if end > bytes.len() {
-                return Err(DecodeError::UnexpectedEof);
-            }
-            let raw: [u8; 8] = bytes[*at..end].try_into().expect("8 bytes");
-            *at = end;
-            Ok(Value::F64(f64::from_le_bytes(raw)))
-        }
-        TAG_STR => Ok(Value::Str(get_str(bytes, at)?)),
-        TAG_ARRAY => {
-            let count = get_count(bytes, at)?;
-            let mut items = Vec::with_capacity(count.min(MAX_PREALLOC));
-            for _ in 0..count {
-                items.push(decode_value(bytes, at, depth + 1)?);
-            }
-            Ok(Value::Array(items))
-        }
-        TAG_OBJECT => {
-            let count = get_count(bytes, at)?;
-            let mut pairs = Vec::with_capacity(count.min(MAX_PREALLOC));
-            for _ in 0..count {
-                let key = get_str(bytes, at)?;
-                let value = decode_value(bytes, at, depth + 1)?;
-                pairs.push((key, value));
-            }
-            Ok(Value::Object(pairs))
-        }
-        other => Err(DecodeError::BadTag(other)),
+    fn read_null(&mut self) -> Result<(), Error> {
+        self.expect(TAG_NULL, "null")
+    }
+    fn read_bool(&mut self) -> Result<bool, Error> {
+        let b = self.bytes.get(self.at) == Some(&TAG_TRUE);
+        self.expect(if b { TAG_TRUE } else { TAG_FALSE }, "bool")?;
+        Ok(b)
+    }
+    fn read_u64(&mut self) -> Result<u64, Error> {
+        self.expect(TAG_U64, "u64")?;
+        self.varint()
+    }
+    fn read_i64(&mut self) -> Result<i64, Error> {
+        self.expect(TAG_I64, "i64")?;
+        self.varint().map(unzigzag)
+    }
+    fn read_f64(&mut self) -> Result<f64, Error> {
+        self.expect(TAG_F64, "f64")?;
+        let raw: [u8; 8] = self.take(8)?.try_into().expect("8 bytes");
+        Ok(f64::from_le_bytes(raw))
+    }
+    fn read_str(&mut self) -> Result<&str, Error> {
+        self.expect(TAG_STR, "string")?;
+        self.str_body()
+    }
+    fn begin_array(&mut self) -> Result<usize, Error> {
+        self.begin(TAG_ARRAY, "array")
+    }
+    fn end_array(&mut self) {
+        self.depth -= 1;
+    }
+    fn begin_object(&mut self) -> Result<usize, Error> {
+        self.begin(TAG_OBJECT, "object")
+    }
+    fn read_key(&mut self) -> Result<&str, Error> {
+        self.str_body()
+    }
+    fn end_object(&mut self) {
+        self.depth -= 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn round_trip(v: &Value) {
         let bytes = encode(v);
@@ -283,6 +352,35 @@ mod tests {
         }
         deep.push(TAG_NULL);
         assert!(decode::<Value>(&deep).is_err());
+    }
+
+    #[test]
+    fn a_skipped_field_is_validated_like_a_read_one() {
+        #[derive(Debug, PartialEq, Deserialize)]
+        struct Known {
+            id: u32,
+        }
+        // `{"junk": <junk>, "id": 7}` with `junk` given as raw bytes.
+        let with_junk = |junk: &[u8]| {
+            let mut bytes = vec![TAG_OBJECT, 2, 4];
+            bytes.extend_from_slice(b"junk");
+            bytes.extend_from_slice(junk);
+            bytes.extend_from_slice(&[2, b'i', b'd', TAG_U64, 7]);
+            bytes
+        };
+        let nest = |depth: usize| [[TAG_ARRAY, 1].repeat(depth), vec![TAG_NULL]].concat();
+        let tree = Value::Object(vec![("k".to_string(), Value::Array(vec![Value::F64(0.5)]))]);
+        for junk in [encode(&tree), encode("text"), nest(MAX_DEPTH as usize - 1)] {
+            assert_eq!(decode::<Known>(&with_junk(&junk)), Ok(Known { id: 7 }));
+        }
+        let bad_utf8 = [TAG_ARRAY, 1, TAG_STR, 2, 0xC3, 0x28];
+        let bad_key = [TAG_OBJECT, 1, 2, 0xC3, 0x28, TAG_NULL];
+        for junk in [&bad_utf8[..], &bad_key, &[0x09], &nest(MAX_DEPTH as usize)] {
+            let bytes = with_junk(junk);
+            assert!(decode::<Known>(&bytes).is_err(), "{junk:02x?}");
+            // The tree builder draws the line in the same place.
+            assert!(decode::<Value>(&bytes).is_err(), "{junk:02x?}");
+        }
     }
 
     #[test]

@@ -165,8 +165,8 @@ pub struct DurableEngine {
     snapshots: SnapshotStore,
     archive: Arc<ArchiveStore>,
     /// Lazily-loaded archive tier, cached across queries (segments load
-    /// on first touch; see [`LazyArchive`]); invalidated by retention
-    /// runs (which append a segment). Interior mutability so the
+    /// on first touch; see [`LazyArchive`]); a retention run, which
+    /// appends a segment, has the chain rescanned. Interior mutability so the
     /// tier-aware queries take `&self` — shared with [`ReadView`]s,
     /// which answer reads concurrently while ingest proceeds here.
     archive_cache: Arc<parking_lot::Mutex<LazyArchive>>,
@@ -1174,13 +1174,13 @@ impl DurableEngine {
             .append_run(live_from.get(), horizon.get(), &prunable)?;
         drop(archive_span);
         // A new segment exists (and may have replaced a stranded one):
-        // the next query rescans the chain and reloads lazily. Invalidate
-        // *before* the live watermark advances — a concurrent reader that
-        // sees the new watermark must also see the chain that covers it,
-        // or it refuses safely-archived history as `Unarchived`. The
-        // other order is the crash-between-steps overlap the tier merge
-        // already clips.
-        self.archive_cache.lock().invalidate();
+        // the next query rescans the chain and loads what it lacks.
+        // Tell the cache *before* the live watermark advances — a
+        // concurrent reader that sees the new watermark must also see
+        // the chain that covers it, or it refuses safely-archived
+        // history as `Unarchived`. The other order is the
+        // crash-between-steps overlap the tier merge already clips.
+        self.archive_cache.lock().chain_changed(live_from.get());
         self.engine.apply_retention(policy, horizon);
         Ok(RetentionOutcome {
             watermark: horizon,

@@ -180,7 +180,8 @@ pub fn merged_contacts(
 }
 
 /// Tier-merged violation report over `window` (archived first, then
-/// live in shard order; compare as a multiset). The archive side is
+/// live in shard order, detection order within a shard; compare as a
+/// multiset). The archive side is
 /// provenance-filtered at the live *violations* watermark.
 pub fn merged_violations(
     engine: &ShardedEngine,
@@ -191,11 +192,17 @@ pub fn merged_violations(
     let mut out = archive
         .map(|a| a.violations_in(window, live_from))
         .unwrap_or_default();
-    out.extend(
-        engine
-            .violations()
-            .into_iter()
-            .filter(|v| window.contains(v.time())),
-    );
+    // Filter under each shard's lock and copy only the rows in the
+    // window — not a clone of every live violation per query.
+    for shard in 0..engine.shard_count() {
+        engine.read_shard(shard, |st| {
+            out.extend(
+                st.violations()
+                    .iter()
+                    .filter(|v| window.contains(v.time()))
+                    .copied(),
+            )
+        });
+    }
     out
 }

@@ -5,8 +5,13 @@
 //! — decode to an error, never a panic. The WAL contract: whatever
 //! survives a damaged tail is an exact prefix of what was appended. The
 //! record contract: a [`WalRecord`] means the same thing to the live
-//! commit path, to crash recovery and to a follower's tail scanner.
+//! commit path, to crash recovery and to a follower's tail scanner. The
+//! decoder contract: reading a type straight out of `binval` bytes and
+//! reading it through a `Value` tree are the same function.
 
+mod common;
+
+use common::canonical;
 use ltam_core::capability::{AdminOp, Scope, TokenId};
 use ltam_core::db::AuthId;
 use ltam_core::decision::{AccessRequest, Decision, DenyReason};
@@ -18,14 +23,17 @@ use ltam_engine::retention::PrunedHistory;
 use ltam_engine::{AuditRecord, Violation};
 use ltam_graph::LocationId;
 use ltam_situate::{ConstraintId, IncidentId, SituationMode, SituationOp, WorkflowConstraint};
+use ltam_store::archive::ARCHIVE_HEADER_LEN;
 use ltam_store::codec::{decode_record_payload, encode_policy_op, WalRecord, POLICY_SENTINEL};
 use ltam_store::replica::wal_segment_ids;
 use ltam_store::{
-    copy_flat_dir, decode_event, decode_event_exact, event_bytes, ArchiveStore, DurableEngine,
-    ReplFileId, ScratchDir, StoreConfig, TailScanner, Wal, WalBatch, WalConfig,
+    binval, copy_flat_dir, decode_event, decode_event_exact, event_bytes, ArchiveStore,
+    DurableEngine, ReplFileId, ScratchDir, StoreConfig, StoreSnapshot, TailScanner, Wal, WalBatch,
+    WalConfig,
 };
 use ltam_time::{Interval, Time};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 
 fn arb_event() -> impl Strategy<Value = Event> {
     let fields = || (0u64..=u64::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX);
@@ -712,5 +720,171 @@ proptest! {
             std::fs::write(&path, &bad).expect("damage");
             prop_assert!(store.load().is_err(), "flip at byte {} of {}", i, good.len());
         }
+    }
+}
+
+// --- one decoder, two routes --------------------------------------------------
+
+/// Decode `bytes` as a `T` directly and through a [`Value`] tree: both
+/// routes must refuse, or both must accept and agree (compared as
+/// encodings: exact for floats, and no `PartialEq` needed). Returns
+/// whether they accepted.
+fn routes_agree<T: Deserialize + Serialize>(bytes: &[u8]) -> bool {
+    let direct = binval::decode::<T>(bytes);
+    let via_tree = binval::decode::<Value>(bytes).and_then(|tree| T::from_value(&tree));
+    match (direct, via_tree) {
+        (Ok(a), Ok(b)) => {
+            let (a, b) = (canonical(a.to_value()), canonical(b.to_value()));
+            assert_eq!(binval::encode(&a), binval::encode(&b), "routes disagree");
+            true
+        }
+        (Err(_), Err(_)) => false,
+        (direct, via_tree) => panic!(
+            "one route refused {bytes:02x?}: direct {:?}, via the tree {:?}",
+            direct.map(|_| ()),
+            via_tree.map(|_| ())
+        ),
+    }
+}
+
+/// A valid encoding decodes on both routes, and so does — or is refused
+/// by both — every way of damaging it the decoder's totality rules
+/// name, at every byte in `at`: cut there, bit `bit` flipped there, and
+/// — where the byte follows a string/array/object tag, so is a length
+/// or a count wherever that byte really is a tag — inflated.
+fn routes_agree_under_damage<T: Deserialize + Serialize>(
+    good: &[u8],
+    bit: u8,
+    at: impl Iterator<Item = usize>,
+) {
+    assert!(routes_agree::<T>(good), "the intact encoding must decode");
+    let mut damaged = good.to_vec();
+    for i in at {
+        routes_agree::<T>(&good[..i]);
+        damaged[i] ^= 1 << bit;
+        routes_agree::<T>(&damaged);
+        if i > 0 && (0x06..=0x08).contains(&good[i - 1]) {
+            for inflated in [good[i].wrapping_add(1), 0x7F, 0xFF] {
+                damaged[i] = inflated;
+                routes_agree::<T>(&damaged);
+            }
+        }
+        damaged[i] = good[i];
+    }
+}
+
+/// The archive segment's records block (the type itself is private to
+/// `ltam-store`; the shape is the format).
+#[derive(Serialize, Deserialize)]
+struct ArchiveRecords {
+    stays: Vec<(SubjectId, Stay)>,
+    audit: Vec<AuditRecord>,
+    violations: Vec<Violation>,
+}
+
+/// An arbitrary tree — every tag, nested a few levels.
+fn arb_value() -> impl Strategy<Value = Value> {
+    let text =
+        || prop::collection::vec(0x20u8..0x7F, 0..6).prop_map(|b| String::from_utf8(b).unwrap());
+    let scalar = || {
+        prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<u64>().prop_map(Value::U64),
+            (i64::MIN..0).prop_map(Value::I64),
+            any::<u64>().prop_map(|bits| Value::F64(f64::from_bits(bits))),
+            text().prop_map(Value::Str),
+        ]
+    };
+    let compound = move |inner: BoxedStrategy<Value>| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+            prop::collection::vec((text(), inner), 0..4).prop_map(Value::Object),
+        ]
+    };
+    let level1 = prop_oneof![scalar(), compound(scalar().boxed())].boxed();
+    prop_oneof![
+        scalar(),
+        compound(level1.clone()),
+        compound(compound(level1).boxed())
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Arbitrary bytes — mostly garbage, sometimes a decodable prefix —
+    /// mean the same thing (usually: nothing) to both routes, for every
+    /// target type the store reads.
+    #[test]
+    fn arbitrary_bytes_decode_alike_on_both_routes(
+        bytes in prop::collection::vec(0u8..=255, 0..48),
+        small in prop::collection::vec(0u8..=8, 0..48),
+    ) {
+        for bytes in [&bytes, &small] {
+            routes_agree::<StoreSnapshot>(bytes);
+            routes_agree::<ArchiveRecords>(bytes);
+            routes_agree::<PolicyOp>(bytes);
+            routes_agree::<Value>(bytes);
+        }
+    }
+
+    #[test]
+    fn damaged_policy_ops_decode_alike_on_both_routes(op in arb_policy_op(), bit in 0u8..8) {
+        let good = binval::encode(&op);
+        routes_agree_under_damage::<PolicyOp>(&good, bit, 0..good.len());
+    }
+
+    #[test]
+    fn damaged_trees_decode_alike_on_both_routes(tree in arb_value(), bit in 0u8..8) {
+        let good = binval::encode(&tree);
+        routes_agree_under_damage::<Value>(&good, bit, 0..good.len());
+    }
+
+    #[test]
+    fn damaged_archive_records_decode_alike_on_both_routes(
+        history in arb_history(),
+        bit in 0u8..8,
+    ) {
+        // The block as the archive writes it, cut out of a real segment.
+        let dir = ScratchDir::new("prop-routes-archive");
+        let store = ArchiveStore::with_fsync(dir.path(), false);
+        store.append_run(0, HORIZON, &history).expect("write").expect("segment");
+        let path = ReplFileId::Archive { from: 0, to: HORIZON }.path(dir.path());
+        let segment = std::fs::read(path).expect("read segment");
+        let events_len = u64::from_le_bytes(segment[24..32].try_into().unwrap()) as usize;
+        let records_block = &segment[ARCHIVE_HEADER_LEN + events_len..];
+        routes_agree_under_damage::<ArchiveRecords>(records_block, bit, 0..records_block.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The largest value the store decodes: a whole-engine snapshot
+    /// after an arbitrary mixed group (so the movement log, the
+    /// timelines, the ledgers, the quarantine and every policy section
+    /// are populated). Ten kilobytes, so each case damages every 16th
+    /// byte from its own offset rather than every byte.
+    #[test]
+    fn damaged_snapshots_decode_alike_on_both_routes(
+        records in prop::collection::vec(arb_record(), 0..12),
+        bit in 0u8..8,
+        phase in 0usize..16,
+    ) {
+        let dir = ScratchDir::new("prop-routes-snapshot");
+        let engine = commit_as_one_group(dir.path(), &records);
+        let snapshot = StoreSnapshot {
+            seq: engine.applied(),
+            policy_epoch: engine.policy_epoch(),
+            shards: engine.engine().shard_count(),
+            policy: engine.engine().policy().image(),
+            states: engine.engine().export_images(),
+            enforcement_epoch: Some(engine.enforcement_epoch()),
+            quarantine: Some(engine.engine().export_quarantine()),
+            clock: Some(engine.clock().get()),
+        };
+        let good = binval::encode(&snapshot);
+        routes_agree_under_damage::<StoreSnapshot>(&good, bit, (phase..good.len()).step_by(16));
     }
 }

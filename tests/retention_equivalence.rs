@@ -189,7 +189,8 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
 /// watermark is durable *and visible* before the watermark advances.
 /// (The ledger's `history_query` workload counted hundreds of these
 /// refusals per run when the archive cache was invalidated only after
-/// the live prune.)
+/// the live prune.) Nor does a run cost that reader the archive it has
+/// already loaded.
 #[test]
 fn a_concurrent_reader_never_sees_unarchived_across_retention_runs() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -232,8 +233,17 @@ fn a_concurrent_reader_never_sees_unarchived_across_retention_runs() {
         let mut runs = 0u64;
         for chunk in trace.events.chunks(per_run) {
             engine.ingest(chunk).unwrap();
+            // A run keeps the payloads a queried store has loaded. The
+            // query here makes "queried since the last run" certain
+            // whatever the reader thread's scheduling.
+            view.contacts(SubjectId(0), Interval::lit(0, 40)).unwrap();
+            let loaded = engine.archive_segments_loaded();
             let outcome = engine.run_retention_with(&policy, engine.clock()).unwrap();
             runs += u64::from(outcome.pruned > 0);
+            assert!(
+                engine.archive_segments_loaded() >= loaded,
+                "run {runs} dropped {loaded} loaded archive segments"
+            );
         }
         done.store(true, Ordering::Release);
         (reader.join().unwrap(), runs)
@@ -241,4 +251,6 @@ fn a_concurrent_reader_never_sees_unarchived_across_retention_runs() {
     assert!(runs >= 20, "only {runs} retention runs pruned anything");
     assert!(queries > runs, "the reader barely ran ({queries} queries)");
     assert!(engine.retention_watermark() > Time(40));
+    // Every segment but the last run's was loaded by a query before it.
+    assert!(engine.archive_segments_loaded() as u64 >= runs - 1);
 }
