@@ -2701,8 +2701,8 @@ default-denies everything except a pinned guard authorization, and a
 separation-of-duty constraint refuses a tainted entry in every mode.
 All situation ops — and the grant and token revocation issued
 mid-drill — are durable WAL records: a follower tails them in-stream
-(policy_epoch bumps, enforcement_epoch still — it must never park
-NeedsBootstrap), converges to the primary's state digest and refuses
+(policy_epoch bumps on both — it must never park NeedsBootstrap),
+converges to the primary's state digest and policy epoch and refuses
 the revoked token; a crash + recovery must restore the declared mode,
 pins and constraints.
 Exits non-zero if any override lacks its incident id, any rewrite
@@ -2727,11 +2727,8 @@ struct SituationsReport {
     /// An ingest-scoped token's KIND_SITUATION frame was refused
     /// PermissionDenied (the Admin gate).
     scoped_token_refused: bool,
-    /// Every situation op bumped policy_epoch by exactly one...
+    /// Every situation op bumped policy_epoch by exactly one.
     policy_epoch_bumps: u64,
-    /// ...and none of them moved enforcement_epoch (the replication
-    /// barrier stayed down).
-    enforcement_epoch_moved: bool,
     /// Responder denials rewritten into override grants while the
     /// emergency was live.
     overrides_granted: usize,
@@ -3130,7 +3127,6 @@ fn situations(args: &[String]) {
 
     let status = root.status().expect("status after situations");
     let policy_epoch_bumps = status.policy_epoch - epoch_before.policy_epoch;
-    let enforcement_epoch_moved = status.enforcement_epoch != epoch_before.enforcement_epoch;
 
     // Phase 6 — the follower: situation records consumed WAL sequence
     // numbers, so converging to the primary's applied count means it
@@ -3159,7 +3155,6 @@ fn situations(args: &[String]) {
         && p_violations == f_violations
         && status.state_digest == f_status.state_digest
         && status.policy_epoch == f_status.policy_epoch
-        && status.enforcement_epoch == f_status.enforcement_epoch
         && revoked_at_follower;
     let follower_rebootstraps = ltam_obs::counter_value(
         registry,
@@ -3255,7 +3250,6 @@ fn situations(args: &[String]) {
             shards,
             scoped_token_refused,
             policy_epoch_bumps,
-            enforcement_epoch_moved,
             overrides_granted,
             override_audit_complete,
             bystander_still_denied,
@@ -3289,8 +3283,7 @@ fn situations(args: &[String]) {
             }
         );
         println!(
-            "epochs: policy +{policy_epoch_bumps} (expected {situation_ops} situation ops + {admin_ops} admin ops), enforcement {}",
-            if enforcement_epoch_moved { "MOVED (BUG)" } else { "untouched" }
+            "epochs: policy +{policy_epoch_bumps} (expected {situation_ops} situation ops + {admin_ops} admin ops)"
         );
         println!(
             "emergency I{INCIDENT}: {overrides_granted}/{responders} responder denials overridden; audit complete: {}; bystander denied: {}",
@@ -3354,9 +3347,9 @@ fn situations(args: &[String]) {
         eprintln!("situations drill FAILED: a non-admin token declared a situation");
         failed = true;
     }
-    if policy_epoch_bumps != situation_ops + admin_ops || enforcement_epoch_moved {
+    if policy_epoch_bumps != situation_ops + admin_ops {
         eprintln!(
-            "situations drill FAILED: epochs moved wrong (policy +{policy_epoch_bumps} for {situation_ops} + {admin_ops} ops, enforcement moved: {enforcement_epoch_moved})"
+            "situations drill FAILED: epochs moved wrong (policy +{policy_epoch_bumps} for {situation_ops} + {admin_ops} ops)"
         );
         failed = true;
     }

@@ -243,7 +243,7 @@ impl TrustPolicy {
 /// The wire-facing half of a policy core: token registry, trust
 /// policy, and the enforcement switch. Lives inside `PolicyCore` so
 /// every edit is an ordinary epoch-swapped, WAL-logged policy edit.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct WireAuth {
     /// When `true`, unauthenticated connections are refused everything
     /// except the `Hello` handshake. When `false` (the default), the

@@ -33,7 +33,7 @@ pub struct Prohibition {
 }
 
 /// The prohibition store, merged per `(subject, location)`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProhibitionDb {
     blocked: HashMap<(SubjectId, LocationId), IntervalSet>,
     count: usize,

@@ -242,6 +242,10 @@ impl PolicyCore {
         match op {
             PolicyOp::Situation(op) => PolicyOutcome::Situation(self.apply_situation(op)),
             PolicyOp::Admin(op) => PolicyOutcome::Admin(self.apply_admin(op.clone())),
+            PolicyOp::Install(image) => {
+                *self = PolicyCore::from_image((**image).clone());
+                PolicyOutcome::Installed
+            }
         }
     }
 
@@ -335,9 +339,9 @@ impl PolicyCore {
 
 /// One loggable policy edit: the single record shape the durable store
 /// appends to its WAL, recovery replays at its sequence position, and
-/// followers apply in-stream. Edits with no op form (tunables,
-/// prohibitions, bulk loads) go through the closure path instead
-/// (`DurableEngine::update_policy`).
+/// followers apply in-stream. An edit with no narrower op form
+/// (tunables, prohibitions, bulk loads) is logged as the policy it
+/// produced ([`PolicyOp::Install`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PolicyOp {
     /// A token, trust, or authorization edit.
@@ -345,6 +349,12 @@ pub enum PolicyOp {
     /// A mode declaration, responder/pin edit, or workflow-constraint
     /// change.
     Situation(SituationOp),
+    /// This is the whole policy from this sequence position on — what
+    /// `DurableEngine::update_policy` logs for an arbitrary closure
+    /// edit. Costs O(policy) where the other variants cost O(record),
+    /// and no wire request can carry it. (Boxed: a record is a few
+    /// words on the paths that only ever see the other variants.)
+    Install(Box<PolicyImage>),
 }
 
 /// What an applied [`PolicyOp`] produced (mirrors the variants).
@@ -354,12 +364,14 @@ pub enum PolicyOutcome {
     Admin(AdminOutcome),
     /// The outcome of a [`PolicyOp::Situation`].
     Situation(SituationOutcome),
+    /// A [`PolicyOp::Install`] replaced the policy.
+    Installed,
 }
 
 /// Serializable image of a [`PolicyCore`] — the read-mostly half of an
 /// engine snapshot. Produced by [`PolicyCore::image`], consumed by
 /// [`PolicyCore::from_image`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PolicyImage {
     /// The location layout.
     pub model: LocationModel,

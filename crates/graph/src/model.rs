@@ -96,7 +96,7 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct NodeData {
     name: String,
     kind: LocationKind,
@@ -110,7 +110,7 @@ struct NodeData {
 
 /// A whole multilevel location graph: one arena of locations rooted at a
 /// composite (the infrastructure — e.g. the NTU campus).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LocationModel {
     nodes: Vec<NodeData>,
     names: HashMap<String, LocationId>,

@@ -31,9 +31,9 @@
 //!   batches through normal ingest and policy ops through the normal
 //!   policy path, and serving read-only queries at a monotone
 //!   watermark. Writes at a follower are refused with
-//!   [`ErrorCode::NotPrimary`]; an enforcement-epoch swap (a closure
-//!   policy edit on the primary) parks the follower for re-bootstrap
-//!   rather than risking divergence.
+//!   [`ErrorCode::NotPrimary`]; a follower that can no longer reach its
+//!   position in the primary's WAL parks for re-bootstrap rather than
+//!   risking divergence.
 //!
 //! Since PR 9 the wire is **policy-governed**: a `Hello` handshake
 //! maps a connection to an LTAM subject via a capability token

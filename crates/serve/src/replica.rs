@@ -28,15 +28,14 @@
 //! ## The never-diverge contract
 //!
 //! The loop only ever applies bytes that verified (CRC + total record
-//! decoding) at the correct cursor, with an enforcement epoch matching
-//! its own. Everything else parks it: a closure policy edit on the
-//! primary (the one kind of edit the WAL cannot carry) or a
-//! compacted-away segment sets [`ReplicaState::NeedsBootstrap`]; persistent
-//! verification faults do the same after a bounded retry (one poll's
-//! worth of patience covers an append caught mid-write); transport
-//! errors set [`ReplicaState::Disconnected`] and retry forever. A
-//! parked or lagging follower keeps serving reads at its watermark —
-//! stale is a state, wrong is a bug.
+//! decoding) at the correct cursor — every policy edit among them, as
+//! the record the primary logged for it. Everything else parks it: a
+//! compacted-away segment sets [`ReplicaState::NeedsBootstrap`];
+//! persistent verification faults do the same after a bounded retry
+//! (one poll's worth of patience covers an append caught mid-write);
+//! transport errors set [`ReplicaState::Disconnected`] and retry
+//! forever. A parked or lagging follower keeps serving reads at its
+//! watermark — stale is a state, wrong is a bug.
 //!
 //! The watermark is **monotone**: it starts at the floor the follower
 //! was started with (a re-bootstrap passes the previous instance's
@@ -299,9 +298,9 @@ pub fn bootstrap_follower_as(
         fetch_file(&mut client, dir, *archive, chunk_bytes)?;
     }
     fetch_file(&mut client, dir, snapshot, chunk_bytes)?;
-    // The WAL from the snapshot's cover point on: op-shaped policy
-    // edits since the snapshot exist only there, and a follower must
-    // not come up — and start answering frames — under an older policy
+    // The WAL from the snapshot's cover point on: policy edits since
+    // the snapshot exist only there, and a follower must not come up
+    // — and start answering frames — under an older policy
     // (an open wire, a since-revoked token) than the primary's. A
     // record torn by a racing append is truncated by the open below and
     // re-fetched by the tailing loop (`len: 0`: a segment that may
@@ -400,26 +399,7 @@ pub(crate) fn replicate_loop(
         shared.publish_lag();
         shared
             .primary_epoch
-            .store(manifest.enforcement_epoch, Ordering::Release);
-        if manifest.enforcement_epoch != view.enforcement_epoch() {
-            // A closure edit (`DurableEngine::update_policy`) is not a
-            // WAL record: tailing cannot carry it across. Park — apply
-            // nothing — until an operator re-bootstraps from a
-            // post-swap snapshot. (Op-shaped edits bump only the
-            // *policy* epoch: they arrive in the tail itself.)
-            shared.set_state(
-                STATE_NEEDS_BOOTSTRAP,
-                Some(format!(
-                    "primary is on enforcement epoch {}, this follower on {}; \
-                     re-bootstrap required",
-                    manifest.enforcement_epoch,
-                    view.enforcement_epoch()
-                )),
-            );
-            client = Some(c);
-            sleep_while(&stop, config.poll_interval.max(Duration::from_millis(50)));
-            continue;
-        }
+            .fetch_max(manifest.policy_epoch, Ordering::AcqRel);
         if scanner.is_none() {
             scanner = TailScanner::start(view.applied(), &manifest.wal_segments);
             if scanner.is_none() {
@@ -477,23 +457,13 @@ pub(crate) fn replicate_loop(
                     break false; // reconnect via the outer loop
                 }
             };
-            if chunk.meta.enforcement_epoch != view.enforcement_epoch() {
-                // The enforcement epoch moved while this chunk was in
-                // flight; its bytes may straddle the swap. Apply
-                // nothing.
-                shared.set_state(
-                    STATE_NEEDS_BOOTSTRAP,
-                    Some(format!(
-                        "primary moved to enforcement epoch {} mid-stream; re-bootstrap required",
-                        chunk.meta.enforcement_epoch
-                    )),
-                );
-                break true;
-            }
             shared
                 .primary_applied
                 .fetch_max(chunk.meta.applied, Ordering::AcqRel);
             shared.publish_lag();
+            shared
+                .primary_epoch
+                .fetch_max(chunk.meta.policy_epoch, Ordering::AcqRel);
             let step = scanner.as_mut().expect("scanner positioned above").apply(
                 &chunk.bytes,
                 chunk.meta.file_len,

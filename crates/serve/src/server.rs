@@ -1308,6 +1308,12 @@ fn apply_completion(conn: &mut Conn, completion: Completion, role: ServerRole) {
         Ok(RecordOutcome::Policy(Ok(PolicyOutcome::Situation(outcome)))) => {
             Response::Situation { outcome }
         }
+        // No request submits an `Install`, so none can complete as one.
+        Ok(RecordOutcome::Policy(Ok(PolicyOutcome::Installed))) => Response::Error {
+            code: ErrorCode::Internal,
+            role: Some(role),
+            message: "a wire request completed as a policy install".into(),
+        },
         // Not in the WAL at all, or (a policy op) logged and applied
         // but its acked-epoch marker missing: unacknowledged either way.
         Ok(RecordOutcome::Policy(Err(e))) | Err(e) => Response::Error {
@@ -1533,7 +1539,6 @@ fn answer_repl(conn: &mut Conn, request: ReplRequest, shared: &Shared) {
                         // never overstate what the listed files hold.
                         applied: view.applied(),
                         policy_epoch: view.policy_epoch(),
-                        enforcement_epoch: view.enforcement_epoch(),
                         retention_watermark: view.retention_watermark().get(),
                         snapshot,
                         archives,
@@ -1554,10 +1559,8 @@ fn answer_repl(conn: &mut Conn, request: ReplRequest, shared: &Shared) {
             let cap = shared.config.max_frame_bytes.saturating_sub(4096).max(1);
             match read_file_chunk(dir, file, offset, len.min(cap)) {
                 Ok(Some(read)) => {
-                    // Bytes were read BEFORE these counters: everything
-                    // in them is at-or-before `applied`, and a chunk
-                    // carrying a stale epoch can never pass the
-                    // follower's epoch check after a swap.
+                    // Bytes were read BEFORE these counters:
+                    // everything in them is at-or-before `applied`.
                     let sealed = match file {
                         ReplFileId::WalSegment { first_seq } => wal_segment_ids(dir)
                             .map(|ids| ids.iter().any(|&id| id > first_seq))
@@ -1572,7 +1575,6 @@ fn answer_repl(conn: &mut Conn, request: ReplRequest, shared: &Shared) {
                             sealed,
                             applied: view.applied(),
                             policy_epoch: view.policy_epoch(),
-                            enforcement_epoch: view.enforcement_epoch(),
                             retention_watermark: view.retention_watermark().get(),
                         },
                         bytes: read.bytes,
@@ -1629,7 +1631,6 @@ fn status_of(shared: &Shared) -> ServerStatus {
         events_ingested: view.applied(),
         snapshot_seq: view.last_snapshot_seq(),
         policy_epoch: view.policy_epoch(),
-        enforcement_epoch: view.enforcement_epoch(),
         auth_required: view.engine().policy().wire().required,
         quarantined_events: view.engine().quarantine_len(),
         retention_watermark: view.retention_watermark().get(),

@@ -227,14 +227,9 @@ pub struct ReplManifest {
     /// Events durably applied on the primary (the WAL sequence).
     pub applied: u64,
     /// The primary's current policy epoch (every durable policy edit).
-    /// Informational: op-shaped edits reach a follower as WAL records,
-    /// so its own count catches up as it tails.
+    /// Informational: every edit reaches a follower as a WAL record, so
+    /// its own count catches up as it tails.
     pub policy_epoch: u64,
-    /// The primary's enforcement epoch — the epoch followers actually
-    /// compare. It moves only on closure edits
-    /// (`DurableEngine::update_policy`), which the WAL cannot carry: a
-    /// follower on a different one must re-bootstrap.
-    pub enforcement_epoch: u64,
     /// The primary's movement-retention watermark (chronons; 0 = never
     /// pruned).
     pub retention_watermark: u64,
@@ -262,16 +257,12 @@ pub struct ReplChunkMeta {
     /// chunk was read (so this one is sealed and must end on a record
     /// boundary)? Always `true` for immutable files.
     pub sealed: bool,
-    /// The primary's applied sequence, read **after** the bytes — so a
-    /// chunk can never carry post-epoch-bump records under a
-    /// pre-bump epoch stamp.
+    /// The primary's applied sequence, read **after** the bytes — so
+    /// every record in the chunk is at or before it.
     pub applied: u64,
     /// The primary's policy epoch, read after the bytes (same ordering
     /// guarantee).
     pub policy_epoch: u64,
-    /// The primary's enforcement epoch, read after the bytes — the one
-    /// the follower compares (see [`ReplManifest::enforcement_epoch`]).
-    pub enforcement_epoch: u64,
     /// The primary's retention watermark (chronons).
     pub retention_watermark: u64,
 }
@@ -509,10 +500,6 @@ pub struct ServerStatus {
     pub snapshot_seq: u64,
     /// Policy epoch (bumped by every durable policy edit).
     pub policy_epoch: u64,
-    /// Enforcement epoch (bumped only by closure policy edits — the
-    /// replication barrier; every op-shaped edit bumps `policy_epoch`
-    /// alone).
-    pub enforcement_epoch: u64,
     /// Is a valid token required on this server's wire?
     pub auth_required: bool,
     /// Events held on the quarantine ledger (from sensors below the
@@ -1024,7 +1011,6 @@ mod tests {
                 manifest: ReplManifest {
                     applied: 100,
                     policy_epoch: 2,
-                    enforcement_epoch: 1,
                     retention_watermark: 50,
                     snapshot: Some(ReplFile {
                         file: ReplFileId::Snapshot { seq: 90, epoch: 2 },
@@ -1179,7 +1165,6 @@ mod tests {
                 sealed: false,
                 applied: 42,
                 policy_epoch: 1,
-                enforcement_epoch: 1,
                 retention_watermark: 9,
             },
             bytes: (0u8..=255).collect(),
@@ -1211,7 +1196,6 @@ mod tests {
                 sealed: true,
                 applied: 1,
                 policy_epoch: 0,
-                enforcement_epoch: 0,
                 retention_watermark: 0,
             },
             bytes: vec![1, 2, 3],

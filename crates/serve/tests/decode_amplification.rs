@@ -222,7 +222,6 @@ fn a_hostile_frame_costs_at_most_twice_its_length() {
                 sealed: true,
                 applied: 77,
                 policy_epoch: 3,
-                enforcement_epoch: 1,
                 retention_watermark: 100,
             }
             .to_value(),

@@ -7,7 +7,10 @@
 //! direction.
 //!
 //! `cargo test -p ltam-serve --test golden -- --ignored` rewrites the
-//! file (only ever needed on a deliberate wire change).
+//! file (only ever needed on a deliberate wire change). Rewritten once
+//! since: the status, manifest and chunk-meta frames each lost the one
+//! key that told followers a closure policy edit had happened (such an
+//! edit is a WAL record now); the other 23 frames are PR 17's bytes.
 
 use ltam_core::capability::{AdminOp, AdminOutcome, Scope, TokenId};
 use ltam_core::subject::SubjectId;
@@ -200,7 +203,6 @@ fn messages() -> Vec<Message> {
             manifest: ReplManifest {
                 applied: 512,
                 policy_epoch: 3,
-                enforcement_epoch: 1,
                 retention_watermark: 100,
                 snapshot: Some(ReplFile {
                     file: ReplFileId::Snapshot { seq: 500, epoch: 3 },
@@ -234,7 +236,6 @@ fn messages() -> Vec<Message> {
             sealed: true,
             applied: 512,
             policy_epoch: 3,
-            enforcement_epoch: 1,
             retention_watermark: 100,
         },
         bytes: (0..=255).collect(),

@@ -341,7 +341,7 @@ fn arb_status() -> impl Strategy<Value = ServerStatus> {
                 .collect(),
         });
     (
-        prop::collection::vec(any::<u64>(), 16),
+        prop::collection::vec(any::<u64>(), 15),
         (any::<bool>(), any::<bool>(), any::<u16>()),
         arb_opt(arb_text(40)),
         engine,
@@ -361,29 +361,28 @@ fn arb_status() -> impl Strategy<Value = ServerStatus> {
                     events_ingested: n[0],
                     snapshot_seq: n[1],
                     policy_epoch: n[2],
-                    enforcement_epoch: n[3],
                     auth_required,
-                    quarantined_events: n[4] as usize,
-                    retention_watermark: n[5],
-                    archive_covered_to: n[6],
+                    quarantined_events: n[3] as usize,
+                    retention_watermark: n[4],
+                    archive_covered_to: n[5],
                     archive_error,
-                    archive_segments_loaded: n[7] as usize,
-                    wal_fsyncs: n[8],
+                    archive_segments_loaded: n[6] as usize,
+                    wal_fsyncs: n[7],
                     engine,
-                    connections_active: n[9] as usize,
-                    connections_total: n[10],
-                    refused_busy: n[11],
-                    requests_served: n[12],
-                    protocol_errors: n[13],
+                    connections_active: n[8] as usize,
+                    connections_total: n[9],
+                    refused_busy: n[10],
+                    requests_served: n[11],
+                    protocol_errors: n[12],
                     per_connection,
                     role: if follower {
                         ServerRole::Follower
                     } else {
                         ServerRole::Primary
                     },
-                    state_digest: n[14],
+                    state_digest: n[13],
                     replica,
-                    uptime_chronons: n[15],
+                    uptime_chronons: n[14],
                     snapshot_format_version: version,
                 }
             },
@@ -393,7 +392,7 @@ fn arb_status() -> impl Strategy<Value = ServerStatus> {
 fn arb_manifest() -> impl Strategy<Value = ReplManifest> {
     let file = || (arb_file_id(), any::<u64>()).prop_map(|(file, len)| ReplFile { file, len });
     (
-        prop::collection::vec(any::<u64>(), 4),
+        prop::collection::vec(any::<u64>(), 3),
         arb_opt(file()),
         prop::collection::vec(file(), 0..4),
         prop::collection::vec(any::<u64>(), 0..6),
@@ -403,8 +402,7 @@ fn arb_manifest() -> impl Strategy<Value = ReplManifest> {
             |(n, snapshot, archives, wal_segments, epoch_marker)| ReplManifest {
                 applied: n[0],
                 policy_epoch: n[1],
-                enforcement_epoch: n[2],
-                retention_watermark: n[3],
+                retention_watermark: n[2],
                 snapshot,
                 archives,
                 wal_segments,
@@ -805,7 +803,6 @@ mod replication {
                             sealed,
                             applied,
                             policy_epoch,
-                            enforcement_epoch: policy_epoch / 2,
                             retention_watermark: rw,
                         },
                         bytes,

@@ -267,7 +267,7 @@ pub enum SituationOutcome {
 /// declared mode, the responder and pinned sets, and the installed
 /// workflow constraints. All collections are ordered so equal policies
 /// serialize byte-identically (snapshot determinism).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SituationPolicy {
     mode: SituationMode,
     responders: BTreeSet<SubjectId>,

@@ -292,7 +292,7 @@ pub fn encode_quarantine(source: SubjectId, level: u8, events: &[Event], out: &m
 /// followed by the op in binval.
 pub fn encode_policy_op(op: &PolicyOp, out: &mut Vec<u8>) {
     out.push(POLICY_SENTINEL);
-    out.extend_from_slice(&crate::binval::encode(op));
+    crate::binval::encode_into(op, out);
 }
 
 /// Decode a whole record payload — quarantine or policy if it opens

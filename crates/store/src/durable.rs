@@ -23,15 +23,15 @@
 //!   path applies a freshly appended group with. A torn or bit-flipped
 //!   WAL tail is truncated at the last intact record — never a panic,
 //!   never a lost record *before* the damage.
-//! * **Policy edits** — every op-shaped edit ([`PolicyOp`]: tokens,
-//!   trust, authorization add/revoke, situation ops) is one WAL record,
+//! * **Policy edits** — every edit is one [`PolicyOp`] WAL record,
 //!   applied at its sequence position live, by recovery and by
-//!   followers alike. Edits with no op form go through
-//!   [`DurableEngine::update_policy`], which snapshots immediately (a
-//!   closure cannot be logged). Each acknowledged edit of either kind
-//!   advances an on-disk policy-epoch marker; recovery refuses to come
-//!   up below it — the records or the snapshot carrying an acked edit
-//!   are missing — rather than silently revert.
+//!   followers alike: tokens, trust, authorization add/revoke and
+//!   situation ops as the op itself, anything else
+//!   ([`DurableEngine::update_policy`]) as the policy it produced
+//!   ([`PolicyOp::Install`]). Each acknowledged edit advances an
+//!   on-disk policy-epoch marker; recovery refuses to come up below it
+//!   — the records carrying an acked edit are missing — rather than
+//!   silently revert.
 
 use crate::archive::{ArchiveData, ArchiveStore, LazyArchive};
 use crate::codec::WalRecord;
@@ -180,12 +180,6 @@ pub struct DurableEngine {
     applied: u64,
     since_snapshot: u64,
     policy_epoch: u64,
-    /// Closure edits ([`DurableEngine::update_policy`]) acknowledged so
-    /// far — the replication barrier. A strict subset of
-    /// `policy_epoch`'s bumps: op-shaped edits travel in the WAL, so a
-    /// follower tails across them; a closure edit exists only in the
-    /// snapshot taken behind it, so a follower must re-bootstrap.
-    enforcement_epoch: u64,
     /// Highest event time seen — the monitoring clock retention
     /// maintenance runs against. Quarantined events deliberately do
     /// **not** advance it: an untrusted sensor must not be able to
@@ -205,7 +199,6 @@ struct StatusCells {
     applied: AtomicU64,
     snapshot_seq: AtomicU64,
     policy_epoch: AtomicU64,
-    enforcement_epoch: AtomicU64,
     wal_fsyncs: AtomicU64,
     /// The monitoring clock (highest trusted event time), as a raw
     /// chronon — the time the serving tier evaluates token validity at.
@@ -215,7 +208,7 @@ struct StatusCells {
 /// A background snapshot write in flight: the engine was imaged and the
 /// WAL rotated synchronously; the encode + write + fsync run on this
 /// thread. Joined (and the WAL compacted) before the next snapshot
-/// (cadence, closure edit, shutdown) or drop.
+/// (cadence, shutdown) or drop.
 #[derive(Debug)]
 struct PendingSnapshot {
     join: JoinHandle<io::Result<PathBuf>>,
@@ -325,9 +318,9 @@ impl Drop for StoreLock {
 
 /// Marker file recording the highest **acknowledged** policy epoch
 /// (`"LTPE"` magic, version, epoch u64, CRC). Written after the WAL
-/// record (or, for a closure edit, the snapshot) carrying a policy edit
-/// is durable, so recovery can detect — and refuse — coming up in a
-/// state that silently reverts an acked edit.
+/// record carrying a policy edit is durable, so recovery can detect —
+/// and refuse — coming up in a state that silently reverts an acked
+/// edit.
 pub(crate) const EPOCH_MARKER: &str = "policy.epoch";
 
 fn write_epoch_marker(dir: &Path, fsync: bool, epoch: u64) -> io::Result<()> {
@@ -413,7 +406,6 @@ impl DurableEngine {
             applied: 0,
             since_snapshot: 0,
             policy_epoch: 0,
-            enforcement_epoch: 0,
             clock: Time::ZERO,
             snapshot_error: None,
             retention_error: None,
@@ -565,10 +557,6 @@ impl DurableEngine {
             applied: snap.seq,
             since_snapshot: 0,
             policy_epoch: snap.policy_epoch,
-            // Older snapshots predate the epoch split: every policy
-            // edit was an enforcement edit then, so the durability
-            // counter is the right floor.
-            enforcement_epoch: snap.enforcement_epoch.unwrap_or(snap.policy_epoch),
             clock,
             snapshot_error: None,
             retention_error: None,
@@ -600,11 +588,10 @@ impl DurableEngine {
         }
         drop(replay_span);
         debug_assert_eq!(durable.applied, durable.wal.next_seq());
-        // Op-shaped edits survive a snapshot fallback by construction
-        // (they are in the WAL); closure edits live only in snapshots.
-        // Either way, coming up below the acknowledged epoch means the
-        // records or the snapshot carrying an acked edit are gone, and
-        // enforcing under the reverted policy would be silent. Refuse.
+        // Every edit is in the WAL, so a snapshot fallback replays it.
+        // Coming up below the acknowledged epoch means the records
+        // carrying an acked edit are gone, and enforcing under the
+        // reverted policy would be silent. Refuse.
         if let Some(acked_epoch) = read_epoch_marker(dir) {
             if durable.policy_epoch < acked_epoch {
                 return Err(io::Error::new(
@@ -612,7 +599,7 @@ impl DurableEngine {
                     format!(
                         "policy revert: recovery reaches policy epoch {} but edits \
                          through epoch {acked_epoch} were acknowledged; recovering would \
-                         silently undo them (are the newest snapshot or WAL records missing?)",
+                         silently undo them (are WAL records missing?)",
                         durable.policy_epoch
                     ),
                 ));
@@ -646,12 +633,6 @@ impl DurableEngine {
     /// The current policy epoch (bumped by every durable policy edit).
     pub fn policy_epoch(&self) -> u64 {
         self.policy_epoch
-    }
-
-    /// The current enforcement epoch (bumped only by closure edits —
-    /// the replication barrier; see the field docs).
-    pub fn enforcement_epoch(&self) -> u64 {
-        self.enforcement_epoch
     }
 
     /// The monitoring clock: the highest trusted event time seen. Token
@@ -851,22 +832,19 @@ impl DurableEngine {
         self.retention_error.take()
     }
 
-    /// Apply a closure edit as one epoch swap and make it durable — the
-    /// escape hatch for edits with no [`PolicyOp`] form (tunables,
-    /// prohibitions, rules, bulk loads). A closure cannot be logged, so
-    /// the edit is snapshotted immediately, both epochs advance (every
-    /// follower must re-bootstrap behind it), and the acknowledged
-    /// policy epoch is recorded (recovery refuses a snapshot fallback
-    /// that would revert this edit).
-    ///
-    /// On `Err` the edit is live in memory but **not durable**: a crash
-    /// before a later successful snapshot reverts it.
+    /// [`DurableEngine::apply_policy`] for an arbitrary edit — the form
+    /// for edits with no narrower [`PolicyOp`] (tunables, prohibitions,
+    /// rules, bulk loads). A closure cannot be logged but the policy it
+    /// leaves behind can: `f` runs on a copy of the live core and the
+    /// result is committed as one [`PolicyOp::Install`], so the edit
+    /// costs O(policy) and, like any op, either happened durably or
+    /// (`Err` from the append) did not happen at all.
     pub fn update_policy<R>(&mut self, f: impl FnOnce(&mut PolicyCore) -> R) -> io::Result<R> {
-        let r = self.engine.update_policy(f);
-        self.policy_epoch += 1;
-        self.enforcement_epoch += 1;
-        self.snapshot()?;
-        write_epoch_marker(&self.dir, self.config.fsync, self.policy_epoch)?;
+        let mut next = (*self.engine.policy()).clone();
+        let r = f(&mut next);
+        let install = PolicyOp::Install(Box::new(next.image()));
+        drop(next); // applying the record builds the live copy; do not hold a third
+        self.apply_policy(&install)?;
         Ok(r)
     }
 
@@ -885,7 +863,7 @@ impl DurableEngine {
     pub fn apply_admin(&mut self, op: AdminOp) -> io::Result<AdminOutcome> {
         match self.apply_policy(&PolicyOp::Admin(op))? {
             PolicyOutcome::Admin(outcome) => Ok(outcome),
-            PolicyOutcome::Situation(_) => unreachable!("admin ops yield admin outcomes"),
+            _ => unreachable!("admin ops yield admin outcomes"),
         }
     }
 
@@ -893,7 +871,7 @@ impl DurableEngine {
     pub fn apply_situation(&mut self, op: &SituationOp) -> io::Result<SituationOutcome> {
         match self.apply_policy(&PolicyOp::Situation(op.clone()))? {
             PolicyOutcome::Situation(outcome) => Ok(outcome),
-            PolicyOutcome::Admin(_) => unreachable!("situation ops yield situation outcomes"),
+            _ => unreachable!("situation ops yield situation outcomes"),
         }
     }
 
@@ -1006,7 +984,6 @@ impl DurableEngine {
             shards: self.engine.shard_count(),
             policy: self.engine.policy().image(),
             states: self.engine.export_images(),
-            enforcement_epoch: Some(self.enforcement_epoch),
             quarantine: Some(self.engine.export_quarantine()),
             clock: Some(self.clock.get()),
         }
@@ -1039,29 +1016,15 @@ impl DurableEngine {
             .policy_epoch
             .store(self.policy_epoch, Ordering::Release);
         self.cells
-            .enforcement_epoch
-            .store(self.enforcement_epoch, Ordering::Release);
-        self.cells
             .wal_fsyncs
             .store(self.wal.fsyncs(), Ordering::Release);
         self.cells.clock.store(self.clock.get(), Ordering::Release);
         if !ltam_obs::disabled() {
-            // Scrape-visible epoch gauges: `store_policy_epoch` moves on
-            // every durable policy edit; `store_enforcement_epoch` only
-            // on closure edits. An enforcement bump outside a change
-            // window is an operator alert (every follower re-bootstraps
-            // behind it).
             ltam_obs::gauge!(
                 "store_policy_epoch",
                 "Durable policy epoch (bumped by every acknowledged policy edit)"
             )
             .set(self.policy_epoch as i64);
-            ltam_obs::gauge!(
-                "store_enforcement_epoch",
-                "Enforcement epoch (bumped only by closure policy edits; followers \
-                 re-bootstrap when it moves)"
-            )
-            .set(self.enforcement_epoch as i64);
         }
     }
 
@@ -1260,12 +1223,6 @@ impl ReadView {
     /// The current policy epoch.
     pub fn policy_epoch(&self) -> u64 {
         self.cells.policy_epoch.load(Ordering::Acquire)
-    }
-
-    /// The current enforcement epoch (the replication barrier; see
-    /// [`DurableEngine::enforcement_epoch`]).
-    pub fn enforcement_epoch(&self) -> u64 {
-        self.cells.enforcement_epoch.load(Ordering::Acquire)
     }
 
     /// The monitoring clock (highest trusted event time) — the time the
@@ -1914,68 +1871,60 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
+    fn blocks_alice(alice: SubjectId, cais: LocationId) -> ltam_core::prohibition::Prohibition {
+        ltam_core::prohibition::Prohibition {
+            subject: alice,
+            location: cais,
+            window: Interval::lit(0, 1_000),
+        }
+    }
+
+    /// One request by `alice` at `cais`, time 10: is it denied?
+    fn alice_is_denied(durable: &mut DurableEngine, alice: SubjectId, cais: LocationId) -> bool {
+        let request = Event::Request {
+            time: Time(10),
+            subject: alice,
+            location: cais,
+        };
+        durable.ingest(&[request]).unwrap().denied == 1
+    }
+
     #[test]
-    fn policy_updates_survive_restart_via_snapshot() {
+    fn policy_updates_survive_restart_with_no_snapshot_since_the_edit() {
         let dir = ScratchDir::new("durable-policy");
         let (core, alice, cais) = campus_core();
         {
             let (mut durable, _alerts) =
                 DurableEngine::create(dir.path(), core, 2, test_config()).unwrap();
             durable
-                .update_policy(|p| {
-                    p.add_prohibition(ltam_core::prohibition::Prohibition {
-                        subject: alice,
-                        location: cais,
-                        window: Interval::lit(8, 15),
-                    })
-                })
+                .update_policy(|p| p.add_prohibition(blocks_alice(alice, cais)))
                 .unwrap();
+            assert_eq!(durable.last_snapshot_seq(), 0, "the edit took no snapshot");
         }
-        let (mut durable, _alerts, _) = DurableEngine::open(dir.path(), test_config()).unwrap();
-        let out = durable
-            .ingest(&[Event::Request {
-                time: Time(10),
-                subject: alice,
-                location: cais,
-            }])
-            .unwrap();
-        assert_eq!(out.denied, 1, "restored prohibition takes precedence");
+        let (mut durable, _alerts, report) =
+            DurableEngine::open(dir.path(), test_config()).unwrap();
+        assert_eq!((report.snapshot_seq, report.replayed_policy_ops), (0, 1));
+        assert!(
+            alice_is_denied(&mut durable, alice, cais),
+            "restored prohibition takes precedence"
+        );
     }
 
     #[test]
     fn snapshot_fallback_never_reverts_an_acked_policy_edit() {
         let dir = ScratchDir::new("durable-policy-revert");
         let (core, alice, cais) = campus_core();
-        {
+        let edit_offset = {
             let (mut durable, _alerts) =
                 DurableEngine::create(dir.path(), core, 2, test_config()).unwrap();
-            durable.snapshot().unwrap(); // S @ epoch 0
+            // Where the edit's WAL record is about to start.
+            let segment = Wal::segment_files(dir.path()).unwrap().pop().unwrap();
+            let edit_offset = std::fs::metadata(segment).unwrap().len();
             durable
-                .update_policy(|p| {
-                    p.add_prohibition(ltam_core::prohibition::Prohibition {
-                        subject: alice,
-                        location: cais,
-                        window: Interval::lit(0, 1_000),
-                    })
-                })
-                .unwrap(); // acked: snapshot @ epoch 1 + marker
-        }
-        // The epoch-1 snapshot rots; falling back to an epoch-0 snapshot
-        // would silently drop the prohibition — open must refuse.
-        corrupt_snapshots(dir.path(), |_| true);
-        // (All snapshots corrupt -> NotFound; corrupt only the newest to
-        // hit the revert check specifically.)
-        let err = DurableEngine::open(dir.path(), test_config()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
-
-        let dir2 = ScratchDir::new("durable-policy-revert2");
-        let (core, alice, cais) = campus_core();
-        {
-            let (mut durable, _alerts) =
-                DurableEngine::create(dir2.path(), core, 2, test_config()).unwrap();
-            // Events between the snapshots give them distinct sequence
-            // numbers, so the epoch-0 snapshot file survives the edit's
-            // epoch-1 snapshot (snapshots are keyed by seq on disk).
+                .update_policy(|p| p.add_prohibition(blocks_alice(alice, cais)))
+                .unwrap();
+            // Events give the next snapshot its own sequence number, so
+            // the creation-time one survives beside it.
             for i in 0..10u64 {
                 durable
                     .ingest(&[Event::Request {
@@ -1985,32 +1934,57 @@ mod tests {
                     }])
                     .unwrap();
             }
-            durable
-                .update_policy(|p| {
-                    p.add_prohibition(ltam_core::prohibition::Prohibition {
-                        subject: alice,
-                        location: cais,
-                        window: Interval::lit(0, 1_000),
-                    })
-                })
-                .unwrap();
+            durable.snapshot().unwrap();
+            edit_offset
+        };
+        // The snapshot carrying the edit rots. The fallback predates the
+        // edit, but the edit is a WAL record: recovery replays it.
+        corrupt_snapshots(dir.path(), |seq| seq > 0);
+        {
+            let (mut durable, _alerts, report) =
+                DurableEngine::open(dir.path(), test_config()).unwrap();
+            assert_eq!((report.snapshot_seq, report.replayed_policy_ops), (0, 1));
+            assert_eq!(durable.policy_epoch(), 1);
+            assert!(alice_is_denied(&mut durable, alice, cais));
         }
-        // Retained snapshots are the epoch-1 one (newest) and the epoch-0
-        // one; corrupt only the newest.
-        let newest = std::fs::read_dir(dir2.path())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".snap"))
-            .map(|e| e.path())
-            .max()
+        // Cut the log where the acked edit's record began: coming up
+        // without it would silently lift the prohibition, so the marker
+        // refuses.
+        let segment = Wal::segment_files(dir.path()).unwrap().remove(0);
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(segment)
             .unwrap();
-        let mut bytes = std::fs::read(&newest).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        std::fs::write(&newest, &bytes).unwrap();
-        let err = DurableEngine::open(dir2.path(), test_config()).unwrap_err();
+        file.set_len(edit_offset).unwrap();
+        for later in Wal::segment_files(dir.path()).unwrap().into_iter().skip(1) {
+            std::fs::remove_file(later).unwrap();
+        }
+        let err = DurableEngine::open(dir.path(), test_config()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().contains("policy revert"), "{err}");
+        // With the last snapshot corrupt too there is nothing to open.
+        corrupt_snapshots(dir.path(), |seq| seq == 0);
+        let err = DurableEngine::open(dir.path(), test_config()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn a_closure_edit_whose_append_fails_leaves_the_live_policy_untouched() {
+        let dir = ScratchDir::new("durable-policy-refused");
+        let (core, alice, cais) = campus_core();
+        let (mut durable, _alerts) =
+            DurableEngine::create(dir.path(), core, 2, test_config()).unwrap();
+        let before = durable.engine().policy();
+        durable.wal.poison();
+        let mut ran = false;
+        let refused = durable.update_policy(|p| {
+            ran = true;
+            p.add_prohibition(blocks_alice(alice, cais))
+        });
+        assert!(ran && refused.is_err());
+        assert!(Arc::ptr_eq(&before, &durable.engine().policy()));
+        assert_eq!((durable.policy_epoch(), durable.applied()), (0, 0));
+        assert_eq!(read_epoch_marker(dir.path()), None);
     }
 
     #[test]

@@ -58,13 +58,6 @@ pub struct StoreSnapshot {
     pub policy: PolicyImage,
     /// Per-shard mutable state, in shard order (`states.len() == shards`).
     pub states: Vec<ShardStateImage>,
-    /// Closure policy edits acknowledged up to this state — the
-    /// replication barrier. Op-shaped edits bump `policy_epoch` but not
-    /// this counter (they travel in the WAL, so a follower need not
-    /// re-bootstrap over them). Absent in snapshots written before the
-    /// split; recovery then falls back to `policy_epoch` (every edit
-    /// was an enforcement edit back then).
-    pub enforcement_epoch: Option<u64>,
     /// The quarantine ledger: events from below-trust-threshold sensors
     /// held out of enforcement state. Absent in older snapshots (the
     /// ledger was necessarily empty before trust existed).
@@ -356,7 +349,6 @@ mod tests {
             shards: 2,
             policy: core.image(),
             states: vec![ShardState::new().image(), ShardState::new().image()],
-            enforcement_epoch: Some(0),
             quarantine: Some(Vec::new()),
             clock: Some(0),
         }

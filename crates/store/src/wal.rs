@@ -327,6 +327,18 @@ pub(crate) fn next_record(bytes: &[u8]) -> Scanned {
     }
 }
 
+/// The length field of a record header. It is 32 bits: a longer payload
+/// is refused, never truncated into a header the next scan would take
+/// for the end of the log.
+fn record_len(payload_len: usize) -> io::Result<u32> {
+    u32::try_from(payload_len).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a {payload_len}-byte record does not fit the WAL's 32-bit length field"),
+        )
+    })
+}
+
 /// Parse one segment's bytes. Returns the records that scanned cleanly,
 /// the length of the valid prefix and, if the segment is damaged, the
 /// byte offset of the first invalid byte.
@@ -592,7 +604,11 @@ impl Wal {
     /// Append a group that may mix plain and quarantine batches — the
     /// full group-commit primitive. Same contract as
     /// [`Wal::append_batches`]: one record per batch, one write, one
-    /// `fsync`, all-or-nothing rollback on failure.
+    /// `fsync`, all-or-nothing rollback on failure. A record whose
+    /// payload does not fit the 32-bit length field (only a
+    /// [`PolicyOp::Install`] of an enormous policy could) refuses the
+    /// group with `InvalidInput` before anything is written or any
+    /// sequence number consumed.
     pub fn append_mixed(&mut self, batches: &[WalBatch<'_>]) -> io::Result<u64> {
         if self.poisoned {
             return Err(io::Error::other(
@@ -603,9 +619,6 @@ impl Wal {
         let total: u64 = batches.iter().map(|b| b.seq_count()).sum();
         if total == 0 {
             return Ok(first);
-        }
-        if self.active.len >= self.config.segment_bytes {
-            self.rotate()?;
         }
         let mut buf = Vec::with_capacity(total as usize * 16);
         let mut payload = Vec::with_capacity(256);
@@ -627,9 +640,12 @@ impl Wal {
                 } => encode_quarantine(*source, *level, events, &mut payload),
                 WalBatch::Policy(op) => encode_policy_op(op, &mut payload),
             }
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&record_len(payload.len())?.to_le_bytes());
             buf.extend_from_slice(&crc32(&payload).to_le_bytes());
             buf.extend_from_slice(&payload);
+        }
+        if self.active.len >= self.config.segment_bytes {
+            self.rotate()?;
         }
         let written = self.file.write_all(&buf).and_then(|()| {
             if self.config.fsync {
@@ -697,6 +713,12 @@ impl Wal {
             removed += 1;
         }
         Ok(removed)
+    }
+
+    /// Make every further append refuse, as after a failed rollback.
+    #[cfg(test)]
+    pub(crate) fn poison(&mut self) {
+        self.poisoned = true;
     }
 
     /// Discard every segment and restart the log at sequence `seq` — the
@@ -910,6 +932,14 @@ mod tests {
         assert_eq!(got, all);
         let seqs: Vec<u64> = rec.events().map(|(s, _)| s).collect();
         assert_eq!(seqs, (0..63).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_record_past_the_32_bit_length_field_is_refused_not_truncated() {
+        assert_eq!(record_len(u32::MAX as usize).unwrap(), u32::MAX);
+        // `as u32` would have written a header claiming 0 bytes here.
+        let err = record_len(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

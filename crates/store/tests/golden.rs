@@ -8,6 +8,14 @@
 //! below-watermark queries from the old segment, and write the same
 //! bytes back — formats did not move in either direction.
 //!
+//! One key has left the snapshot since: `enforcement_epoch`, the count
+//! of closure policy edits a follower could not tail across (such an
+//! edit is a WAL record now). The directory is deliberately **not**
+//! rewritten for it — data on disk outlives binaries, so the old
+//! snapshots, key included, are the upgrade-path fixture: they must
+//! still open, and what is written today must be what was written then
+//! minus exactly that key.
+//!
 //! `cargo test -p ltam-store --test golden -- --ignored` rewrites the
 //! directory from the script (only ever needed on a format version bump).
 
@@ -204,7 +212,13 @@ fn the_same_script_still_writes_the_same_bytes() {
                 let payload = &bytes[SNAPSHOT_HEADER_LEN..];
                 canonical(binval::decode::<Value>(payload).expect("snapshot payload"))
             };
-            assert_eq!(tree(old_bytes), tree(new_bytes), "{name}");
+            let Value::Object(mut old_pairs) = tree(old_bytes) else {
+                panic!("{name}: a snapshot is an object");
+            };
+            let before = old_pairs.len();
+            old_pairs.retain(|(key, _)| key != "enforcement_epoch");
+            assert_eq!(old_pairs.len() + 1, before, "{name}: the old key is there");
+            assert_eq!(Value::Object(old_pairs), tree(new_bytes), "{name}");
         } else {
             // WAL segments (event and policy records), the archive
             // segment and the epoch marker: byte for byte.

@@ -720,7 +720,6 @@ fn a_tailing_follower_refuses_a_revoked_token_and_honours_a_fresh_one() {
     // Same policy log position on both sides, and nobody was parked.
     let f_status = probe.status().unwrap();
     assert_eq!(f_status.policy_epoch, p_status.policy_epoch);
-    assert_eq!(f_status.enforcement_epoch, 0);
     assert_eq!(f_status.replica.unwrap().state, ReplicaState::Streaming);
 
     drop(follower.abort().unwrap());

@@ -249,7 +249,6 @@ mod follower_faults {
             let manifest = ReplManifest {
                 applied: 64,
                 policy_epoch: 0,
-                enforcement_epoch: 0,
                 retention_watermark: 0,
                 snapshot: Some(ReplFile {
                     file: snapshot,
@@ -280,7 +279,6 @@ mod follower_faults {
                     sealed: true,
                     applied: 64,
                     policy_epoch: 0,
-                    enforcement_epoch: 0,
                     retention_watermark: 0,
                 },
                 bytes: vec![0xAB; (len as usize).min(4096)],
@@ -646,9 +644,11 @@ mod auth_faults {
 /// the op's WAL append and its apply, and a crash that leaves only a
 /// pre-edit snapshot on disk, must both recover to exactly what an
 /// uninterrupted run reaches — same enforcement digest, same violation
-/// multiset, same policy, same policy epoch.
+/// multiset, same policy, same policy epoch — and a crash that tears
+/// the op's record to what a run that never issued the op reaches.
 mod policy_log_faults {
     use ltam::core::capability::{AdminOp, Scope, TokenId};
+    use ltam::core::prohibition::Prohibition;
     use ltam::core::subject::SubjectId;
     use ltam::engine::batch::{Event, PolicyOp};
     use ltam::engine::violation::Violation;
@@ -696,12 +696,25 @@ mod policy_log_faults {
         ]
     }
 
-    /// One op per `AdminOp` and `SituationOp` variant.
+    /// One op per `AdminOp` and `SituationOp` variant, and an `Install`
+    /// of what a closure edit (a prohibition, a bulk grant, a revocation)
+    /// makes of the policy the prelude leaves.
     fn every_variant(trace: &TraceWorld) -> Vec<PolicyOp> {
         let core = trace.build_policy_core();
         let mut grants = core.db().iter();
         let (revoked, regrant, _) = grants.next().unwrap();
         let (pinned, _, _) = grants.next().unwrap();
+        let mut edited = core.clone();
+        for edit in prelude(trace) {
+            edited.apply_op(&edit);
+        }
+        edited.add_prohibition(Prohibition {
+            subject: regrant.subject(),
+            location: regrant.location(),
+            window: Interval::lit(0, 1_000),
+        });
+        edited.add_authorization(*regrant);
+        edited.revoke_authorization(pinned);
         let admin = [
             AdminOp::MintToken {
                 subject: SubjectId(701),
@@ -735,6 +748,7 @@ mod policy_log_faults {
             .into_iter()
             .map(PolicyOp::Admin)
             .chain(situation.into_iter().map(PolicyOp::Situation))
+            .chain([PolicyOp::Install(Box::new(edited.image()))])
             .collect()
     }
 
@@ -742,6 +756,11 @@ mod policy_log_faults {
     enum Crash {
         /// No crash: the reference run.
         Never,
+        /// No crash and no op — what a torn record must recover to.
+        OpNeverIssued,
+        /// The process died inside the op's WAL append: the record is
+        /// on disk short of its last byte.
+        MidAppend,
         /// The op's record reached the WAL; the process died before the
         /// engine applied it (and before any ack).
         AfterAppendBeforeApply,
@@ -759,18 +778,21 @@ mod policy_log_faults {
     /// What two runs must agree on: the enforcement digest, the
     /// violation multiset, everything a policy op can edit (token
     /// registry and trust, situation overlay, authorization rows and
-    /// the id high-water mark), and the policy epoch.
+    /// the id high-water mark, prohibitions, tunables), and the policy
+    /// epoch.
     fn fingerprint(engine: &DurableEngine) -> (u64, Vec<Violation>, String, u64) {
         let policy = engine.engine().policy();
         (
             engine.read_view().engine().state_digest(),
             violation_multiset(engine.engine().violations()),
             format!(
-                "{:?} {:?} {:?} {}",
+                "{:?} {:?} {:?} {} {} {:?}",
                 policy.wire(),
                 policy.situation(),
                 policy.db().export_rows(),
-                policy.db().next_id()
+                policy.db().next_id(),
+                policy.prohibitions().len(),
+                policy.config()
             ),
             engine.policy_epoch(),
         )
@@ -790,7 +812,8 @@ mod policy_log_faults {
                 engine.apply_policy(op).unwrap();
                 engine
             }
-            Crash::AfterAppendBeforeApply => {
+            Crash::OpNeverIssued => engine,
+            Crash::AfterAppendBeforeApply | Crash::MidAppend => {
                 drop(engine);
                 let wal_config = WalConfig {
                     segment_bytes: SEGMENT_BYTES,
@@ -799,8 +822,16 @@ mod policy_log_faults {
                 let (mut wal, _) = Wal::open(dir.path(), wal_config).unwrap();
                 wal.append_mixed(&[WalBatch::Policy(op)]).unwrap();
                 drop(wal);
+                let torn = matches!(crash, Crash::MidAppend);
+                if torn {
+                    let segment = Wal::segment_files(dir.path()).unwrap().pop().unwrap();
+                    let len = std::fs::metadata(&segment).unwrap().len();
+                    let file = std::fs::OpenOptions::new().write(true).open(segment);
+                    file.unwrap().set_len(len - 1).unwrap();
+                }
                 let (engine, _alerts, report) = DurableEngine::open(dir.path(), store()).unwrap();
-                assert_eq!(report.replayed_policy_ops, 5, "prelude + the torn op");
+                let replayed = if torn { 4 } else { 5 };
+                assert_eq!(report.replayed_policy_ops, replayed, "prelude + the op");
                 engine
             }
             Crash::AfterAck => {
@@ -818,7 +849,10 @@ mod policy_log_faults {
     #[test]
     fn every_policy_op_recovers_to_the_uninterrupted_runs_state() {
         let trace = multi_shard_trace(&serve_workload(8, 600));
-        for op in every_variant(&trace) {
+        let ops = every_variant(&trace);
+        // The same run whichever op it is that was never issued.
+        let unissued = run(&trace, &ops[0], Crash::OpNeverIssued);
+        for op in ops {
             let reference = run(&trace, &op, Crash::Never);
             for (crash, name) in [
                 (Crash::AfterAppendBeforeApply, "after append, before apply"),
@@ -830,6 +864,11 @@ mod policy_log_faults {
                     "{op:?}: a crash {name} diverged from the uninterrupted run"
                 );
             }
+            assert_eq!(
+                run(&trace, &op, Crash::MidAppend),
+                unissued,
+                "{op:?}: a torn record did not recover to the run without the op"
+            );
         }
     }
 }

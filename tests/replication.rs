@@ -1,15 +1,17 @@
 //! Watermark monotonicity: a follower's published read watermark may
 //! stall, but it must never move backward — not across network cuts
-//! and reconnects, not across a follower kill + re-bootstrap, and not
-//! across a closure policy edit (the one kind of edit the WAL cannot
-//! carry, which parks the follower for re-bootstrap rather than
-//! risking divergence).
+//! and reconnects, not across a follower kill + re-bootstrap, not
+//! across a policy edit of any kind (each is a WAL record the follower
+//! tails), and not across the primary compacting its log past the
+//! follower's position (which parks the follower for re-bootstrap
+//! rather than risking divergence).
 
 use std::time::{Duration, Instant};
 
 use ltam::core::capability::{AdminOp, AdminOutcome, Scope, TokenId};
+use ltam::core::prohibition::Prohibition;
 use ltam::core::subject::SubjectId;
-use ltam::engine::batch::{apply_to_engine, Event};
+use ltam::engine::batch::Event;
 use ltam::serve::{
     bootstrap_follower, bootstrap_follower_as, LtamClient, ReplicaConfig, ReplicaState, Server,
     ServerConfig,
@@ -168,26 +170,46 @@ fn watermark_is_monotone_across_a_rebootstrap() {
     drop(primary.abort().unwrap());
 }
 
-/// A policy edit on the primary swaps the policy epoch. Tailing cannot
-/// carry policy edits (they are not WAL records), so the follower must
-/// park `NeedsBootstrap` — watermark frozen, reads still served — and
-/// a re-bootstrap with that watermark as the floor converges on the
-/// new epoch without ever regressing.
+/// Times the replication loop entered `NeedsBootstrap` in this process.
+fn parks() -> u64 {
+    ltam::obs::counter_value(
+        ltam::obs::registry(),
+        "repl_state_transitions_total",
+        &[("state", "needs_bootstrap")],
+    )
+    .unwrap_or(0)
+}
+
+/// A closure edit lands mid-trace as one `Install` record, and the
+/// *same* follower process tails across it: watermark monotone, never
+/// parked, and at the primary's watermark it holds the primary's digest
+/// and policy epoch. What still parks a follower is losing its place in
+/// the log: the primary then compacts past the follower's position, the
+/// follower parks `NeedsBootstrap` — watermark frozen, reads still
+/// served — and a re-bootstrap with that watermark as the floor
+/// converges without ever regressing.
+///
+/// One test on purpose: the transition counter is process-global, and
+/// this is the only test here that parks a follower.
 #[test]
 fn watermark_is_monotone_across_a_policy_epoch_swap() {
     let trace = multi_shard_trace(&serve_workload(32, 2_400));
     let n = trace.events.len();
-    let final_tick = Event::Tick {
-        now: Time(trace.max_time().get() + 1),
-    };
-    let mut reference = trace.build_engine();
-    for e in trace.events.iter().chain(std::iter::once(&final_tick)) {
-        apply_to_engine(&mut reference, e);
-    }
+    let quarter = n / 4;
+    let parks_before = parks();
 
     let p_dir = ScratchDir::new("epoch-primary");
-    let (engine, _alerts) =
-        DurableEngine::create(p_dir.path(), trace.build_policy_core(), 2, primary_store()).unwrap();
+    let core = trace.build_policy_core();
+    // Blocking a door the trace's own subjects use changes how later
+    // events are judged, so digest equality below also proves the edit
+    // was replayed at its position.
+    let (_, blocked, _) = core.db().iter().next().expect("the trace grants something");
+    let prohibition = Prohibition {
+        subject: blocked.subject(),
+        location: blocked.location(),
+        window: Interval::ALL,
+    };
+    let (engine, _alerts) = DurableEngine::create(p_dir.path(), core, 2, primary_store()).unwrap();
     let primary = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let relay = TcpRelay::start(&primary.local_addr().to_string()).unwrap();
 
@@ -202,26 +224,61 @@ fn watermark_is_monotone_across_a_policy_epoch_swap() {
     .unwrap();
     let mut probe = LtamClient::connect(&follower1.local_addr().to_string()).unwrap();
 
-    let half = n / 2;
     let mut loader = LtamClient::connect(&primary.local_addr().to_string()).unwrap();
-    for chunk in trace.events[..half].chunks(64) {
+    for chunk in trace.events[..quarter].chunks(64) {
         loader.ingest(chunk).unwrap();
     }
-    probe
-        .wait_for_watermark(half as u64, Duration::from_secs(20))
+    let mut last = probe
+        .wait_for_watermark(quarter as u64, Duration::from_secs(20))
         .unwrap();
 
     // The administrator edits the policy: stop the primary, apply the
-    // edit as one durable epoch swap, bring it back.
+    // closure edit durably, bring it back.
     let mut engine = primary.abort().unwrap();
-    engine.update_policy(|_| ()).unwrap();
+    engine
+        .update_policy(|p| p.add_prohibition(prohibition))
+        .unwrap();
     assert_eq!(engine.policy_epoch(), 1);
     let primary = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
     relay.set_upstream(&primary.local_addr().to_string());
 
-    // The follower sees the new epoch and parks — watermark frozen at
-    // its pre-swap value, reads still served, nothing applied from the
-    // foreign epoch.
+    let mut loader = LtamClient::connect(&primary.local_addr().to_string()).unwrap();
+    for chunk in trace.events[quarter..2 * quarter].chunks(64) {
+        loader.ingest(chunk).unwrap();
+        last = assert_monotone(&mut probe, last, "while tailing across the closure edit");
+    }
+    let p_status = loader.status().unwrap();
+    assert_eq!(p_status.events_ingested, 2 * quarter as u64 + 1);
+    probe
+        .wait_for_watermark(p_status.events_ingested, Duration::from_secs(30))
+        .expect("the same follower tails across the closure edit");
+    last = assert_monotone(&mut probe, last, "after the closure edit");
+    let f_status = probe.status().unwrap();
+    assert_eq!(f_status.events_ingested, p_status.events_ingested);
+    assert_eq!(f_status.state_digest, p_status.state_digest);
+    assert_eq!((f_status.policy_epoch, p_status.policy_epoch), (1, 1));
+    assert_eq!(f_status.replica.unwrap().primary_epoch, 1);
+    assert_eq!(
+        parks(),
+        parks_before,
+        "a policy edit never parks a follower"
+    );
+
+    // Compaction trails the older of the two retained snapshots: two
+    // snapshots past the follower's position, taken while it cannot
+    // reach the primary, drop every segment that covers that position.
+    let mut engine = primary.abort().unwrap();
+    let (third, fourth) = trace.events[2 * quarter..].split_at(quarter);
+    let (before, between) = third.split_at(quarter / 2);
+    engine.ingest(before).unwrap();
+    engine.snapshot().unwrap();
+    engine.ingest(between).unwrap();
+    engine.snapshot().unwrap();
+    let primary = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    relay.set_upstream(&primary.local_addr().to_string());
+
+    // The follower finds no segment covering its position and parks —
+    // watermark frozen, reads still served.
     let deadline = Instant::now() + Duration::from_secs(20);
     let frozen = loop {
         let replica = probe.status().unwrap().replica.unwrap();
@@ -230,23 +287,20 @@ fn watermark_is_monotone_across_a_policy_epoch_swap() {
         }
         assert!(
             Instant::now() < deadline,
-            "follower never parked on the epoch swap: {replica:?}"
+            "follower never parked on the compacted log: {replica:?}"
         );
         std::thread::sleep(Duration::from_millis(5));
     };
-    assert!(frozen >= half as u64);
+    assert_eq!(frozen, last);
+    assert!(parks() > parks_before);
     assert_monotone(&mut probe, frozen, "while parked");
     drop(follower1.abort().unwrap());
 
-    // Re-bootstrap onto the new epoch with the frozen watermark as the
-    // floor; finish the trace and converge.
+    // Re-bootstrap with the frozen watermark as the floor; finish the
+    // trace and converge.
     let f2_dir = ScratchDir::new("epoch-follower2");
     let f2_engine = bootstrap_follower(f2_dir.path(), relay.addr(), follower_store()).unwrap();
-    assert_eq!(
-        f2_engine.policy_epoch(),
-        1,
-        "bootstrap lands on the new epoch"
-    );
+    assert_eq!(f2_engine.policy_epoch(), 1, "the snapshot carries the edit");
     let follower2 = Server::start_follower(
         f2_engine,
         "127.0.0.1:0",
@@ -255,27 +309,21 @@ fn watermark_is_monotone_across_a_policy_epoch_swap() {
     )
     .unwrap();
     let mut probe = LtamClient::connect(&follower2.local_addr().to_string()).unwrap();
-    let mut last = assert_monotone(&mut probe, frozen, "first sample on the new epoch");
+    let mut last = assert_monotone(&mut probe, frozen, "first sample after re-bootstrap");
 
     let mut loader = LtamClient::connect(&primary.local_addr().to_string()).unwrap();
-    for chunk in trace.events[half..].chunks(64) {
+    for chunk in fourth.chunks(64) {
         loader.ingest(chunk).unwrap();
-        last = assert_monotone(&mut probe, last, "while catching up on the new epoch");
+        last = assert_monotone(&mut probe, last, "while catching up");
     }
-    loader.ingest(&[final_tick]).unwrap();
     probe
         .wait_for_watermark(n as u64 + 1, Duration::from_secs(30))
         .unwrap();
     assert_monotone(&mut probe, last, "after convergence");
-
-    // No divergence across the swap: digests match.
-    let p_status = LtamClient::connect(&primary.local_addr().to_string())
-        .unwrap()
-        .status()
-        .unwrap();
-    let f_status = probe.status().unwrap();
-    assert_eq!(f_status.state_digest, p_status.state_digest);
-    assert_eq!(f_status.replica.unwrap().primary_epoch, 1);
+    assert_eq!(
+        probe.status().unwrap().state_digest,
+        loader.status().unwrap().state_digest
+    );
 
     drop(follower2.abort().unwrap());
     drop(primary.abort().unwrap());
@@ -302,8 +350,7 @@ fn mint_repl_token(root: &mut LtamClient, secret: &str) -> TokenId {
 /// edits (mint/trust), authorization revocations and re-grants of the
 /// trace's own authorizations, and situation ops (responders,
 /// declarations, constraints) are each one WAL record — no snapshot, no
-/// rotation, no enforcement-epoch bump — so the follower replays every
-/// one at its stream position. It must never park `NeedsBootstrap`,
+/// rotation — so the follower replays every one at its stream position. It must never park `NeedsBootstrap`,
 /// and it converges to the same state digest *and* the same policy
 /// epoch as the primary.
 #[test]
@@ -346,9 +393,8 @@ fn admin_and_situation_storm_never_parks_a_tailing_follower() {
     // Interleave the event stream with the storm: every chunk of 64
     // events is followed by one admin op and one situation op. The
     // 16 KiB segments mean the WAL rotates often — if any of these
-    // edits compacted the log behind the follower's cursor, or moved
-    // the enforcement epoch, it would park NeedsBootstrap within a few
-    // chunks.
+    // edits compacted the log behind the follower's cursor it would
+    // park NeedsBootstrap within a few chunks.
     let mut last = 0u64;
     let mut policy_ops = 0u64;
     for (i, chunk) in trace.events.chunks(64).enumerate() {
@@ -418,16 +464,13 @@ fn admin_and_situation_storm_never_parks_a_tailing_follower() {
         .expect("the follower tails through the whole storm");
 
     // Every op replayed in-stream: same judged history, same policy
-    // log position, and the enforcement epoch never moved on either.
+    // log position — and the follower reports the primary's.
     let f_status = probe.status().unwrap();
     assert_eq!(f_status.state_digest, p_status.state_digest);
     assert_eq!(f_status.policy_epoch, p_status.policy_epoch);
-    assert_eq!(
-        (f_status.enforcement_epoch, p_status.enforcement_epoch),
-        (0, 0)
-    );
     let replica = f_status.replica.unwrap();
     assert_ne!(replica.state, ReplicaState::NeedsBootstrap);
+    assert_eq!(replica.primary_epoch, p_status.policy_epoch);
 
     drop(follower.abort().unwrap());
     drop(primary.abort().unwrap());
