@@ -13,7 +13,8 @@
 use ltam_core::subject::SubjectId;
 use ltam_graph::LocationId;
 use ltam_time::{Bound, Interval, Time};
-use serde::{Deserialize, Serialize};
+use parking_lot::Mutex;
+use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -74,6 +75,16 @@ impl Stay {
     }
 }
 
+/// The stays among `rows` that overlap `window`, for rows holding one
+/// subject's stays in order: chronological, so with exits that never
+/// decrease (an open stay is the last), which makes the overlapping
+/// ones a contiguous slice two binary searches find.
+pub fn stays_overlapping<T>(rows: &[T], stay: impl Fn(&T) -> Stay, window: Interval) -> &[T] {
+    let lo = rows.partition_point(|r| matches!(stay(r).exit, Some(e) if e < window.start()));
+    let hi = rows.partition_point(|r| window.end().admits(stay(r).enter));
+    &rows[lo..hi.max(lo)]
+}
+
 /// A co-location record returned by contact queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Contact {
@@ -126,6 +137,55 @@ impl fmt::Display for MovementError {
 
 impl std::error::Error for MovementError {}
 
+/// One closed stay in a location's run of [`StayRows`] (24 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ClosedStay {
+    enter: Time,
+    exit: Time,
+    subject: SubjectId,
+}
+
+/// The closed stays of one location, ordered by `(enter, exit, subject)`.
+#[derive(Debug, Default)]
+struct LocationRun {
+    /// Ordered up to `sorted`; `record_exit` appends past it in arrival
+    /// order and the next reader of this location sorts the tail in.
+    rows: Vec<ClosedStay>,
+    sorted: usize,
+    /// `exit − enter` of the longest stay ever put in `rows`: no row
+    /// entered before `t − longest` can still be inside at `t`, which is
+    /// what lets a reader binary-search to the start of its window. Only
+    /// ever an upper bound, so one very long stay makes this location's
+    /// reads walk further — never answer wrongly.
+    longest: u64,
+}
+
+impl LocationRun {
+    fn push(&mut self, row: ClosedStay) {
+        self.longest = self
+            .longest
+            .max(row.exit.get().saturating_sub(row.enter.get()));
+        self.rows.push(row);
+    }
+
+    /// Sort the appended tail in. Exits arrive roughly in time order, so
+    /// only the part of the run from where the earliest new row lands is
+    /// re-sorted, not the run.
+    fn sort_in(&mut self) {
+        let (head, tail) = self.rows.split_at(self.sorted);
+        let Some(first) = tail.iter().min() else {
+            return;
+        };
+        let lo = head.partition_point(|r| r <= first);
+        self.rows[lo..].sort();
+        self.sorted = self.rows.len();
+    }
+}
+
+/// Per-location closed stays by time: derived from `timelines`, never
+/// serialized, compared or cloned. `None` until a reader needs it.
+type StayRows = Option<BTreeMap<LocationId, LocationRun>>;
+
 /// The movements store.
 ///
 /// ## Retention
@@ -140,8 +200,41 @@ impl std::error::Error for MovementError {}
 /// post-watermark chronon is retained. Callers asking about earlier
 /// times must consult the archive tier (see `ltam-store`) or treat the
 /// answer as unknown — never as "was nowhere".
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// ## What a historical read costs
+///
+/// `whereabouts` and the subject side of `contacts` binary-search the
+/// subject's timeline (stays are chronological with nondecreasing
+/// exits). `present_during` reads a **derived** per-location run of
+/// closed stays ordered by `(enter, exit, subject)`: a binary search to
+/// `window.start − longest` (the longest closed stay that location has
+/// seen), a walk that stops at the first `enter` past the window, plus
+/// the location's current occupants — O(log n + rows near the window),
+/// not O(every stay in the store).
+///
+/// The runs are a reader-built cache, not recorded state: the first
+/// `present_during` after construction, decoding, `Clone` or
+/// [`MovementsDb::apply_prune`] builds them from the timelines and each
+/// reader sorts the run it touches; from then on `record_exit` appends
+/// one row to its location's unsorted tail and the next reader of that
+/// location sorts it in. Sensor clocks are only per-subject monotone, so
+/// exits arrive out of time order and keeping the runs sorted on the
+/// write path would cost every ingest a search and a shift; an append
+/// costs nothing a reader would not pay anyway, and a store nobody
+/// queries pays one branch per exit and no memory. The cache sits behind
+/// a mutex only so queries can stay `&self`; it is left out of the
+/// serialized form, of `Clone` (an image never copies it) and of `==`
+/// (which still means "same recorded history").
+#[derive(Debug, Default)]
 pub struct MovementsDb {
+    rec: Recorded,
+    stay_rows: Mutex<StayRows>,
+}
+
+/// The recorded state of a [`MovementsDb`] — all of what it serializes,
+/// clones and compares.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Recorded {
     log: Vec<MovementEvent>,
     timelines: BTreeMap<SubjectId, Vec<Stay>>,
     occupancy: BTreeMap<LocationId, BTreeSet<SubjectId>>,
@@ -155,6 +248,71 @@ pub struct MovementsDb {
     pruned_events: Option<u64>,
 }
 
+impl Recorded {
+    /// Every closed stay, by location, each run unsorted: the one-off
+    /// build of [`StayRows`].
+    fn closed_stays_by_location(&self) -> BTreeMap<LocationId, LocationRun> {
+        let mut runs: BTreeMap<LocationId, LocationRun> = BTreeMap::new();
+        for (&subject, stays) in &self.timelines {
+            for s in stays {
+                if let Some(exit) = s.exit {
+                    runs.entry(s.location).or_default().push(ClosedStay {
+                        enter: s.enter,
+                        exit,
+                        subject,
+                    });
+                }
+            }
+        }
+        runs
+    }
+}
+
+impl From<Recorded> for MovementsDb {
+    /// The stay rows start unbuilt: the first reader derives them.
+    fn from(rec: Recorded) -> MovementsDb {
+        MovementsDb {
+            rec,
+            stay_rows: Mutex::default(),
+        }
+    }
+}
+
+// The vendored derive cannot skip a field, so `MovementsDb` is, by hand,
+// transparent over its recorded state: the serialized form is the object
+// of six named fields it always was.
+impl Serialize for MovementsDb {
+    fn to_value(&self) -> Value {
+        self.rec.to_value()
+    }
+    fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
+        self.rec.serialize(s);
+    }
+}
+
+impl Deserialize for MovementsDb {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        Recorded::from_value(value).map(MovementsDb::from)
+    }
+    fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::Error> {
+        Recorded::deserialize(d).map(MovementsDb::from)
+    }
+}
+
+impl Clone for MovementsDb {
+    fn clone(&self) -> MovementsDb {
+        MovementsDb::from(self.rec.clone())
+    }
+}
+
+impl PartialEq for MovementsDb {
+    fn eq(&self, other: &MovementsDb) -> bool {
+        self.rec == other.rec
+    }
+}
+
+impl Eq for MovementsDb {}
+
 impl MovementsDb {
     /// An empty store.
     pub fn new() -> MovementsDb {
@@ -163,21 +321,21 @@ impl MovementsDb {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.log.len()
+        self.rec.log.len()
     }
 
     /// True if no events are recorded.
     pub fn is_empty(&self) -> bool {
-        self.log.is_empty()
+        self.rec.log.is_empty()
     }
 
     /// The raw event log, in arrival order.
     pub fn log(&self) -> &[MovementEvent] {
-        &self.log
+        &self.rec.log
     }
 
     fn check_time(&self, subject: SubjectId, t: Time) -> Result<(), MovementError> {
-        if let Some(&latest) = self.latest.get(&subject) {
+        if let Some(&latest) = self.rec.latest.get(&subject) {
             if t < latest {
                 return Err(MovementError::TimeRegression { latest, event: t });
             }
@@ -196,19 +354,23 @@ impl MovementsDb {
         if let Some(at) = self.current_location(subject) {
             return Err(MovementError::EnterWhileInside { at });
         }
-        self.log.push(MovementEvent {
+        self.rec.log.push(MovementEvent {
             time: t,
             subject,
             location,
             kind: MovementKind::Enter,
         });
-        self.timelines.entry(subject).or_default().push(Stay {
+        self.rec.timelines.entry(subject).or_default().push(Stay {
             location,
             enter: t,
             exit: None,
         });
-        self.occupancy.entry(location).or_default().insert(subject);
-        self.latest.insert(subject, t);
+        self.rec
+            .occupancy
+            .entry(location)
+            .or_default()
+            .insert(subject);
+        self.rec.latest.insert(subject, t);
         Ok(())
     }
 
@@ -224,29 +386,39 @@ impl MovementsDb {
         if at != Some(location) {
             return Err(MovementError::ExitWithoutEntry { at });
         }
-        self.log.push(MovementEvent {
+        self.rec.log.push(MovementEvent {
             time: t,
             subject,
             location,
             kind: MovementKind::Exit,
         });
         let stay = self
+            .rec
             .timelines
             .get_mut(&subject)
             .and_then(|v| v.last_mut())
             .expect("open stay exists");
         stay.exit = Some(t);
-        self.occupancy
+        if let Some(runs) = self.stay_rows.get_mut() {
+            runs.entry(location).or_default().push(ClosedStay {
+                enter: stay.enter,
+                exit: t,
+                subject,
+            });
+        }
+        self.rec
+            .occupancy
             .get_mut(&location)
             .expect("occupancy entry exists")
             .remove(&subject);
-        self.latest.insert(subject, t);
+        self.rec.latest.insert(subject, t);
         Ok(())
     }
 
     /// Where the subject currently is, if inside any location.
     pub fn current_location(&self, subject: SubjectId) -> Option<LocationId> {
-        self.timelines
+        self.rec
+            .timelines
             .get(&subject)
             .and_then(|v| v.last())
             .filter(|s| s.exit.is_none())
@@ -255,7 +427,8 @@ impl MovementsDb {
 
     /// Subjects currently inside `location`.
     pub fn occupants(&self, location: LocationId) -> Vec<SubjectId> {
-        self.occupancy
+        self.rec
+            .occupancy
             .get(&location)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
@@ -263,7 +436,8 @@ impl MovementsDb {
 
     /// The subject's full stay history.
     pub fn timeline(&self, subject: SubjectId) -> &[Stay] {
-        self.timelines
+        self.rec
+            .timelines
             .get(&subject)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -271,13 +445,20 @@ impl MovementsDb {
 
     /// Where the subject was at time `t` (historically).
     pub fn whereabouts(&self, subject: SubjectId, t: Time) -> Option<LocationId> {
-        let stays = self.timelines.get(&subject)?;
+        let stays = self.rec.timelines.get(&subject)?;
         let idx = stays.partition_point(|s| s.enter <= t);
+        // Exits never decrease along a timeline, so if the last stay
+        // entered by `t` had ended before it, so had every earlier one.
         stays[..idx]
-            .iter()
-            .rev()
-            .find(|s| s.interval().contains(t))
+            .last()
+            .filter(|s| s.interval().contains(t))
             .map(|s| s.location)
+    }
+
+    /// The subject's stays that overlap `window` (a binary search, see
+    /// [`stays_overlapping`]).
+    pub fn stays_during(&self, subject: SubjectId, window: Interval) -> &[Stay] {
+        stays_overlapping(self.timeline(subject), |s| *s, window)
     }
 
     /// Subjects present in `location` at any point of `window`, with their
@@ -287,15 +468,43 @@ impl MovementsDb {
         location: LocationId,
         window: Interval,
     ) -> Vec<(SubjectId, Interval)> {
+        self.present_during_counting(location, window, &mut 0)
+    }
+
+    /// [`MovementsDb::present_during`], adding the number of stays it
+    /// looked at to `examined` (the read-amplification counters of
+    /// `ltam-store`'s `ReadView` are fed from here).
+    pub fn present_during_counting(
+        &self,
+        location: LocationId,
+        window: Interval,
+        examined: &mut u64,
+    ) -> Vec<(SubjectId, Interval)> {
         let mut out = Vec::new();
-        for (&subject, stays) in &self.timelines {
-            for s in stays {
-                if s.location == location {
-                    if let Some(overlap) = s.interval().intersect(window) {
-                        out.push((subject, overlap));
-                    }
-                }
+        let mut overlap = |subject, stay: Interval| {
+            *examined += 1;
+            out.extend(stay.intersect(window).map(|i| (subject, i)));
+        };
+        let mut rows = self.stay_rows.lock();
+        let runs = rows.get_or_insert_with(|| self.rec.closed_stays_by_location());
+        if let Some(run) = runs.get_mut(&location) {
+            run.sort_in();
+            let from = window.start().get().saturating_sub(run.longest);
+            let lo = run.rows.partition_point(|r| r.enter.get() < from);
+            for r in run.rows[lo..]
+                .iter()
+                .take_while(|r| window.end().admits(r.enter))
+            {
+                let stay = Interval::new(r.enter, Bound::At(r.exit)).expect("exit >= enter");
+                overlap(r.subject, stay);
             }
+        }
+        drop(rows);
+        // Open stays last: a subject's open stay follows its closed ones,
+        // and the stable sort below keeps that order on equal starts.
+        for &subject in self.rec.occupancy.get(&location).into_iter().flatten() {
+            let open = self.timeline(subject).last().expect("occupant has a stay");
+            overlap(subject, open.interval());
         }
         out.sort_by_key(|&(s, i)| (s, i.start()));
         out
@@ -305,13 +514,8 @@ impl MovementsDb {
     /// contact-tracing join (§1's SARS scenario).
     pub fn contacts(&self, subject: SubjectId, window: Interval) -> Vec<Contact> {
         let mut out = Vec::new();
-        let Some(stays) = self.timelines.get(&subject) else {
-            return out;
-        };
-        for s in stays {
-            let Some(exposure) = s.interval().intersect(window) else {
-                continue;
-            };
+        for s in self.stays_during(subject, window) {
+            let exposure = s.interval().intersect(window).expect("stay overlaps");
             for (other, overlap) in self.present_during(s.location, exposure) {
                 if other != subject {
                     out.push(Contact {
@@ -328,14 +532,10 @@ impl MovementsDb {
 
     /// Subjects with an open (ongoing) stay, with the stay.
     pub fn inside_now(&self) -> Vec<(SubjectId, Stay)> {
-        self.timelines
-            .iter()
-            .filter_map(|(&s, v)| {
-                v.last()
-                    .filter(|stay| stay.exit.is_none())
-                    .map(|stay| (s, *stay))
-            })
-            .collect()
+        let open = |&s: &SubjectId| (s, *self.timeline(s).last().expect("occupant has a stay"));
+        let mut inside: Vec<_> = self.rec.occupancy.values().flatten().map(open).collect();
+        inside.sort_by_key(|&(s, _)| s);
+        inside
     }
 
     // --- retention ----------------------------------------------------------
@@ -344,7 +544,7 @@ impl MovementsDb {
     /// chronon onward; earlier history may have been pruned. `Time::ZERO`
     /// for a never-pruned store.
     pub fn watermark(&self) -> Time {
-        self.watermark.unwrap_or(Time::ZERO)
+        self.rec.watermark.unwrap_or(Time::ZERO)
     }
 
     /// True if queries at `t` are answerable completely from live state.
@@ -354,12 +554,12 @@ impl MovementsDb {
 
     /// Events dropped by pruning since the store was created.
     pub fn pruned_events(&self) -> u64 {
-        self.pruned_events.unwrap_or(0)
+        self.rec.pruned_events.unwrap_or(0)
     }
 
     /// Events ever recorded: the live log plus everything pruned.
     pub fn total_recorded(&self) -> u64 {
-        self.log.len() as u64 + self.pruned_events()
+        self.rec.log.len() as u64 + self.pruned_events()
     }
 
     /// The number of leading stays of `timeline` that are prunable at
@@ -387,7 +587,7 @@ impl MovementsDb {
     ) -> usize {
         let mut quotas: BTreeMap<SubjectId, usize> = BTreeMap::new();
         let mut remaining = 0;
-        for (&subject, timeline) in &self.timelines {
+        for (&subject, timeline) in &self.rec.timelines {
             let k = Self::prunable_prefix(timeline, horizon);
             if k > 0 {
                 quotas.insert(subject, 2 * k);
@@ -395,7 +595,7 @@ impl MovementsDb {
             }
         }
         let mut visited = 0;
-        for e in &self.log {
+        for e in &self.rec.log {
             if remaining == 0 {
                 break;
             }
@@ -418,7 +618,7 @@ impl MovementsDb {
     /// A durable deployment archives these *before* pruning.
     pub fn collect_prunable(&self, horizon: Time) -> (Vec<MovementEvent>, Vec<(SubjectId, Stay)>) {
         let mut stays = Vec::new();
-        for (&subject, timeline) in &self.timelines {
+        for (&subject, timeline) in &self.rec.timelines {
             let k = Self::prunable_prefix(timeline, horizon);
             stays.extend(timeline[..k].iter().map(|&s| (subject, s)));
         }
@@ -441,14 +641,16 @@ impl MovementsDb {
         let mut kept = Vec::new();
         let visited = self.split_prunable_events(horizon, |_| {}, |e| kept.push(*e));
         let dropped = (visited - kept.len()) as u64;
-        self.log.splice(..visited, kept);
-        for timeline in self.timelines.values_mut() {
+        self.rec.log.splice(..visited, kept);
+        for timeline in self.rec.timelines.values_mut() {
             let k = Self::prunable_prefix(timeline, horizon);
             timeline.drain(..k);
         }
-        self.timelines.retain(|_, t| !t.is_empty());
-        self.pruned_events = Some(self.pruned_events() + dropped);
-        self.watermark = Some(self.watermark().max(horizon));
+        self.rec.timelines.retain(|_, t| !t.is_empty());
+        // The next reader rebuilds the rows from what is left.
+        *self.stay_rows.get_mut() = None;
+        self.rec.pruned_events = Some(self.pruned_events() + dropped);
+        self.rec.watermark = Some(self.watermark().max(horizon));
         dropped
     }
 
@@ -458,13 +660,13 @@ impl MovementsDb {
     /// guard). Exposed so shard redistribution can preserve the guard
     /// for subjects whose events were all pruned.
     pub fn latest_times(&self) -> impl Iterator<Item = (SubjectId, Time)> + '_ {
-        self.latest.iter().map(|(&s, &t)| (s, t))
+        self.rec.latest.iter().map(|(&s, &t)| (s, t))
     }
 
     /// Raise `subject`'s latest-time guard to at least `t`
     /// (redistribution import; never lowers it).
     pub fn observe_latest(&mut self, subject: SubjectId, t: Time) {
-        let entry = self.latest.entry(subject).or_insert(t);
+        let entry = self.rec.latest.entry(subject).or_insert(t);
         *entry = (*entry).max(t);
     }
 
@@ -473,14 +675,14 @@ impl MovementsDb {
     /// already-pruned log).
     pub fn set_watermark(&mut self, w: Time) {
         if w > self.watermark() {
-            self.watermark = Some(w);
+            self.rec.watermark = Some(w);
         }
     }
 
     /// Add `n` to the pruned-events counter (redistribution import).
     pub fn add_pruned_events(&mut self, n: u64) {
         if n > 0 {
-            self.pruned_events = Some(self.pruned_events() + n);
+            self.rec.pruned_events = Some(self.pruned_events() + n);
         }
     }
 }
@@ -489,10 +691,239 @@ impl MovementsDb {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
     const ALICE: SubjectId = SubjectId(0);
     const BOB: SubjectId = SubjectId(1);
     const CAIS: LocationId = LocationId(10);
     const GO: LocationId = LocationId(11);
+
+    /// The reads as they were before the stay rows and the timeline
+    /// binary searches: every stay of every subject, every time. The
+    /// oracle the serving reads are tested against.
+    impl MovementsDb {
+        fn present_during_scan(
+            &self,
+            location: LocationId,
+            window: Interval,
+        ) -> Vec<(SubjectId, Interval)> {
+            let mut out = Vec::new();
+            for (&subject, stays) in &self.rec.timelines {
+                for s in stays {
+                    if s.location == location {
+                        if let Some(overlap) = s.interval().intersect(window) {
+                            out.push((subject, overlap));
+                        }
+                    }
+                }
+            }
+            out.sort_by_key(|&(s, i)| (s, i.start()));
+            out
+        }
+
+        fn contacts_scan(&self, subject: SubjectId, window: Interval) -> Vec<Contact> {
+            let mut out = Vec::new();
+            for s in self.timeline(subject) {
+                let Some(exposure) = s.interval().intersect(window) else {
+                    continue;
+                };
+                for (other, overlap) in self.present_during_scan(s.location, exposure) {
+                    if other != subject {
+                        out.push(Contact {
+                            other,
+                            location: s.location,
+                            overlap,
+                        });
+                    }
+                }
+            }
+            out.sort_by_key(|c| (c.other, c.overlap.start()));
+            out
+        }
+
+        fn whereabouts_scan(&self, subject: SubjectId, t: Time) -> Option<LocationId> {
+            self.timeline(subject)
+                .iter()
+                .rev()
+                .find(|s| s.interval().contains(t))
+                .map(|s| s.location)
+        }
+    }
+
+    /// One step of a random trace over 5 subjects and 3 locations.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// The subject's next movement, `dt` chronons after its last: an
+        /// exit if it is inside, else an entry to the location. `dt` 0
+        /// gives same-chronon exits and re-entries, and with them
+        /// zero-length stays that repeat identically.
+        Move(u32, u32, u64),
+        /// Ask every question about the location, the subject and the
+        /// window `[start, start + len]` (`len` ≥ 40: unbounded).
+        Ask(u32, u32, u64, u64),
+        Prune(u64),
+        /// Image → serialized → decoded, as a snapshot and restart do.
+        Restart,
+        Clone,
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            6 => (0u32..5, 0u32..3, 0u64..6).prop_map(|(s, l, dt)| Step::Move(s, l, dt)),
+            3 => (0u32..5, 0u32..3, 0u64..90, 0u64..50)
+                .prop_map(|(s, l, a, n)| Step::Ask(s, l, a, n)),
+            1 => (0u64..90).prop_map(Step::Prune),
+            1 => Just(Step::Restart),
+            1 => Just(Step::Clone),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the trace — clocks only per-subject monotone (each
+        /// subject starts at its own offset, so arrivals are out of time
+        /// order across subjects), open stays, prunes, restarts and
+        /// clones between the questions — the serving reads equal the
+        /// scans row for row.
+        #[test]
+        fn indexed_reads_equal_the_scans(steps in prop::collection::vec(arb_step(), 1..120)) {
+            let mut db = MovementsDb::new();
+            for step in steps {
+                match step {
+                    Step::Move(s, l, dt) => {
+                        let subject = SubjectId(s);
+                        let last = db.rec.latest.get(&subject).copied();
+                        let t = Time(last.map_or(u64::from(s) * 9 % 31, |t| t.get() + dt));
+                        match db.current_location(subject) {
+                            Some(at) => db.record_exit(t, subject, at).unwrap(),
+                            None => db.record_enter(t, subject, LocationId(l)).unwrap(),
+                        }
+                    }
+                    Step::Ask(s, l, start, len) => {
+                        let (subject, location) = (SubjectId(s), LocationId(l));
+                        let window = if len >= 40 {
+                            Interval::from_start(start)
+                        } else {
+                            Interval::lit(start, start + len)
+                        };
+                        prop_assert_eq!(
+                            db.present_during(location, window),
+                            db.present_during_scan(location, window)
+                        );
+                        prop_assert_eq!(
+                            db.contacts(subject, window),
+                            db.contacts_scan(subject, window)
+                        );
+                        prop_assert_eq!(
+                            db.whereabouts(subject, Time(start)),
+                            db.whereabouts_scan(subject, Time(start))
+                        );
+                    }
+                    Step::Prune(horizon) => {
+                        db.apply_prune(Time(horizon));
+                    }
+                    Step::Restart => {
+                        let image = serde_json::to_string(&db).unwrap();
+                        let back: MovementsDb = serde_json::from_str(&image).unwrap();
+                        prop_assert_eq!(&back, &db);
+                        db = back;
+                    }
+                    Step::Clone => db = db.clone(),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_stay_rows_are_derived_state_only() {
+        let mut db = pruneable_db();
+        let image = serde_json::to_string(&db).unwrap();
+        // A reader builds the rows; nothing recorded changes.
+        assert_eq!(db.present_during(GO, Interval::lit(0, 100)).len(), 2);
+        assert!(db.stay_rows.lock().is_some());
+        assert_eq!(serde_json::to_string(&db).unwrap(), image);
+        assert_eq!(db, pruneable_db());
+        // Neither a clone nor a decoded image carries them; a prune drops
+        // them; and an unqueried store never builds them.
+        assert!(db.clone().stay_rows.lock().is_none());
+        let back: MovementsDb = serde_json::from_str(&image).unwrap();
+        assert!(back.stay_rows.lock().is_none());
+        db.apply_prune(Time(30));
+        assert!(db.stay_rows.lock().is_none());
+        db.record_exit(Time(60), ALICE, CAIS).unwrap();
+        assert!(db.stay_rows.lock().is_none());
+        // The serialized form is the six recorded fields, in this order,
+        // and an image from before retention (no watermark, no pruned
+        // count) still loads.
+        let keys = [
+            "log",
+            "timelines",
+            "occupancy",
+            "latest",
+            "watermark",
+            "pruned_events",
+        ];
+        let Value::Object(fields) = db.to_value() else {
+            panic!("an object");
+        };
+        assert_eq!(
+            fields.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
+            keys
+        );
+        let old = Value::Object(fields.into_iter().take(4).collect());
+        let old = MovementsDb::from_value(&old).unwrap();
+        assert_eq!(old.watermark(), Time::ZERO);
+        assert_eq!(old.log(), db.log());
+    }
+
+    #[test]
+    fn one_long_stay_widens_the_walk_not_the_answer() {
+        let mut db = MovementsDb::new();
+        // Bob camps in CAIS for [0, 1000]; a hundred short visits by
+        // Alice follow. A late window must still find Bob's stay.
+        db.record_enter(Time(0), BOB, CAIS).unwrap();
+        for i in 0..100 {
+            db.record_enter(Time(10 * i), ALICE, CAIS).unwrap();
+            db.record_exit(Time(10 * i + 2), ALICE, CAIS).unwrap();
+        }
+        let window = Interval::lit(995, 1_005);
+        let mut short = 0;
+        db.present_during_counting(CAIS, window, &mut short);
+        assert_eq!(short, 1, "Bob's open stay; no visit is within 2 of 995");
+        db.record_exit(Time(1_000), BOB, CAIS).unwrap();
+        let mut long = 0;
+        let rows = db.present_during_counting(CAIS, window, &mut long);
+        assert_eq!(rows, vec![(BOB, Interval::lit(995, 1_000))]);
+        assert_eq!(long, 101, "longest = 1000: every closed stay is walked");
+    }
+
+    #[test]
+    fn whereabouts_misses_stop_at_the_first_earlier_stay() {
+        let mut db = MovementsDb::new();
+        db.record_enter(Time(10), ALICE, CAIS).unwrap();
+        db.record_exit(Time(20), ALICE, CAIS).unwrap();
+        db.record_enter(Time(20), ALICE, GO).unwrap(); // same-chronon re-entry
+        db.record_exit(Time(20), ALICE, GO).unwrap();
+        db.record_enter(Time(40), ALICE, CAIS).unwrap();
+        db.record_exit(Time(60), ALICE, CAIS).unwrap();
+        for (t, want) in [
+            (9, None),
+            (15, Some(CAIS)), // hit
+            (20, Some(GO)),   // the latest of three stays holding chronon 20
+            (30, None),       // miss: outside between stays
+            (60, Some(CAIS)),
+            (61, None), // miss: after the last stay
+        ] {
+            assert_eq!(db.whereabouts(ALICE, Time(t)), want, "t={t}");
+            assert_eq!(db.whereabouts_scan(ALICE, Time(t)), want, "t={t}");
+        }
+        // A stay straddling the watermark stays live and still answers
+        // below it; a pruned one does not.
+        db.apply_prune(Time(50));
+        assert_eq!(db.whereabouts(ALICE, Time(45)), Some(CAIS));
+        assert_eq!(db.whereabouts(ALICE, Time(15)), None);
+    }
 
     #[test]
     fn enter_exit_round_trip() {

@@ -56,7 +56,7 @@ use crate::codec::{decode_event, encode_event};
 use crate::crc::crc32;
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::Event;
-use ltam_engine::movement::{MovementEvent, MovementKind, Stay};
+use ltam_engine::movement::{stays_overlapping, MovementEvent, MovementKind, Stay};
 use ltam_engine::retention::PrunedHistory;
 use ltam_engine::AuditRecord;
 use ltam_engine::Violation;
@@ -121,6 +121,24 @@ fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
 /// One `(from, to, path)` row of the segment listing.
 type SegmentRow = (u64, u64, PathBuf);
 
+/// What one listing of the store directory found (see
+/// [`ArchiveStore::scan`]). A retention run lists once and hands this on
+/// to its append.
+#[derive(Debug, Default)]
+pub(crate) struct Chain {
+    /// The active chain, contiguous from the epoch.
+    rows: Vec<SegmentRow>,
+    /// Same-start files a crash-repeated run replaced but did not delete.
+    superseded: Vec<PathBuf>,
+}
+
+impl Chain {
+    /// The chronon the chain ends at (exclusive); 0 for an empty archive.
+    pub(crate) fn end(&self) -> u64 {
+        self.rows.last().map(|&(_, to, _)| to).unwrap_or(0)
+    }
+}
+
 fn corrupt(path: &Path, what: &str) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -177,7 +195,7 @@ impl ArchiveStore {
     /// each segment must start where the previous ended (anything else
     /// means segments were deleted or hand-copied — refuse rather than
     /// serve a gappy tier).
-    fn scan(&self) -> io::Result<(Vec<SegmentRow>, Vec<PathBuf>)> {
+    pub(crate) fn scan(&self) -> io::Result<Chain> {
         let mut chain: Vec<SegmentRow> = Vec::new();
         let mut superseded = Vec::new();
         for (from, to, path) in self.listing()? {
@@ -202,7 +220,10 @@ impl ArchiveStore {
             }
             expect = to;
         }
-        Ok((chain, superseded))
+        Ok(Chain {
+            rows: chain,
+            superseded,
+        })
     }
 
     /// The chronon the archive's watermark chain ends at (exclusive):
@@ -210,7 +231,7 @@ impl ArchiveStore {
     /// tiers hold all history when this reaches the watermark. Zero for
     /// an empty archive.
     pub fn coverage_end(&self) -> io::Result<u64> {
-        Ok(self.scan()?.0.last().map(|&(_, to, _)| to).unwrap_or(0))
+        Ok(self.scan()?.end())
     }
 
     /// Archive one retention run's records: everything pruned while
@@ -233,11 +254,21 @@ impl ArchiveStore {
         horizon: u64,
         records: &PrunedHistory,
     ) -> io::Result<Option<ArchiveRunReport>> {
+        self.append_to(self.scan()?, from, horizon, records)
+    }
+
+    /// [`ArchiveStore::append_run`] onto an already scanned `chain`.
+    pub(crate) fn append_to(
+        &self,
+        chain: Chain,
+        from: u64,
+        horizon: u64,
+        records: &PrunedHistory,
+    ) -> io::Result<Option<ArchiveRunReport>> {
         if horizon <= from {
             return Ok(None);
         }
-        let (chain, superseded) = self.scan()?;
-        let chain_end = chain.last().map(|&(_, to, _)| to).unwrap_or(0);
+        let chain_end = chain.end();
         debug_assert!(
             from <= chain_end,
             "watermark {from} cannot exceed archive coverage {chain_end}"
@@ -249,11 +280,12 @@ impl ArchiveStore {
         // Chain segments past the watermark are being replaced by this
         // run; already-superseded files are redundant whatever happens.
         let mut replaced: Vec<PathBuf> = chain
+            .rows
             .into_iter()
             .filter(|&(f, _, _)| f >= from)
             .map(|(_, _, p)| p)
             .collect();
-        replaced.extend(superseded);
+        replaced.extend(chain.superseded);
         // Only the upper bound filters: records at or past the horizon
         // are still live and must not be archived. Below it, anything
         // the caller pruned belongs here — including late-arriving
@@ -365,34 +397,56 @@ impl ArchiveStore {
     /// [`LazyArchive`] instead, which loads (and caches) only the
     /// segments a query can actually touch.
     pub fn load(&self) -> io::Result<ArchiveData> {
-        let chain = self.scan()?.0;
+        let chain = self.scan()?;
         let mut data = ArchiveData {
-            covered_to: chain.last().map(|&(_, to, _)| to).unwrap_or(0),
+            covered_to: chain.end(),
             ..ArchiveData::default()
         };
-        for &(from, to, ref path) in &chain {
+        for &(from, to, ref path) in &chain.rows {
             let seg = read_segment(path, from, to)?;
             merge_segment(&mut data, from, seg);
         }
-        data.sort_indexes();
         Ok(data)
     }
 }
 
-/// Fold one segment's records into `data` (indexes left unsorted; call
-/// [`ArchiveData::sort_indexes`] after the last merge).
+/// Fold one segment's records into `data`, each row at its place in the
+/// time order its vector keeps. Late-arriving records mean a later
+/// segment can hold rows that predate an earlier segment's, but mostly a
+/// segment's rows are the newest and land at the end: merging costs what
+/// the segment holds, not what the archive holds.
 fn merge_segment(data: &mut ArchiveData, from: u64, seg: SegmentData) {
     for (s, stay) in seg.stays {
-        data.stays.entry(s).or_default().push((from, stay));
-        data.by_location
-            .entry(stay.location)
-            .or_default()
-            .push((from, s, stay));
+        let key = (stay.enter, stay.exit, s);
+        let rows = data.stays.entry(s).or_default();
+        let at = rows.partition_point(|&(_, r)| (r.enter, r.exit) <= (stay.enter, stay.exit));
+        rows.insert(at, (from, stay));
+        let here = data.by_location.entry(stay.location).or_default();
+        let at = here
+            .rows
+            .partition_point(|&(_, who, r)| (r.enter, r.exit, who) <= key);
+        here.rows.insert(at, (from, s, stay));
+        here.longest = here.longest.max(stay_length(&stay));
     }
     data.audit.extend(seg.audit);
-    data.violations
-        .extend(seg.violations.into_iter().map(|v| (from, v)));
+    for v in seg.violations {
+        let at = data
+            .violations_by_time
+            .partition_point(|&i| data.violations[i as usize].1.time() <= v.time());
+        let position =
+            u32::try_from(data.violations.len()).expect("under 2^32 archived violations");
+        data.violations_by_time.insert(at, position);
+        data.violations.push((from, v));
+    }
     data.events.extend(seg.events);
+}
+
+/// `exit − enter` of an archived stay. Only closed stays are written; an
+/// open one in a file counts as endless, so it costs its location the
+/// binary search and not the answer.
+fn stay_length(stay: &Stay) -> u64 {
+    stay.exit
+        .map_or(u64::MAX, |exit| exit.get().saturating_sub(stay.enter.get()))
 }
 
 /// The archive tier with per-segment lazy loading: the chain is scanned
@@ -476,9 +530,9 @@ impl LazyArchive {
 
     fn ensure_chain(&mut self, store: &ArchiveStore) -> io::Result<&[SegmentRow]> {
         if self.chain.is_none() {
-            let (chain, _) = store.scan()?;
-            self.data.covered_to = chain.last().map(|&(_, to, _)| to).unwrap_or(0);
-            self.chain = Some(chain);
+            let chain = store.scan()?;
+            self.data.covered_to = chain.end();
+            self.chain = Some(chain.rows);
         }
         Ok(self.chain.as_deref().expect("just scanned"))
     }
@@ -506,15 +560,10 @@ impl LazyArchive {
             })
             .cloned()
             .collect();
-        let mut merged_any = false;
         for (from, to, path) in needed {
             let seg = read_segment(&path, from, to)?;
             merge_segment(&mut self.data, from, seg);
             self.loaded.insert(from);
-            merged_any = true;
-        }
-        if merged_any {
-            self.data.sort_indexes();
         }
         Ok(&self.data)
     }
@@ -623,6 +672,19 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
 /// record *time* would miss those; filtering by segment start never
 /// does. In steady state every segment is applied and the bound is
 /// vacuous. Pass [`Time::MAX`] to read the archive standalone.
+///
+/// ## What a read costs
+///
+/// Every vector a query reads is kept in time order as segments are
+/// merged (see `merge_segment`), so a read is a binary search plus the
+/// rows near its window, whatever the number of retained segments: a
+/// subject's stays by `(enter, exit)` (their exits never decrease
+/// either), a location's stays by `(enter, exit, subject)` beside the
+/// longest stay that location holds — nothing entered before
+/// `window.start − longest` can reach the window, and one very long
+/// stay only makes that location's reads walk further, never answer
+/// wrongly — and the violations through a by-time view beside their
+/// stored order. The queries add the rows they looked at to `examined`.
 #[derive(Debug, Clone, Default)]
 pub struct ArchiveData {
     /// Watermark-chain end (exclusive): when this reaches the live
@@ -632,16 +694,27 @@ pub struct ArchiveData {
     /// Archived `(segment start, stay)` rows per subject,
     /// chronological by enter time.
     pub stays: BTreeMap<SubjectId, Vec<(u64, Stay)>>,
-    /// The same stays indexed by location (presence/contact joins scan
-    /// one location, not the whole archive), sorted by subject.
-    #[allow(clippy::type_complexity)]
-    pub by_location: BTreeMap<ltam_graph::LocationId, Vec<(u64, SubjectId, Stay)>>,
+    /// The same stays per location, for presence/contact joins.
+    pub by_location: BTreeMap<ltam_graph::LocationId, LocationStays>,
     /// Archived audit records.
     pub audit: Vec<AuditRecord>,
-    /// Archived `(segment start, violation)` rows.
+    /// Archived `(segment start, violation)` rows, in stored order:
+    /// segment by segment, as written.
     pub violations: Vec<(u64, Violation)>,
+    /// Positions into `violations`, ordered by violation time.
+    violations_by_time: Vec<u32>,
     /// Archived raw movement events (the pruned slice of the log).
     pub events: Vec<MovementEvent>,
+}
+
+/// One location's archived stays.
+#[derive(Debug, Clone, Default)]
+pub struct LocationStays {
+    /// `(segment start, subject, stay)` rows ordered by
+    /// `(enter, exit, subject)`.
+    pub rows: Vec<(u64, SubjectId, Stay)>,
+    /// `exit − enter` of the longest stay in `rows`.
+    pub longest: u64,
 }
 
 /// The segment-provenance filter (see [`ArchiveData`]): a record
@@ -657,26 +730,17 @@ impl ArchiveData {
         t.get() < self.covered_to
     }
 
-    /// Restore the query-order invariants after merging segments:
-    /// late-arriving records mean a later segment can hold a stay that
-    /// predates an earlier segment's, so each subject's vector sorts by
-    /// enter time (queries binary-search it) and the per-location index
-    /// (what presence/contact joins scan) sorts by subject to match the
-    /// live query's output order.
-    pub fn sort_indexes(&mut self) {
-        for stays in self.stays.values_mut() {
-            stays.sort_by_key(|&(_, s)| (s.enter, s.exit));
-        }
-        for stays in self.by_location.values_mut() {
-            stays.sort_by_key(|&(_, s, stay)| (s, stay.enter));
-        }
-    }
-
     /// Archived `(segment start, stay)` rows of one subject. Callers
     /// merging with live state must skip rows whose segment start is at
     /// or past the movements watermark (stranded: those stays are live).
     pub fn stays_of(&self, subject: SubjectId) -> &[(u64, Stay)] {
         self.stays.get(&subject).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// The rows of [`ArchiveData::stays_of`] that overlap `window` (a
+    /// binary search, see [`stays_overlapping`]).
+    pub fn stays_during(&self, subject: SubjectId, window: Interval) -> &[(u64, Stay)] {
+        stays_overlapping(self.stays_of(subject), |&(_, s)| s, window)
     }
 
     /// Where `subject` was at `t`, per applied archived stays (mirrors
@@ -690,11 +754,14 @@ impl ArchiveData {
     ) -> Option<ltam_graph::LocationId> {
         let stays = self.stays.get(&subject)?;
         let idx = stays.partition_point(|&(_, s)| s.enter <= t);
+        // Exits never decrease along a subject's stays: if the last
+        // applied stay entered by `t` had ended before it, so had every
+        // earlier one.
         stays[..idx]
             .iter()
             .rev()
-            .filter(|&&(f, _)| applied(f, applied_below))
-            .find(|(_, s)| s.interval().contains(t))
+            .find(|&&(f, _)| applied(f, applied_below))
+            .filter(|(_, s)| s.interval().contains(t))
             .map(|(_, s)| s.location)
     }
 
@@ -705,26 +772,45 @@ impl ArchiveData {
         location: ltam_graph::LocationId,
         window: Interval,
         applied_below: Time,
+        examined: &mut u64,
     ) -> Vec<(SubjectId, Interval)> {
+        let Some(here) = self.by_location.get(&location) else {
+            return Vec::new();
+        };
+        let from = window.start().get().saturating_sub(here.longest);
+        let lo = here.rows.partition_point(|(_, _, s)| s.enter.get() < from);
         let mut out = Vec::new();
-        for &(f, subject, s) in self.by_location.get(&location).into_iter().flatten() {
-            if !applied(f, applied_below) {
-                continue;
-            }
-            if let Some(overlap) = s.interval().intersect(window) {
-                out.push((subject, overlap));
+        for &(f, subject, s) in here.rows[lo..]
+            .iter()
+            .take_while(|(_, _, s)| window.end().admits(s.enter))
+        {
+            *examined += 1;
+            if applied(f, applied_below) {
+                out.extend(s.interval().intersect(window).map(|i| (subject, i)));
             }
         }
         out.sort_by_key(|&(s, i)| (s, i.start()));
         out
     }
 
-    /// Applied archived violations inside `window`.
-    pub fn violations_in(&self, window: Interval, applied_below: Time) -> Vec<Violation> {
-        self.violations
+    /// Applied archived violations inside `window`, by time.
+    pub fn violations_in(
+        &self,
+        window: Interval,
+        applied_below: Time,
+        examined: &mut u64,
+    ) -> Vec<Violation> {
+        let row = |&i: &u32| self.violations[i as usize];
+        let lo = self
+            .violations_by_time
+            .partition_point(|i| row(i).1.time() < window.start());
+        self.violations_by_time[lo..]
             .iter()
-            .filter(|&&(f, v)| applied(f, applied_below) && window.contains(v.time()))
-            .map(|&(_, v)| v)
+            .map(row)
+            .take_while(|(_, v)| window.end().admits(v.time()))
+            .inspect(|_| *examined += 1)
+            .filter(|&(f, _)| applied(f, applied_below))
+            .map(|(_, v)| v)
             .collect()
     }
 }
@@ -801,9 +887,17 @@ mod tests {
         // prune never applied): the provenance filter excludes it.
         assert_eq!(data.whereabouts(SubjectId(1), Time(7), Time(0)), None);
         assert_eq!(data.events.len(), 4);
-        assert_eq!(data.violations_in(Interval::lit(0, 10), Time::MAX).len(), 1);
-        assert_eq!(data.violations_in(Interval::lit(0, 10), Time(0)).len(), 0);
-        let rows = data.present_during(LocationId(2), Interval::lit(8, 25), Time::MAX);
+        assert_eq!(
+            data.violations_in(Interval::lit(0, 10), Time::MAX, &mut 0)
+                .len(),
+            1
+        );
+        assert_eq!(
+            data.violations_in(Interval::lit(0, 10), Time(0), &mut 0)
+                .len(),
+            0
+        );
+        let rows = data.present_during(LocationId(2), Interval::lit(8, 25), Time::MAX, &mut 0);
         assert_eq!(
             rows,
             vec![
@@ -811,6 +905,57 @@ mod tests {
                 (SubjectId(1), Interval::lit(20, 25)),
             ]
         );
+    }
+
+    #[test]
+    fn whereabouts_stops_at_the_last_applied_stay_entered_by_t() {
+        let dir = ScratchDir::new("arch-whereabouts");
+        let store = ArchiveStore::with_fsync(dir.path(), false);
+        let (s, a, b) = (SubjectId(1), LocationId(2), LocationId(3));
+        let run = |stays: &[(LocationId, u64, u64)]| PrunedHistory {
+            stays: stays
+                .iter()
+                .map(|&(location, enter, exit)| {
+                    let (enter, exit) = (Time(enter), Some(Time(exit)));
+                    (
+                        s,
+                        Stay {
+                            location,
+                            enter,
+                            exit,
+                        },
+                    )
+                })
+                .collect(),
+            ..PrunedHistory::default()
+        };
+        // Three stays hold chronon 10 (an exit and two same-chronon
+        // re-entries); the second run brings a zero-length stay at 20
+        // and a late-arriving one that predates its own segment.
+        let first = [(a, 5, 10), (a, 10, 10), (b, 10, 20)];
+        store.append_run(0, 50, &run(&first)).unwrap();
+        let second = [(a, 20, 20), (b, 30, 40), (a, 60, 70)];
+        store.append_run(50, 100, &run(&second)).unwrap();
+        let data = store.load().unwrap();
+        let at = |t, applied_below| data.whereabouts(s, Time(t), applied_below);
+        for (t, want) in [
+            (4, None),
+            (7, Some(a)),  // hit
+            (10, Some(b)), // the latest of the three
+            (20, Some(a)), // likewise, across segments
+            (25, None),    // miss: outside between stays
+            (35, Some(b)), // the late arrival
+            (45, None),
+            (65, Some(a)),
+            (71, None), // miss: after the last stay
+        ] {
+            assert_eq!(at(t, Time::MAX), want, "t={t}");
+        }
+        // With the second segment stranded its rows are skipped, not
+        // mistaken for the stay that ends the search.
+        assert_eq!(at(20, Time(50)), Some(b));
+        assert_eq!(at(35, Time(50)), None);
+        assert_eq!(at(65, Time(50)), None);
     }
 
     #[test]

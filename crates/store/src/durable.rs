@@ -33,10 +33,10 @@
 //!   — the records carrying an acked edit are missing — rather than
 //!   silently revert.
 
-use crate::archive::{ArchiveData, ArchiveStore, LazyArchive};
+use crate::archive::{ArchiveStore, LazyArchive};
 use crate::codec::WalRecord;
 use crate::crc::crc32;
-use crate::history::{self, HistoryError};
+use crate::history::{HistoryError, Tiers};
 use crate::snapshot::{SnapshotStore, StoreSnapshot};
 use crate::wal::{Wal, WalBatch, WalConfig};
 use ltam_core::capability::{AdminOp, AdminOutcome};
@@ -1113,7 +1113,9 @@ impl DurableEngine {
                 archive_to: live_from.get(),
             });
         }
-        let chain_end = self.archive.coverage_end()?;
+        // The one directory listing of this run.
+        let chain = self.archive.scan()?;
+        let chain_end = chain.end();
         let horizon = policy.horizon_at(now).max(Time(chain_end));
         if horizon <= live_from {
             return Ok(RetentionOutcome {
@@ -1134,7 +1136,7 @@ impl DurableEngine {
         );
         let run = self
             .archive
-            .append_run(live_from.get(), horizon.get(), &prunable)?;
+            .append_to(chain, live_from.get(), horizon.get(), &prunable)?;
         drop(archive_span);
         // A new segment exists (and may have replaced a stranded one):
         // the next query rescans the chain and loads what it lacks.
@@ -1178,6 +1180,26 @@ impl Drop for DurableEngine {
 }
 
 // --- the tier-aware read path -----------------------------------------------
+
+/// Record one answered query's read amplification: the rows both tiers
+/// looked at against the rows the answer holds. A ratio that grows with
+/// the age of the deployment is a scan on the read path.
+macro_rules! count_rows {
+    ($kind:literal, $examined:expr, $returned:expr) => {
+        ltam_obs::counter!(
+            "store_view_rows_examined_total",
+            "Rows ReadView queries looked at in either tier, by kind",
+            "kind" => $kind
+        )
+        .inc_by($examined);
+        ltam_obs::counter!(
+            "store_view_rows_returned_total",
+            "Rows ReadView queries returned, by kind",
+            "kind" => $kind
+        )
+        .inc_by($returned as u64);
+    };
+}
 
 /// A cloneable, read-only view over a [`DurableEngine`] — the serving
 /// tier's read path. Queries answer **concurrently** with the writer:
@@ -1265,10 +1287,15 @@ impl ReadView {
         &self,
         requested: Time,
         live_from: Time,
-        merge: impl FnOnce(&ShardedEngine, Option<&ArchiveData>) -> T,
+        merge: impl FnOnce(Tiers<'_>) -> T,
     ) -> Result<T, HistoryError> {
+        let mut tiers = Tiers {
+            engine: &self.engine,
+            archive: None,
+            live_from,
+        };
         if requested >= live_from {
-            return Ok(merge(&self.engine, None));
+            return Ok(merge(tiers));
         }
         let mut cache = self.archive_cache.lock();
         let covered = cache.coverage_end(&self.archive)?;
@@ -1279,8 +1306,8 @@ impl ReadView {
                 live_from,
             });
         }
-        let archive = cache.view_for(&self.archive, requested, live_from)?;
-        Ok(merge(&self.engine, Some(archive)))
+        tiers.archive = Some(cache.view_for(&self.archive, requested, live_from)?);
+        Ok(merge(tiers))
     }
 
     /// Tier-aware historical whereabouts: answered from live state at
@@ -1299,13 +1326,17 @@ impl ReadView {
             "kind" => "whereabouts"
         );
         let live_from = self.engine.retention_watermark();
-        let live = history::merged_whereabouts(&self.engine, None, subject, t);
+        // Live first, whatever `t`: a hit needs no archive.
+        let live = Tiers {
+            engine: &self.engine,
+            archive: None,
+            live_from,
+        }
+        .whereabouts(subject, t);
         if live.is_some() || t >= live_from {
             return Ok(live);
         }
-        self.tiered(t, live_from, |engine, archive| {
-            history::merged_whereabouts(engine, archive, subject, t)
-        })
+        self.tiered(t, live_from, |tiers| tiers.whereabouts(subject, t))
     }
 
     /// Tier-aware presence query: who was in `location` during
@@ -1321,9 +1352,12 @@ impl ReadView {
             "kind" => "present_during"
         );
         let live_from = self.engine.retention_watermark();
-        self.tiered(window.start(), live_from, |engine, archive| {
-            history::merged_present_during(engine, archive, location, window)
-        })
+        let mut examined = 0;
+        let rows = self.tiered(window.start(), live_from, |tiers| {
+            tiers.present_during(location, window, &mut examined)
+        })?;
+        count_rows!("present_during", examined, rows.len());
+        Ok(rows)
     }
 
     /// Tier-aware contact tracing — the paper's SARS query — merged
@@ -1388,9 +1422,12 @@ impl ReadView {
             "kind" => "contacts"
         );
         let live_from = self.engine.retention_watermark();
-        self.tiered(window.start(), live_from, |engine, archive| {
-            history::merged_contacts(engine, archive, subject, window)
-        })
+        let mut examined = 0;
+        let contacts = self.tiered(window.start(), live_from, |tiers| {
+            tiers.contacts(subject, window, &mut examined)
+        })?;
+        count_rows!("contacts", examined, contacts.len());
+        Ok(contacts)
     }
 
     /// Tier-aware violation report over `window` (multiset semantics:
@@ -1402,9 +1439,12 @@ impl ReadView {
             "kind" => "violations_in"
         );
         let live_from = self.engine.watermarks().violations;
-        self.tiered(window.start(), live_from, |engine, archive| {
-            history::merged_violations(engine, archive, window)
-        })
+        let mut examined = 0;
+        let violations = self.tiered(window.start(), live_from, |tiers| {
+            tiers.violations_in(window, &mut examined)
+        })?;
+        count_rows!("violations_in", examined, violations.len());
+        Ok(violations)
     }
 }
 

@@ -83,126 +83,119 @@ impl From<io::Error> for HistoryError {
     }
 }
 
-/// Every stay of `subject` still in live state (one shard holds them all).
-fn live_stays_of(engine: &ShardedEngine, subject: SubjectId) -> Vec<Stay> {
-    let shard = engine.shard_for(subject);
-    engine.read_shard(shard, |st| st.movements().timeline(subject).to_vec())
+/// What a tier-aware query reads: live state, the archive view when the
+/// query reaches below the querying class's live watermark, and that
+/// watermark — read once per query, and the bound the archive side is
+/// provenance-filtered at (see the module docs). The queries add the
+/// rows they looked at, in either tier, to `examined`.
+#[derive(Debug, Clone, Copy)]
+pub struct Tiers<'a> {
+    /// Live state.
+    pub engine: &'a ShardedEngine,
+    /// The archive view, if the query needs one.
+    pub archive: Option<&'a ArchiveData>,
+    /// The querying class's live watermark.
+    pub live_from: Time,
 }
 
-/// Live presences in `location` over `window`, across all shards.
-fn live_present_during(
-    engine: &ShardedEngine,
-    location: LocationId,
-    window: Interval,
-) -> Vec<(SubjectId, Interval)> {
-    let mut out = Vec::new();
-    for shard in 0..engine.shard_count() {
-        out.extend(engine.read_shard(shard, |st| st.movements().present_during(location, window)));
+impl Tiers<'_> {
+    /// Tier-merged whereabouts. Live answers win (a live stay straddling
+    /// the watermark is the latest stay that can contain `t`); the
+    /// archive answers only when live state has no stay containing `t`.
+    pub fn whereabouts(&self, subject: SubjectId, t: Time) -> Option<LocationId> {
+        let shard = self.engine.shard_for(subject);
+        self.engine
+            .read_shard(shard, |st| st.movements().whereabouts(subject, t))
+            .or_else(|| {
+                self.archive
+                    .and_then(|a| a.whereabouts(subject, t, self.live_from))
+            })
     }
-    out
-}
 
-/// Tier-merged whereabouts. Live answers win (a live stay straddling
-/// the watermark is the latest stay that can contain `t`); the archive
-/// answers only when live state has no stay containing `t`, and only
-/// from applied segments (see the module docs).
-pub fn merged_whereabouts(
-    engine: &ShardedEngine,
-    archive: Option<&ArchiveData>,
-    subject: SubjectId,
-    t: Time,
-) -> Option<LocationId> {
-    let live_from = engine.watermarks().movements;
-    let shard = engine.shard_for(subject);
-    engine
-        .read_shard(shard, |st| st.movements().whereabouts(subject, t))
-        .or_else(|| archive.and_then(|a| a.whereabouts(subject, t, live_from)))
-}
+    /// Tier-merged presence rows, clipped to `window` and sorted by
+    /// `(subject, start)` — the same contract as the live query.
+    pub fn present_during(
+        &self,
+        location: LocationId,
+        window: Interval,
+        examined: &mut u64,
+    ) -> Vec<(SubjectId, Interval)> {
+        let mut out = self
+            .archive
+            .map(|a| a.present_during(location, window, self.live_from, examined))
+            .unwrap_or_default();
+        for shard in 0..self.engine.shard_count() {
+            out.extend(self.engine.read_shard(shard, |st| {
+                st.movements()
+                    .present_during_counting(location, window, examined)
+            }));
+        }
+        out.sort_by_key(|&(s, i)| (s, i.start()));
+        out
+    }
 
-/// Tier-merged presence rows, clipped to `window` and sorted by
-/// `(subject, start)` — the same contract as the live query. The
-/// archive side is filtered by segment provenance (a stranded
-/// segment's records are counted from the live side only).
-pub fn merged_present_during(
-    engine: &ShardedEngine,
-    archive: Option<&ArchiveData>,
-    location: LocationId,
-    window: Interval,
-) -> Vec<(SubjectId, Interval)> {
-    let live_from = engine.watermarks().movements;
-    let mut out = archive
-        .map(|a| a.present_during(location, window, live_from))
-        .unwrap_or_default();
-    out.extend(live_present_during(engine, location, window));
-    out.sort_by_key(|&(s, i)| (s, i.start()));
-    out
-}
-
-/// Tier-merged contact tracing: the subject's archived + live stays
-/// drive the same co-location join
-/// [`MovementsDb::contacts`](ltam_engine::movement::MovementsDb::contacts)
-/// runs, with each exposure's presence lookup itself tier-merged (and
-/// both archive sides provenance-filtered at the movements watermark).
-pub fn merged_contacts(
-    engine: &ShardedEngine,
-    archive: Option<&ArchiveData>,
-    subject: SubjectId,
-    window: Interval,
-) -> Vec<Contact> {
-    let live_from = engine.watermarks().movements;
-    let mut stays: Vec<Stay> = archive
-        .map(|a| {
-            a.stays_of(subject)
-                .iter()
-                .filter(|&&(seg_from, _)| seg_from < live_from.get())
-                .map(|&(_, s)| s)
-                .collect()
-        })
-        .unwrap_or_default();
-    stays.extend(live_stays_of(engine, subject));
-    let mut out = Vec::new();
-    for s in &stays {
-        let Some(exposure) = s.interval().intersect(window) else {
-            continue;
-        };
-        for (other, overlap) in merged_present_during(engine, archive, s.location, exposure) {
-            if other != subject {
-                out.push(Contact {
-                    other,
-                    location: s.location,
-                    overlap,
-                });
+    /// Tier-merged contact tracing: the subject's archived + live stays
+    /// drive the same co-location join
+    /// [`MovementsDb::contacts`](ltam_engine::movement::MovementsDb::contacts)
+    /// runs, with each exposure's presence lookup itself tier-merged.
+    pub fn contacts(
+        &self,
+        subject: SubjectId,
+        window: Interval,
+        examined: &mut u64,
+    ) -> Vec<Contact> {
+        let archived = self
+            .archive
+            .map_or(&[][..], |a| a.stays_during(subject, window));
+        let mut stays: Vec<Stay> = archived
+            .iter()
+            .filter(|&&(seg_from, _)| seg_from < self.live_from.get())
+            .map(|&(_, s)| s)
+            .collect();
+        // One shard holds all of the subject's live stays.
+        self.engine
+            .read_shard(self.engine.shard_for(subject), |st| {
+                stays.extend(st.movements().stays_during(subject, window))
+            });
+        *examined += stays.len() as u64;
+        let mut out = Vec::new();
+        for s in &stays {
+            let exposure = s.interval().intersect(window).expect("stay overlaps");
+            for (other, overlap) in self.present_during(s.location, exposure, examined) {
+                if other != subject {
+                    out.push(Contact {
+                        other,
+                        location: s.location,
+                        overlap,
+                    });
+                }
             }
         }
+        out.sort_by_key(|c| (c.other, c.overlap.start()));
+        out
     }
-    out.sort_by_key(|c| (c.other, c.overlap.start()));
-    out
-}
 
-/// Tier-merged violation report over `window` (archived first, then
-/// live in shard order, detection order within a shard; compare as a
-/// multiset). The archive side is
-/// provenance-filtered at the live *violations* watermark.
-pub fn merged_violations(
-    engine: &ShardedEngine,
-    archive: Option<&ArchiveData>,
-    window: Interval,
-) -> Vec<Violation> {
-    let live_from = engine.watermarks().violations;
-    let mut out = archive
-        .map(|a| a.violations_in(window, live_from))
-        .unwrap_or_default();
-    // Filter under each shard's lock and copy only the rows in the
-    // window — not a clone of every live violation per query.
-    for shard in 0..engine.shard_count() {
-        engine.read_shard(shard, |st| {
-            out.extend(
-                st.violations()
-                    .iter()
-                    .filter(|v| window.contains(v.time()))
-                    .copied(),
-            )
-        });
+    /// Tier-merged violation report over `window` (archived first, by
+    /// time, then live in shard order, detection order within a shard;
+    /// compare as a multiset).
+    pub fn violations_in(&self, window: Interval, examined: &mut u64) -> Vec<Violation> {
+        let mut out = self
+            .archive
+            .map(|a| a.violations_in(window, self.live_from, examined))
+            .unwrap_or_default();
+        // Filter under each shard's lock and copy only the rows in the
+        // window — not a clone of every live violation per query.
+        for shard in 0..self.engine.shard_count() {
+            self.engine.read_shard(shard, |st| {
+                *examined += st.violations().len() as u64;
+                out.extend(
+                    st.violations()
+                        .iter()
+                        .filter(|v| window.contains(v.time()))
+                        .copied(),
+                )
+            });
+        }
+        out
     }
-    out
 }
