@@ -460,7 +460,9 @@ impl DurableEngine {
                 format!("{} holds no valid snapshot; use create()", dir.display()),
             )
         })?;
-        let (mut wal, recovered) = Wal::open(dir, config.wal())?;
+        // Only the tail past the snapshot is replayed, so only that is
+        // handed back: the rest is verified and dropped as it is read.
+        let (mut wal, recovered) = Wal::open_from(dir, config.wal(), snap.seq)?;
         if wal.next_seq() < snap.seq {
             // The log ends before the snapshot's cover point. If WAL
             // repair truncated or quarantined anything to get here, the
@@ -491,10 +493,7 @@ impl DurableEngine {
             // range starts *after* the snapshot we are recovering from,
             // events in between are unrecoverable — refuse rather than
             // silently resurrect a state with a hole in its history.
-            let wal_start = recovered
-                .records
-                .first()
-                .map_or(wal.next_seq(), |&(first, _)| first);
+            let wal_start = wal.first_seq();
             if wal_start > snap.seq {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,

@@ -43,7 +43,11 @@
 //! segment is truncated to its last valid record, so the log is
 //! immediately appendable again; later segments (which may hold intact,
 //! acked records) are renamed to `*.quarantine` — set aside for
-//! operators, never deleted.
+//! operators, never deleted. [`Wal::open_from`] is the same scan for a
+//! caller that holds a snapshot: records wholly below the snapshot's
+//! cover point are verified and counted but not returned, so recovery
+//! costs the tail it replays rather than whatever covered log the
+//! oldest surviving segment still carries.
 //!
 //! "Is this record intact" is decided in exactly one place —
 //! `segment_header_ok` and `next_record` — which the follower's
@@ -339,25 +343,36 @@ fn record_len(payload_len: usize) -> io::Result<u32> {
     })
 }
 
-/// Parse one segment's bytes. Returns the records that scanned cleanly,
+/// Parse one segment's bytes. Every record is verified and counted;
+/// those that reach past `floor` are pushed onto `out` with their first
+/// sequence number. Returns the sequence numbers that scanned cleanly,
 /// the length of the valid prefix and, if the segment is damaged, the
 /// byte offset of the first invalid byte.
-fn scan_segment(bytes: &[u8], expected_first_seq: u64) -> (Vec<WalRecord>, u64, Option<u64>) {
-    if !segment_header_ok(bytes, expected_first_seq) {
-        return (Vec::new(), 0, Some(0));
+fn scan_segment(
+    bytes: &[u8],
+    first_seq: u64,
+    floor: u64,
+    out: &mut Vec<(u64, WalRecord)>,
+) -> (u64, u64, Option<u64>) {
+    if !segment_header_ok(bytes, first_seq) {
+        return (0, 0, Some(0));
     }
-    let mut records = Vec::new();
+    let mut seqs = 0u64;
     let mut at = SEGMENT_HEADER_LEN as usize;
     while at < bytes.len() {
         match next_record(&bytes[at..]) {
             Scanned::Complete { record, len } => {
-                records.push(record);
+                let count = record.seq_count();
+                if first_seq + seqs + count > floor {
+                    out.push((first_seq + seqs, record));
+                }
+                seqs += count;
                 at += len;
             }
-            Scanned::Partial | Scanned::Damaged(_) => return (records, at as u64, Some(at as u64)),
+            Scanned::Partial | Scanned::Damaged(_) => return (seqs, at as u64, Some(at as u64)),
         }
     }
-    (records, at as u64, None)
+    (seqs, at as u64, None)
 }
 
 /// `dir`'s segment files as `(first_seq, path)`, sorted by sequence —
@@ -423,6 +438,18 @@ impl Wal {
     /// segments are quarantined (renamed aside, never deleted). Returns
     /// the log positioned for appending and everything it recovered.
     pub fn open(dir: &Path, config: WalConfig) -> io::Result<(Wal, WalRecovery)> {
+        Wal::open_from(dir, config, 0)
+    }
+
+    /// [`Wal::open`] for a caller that already holds everything below
+    /// sequence `floor` (a snapshot's cover point): records that end at
+    /// or below it are verified, counted and repaired like the rest but
+    /// not handed back, so what recovery holds and replays is the tail
+    /// past the snapshot — not however much covered log the oldest
+    /// segment happens to still carry (up to a whole
+    /// [`WalConfig::segment_bytes`], since compaction drops whole
+    /// segments). A record straddling the floor comes back whole.
+    pub fn open_from(dir: &Path, config: WalConfig, floor: u64) -> io::Result<(Wal, WalRecovery)> {
         fs::create_dir_all(dir)?;
         let names = list_segments(dir)?;
 
@@ -448,13 +475,8 @@ impl Wal {
                     ),
                 ));
             }
-            let (scanned, valid_len, bad_at) = scan_segment(&bytes, *first_seq);
-            let mut records = 0u64;
-            for record in scanned {
-                let count = record.seq_count();
-                recovery.records.push((first_seq + records, record));
-                records += count;
-            }
+            let (records, valid_len, bad_at) =
+                scan_segment(&bytes, *first_seq, floor, &mut recovery.records);
             segments.push(Segment {
                 first_seq: *first_seq,
                 path: path.clone(),
@@ -536,6 +558,13 @@ impl Wal {
     /// The sequence number the next appended event will get.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// The sequence number of the oldest record the log still holds
+    /// ([`Wal::next_seq`] for an empty log): the log covers
+    /// `[first_seq, next_seq)`.
+    pub fn first_seq(&self) -> u64 {
+        self.sealed.first().unwrap_or(&self.active).first_seq
     }
 
     /// `fsync` calls this log has issued since it was opened (appends,
@@ -792,6 +821,48 @@ mod tests {
         assert_eq!(got, all);
         let seqs: Vec<u64> = rec.events().map(|(s, _)| s).collect();
         assert_eq!(seqs, (0..500).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn open_from_returns_only_what_reaches_past_the_floor() {
+        let dir = ScratchDir::new("wal-floor");
+        let config = WalConfig {
+            segment_bytes: 256,
+            fsync: false,
+        };
+        let all = events(400);
+        {
+            let (mut wal, _) = Wal::open(dir.path(), config).unwrap();
+            for chunk in all.chunks(10) {
+                wal.append_batch(chunk).unwrap();
+            }
+        }
+        let (whole, full) = Wal::open(dir.path(), config).unwrap();
+        assert_eq!((whole.first_seq(), whole.next_seq()), (0, 400));
+        drop(whole);
+        // 205 falls inside the record [200, 210): it comes back whole,
+        // everything before it is counted but not returned.
+        for floor in [0, 200, 205, 399, 400, 1_000] {
+            let (wal, rec) = Wal::open_from(dir.path(), config, floor).unwrap();
+            assert_eq!((wal.first_seq(), wal.next_seq()), (0, 400), "floor {floor}");
+            let want: Vec<_> = full
+                .records
+                .iter()
+                .filter(|(first, r)| first + r.seq_count() > floor)
+                .cloned()
+                .collect();
+            assert_eq!(rec.records, want, "floor {floor}");
+        }
+        // Damage below the floor is still found and repaired.
+        let path = segment_path(dir.path(), 0);
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xff;
+        fs::write(&path, bytes).unwrap();
+        let (wal, rec) = Wal::open_from(dir.path(), config, 300).unwrap();
+        assert!(rec.records.is_empty());
+        assert!(rec.truncated_bytes > 0 && rec.dropped_segments > 0);
+        assert!(wal.next_seq() < 300);
     }
 
     #[test]
