@@ -7,14 +7,38 @@
 //! * by subject — feeds Algorithm 1's per-location authorization lookup,
 //! * by entry window in an [`IntervalTree`] — time-sliced administrator
 //!   queries ("who could enter anything at time t?").
+//!
+//! The first two are **eager**: every decision reads them, so
+//! [`AuthorizationDb::insert`] files each row as it arrives and
+//! [`AuthorizationDb::import_rows`] builds them for a whole policy from
+//! one sort. The third is **reader-built**: enforcement never asks it
+//! anything, so it is derived state that the first
+//! [`AuthorizationDb::enterable_at`] / [`AuthorizationDb::enterable_during`]
+//! builds in bulk — a database that is only ever decided against (every
+//! restart, every follower, every policy install) never pays for it.
+//!
+//! ## Candidate order is part of the contract
+//!
+//! [`AuthorizationDb::for_subject_location`] and
+//! [`AuthorizationDb::for_subject`] yield their rows in **ascending id
+//! order**, however the database was built. Definition 7 grants on the
+//! *first* admitting candidate and the granted [`AuthId`] goes into the
+//! decision, the usage ledger and every violation raised under it, so a
+//! database rebuilt from an image must offer the candidates in the order
+//! the original did or a recovered store would diverge from the one that
+//! crashed. Ids are issued ascending and never reissued, which makes
+//! "insertion order" and "id order" the same thing.
 
 use crate::model::Authorization;
 use crate::subject::SubjectId;
 use ltam_graph::LocationId;
-use ltam_time::{EntryId, Interval, IntervalTree, Time};
+use ltam_time::{Interval, IntervalTree, Time};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::Hash;
+use std::sync::OnceLock;
 
 /// Identifier of an authorization stored in an [`AuthorizationDb`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -54,7 +78,87 @@ pub enum Provenance {
 struct AuthRecord {
     auth: Authorization,
     provenance: Provenance,
-    tree_entry: EntryId,
+}
+
+/// The ids filed under one key of a candidate index, ascending. A
+/// `(subject, location)` pair mostly holds a single authorization, which
+/// is kept inline instead of behind an allocation of its own.
+#[derive(Debug, Clone)]
+enum IdList {
+    One(AuthId),
+    Many(Vec<AuthId>),
+}
+
+impl IdList {
+    fn as_slice(&self) -> &[AuthId] {
+        match self {
+            IdList::One(id) => std::slice::from_ref(id),
+            IdList::Many(ids) => ids,
+        }
+    }
+
+    /// Append `id`, which is larger than every id in the list.
+    fn push(&mut self, id: AuthId) {
+        match self {
+            IdList::One(first) => *self = IdList::Many(vec![*first, id]),
+            IdList::Many(ids) => ids.push(id),
+        }
+    }
+
+    /// Take `id` out; true if that leaves the list empty.
+    fn remove(&mut self, id: AuthId) -> bool {
+        match self {
+            IdList::One(only) => *only == id,
+            IdList::Many(ids) => {
+                ids.retain(|&x| x != id);
+                ids.is_empty()
+            }
+        }
+    }
+}
+
+/// One row of the sort a bulk build files the candidate indexes from.
+type IndexRow = (SubjectId, LocationId, AuthId);
+
+/// Group `rows` — sorted, so rows sharing a `key` are adjacent — into a
+/// candidate index: one exactly sized table, one exactly sized list per
+/// key, no rehash and no list growth on the way.
+fn grouped<K: Eq + Hash>(rows: &[IndexRow], key: impl Fn(&IndexRow) -> K) -> HashMap<K, IdList> {
+    let runs = || rows.chunk_by(|a, b| key(a) == key(b));
+    let mut index = HashMap::with_capacity(runs().count());
+    for run in runs() {
+        let list = match run {
+            [only] => IdList::One(only.2),
+            _ => {
+                // A subject's run is ordered by location first.
+                let mut ids: Vec<AuthId> = run.iter().map(|row| row.2).collect();
+                ids.sort_unstable();
+                IdList::Many(ids)
+            }
+        };
+        index.insert(key(&run[0]), list);
+    }
+    index
+}
+
+fn file<K: Eq + Hash>(index: &mut HashMap<K, IdList>, key: K, id: AuthId) {
+    match index.entry(key) {
+        Entry::Occupied(list) => list.into_mut().push(id),
+        Entry::Vacant(slot) => {
+            slot.insert(IdList::One(id));
+        }
+    }
+}
+
+/// Take `id` out of `key`'s list, and the key out of the index with its
+/// last id: a deployment that grants and revokes visitor authorizations
+/// must not keep a key per subject it has ever seen.
+fn unfile<K: Eq + Hash>(index: &mut HashMap<K, IdList>, key: K, id: AuthId) {
+    if let Entry::Occupied(mut list) = index.entry(key) {
+        if list.get_mut().remove(id) {
+            list.remove();
+        }
+    }
 }
 
 /// The authorization database.
@@ -62,9 +166,11 @@ struct AuthRecord {
 pub struct AuthorizationDb {
     records: BTreeMap<AuthId, AuthRecord>,
     next: u64,
-    by_subject_location: HashMap<(SubjectId, LocationId), Vec<AuthId>>,
-    by_subject: HashMap<SubjectId, Vec<AuthId>>,
-    entry_index: IntervalTree<AuthId>,
+    by_subject_location: HashMap<(SubjectId, LocationId), IdList>,
+    by_subject: HashMap<SubjectId, IdList>,
+    /// Derived from `records` by the first time-sliced query (see the
+    /// module docs); unset until then and after a revocation.
+    entry_index: OnceLock<IntervalTree<AuthId>>,
 }
 
 impl AuthorizationDb {
@@ -96,38 +202,32 @@ impl AuthorizationDb {
     ) -> AuthId {
         let id = AuthId(self.next);
         self.next += 1;
-        let tree_entry = self.entry_index.insert(auth.entry_window(), id);
-        self.records.insert(
+        self.records.insert(id, AuthRecord { auth, provenance });
+        file(
+            &mut self.by_subject_location,
+            (auth.subject(), auth.location()),
             id,
-            AuthRecord {
-                auth,
-                provenance,
-                tree_entry,
-            },
         );
-        self.by_subject_location
-            .entry((auth.subject(), auth.location()))
-            .or_default()
-            .push(id);
-        self.by_subject.entry(auth.subject()).or_default().push(id);
+        file(&mut self.by_subject, auth.subject(), id);
+        if let Some(built) = self.entry_index.get_mut() {
+            built.insert(auth.entry_window(), id);
+        }
         id
     }
 
     /// Remove an authorization; returns it if it existed.
     pub fn revoke(&mut self, id: AuthId) -> Option<Authorization> {
-        let record = self.records.remove(&id)?;
-        let auth = record.auth;
-        self.entry_index
-            .remove(auth.entry_window(), record.tree_entry);
-        if let Some(v) = self
-            .by_subject_location
-            .get_mut(&(auth.subject(), auth.location()))
-        {
-            v.retain(|&x| x != id);
-        }
-        if let Some(v) = self.by_subject.get_mut(&auth.subject()) {
-            v.retain(|&x| x != id);
-        }
+        let AuthRecord { auth, .. } = self.records.remove(&id)?;
+        unfile(
+            &mut self.by_subject_location,
+            (auth.subject(), auth.location()),
+            id,
+        );
+        unfile(&mut self.by_subject, auth.subject(), id);
+        // Dropped rather than edited: taking one entry out of the tree
+        // needs its handle, eight bytes on every row of every database
+        // for the sake of an index most of them never build.
+        self.entry_index.take();
         Some(auth)
     }
 
@@ -141,30 +241,31 @@ impl AuthorizationDb {
         self.records.get(&id).map(|r| r.provenance)
     }
 
+    fn listed<'a>(
+        &'a self,
+        list: Option<&'a IdList>,
+    ) -> impl Iterator<Item = (AuthId, &'a Authorization)> + 'a {
+        list.map_or(&[][..], IdList::as_slice)
+            .iter()
+            .map(move |&id| (id, &self.records[&id].auth))
+    }
+
     /// Authorizations for a `(subject, location)` pair — Definition 7's
-    /// candidate set.
+    /// candidate set, in ascending id order.
     pub fn for_subject_location(
         &self,
         subject: SubjectId,
         location: LocationId,
     ) -> impl Iterator<Item = (AuthId, &Authorization)> + '_ {
-        self.by_subject_location
-            .get(&(subject, location))
-            .into_iter()
-            .flatten()
-            .map(move |&id| (id, &self.records[&id].auth))
+        self.listed(self.by_subject_location.get(&(subject, location)))
     }
 
-    /// All authorizations of one subject.
+    /// All authorizations of one subject, in ascending id order.
     pub fn for_subject(
         &self,
         subject: SubjectId,
     ) -> impl Iterator<Item = (AuthId, &Authorization)> + '_ {
-        self.by_subject
-            .get(&subject)
-            .into_iter()
-            .flatten()
-            .map(move |&id| (id, &self.records[&id].auth))
+        self.listed(self.by_subject.get(&subject))
     }
 
     /// The subject's authorizations grouped per location — the shape
@@ -181,9 +282,20 @@ impl AuthorizationDb {
         out
     }
 
+    /// The entry-window index, built from the records by whoever asks
+    /// first.
+    fn entry_index(&self) -> &IntervalTree<AuthId> {
+        self.entry_index.get_or_init(|| {
+            self.records
+                .iter()
+                .map(|(&id, r)| (r.auth.entry_window(), id))
+                .collect()
+        })
+    }
+
     /// Authorizations whose entry window contains `t` (stabbing query).
     pub fn enterable_at(&self, t: Time) -> Vec<(AuthId, &Authorization)> {
-        self.entry_index
+        self.entry_index()
             .stab(t)
             .into_iter()
             .map(|(_, &id)| (id, &self.records[&id].auth))
@@ -192,7 +304,7 @@ impl AuthorizationDb {
 
     /// Authorizations whose entry window overlaps `window`.
     pub fn enterable_during(&self, window: Interval) -> Vec<(AuthId, &Authorization)> {
-        self.entry_index
+        self.entry_index()
             .overlapping(window)
             .into_iter()
             .map(|(_, &id)| (id, &self.records[&id].auth))
@@ -239,11 +351,11 @@ impl AuthorizationDb {
     /// Rebuild a database from exported rows (ids are reassigned densely;
     /// derived provenance referring to dropped bases is preserved as-is).
     pub fn import(rows: impl IntoIterator<Item = (Authorization, Provenance)>) -> AuthorizationDb {
-        let mut db = AuthorizationDb::new();
-        for (auth, provenance) in rows {
-            db.insert_with_provenance(auth, provenance);
-        }
-        db
+        AuthorizationDb::import_rows(
+            rows.into_iter()
+                .zip(0..)
+                .map(|((auth, provenance), id)| (AuthId(id), auth, provenance)),
+        )
     }
 
     /// Export all rows *with their ids* (id order) — for snapshots where
@@ -278,28 +390,36 @@ impl AuthorizationDb {
     /// snapshot should additionally apply the exported
     /// [`AuthorizationDb::next_id`] watermark via
     /// [`AuthorizationDb::reserve_ids_through`]).
+    ///
+    /// This is the bulk build every policy load goes through: the
+    /// record table is collected from the rows (already in id order in
+    /// every image, which makes that linear), both candidate indexes
+    /// come out of one sort of `(subject, location, id)`, and the
+    /// entry-window index is left to its first reader. The result is
+    /// the database one [`AuthorizationDb::insert_with_provenance`] per
+    /// row would have built — candidate order included — with a row
+    /// whose id repeats replacing the earlier one.
     pub fn import_rows(
         rows: impl IntoIterator<Item = (AuthId, Authorization, Provenance)>,
     ) -> AuthorizationDb {
-        let mut db = AuthorizationDb::new();
-        for (id, auth, provenance) in rows {
-            let tree_entry = db.entry_index.insert(auth.entry_window(), id);
-            db.records.insert(
-                id,
-                AuthRecord {
-                    auth,
-                    provenance,
-                    tree_entry,
-                },
-            );
-            db.by_subject_location
-                .entry((auth.subject(), auth.location()))
-                .or_default()
-                .push(id);
-            db.by_subject.entry(auth.subject()).or_default().push(id);
-            db.next = db.next.max(id.0 + 1);
+        let records: BTreeMap<AuthId, AuthRecord> = rows
+            .into_iter()
+            .map(|(id, auth, provenance)| (id, AuthRecord { auth, provenance }))
+            .collect();
+        let mut index: Vec<IndexRow> = records
+            .iter()
+            .map(|(&id, r)| (r.auth.subject(), r.auth.location(), id))
+            .collect();
+        index.sort_unstable();
+        AuthorizationDb {
+            next: records
+                .last_key_value()
+                .map_or(0, |(id, _)| id.0.saturating_add(1)),
+            by_subject_location: grouped(&index, |row| (row.0, row.1)),
+            by_subject: grouped(&index, |row| row.0),
+            records,
+            entry_index: OnceLock::new(),
         }
-        db
     }
 }
 
@@ -390,6 +510,59 @@ mod tests {
         assert_eq!(span, vec![id2]);
         db.revoke(id2);
         assert!(db.enterable_at(Time(30)).is_empty());
+    }
+
+    #[test]
+    fn the_entry_window_index_waits_for_its_first_reader() {
+        let rows = [auth(ALICE, CAIS, 10, 20, 2), auth(BOB, CHIPES, 5, 35, 1)];
+        let mut db = AuthorizationDb::import(rows.map(|a| (a, Provenance::Explicit)));
+        let carol = db.insert(auth(SubjectId(2), CAIS, 30, 40, 1));
+        assert!(db.entry_index.get().is_none(), "built with no reader");
+        assert_eq!(db.enterable_at(Time(32)).len(), 2);
+        assert_eq!(db.entry_index.get().map(IntervalTree::len), Some(3));
+        // Built, an insert keeps it current; a clone carries it along.
+        db.insert(auth(ALICE, CHIPES, 31, 33, 1));
+        assert_eq!(db.entry_index.get().map(IntervalTree::len), Some(4));
+        assert_eq!(db.clone().enterable_at(Time(32)).len(), 3);
+        // A revocation drops it for the next reader to rebuild.
+        db.revoke(carol);
+        assert!(db.entry_index.get().is_none());
+        assert_eq!(db.enterable_at(Time(32)).len(), 2);
+    }
+
+    #[test]
+    fn revoking_a_pairs_last_authorization_forgets_the_pair() {
+        use crate::decision::{check_access, AccessRequest, Decision, DenyReason};
+        use crate::ledger::UsageLedger;
+
+        let mut db = AuthorizationDb::new();
+        let resident = db.insert(auth(ALICE, CAIS, 10, 20, 2));
+        for visitor in 100..200 {
+            let first = db.insert(auth(SubjectId(visitor), CAIS, 10, 20, 1));
+            let second = db.insert(auth(SubjectId(visitor), CAIS, 30, 40, 1));
+            db.revoke(first);
+            assert_eq!(db.for_subject(SubjectId(visitor)).count(), 1);
+            db.revoke(second);
+        }
+        assert_eq!(db.by_subject_location.len(), 1);
+        assert_eq!(db.by_subject.len(), 1);
+        assert_eq!(
+            db.for_subject(ALICE).map(|(id, _)| id).next(),
+            Some(resident)
+        );
+        // A fully revoked pair has no candidates, not candidates whose
+        // windows all miss.
+        let request = AccessRequest {
+            time: Time(15),
+            subject: SubjectId(150),
+            location: CAIS,
+        };
+        assert_eq!(
+            check_access(&db, &UsageLedger::new(), &request),
+            Decision::Denied {
+                reason: DenyReason::NoAuthorization
+            }
+        );
     }
 
     #[test]

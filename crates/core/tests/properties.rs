@@ -2,7 +2,7 @@
 //! route-authorization invariants, conflict-resolution laws.
 
 use ltam_core::conflict::{detect_conflicts, resolve_conflicts, ResolutionStrategy};
-use ltam_core::db::AuthorizationDb;
+use ltam_core::db::{AuthId, AuthorizationDb, Provenance, RuleId};
 use ltam_core::duration::authorize_route;
 use ltam_core::inaccessible::{find_inaccessible, find_inaccessible_naive, AuthsByLocation};
 use ltam_core::model::{Authorization, EntryLimit};
@@ -68,6 +68,82 @@ fn arb_auth(l: LocationId) -> impl Strategy<Value = Authorization> {
             .unwrap()
         },
     )
+}
+
+/// A row for one of a few subjects and locations (so pairs repeat), with
+/// either provenance; derived rows name bases that may not exist.
+fn arb_row() -> impl Strategy<Value = (Authorization, Provenance)> {
+    (
+        (0u32..3, 0u32..3, 0u64..60, 0u64..40),
+        (prop::bool::weighted(0.3), 0u32..3, 0u64..12),
+    )
+        .prop_map(|((s, l, tis, len), (derived, rule, base))| {
+            let window = Interval::lit(tis, tis + len);
+            let auth = Authorization::new(
+                window,
+                window,
+                SubjectId(s),
+                LocationId(l),
+                EntryLimit::Unbounded,
+            )
+            .unwrap();
+            let provenance = if derived {
+                Provenance::Derived {
+                    rule: RuleId(rule),
+                    base: AuthId(base),
+                }
+            } else {
+                Provenance::Explicit
+            };
+            (auth, provenance)
+        })
+}
+
+/// Everything an [`AuthorizationDb`] answers over the small domain
+/// [`arb_row`] draws from — the candidate queries as ordered sequences,
+/// the time-sliced ones (which build the entry-window index) as sets,
+/// and only when asked for.
+fn answers(db: &AuthorizationDb, time_sliced: bool) -> Vec<String> {
+    let ids = |rows: Vec<(AuthId, &Authorization)>| {
+        let mut ids: Vec<AuthId> = rows.into_iter().map(|(id, _)| id).collect();
+        ids.sort_unstable();
+        ids
+    };
+    let mut out = vec![
+        format!("{:?} next {}", db.export_rows(), db.next_id()),
+        format!("{:?}", db.iter().collect::<Vec<_>>()),
+        format!("{:?} len {}", db.export(), db.len()),
+    ];
+    for id in (0..db.next_id() + 2).map(AuthId) {
+        out.push(format!(
+            "{id}: {:?} {:?} {:?}",
+            db.get(id),
+            db.provenance(id),
+            db.derived_from(id)
+        ));
+    }
+    for k in 0..4 {
+        out.push(format!("{:?}", db.derived_by_rule(RuleId(k))));
+        let s = SubjectId(k);
+        out.push(format!("{:?}", db.for_subject(s).collect::<Vec<_>>()));
+        out.push(format!("{:?}", db.per_location_for_subject(s)));
+        for l in (0..4).map(LocationId) {
+            out.push(format!(
+                "{:?}",
+                db.for_subject_location(s, l).collect::<Vec<_>>()
+            ));
+        }
+    }
+    if time_sliced {
+        for t in (0..110).step_by(7) {
+            out.push(format!("{:?}", ids(db.enterable_at(Time(t)))));
+            out.push(format!(
+                "{:?}",
+                ids(db.enterable_during(Interval::lit(t, t + 5)))
+            ));
+        }
+    }
+    out
 }
 
 fn arb_instance() -> impl Strategy<Value = (LocationModel, EffectiveGraph, AuthsByLocation)> {
@@ -275,6 +351,62 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bulk_build_is_the_row_by_row_build(
+        rows in prop::collection::vec((0u64..3, arb_row()), 0..24),
+        edits in prop::collection::vec(
+            prop_oneof![
+                arb_row().prop_map(Ok),
+                any::<prop::sample::Index>().prop_map(Err),
+            ],
+            0..12,
+        ),
+    ) {
+        // Ids ascend with gaps, as in an image taken after revocations.
+        let mut id = 0;
+        let rows: Vec<(AuthId, Authorization, Provenance)> = rows
+            .into_iter()
+            .map(|(gap, (auth, provenance))| {
+                id += gap + 1;
+                (AuthId(id - 1), auth, provenance)
+            })
+            .collect();
+        let mut oracle = AuthorizationDb::new();
+        for &(id, auth, provenance) in &rows {
+            oracle.reserve_ids_through(id.0);
+            prop_assert_eq!(oracle.insert_with_provenance(auth, provenance), id);
+        }
+        // `cold` is never asked a time-sliced question until the edits are
+        // over; `warm` is asked after every one, so its index is built,
+        // kept current by inserts and rebuilt after revocations.
+        let mut cold = AuthorizationDb::import_rows(rows);
+        prop_assert_eq!(answers(&cold, false), answers(&oracle, false));
+        let mut warm = cold.clone();
+        prop_assert_eq!(answers(&warm, true), answers(&oracle, true));
+        for edit in edits {
+            match edit {
+                Ok((auth, provenance)) => {
+                    let id = oracle.insert_with_provenance(auth, provenance);
+                    prop_assert_eq!(cold.insert_with_provenance(auth, provenance), id);
+                    prop_assert_eq!(warm.insert_with_provenance(auth, provenance), id);
+                }
+                Err(pick) => {
+                    let id = AuthId(pick.index(oracle.next_id() as usize + 1) as u64);
+                    let gone = oracle.revoke(id);
+                    prop_assert_eq!(cold.revoke(id), gone);
+                    prop_assert_eq!(warm.revoke(id), gone);
+                }
+            }
+            prop_assert_eq!(answers(&warm, true), answers(&oracle, true));
+        }
+        prop_assert_eq!(answers(&cold, false), answers(&oracle, false));
+        prop_assert_eq!(answers(&cold, true), answers(&oracle, true));
+        // An image of the edited database loads back to the same answers.
+        let mut reloaded = AuthorizationDb::import_rows(oracle.export_rows());
+        reloaded.reserve_ids_through(oracle.next_id());
+        prop_assert_eq!(answers(&reloaded, true), answers(&oracle, true));
     }
 
     #[test]

@@ -1428,6 +1428,38 @@ mod tests {
     }
 
     #[test]
+    fn an_installed_image_never_reissues_an_authorization_id() {
+        let (mut source, alice, cais) = one_shot_core();
+        let a = *source.db().get(AuthId(0)).unwrap();
+        let last = source.add_authorization(a);
+        source.revoke_authorization(last);
+        // The image's largest surviving row is A0, its high-water mark 2.
+        let image = source.image();
+        assert_eq!((image.authorizations.len(), image.next_auth_id), (1, 2));
+
+        let mut core = PolicyCore::new(ntu_campus().model);
+        let install = PolicyOp::Install(Box::new(image));
+        assert_eq!(core.apply_op(&install), PolicyOutcome::Installed);
+        let granted = core.apply_op(&PolicyOp::Admin(AdminOp::AddAuthorization(a)));
+        let id = AuthId(2);
+        assert_eq!(
+            granted,
+            PolicyOutcome::Admin(AdminOutcome::AuthorizationAdded { id })
+        );
+        let candidates: Vec<AuthId> = core
+            .db()
+            .for_subject_location(alice, cais)
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(candidates, [AuthId(0), id]);
+        assert_eq!(
+            core.apply_op(&PolicyOp::Admin(AdminOp::RevokeAuthorization { id })),
+            PolicyOutcome::Admin(AdminOutcome::AuthorizationRevoked { existed: true })
+        );
+        assert_eq!(core.add_authorization(a), AuthId(3));
+    }
+
+    #[test]
     fn retention_across_shards_keeps_alert_seq_monotone() {
         use ltam_core::RetentionPolicy;
         let ntu = ntu_campus();

@@ -292,7 +292,10 @@ impl ArchiveStore {
         // records whose (per-subject monotone) timestamps precede
         // `from`.
         let in_range = |t: Time| t.get() < horizon;
-        let mut events_block = Vec::new();
+        // Both blocks are encoded behind a blank header, filled in once
+        // their lengths and CRC are known: the file's bytes in one
+        // buffer, no copy of either block.
+        let mut bytes = vec![0u8; ARCHIVE_HEADER_LEN];
         let mut written = 0usize;
         for e in &records.events {
             if in_range(e.time) {
@@ -308,7 +311,7 @@ impl ArchiveStore {
                         location: e.location,
                     },
                 };
-                encode_event(&kind, &mut events_block);
+                encode_event(&kind, &mut bytes);
                 written += 1;
             }
         }
@@ -333,21 +336,17 @@ impl ArchiveStore {
                 .collect(),
         };
         written += records.stays.len() + records.audit.len() + records.violations.len();
-        let records_block = binval::encode(&records);
-
-        let mut bytes =
-            Vec::with_capacity(ARCHIVE_HEADER_LEN + events_block.len() + records_block.len());
-        bytes.extend_from_slice(&ARCHIVE_MAGIC);
-        bytes.extend_from_slice(&ARCHIVE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u16.to_le_bytes());
-        bytes.extend_from_slice(&from.to_le_bytes());
-        bytes.extend_from_slice(&horizon.to_le_bytes());
-        bytes.extend_from_slice(&(events_block.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(records_block.len() as u64).to_le_bytes());
-        let mut payload = events_block;
-        payload.extend_from_slice(&records_block);
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        let events_len = bytes.len() - ARCHIVE_HEADER_LEN;
+        binval::encode_into(&records, &mut bytes);
+        let (header, payload) = bytes.split_at_mut(ARCHIVE_HEADER_LEN);
+        let records_len = payload.len() - events_len;
+        header[0..4].copy_from_slice(&ARCHIVE_MAGIC);
+        header[4..6].copy_from_slice(&ARCHIVE_VERSION.to_le_bytes());
+        header[8..16].copy_from_slice(&from.to_le_bytes());
+        header[16..24].copy_from_slice(&horizon.to_le_bytes());
+        header[24..32].copy_from_slice(&(events_len as u64).to_le_bytes());
+        header[32..40].copy_from_slice(&(records_len as u64).to_le_bytes());
+        header[40..44].copy_from_slice(&crc32(payload).to_le_bytes());
 
         fs::create_dir_all(&self.dir)?;
         let tmp = self.dir.join(format!("arch-{from:020}-{horizon:020}.tmp"));

@@ -909,7 +909,7 @@ impl DurableEngine {
     /// WAL records between the two.
     pub fn snapshot(&mut self) -> io::Result<u64> {
         self.snapshot_finish()?;
-        let snapshot = self.image();
+        let snapshot = self.image()();
         self.snapshots.write(&snapshot)?;
         self.wal.rotate()?;
         self.compact_behind_snapshots()?;
@@ -918,16 +918,10 @@ impl DurableEngine {
         Ok(self.applied)
     }
 
-    /// Image the engine at the current WAL position **synchronously**,
-    /// then hand the rest — encoding and durably writing the
-    /// multi-megabyte snapshot file — to a background thread. Returns
-    /// the covered sequence.
-    ///
-    /// Imaging is not free: besides every shard's live state it calls
-    /// [`PolicyCore::image`], which clones every authorization row on
-    /// the calling (commit) thread, so the stall grows with the policy
-    /// (milliseconds at a hundred thousand authorizations), not just
-    /// with live history.
+    /// Capture the engine at the current WAL position **synchronously**,
+    /// then hand the rest — imaging the policy, encoding and durably
+    /// writing the multi-megabyte snapshot file — to a background
+    /// thread. Returns the covered sequence.
     ///
     /// Unlike [`DurableEngine::snapshot`], the WAL is **not** rotated
     /// here: rotation costs several journal commits (seal + create +
@@ -943,18 +937,17 @@ impl DurableEngine {
     /// surfaced — by the next snapshot or drop.
     pub fn snapshot_async(&mut self) -> io::Result<u64> {
         self.snapshot_finish()?;
-        let snapshot = self.image();
+        let image = self.image();
         let store = self.snapshots.clone();
         self.pending_snapshot = Some(PendingSnapshot {
             join: std::thread::spawn(move || {
                 lower_thread_priority();
-                // Grace period: imaging just stalled the commit thread
-                // (it clones the policy and the live state), so a
-                // backlog of batches is about to group-commit. Let their
-                // fsyncs hit a quiet journal before this thread starts
-                // competing for CPU and disk.
+                // Grace period: capturing the live state just stalled
+                // the commit thread, so a backlog of batches is about to
+                // group-commit. Let their fsyncs hit a quiet journal
+                // before this thread starts competing for CPU and disk.
                 std::thread::sleep(std::time::Duration::from_millis(10));
-                store.write(&snapshot)
+                store.write(&image())
             }),
         });
         self.since_snapshot = 0;
@@ -976,15 +969,26 @@ impl DurableEngine {
         }
     }
 
-    fn image(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            seq: self.applied,
-            policy_epoch: self.policy_epoch,
-            shards: self.engine.shard_count(),
-            policy: self.engine.policy().image(),
-            states: self.engine.export_images(),
-            quarantine: Some(self.engine.export_quarantine()),
-            clock: Some(self.clock.get()),
+    /// Capture what a snapshot at the current WAL position holds. Shard
+    /// state and the quarantine ledger are exported here and now; the
+    /// policy is an immutable epoch, so holding it is capturing it, and
+    /// cloning its every authorization row into a [`PolicyImage`] is left
+    /// to whoever calls the result — the background writer, not the
+    /// commit thread with every group queued behind it.
+    fn image(&self) -> impl FnOnce() -> StoreSnapshot + Send + 'static {
+        let policy = self.engine.policy();
+        let (seq, policy_epoch, clock) = (self.applied, self.policy_epoch, self.clock.get());
+        let shards = self.engine.shard_count();
+        let states = self.engine.export_images();
+        let quarantine = self.engine.export_quarantine();
+        move || StoreSnapshot {
+            seq,
+            policy_epoch,
+            shards,
+            policy: policy.image(),
+            states,
+            quarantine: Some(quarantine),
+            clock: Some(clock),
         }
     }
 
@@ -1730,15 +1734,14 @@ mod tests {
         (s1, s2)
     }
 
-    #[test]
-    fn corrupt_newest_snapshot_falls_back_without_losing_events() {
-        let dir = ScratchDir::new("durable-fallback");
+    /// The newest snapshot suffers `damage`; recovery must fall back to
+    /// seq 100 AND still replay every event from 100 onward — which is
+    /// why compaction may not pass the oldest retained snapshot.
+    fn damaged_newest_snapshot_loses_nothing(tag: &str, damage: impl Fn(&std::path::Path)) {
+        let dir = ScratchDir::new(tag);
         let (s1, s2) = build_two_snapshot_store(dir.path());
         assert_eq!((s1, s2), (100, 200));
-        // The newest snapshot rots; recovery must fall back to seq 100
-        // AND still replay every event from 100 onward — which is why
-        // compaction may not pass the oldest retained snapshot.
-        corrupt_snapshots(dir.path(), |seq| seq == 200);
+        damage(dir.path());
         let (durable, _alerts, report) = DurableEngine::open(dir.path(), test_config()).unwrap();
         assert_eq!(report.snapshot_seq, 100);
         assert_eq!(report.replayed, 110);
@@ -1747,6 +1750,25 @@ mod tests {
             .map(|s| durable.engine().read_shard(s, |st| st.audit().len()))
             .sum();
         assert_eq!(audits, 210, "no event between the snapshots was lost");
+    }
+
+    #[test]
+    fn corrupt_newest_snapshot_falls_back_without_losing_events() {
+        damaged_newest_snapshot_loses_nothing("durable-fallback", |dir| {
+            corrupt_snapshots(dir, |seq| seq == 200)
+        });
+    }
+
+    /// Not a file that fails its checks but one that cannot be read at
+    /// all (here: a directory, `EISDIR`; in the field: `EIO` on a rotted
+    /// sector) — the same fallback, not a failed open.
+    #[test]
+    fn unreadable_newest_snapshot_falls_back_without_losing_events() {
+        damaged_newest_snapshot_loses_nothing("durable-unreadable", |dir| {
+            let newest = dir.join(crate::snapshot::snapshot_file_name(200, 0));
+            std::fs::remove_file(&newest).unwrap();
+            std::fs::create_dir(&newest).unwrap();
+        });
     }
 
     #[test]

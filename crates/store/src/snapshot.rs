@@ -161,17 +161,18 @@ impl SnapshotStore {
             "store_snapshot_encode_seconds",
             "Snapshot phase: encoding the engine image to bytes"
         );
-        let payload = crate::binval::encode(snapshot);
+        // The payload is encoded behind a blank header, which is filled
+        // in once its length and CRC are known: the file's bytes in one
+        // buffer, with no second copy of a multi-megabyte image.
+        let mut bytes = vec![0u8; SNAPSHOT_HEADER_LEN];
+        crate::binval::encode_into(snapshot, &mut bytes);
         drop(encode_span);
-        let payload = &payload[..];
-        let mut bytes = Vec::with_capacity(SNAPSHOT_HEADER_LEN + payload.len());
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&0u16.to_le_bytes());
-        bytes.extend_from_slice(&snapshot.seq.to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&crc32(payload).to_le_bytes());
-        bytes.extend_from_slice(payload);
+        let (header, payload) = bytes.split_at_mut(SNAPSHOT_HEADER_LEN);
+        header[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
+        header[4..6].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header[8..16].copy_from_slice(&snapshot.seq.to_le_bytes());
+        header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[24..28].copy_from_slice(&crc32(payload).to_le_bytes());
 
         let tmp = self.dir.join(format!(
             "snap-{:020}-{:010}.tmp",
@@ -254,15 +255,35 @@ impl SnapshotStore {
 
     /// Load the newest snapshot that passes every integrity check, or
     /// `None` if the directory holds no usable snapshot. Corrupt files
-    /// are skipped, not deleted (operators may want the evidence).
+    /// are skipped, not deleted (operators may want the evidence), and so
+    /// are files that cannot be read at all — a rotted sector under the
+    /// newest file is what the older retained one is kept for. Each skip
+    /// is counted in `store_snapshots_skipped_total`; a read error is
+    /// returned only when no file was usable.
     pub fn load_latest(&self) -> io::Result<Option<StoreSnapshot>> {
+        let mut unreadable = None;
         for (seq, epoch, path) in self.listing()? {
-            if let Some(snap) = read_snapshot(&path, seq, epoch)? {
-                return Ok(Some(snap));
+            match read_snapshot(&path, seq, epoch) {
+                Ok(Some(snap)) => return Ok(Some(snap)),
+                Ok(None) => skipped("invalid").inc(),
+                Err(e) => {
+                    skipped("unreadable").inc();
+                    unreadable.get_or_insert(e);
+                }
             }
         }
-        Ok(None)
+        unreadable.map_or(Ok(None), Err)
     }
+}
+
+/// `store_snapshots_skipped_total{reason}`: a fallback to an older
+/// snapshot is never silent.
+fn skipped(reason: &'static str) -> &'static ltam_obs::Counter {
+    ltam_obs::registry().counter(
+        "store_snapshots_skipped_total",
+        &[("reason", reason)],
+        "Snapshot files recovery passed over for an older one, by reason",
+    )
 }
 
 /// Ask the kernel to start writing `f`'s dirty pages to disk without
@@ -287,7 +308,8 @@ fn start_writeback(f: &File) {
     let _ = f;
 }
 
-/// Parse and validate one snapshot file; `None` if any check fails.
+/// Parse and validate one snapshot file; `None` if any check fails,
+/// `Err` if the file cannot be read.
 fn read_snapshot(
     path: &Path,
     expected_seq: u64,
@@ -404,6 +426,24 @@ mod tests {
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() / 3]).unwrap();
         assert_eq!(store.load_latest().unwrap().unwrap().seq, 10);
+    }
+
+    #[test]
+    fn unreadable_newest_falls_back_to_previous() {
+        let dir = ScratchDir::new("snap-unreadable");
+        let store = SnapshotStore::new(dir.path());
+        store.write(&snapshot(10)).unwrap();
+        // A directory under the newest snapshot's name: reading it fails
+        // (`EISDIR`) whoever runs the test, as a rotted sector would.
+        let newest = dir.path().join(snapshot_file_name(20, 0));
+        fs::create_dir(&newest).unwrap();
+        assert!(fs::read(&newest).is_err());
+        let before = skipped("unreadable").get();
+        assert_eq!(store.load_latest().unwrap().unwrap().seq, 10);
+        assert!(skipped("unreadable").get() > before);
+        // With nothing usable behind it, the read error is the answer.
+        fs::remove_file(dir.path().join(snapshot_file_name(10, 0))).unwrap();
+        assert!(store.load_latest().is_err());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! An interval index for the authorization database.
 //!
-//! Definition 7 asks, for an access request `(t, s, l)`, whether *any*
-//! authorization window contains `t`; §6 repeatedly intersects request
-//! windows with authorization windows. Both are classic *stabbing* and
-//! *overlap* queries. [`IntervalTree`] supports them in `O(log n + k)`
-//! using a treap (randomized BST) keyed by interval start and augmented
-//! with the maximum end bound of each subtree.
+//! An administrator asks which authorizations admit entry at a time `t`,
+//! or at any time in a window; §6 repeatedly intersects request windows
+//! with authorization windows. Both are classic *stabbing* and *overlap*
+//! queries. [`IntervalTree`] supports them in `O(log n + k)` using a
+//! treap (randomized BST) keyed by interval start and augmented with the
+//! maximum end bound of each subtree. A tree is grown one
+//! [`IntervalTree::insert`] at a time or collected whole from an
+//! iterator of `(interval, value)` in `O(n log n)`.
 //!
 //! The tree is deterministic: priorities come from a SplitMix64 sequence
 //! seeded at construction, so identical insertion orders produce identical
@@ -36,6 +38,9 @@ struct Node<V> {
 #[derive(Debug, Clone)]
 struct SplitMix64(u64);
 
+/// Where every tree's priority sequence starts.
+const PRIORITY_SEED: u64 = 0x5EED_1DEA_CAFE_F00D;
+
 impl SplitMix64 {
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -51,8 +56,8 @@ impl SplitMix64 {
 /// Duplicate intervals are allowed (two authorizations may share a window);
 /// each insertion gets a fresh [`EntryId`] used for removal.
 ///
-/// This is the index behind the authorization database's hot path: a
-/// Definition 7 check stabs the tree with the request time instead of
+/// This is the index behind the authorization database's time-sliced
+/// queries: "who could enter anything at `t`?" stabs the tree instead of
 /// scanning every window.
 ///
 /// ```
@@ -101,7 +106,7 @@ impl<V> IntervalTree<V> {
             root: None,
             len: 0,
             next_id: 0,
-            rng: SplitMix64(0x5EED_1DEA_CAFE_F00D),
+            rng: SplitMix64(PRIORITY_SEED),
         }
     }
 
@@ -207,6 +212,40 @@ impl<V> IntervalTree<V> {
         id
     }
 
+    /// Link `self.nodes` — all of them, none linked yet — into the treap
+    /// their keys and priorities determine, in `O(n log n)` for the sort
+    /// plus one `O(n)` pass: walking the nodes in key order, `spine` holds
+    /// the path from the root down the right edge, the only place the
+    /// next (larger) key can attach.
+    fn link_all(&mut self) {
+        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
+        order.sort_unstable_by_key(|&i| self.key(i));
+        let mut spine: Vec<usize> = Vec::new();
+        for i in order {
+            // Everything on the spine with a lower priority sinks below
+            // the new node as its left subtree; a node leaving the spine
+            // has its final children, so its augmentation can be settled.
+            let mut below = None;
+            while let Some(&top) = spine.last() {
+                if self.nodes[top].priority >= self.nodes[i].priority {
+                    break;
+                }
+                spine.pop();
+                self.update(top);
+                below = Some(top);
+            }
+            self.nodes[i].left = below;
+            if let Some(&top) = spine.last() {
+                self.nodes[top].right = Some(i);
+            }
+            spine.push(i);
+        }
+        self.root = spine.first().copied();
+        while let Some(top) = spine.pop() {
+            self.update(top);
+        }
+    }
+
     /// Remove the entry with handle `id` if its interval is known.
     ///
     /// Returns the payload, or `None` if no such entry exists.
@@ -297,6 +336,50 @@ impl<V> IntervalTree<V> {
     }
 }
 
+/// The bulk constructor: `O(n log n)` for the whole tree, where `n`
+/// [`IntervalTree::insert`]s pay a split and a merge each. Handles are
+/// assigned in iteration order — the `k`-th entry gets `EntryId(k)` — and
+/// the result is the tree those inserts would have built, node for node
+/// (same keys, same priority sequence), so it can be edited afterwards
+/// like any other.
+///
+/// ```
+/// use ltam_time::{EntryId, Interval, IntervalTree, Time};
+///
+/// let windows = [Interval::lit(5, 40), Interval::lit(20, 100)];
+/// let mut tree: IntervalTree<usize> = windows.into_iter().zip(0..).collect();
+/// assert_eq!(tree.stab(Time(30)).len(), 2);
+/// assert_eq!(tree.remove(windows[1], EntryId(1)), Some(1));
+/// ```
+impl<V> FromIterator<(Interval, V)> for IntervalTree<V> {
+    fn from_iter<I: IntoIterator<Item = (Interval, V)>>(entries: I) -> IntervalTree<V> {
+        let mut rng = SplitMix64(PRIORITY_SEED);
+        let nodes: Vec<Node<V>> = entries
+            .into_iter()
+            .zip(0..)
+            .map(|((interval, value), id)| Node {
+                interval,
+                id: EntryId(id),
+                value,
+                priority: rng.next(),
+                max_end: interval.end(),
+                left: None,
+                right: None,
+            })
+            .collect();
+        let mut tree = IntervalTree {
+            len: nodes.len(),
+            next_id: nodes.len() as u64,
+            nodes,
+            free: Vec::new(),
+            root: None,
+            rng,
+        };
+        tree.link_all();
+        tree
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +441,33 @@ mod tests {
         assert_eq!(hit, vec![&"b"]);
         assert_eq!(t.remove(i, b), Some("b"));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn collecting_builds_the_tree_the_inserts_build() {
+        let pairs: Vec<(u64, u64)> = (0..300u64)
+            .map(|k| ((k * 37) % 101, (k * 37) % 101 + k % 13))
+            .collect();
+        let inserted = tree_of(&pairs);
+        let mut collected: IntervalTree<usize> = pairs
+            .iter()
+            .map(|&(a, b)| Interval::lit(a, b))
+            .zip(0..)
+            .collect();
+        assert_eq!(collected.len(), inserted.len());
+        assert_eq!(collected.root, inserted.root);
+        for (c, i) in collected.nodes.iter().zip(&inserted.nodes) {
+            assert_eq!(
+                (c.id, c.interval, c.value, c.priority, c.max_end, c.left, c.right),
+                (i.id, i.interval, i.value, i.priority, i.max_end, i.left, i.right)
+            );
+        }
+        // ...and goes on like it: the next handle and priority follow on.
+        let mut inserted = inserted;
+        let iv = Interval::lit(50, 60);
+        assert_eq!(collected.insert(iv, 300), inserted.insert(iv, 300));
+        assert_eq!(collected.root, inserted.root);
+        assert!(IntervalTree::<u8>::from_iter([]).stab(Time(0)).is_empty());
     }
 
     #[test]

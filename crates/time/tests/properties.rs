@@ -1,6 +1,6 @@
 //! Property-based tests for the interval algebra and the interval index.
 
-use ltam_time::{Bound, Interval, IntervalSet, IntervalTree, TemporalOp, Time};
+use ltam_time::{Bound, EntryId, Interval, IntervalSet, IntervalTree, TemporalOp, Time};
 use proptest::prelude::*;
 
 /// Bounded or occasionally unbounded intervals over a small domain so that
@@ -17,6 +17,16 @@ fn arb_interval() -> impl Strategy<Value = Interval> {
 
 fn arb_set() -> impl Strategy<Value = IntervalSet> {
     prop::collection::vec(arb_interval(), 0..12).prop_map(|v| v.into_iter().collect())
+}
+
+/// The same entries (payload = position) through both constructors: one
+/// `insert` each, and one `collect` for the lot.
+fn inserted_and_collected(intervals: &[Interval]) -> [IntervalTree<usize>; 2] {
+    let mut inserted = IntervalTree::new();
+    for (k, iv) in intervals.iter().enumerate() {
+        inserted.insert(*iv, k);
+    }
+    [inserted, intervals.iter().copied().zip(0..).collect()]
 }
 
 /// Reference semantics: the set of chronons in [0, 400] (plus a marker for
@@ -154,22 +164,19 @@ proptest! {
         intervals in prop::collection::vec(arb_interval(), 0..40),
         probes in prop::collection::vec(0u64..250, 1..20),
     ) {
-        let mut tree = IntervalTree::new();
-        for (k, iv) in intervals.iter().enumerate() {
-            tree.insert(*iv, k);
-        }
-        for t in probes {
-            let mut fast: Vec<usize> =
-                tree.stab(Time(t)).into_iter().map(|(_, v)| *v).collect();
-            fast.sort_unstable();
-            let mut slow: Vec<usize> = intervals
-                .iter()
-                .enumerate()
-                .filter(|(_, iv)| iv.contains(Time(t)))
-                .map(|(k, _)| k)
-                .collect();
-            slow.sort_unstable();
-            prop_assert_eq!(fast, slow);
+        for tree in inserted_and_collected(&intervals) {
+            for &t in &probes {
+                let mut fast: Vec<usize> =
+                    tree.stab(Time(t)).into_iter().map(|(_, v)| *v).collect();
+                fast.sort_unstable();
+                let slow: Vec<usize> = intervals
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, iv)| iv.contains(Time(t)))
+                    .map(|(k, _)| k)
+                    .collect();
+                prop_assert_eq!(fast, slow);
+            }
         }
     }
 
@@ -178,21 +185,18 @@ proptest! {
         intervals in prop::collection::vec(arb_interval(), 0..40),
         query in arb_interval(),
     ) {
-        let mut tree = IntervalTree::new();
-        for (k, iv) in intervals.iter().enumerate() {
-            tree.insert(*iv, k);
+        for tree in inserted_and_collected(&intervals) {
+            let mut fast: Vec<usize> =
+                tree.overlapping(query).into_iter().map(|(_, v)| *v).collect();
+            fast.sort_unstable();
+            let slow: Vec<usize> = intervals
+                .iter()
+                .enumerate()
+                .filter(|(_, iv)| iv.overlaps(query))
+                .map(|(k, _)| k)
+                .collect();
+            prop_assert_eq!(fast, slow);
         }
-        let mut fast: Vec<usize> =
-            tree.overlapping(query).into_iter().map(|(_, v)| *v).collect();
-        fast.sort_unstable();
-        let mut slow: Vec<usize> = intervals
-            .iter()
-            .enumerate()
-            .filter(|(_, iv)| iv.overlaps(query))
-            .map(|(k, _)| k)
-            .collect();
-        slow.sort_unstable();
-        prop_assert_eq!(fast, slow);
     }
 
     #[test]
@@ -200,34 +204,27 @@ proptest! {
         intervals in prop::collection::vec(arb_interval(), 1..30),
         removals in prop::collection::vec(any::<prop::sample::Index>(), 0..10),
     ) {
-        let mut tree = IntervalTree::new();
-        let handles: Vec<_> = intervals
-            .iter()
-            .enumerate()
-            .map(|(k, iv)| (*iv, tree.insert(*iv, k), k))
-            .collect();
-        let mut removed = std::collections::HashSet::new();
-        for r in removals {
-            let (iv, id, k) = handles[r.index(handles.len())];
-            if removed.insert(k) {
-                prop_assert_eq!(tree.remove(iv, id), Some(k));
-            } else {
-                prop_assert_eq!(tree.remove(iv, id), None);
+        for mut tree in inserted_and_collected(&intervals) {
+            let mut removed = std::collections::HashSet::new();
+            for r in &removals {
+                let k = r.index(intervals.len());
+                // Either way of building hands the k-th entry handle k.
+                let gone = tree.remove(intervals[k], EntryId(k as u64));
+                prop_assert_eq!(gone, removed.insert(k).then_some(k));
             }
-        }
-        prop_assert_eq!(tree.len(), intervals.len() - removed.len());
-        for t in [0u64, 50, 100, 150, 200, 249] {
-            let mut fast: Vec<usize> =
-                tree.stab(Time(t)).into_iter().map(|(_, v)| *v).collect();
-            fast.sort_unstable();
-            let mut slow: Vec<usize> = intervals
-                .iter()
-                .enumerate()
-                .filter(|(k, iv)| !removed.contains(k) && iv.contains(Time(t)))
-                .map(|(k, _)| k)
-                .collect();
-            slow.sort_unstable();
-            prop_assert_eq!(fast, slow);
+            prop_assert_eq!(tree.len(), intervals.len() - removed.len());
+            for t in [0u64, 50, 100, 150, 200, 249] {
+                let mut fast: Vec<usize> =
+                    tree.stab(Time(t)).into_iter().map(|(_, v)| *v).collect();
+                fast.sort_unstable();
+                let slow: Vec<usize> = intervals
+                    .iter()
+                    .enumerate()
+                    .filter(|(k, iv)| !removed.contains(k) && iv.contains(Time(t)))
+                    .map(|(k, _)| k)
+                    .collect();
+                prop_assert_eq!(fast, slow);
+            }
         }
     }
 

@@ -83,6 +83,55 @@ fn batch_boundaries_are_invisible() {
     );
 }
 
+/// A policy loaded from its image is the policy it was imaged from, as
+/// far as enforcement can tell: the same trace draws the same decision —
+/// the granting authorization's id included — and the same violations,
+/// event for event. (A restart, a follower and a policy install all
+/// enforce against a loaded policy.)
+#[test]
+fn a_policy_loaded_from_its_image_decides_identically() {
+    use ltam_engine::batch::{Event, PolicyCore, ShardedEngine};
+
+    let trace = multi_shard_trace(&TraceConfig::default());
+    // Every pair gets a second, equally admitting authorization, so which
+    // candidate comes first decides the id in the grant; revoking every
+    // third row leaves the id gaps an image of a lived-in policy has.
+    let mut core = trace.build_policy_core();
+    for auth in &trace.authorizations {
+        core.add_authorization(*auth);
+    }
+    for id in (0..core.db().next_id()).step_by(3) {
+        core.revoke_authorization(ltam_core::AuthId(id));
+    }
+    let loaded = PolicyCore::from_image(core.image());
+    let stream = |core: PolicyCore| -> Vec<String> {
+        let (engine, _alerts) = ShardedEngine::new(core, 2);
+        let step = |e: &Event| match *e {
+            Event::Request {
+                time,
+                subject,
+                location,
+            } => format!("{:?}", engine.request_enter(time, subject, location)),
+            Event::Enter {
+                time,
+                subject,
+                location,
+            } => format!("{:?}", engine.observe_enter(time, subject, location)),
+            Event::Exit {
+                time,
+                subject,
+                location,
+            } => format!("{:?}", engine.observe_exit(time, subject, location)),
+            Event::Tick { now } => format!("{:?}", engine.tick(now)),
+        };
+        trace.events.iter().map(step).collect()
+    };
+    let original = stream(core);
+    assert!(original.iter().any(|line| line.starts_with("Granted")));
+    assert!(original.iter().any(|line| line.starts_with("Some(")));
+    assert_eq!(original, stream(loaded));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
