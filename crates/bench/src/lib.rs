@@ -1,21 +1,22 @@
-//! Shared fixtures for the LTAM benchmarks and the paper-reproduction
-//! harness (`repro` binary).
+//! Shared fixtures for the paper-reproduction harness (`repro` binary)
+//! and the workspace's integration tests.
 //!
 //! Every table and figure of the paper maps to a subcommand of `repro`
-//! (see `EXPERIMENTS.md` at the workspace root); the Criterion benches
-//! cover the §6 complexity claim and the ablations called out in
-//! `DESIGN.md`.
+//! (see `EXPERIMENTS.md` at the workspace root), beside six
+//! correctness drills over the subsystems built around the model.
+//! Nothing here is a source of performance numbers: those come from the
+//! perf ledger (`bench/` at the workspace root).
 
 #![warn(missing_docs)]
 
+pub mod args;
+pub mod loadgen;
 pub mod relay;
 
 use ltam_core::db::AuthId;
 use ltam_core::inaccessible::AuthsByLocation;
 use ltam_core::model::{Authorization, EntryLimit};
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::{shard_of, Event};
-use ltam_engine::shared::SharedEngine;
 use ltam_engine::violation::Violation;
 use ltam_graph::examples::{fig4_cycle, Fig4};
 use ltam_time::Interval;
@@ -50,11 +51,11 @@ pub fn fig4_instance() -> (Fig4, AuthsByLocation) {
     (f, auths)
 }
 
-/// The canonical throughput-comparison workload, parameterized only by
-/// scale. The `throughput` Criterion bench and `repro throughput` build
-/// their traces through this one constructor so both always measure the
-/// same workload shape (grid, tick cadence, behaviour mix, seed) and
-/// `BENCH_throughput.json` baselines stay comparable across runs.
+/// The canonical ticked trace, parameterized only by scale: the
+/// durability and retention drills replay traces built through this one
+/// constructor (and the serving drills through [`serve_workload`], its
+/// tickless form), so every drill sees the same workload shape (grid,
+/// tick cadence, behaviour mix, seed).
 pub fn throughput_workload(subjects: usize, events: usize) -> ltam_sim::TraceConfig {
     ltam_sim::TraceConfig {
         subjects,
@@ -80,25 +81,6 @@ pub fn serve_workload(subjects: usize, events: usize) -> ltam_sim::TraceConfig {
         tick_every: 0,
         ..throughput_workload(subjects, events)
     }
-}
-
-/// Partition a trace by subject across `threads` groups for the
-/// global-lock throughput comparison, preserving per-subject order;
-/// broadcast events (ticks) go to group 0, so the single engine runs
-/// one global overstay scan per tick.
-///
-/// Shared by the `throughput` Criterion bench and `repro throughput` so
-/// both measure exactly the same global-lock workload.
-pub fn partition_events(events: &[Event], threads: usize) -> Vec<Vec<Event>> {
-    assert!(threads >= 1, "need at least one group");
-    let mut groups = vec![Vec::new(); threads];
-    for e in events {
-        match e.subject() {
-            Some(s) => groups[shard_of(s, threads)].push(*e),
-            None => groups[0].push(*e),
-        }
-    }
-    groups
 }
 
 /// A total order on violations, so two violation multisets compare as
@@ -170,33 +152,6 @@ pub fn contact_multiset(
 ) -> Vec<ltam_engine::movement::Contact> {
     cs.sort_by_key(contact_sort_key);
     cs
-}
-
-/// Replay a slice of events into a [`SharedEngine`] — the per-sensor
-/// thread body of the global-lock throughput comparison.
-pub fn drive_shared(shared: &SharedEngine, events: &[Event]) {
-    for e in events {
-        match *e {
-            Event::Request {
-                time,
-                subject,
-                location,
-            } => {
-                shared.request_enter(time, subject, location);
-            }
-            Event::Enter {
-                time,
-                subject,
-                location,
-            } => shared.observe_enter(time, subject, location),
-            Event::Exit {
-                time,
-                subject,
-                location,
-            } => shared.observe_exit(time, subject, location),
-            Event::Tick { now } => shared.tick(now),
-        }
-    }
 }
 
 #[cfg(test)]

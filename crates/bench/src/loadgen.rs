@@ -16,8 +16,8 @@
 //! semantics require; cross-subject interleaving is free —
 //! `ltam_sim::TraceWorld::client_streams` produces such partitions).
 
-use crate::client::LtamClient;
 use ltam_engine::batch::Event;
+use ltam_serve::LtamClient;
 use std::time::{Duration, Instant};
 
 /// Tunables for [`drive`].

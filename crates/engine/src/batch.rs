@@ -1,8 +1,8 @@
 //! Sharded, batch-ingesting enforcement: scale Figure 3 across threads.
 //!
-//! The single-lock [`SharedEngine`](crate::shared::SharedEngine)
-//! serializes every card swipe against every admin query. This module
-//! splits the engine along the seam LTAM's data model already implies:
+//! One lock around one engine would serialize every card swipe against
+//! every admin query. This module splits the engine along the seam
+//! LTAM's data model already implies:
 //!
 //! * a **read-mostly policy core** ([`PolicyCore`]: location model,
 //!   effective graph, authorization database, prohibitions, tunables)
@@ -602,10 +602,13 @@ pub fn shard_of(subject: SubjectId, shards: usize) -> usize {
 
 /// A subject-sharded, batch-ingesting enforcement engine.
 ///
-/// See the [module docs](crate::batch) for the architecture. Compared to
-/// [`SharedEngine`](crate::shared::SharedEngine) (one `RwLock` around
-/// everything), `ShardedEngine` lets `N` worker threads enforce
-/// concurrently while admin updates swap policy epochs underneath.
+/// See the [module docs](crate::batch) for the architecture: `N` worker
+/// threads enforce concurrently while admin updates swap policy epochs
+/// underneath. Every accessor takes `&self` and synchronizes per shard
+/// (brief mutex holds) or on the policy epoch lock, so an
+/// `Arc<ShardedEngine>` is read concurrently with its writer: a query
+/// locks one shard at a time and interleaves with an in-flight batch
+/// rather than waiting for it.
 ///
 /// ```
 /// use ltam_core::model::{Authorization, EntryLimit};
@@ -845,14 +848,23 @@ impl ShardedEngine {
     }
 
     /// Apply one [`PolicyOp`] as one epoch swap; an authorization
-    /// revocation also lapses its grants and counters on every shard.
+    /// revocation also lapses its grants and counters on every shard,
+    /// and an install swaps in the core built from its image without
+    /// first copying the one it replaces.
     pub fn apply_policy_op(&self, op: &PolicyOp) -> PolicyOutcome {
-        if let PolicyOp::Admin(AdminOp::RevokeAuthorization { id }) = op {
-            return PolicyOutcome::Admin(AdminOutcome::AuthorizationRevoked {
-                existed: self.revoke_authorization(*id).is_some(),
-            });
+        match op {
+            PolicyOp::Admin(AdminOp::RevokeAuthorization { id }) => {
+                PolicyOutcome::Admin(AdminOutcome::AuthorizationRevoked {
+                    existed: self.revoke_authorization(*id).is_some(),
+                })
+            }
+            PolicyOp::Install(image) => {
+                let next = Arc::new(PolicyCore::from_image((**image).clone()));
+                *self.policy.write() = next;
+                PolicyOutcome::Installed
+            }
+            _ => self.update_policy(|p| p.apply_op(op)),
         }
-        self.update_policy(|p| p.apply_op(op))
     }
 
     // --- batch ingestion ---------------------------------------------------
@@ -1190,6 +1202,47 @@ impl ShardedEngine {
             .iter()
             .map(|s| s.lock().violations().len())
             .sum()
+    }
+
+    /// A deterministic digest of the engine's observable enforcement
+    /// state: shard count, entry/violation totals, retention watermarks
+    /// and the full violation list in shard-merge order, folded through
+    /// FNV-1a. Two engines that ingested the same events in the same
+    /// batches with the same shard count produce the same digest — the
+    /// replication drill's cheap "is the follower byte-for-byte honest"
+    /// check at a matched watermark. Not a cryptographic hash.
+    pub fn state_digest(&self) -> u64 {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = FNV_OFFSET;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        };
+        fold(&(self.shard_count() as u64).to_le_bytes());
+        fold(&self.total_entries().to_le_bytes());
+        fold(&(self.violation_count() as u64).to_le_bytes());
+        let marks = self.watermarks();
+        fold(&marks.movements.0.to_le_bytes());
+        fold(&marks.audit.0.to_le_bytes());
+        fold(&marks.violations.0.to_le_bytes());
+        for v in self.violations() {
+            // `Violation`'s Debug form is a pure function of its fields
+            // (ids and chronons, no addresses), so it is a stable,
+            // process-independent serialization for hashing.
+            fold(format!("{v:?}").as_bytes());
+            fold(&[0xff]);
+        }
+        // The quarantine ledger is observable state too: a follower
+        // that dropped (or double-applied) a quarantine record must not
+        // digest equal to its primary.
+        for q in self.export_quarantine() {
+            fold(format!("{q:?}").as_bytes());
+            fold(&[0xfe]);
+        }
+        h
     }
 
     /// Total entries recorded across all shards' ledgers.
@@ -1581,5 +1634,119 @@ mod tests {
             }
         }
         assert_eq!(a.violations(), b.violations());
+    }
+
+    #[test]
+    fn shared_reads_track_the_writer() {
+        let (core, alice, cais) = one_shot_core();
+        let (engine, _alerts) = ShardedEngine::new(core, 2);
+        let engine = Arc::new(engine);
+        let reader = Arc::clone(&engine);
+        assert_eq!(reader.total_entries(), 0);
+        engine.ingest(&[
+            Event::Request {
+                time: Time(10),
+                subject: alice,
+                location: cais,
+            },
+            Event::Enter {
+                time: Time(10),
+                subject: alice,
+                location: cais,
+            },
+            Event::Exit {
+                time: Time(15), // before the mandatory [20, 100] window
+                subject: alice,
+                location: cais,
+            },
+        ]);
+        assert_eq!(reader.total_entries(), 1);
+        assert_eq!(reader.violation_count(), 1);
+        assert_eq!(reader.status().live_violations, 1);
+    }
+
+    #[test]
+    fn concurrent_readers_never_deadlock_with_ingest() {
+        let ntu = ntu_campus();
+        let core = PolicyCore::new(ntu.model);
+        let cais = ntu.cais;
+        let (engine, _alerts) = ShardedEngine::new(core, 2);
+        let engine = Arc::new(engine);
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let reader = Arc::clone(&engine);
+                std::thread::spawn(move || {
+                    let mut last = 0;
+                    for _ in 0..200 {
+                        let s = reader.status();
+                        assert!(s.audit_records >= last, "audit count is monotone");
+                        last = s.audit_records;
+                    }
+                    last
+                })
+            })
+            .collect();
+        for i in 0..50u64 {
+            engine.ingest(&[Event::Request {
+                time: Time(i),
+                subject: SubjectId((i % 7) as u32),
+                location: cais,
+            }]);
+        }
+        for r in readers {
+            assert!(r.join().unwrap() <= 50);
+        }
+    }
+
+    #[test]
+    fn concurrent_requests_respect_entry_budget() {
+        let ntu = ntu_campus();
+        let cais = ntu.cais;
+        let mut core = PolicyCore::new(ntu.model);
+        let alice = SubjectId(0);
+        core.add_authorization(
+            Authorization::new(
+                Interval::lit(0, 1000),
+                Interval::lit(0, 2000),
+                alice,
+                cais,
+                EntryLimit::Finite(4),
+            )
+            .unwrap(),
+        );
+        let (engine, _alerts) = ShardedEngine::new(core, 4);
+
+        // 8 turnstile threads race request+enter+exit cycles. However the
+        // races interleave, no more than 4 entries may ever be recorded
+        // against the authorization's budget.
+        std::thread::scope(|scope| {
+            for k in 0..8u64 {
+                let engine = &engine;
+                scope.spawn(move || {
+                    let t = Time(1 + k);
+                    if engine.request_enter(t, alice, cais).is_granted() {
+                        engine.observe_enter(t, alice, cais);
+                        engine.observe_exit(t.saturating_add(1), alice, cais);
+                    }
+                });
+            }
+        });
+        assert!(
+            engine.total_entries() <= 4,
+            "entry budget exceeded: {}",
+            engine.total_entries()
+        );
+    }
+
+    #[test]
+    fn alerts_reach_the_security_desk() {
+        let ntu = ntu_campus();
+        let cais = ntu.cais;
+        let (engine, alerts) = ShardedEngine::new(PolicyCore::new(ntu.model), 2);
+        let mallory = SubjectId(3);
+        engine.observe_enter(Time(5), mallory, cais);
+        let alert = alerts.try_recv().unwrap();
+        assert_eq!(alert.violation.subject(), mallory);
+        assert_eq!(engine.violation_count(), 1);
     }
 }

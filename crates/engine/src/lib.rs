@@ -11,7 +11,15 @@
 //! * [`engine`] — the **access control engine**: request checking
 //!   (Definition 7), continuous movement monitoring, violation detection
 //!   (tailgating, exit-window breaches, overstays), rule derivation and
-//!   audit,
+//!   audit — single-threaded, and the reference the sharded engine is
+//!   tested against,
+//! * [`shard`] — one shard of per-subject mutable enforcement state
+//!   ([`ShardState`]) and the immutable [`PolicyView`] it is judged
+//!   against,
+//! * [`batch`] — the subject-sharded, batch-ingesting
+//!   [`ShardedEngine`] over a read-mostly [`PolicyCore`] swapped by
+//!   epoch, with the loggable [`PolicyOp`] edits and the alert channel
+//!   to the security desk,
 //! * [`violation`] — the violation taxonomy and security-desk alerts,
 //! * [`baseline`] — the **card-reader baseline** of §1 (request-time-only
 //!   checks) behind the same [`baseline::Enforcement`] trait, for
@@ -23,8 +31,8 @@
 //!   bundle a prune produces and the per-class watermarks a pruned
 //!   engine exposes (policies live in [`ltam_core::retention`]; the
 //!   archive tier lives in `ltam-store`),
-//! * [`shared`] — a `parking_lot`-guarded, cloneable engine handle with a
-//!   `crossbeam` alert channel for concurrent deployments.
+//! * [`report`] — the end-of-shift [`SecurityReport`]: decision
+//!   counts, violation breakdowns, hotspots and current occupancy.
 
 #![warn(missing_docs)]
 
@@ -37,8 +45,6 @@ pub mod query;
 pub mod report;
 pub mod retention;
 pub mod shard;
-pub mod shared;
-pub mod view;
 pub mod violation;
 
 pub use baseline::{CardReaderEngine, Enforcement};
@@ -53,6 +59,4 @@ pub use query::{Query, QueryContext, QueryResult};
 pub use report::{security_report, SecurityReport};
 pub use retention::{HistoryWatermarks, PrunedHistory};
 pub use shard::{PendingImage, PolicyView, ShardState, ShardStateImage};
-pub use shared::SharedEngine;
-pub use view::EngineReadView;
 pub use violation::{Alert, Violation};

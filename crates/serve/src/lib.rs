@@ -12,18 +12,16 @@
 //!   torn, truncated or bit-flipped frames produce errors, never
 //!   panics, and the CRC makes a corrupted frame unable to pass as a
 //!   different valid message.
-//! * [`server`] — [`Server`]: an acceptor plus worker-per-connection
-//!   threads over one shared [`DurableEngine`](ltam_store::DurableEngine)
-//!   (writes funnel through the durable batch-ingest path; reads run
-//!   concurrently), with a connection limit ([`ErrorCode::Busy`]
-//!   refusals), idle timeouts, and graceful drain-then-snapshot
-//!   shutdown.
+//! * [`server`] — [`Server`]: a readiness-driven event loop (a small
+//!   pool of poll threads, no thread per connection) over one
+//!   [`DurableEngine`](ltam_store::DurableEngine): writes are submitted
+//!   to the store's group-commit thread and acked once their commit
+//!   group is synced, read-only queries are answered inline from a
+//!   `ReadView` concurrently with ingest, with pipelining, per-connection
+//!   backpressure, a connection limit ([`ErrorCode::Busy`] refusals),
+//!   idle timeouts, and graceful drain-then-snapshot shutdown.
 //! * [`client`] — [`LtamClient`]: a blocking, reconnecting client with
 //!   typed helpers for every RPC.
-//! * [`loadgen`] — a closed-loop load generator (N client threads,
-//!   latency percentiles) driving the `repro serve` drill, which
-//!   verifies the served violation multiset against an in-process run
-//!   of the same trace.
 //! * [`replica`] — read replicas: [`bootstrap_follower`] copies the
 //!   primary's newest snapshot, archive chain and the WAL behind the
 //!   snapshot over the wire, and [`Server::start_follower`] tails the
@@ -46,13 +44,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod loadgen;
 pub mod replica;
 pub mod server;
 pub mod wire;
 
 pub use client::{ClientError, IngestReply, IngestSummary, LtamClient};
-pub use loadgen::{drive, LoadConfig, LoadReport};
 pub use replica::{bootstrap_follower, bootstrap_follower_as, ReplicaConfig};
 pub use server::{Server, ServerConfig};
 pub use wire::{

@@ -538,7 +538,7 @@ pub struct ServerStatus {
     /// Which role this server runs in.
     pub role: ServerRole,
     /// Deterministic digest of the engine's enforcement state (see
-    /// `EngineReadView::state_digest`): equal digests at an equal
+    /// `ShardedEngine::state_digest`): equal digests at an equal
     /// watermark mean a primary and follower agree on every violation,
     /// entry total and retention mark.
     pub state_digest: u64,

@@ -20,7 +20,6 @@ use ltam_core::model::{Authorization, EntryLimit};
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::{Event, PolicyCore, ShardedEngine};
 use ltam_engine::engine::AccessControlEngine;
-use ltam_engine::shared::SharedEngine;
 use ltam_engine::violation::Alert;
 use ltam_graph::LocationId;
 use ltam_time::{Interval, Time};
@@ -75,12 +74,6 @@ pub struct TraceWorld {
 }
 
 impl TraceWorld {
-    /// Build a single-lock [`SharedEngine`] loaded with this trace's
-    /// authorizations (the global-lock baseline).
-    pub fn build_shared(&self) -> (SharedEngine, crossbeam::channel::Receiver<Alert>) {
-        SharedEngine::new(self.build_engine())
-    }
-
     /// Build a plain single-threaded engine loaded with this trace's
     /// authorizations (the reference semantics).
     pub fn build_engine(&self) -> AccessControlEngine {

@@ -50,7 +50,6 @@ use ltam_engine::batch::{
 use ltam_engine::movement::{Contact, MovementKind};
 use ltam_engine::shard::{ShardState, ShardStateImage};
 use ltam_engine::violation::Alert;
-use ltam_engine::EngineReadView;
 use ltam_engine::Violation;
 use ltam_graph::LocationId;
 use ltam_situate::{SituationOp, SituationOutcome};
@@ -1221,10 +1220,11 @@ pub struct ReadView {
 }
 
 impl ReadView {
-    /// A read-only handle over the wrapped engine (status, shard reads,
-    /// violation queries).
-    pub fn engine(&self) -> EngineReadView {
-        EngineReadView::new(Arc::clone(&self.engine))
+    /// The wrapped engine, for reads (status, shard reads, violation
+    /// queries). As with [`DurableEngine::engine`], mutating through it
+    /// bypasses the WAL.
+    pub fn engine(&self) -> &ShardedEngine {
+        &self.engine
     }
 
     /// The store directory this view reads from — the root the

@@ -194,6 +194,11 @@ fn a_store_written_before_the_streaming_decoder_opens_to_the_same_state() {
     assert_eq!(old.archive_segments_loaded(), 0);
     assert_eq!(fingerprint(&old), want);
     assert!(old.archive_segments_loaded() > 0, "the archive answered");
+    // The digest crosses processes (a primary and a follower built from
+    // different commits compare it over the wire), so it is pinned as a
+    // literal, computed by the commit before `state_digest` moved onto
+    // `ShardedEngine`.
+    assert_eq!(old.engine().state_digest(), 0x60fa_7d14_a625_5665);
 }
 
 #[test]

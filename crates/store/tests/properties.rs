@@ -22,7 +22,7 @@ use ltam_engine::batch::{Event, PolicyCore, PolicyOp, QuarantinedEvent, ShardedE
 use ltam_engine::engine::EngineConfig;
 use ltam_engine::movement::{MovementEvent, MovementKind, Stay};
 use ltam_engine::retention::PrunedHistory;
-use ltam_engine::{AuditRecord, EngineReadView, Violation};
+use ltam_engine::{AuditRecord, Violation};
 use ltam_graph::LocationId;
 use ltam_situate::{ConstraintId, IncidentId, SituationMode, SituationOp, WorkflowConstraint};
 use ltam_store::archive::ARCHIVE_HEADER_LEN;
@@ -36,7 +36,6 @@ use ltam_store::{
 use ltam_time::{Interval, Time};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize, Value};
-use std::sync::Arc;
 
 fn arb_event() -> impl Strategy<Value = Event> {
     let fields = || (0u64..=u64::MAX, 0u32..=u32::MAX, 0u32..=u32::MAX);
@@ -499,7 +498,7 @@ type Fingerprint = (u64, Vec<QuarantinedEvent>, String, (u64, u64, Time));
 fn fingerprint(engine: &DurableEngine) -> Fingerprint {
     let policy = engine.engine().policy();
     (
-        engine.read_view().engine().state_digest(),
+        engine.engine().state_digest(),
         engine.engine().export_quarantine(),
         format!(
             "{:?} {:?} {:?} {}",
@@ -609,7 +608,6 @@ proptest! {
         after in prop::collection::vec(arb_campus_event(), 1..24),
     ) {
         let (memory, _alerts) = ShardedEngine::new(campus_core(), 2);
-        let memory = Arc::new(memory);
         memory.ingest(&before);
         for edit in &edits {
             memory.update_policy(|p| edit.apply(p));
@@ -627,10 +625,7 @@ proptest! {
         let (mut engine, _alerts, report) = DurableEngine::open(dir.path(), config).expect("recover");
         prop_assert_eq!((report.snapshot_seq, report.replayed_policy_ops), (0, edits.len()));
         prop_assert_eq!(engine.ingest(&after).expect("ingest"), want);
-        prop_assert_eq!(
-            engine.read_view().engine().state_digest(),
-            EngineReadView::new(memory).state_digest()
-        );
+        prop_assert_eq!(engine.engine().state_digest(), memory.state_digest());
     }
 }
 

@@ -783,7 +783,7 @@ mod policy_log_faults {
     fn fingerprint(engine: &DurableEngine) -> (u64, Vec<Violation>, String, u64) {
         let policy = engine.engine().policy();
         (
-            engine.read_view().engine().state_digest(),
+            engine.engine().state_digest(),
             violation_multiset(engine.engine().violations()),
             format!(
                 "{:?} {:?} {:?} {} {} {:?}",

@@ -1,7 +1,7 @@
 //! Sharded enforcement is *semantically invisible*: on the same event
 //! trace, `ShardedEngine` (N shards, batch ingestion, worker threads)
 //! must detect exactly the violation multiset the single-threaded
-//! `AccessControlEngine` / single-lock `SharedEngine` detects.
+//! `AccessControlEngine` — the reference semantics — detects.
 //!
 //! This holds because every per-subject invariant lives entirely on one
 //! shard (see `ltam_engine::shard`); these tests are the executable
