@@ -14,8 +14,7 @@ use ltam_time::Interval;
 
 const HELP: &str = "\
 usage: repro serve [--json] [--events N] [--subjects N] [--shards N]
-                   [--clients N] [--batch N] [--pipeline N]
-                   [--poll-threads N] [--no-metrics]
+                   [--clients N] [--batch N] [--pipeline N] [--no-metrics]
 
 Closed-loop drill for the ltam-serve network tier. Generates the
 canonical multi-shard trace WITHOUT interleaved clock ticks (a network
@@ -44,7 +43,6 @@ options:
   --clients N      concurrent client connections          [default 4]
   --batch N        events per ingest request              [default 64]
   --pipeline N     ingest requests in flight per client   [default 4]
-  --poll-threads N server event-loop threads              [default 1]
   --no-metrics     disable timing spans (the overhead A/B knob;
                    counters still record, histogram checks are skipped)
   --help           this text
@@ -60,7 +58,6 @@ struct ServeReport {
     clients: usize,
     batch: usize,
     pipeline: usize,
-    poll_threads: usize,
     requests: u64,
     requests_per_sec: u64,
     events_per_sec: u64,
@@ -102,7 +99,6 @@ const COMMAND: Command = Command {
         "--clients",
         "--batch",
         "--pipeline",
-        "--poll-threads",
     ],
 };
 
@@ -114,7 +110,7 @@ pub fn run(args: &[String]) {
     // milliseconds. Doubling batch or pipeline roughly doubles
     // throughput again at the cost of tail latency — the knobs to turn
     // when raw events/s is the goal.
-    let (json, no_metrics, events, subjects, shards, clients, batch, pipeline, poll_threads) =
+    let (json, no_metrics, events, subjects, shards, clients, batch, pipeline) =
         COMMAND.options(args, |a| {
             Ok((
                 a.flag("--json"),
@@ -125,7 +121,6 @@ pub fn run(args: &[String]) {
                 a.at_least("--clients", 4usize, 1)?,
                 a.at_least("--batch", 64usize, 1)?,
                 a.at_least("--pipeline", 4usize, 1)?,
-                a.at_least("--poll-threads", 1usize, 1)?,
             ))
         });
 
@@ -168,7 +163,6 @@ pub fn run(args: &[String]) {
             .expect("create store");
     let server_config = ServerConfig {
         max_connections: clients + 8,
-        poll_threads,
         ..ServerConfig::default()
     };
     let server = Server::start(engine, "127.0.0.1:0", server_config).expect("bind loopback");
@@ -293,7 +287,6 @@ pub fn run(args: &[String]) {
             clients,
             batch,
             pipeline,
-            poll_threads,
             requests: load.requests,
             requests_per_sec: load.requests_per_sec().round() as u64,
             events_per_sec: load.events_per_sec().round() as u64,
@@ -313,7 +306,7 @@ pub fn run(args: &[String]) {
     } else {
         banner("Extension: network serving tier — closed-loop drill");
         println!(
-            "{n_events} events, {subjects} subjects, {shards} shards, {clients} clients, batch {batch}, pipeline {pipeline}, {poll_threads} poll thread(s)"
+            "{n_events} events, {subjects} subjects, {shards} shards, {clients} clients, batch {batch}, pipeline {pipeline}"
         );
         println!(
             "load: {} requests at {:.0} req/s ({:.0} events/s); latency p50 {:.2} ms, p90 {:.2} ms, p99 {:.2} ms",

@@ -23,7 +23,7 @@ use ltam_situate::{SituationOp, SituationOutcome};
 use ltam_store::replica::ReplFileId;
 use ltam_time::{Interval, Time};
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -172,119 +172,125 @@ impl LtamClient {
     }
 
     fn ensure_connected(&mut self) -> io::Result<&mut TcpStream> {
-        if self.stream.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(self.read_timeout)?;
-            self.stream = Some(stream);
-        }
-        Ok(self.stream.as_mut().expect("just connected"))
+        let stream = match self.stream.take() {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect(&self.addr)?;
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(self.read_timeout)?;
+                stream
+            }
+        };
+        Ok(self.stream.insert(stream))
     }
 
     /// Connect if needed, replaying the `Hello` handshake on a fresh
     /// connection when a token is configured.
     fn ensure_ready(&mut self) -> Result<(), ClientError> {
-        let fresh = self.stream.is_none();
+        if self.stream.is_some() {
+            return Ok(());
+        }
         self.ensure_connected()?;
-        if fresh {
-            if let Some(token) = self.token.clone() {
-                if let Err(e) = self.hello_frame(&token) {
-                    // An unusable identity poisons the connection: drop
-                    // it so the caller's retry re-handshakes (possibly
-                    // after the operator re-minted the secret).
-                    self.stream = None;
-                    return Err(e);
-                }
+        if let Some(token) = self.token.clone() {
+            if let Err(e) = self.hello(&token) {
+                // An unusable identity poisons the connection: drop it
+                // so the caller's retry re-handshakes (possibly after
+                // the operator re-minted the secret).
+                self.stream = None;
+                return Err(e);
             }
         }
         Ok(())
     }
 
-    /// Send one `Hello` on the live connection and read its answer.
-    fn hello_frame(
+    /// The one round trip every call makes: connect if needed (replaying
+    /// the `Hello` when `handshake`), send `requests` in one `write_all`,
+    /// then read one response per request through `decode`, stopping at
+    /// the first error. A transport or framing error — or a `Busy`
+    /// refusal, after which the server closes the connection — drops
+    /// the stream so the next call reconnects; whether any other error
+    /// does is the caller's rule.
+    fn exchange<T>(
         &mut self,
-        token: &str,
-    ) -> Result<(TokenId, SubjectId, Vec<Scope>), ClientError> {
-        let stream = self.stream.as_mut().expect("caller connected first");
-        wire::write_frame(
-            stream,
-            &wire::encode_request(&Request::Hello {
-                token: token.to_string(),
-            }),
-        )
-        .map_err(ClientError::Io)?;
-        let payload = wire::read_frame(stream, self.max_frame_bytes)?;
-        match wire::decode_response(&payload).map_err(ClientError::Wire)? {
-            Response::Welcome {
-                token,
-                subject,
-                scopes,
-            } => Ok((token, subject, scopes)),
-            Response::Error {
-                code,
-                message,
-                role,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                role,
-            }),
-            other => Err(ClientError::UnexpectedResponse(Box::new(other))),
+        requests: &[Request],
+        handshake: bool,
+        mut decode: impl FnMut(&[u8]) -> Result<T, ClientError>,
+    ) -> Result<Vec<T>, ClientError> {
+        let max_frame_bytes = self.max_frame_bytes;
+        let result = (|| {
+            if handshake {
+                self.ensure_ready()?;
+            }
+            let stream = self.ensure_connected()?;
+            let mut frames = Vec::new();
+            for request in requests {
+                wire::write_frame(&mut frames, &wire::encode_request(request))?;
+            }
+            stream.write_all(&frames)?;
+            requests
+                .iter()
+                .map(|_| decode(&wire::read_frame(stream, max_frame_bytes)?))
+                .collect()
+        })();
+        if let Err(
+            ClientError::Io(_)
+            | ClientError::Wire(_)
+            | ClientError::Server {
+                code: ErrorCode::Busy,
+                ..
+            },
+        ) = result
+        {
+            self.stream = None;
         }
+        result
+    }
+
+    /// [`LtamClient::exchange`] of one request.
+    fn round_trip<T>(
+        &mut self,
+        request: &Request,
+        handshake: bool,
+        decode: impl FnMut(&[u8]) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let mut answers = self.exchange(std::slice::from_ref(request), handshake, decode)?;
+        // `exchange` reads one response per request or errs.
+        answers
+            .pop()
+            .ok_or_else(|| ClientError::Io(io::ErrorKind::UnexpectedEof.into()))
     }
 
     /// Authenticate this connection (and every future reconnect) with
     /// `token`'s secret. Returns the identity the server welcomed: the
     /// token id, the LTAM subject it authenticates as, and its scopes.
+    /// A refusal keeps the connection and its current identity.
     pub fn hello(&mut self, token: &str) -> Result<(TokenId, SubjectId, Vec<Scope>), ClientError> {
         self.token = Some(token.to_string());
-        let result = (|| {
-            self.ensure_connected()?;
-            self.hello_frame(token)
-        })();
-        if matches!(result, Err(ClientError::Io(_)) | Err(ClientError::Wire(_))) {
-            self.stream = None; // desynchronized; refusals keep the stream
-        }
-        result
+        let hello = Request::Hello {
+            token: token.to_string(),
+        };
+        self.round_trip(&hello, false, |payload| {
+            match wire::decode_response(payload).map_err(ClientError::Wire)? {
+                Response::Welcome {
+                    token,
+                    subject,
+                    scopes,
+                } => Ok((token, subject, scopes)),
+                other => Err(refusal(other)),
+            }
+        })
     }
 
     /// Send one request and block for its response. On a transport or
     /// framing error the connection is dropped (the next call
     /// reconnects) and the error is returned.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let max_frame_bytes = self.max_frame_bytes;
-        let result = (|| {
-            self.ensure_ready()?;
-            let stream = self.stream.as_mut().expect("just ensured");
-            wire::write_frame(stream, &wire::encode_request(request)).map_err(ClientError::Io)?;
-            let payload = wire::read_frame(stream, max_frame_bytes)?;
-            wire::decode_response(&payload).map_err(ClientError::Wire)
-        })();
-        if result.is_err() {
-            // The stream may be desynchronized; reconnect lazily.
-            self.stream = None;
-        }
-        match result {
-            Ok(Response::Error {
-                code,
-                message,
-                role,
-            }) => {
-                if code == ErrorCode::Busy {
-                    // The server closes a refused connection after the
-                    // Busy frame; keeping the stream would turn the
-                    // documented back-off-and-retry into a spurious
-                    // transport error. Drop it so the retry reconnects.
-                    self.stream = None;
-                }
-                Err(ClientError::Server {
-                    code,
-                    message,
-                    role,
-                })
+        self.round_trip(request, true, |payload| {
+            match wire::decode_response(payload).map_err(ClientError::Wire)? {
+                error @ Response::Error { .. } => Err(refusal(error)),
+                other => Ok(other),
             }
-            other => other,
-        }
+        })
     }
 
     // --- typed helpers -----------------------------------------------------
@@ -326,51 +332,26 @@ impl LtamClient {
         &mut self,
         batches: &[&[Event]],
     ) -> Result<Vec<IngestSummary>, ClientError> {
-        let max_frame_bytes = self.max_frame_bytes;
-        let result = (|| {
-            self.ensure_ready()?;
-            let stream = self.stream.as_mut().expect("just ensured");
-            let mut frames = Vec::new();
-            for batch in batches {
-                wire::write_frame(
-                    &mut frames,
-                    &wire::encode_request(&Request::Ingest(batch.to_vec())),
-                )
-                .map_err(ClientError::Io)?;
+        let requests: Vec<Request> = batches
+            .iter()
+            .map(|batch| Request::Ingest(batch.to_vec()))
+            .collect();
+        let result = self.exchange(&requests, true, |payload| {
+            match wire::decode_response(payload).map_err(ClientError::Wire)? {
+                Response::Ingested {
+                    processed,
+                    granted,
+                    denied,
+                    violations,
+                } => Ok(IngestSummary {
+                    processed,
+                    granted,
+                    denied,
+                    violations,
+                }),
+                other => Err(refusal(other)),
             }
-            use std::io::Write as _;
-            stream.write_all(&frames).map_err(ClientError::Io)?;
-            let mut summaries = Vec::with_capacity(batches.len());
-            for _ in batches {
-                let payload = wire::read_frame(stream, max_frame_bytes)?;
-                match wire::decode_response(&payload).map_err(ClientError::Wire)? {
-                    Response::Ingested {
-                        processed,
-                        granted,
-                        denied,
-                        violations,
-                    } => summaries.push(IngestSummary {
-                        processed,
-                        granted,
-                        denied,
-                        violations,
-                    }),
-                    Response::Error {
-                        code,
-                        message,
-                        role,
-                    } => {
-                        return Err(ClientError::Server {
-                            code,
-                            message,
-                            role,
-                        })
-                    }
-                    other => return Err(ClientError::UnexpectedResponse(Box::new(other))),
-                }
-            }
-            Ok(summaries)
-        })();
+        });
         if result.is_err() {
             // Responses may still be in flight for frames we sent:
             // the stream is desynchronized either way. Reconnect lazily.
@@ -594,32 +575,30 @@ impl LtamClient {
         offset: u64,
         len: u32,
     ) -> Result<ReplChunk, ClientError> {
-        let max_frame_bytes = self.max_frame_bytes;
         let request = Request::Repl(ReplRequest::Fetch { file, offset, len });
-        let result = (|| {
-            self.ensure_ready()?;
-            let stream = self.stream.as_mut().expect("just ensured");
-            wire::write_frame(stream, &wire::encode_request(&request)).map_err(ClientError::Io)?;
-            let payload = wire::read_frame(stream, max_frame_bytes)?;
-            wire::decode_repl_reply(&payload).map_err(ClientError::Wire)
-        })();
-        if result.is_err() {
-            self.stream = None;
-        }
-        match result? {
-            ReplReply::Chunk(chunk) => Ok(chunk),
-            ReplReply::Other(other) => match *other {
-                Response::Error {
-                    code,
-                    message,
-                    role,
-                } => Err(ClientError::Server {
-                    code,
-                    message,
-                    role,
-                }),
-                other => Err(ClientError::UnexpectedResponse(Box::new(other))),
-            },
-        }
+        self.round_trip(&request, true, |payload| {
+            match wire::decode_repl_reply(payload).map_err(ClientError::Wire)? {
+                ReplReply::Chunk(chunk) => Ok(chunk),
+                ReplReply::Other(other) => Err(refusal(*other)),
+            }
+        })
+    }
+}
+
+/// The one mapping of an answer a call cannot use: a server's `Error`
+/// frame becomes [`ClientError::Server`], any other shape
+/// [`ClientError::UnexpectedResponse`].
+fn refusal(response: Response) -> ClientError {
+    match response {
+        Response::Error {
+            code,
+            message,
+            role,
+        } => ClientError::Server {
+            code,
+            message,
+            role,
+        },
+        other => ClientError::UnexpectedResponse(Box::new(other)),
     }
 }

@@ -12,8 +12,8 @@
 //!   torn, truncated or bit-flipped frames produce errors, never
 //!   panics, and the CRC makes a corrupted frame unable to pass as a
 //!   different valid message.
-//! * [`server`] — [`Server`]: a readiness-driven event loop (a small
-//!   pool of poll threads, no thread per connection) over one
+//! * [`server`] — [`Server`]: a readiness-driven event loop (one poll
+//!   thread, no thread per connection) over one
 //!   [`DurableEngine`](ltam_store::DurableEngine): writes are submitted
 //!   to the store's group-commit thread and acked once their commit
 //!   group is synced, read-only queries are answered inline from a

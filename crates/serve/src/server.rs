@@ -3,14 +3,15 @@
 //!
 //! ## Threading model
 //!
-//! A small pool of **poll threads** ([`ServerConfig::poll_threads`],
-//! default 1) each owns an epoll instance and a disjoint set of
-//! nonblocking connections. Thread 0 also owns the listener; accepted
-//! connections are assigned round-robin and handed to their owner
-//! through a per-thread inbox + [`mio::Waker`]. There is no thread per
-//! connection: a poll thread sleeps in `epoll_wait` until some socket
-//! has bytes (or a commit completion arrives), reads whatever the
-//! kernel has, and reassembles frames incrementally
+//! Two threads serve: one **poll thread**, which owns an epoll
+//! instance, the listener and every nonblocking connection, and one
+//! **commit thread** ([`GroupCommit`]), which owns the engine. Neither
+//! count is configurable: writes serialize on the commit thread by
+//! design, and the perf ledger has never shown the poll loop to be the
+//! bottleneck. There is no thread per connection: the poll thread
+//! sleeps in `epoll_wait` until some socket has bytes (or a commit
+//! completion arrives through its inbox + [`mio::Waker`]), reads
+//! whatever the kernel has, and reassembles frames incrementally
 //! ([`wire::FrameAssembler`]) — so ten thousand idle connections cost
 //! ten thousand fds, not ten thousand stacks.
 //!
@@ -26,32 +27,32 @@
 //! ## The write path: group commit
 //!
 //! Writes ([`Request::Ingest`], [`Request::Check`], and the admin and
-//! situation RPCs) are **submitted**, not executed, by poll threads:
+//! situation RPCs) are **submitted**, not executed, by the poll thread:
 //! each becomes one [`WalRecord`] — a trusted batch, a quarantine batch
 //! if its sensor is below the trust threshold, or a policy op — handed
 //! to `ltam-store`'s [`GroupCommit`] thread through the one
 //! `submit_write`. The commit thread drains every record queued while
 //! the previous `fsync` ran, appends them all under **one** WAL write +
 //! one `fsync`, applies them in submission order, and then completes
-//! each waiter — the completion re-enters the owning poll thread via
-//! its inbox and wakes it. Durability semantics are unchanged: a write
+//! each waiter — the completion re-enters the poll thread via its
+//! inbox and wakes it. Durability semantics are unchanged: a write
 //! is acked only after its bytes are synced, and it stays
 //! all-or-nothing across a crash (its own WAL record). What changed is
 //! the *sharing*: N connections' writes cost one flush, not N.
 //!
 //! ## The read path: around the write lock
 //!
-//! Read-only queries never touch the commit thread. Poll threads hold
-//! a [`ReadView`] — shared handles onto the engine's shards, the
-//! archive, and published status counters — and answer
+//! Read-only queries never touch the commit thread. The poll thread
+//! holds a [`ReadView`] — shared handles onto the engine's shards, the
+//! archive, and published status counters — and answers
 //! [`Request::Query`] inline, concurrent with in-flight ingest (shard
 //! mutexes interleave; there is no engine-wide lock anywhere on the
 //! serving path).
 //!
 //! ## Backpressure
 //!
-//! Three independent valves, all per connection, none blocking a poll
-//! thread:
+//! Three independent valves, all per connection, none blocking the
+//! poll thread:
 //!
 //! * past [`ServerConfig::max_connections`], accepts are answered with
 //!   one [`ErrorCode::Busy`] frame and closed;
@@ -72,7 +73,7 @@
 //! blocks the server).
 //!
 //! [`Server::shutdown`] stops accepting, lets every connection's
-//! in-flight requests complete and flush, joins the poll threads,
+//! in-flight requests complete and flush, joins the poll thread,
 //! drains the commit queue, takes a final snapshot, and hands the
 //! engine back. [`Server::abort`] skips the snapshot — recovery then
 //! replays the WAL, exactly as after a crash.
@@ -89,8 +90,7 @@ use ltam_store::replica::{
     archive_files, epoch_marker_file, newest_snapshot, read_file_chunk, wal_segment_ids, ReplFileId,
 };
 use ltam_store::{
-    CommitHandle, DurableEngine, GroupCommit, GroupCommitConfig, HistoryError, ReadView,
-    RecordOutcome, WalRecord,
+    CommitHandle, DurableEngine, GroupCommit, HistoryError, ReadView, RecordOutcome, WalRecord,
 };
 use mio::{Events, Interest, Poll, Token, Waker};
 use parking_lot::Mutex;
@@ -116,18 +116,12 @@ pub struct ServerConfig {
     pub read_timeout: Duration,
     /// Per-frame payload cap (see [`wire::DEFAULT_MAX_FRAME_BYTES`]).
     pub max_frame_bytes: u32,
-    /// Poll threads sharing the connection set. One is right for one
-    /// core; more only helps when query work saturates a thread.
-    pub poll_threads: usize,
     /// Requests one connection may have in flight before the server
     /// stops reading it (responses still flow).
     pub max_pipeline: usize,
     /// Buffered response bytes at which a connection stops being read
     /// (the slow-reader valve).
     pub write_buffer_bytes: usize,
-    /// Group-commit drain cap, in events (see
-    /// [`GroupCommitConfig::max_group_events`]).
-    pub max_group_events: usize,
     /// A locally configured secret that authenticates with every
     /// capability, outside the durable token registry — the lockout
     /// recovery path: an operator who revoked (or let expire) every
@@ -144,10 +138,8 @@ impl Default for ServerConfig {
             idle_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_millis(200),
             max_frame_bytes: wire::DEFAULT_MAX_FRAME_BYTES,
-            poll_threads: 1,
             max_pipeline: 128,
             write_buffer_bytes: 1 << 20,
-            max_group_events: GroupCommitConfig::default().max_group_events,
             root_token: None,
         }
     }
@@ -184,8 +176,7 @@ enum Reply {
     Policy,
 }
 
-/// A commit completion routed back to the poll thread that owns the
-/// connection.
+/// A commit completion routed back to the poll thread.
 struct Completion {
     conn: u64,
     slot: u64,
@@ -193,20 +184,11 @@ struct Completion {
     result: io::Result<RecordOutcome>,
 }
 
-/// Work posted to a poll thread from outside its loop.
-#[derive(Default)]
-struct Inbox {
-    /// Freshly accepted connections assigned to this thread.
-    conns: Vec<(TcpStream, u64)>,
-    /// Commit completions for this thread's connections.
-    done: Vec<Completion>,
-}
-
-/// One poll thread's externally visible half: post to the inbox, then
-/// wake it out of `epoll_wait`.
+/// The poll thread's externally visible half: post a commit completion
+/// to the inbox, then wake it out of `epoll_wait`.
 struct ThreadHandle {
     waker: Waker,
-    inbox: Mutex<Inbox>,
+    inbox: Mutex<Vec<Completion>>,
     /// Set by the first completion posted since the poll thread last
     /// took its inbox — the only one that pokes the waker. The poll
     /// thread clears it **before** taking the inbox, so a completion
@@ -221,7 +203,7 @@ impl ThreadHandle {
     /// at its inbox: one `eventfd` write per inbox take, however many
     /// completions a commit group acks in between.
     fn complete(&self, completion: Completion) {
-        self.inbox.lock().done.push(completion);
+        self.inbox.lock().push(completion);
         if !self.notified.swap(true, Ordering::SeqCst) {
             let _ = self.waker.wake();
         }
@@ -233,7 +215,7 @@ struct Shared {
     config: ServerConfig,
     shutdown: AtomicBool,
     stats: Stats,
-    threads: Vec<ThreadHandle>,
+    poll: ThreadHandle,
     /// Which role every error frame and status report carries.
     role: ServerRole,
     /// Present iff this server is a follower: the replication loop's
@@ -250,7 +232,8 @@ pub struct Server {
     addr: SocketAddr,
     /// `Some` while running; taken by `stop()`.
     shared: Option<Arc<Shared>>,
-    polls: Vec<JoinHandle<()>>,
+    /// The poll thread; taken by `stop()`.
+    poll: Option<JoinHandle<()>>,
     /// The replication thread, when running as a follower.
     repl: Option<JoinHandle<()>>,
     commit: Option<GroupCommit>,
@@ -274,7 +257,7 @@ impl Server {
     /// Bind `addr` and serve `engine` as a **read-only follower** of
     /// the primary named in `replica`: a replication thread tails the
     /// primary's WAL and replays it through this server's own group
-    /// commit, while the poll threads serve history queries at the
+    /// commit, while the poll thread serves history queries at the
     /// published watermark. Writes are refused with
     /// [`ErrorCode::NotPrimary`] (the error names the primary);
     /// history queries are refused with [`ErrorCode::Stale`] until the
@@ -300,28 +283,12 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
+        let poll = Poll::new()?;
+        let waker = Waker::new(poll.registry(), WAKER)?;
+        poll.registry()
+            .register(&listener, LISTENER, Interest::READABLE)?;
         let view = engine.read_view();
-        let (commit, commit_handle) = GroupCommit::start(
-            engine,
-            GroupCommitConfig {
-                max_group_events: config.max_group_events.max(1),
-            },
-        );
-        let threads = config.poll_threads.max(1);
-        // Build every thread's poller + waker up front so the shared
-        // handle table is complete before any loop runs.
-        let mut pollers = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let poll = Poll::new()?;
-            let waker = Waker::new(poll.registry(), WAKER)?;
-            handles.push(ThreadHandle {
-                waker,
-                inbox: Mutex::new(Inbox::default()),
-                notified: AtomicBool::new(false),
-            });
-            pollers.push(poll);
-        }
+        let (commit, commit_handle) = GroupCommit::start(engine);
         let replica_shared = replica
             .as_ref()
             .map(|r| Arc::new(ReplicaShared::new(r, view.applied())));
@@ -330,7 +297,11 @@ impl Server {
             config,
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
-            threads: handles,
+            poll: ThreadHandle {
+                waker,
+                inbox: Mutex::new(Vec::new()),
+                notified: AtomicBool::new(false),
+            },
             role: if replica.is_some() {
                 ServerRole::Follower
             } else {
@@ -339,24 +310,13 @@ impl Server {
             replica: replica_shared.clone(),
             started: Instant::now(),
         });
-        let polls = pollers
-            .into_iter()
-            .enumerate()
-            .map(|(index, poll)| {
-                let shared = Arc::clone(&shared);
-                let commit = commit_handle.clone();
-                let listener = if index == 0 {
-                    Some(listener.try_clone()).transpose()
-                } else {
-                    Ok(None)
-                };
-                let listener = listener.expect("clone listener for poll thread 0");
-                std::thread::Builder::new()
-                    .name(format!("ltam-poll-{index}"))
-                    .spawn(move || poll_loop(poll, index, listener, shared, commit))
-                    .expect("spawn poll thread")
-            })
-            .collect();
+        let poll_thread = {
+            let shared = Arc::clone(&shared);
+            let commit = commit_handle.clone();
+            std::thread::Builder::new()
+                .name("ltam-poll".into())
+                .spawn(move || poll_loop(poll, listener, shared, commit))?
+        };
         let repl = match (replica, replica_shared) {
             (Some(replica_config), Some(replica_shared)) => {
                 let stop_flag = Arc::clone(&shared);
@@ -383,7 +343,7 @@ impl Server {
         Ok(Server {
             addr: local,
             shared: Some(shared),
-            polls,
+            poll: Some(poll_thread),
             repl,
             commit: Some(commit),
         })
@@ -417,10 +377,8 @@ impl Server {
             .take()
             .ok_or_else(|| io::Error::other("server already stopped"))?;
         shared.shutdown.store(true, Ordering::SeqCst);
-        for t in &shared.threads {
-            let _ = t.waker.wake();
-        }
-        for h in self.polls.drain(..) {
+        let _ = shared.poll.waker.wake();
+        if let Some(h) = self.poll.take() {
             let _ = h.join();
         }
         if let Some(h) = self.repl.take() {
@@ -428,8 +386,8 @@ impl Server {
             // exit before commit shutdown can drain.
             let _ = h.join();
         }
-        // Poll threads are gone (their commit handles dropped with
-        // them); draining the commit queue hands the engine back.
+        // The poll thread is gone (its commit handle dropped with it);
+        // draining the commit queue hands the engine back.
         self.commit
             .take()
             .ok_or_else(|| io::Error::other("server already stopped"))?
@@ -511,34 +469,19 @@ impl Conn {
     }
 }
 
-fn poll_loop(
-    mut poll: Poll,
-    index: usize,
-    listener: Option<TcpListener>,
-    shared: Arc<Shared>,
-    commit: CommitHandle,
-) {
+/// The poll thread: `listener` arrives registered for readability.
+fn poll_loop(mut poll: Poll, listener: TcpListener, shared: Arc<Shared>, commit: CommitHandle) {
     let mut events = Events::with_capacity(256);
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut by_id: HashMap<u64, usize> = HashMap::new();
-    let mut next_conn_id = index as u64;
-    let mut accepting = listener.is_some();
+    let mut next_conn_id = 0;
     let mut draining: Option<Instant> = None;
     // Connection slots that received completions this pass.
     let mut touched: Vec<usize> = Vec::new();
     // The read buffer every connection's `read_input` borrows.
     let mut scratch = vec![0u8; 32 * 1024];
-    if let Some(l) = &listener {
-        if poll
-            .registry()
-            .register(l, LISTENER, Interest::READABLE)
-            .is_err()
-        {
-            return;
-        }
-    }
     let tick = shared.config.read_timeout.min(Duration::from_millis(100));
-    // One registry lookup per poll thread, before the hot loop.
+    // One registry lookup, before the hot loop.
     let wakeups = ltam_obs::counter!(
         "serve_poll_wakeups_total",
         "Poll-loop passes (epoll returns, timer ticks, and waker pokes)"
@@ -554,20 +497,16 @@ fn poll_loop(
         wakeups.inc();
         let shutting = shared.shutdown.load(Ordering::SeqCst);
 
-        // 1. Inbox first: handed-off connections and commit
-        //    completions (the waker may be why we woke). `notified` is
-        //    cleared before the take — see `ThreadHandle::notified`.
-        let me = &shared.threads[index];
-        me.notified.store(false, Ordering::SeqCst);
-        let inbox = std::mem::take(&mut *me.inbox.lock());
-        for (stream, id) in inbox.conns {
-            admit(stream, id, &mut conns, &mut by_id, &poll, &shared, now);
-        }
+        // 1. Inbox first: commit completions (the waker may be why we
+        //    woke). `notified` is cleared before the take — see
+        //    `ThreadHandle::notified`.
+        shared.poll.notified.store(false, Ordering::SeqCst);
+        let done = std::mem::take(&mut *shared.poll.inbox.lock());
         // A commit group acks many requests at once: fill every slot
         // first, then flush each touched connection once, so a group's
         // replies leave in one socket write per connection.
         touched.clear();
-        for completion in inbox.done {
+        for completion in done {
             let Some(&slot) = by_id.get(&completion.conn) else {
                 continue; // connection died before its commit finished
             };
@@ -602,7 +541,7 @@ fn poll_loop(
                                 keep = flush(conn, now);
                             }
                             if keep && ev.is_readable() {
-                                keep = read_input(conn, &mut scratch, index, &shared, &commit, now);
+                                keep = read_input(conn, &mut scratch, &shared, &commit, now);
                             }
                             if keep && ev.is_error() && conn.drained() {
                                 keep = false;
@@ -618,12 +557,11 @@ fn poll_loop(
             }
         }
 
-        // 3. Accept (thread 0 only; level-triggered, so a backlog left
-        //    unaccepted re-notifies next pass).
-        if accept_ready && accepting && !shutting {
+        // 3. Accept (level-triggered, so a backlog left unaccepted
+        //    re-notifies next pass).
+        if accept_ready && !shutting {
             accept_all(
-                listener.as_ref().expect("accept event implies listener"),
-                index,
+                &listener,
                 &mut next_conn_id,
                 &mut conns,
                 &mut by_id,
@@ -652,11 +590,8 @@ fn poll_loop(
         //    is in flight, then leave. A bounded deadline covers peers
         //    that never read their last responses.
         if shutting {
-            if accepting {
-                let _ = poll
-                    .registry()
-                    .deregister(listener.as_ref().expect("accepting implies listener"));
-                accepting = false;
+            if draining.is_none() {
+                let _ = poll.registry().deregister(&listener);
             }
             let deadline = *draining.get_or_insert_with(|| {
                 now + shared.config.idle_timeout.min(Duration::from_secs(5))
@@ -758,12 +693,9 @@ fn close_conn(
     }
 }
 
-/// Accept until the backlog is dry, refusing over the limit and
-/// handing off round-robin.
-#[allow(clippy::too_many_arguments)]
+/// Accept until the backlog is dry, refusing over the limit.
 fn accept_all(
     listener: &TcpListener,
-    index: usize,
     next_conn_id: &mut u64,
     conns: &mut Vec<Option<Conn>>,
     by_id: &mut HashMap<u64, usize>,
@@ -771,7 +703,6 @@ fn accept_all(
     shared: &Arc<Shared>,
     now: Instant,
 ) {
-    let threads = shared.threads.len();
     loop {
         let stream = match listener.accept() {
             Ok((s, _)) => s,
@@ -799,14 +730,7 @@ fn accept_all(
         let id = *next_conn_id;
         *next_conn_id += 1;
         shared.stats.per_connection.lock().insert(id, 0);
-        let target = (id as usize) % threads;
-        if target == index {
-            admit(stream, id, conns, by_id, poll, shared, now);
-        } else {
-            let t = &shared.threads[target];
-            t.inbox.lock().conns.push((stream, id));
-            let _ = t.waker.wake();
-        }
+        admit(stream, id, conns, by_id, poll, shared, now);
     }
 }
 
@@ -905,7 +829,6 @@ fn read_paused(conn: &Conn, config: &ServerConfig) -> bool {
 fn read_input(
     conn: &mut Conn,
     scratch: &mut [u8],
-    index: usize,
     shared: &Arc<Shared>,
     commit: &CommitHandle,
     now: Instant,
@@ -931,7 +854,7 @@ fn read_input(
         conn.assembler.push(&scratch[..n]);
         loop {
             match conn.assembler.next_frame() {
-                Ok(Some(payload)) => dispatch(conn, &payload, index, shared, commit),
+                Ok(Some(payload)) => dispatch(conn, &payload, shared, commit),
                 Ok(None) => break,
                 Err(e) => {
                     // Unreadable framing: the stream cannot resync.
@@ -970,8 +893,6 @@ macro_rules! request_seconds {
     };
 }
 
-/// Decode one frame's request and either answer it inline (queries,
-/// errors) or submit it to the commit thread (writes).
 /// Which capability a request needs ([`Request::Hello`] needs none —
 /// it is how a connection *acquires* one).
 fn needed_capability(request: &Request) -> Option<Capability> {
@@ -1135,13 +1056,9 @@ fn answer_hello(conn: &mut Conn, secret: &str, wire_auth: &WireAuth, shared: &Sh
     }
 }
 
-fn dispatch(
-    conn: &mut Conn,
-    payload: &[u8],
-    index: usize,
-    shared: &Arc<Shared>,
-    commit: &CommitHandle,
-) {
+/// Decode one frame's request and either answer it inline (queries,
+/// errors) or submit it to the commit thread (writes).
+fn dispatch(conn: &mut Conn, payload: &[u8], shared: &Arc<Shared>, commit: &CommitHandle) {
     let request = match wire::decode_request(payload) {
         Ok(r) => r,
         Err(e) => {
@@ -1192,11 +1109,11 @@ fn dispatch(
         }
         Request::Admin(op) => {
             let record = WalRecord::Policy(PolicyOp::Admin(op));
-            return submit_write(conn, record, Reply::Policy, index, shared, commit);
+            return submit_write(conn, record, Reply::Policy, shared, commit);
         }
         Request::Situation(op) => {
             let record = WalRecord::Policy(PolicyOp::Situation(op));
-            return submit_write(conn, record, Reply::Policy, index, shared, commit);
+            return submit_write(conn, record, Reply::Policy, shared, commit);
         }
         Request::Ingest(events) => (events, Reply::Ingest),
         Request::Check(event) => (vec![event], Reply::Check),
@@ -1215,7 +1132,7 @@ fn dispatch(
         ),
         _ => (WalRecord::Events(events), reply),
     };
-    submit_write(conn, record, reply, index, shared, commit);
+    submit_write(conn, record, reply, shared, commit);
 }
 
 /// Submit one write — one [`WalRecord`] — to the commit thread, taking
@@ -1229,7 +1146,6 @@ fn submit_write(
     conn: &mut Conn,
     record: WalRecord,
     reply: Reply,
-    index: usize,
     shared: &Arc<Shared>,
     commit: &CommitHandle,
 ) {
@@ -1266,7 +1182,7 @@ fn submit_write(
                     .pop()
                     .ok_or_else(|| io::Error::other("commit returned no outcome"))
             });
-            shared.threads[index].complete(Completion {
+            shared.poll.complete(Completion {
                 conn,
                 slot,
                 reply,

@@ -264,7 +264,6 @@ fn slow_readers_and_mid_frame_stalls_never_block_the_poll_loop() {
     let (server, alice, cais) = start_server(
         &dir,
         ServerConfig {
-            poll_threads: 1,
             max_pipeline: 8,
             write_buffer_bytes: 1024,
             ..quick_config()

@@ -54,6 +54,7 @@
 use crate::binval;
 use crate::codec::{decode_event, encode_event};
 use crate::crc::crc32;
+use crate::wal::sync_dir;
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::Event;
 use ltam_engine::movement::{stays_overlapping, MovementEvent, MovementKind, Stay};
@@ -365,9 +366,7 @@ impl ArchiveStore {
         if self.fsync {
             // The rename's dirent must be durable before the caller
             // prunes live state: losing it would lose the only copy.
-            if let Ok(d) = fs::File::open(&self.dir) {
-                d.sync_all()?;
-            }
+            sync_dir(&self.dir)?;
         }
         // Only after the replacement is durable may the superseded
         // same-start segments go; a crash in between leaves both, and

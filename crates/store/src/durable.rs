@@ -38,7 +38,7 @@ use crate::codec::WalRecord;
 use crate::crc::crc32;
 use crate::history::{HistoryError, Tiers};
 use crate::snapshot::{SnapshotStore, StoreSnapshot};
-use crate::wal::{Wal, WalBatch, WalConfig};
+use crate::wal::{sync_dir, Wal, WalBatch, WalConfig};
 use ltam_core::capability::{AdminOp, AdminOutcome};
 use ltam_core::db::AuthId;
 use ltam_core::retention::RetentionPolicy;
@@ -346,9 +346,7 @@ fn write_epoch_marker(dir: &Path, fsync: bool, epoch: u64) -> io::Result<()> {
         // The rename's dirent must be durable before the edit is acked —
         // a swallowed failure here would let a power cut silently revert
         // an acknowledged policy edit, the exact hole this marker closes.
-        if let Ok(d) = std::fs::File::open(dir) {
-            d.sync_all()?;
-        }
+        sync_dir(dir)?;
     }
     Ok(())
 }

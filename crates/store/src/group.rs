@@ -46,23 +46,11 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::io;
 use std::thread::JoinHandle;
 
-/// Tunables for a [`GroupCommit`] thread.
-#[derive(Debug, Clone, Copy)]
-pub struct GroupCommitConfig {
-    /// Stop draining the queue once a group holds this many **events**
-    /// (not batches). Caps both ack latency under a flood and the size
-    /// of a single WAL write; the group that triggers the cap still
-    /// commits in full.
-    pub max_group_events: usize,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig {
-            max_group_events: 32 * 1024,
-        }
-    }
-}
+/// Stop draining the queue once a group holds this many **events**
+/// (sequence numbers, not batches). Caps both ack latency under a flood
+/// and the size of a single WAL write; the job that crosses the cap
+/// still commits in full with its group.
+const MAX_GROUP_EVENTS: u64 = 32 * 1024;
 
 /// What a job's submitter gets back: one outcome per record it
 /// submitted, in order — or the one error that kept the whole group out
@@ -141,51 +129,32 @@ impl CommitHandle {
 #[derive(Debug)]
 pub struct GroupCommit {
     join: JoinHandle<DurableEngine>,
-    /// Kept so `handle()` can mint more; dropped by `shutdown`.
-    handle: CommitHandle,
 }
 
 impl GroupCommit {
     /// Move `engine` onto a new commit thread and return the owner plus
-    /// the first submission handle.
-    pub fn start(engine: DurableEngine, config: GroupCommitConfig) -> (GroupCommit, CommitHandle) {
+    /// the submission handle (clone it for more submitters).
+    pub fn start(engine: DurableEngine) -> (GroupCommit, CommitHandle) {
         let (tx, rx) = unbounded::<Job>();
         let join = std::thread::Builder::new()
             .name("ltam-commit".into())
-            .spawn(move || commit_loop(engine, rx, config))
+            .spawn(move || commit_loop(engine, rx))
             .expect("spawn commit thread");
-        let handle = CommitHandle { tx };
-        (
-            GroupCommit {
-                join,
-                handle: handle.clone(),
-            },
-            handle,
-        )
+        (GroupCommit { join }, CommitHandle { tx })
     }
 
-    /// Mint another submission handle.
-    pub fn handle(&self) -> CommitHandle {
-        self.handle.clone()
-    }
-
-    /// Close the queue, drain every batch already submitted (each still
-    /// acked after its fsync), and hand the engine back. Outstanding
-    /// [`CommitHandle`] clones keep the queue open — drop them first or
-    /// this blocks until they go away.
+    /// Wait for the queue to close, drain every batch already submitted
+    /// (each still acked after its fsync), and hand the engine back.
+    /// The queue closes when the last [`CommitHandle`] is dropped —
+    /// drop them first or this blocks until they go away.
     pub fn shutdown(self) -> io::Result<DurableEngine> {
-        drop(self.handle);
         self.join
             .join()
             .map_err(|_| io::Error::other("commit thread panicked"))
     }
 }
 
-fn commit_loop(
-    mut engine: DurableEngine,
-    rx: Receiver<Job>,
-    config: GroupCommitConfig,
-) -> DurableEngine {
+fn commit_loop(mut engine: DurableEngine, rx: Receiver<Job>) -> DurableEngine {
     let slots = |job: &Job| job.records.iter().map(WalRecord::seq_count).sum::<u64>();
     while let Ok(first) = rx.recv() {
         let mut total = slots(&first);
@@ -194,7 +163,7 @@ fn commit_loop(
         // group's fsync ran. No linger timer — waiting for more work
         // when the disk is idle only adds latency; under load the queue
         // is never empty here.
-        while total < config.max_group_events as u64 {
+        while total < MAX_GROUP_EVENTS {
             match rx.try_recv() {
                 Ok(job) => {
                     total += slots(&job);
@@ -257,10 +226,10 @@ fn commit_loop(
                 }
             }
         }
-        // Acks are out; now the cadence work. A snapshot's encode and
-        // write are backgrounded, but its imaging is not: it clones the
-        // whole policy (every authorization row) and every shard's live
-        // state on this thread, and the next group waits behind it.
+        // Acks are out; now the cadence work. A snapshot's policy image,
+        // encode and write run on the writer thread, but its shard and
+        // quarantine exports do not: they copy every shard's live state
+        // on this thread, and the next group waits behind them.
         engine.maintain();
     }
     engine
@@ -333,7 +302,7 @@ mod tests {
         let dir = ScratchDir::new("group-basic");
         let engine = store(dir.path(), true);
         let fsyncs_before = engine.wal_fsyncs();
-        let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
+        let (gc, handle) = GroupCommit::start(engine);
         let submitters: Vec<_> = (0..8)
             .map(|thread| {
                 let h = handle.clone();
@@ -362,7 +331,7 @@ mod tests {
     fn acks_preserve_submission_order_and_outcomes_line_up() {
         let dir = ScratchDir::new("group-order");
         let engine = store(dir.path(), false);
-        let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
+        let (gc, handle) = GroupCommit::start(engine);
         let acked = Arc::new(AtomicUsize::new(0));
         let mut ranks = Vec::new();
         // One request in the middle is from a subject nobody authorized:
@@ -396,7 +365,7 @@ mod tests {
         let dir = ScratchDir::new("group-run");
         let engine = store(dir.path(), true);
         let fsyncs_before = engine.wal_fsyncs();
-        let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
+        let (gc, handle) = GroupCommit::start(engine);
         // Four batches: the second denied, the third empty.
         let outcomes = handle
             .commit(vec![
@@ -425,7 +394,7 @@ mod tests {
         let engine = store(dir.path(), true);
         let fsyncs_before = engine.wal_fsyncs();
         let auth = engine.engine().policy().db().iter().next().unwrap().0;
-        let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
+        let (gc, handle) = GroupCommit::start(engine);
         // Subject 0's only authorization is revoked between two of its
         // swipes, and a quarantine batch rides along: the revocation
         // governs exactly the records after it, and the quarantined
@@ -467,12 +436,42 @@ mod tests {
     fn shutdown_drains_queued_batches_before_returning_the_engine() {
         let dir = ScratchDir::new("group-drain");
         let engine = store(dir.path(), false);
-        let (gc, handle) = GroupCommit::start(engine, GroupCommitConfig::default());
+        let (gc, handle) = GroupCommit::start(engine);
         for i in 0..100u64 {
             handle.submit(swipe(i, 0), drop).unwrap();
         }
         drop(handle);
         let engine = gc.shutdown().unwrap();
         assert_eq!(engine.applied(), 100, "nothing queued is dropped");
+    }
+
+    #[test]
+    fn a_group_stops_draining_at_the_event_cap() {
+        let dir = ScratchDir::new("group-cap");
+        let engine = store(dir.path(), true);
+        let fsyncs_before = engine.wal_fsyncs();
+        // Three 20 000-event jobs queued before the loop runs: the first
+        // two take the group past the cap, so the third waits for the
+        // next one.
+        let (tx, rx) = unbounded();
+        for job in 0..3u64 {
+            let events = (0..20_000u64)
+                .map(|i| request(job * 20_000 + i, (i % 64) as u32))
+                .collect();
+            let job = Job {
+                records: vec![WalRecord::Events(events)],
+                done: Box::new(|result| assert!(result.is_ok())),
+                queued_at: std::time::Instant::now(),
+            };
+            assert!(tx.send(job).is_ok(), "the receiver is alive");
+        }
+        drop(tx);
+        let engine = commit_loop(engine, rx);
+        assert_eq!(engine.applied(), 60_000);
+        assert_eq!(
+            engine.wal_fsyncs() - fsyncs_before,
+            2,
+            "jobs 1 and 2 share a group, job 3 gets its own"
+        );
     }
 }

@@ -66,7 +66,7 @@ pub use durable::{
     redistribute, DurableEngine, ReadView, RecordOutcome, RecoveryReport, RetentionOutcome,
     StoreConfig,
 };
-pub use group::{CommitHandle, GroupCommit, GroupCommitConfig};
+pub use group::{CommitHandle, GroupCommit};
 pub use history::HistoryError;
 pub use replica::{ChunkRead, ReplFile, ReplFileId, TailFault, TailScanner, TailStep};
 pub use scratch::{copy_flat_dir, ScratchDir};

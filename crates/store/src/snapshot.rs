@@ -22,6 +22,7 @@
 //! falls back to the older one.
 
 use crate::crc::crc32;
+use crate::wal::sync_dir;
 use ltam_engine::batch::{PolicyImage, QuarantinedEvent};
 use ltam_engine::shard::ShardStateImage;
 use serde::{Deserialize, Serialize};
@@ -231,9 +232,7 @@ impl SnapshotStore {
             // Propagate directory-fsync failures: callers ack durability
             // on Ok, so a swallowed error here could lose the rename's
             // dirent to a power cut after the ack.
-            if let Ok(d) = File::open(&self.dir) {
-                d.sync_all()?;
-            }
+            sync_dir(&self.dir)?;
         }
         ltam_obs::histogram!(
             "store_snapshot_bytes",

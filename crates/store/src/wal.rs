@@ -237,6 +237,15 @@ fn segment_header(first_seq: u64) -> [u8; 16] {
     h
 }
 
+/// Make `dir`'s entries durable (a create or rename inside it). Both a
+/// failed open and a failed sync are errors: every caller acks
+/// durability on `Ok`, so skipping the sync when the open fails (EMFILE
+/// on a server holding many sockets is enough) would ack a dirent a
+/// power cut can still take.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
 fn create_segment(dir: &Path, first_seq: u64, fsync: bool) -> io::Result<(Segment, File)> {
     let path = segment_path(dir, first_seq);
     let mut file = OpenOptions::new()
@@ -251,9 +260,7 @@ fn create_segment(dir: &Path, first_seq: u64, fsync: bool) -> io::Result<(Segmen
         // fsync-acked record inside it — while older segments survive,
         // which recovery could not distinguish from a legitimately
         // shorter log.
-        if let Ok(d) = File::open(dir) {
-            d.sync_all()?;
-        }
+        sync_dir(dir)?;
     }
     Ok((
         Segment {
@@ -800,6 +807,15 @@ mod tests {
 
     fn events(n: u64) -> Vec<Event> {
         (0..n).map(ev).collect()
+    }
+
+    #[test]
+    fn sync_dir_errs_when_the_directory_cannot_be_opened() {
+        let dir = ScratchDir::new("wal-sync-dir");
+        sync_dir(dir.path()).unwrap();
+        let missing = dir.path().join("gone");
+        let err = sync_dir(&missing).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! durable across a crash, mode swaps are atomic with respect to
 //! in-flight batches, and followers refuse situation frames.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::time::Duration;
 
 use ltam::core::decision::{Decision, DenyReason};
@@ -408,9 +408,16 @@ fn mode_swaps_are_atomic_with_respect_to_in_flight_batches() {
         .collect();
 
     let done = AtomicBool::new(false);
+    // Which uniform outcomes the ingester has seen (1 = granted,
+    // 2 = denied): the flipper keeps going until both have happened, so
+    // the race materializes however the scheduler interleaves the two.
+    let seen = AtomicU8::new(0);
     let (mixed, granted_batches, denied_batches) = std::thread::scope(|scope| {
         let flipper = scope.spawn(|| {
-            for i in 0..400 {
+            for i in 0..200_000 {
+                if i >= 400 && seen.load(Ordering::Acquire) == 3 {
+                    break;
+                }
                 engine.update_policy(|p| {
                     p.apply_situation(&if i % 2 == 0 {
                         emergency(1, 1_000_000)
@@ -428,8 +435,14 @@ fn mode_swaps_are_atomic_with_respect_to_in_flight_batches() {
         while !done.load(Ordering::Acquire) {
             let outcome = engine.ingest(&batch);
             match outcome.granted {
-                0 => denied_batches += 1,
-                g if g == batch.len() => granted_batches += 1,
+                0 => {
+                    denied_batches += 1;
+                    seen.fetch_or(2, Ordering::Release);
+                }
+                g if g == batch.len() => {
+                    granted_batches += 1;
+                    seen.fetch_or(1, Ordering::Release);
+                }
                 _ => mixed += 1,
             }
         }
