@@ -143,27 +143,6 @@ impl Args<'_> {
         }
         Ok(n)
     }
-
-    /// The comma-separated list given for `name` (`--shards 1,2,4`), or
-    /// `default`; refused when empty or when any element is below `min`.
-    pub fn list_at_least<T>(&self, name: &str, default: &[T], min: T) -> Result<Vec<T>, Stop>
-    where
-        T: FromStr + PartialOrd + Display + Clone,
-    {
-        let list = match self.raw(name) {
-            Some(raw) => raw
-                .split(',')
-                .map(|item| parsed(name, item.trim()))
-                .collect::<Result<Vec<T>, Stop>>()?,
-            None => default.to_vec(),
-        };
-        if list.is_empty() || list.iter().any(|n| *n < min) {
-            return Err(Stop::Usage(format!(
-                "{name} needs a comma-separated list of values >= {min}"
-            )));
-        }
-        Ok(list)
-    }
 }
 
 fn parsed<T: FromStr>(name: &str, raw: &str) -> Result<T, Stop> {
@@ -175,12 +154,12 @@ fn parsed<T: FromStr>(name: &str, raw: &str) -> Result<T, Stop> {
 mod tests {
     use super::*;
 
-    const HELP: &str = "usage: repro drill [--json] [--events N] [--shards LIST]\n";
+    const HELP: &str = "usage: repro drill [--json] [--events N]\n";
     const DRILL: Command = Command {
         name: "drill",
         help: HELP,
         flags: &["--json"],
-        values: &["--events", "--shards", "--addr"],
+        values: &["--events", "--addr"],
     };
 
     fn argv(line: &str) -> Vec<String> {
@@ -246,23 +225,5 @@ mod tests {
             parsed.at_least("--events", 20_000u64, 2),
             Err(Stop::Usage("--events must be at least 2".to_string()))
         );
-    }
-
-    #[test]
-    fn a_comma_separated_list_parses() {
-        let args = argv("--shards 1,2,8");
-        let parsed = DRILL.parse(&args).unwrap();
-        assert_eq!(
-            parsed.list_at_least("--shards", &[4usize], 1),
-            Ok(vec![1, 2, 8])
-        );
-        let nothing = DRILL.parse(&[]).unwrap();
-        assert_eq!(nothing.list_at_least("--shards", &[4usize], 1), Ok(vec![4]));
-        for line in ["--shards 1,0", "--shards 1,,2", "--shards x"] {
-            let args = argv(line);
-            let parsed = DRILL.parse(&args).unwrap();
-            let stop = parsed.list_at_least("--shards", &[4usize], 1).unwrap_err();
-            assert_eq!(stop.code(), 2, "{line}");
-        }
     }
 }

@@ -5,9 +5,12 @@
 //! trail, and the violation list. Left unbounded, that history grows
 //! with process lifetime — and so do engine memory and snapshot size.
 //! A [`RetentionPolicy`] bounds the *live* tiers: on a maintenance run
-//! at monitoring time `now`, every record of an enabled class older
-//! than `now - horizon` chronons is pruned from live state (and, in a
-//! durable deployment, spilled to the cold archive tier first).
+//! at monitoring time `now`, every history record older than
+//! `now - horizon` chronons is pruned from live state (and, in a
+//! durable deployment, spilled to the cold archive tier first). The
+//! three record classes are one history (§5's whereabouts questions
+//! and §1's contact tracing read them together), so they share one
+//! horizon and one watermark.
 //!
 //! The policy deliberately lives in `ltam-core`, below the enforcement
 //! engine: it is *model configuration* ("how far back must history
@@ -19,9 +22,9 @@
 use ltam_time::Time;
 use serde::{Deserialize, Serialize};
 
-/// A bound on live history: keep the last `horizon` chronons of each
-/// enabled record class in memory, prune everything older on
-/// maintenance runs.
+/// A bound on live history: keep the last `horizon` chronons of
+/// movements, audit records and violations in memory, prune everything
+/// older on maintenance runs.
 ///
 /// The *retention watermark* — the chronon before which live history
 /// may be incomplete — advances to `now - horizon` each time a
@@ -36,7 +39,6 @@ use serde::{Deserialize, Serialize};
 ///
 /// // Keep the last 1_000 chronons of history live.
 /// let policy = RetentionPolicy::keep_last(1_000);
-/// assert!(policy.movements && policy.audit && policy.violations);
 ///
 /// // At monitoring time 4_000, everything before 3_000 is prunable.
 /// assert_eq!(policy.horizon_at(Time(4_000)), Time(3_000));
@@ -52,29 +54,18 @@ pub struct RetentionPolicy {
     /// Chronons of history kept live. Queries at or after
     /// `now - horizon` are always answerable from live state alone.
     pub horizon: u64,
-    /// Prune movement history (stays, enter/exit events) past the
-    /// horizon. Disabling keeps the movements log unbounded.
-    pub movements: bool,
-    /// Prune audited request decisions past the horizon.
-    pub audit: bool,
-    /// Prune detected violations past the horizon. The alert sequence
-    /// is unaffected: pruned violations remain counted.
-    pub violations: bool,
     /// Minimum chronons the watermark must be able to advance before a
     /// maintenance run is worth firing (see [`RetentionPolicy::should_run`]).
     pub min_advance: u64,
 }
 
 impl RetentionPolicy {
-    /// Keep the last `horizon` chronons of every record class live,
-    /// with a maintenance cadence of one run per quarter-horizon of
-    /// progress (always at least one chronon).
+    /// Keep the last `horizon` chronons of history live, with a
+    /// maintenance cadence of one run per quarter-horizon of progress
+    /// (always at least one chronon).
     pub fn keep_last(horizon: u64) -> RetentionPolicy {
         RetentionPolicy {
             horizon,
-            movements: true,
-            audit: true,
-            violations: true,
             min_advance: (horizon / 4).max(1),
         }
     }
@@ -103,7 +94,6 @@ mod tests {
     fn keep_last_enables_every_class() {
         let p = RetentionPolicy::keep_last(100);
         assert_eq!(p.horizon, 100);
-        assert!(p.movements && p.audit && p.violations);
         assert_eq!(p.min_advance, 25);
         // Tiny horizons still advance by at least one chronon per run.
         assert_eq!(RetentionPolicy::keep_last(2).min_advance, 1);

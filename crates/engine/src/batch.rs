@@ -32,7 +32,7 @@
 //! traces.
 
 use crate::engine::{AccessControlEngine, EngineConfig};
-use crate::retention::{HistoryWatermarks, PrunedHistory};
+use crate::retention::PrunedHistory;
 use crate::shard::{PolicyView, ShardState, ShardStateImage};
 use crate::violation::{Alert, Violation};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -304,8 +304,8 @@ impl PolicyCore {
             next_auth_id: self.db.next_id(),
             prohibitions: self.prohibitions.clone(),
             config: self.config,
-            wire: Some(self.wire.clone()),
-            situation: Some(self.situation.clone()),
+            wire: self.wire.clone(),
+            situation: self.situation.clone(),
         }
     }
 
@@ -326,13 +326,8 @@ impl PolicyCore {
             db,
             prohibitions: image.prohibitions,
             config: image.config,
-            // Snapshots written before wire auth existed carry no
-            // registry: an empty, not-required one preserves their
-            // behavior exactly.
-            wire: image.wire.unwrap_or_default(),
-            // Likewise: pre-situation snapshots behave as mode Normal
-            // with no constraints.
-            situation: image.situation.unwrap_or_default(),
+            wire: image.wire,
+            situation: image.situation,
         }
     }
 }
@@ -386,13 +381,10 @@ pub struct PolicyImage {
     /// Enforcement tunables.
     pub config: EngineConfig,
     /// Wire auth policy (tokens, trust levels, enforcement switch).
-    /// `None` in snapshots written before the field existed — imported
-    /// as an empty, not-required [`WireAuth`].
-    pub wire: Option<WireAuth>,
+    pub wire: WireAuth,
     /// Situation overlay (mode, responders, pins, workflow
-    /// constraints). `None` in pre-situation snapshots — imported as
-    /// mode Normal with nothing registered.
-    pub situation: Option<SituationPolicy>,
+    /// constraints).
+    pub situation: SituationPolicy,
 }
 
 /// One event held on the quarantine ledger: accepted from a
@@ -470,8 +462,6 @@ pub struct EngineStatus {
     pub audit_pruned: u64,
     /// Entries recorded across all shards' usage ledgers.
     pub total_entries: u64,
-    /// Per-class retention watermarks (max over shards).
-    pub watermarks: HistoryWatermarks,
     /// Per-shard breakdown, in shard order.
     pub per_shard: Vec<ShardStatusRow>,
 }
@@ -1096,57 +1086,46 @@ impl ShardedEngine {
     /// shards, without mutating anything. A durable deployment archives
     /// this bundle, then calls [`ShardedEngine::apply_retention`]; see
     /// `ltam_store::DurableEngine::run_retention` for that sequence.
-    pub fn collect_prunable(
-        &self,
-        policy: &ltam_core::RetentionPolicy,
-        horizon: Time,
-    ) -> PrunedHistory {
+    pub fn collect_prunable(&self, horizon: Time) -> PrunedHistory {
         let mut out = PrunedHistory::default();
         for shard in &self.shards {
-            out.merge(shard.lock().collect_prunable(policy, horizon));
+            out.merge(shard.lock().collect_prunable(horizon));
         }
         out
     }
 
-    /// Drop every record of an enabled class older than `horizon` on
-    /// every shard and advance the watermarks. Enforcement semantics
-    /// are unaffected: ledger counters, pending grants, active stays
-    /// and the movement consistency guards all survive.
-    pub fn apply_retention(&self, policy: &ltam_core::RetentionPolicy, horizon: Time) {
+    /// Drop every history record older than `horizon` on every shard
+    /// and advance the watermark. Enforcement semantics are unaffected:
+    /// ledger counters, pending grants, active stays and the movement
+    /// consistency guards all survive.
+    pub fn apply_retention(&self, horizon: Time) {
         for shard in &self.shards {
-            shard.lock().apply_retention(policy, horizon);
+            shard.lock().apply_retention(horizon);
         }
     }
 
     /// Run one retention maintenance pass at monitoring time `now`:
     /// prune each shard (collect + drop under one lock hold) at
     /// `policy.horizon_at(now)` and return everything removed. The
-    /// caller decides the pruned records' fate — `ltam-store` archives
-    /// them; discarding them makes historical queries past the
-    /// watermark refuse rather than silently under-report.
+    /// caller decides the pruned records' fate: `ltam-store` archives
+    /// them, and discarded ones are gone from below the watermark.
     pub fn run_retention(&self, policy: &ltam_core::RetentionPolicy, now: Time) -> PrunedHistory {
         let horizon = policy.horizon_at(now);
         let mut out = PrunedHistory::default();
         for shard in &self.shards {
-            out.merge(shard.lock().prune(policy, horizon));
+            out.merge(shard.lock().prune(horizon));
         }
         out
     }
 
-    /// Engine-level retention watermarks: per class, the maximum over
-    /// all shards (answers below a class's watermark may be incomplete
-    /// in live state).
-    pub fn watermarks(&self) -> HistoryWatermarks {
+    /// The history retention watermark: the maximum over all shards
+    /// (answers below it may be incomplete in live state).
+    pub fn retention_watermark(&self) -> Time {
         self.shards
             .iter()
-            .map(|s| s.lock().watermarks())
-            .fold(HistoryWatermarks::default(), HistoryWatermarks::join)
-    }
-
-    /// The movement-history retention watermark (shorthand for
-    /// [`ShardedEngine::watermarks`]`.movements`).
-    pub fn retention_watermark(&self) -> Time {
-        self.watermarks().movements
+            .map(|s| s.lock().watermark())
+            .max()
+            .unwrap_or(Time::ZERO)
     }
 
     // --- read access -------------------------------------------------------
@@ -1174,7 +1153,6 @@ impl ShardedEngine {
             status.violations_pruned += s.violations_pruned();
             status.audit_pruned += s.audit_pruned();
             status.total_entries += s.ledger().total_entries();
-            status.watermarks = status.watermarks.join(s.watermarks());
             status.per_shard.push(row);
         }
         status
@@ -1205,7 +1183,7 @@ impl ShardedEngine {
     }
 
     /// A deterministic digest of the engine's observable enforcement
-    /// state: shard count, entry/violation totals, retention watermarks
+    /// state: shard count, entry/violation totals, the retention watermark
     /// and the full violation list in shard-merge order, folded through
     /// FNV-1a. Two engines that ingested the same events in the same
     /// batches with the same shard count produce the same digest — the
@@ -1224,10 +1202,13 @@ impl ShardedEngine {
         fold(&(self.shard_count() as u64).to_le_bytes());
         fold(&self.total_entries().to_le_bytes());
         fold(&(self.violation_count() as u64).to_le_bytes());
-        let marks = self.watermarks();
-        fold(&marks.movements.0.to_le_bytes());
-        fold(&marks.audit.0.to_le_bytes());
-        fold(&marks.violations.0.to_le_bytes());
+        // The watermark is folded three times, where the movements,
+        // audit and violations watermarks were folded when each class
+        // had its own: the digest crosses builds, so its value stays.
+        let watermark = self.retention_watermark().0.to_le_bytes();
+        for _ in 0..3 {
+            fold(&watermark);
+        }
         for v in self.violations() {
             // `Violation`'s Debug form is a pure function of its fields
             // (ids and chronons, no addresses), so it is a stable,
@@ -1549,7 +1530,6 @@ mod tests {
         assert_eq!(pruned.stays.len(), 2);
         assert_eq!(engine.violation_count(), 0);
         assert_eq!(engine.retention_watermark(), Time(90));
-        assert_eq!(engine.watermarks().violations, Time(90));
         // Restart from images: the alert sequence resumes past the two
         // pruned violations, so the next alert's seq is 2, not 0.
         let images = engine.export_images();
@@ -1563,7 +1543,7 @@ mod tests {
         }]);
         assert_eq!(alerts2.try_recv().unwrap().seq, 2);
         // collect_prunable alone must not mutate.
-        let again = restarted.collect_prunable(&policy, Time(201));
+        let again = restarted.collect_prunable(Time(201));
         assert_eq!(again.violations.len(), 1);
         assert_eq!(restarted.violation_count(), 1);
     }

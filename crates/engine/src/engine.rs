@@ -154,17 +154,10 @@ impl AccessControlEngine {
         self.state.ledger()
     }
 
-    /// Violations detected so far, in detection order. Complete from
-    /// [`AccessControlEngine::watermarks`]`.violations` onward; earlier
-    /// ones may have been pruned by retention (still counted by
-    /// [`AccessControlEngine::violations_pruned`]).
+    /// Violations detected so far, in detection order. This engine is
+    /// never pruned: the list is complete from the epoch.
     pub fn violations(&self) -> &[Violation] {
         self.state.violations()
-    }
-
-    /// Violations dropped by retention (live list + this = total ever).
-    pub fn violations_pruned(&self) -> u64 {
-        self.state.violations_pruned()
     }
 
     /// The audited request decisions.
@@ -268,28 +261,6 @@ impl AccessControlEngine {
         report
     }
 
-    // --- retention ----------------------------------------------------------
-
-    /// Run one retention maintenance pass at monitoring time `now`:
-    /// prune history of every enabled record class older than
-    /// `policy.horizon_at(now)` and return the removed records. The
-    /// caller decides their fate (archive or discard); after a discard,
-    /// historical queries below the watermark refuse — see
-    /// [`crate::query`] — rather than silently under-report.
-    pub fn run_retention(
-        &mut self,
-        policy: &ltam_core::RetentionPolicy,
-        now: Time,
-    ) -> crate::retention::PrunedHistory {
-        self.state.prune(policy, policy.horizon_at(now))
-    }
-
-    /// From which chronon each record class is complete in live state
-    /// (`Time::ZERO` everywhere if retention never ran).
-    pub fn watermarks(&self) -> crate::retention::HistoryWatermarks {
-        self.state.watermarks()
-    }
-
     // --- enforcement ---------------------------------------------------------
 
     /// Process an access request (Definition 6). A grant is remembered so
@@ -359,7 +330,6 @@ impl AccessControlEngine {
 
     /// A read-only view for the query engine.
     pub fn query_context(&self) -> crate::query::QueryContext<'_> {
-        let watermarks = self.state.watermarks();
         crate::query::QueryContext {
             model: self.core.model(),
             graph: self.core.graph(),
@@ -369,8 +339,6 @@ impl AccessControlEngine {
             movements: self.state.movements(),
             violations: self.state.violations(),
             profiles: &self.profiles,
-            history_from: watermarks.movements,
-            violations_from: watermarks.violations,
         }
     }
 

@@ -28,9 +28,8 @@
 //!   (`ACCESSIBLE FOR`, `CAN … ENTER … AT`, `WHO IN`, `CONTACTS OF`,
 //!   `VIOLATIONS …`) over all databases,
 //! * [`retention`] — the engine half of history retention: the record
-//!   bundle a prune produces and the per-class watermarks a pruned
-//!   engine exposes (policies live in [`ltam_core::retention`]; the
-//!   archive tier lives in `ltam-store`),
+//!   bundle a prune of the sharded engine produces (policies live in
+//!   [`ltam_core::retention`]; the archive tier lives in `ltam-store`),
 //! * [`report`] — the end-of-shift [`SecurityReport`]: decision
 //!   counts, violation breakdowns, hotspots and current occupancy.
 
@@ -57,6 +56,6 @@ pub use movement::{Contact, MovementEvent, MovementKind, MovementsDb, Stay};
 pub use profile::{Profile, UserProfileDb};
 pub use query::{Query, QueryContext, QueryResult};
 pub use report::{security_report, SecurityReport};
-pub use retention::{HistoryWatermarks, PrunedHistory};
+pub use retention::PrunedHistory;
 pub use shard::{PendingImage, PolicyView, ShardState, ShardStateImage};
 pub use violation::{Alert, Violation};

@@ -547,11 +547,6 @@ impl MovementsDb {
         self.rec.watermark.unwrap_or(Time::ZERO)
     }
 
-    /// True if queries at `t` are answerable completely from live state.
-    pub fn covers(&self, t: Time) -> bool {
-        t >= self.watermark()
-    }
-
     /// Events dropped by pruning since the store was created.
     pub fn pruned_events(&self) -> u64 {
         self.rec.pruned_events.unwrap_or(0)
@@ -1085,8 +1080,6 @@ mod tests {
         assert_eq!(db.current_location(ALICE), Some(CAIS));
         // Bob's whole timeline is gone; the subject key is dropped too.
         assert!(db.timeline(BOB).is_empty());
-        assert!(!db.covers(Time(29)));
-        assert!(db.covers(Time(30)));
     }
 
     #[test]

@@ -12,7 +12,6 @@ use ltam_core::planner::earliest_visit;
 use ltam_core::prohibition::{restrict_authorizations, ProhibitionDb};
 use ltam_core::subject::SubjectId;
 use ltam_graph::{EffectiveGraph, LocationId, LocationModel};
-use ltam_time::Time;
 use std::fmt;
 
 /// Read-only view over every database the query engine consults.
@@ -33,33 +32,15 @@ pub struct QueryContext<'a> {
     pub violations: &'a [Violation],
     /// User profiles (name resolution).
     pub profiles: &'a UserProfileDb,
-    /// Movement history is complete from this chronon on (earlier
-    /// history pruned by retention). Historical queries dipping below
-    /// it refuse with [`EvalError::BeyondRetention`] instead of
-    /// silently under-reporting; `Time::ZERO` disables the check.
-    pub history_from: Time,
-    /// Same watermark for the violation log.
-    pub violations_from: Time,
 }
 
-/// Name-resolution and history-coverage failures.
+/// Name-resolution failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EvalError {
     /// No such subject.
     UnknownSubject(String),
     /// No such location.
     UnknownLocation(String),
-    /// The query reaches before the retention watermark: the live
-    /// engine no longer holds that history, and answering from what
-    /// remains would silently under-report. Tier-aware deployments
-    /// (`ltam-store`'s `DurableEngine`) answer such queries by merging
-    /// the archive instead.
-    BeyondRetention {
-        /// The earliest chronon the query needs.
-        requested: Time,
-        /// The chronon live history is complete from.
-        live_from: Time,
-    },
 }
 
 impl fmt::Display for EvalError {
@@ -67,14 +48,6 @@ impl fmt::Display for EvalError {
         match self {
             EvalError::UnknownSubject(s) => write!(f, "unknown subject {s:?}"),
             EvalError::UnknownLocation(l) => write!(f, "unknown location {l:?}"),
-            EvalError::BeyondRetention {
-                requested,
-                live_from,
-            } => write!(
-                f,
-                "history at t={requested} was pruned by retention (live history starts at \
-                 t={live_from}); query the archive tier or widen the retention horizon"
-            ),
         }
     }
 }
@@ -98,18 +71,6 @@ fn subject_name(ctx: &QueryContext<'_>, id: SubjectId) -> String {
         .name_of(id)
         .map(str::to_string)
         .unwrap_or_else(|| id.to_string())
-}
-
-/// Refuse a historical query whose earliest needed chronon precedes the
-/// class watermark `live_from` (see [`EvalError::BeyondRetention`]).
-fn check_retained(requested: Time, live_from: Time) -> Result<(), EvalError> {
-    if requested < live_from {
-        return Err(EvalError::BeyondRetention {
-            requested,
-            live_from,
-        });
-    }
-    Ok(())
 }
 
 /// Evaluate a parsed query.
@@ -170,21 +131,14 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
         }
         Query::WhereIs { subject, at } => {
             let s = subject_id(ctx, subject)?;
-            // A live stay straddling the watermark can still answer a
-            // pre-watermark chronon authoritatively (stays are disjoint
-            // per subject); only a *miss* below the watermark is
-            // unanswerable from live state.
-            let hit = ctx.movements.whereabouts(s, *at);
-            if hit.is_none() {
-                check_retained(*at, ctx.history_from)?;
-            }
             Ok(QueryResult::Whereabouts(
-                hit.map(|l| ctx.model.name(l).to_string()),
+                ctx.movements
+                    .whereabouts(s, *at)
+                    .map(|l| ctx.model.name(l).to_string()),
             ))
         }
         Query::WhoIn { location, window } => {
             let l = location_id(ctx, location)?;
-            check_retained(window.start(), ctx.history_from)?;
             let rows = ctx
                 .movements
                 .present_during(l, *window)
@@ -195,7 +149,6 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
         }
         Query::Contacts { subject, window } => {
             let s = subject_id(ctx, subject)?;
-            check_retained(window.start(), ctx.history_from)?;
             let rows = ctx
                 .movements
                 .contacts(s, *window)
@@ -215,8 +168,6 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
                 .as_deref()
                 .map(|name| subject_id(ctx, name))
                 .transpose()?;
-            let needed_from = window.map(|w| w.start()).unwrap_or(Time::ZERO);
-            check_retained(needed_from, ctx.violations_from)?;
             let rows = ctx
                 .violations
                 .iter()
@@ -383,47 +334,6 @@ mod tests {
         assert_eq!(none, QueryResult::Violations(vec![]));
         let windowed = run("VIOLATIONS DURING [0, 10]", &ctx(&e)).unwrap();
         assert_eq!(windowed, QueryResult::Violations(vec![]));
-    }
-
-    #[test]
-    fn pruned_history_refuses_instead_of_under_reporting() {
-        use ltam_core::RetentionPolicy;
-        let mut e = scenario();
-        let mallory = e.profiles_mut().add_user("Mallory", "?");
-        e.observe_enter(Time(30), mallory, e.model().id("CHIPES").unwrap());
-        e.observe_exit(Time(31), mallory, e.model().id("CHIPES").unwrap());
-        e.run_retention(&RetentionPolicy::keep_last(10), Time(50));
-        assert_eq!(e.watermarks().movements, Time(40));
-        // Below the watermark: refuse, don't guess.
-        for q in [
-            "WHERE Alice AT 7",
-            "WHO IN CAIS DURING [0, 100]",
-            "CONTACTS OF Bob DURING [0, inf]",
-            "VIOLATIONS",
-            "VIOLATIONS DURING [0, 39]",
-        ] {
-            let err = run(q, &ctx(&e)).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    super::super::QueryError::Eval(EvalError::BeyondRetention { .. })
-                ),
-                "{q}: {err:?}"
-            );
-        }
-        // At or above the watermark: answers as usual (and an open stay
-        // straddling the boundary still answers below it).
-        assert_eq!(
-            run("WHERE Alice AT 20", &ctx(&e)).unwrap(),
-            QueryResult::Whereabouts(Some("CAIS".into()))
-        );
-        assert_eq!(
-            run("VIOLATIONS DURING [40, 100]", &ctx(&e)).unwrap(),
-            QueryResult::Violations(vec![])
-        );
-        assert!(run("WHO IN CAIS DURING [40, 100]", &ctx(&e)).is_ok());
-        let msg = run("WHERE Bob AT 2", &ctx(&e)).unwrap_err().to_string();
-        assert!(msg.contains("pruned by retention"), "{msg}");
     }
 
     #[test]

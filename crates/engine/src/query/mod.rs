@@ -19,6 +19,12 @@
 //! Keywords are case-insensitive; subject and location names are bare
 //! words (dots allowed: `SCE.GO`) or double-quoted strings; `[a, b]`
 //! intervals accept `inf`/`∞` as the upper bound.
+//!
+//! The language reads the reference
+//! [`AccessControlEngine`](crate::engine::AccessControlEngine), which is
+//! never pruned, so its historical answers are complete from the epoch.
+//! History bounded by retention is read through `ltam-store`'s tier-aware
+//! `ReadView`, which merges the archive below the watermark.
 
 mod ast;
 mod eval;

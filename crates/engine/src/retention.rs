@@ -1,24 +1,25 @@
 //! Retention plumbing for the enforcement layer: the record bundle a
-//! prune produces, and the per-class watermarks a pruned engine exposes.
+//! prune produces.
 //!
 //! The policy itself is [`ltam_core::retention::RetentionPolicy`]; this
-//! module holds the engine-side halves: [`PrunedHistory`] (what a prune
+//! module holds the engine-side half, [`PrunedHistory`] (what a prune
 //! removed — the archive tier in `ltam-store` persists exactly this
-//! shape) and [`HistoryWatermarks`] (from which chronon each record
-//! class is complete in live state).
+//! shape). A pruned shard is complete in live state from one chronon
+//! on, its movements watermark
+//! ([`MovementsDb::watermark`](crate::movement::MovementsDb::watermark)):
+//! one horizon prunes every record class, so one watermark covers them.
 
 use crate::engine::AuditRecord;
 use crate::movement::{MovementEvent, Stay};
 use crate::violation::Violation;
 use ltam_core::subject::SubjectId;
-use ltam_time::Time;
 use serde::{Deserialize, Serialize};
 
 /// The records one retention run removed from live state, in stored
 /// order per class. In a durable deployment this is written to the
 /// archive tier *before* the in-memory drop; in a volatile deployment
-/// the caller may keep or discard it — but discarding means historical
-/// queries past the watermark will refuse rather than under-report.
+/// the caller may keep or discard it, and live state then answers only
+/// from the watermark on.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PrunedHistory {
     /// Pruned raw movement events (enter/exit), in log order.
@@ -56,38 +57,12 @@ impl PrunedHistory {
     }
 }
 
-/// From which chronon each record class is complete in live state.
-/// Everything strictly before a class's watermark has been pruned (and,
-/// in a durable deployment, archived); queries below it must go through
-/// the tier-aware entry points in `ltam-store` or refuse.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistoryWatermarks {
-    /// Movement history (stays, events, whereabouts, contacts).
-    pub movements: Time,
-    /// Audited request decisions.
-    pub audit: Time,
-    /// Detected violations.
-    pub violations: Time,
-}
-
-impl HistoryWatermarks {
-    /// Merge per-shard watermarks: a class's engine-level watermark is
-    /// the *maximum* over shards (any shard having pruned to `w` makes
-    /// answers below `w` potentially incomplete).
-    pub fn join(self, other: HistoryWatermarks) -> HistoryWatermarks {
-        HistoryWatermarks {
-            movements: self.movements.max(other.movements),
-            audit: self.audit.max(other.audit),
-            violations: self.violations.max(other.violations),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::movement::MovementKind;
     use ltam_graph::LocationId;
+    use ltam_time::Time;
 
     #[test]
     fn merge_concatenates_every_class() {
@@ -119,24 +94,5 @@ mod tests {
         a.merge(b);
         assert_eq!(a.len(), 6);
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn watermarks_join_takes_the_maximum_per_class() {
-        let a = HistoryWatermarks {
-            movements: Time(10),
-            audit: Time(0),
-            violations: Time(5),
-        };
-        let b = HistoryWatermarks {
-            movements: Time(3),
-            audit: Time(7),
-            violations: Time(5),
-        };
-        let j = a.join(b);
-        assert_eq!(j.movements, Time(10));
-        assert_eq!(j.audit, Time(7));
-        assert_eq!(j.violations, Time(5));
-        assert_eq!(HistoryWatermarks::default().movements, Time::ZERO);
     }
 }

@@ -25,13 +25,12 @@
 
 use crate::engine::{AuditRecord, EngineConfig};
 use crate::movement::MovementsDb;
-use crate::retention::{HistoryWatermarks, PrunedHistory};
+use crate::retention::PrunedHistory;
 use crate::violation::Violation;
 use ltam_core::db::{AuthId, AuthorizationDb};
 use ltam_core::decision::{AccessRequest, Decision, DecisionContext};
 use ltam_core::ledger::UsageLedger;
 use ltam_core::prohibition::ProhibitionDb;
-use ltam_core::retention::RetentionPolicy;
 use ltam_core::subject::SubjectId;
 use ltam_graph::LocationId;
 use ltam_situate::{judge, IncidentId, SituationEffect, SituationPolicy};
@@ -103,12 +102,8 @@ pub struct ShardState {
     pub(crate) overstay_alerted: HashSet<SubjectId>,
     pub(crate) violations: Vec<Violation>,
     pub(crate) audit: Vec<AuditRecord>,
-    /// Audit records are complete from this chronon (earlier ones pruned).
-    pub(crate) audit_from: Time,
     /// Audit records dropped by retention.
     pub(crate) audit_pruned: u64,
-    /// Violations are complete from this chronon (earlier ones pruned).
-    pub(crate) violations_from: Time,
     /// Violations dropped by retention — still counted toward the alert
     /// sequence, so restart alerts stay monotone after pruning.
     pub(crate) violations_pruned: u64,
@@ -150,13 +145,10 @@ impl ShardState {
             .collect()
     }
 
-    /// From which chronon each record class is complete on this shard.
-    pub fn watermarks(&self) -> HistoryWatermarks {
-        HistoryWatermarks {
-            movements: self.movements.watermark(),
-            audit: self.audit_from,
-            violations: self.violations_from,
-        }
+    /// From which chronon this shard's history — movements, audit
+    /// records and violations alike — is complete in live state.
+    pub fn watermark(&self) -> Time {
+        self.movements.watermark()
     }
 
     /// Violations dropped by retention (the live list plus this is the
@@ -174,60 +166,46 @@ impl ShardState {
 
     /// The records a retention run at `horizon` would remove, without
     /// mutating anything (a durable deployment archives these first).
-    pub fn collect_prunable(&self, policy: &RetentionPolicy, horizon: Time) -> PrunedHistory {
-        let mut out = PrunedHistory::default();
-        if policy.movements {
-            let (events, stays) = self.movements.collect_prunable(horizon);
-            out.events = events;
-            out.stays = stays;
-        }
-        if policy.audit {
-            out.audit = self
+    pub fn collect_prunable(&self, horizon: Time) -> PrunedHistory {
+        let (events, stays) = self.movements.collect_prunable(horizon);
+        PrunedHistory {
+            events,
+            stays,
+            audit: self
                 .audit
                 .iter()
                 .filter(|r| r.request.time < horizon)
                 .copied()
-                .collect();
-        }
-        if policy.violations {
-            out.violations = self
+                .collect(),
+            violations: self
                 .violations
                 .iter()
                 .filter(|v| v.time() < horizon)
                 .copied()
-                .collect();
+                .collect(),
         }
-        out
     }
 
-    /// Drop every record of an enabled class older than `horizon` and
-    /// advance that class's watermark. Enforcement state — ledger,
-    /// pending grants, active stays, overstay flags, the movement
-    /// time-regression guard — is untouched, so pruning never changes
-    /// which violations future events raise.
-    pub fn apply_retention(&mut self, policy: &RetentionPolicy, horizon: Time) {
-        if policy.movements {
-            self.movements.apply_prune(horizon);
-        }
-        if policy.audit {
-            let before = self.audit.len();
-            self.audit.retain(|r| r.request.time >= horizon);
-            self.audit_pruned += (before - self.audit.len()) as u64;
-            self.audit_from = self.audit_from.max(horizon);
-        }
-        if policy.violations {
-            let before = self.violations.len();
-            self.violations.retain(|v| v.time() >= horizon);
-            self.violations_pruned += (before - self.violations.len()) as u64;
-            self.violations_from = self.violations_from.max(horizon);
-        }
+    /// Drop every history record older than `horizon` and advance the
+    /// watermark to at least `horizon`. Enforcement state — ledger, pending grants,
+    /// active stays, overstay flags, the movement time-regression
+    /// guard — is untouched, so pruning never changes which violations
+    /// future events raise.
+    pub fn apply_retention(&mut self, horizon: Time) {
+        self.movements.apply_prune(horizon);
+        let before = self.audit.len();
+        self.audit.retain(|r| r.request.time >= horizon);
+        self.audit_pruned += (before - self.audit.len()) as u64;
+        let before = self.violations.len();
+        self.violations.retain(|v| v.time() >= horizon);
+        self.violations_pruned += (before - self.violations.len()) as u64;
     }
 
     /// Collect-then-drop in one call (the volatile path; the caller
     /// decides whether the returned records are archived or discarded).
-    pub fn prune(&mut self, policy: &RetentionPolicy, horizon: Time) -> PrunedHistory {
-        let pruned = self.collect_prunable(policy, horizon);
-        self.apply_retention(policy, horizon);
+    pub fn prune(&mut self, horizon: Time) -> PrunedHistory {
+        let pruned = self.collect_prunable(horizon);
+        self.apply_retention(horizon);
         pruned
     }
 
@@ -509,10 +487,8 @@ impl ShardState {
             overstay_alerted,
             violations: self.violations.clone(),
             audit: self.audit.clone(),
-            audit_from: Some(self.audit_from),
-            audit_pruned: Some(self.audit_pruned),
-            violations_from: Some(self.violations_from),
-            violations_pruned: Some(self.violations_pruned),
+            audit_pruned: self.audit_pruned,
+            violations_pruned: self.violations_pruned,
         }
     }
 
@@ -548,10 +524,8 @@ impl ShardState {
             overstay_alerted: image.overstay_alerted.into_iter().collect(),
             violations: image.violations,
             audit: image.audit,
-            audit_from: image.audit_from.unwrap_or(Time::ZERO),
-            audit_pruned: image.audit_pruned.unwrap_or(0),
-            violations_from: image.violations_from.unwrap_or(Time::ZERO),
-            violations_pruned: image.violations_pruned.unwrap_or(0),
+            audit_pruned: image.audit_pruned,
+            violations_pruned: image.violations_pruned,
         }
     }
 }
@@ -628,21 +602,17 @@ pub struct ShardStateImage {
     pub violations: Vec<Violation>,
     /// Audited request decisions, in decision order.
     pub audit: Vec<AuditRecord>,
-    /// Audit retention watermark (`None` in pre-retention images:
-    /// complete from the epoch).
-    pub audit_from: Option<Time>,
-    /// Audit records dropped by retention (`None` = 0).
-    pub audit_pruned: Option<u64>,
-    /// Violation retention watermark (`None` = complete from the epoch).
-    pub violations_from: Option<Time>,
-    /// Violations dropped by retention (`None` = 0); carried so the
-    /// alert sequence resumes past pruned violations after recovery.
-    pub violations_pruned: Option<u64>,
+    /// Audit records dropped by retention.
+    pub audit_pruned: u64,
+    /// Violations dropped by retention; carried so the alert sequence
+    /// resumes past pruned violations after recovery.
+    pub violations_pruned: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::movement::Stay;
     use ltam_core::model::{Authorization, EntryLimit};
     use ltam_time::Interval;
 
@@ -783,8 +753,7 @@ mod tests {
         assert_eq!(s.observe_exit(&policy, Time(25), ALICE, CAIS), None);
         s.observe_enter(&policy, Time(12), SubjectId(7), CAIS); // tailgate
         s.observe_exit(&policy, Time(13), SubjectId(7), CAIS);
-        let retention = ltam_core::RetentionPolicy::keep_last(10);
-        let pruned = s.prune(&retention, Time(30));
+        let pruned = s.prune(Time(30));
         assert_eq!(pruned.stays.len(), 2, "{pruned:?}");
         assert_eq!(pruned.audit.len(), 1);
         assert_eq!(pruned.violations.len(), 1);
@@ -792,22 +761,19 @@ mod tests {
         assert!(s.audit().is_empty());
         assert_eq!(s.violations_pruned(), 1);
         assert_eq!(s.audit_pruned(), 1);
-        let w = s.watermarks();
-        assert_eq!(w.movements, Time(30));
-        assert_eq!(w.audit, Time(30));
-        assert_eq!(w.violations, Time(30));
+        assert_eq!(s.watermark(), Time(30));
         // The ledger survived: Alice's single entry stays spent.
         assert_eq!(s.ledger().used(AuthId(0)), 1);
         assert!(!s.request_enter(&policy, Time(31), ALICE, CAIS).is_granted());
-        // Images round-trip the watermarks and counters.
+        // Images round-trip the watermark and counters.
         let restored = ShardState::from_image(s.image());
-        assert_eq!(restored.watermarks(), w);
+        assert_eq!(restored.watermark(), Time(30));
         assert_eq!(restored.violations_pruned(), 1);
         assert_eq!(restored.image(), s.image());
     }
 
     #[test]
-    fn per_class_knobs_prune_independently() {
+    fn one_horizon_prunes_every_class_at_the_same_chronon() {
         let (db, prohibitions) = policy_db();
         let situation = SituationPolicy::new();
         let policy = PolicyView {
@@ -816,19 +782,40 @@ mod tests {
             config: EngineConfig::default(),
             situation: &situation,
         };
+        let h = Time(50);
+        let (before, at) = (SubjectId(7), SubjectId(8));
         let mut s = ShardState::new();
-        s.observe_enter(&policy, Time(5), SubjectId(7), CAIS); // tailgate
-        s.observe_exit(&policy, Time(6), SubjectId(7), CAIS);
-        let retention = ltam_core::RetentionPolicy {
-            violations: false,
-            ..ltam_core::RetentionPolicy::keep_last(1)
+        // Each subject asks (an audit record), tailgates (a violation)
+        // and leaves (a closed stay), all in one chronon: h−1 for one,
+        // exactly h for the other.
+        for (subject, t) in [(before, Time(h.get() - 1)), (at, h)] {
+            s.request_enter(&policy, t, subject, CAIS);
+            s.observe_enter(&policy, t, subject, CAIS);
+            s.observe_exit(&policy, t, subject, CAIS);
+        }
+        let pruned = s.prune(h);
+        let stay = |t| Stay {
+            location: CAIS,
+            enter: t,
+            exit: Some(t),
         };
-        let pruned = s.prune(&retention, Time(50));
-        assert!(pruned.violations.is_empty());
-        assert_eq!(s.violations().len(), 1, "violations class disabled");
-        assert_eq!(s.watermarks().violations, Time::ZERO);
-        assert_eq!(s.watermarks().movements, Time(50));
-        assert_eq!(pruned.stays.len(), 1);
+        let early = Time(h.get() - 1);
+        assert_eq!(pruned.stays, vec![(before, stay(early))]);
+        assert_eq!(pruned.events.len(), 2);
+        assert_eq!(pruned.audit.len(), 1);
+        assert_eq!(pruned.audit[0].request.time, early);
+        assert_eq!(pruned.violations.len(), 1);
+        assert_eq!(pruned.violations[0].time(), early);
+        // The same three at exactly h are kept.
+        assert_eq!(s.movements().timeline(at), [stay(h)]);
+        assert_eq!(s.audit().len(), 1);
+        assert_eq!(s.audit()[0].request.time, h);
+        assert_eq!(s.violations().len(), 1);
+        assert_eq!(s.violations()[0].time(), h);
+        assert_eq!(s.watermark(), h);
+        let restored = ShardState::from_image(s.image());
+        assert_eq!(restored.watermark(), h);
+        assert_eq!(restored.image(), s.image());
     }
 
     #[test]

@@ -505,7 +505,7 @@ pub struct ServerStatus {
     /// Events held on the quarantine ledger (from sensors below the
     /// trust threshold).
     pub quarantined_events: usize,
-    /// Movement-history retention watermark (0 = never pruned).
+    /// History retention watermark (0 = never pruned).
     pub retention_watermark: u64,
     /// Archive chain coverage end (0 = no archive).
     pub archive_covered_to: u64,

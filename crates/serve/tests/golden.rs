@@ -7,10 +7,12 @@
 //! direction.
 //!
 //! `cargo test -p ltam-serve --test golden -- --ignored` rewrites the
-//! file (only ever needed on a deliberate wire change). Rewritten once
+//! file (only ever needed on a deliberate wire change). Rewritten twice
 //! since: the status, manifest and chunk-meta frames each lost the one
 //! key that told followers a closure policy edit had happened (such an
-//! edit is a WAL record now); the other 23 frames are PR 17's bytes.
+//! edit is a WAL record now), and the status frame then lost the
+//! engine's per-class retention watermarks (`retention_watermark` is the
+//! one watermark); the other 23 frames are the original bytes.
 
 use ltam_core::capability::{AdminOp, AdminOutcome, Scope, TokenId};
 use ltam_core::subject::SubjectId;

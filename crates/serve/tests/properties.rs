@@ -16,7 +16,7 @@ use ltam_core::model::{Authorization, EntryLimit};
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::{EngineStatus, Event, QuarantinedEvent, ShardStatusRow};
 use ltam_engine::movement::Contact;
-use ltam_engine::{HistoryWatermarks, Violation};
+use ltam_engine::Violation;
 use ltam_graph::LocationId;
 use ltam_serve::wire::{
     decode_repl_reply, decode_request, decode_response, encode_request, encode_response,
@@ -313,7 +313,7 @@ fn arb_replica_status() -> impl Strategy<Value = ReplicaStatus> {
 /// block and the archive error both present and absent.
 fn arb_status() -> impl Strategy<Value = ServerStatus> {
     let engine = (
-        prop::collection::vec(any::<u64>(), 11),
+        prop::collection::vec(any::<u64>(), 7),
         prop::collection::vec(prop::collection::vec(any::<usize>(), 4), 0..4),
     )
         .prop_map(|(n, rows)| EngineStatus {
@@ -325,11 +325,6 @@ fn arb_status() -> impl Strategy<Value = ServerStatus> {
             violations_pruned: n[4],
             audit_pruned: n[5],
             total_entries: n[6],
-            watermarks: HistoryWatermarks {
-                movements: Time(n[7]),
-                audit: Time(n[8]),
-                violations: Time(n[9]),
-            },
             per_shard: rows
                 .iter()
                 .map(|r| ShardStatusRow {

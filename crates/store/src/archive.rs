@@ -464,15 +464,14 @@ fn stay_length(stay: &Stay) -> u64 {
 /// * `to > needs_from` — it can hold records at or past the query's
 ///   lower edge (no segment can hold records at or past its own `to`,
 ///   so segments wholly below the window stay cold), and
-/// * `from < applied_below` — the querying class's live watermark; a
+/// * `from < applied_below` — the live watermark; a
 ///   segment starting at or past it is *stranded* (its prune never
 ///   applied, recovery resurrected its records into live state) and
 ///   every record it holds would be filtered by the provenance check
 ///   anyway, so it never needs loading.
 ///
-/// Loaded segments accumulate monotonically: classes with different
-/// watermarks share one cache, and loading a superset is always sound
-/// because the per-record provenance filter still applies at query
+/// Loaded segments accumulate monotonically: loading a superset is
+/// always sound because the per-record provenance filter still applies at query
 /// time. A retention run does not empty the cache of a store that is
 /// being queried — see [`LazyArchive::chain_changed`].
 #[derive(Debug, Default)]
@@ -536,7 +535,7 @@ impl LazyArchive {
     }
 
     /// The archive view for a query reaching down to `needs_from`,
-    /// with `applied_below` the querying class's live watermark (see
+    /// with `applied_below` the live watermark (see
     /// the type docs for the segment-selection rule). Segments needed
     /// but not yet cached are read now; a corrupt or gappy chain fails
     /// loudly, exactly like [`ArchiveStore::load`].
@@ -658,8 +657,8 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
 /// stays are ever pruned), and every record carries the chain start of
 /// the segment it came from.
 ///
-/// Every query takes an `applied_below` bound — the querying class's
-/// **live watermark** — and ignores records from segments starting at
+/// Every query takes an `applied_below` bound — the **live
+/// watermark** — and ignores records from segments starting at
 /// or past it. The segment start is the exact "was this prune ever
 /// applied?" discriminator: an applied segment's start is always below
 /// the watermark its apply advanced, while a *stranded* segment (its
@@ -716,8 +715,8 @@ pub struct LocationStays {
 }
 
 /// The segment-provenance filter (see [`ArchiveData`]): a record
-/// counts only if its segment's prune was applied before the querying
-/// class's watermark.
+/// counts only if its segment's prune was applied before the live
+/// watermark.
 fn applied(seg_from: u64, applied_below: Time) -> bool {
     seg_from < applied_below.get()
 }
@@ -1128,7 +1127,7 @@ mod tests {
         assert_eq!(stays, 3);
         assert_eq!(lazy.segments_loaded(), 3);
 
-        // Stranded segments (start at or past the class watermark)
+        // Stranded segments (start at or past the watermark)
         // never load: their records live in the live tier.
         let mut cold = LazyArchive::new();
         cold.view_for(&store, Time::ZERO, Time(100)).unwrap();

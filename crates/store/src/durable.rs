@@ -121,8 +121,8 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// WAL segments dropped because they followed a corrupt region.
     pub dropped_segments: usize,
-    /// Movement-history retention watermark carried by the recovered
-    /// snapshot (0 = never pruned).
+    /// History retention watermark carried by the recovered snapshot
+    /// (0 = never pruned).
     pub retention_watermark: u64,
     /// Archive coverage end at open time (0 = no archive segments).
     /// Historical queries below `retention_watermark` refuse unless the
@@ -513,7 +513,7 @@ impl DurableEngine {
         };
         let states: Vec<ShardState> = images.into_iter().map(ShardState::from_image).collect();
         let (engine, alerts) = ShardedEngine::with_states(policy, states);
-        engine.load_quarantine(snap.quarantine.unwrap_or_default());
+        engine.load_quarantine(snap.quarantine);
 
         let archive = ArchiveStore::with_fsync(dir, config.fsync);
         // A broken archive chain must not hide behind a healthy-looking
@@ -534,12 +534,9 @@ impl DurableEngine {
         };
         // Token validity is judged against the clock, so it must not
         // restart at zero: the snapshot's, floored by the retention
-        // watermark (all an older snapshot has); the replay below
-        // advances it past whatever the tail holds.
-        let clock = snap
-            .clock
-            .map_or(Time::ZERO, Time)
-            .max(engine.retention_watermark());
+        // watermark; the replay below advances it past whatever the
+        // tail holds.
+        let clock = Time(snap.clock).max(engine.retention_watermark());
         let mut durable = DurableEngine {
             dir: dir.to_path_buf(),
             config,
@@ -789,7 +786,7 @@ impl DurableEngine {
     /// leaves history intact and retries at the next cadence point.
     pub fn maintain(&mut self) {
         if let Some(policy) = self.config.retention {
-            if policy.should_run(self.retention_anchor(&policy), self.clock) {
+            if policy.should_run(self.engine.retention_watermark(), self.clock) {
                 if let Err(e) = self.run_retention_with(&policy, self.clock) {
                     self.retention_error = Some(e);
                 }
@@ -984,8 +981,8 @@ impl DurableEngine {
             shards,
             policy: policy.image(),
             states,
-            quarantine: Some(quarantine),
-            clock: Some(clock),
+            quarantine,
+            clock,
         }
     }
 
@@ -1030,16 +1027,10 @@ impl DurableEngine {
 
     // --- retention and the archive tier -------------------------------------
 
-    /// The movement-history retention watermark: live state is complete
-    /// from this chronon on; earlier history lives in the archive tier.
+    /// The history retention watermark: live state is complete from
+    /// this chronon on; earlier history lives in the archive tier.
     pub fn retention_watermark(&self) -> Time {
         self.engine.retention_watermark()
-    }
-
-    /// Per-class retention watermarks (see
-    /// [`ShardedEngine::watermarks`]).
-    pub fn watermarks(&self) -> ltam_engine::HistoryWatermarks {
-        self.engine.watermarks()
     }
 
     /// Run one retention maintenance pass at monitoring time `now`
@@ -1056,31 +1047,9 @@ impl DurableEngine {
         self.run_retention_with(&policy, now)
     }
 
-    /// The watermark a maintenance run anchors on: the furthest any
-    /// *enabled* class has been pruned to (the classes advance in
-    /// lockstep while the policy is stable, so this is simply "the last
-    /// applied horizon"). Deliberately **not** the movements watermark
-    /// alone: with `movements: false` that never advances, and
-    /// anchoring on it would make every run rewrite the chain from the
-    /// epoch — discarding previously archived audit/violation records.
-    fn retention_anchor(&self, policy: &RetentionPolicy) -> Time {
-        let w = self.engine.watermarks();
-        let mut anchor = Time::ZERO;
-        if policy.movements {
-            anchor = anchor.max(w.movements);
-        }
-        if policy.audit {
-            anchor = anchor.max(w.audit);
-        }
-        if policy.violations {
-            anchor = anchor.max(w.violations);
-        }
-        anchor
-    }
-
     /// Run one retention maintenance pass with an explicit policy:
     ///
-    /// 1. collect every record of an enabled class older than
+    /// 1. collect every history record older than
     ///    `policy.horizon_at(now)` (live state untouched);
     /// 2. append them to the archive tier, atomically and durably — a
     ///    crash-repeated run re-collects from the same watermark and
@@ -1088,7 +1057,7 @@ impl DurableEngine {
     ///    records ingested since the stranded write), so records are
     ///    never lost or duplicated;
     /// 3. only then drop them from live state and advance the
-    ///    watermarks (which the next snapshot carries).
+    ///    watermark (which the next snapshot carries).
     ///
     /// A crash between 2 and 3 leaves the records both archived and
     /// live; the tier-aware queries clip the archive side at the live
@@ -1102,17 +1071,7 @@ impl DurableEngine {
         policy: &RetentionPolicy,
         now: Time,
     ) -> io::Result<RetentionOutcome> {
-        let live_from = self.retention_anchor(policy);
-        if !(policy.movements || policy.audit || policy.violations) {
-            // No class enabled: nothing can ever be pruned. Bail before
-            // the archive directory scan — this runs on the ingest path.
-            return Ok(RetentionOutcome {
-                watermark: live_from,
-                pruned: 0,
-                archived: 0,
-                archive_to: live_from.get(),
-            });
-        }
+        let live_from = self.engine.retention_watermark();
         // The one directory listing of this run.
         let chain = self.archive.scan()?;
         let chain_end = chain.end();
@@ -1129,7 +1088,7 @@ impl DurableEngine {
             "store_retention_run_seconds",
             "One retention maintenance pass: collect + archive + prune"
         );
-        let prunable = self.engine.collect_prunable(policy, horizon);
+        let prunable = self.engine.collect_prunable(horizon);
         let archive_span = ltam_obs::timed!(
             "store_archive_run_seconds",
             "The archive-append phase of a retention pass"
@@ -1146,7 +1105,7 @@ impl DurableEngine {
         // history as `Unarchived`. The other order is the
         // crash-between-steps overlap the tier merge already clips.
         self.archive_cache.lock().chain_changed(live_from.get());
-        self.engine.apply_retention(policy, horizon);
+        self.engine.apply_retention(horizon);
         Ok(RetentionOutcome {
             watermark: horizon,
             pruned: prunable.len(),
@@ -1261,7 +1220,7 @@ impl ReadView {
         self.cells.wal_fsyncs.load(Ordering::Acquire)
     }
 
-    /// The movement-history retention watermark.
+    /// The history retention watermark.
     pub fn retention_watermark(&self) -> Time {
         self.engine.retention_watermark()
     }
@@ -1277,8 +1236,8 @@ impl ReadView {
     }
 
     /// Run a tier-merging query that reaches down to `requested`: over
-    /// live state alone when that is at or past `live_from` (the
-    /// querying class's live watermark), otherwise with the archive
+    /// live state alone when that is at or past `live_from` (the live
+    /// watermark), otherwise with the archive
     /// view merged in — refusing if the archive chain does not reach
     /// `live_from`, since the gap would mean discarded-and-unarchived
     /// history. Only segments the query can touch have their payloads
@@ -1439,7 +1398,7 @@ impl ReadView {
             "ReadView historical query latency, by kind",
             "kind" => "violations_in"
         );
-        let live_from = self.engine.watermarks().violations;
+        let live_from = self.engine.retention_watermark();
         let mut examined = 0;
         let violations = self.tiered(window.start(), live_from, |tiers| {
             tiers.violations_in(window, &mut examined)
@@ -1452,7 +1411,7 @@ impl ReadView {
 /// What one [`DurableEngine::run_retention`] pass did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionOutcome {
-    /// The movement-history watermark after the pass.
+    /// The history watermark after the pass.
     pub watermark: Time,
     /// Records dropped from live state (all classes).
     pub pruned: usize,
@@ -1475,21 +1434,19 @@ pub fn redistribute(
 ) -> Vec<ShardStateImage> {
     assert!(shards >= 1, "need at least one shard");
     let mut out: Vec<ShardStateImage> = (0..shards).map(|_| ShardStateImage::default()).collect();
-    // Retention bookkeeping redistributes too: class watermarks join to
+    // Retention bookkeeping redistributes too: the watermark joins to
     // the max (sources pruned in lockstep, but a max is always sound —
     // claiming completeness below any source's watermark would not be),
     // and the pruned-record counters are global totals, parked on
     // shard 0 like revoked-authorization ledger counters.
-    let movements_from = images
+    let watermark = images
         .iter()
         .map(|i| i.movements.watermark())
         .max()
         .unwrap_or(Time::ZERO);
-    let audit_from = images.iter().filter_map(|i| i.audit_from).max();
-    let violations_from = images.iter().filter_map(|i| i.violations_from).max();
     let events_pruned: u64 = images.iter().map(|i| i.movements.pruned_events()).sum();
-    let audit_pruned: u64 = images.iter().filter_map(|i| i.audit_pruned).sum();
-    let violations_pruned: u64 = images.iter().filter_map(|i| i.violations_pruned).sum();
+    let audit_pruned: u64 = images.iter().map(|i| i.audit_pruned).sum();
+    let violations_pruned: u64 = images.iter().map(|i| i.violations_pruned).sum();
     for image in images {
         for event in image.movements.log() {
             let target = &mut out[shard_of(event.subject, shards)].movements;
@@ -1543,17 +1500,11 @@ pub fn redistribute(
         image.pending.sort_by_key(|p| p.subject);
         image.active.sort_by_key(|&(s, _, _)| s);
         image.overstay_alerted.sort();
-        image.movements.set_watermark(movements_from);
-        image.audit_from = audit_from;
-        image.violations_from = violations_from;
+        image.movements.set_watermark(watermark);
     }
     out[0].movements.add_pruned_events(events_pruned);
-    if audit_pruned > 0 {
-        out[0].audit_pruned = Some(audit_pruned);
-    }
-    if violations_pruned > 0 {
-        out[0].violations_pruned = Some(violations_pruned);
-    }
+    out[0].audit_pruned = audit_pruned;
+    out[0].violations_pruned = violations_pruned;
     out
 }
 
@@ -2299,7 +2250,7 @@ mod tests {
         let policy = RetentionPolicy::keep_last(100);
         // Simulate the crash window: the archive segment lands but the
         // in-memory prune (and any later snapshot) never happens.
-        let prunable = durable.engine().collect_prunable(&policy, Time(150));
+        let prunable = durable.engine().collect_prunable(Time(150));
         durable.archive.append_run(0, 150, &prunable).unwrap();
         assert_eq!(durable.retention_watermark(), Time::ZERO);
         // Queries stay correct: the archive is only consulted below the
@@ -2344,7 +2295,7 @@ mod tests {
         let policy = RetentionPolicy::keep_last(100);
         // Strand a segment: archive written, prune never applied (the
         // crash window).
-        let prunable = durable.engine().collect_prunable(&policy, Time(150));
+        let prunable = durable.engine().collect_prunable(Time(150));
         durable.archive.append_run(0, 150, &prunable).unwrap();
         // A record arrives *below* the stranded chain end — legal,
         // sensor clocks are only per-subject monotone (Bob's clock is
@@ -2420,7 +2371,7 @@ mod tests {
         // Crash window: the next run's segment lands but its prune
         // never applies. The stranded segment [110, 150) holds the late
         // stay, and so does live state.
-        let prunable = durable.engine().collect_prunable(&policy, Time(150));
+        let prunable = durable.engine().collect_prunable(Time(150));
         durable.archive.append_run(110, 150, &prunable).unwrap();
         // Time-based clipping would admit the archived copy (70 < 110);
         // segment provenance (starts at 110, not below it) must not.
@@ -2444,50 +2395,6 @@ mod tests {
             .present_during(cais, Interval::lit(50, 80))
             .unwrap();
         assert_eq!(present, vec![(bob, Interval::lit(60, 70))]);
-    }
-
-    #[test]
-    fn disabling_movement_pruning_does_not_discard_archived_violations() {
-        let dir = ScratchDir::new("durable-retention-classes");
-        let ntu = ntu_campus();
-        let cais = ntu.cais;
-        let core = wide_open_core(cais, ntu.model);
-        let (mut durable, _alerts) =
-            DurableEngine::create(dir.path(), core, 2, test_config()).unwrap();
-        let policy = RetentionPolicy {
-            movements: false,
-            ..RetentionPolicy::keep_last(50)
-        };
-        let tailgate = |t: u64, s: u32| Event::Enter {
-            time: Time(t),
-            subject: SubjectId(s + 5), // unauthorized
-            location: cais,
-        };
-        durable.ingest(&[tailgate(10, 0)]).unwrap();
-        let r1 = durable.run_retention_with(&policy, Time(200)).unwrap();
-        assert_eq!(r1.pruned, 1, "the t=10 violation");
-        durable.ingest(&[tailgate(300, 1)]).unwrap();
-        // The second run must anchor on the violations watermark (the
-        // movements watermark never advances under this policy) and
-        // extend the chain — not rewrite it from the epoch and discard
-        // the first run's archived violation.
-        let r2 = durable.run_retention_with(&policy, Time(400)).unwrap();
-        assert_eq!(r2.pruned, 1, "only the t=300 violation");
-        let vs = durable
-            .read_view()
-            .violations_in(Interval::lit(0, 50))
-            .unwrap();
-        assert_eq!(vs.len(), 1, "the t=10 violation survived the second run");
-        assert_eq!(vs[0].time(), Time(10));
-        // Movements were never pruned: live whereabouts still answers.
-        assert_eq!(
-            durable
-                .read_view()
-                .whereabouts(SubjectId(5), Time(10))
-                .unwrap(),
-            Some(cais)
-        );
-        assert_eq!(durable.retention_watermark(), Time::ZERO);
     }
 
     #[test]

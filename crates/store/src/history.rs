@@ -10,9 +10,9 @@
 //! persists its prune, recovery resurrects the stranded segment's
 //! records into live state while the archive also holds them. The
 //! merges therefore filter the archive side by **segment provenance**:
-//! a record counts only if its segment starts below the querying
-//! class's live watermark — applied segments always do, while a
-//! stranded segment starts exactly at the watermark and its contents
+//! a record counts only if its segment starts below the live
+//! watermark — applied segments always do, while a stranded segment
+//! starts exactly at the watermark and its contents
 //! (including late-arriving records whose *timestamps* sit below the
 //! watermark) are counted from the live side only. In steady state the
 //! filter is vacuous. Union-then-sort then reproduces exactly what an
@@ -84,7 +84,7 @@ impl From<io::Error> for HistoryError {
 }
 
 /// What a tier-aware query reads: live state, the archive view when the
-/// query reaches below the querying class's live watermark, and that
+/// query reaches below the live watermark, and that
 /// watermark — read once per query, and the bound the archive side is
 /// provenance-filtered at (see the module docs). The queries add the
 /// rows they looked at, in either tier, to `examined`.
@@ -94,7 +94,7 @@ pub struct Tiers<'a> {
     pub engine: &'a ShardedEngine,
     /// The archive view, if the query needs one.
     pub archive: Option<&'a ArchiveData>,
-    /// The querying class's live watermark.
+    /// The live watermark.
     pub live_from: Time,
 }
 

@@ -60,16 +60,14 @@ pub struct StoreSnapshot {
     /// Per-shard mutable state, in shard order (`states.len() == shards`).
     pub states: Vec<ShardStateImage>,
     /// The quarantine ledger: events from below-trust-threshold sensors
-    /// held out of enforcement state. Absent in older snapshots (the
-    /// ledger was necessarily empty before trust existed).
-    pub quarantine: Option<Vec<QuarantinedEvent>>,
+    /// held out of enforcement state.
+    pub quarantine: Vec<QuarantinedEvent>,
     /// The monitoring clock (highest trusted event time) at this state.
     /// Token validity is judged against it, so it must survive a
     /// restart whose WAL tail holds no event: without it an expired
     /// token would be accepted again until traffic re-advanced the
-    /// clock. Absent in older snapshots; recovery then re-seeds the
-    /// clock from the replayed tail and the retention watermark alone.
-    pub clock: Option<u64>,
+    /// clock.
+    pub clock: u64,
 }
 
 /// Reads and writes [`StoreSnapshot`]s in a store directory.
@@ -370,8 +368,8 @@ mod tests {
             shards: 2,
             policy: core.image(),
             states: vec![ShardState::new().image(), ShardState::new().image()],
-            quarantine: Some(Vec::new()),
-            clock: Some(0),
+            quarantine: Vec::new(),
+            clock: 0,
         }
     }
 

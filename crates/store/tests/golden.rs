@@ -8,13 +8,17 @@
 //! below-watermark queries from the old segment, and write the same
 //! bytes back — formats did not move in either direction.
 //!
-//! One key has left the snapshot since: `enforcement_epoch`, the count
-//! of closure policy edits a follower could not tail across (such an
-//! edit is a WAL record now). The directory is deliberately **not**
-//! rewritten for it — data on disk outlives binaries, so the old
-//! snapshots, key included, are the upgrade-path fixture: they must
-//! still open, and what is written today must be what was written then
-//! minus exactly that key.
+//! Three keys have left the snapshot since: `enforcement_epoch`, the
+//! count of closure policy edits a follower could not tail across (such
+//! an edit is a WAL record now), and each shard state's `audit_from` /
+//! `violations_from`, the per-class retention watermarks (one horizon
+//! prunes every class, so the movements watermark is the one
+//! watermark). The directory is deliberately **not** rewritten for them
+//! — data on disk outlives binaries, so the old snapshots, keys
+//! included, are the upgrade-path fixture: they must still open, and
+//! what is written today must be what was written then minus exactly
+//! those keys. This store is also the oldest generation a reader
+//! supports: every field it carries is a plain field today.
 //!
 //! `cargo test -p ltam-store --test golden -- --ignored` rewrites the
 //! directory from the script (only ever needed on a format version bump).
@@ -223,6 +227,22 @@ fn the_same_script_still_writes_the_same_bytes() {
             let before = old_pairs.len();
             old_pairs.retain(|(key, _)| key != "enforcement_epoch");
             assert_eq!(old_pairs.len() + 1, before, "{name}: the old key is there");
+            let states = old_pairs.iter_mut().find(|(key, _)| key == "states");
+            let Some((_, Value::Array(states))) = states else {
+                panic!("{name}: the shard states are an array");
+            };
+            for state in states {
+                let Value::Object(fields) = state else {
+                    panic!("{name}: a shard state is an object");
+                };
+                let before = fields.len();
+                fields.retain(|(key, _)| key != "audit_from" && key != "violations_from");
+                assert_eq!(
+                    fields.len() + 2,
+                    before,
+                    "{name}: the old watermarks are there"
+                );
+            }
             assert_eq!(Value::Object(old_pairs), tree(new_bytes), "{name}");
         } else {
             // WAL segments (event and policy records), the archive

@@ -1000,8 +1000,8 @@ proptest! {
             shards: engine.engine().shard_count(),
             policy: engine.engine().policy().image(),
             states: engine.engine().export_images(),
-            quarantine: Some(engine.engine().export_quarantine()),
-            clock: Some(engine.clock().get()),
+            quarantine: engine.engine().export_quarantine(),
+            clock: engine.clock().get(),
         };
         let good = binval::encode(&snapshot);
         routes_agree_under_damage::<StoreSnapshot>(&good, bit, (phase..good.len()).step_by(16));

@@ -77,17 +77,6 @@ fn main() {
         "both walks must leave movement history"
     );
 
-    // Contact tracing over [0, 60] needs the whole shift's movement
-    // history in live state. This example never prunes, so that holds;
-    // assert it, because under a retention policy the same query would
-    // refuse once t=0 fell behind the watermark, and the tier-aware
-    // `ReadView::contacts` (which merges the archive) would be the
-    // right entry point instead.
-    assert!(
-        engine.movements().covers(Time(0)),
-        "contact tracing below the retention watermark requires the archive tier"
-    );
-
     // The patient is diagnosed at t=40; trace contacts over the whole shift.
     println!("\nquery> CONTACTS OF Patient DURING [0, 60]");
     let contacts = engine

@@ -43,28 +43,11 @@ fn build_engine() -> AccessControlEngine {
 
 fn main() {
     let engine = build_engine();
-    // This console queries live state only, so it assumes the engine's
-    // history is unbounded — no retention pruning has run. If it had, a
-    // query below the watermark would refuse (EvalError::BeyondRetention)
-    // instead of answering; tier-aware queries over pruned engines live
-    // on `ltam_store::DurableEngine`.
-    let watermarks = engine.watermarks();
-    assert_eq!(
-        watermarks.movements,
-        ltam::time::Time::ZERO,
-        "console assumes unpruned movement history"
-    );
-    assert_eq!(
-        watermarks.violations,
-        ltam::time::Time::ZERO,
-        "console assumes an unpruned violation log"
-    );
     let interactive = std::env::args().any(|a| a == "-i");
     println!(
-        "{} movement events recorded, {} violations detected (history complete from t={})",
+        "{} movement events recorded, {} violations detected",
         engine.movements().len(),
         engine.violations().len(),
-        watermarks.movements
     );
     println!("query forms: ACCESSIBLE FOR s | INACCESSIBLE FOR s | CAN s ENTER l AT t");
     println!("             WHERE s AT t | WHO IN l AT t | WHO IN l DURING [a,b]");
