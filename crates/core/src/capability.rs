@@ -518,8 +518,7 @@ mod tests {
         auth.required = true;
         auth.trust.threshold = 2;
         auth.trust.set_level(SubjectId(3), 1);
-        let json = serde_json::to_string(&auth).unwrap();
-        let back: WireAuth = serde_json::from_str(&json).unwrap();
+        let back = WireAuth::from_value(&auth.to_value()).unwrap();
         assert_eq!(back, auth);
     }
 }

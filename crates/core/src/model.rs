@@ -391,8 +391,7 @@ mod tests {
             EntryLimit::Finite(1),
         )
         .unwrap();
-        let json = serde_json::to_string(&a).unwrap();
-        let back: Authorization = serde_json::from_str(&json).unwrap();
+        let back = Authorization::from_value(&a.to_value()).unwrap();
         assert_eq!(a, back);
     }
 }

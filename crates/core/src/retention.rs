@@ -1,7 +1,7 @@
 //! History retention policies — how much of the past stays *live*.
 //!
 //! LTAM's historical queries (`whereabouts`, contact tracing, violation
-//! reports) read append-only history: the movements log, the audit
+//! reports) read append-only history: the movement stays, the audit
 //! trail, and the violation list. Left unbounded, that history grows
 //! with process lifetime — and so do engine memory and snapshot size.
 //! A [`RetentionPolicy`] bounds the *live* tiers: on a maintenance run
@@ -135,8 +135,7 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let p = RetentionPolicy::keep_last(777);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: RetentionPolicy = serde_json::from_str(&json).unwrap();
+        let back = RetentionPolicy::from_value(&p.to_value()).unwrap();
         assert_eq!(back, p);
     }
 }

@@ -97,8 +97,7 @@ mod tests {
         let mut r = SubjectRegistry::new();
         r.intern("Alice");
         r.intern("Bob");
-        let json = serde_json::to_string(&r).unwrap();
-        let back: SubjectRegistry = serde_json::from_str(&json).unwrap();
+        let back = SubjectRegistry::from_value(&r.to_value()).unwrap();
         assert_eq!(back.get("Bob"), r.get("Bob"));
     }
 }

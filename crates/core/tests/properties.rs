@@ -10,6 +10,7 @@ use ltam_core::subject::SubjectId;
 use ltam_graph::{route, EffectiveGraph, LocationId, LocationModel};
 use ltam_time::{Interval, IntervalSet, Time};
 use proptest::prelude::*;
+use serde::{Deserialize, Value};
 
 const ALICE: SubjectId = SubjectId(0);
 
@@ -411,16 +412,22 @@ proptest! {
 
     #[test]
     fn invalid_serde_rejected(tis in 5u64..50, gap in 1u64..5) {
-        // Deserializing an authorization violating Definition 4 must fail.
-        let json = format!(
-            r#"{{"entry_window":{{"start":{tis},"end":{{"At":{end}}}}},
-                 "exit_window":{{"start":{bad},"end":{{"At":{end}}}}},
-                 "subject":0,"location":1,"limit":"Unbounded"}}"#,
-            tis = tis,
-            end = tis + 10,
-            bad = tis - gap,
-        );
-        let r: Result<Authorization, _> = serde_json::from_str(&json);
-        prop_assert!(r.is_err());
+        // Deserializing an authorization violating Definition 4 must fail;
+        // the same record with a valid exit window loads.
+        let window = |start: u64, end: u64| {
+            let end = Value::Object(vec![("At".into(), Value::U64(end))]);
+            Value::Object(vec![("start".into(), Value::U64(start)), ("end".into(), end)])
+        };
+        let auth = |exit_start: u64| {
+            Value::Object(vec![
+                ("entry_window".into(), window(tis, tis + 10)),
+                ("exit_window".into(), window(exit_start, tis + 10)),
+                ("subject".into(), Value::U64(0)),
+                ("location".into(), Value::U64(1)),
+                ("limit".into(), Value::Str("Unbounded".into())),
+            ])
+        };
+        prop_assert!(Authorization::from_value(&auth(tis)).is_ok());
+        prop_assert!(Authorization::from_value(&auth(tis - gap)).is_err());
     }
 }

@@ -84,7 +84,7 @@ impl CardReaderEngine {
         self.db.insert(auth)
     }
 
-    /// The movements log (the readers record swipes, not violations).
+    /// The movements database (the readers record swipes, not violations).
     pub fn movements(&self) -> &MovementsDb {
         &self.movements
     }

@@ -1400,8 +1400,7 @@ mod tests {
             status.live_violations
         );
         // The status is serializable (the wire carries it as a binval body).
-        let json = serde_json::to_string(&status).unwrap();
-        let back: EngineStatus = serde_json::from_str(&json).unwrap();
+        let back = EngineStatus::from_value(&status.to_value()).unwrap();
         assert_eq!(back, status);
     }
 

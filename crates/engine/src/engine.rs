@@ -333,11 +333,8 @@ impl AccessControlEngine {
         crate::query::QueryContext {
             model: self.core.model(),
             graph: self.core.graph(),
-            db: self.core.db(),
-            prohibitions: self.core.prohibitions(),
-            ledger: self.state.ledger(),
-            movements: self.state.movements(),
-            violations: self.state.violations(),
+            policy: self.core.view(),
+            state: &self.state,
             profiles: &self.profiles,
         }
     }

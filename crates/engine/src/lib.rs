@@ -5,9 +5,9 @@
 //!
 //! * [`profile`] — the **user profile database** (supervisors, groups;
 //!   feeds the `Supervisor_Of` rule operator),
-//! * [`movement`] — the **location & movements database**: an event-sourced
-//!   log of enter/exit events with occupancy, whereabouts, presence and
-//!   contact-tracing queries,
+//! * [`movement`] — the **location & movements database**: each subject's
+//!   movements as a timeline of stays, with occupancy, whereabouts,
+//!   presence and contact-tracing queries,
 //! * [`engine`] — the **access control engine**: request checking
 //!   (Definition 7), continuous movement monitoring, violation detection
 //!   (tailgating, exit-window breaches, overstays), rule derivation and
@@ -52,7 +52,7 @@ pub use batch::{
     ShardStats, ShardStatusRow, ShardedEngine,
 };
 pub use engine::{AccessControlEngine, AuditRecord, EngineConfig, DEFAULT_GRANT_TTL};
-pub use movement::{Contact, MovementEvent, MovementKind, MovementsDb, Stay};
+pub use movement::{Contact, MovementsDb, Stay};
 pub use profile::{Profile, UserProfileDb};
 pub use query::{Query, QueryContext, QueryResult};
 pub use report::{security_report, SecurityReport};

@@ -179,8 +179,7 @@ mod tests {
         let mut db = UserProfileDb::new();
         let alice = db.add_user("Alice", "researcher");
         db.join_group(alice, "g");
-        let json = serde_json::to_string(&db).unwrap();
-        let back: UserProfileDb = serde_json::from_str(&json).unwrap();
+        let back = UserProfileDb::from_value(&db.to_value()).unwrap();
         assert_eq!(back.id_of("Alice"), Some(alice));
         assert_eq!(back.members_of("g"), vec![alice]);
     }

@@ -1,15 +1,12 @@
 //! Query evaluation over the engine's databases.
 
 use super::ast::{Query, QueryResult};
-use crate::movement::MovementsDb;
 use crate::profile::UserProfileDb;
+use crate::shard::{PolicyView, ShardState};
 use crate::violation::Violation;
-use ltam_core::db::AuthorizationDb;
-use ltam_core::decision::{check_access_restricted, AccessRequest, Decision};
 use ltam_core::inaccessible::find_inaccessible;
-use ltam_core::ledger::UsageLedger;
 use ltam_core::planner::earliest_visit;
-use ltam_core::prohibition::{restrict_authorizations, ProhibitionDb};
+use ltam_core::prohibition::restrict_authorizations;
 use ltam_core::subject::SubjectId;
 use ltam_graph::{EffectiveGraph, LocationId, LocationModel};
 use std::fmt;
@@ -20,16 +17,13 @@ pub struct QueryContext<'a> {
     pub model: &'a LocationModel,
     /// Flattened graph.
     pub graph: &'a EffectiveGraph,
-    /// Authorization database.
-    pub db: &'a AuthorizationDb,
-    /// Prohibitions (denial takes precedence).
-    pub prohibitions: &'a ProhibitionDb,
-    /// Usage counters.
-    pub ledger: &'a UsageLedger,
-    /// Movements database.
-    pub movements: &'a MovementsDb,
-    /// Detected violations.
-    pub violations: &'a [Violation],
+    /// The policy the door decides under: authorizations,
+    /// prohibitions (denial takes precedence), tunables and the
+    /// situation overlay.
+    pub policy: PolicyView<'a>,
+    /// The per-subject state the door decides against: usage counters,
+    /// movements, detected violations.
+    pub state: &'a ShardState,
     /// User profiles (name resolution).
     pub profiles: &'a UserProfileDb,
 }
@@ -78,8 +72,11 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
     match query {
         Query::Accessible { subject } | Query::Inaccessible { subject } => {
             let s = subject_id(ctx, subject)?;
-            let auths =
-                restrict_authorizations(&ctx.db.per_location_for_subject(s), s, ctx.prohibitions);
+            let auths = restrict_authorizations(
+                &ctx.policy.db.per_location_for_subject(s),
+                s,
+                ctx.policy.prohibitions,
+            );
             let report = find_inaccessible(ctx.graph, &auths);
             let want_inaccessible = matches!(query, Query::Inaccessible { .. });
             let names = ctx
@@ -97,18 +94,11 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
         } => {
             let s = subject_id(ctx, subject)?;
             let l = location_id(ctx, location)?;
-            let decision = check_access_restricted(
-                ctx.db,
-                ctx.prohibitions,
-                ctx.ledger,
-                &AccessRequest {
-                    time: *at,
-                    subject: s,
-                    location: l,
-                },
-            );
+            // The door's own decision, situation overlay included, with
+            // none of its side effects.
+            let (decision, _) = ctx.state.decide(&ctx.policy, *at, s, l);
             Ok(QueryResult::Decision {
-                granted: matches!(decision, Decision::Granted { .. }),
+                granted: decision.is_granted(),
                 detail: decision.to_string(),
             })
         }
@@ -119,8 +109,11 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
         } => {
             let s = subject_id(ctx, subject)?;
             let l = location_id(ctx, location)?;
-            let auths =
-                restrict_authorizations(&ctx.db.per_location_for_subject(s), s, ctx.prohibitions);
+            let auths = restrict_authorizations(
+                &ctx.policy.db.per_location_for_subject(s),
+                s,
+                ctx.policy.prohibitions,
+            );
             let itinerary = earliest_visit(ctx.graph, &auths, l, *from).map(|it| {
                 it.steps
                     .iter()
@@ -132,7 +125,8 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
         Query::WhereIs { subject, at } => {
             let s = subject_id(ctx, subject)?;
             Ok(QueryResult::Whereabouts(
-                ctx.movements
+                ctx.state
+                    .movements()
                     .whereabouts(s, *at)
                     .map(|l| ctx.model.name(l).to_string()),
             ))
@@ -140,7 +134,8 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
         Query::WhoIn { location, window } => {
             let l = location_id(ctx, location)?;
             let rows = ctx
-                .movements
+                .state
+                .movements()
                 .present_during(l, *window)
                 .into_iter()
                 .map(|(s, w)| (subject_name(ctx, s), w))
@@ -150,7 +145,8 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
         Query::Contacts { subject, window } => {
             let s = subject_id(ctx, subject)?;
             let rows = ctx
-                .movements
+                .state
+                .movements()
                 .contacts(s, *window)
                 .into_iter()
                 .map(|c| {
@@ -169,7 +165,8 @@ pub fn eval(query: &Query, ctx: &QueryContext<'_>) -> Result<QueryResult, EvalEr
                 .map(|name| subject_id(ctx, name))
                 .transpose()?;
             let rows = ctx
-                .violations
+                .state
+                .violations()
                 .iter()
                 .filter(|v| filter_subject.is_none_or(|s| v.subject() == s))
                 .filter(|v| window.is_none_or(|w| w.contains(v.time())))
@@ -208,6 +205,7 @@ mod tests {
     use crate::engine::AccessControlEngine;
     use ltam_core::model::{Authorization, EntryLimit};
     use ltam_graph::examples::ntu_campus;
+    use ltam_situate::{IncidentId, SituationMode, SituationOp, WorkflowConstraint};
     use ltam_time::{Interval, Time};
 
     fn scenario() -> AccessControlEngine {
@@ -239,7 +237,7 @@ mod tests {
             .unwrap(),
         );
         // Alice walks GO → CAIS is not adjacent; just enter GO and CAIS
-        // directly with grants for the movement log.
+        // directly with grants for the movement history.
         e.request_enter(Time(5), alice, go);
         e.observe_enter(Time(5), alice, go);
         e.observe_exit(Time(10), alice, go);
@@ -283,6 +281,70 @@ mod tests {
         );
         let r = run("CAN Alice ENTER CAIS AT 20", &ctx(&e)).unwrap();
         assert!(matches!(r, QueryResult::Decision { granted: true, .. }));
+    }
+
+    /// `CAN subject ENTER location AT t`, checked against what the door
+    /// then decides for the same request.
+    fn can_enter_as_the_door_decides(
+        e: &mut AccessControlEngine,
+        subject: &str,
+        location: &str,
+        t: u64,
+    ) -> QueryResult {
+        let r = run(&format!("CAN {subject} ENTER {location} AT {t}"), &ctx(e)).unwrap();
+        let s = e.profiles().id_of(subject).unwrap();
+        let l = e.model().id(location).unwrap();
+        let door = e.request_enter(Time(t), s, l);
+        let want = QueryResult::Decision {
+            granted: door.is_granted(),
+            detail: door.to_string(),
+        };
+        assert_eq!(r, want, "CAN and the door disagree");
+        r
+    }
+
+    #[test]
+    fn can_enter_is_refused_under_lockdown() {
+        let mut e = scenario();
+        e.apply_situation(&SituationOp::Declare(SituationMode::Lockdown));
+        let r = can_enter_as_the_door_decides(&mut e, "Alice", "CAIS", 20);
+        assert_eq!(r.to_string(), "NO: denied: lockdown in force\n");
+    }
+
+    #[test]
+    fn can_enter_grants_a_responder_the_emergency_override() {
+        let mut e = scenario();
+        let bob = e.profiles().id_of("Bob").unwrap();
+        e.apply_situation(&SituationOp::AddResponder(bob));
+        e.apply_situation(&SituationOp::Declare(SituationMode::Emergency {
+            incident: IncidentId(7),
+            until: Time(100),
+        }));
+        // Bob's single entry is spent; the live emergency overrides that.
+        let r = can_enter_as_the_door_decides(&mut e, "Bob", "CAIS", 20);
+        assert_eq!(
+            r.to_string(),
+            "YES: granted by emergency override (incident I7)\n"
+        );
+    }
+
+    #[test]
+    fn can_enter_is_refused_by_a_workflow_constraint() {
+        let mut e = scenario();
+        let (go, cais) = (
+            e.model().id("SCE.GO").unwrap(),
+            e.model().id("CAIS").unwrap(),
+        );
+        e.apply_situation(&SituationOp::AddConstraint(
+            WorkflowConstraint::SeparationOfDuty {
+                first: go,
+                second: cais,
+                window: 100,
+            },
+        ));
+        // Alice entered SCE.GO at 5: CAIS is closed to her until 106.
+        let r = can_enter_as_the_door_decides(&mut e, "Alice", "CAIS", 20);
+        assert_eq!(r.to_string(), "NO: denied: workflow constraint\n");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! one horizon prunes every record class, so one watermark covers them.
 
 use crate::engine::AuditRecord;
-use crate::movement::{MovementEvent, Stay};
+use crate::movement::Stay;
 use crate::violation::Violation;
 use ltam_core::subject::SubjectId;
 use serde::{Deserialize, Serialize};
@@ -22,8 +22,6 @@ use serde::{Deserialize, Serialize};
 /// from the watermark on.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PrunedHistory {
-    /// Pruned raw movement events (enter/exit), in log order.
-    pub events: Vec<MovementEvent>,
     /// Pruned closed stays with their subjects, in timeline order per
     /// subject (subjects in id order).
     pub stays: Vec<(SubjectId, Stay)>,
@@ -36,21 +34,18 @@ pub struct PrunedHistory {
 impl PrunedHistory {
     /// True if the run removed nothing.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-            && self.stays.is_empty()
-            && self.audit.is_empty()
-            && self.violations.is_empty()
+        self.stays.is_empty() && self.audit.is_empty() && self.violations.is_empty()
     }
 
-    /// Total records across all classes.
+    /// Total records across all classes (a pruned movement is one
+    /// stay).
     pub fn len(&self) -> usize {
-        self.events.len() + self.stays.len() + self.audit.len() + self.violations.len()
+        self.stays.len() + self.audit.len() + self.violations.len()
     }
 
     /// Append another prune's records (used to merge per-shard prunes
     /// into one engine-level bundle).
     pub fn merge(&mut self, other: PrunedHistory) {
-        self.events.extend(other.events);
         self.stays.extend(other.stays);
         self.audit.extend(other.audit);
         self.violations.extend(other.violations);
@@ -60,7 +55,6 @@ impl PrunedHistory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::movement::MovementKind;
     use ltam_graph::LocationId;
     use ltam_time::Time;
 
@@ -69,12 +63,6 @@ mod tests {
         let mut a = PrunedHistory::default();
         assert!(a.is_empty());
         let b = PrunedHistory {
-            events: vec![MovementEvent {
-                time: Time(1),
-                subject: SubjectId(0),
-                location: LocationId(2),
-                kind: MovementKind::Enter,
-            }],
             stays: vec![(
                 SubjectId(0),
                 Stay {
@@ -92,7 +80,7 @@ mod tests {
         };
         a.merge(b.clone());
         a.merge(b);
-        assert_eq!(a.len(), 6);
+        assert_eq!(a.len(), 4);
         assert!(!a.is_empty());
     }
 }

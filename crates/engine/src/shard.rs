@@ -167,10 +167,8 @@ impl ShardState {
     /// The records a retention run at `horizon` would remove, without
     /// mutating anything (a durable deployment archives these first).
     pub fn collect_prunable(&self, horizon: Time) -> PrunedHistory {
-        let (events, stays) = self.movements.collect_prunable(horizon);
         PrunedHistory {
-            events,
-            stays,
+            stays: self.movements.collect_prunable(horizon),
             audit: self
                 .audit
                 .iter()
@@ -211,6 +209,39 @@ impl ShardState {
 
     // --- enforcement ------------------------------------------------------
 
+    /// The decision an access request by `subject` for `location` at
+    /// `t` would get (Definition 7, judged under the situation overlay),
+    /// without any side effect: no pending grant, no audit record, no
+    /// overlay counter. The door's [`ShardState::request_enter`] and the
+    /// query language's `CAN … ENTER` both decide through this.
+    pub fn decide(
+        &self,
+        policy: &PolicyView<'_>,
+        t: Time,
+        subject: SubjectId,
+        location: LocationId,
+    ) -> (Decision, SituationEffect) {
+        let request = AccessRequest {
+            time: t,
+            subject,
+            location,
+        };
+        let base = policy.decision_context().decide(&self.ledger, &request);
+        if policy.situation.is_inert() {
+            return (base, SituationEffect::None);
+        }
+        // "Entered `l` at or after `since`" against this subject's own
+        // timeline — all the history a workflow constraint may consult,
+        // and all of it lives on this shard.
+        let entered = |l: LocationId, since: Time| {
+            self.movements
+                .timeline(subject)
+                .iter()
+                .any(|s| s.location == l && s.enter >= since && s.enter <= t)
+        };
+        judge(policy.situation, subject, location, t, base, &entered)
+    }
+
     /// Process an access request (Definition 6), judged under the
     /// situation overlay. A grant is remembered so the subsequent
     /// physical entry is recognized as authorized.
@@ -221,51 +252,28 @@ impl ShardState {
         subject: SubjectId,
         location: LocationId,
     ) -> Decision {
+        let (decision, effect) = self.decide(policy, t, subject, location);
+        count_effect(effect);
+        let grant = match decision {
+            Decision::Granted { auth } => Some(GrantKind::Auth(auth)),
+            Decision::GrantedOverride { incident } => {
+                Some(GrantKind::Override(IncidentId(incident)))
+            }
+            Decision::Denied { .. } => None,
+        };
+        if let Some(grant) = grant {
+            let pending = PendingGrant {
+                location,
+                grant,
+                granted_at: t,
+            };
+            self.pending.insert(subject, pending);
+        }
         let request = AccessRequest {
             time: t,
             subject,
             location,
         };
-        let base = policy.decision_context().decide(&self.ledger, &request);
-        let decision = if policy.situation.is_inert() {
-            base
-        } else {
-            // "Entered `l` at or after `since`" against this subject's
-            // own timeline — all the history a workflow constraint may
-            // consult, and all of it lives on this shard.
-            let entered = |l: LocationId, since: Time| {
-                self.movements
-                    .timeline(subject)
-                    .iter()
-                    .any(|s| s.location == l && s.enter >= since && s.enter <= t)
-            };
-            let (decision, effect) = judge(policy.situation, subject, location, t, base, &entered);
-            count_effect(effect);
-            decision
-        };
-        match decision {
-            Decision::Granted { auth } => {
-                self.pending.insert(
-                    subject,
-                    PendingGrant {
-                        location,
-                        grant: GrantKind::Auth(auth),
-                        granted_at: t,
-                    },
-                );
-            }
-            Decision::GrantedOverride { incident } => {
-                self.pending.insert(
-                    subject,
-                    PendingGrant {
-                        location,
-                        grant: GrantKind::Override(IncidentId(incident)),
-                        granted_at: t,
-                    },
-                );
-            }
-            Decision::Denied { .. } => {}
-        }
         self.audit.push(AuditRecord { request, decision });
         decision
     }
@@ -590,7 +598,7 @@ pub struct PendingImage {
 pub struct ShardStateImage {
     /// Per-authorization entry counters.
     pub ledger: UsageLedger,
-    /// The shard's movements database (log, timelines, occupancy).
+    /// The shard's movements database (timelines, occupancy).
     pub movements: MovementsDb,
     /// Grants issued but not yet used, sorted by subject.
     pub pending: Vec<PendingImage>,
@@ -716,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn image_serde_round_trips_through_json() {
+    fn image_serde_round_trips() {
         let (db, prohibitions) = policy_db();
         let situation = SituationPolicy::new();
         let policy = PolicyView {
@@ -730,8 +738,7 @@ mod tests {
         assert_eq!(s.observe_enter(&policy, Time(11), ALICE, CAIS), None);
         s.tick(&policy, Time(200));
         let image = s.image();
-        let json = serde_json::to_string(&image).unwrap();
-        let back: ShardStateImage = serde_json::from_str(&json).unwrap();
+        let back = ShardStateImage::from_value(&image.to_value()).unwrap();
         assert_eq!(back, image);
     }
 
@@ -801,7 +808,6 @@ mod tests {
         };
         let early = Time(h.get() - 1);
         assert_eq!(pruned.stays, vec![(before, stay(early))]);
-        assert_eq!(pruned.events.len(), 2);
         assert_eq!(pruned.audit.len(), 1);
         assert_eq!(pruned.audit[0].request.time, early);
         assert_eq!(pruned.violations.len(), 1);

@@ -535,8 +535,7 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let (m, a, _) = two_room_building();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: LocationModel = serde_json::from_str(&json).unwrap();
+        let back = LocationModel::from_value(&m.to_value()).unwrap();
         assert_eq!(back.id("a").unwrap(), a);
         assert_eq!(back.len(), m.len());
         assert!(back.validate().is_ok());

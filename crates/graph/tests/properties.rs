@@ -2,6 +2,7 @@
 
 use ltam_graph::{dot, route, EffectiveGraph, LocationId, LocationKind, LocationModel, Route};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
 /// Generate a random two-level campus: `b` buildings with `r` rooms each,
 /// rooms chained inside each building, buildings chained at the top level;
@@ -157,8 +158,7 @@ proptest! {
 
     #[test]
     fn serde_round_trip_preserves_structure(model in arb_campus()) {
-        let json = serde_json::to_string(&model).unwrap();
-        let back: LocationModel = serde_json::from_str(&json).unwrap();
+        let back = LocationModel::from_value(&model.to_value()).unwrap();
         prop_assert_eq!(back.len(), model.len());
         prop_assert!(back.validate().is_ok());
         prop_assert_eq!(EffectiveGraph::build(&back), EffectiveGraph::build(&model));

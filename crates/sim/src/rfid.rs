@@ -185,8 +185,7 @@ mod tests {
             Some(world.model.id("R2_0").unwrap())
         );
         // The movements DB saw enter/exit pairs for the path.
-        let log = engine.movements().log();
-        assert_eq!(log.len(), 5); // enter, exit+enter, exit+enter
+        assert_eq!(engine.movements().len(), 5); // enter, exit+enter, exit+enter
     }
 
     #[test]

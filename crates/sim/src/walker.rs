@@ -194,12 +194,8 @@ mod tests {
         let mut walkers = vec![Walker::new(mallory, Behavior::Tailgater)];
         let mut r = rng(2);
         run_population(&mut walkers, &world.graph, &mut engine, 100, &mut r);
-        let entries = engine
-            .movements()
-            .log()
-            .iter()
-            .filter(|e| e.kind == ltam_engine::movement::MovementKind::Enter)
-            .count();
+        // One stay per entry.
+        let entries = engine.movements().timeline(mallory).len();
         let unauthorized = engine
             .violations()
             .iter()

@@ -86,12 +86,8 @@ proptest! {
         let mut pop = vec![Walker::new(mallory, Behavior::Tailgater)];
         let mut r = rng(seed);
         run_population(&mut pop, &world.graph, &mut engine, 80, &mut r);
-        let entries = engine
-            .movements()
-            .log()
-            .iter()
-            .filter(|e| e.kind == ltam_engine::movement::MovementKind::Enter)
-            .count();
+        // One stay per entry.
+        let entries = engine.movements().timeline(mallory).len();
         let flagged = engine
             .violations()
             .iter()

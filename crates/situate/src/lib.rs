@@ -761,12 +761,11 @@ mod tests {
             },
         ));
         emergency(&mut policy, 9, 77);
-        let json = serde_json::to_string(&policy).unwrap();
-        let back: SituationPolicy = serde_json::from_str(&json).unwrap();
+        let back = SituationPolicy::from_value(&policy.to_value()).unwrap();
         assert_eq!(back, policy);
         // Ops serialize too (they ride the WAL and the wire).
         let op = SituationOp::Declare(SituationMode::Lockdown);
-        let back: SituationOp = serde_json::from_str(&serde_json::to_string(&op).unwrap()).unwrap();
+        let back = SituationOp::from_value(&op.to_value()).unwrap();
         assert_eq!(back, op);
     }
 

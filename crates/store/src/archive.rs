@@ -22,17 +22,21 @@
 //! │ magic "LTAR" │ version u16 LE │ reserved u16 │ from u64 │ to u64  │
 //! │ events_len u64 LE │ records_len u64 LE │ crc32 u32 LE            │
 //! ├──────────────── events block (events_len bytes) ──────────────────┤
-//! │ pruned movement events, each framed by the WAL event codec        │
+//! │ empty when written by this version (see below)                    │
 //! ├──────────────── records block (records_len bytes) ────────────────┤
 //! │ one binval value — ArchiveRecords: stays, audit, violations       │
 //! └───────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The two blocks are the workspace's two codecs with their usual jobs:
-//! events in the varint event codec, everything structured in
-//! [`crate::binval`]. Version 1 carried the records block as JSON; like
-//! WAL v1 and snapshot v1 it has no reader — any version but the
-//! current one is refused outright.
+//! A pruned movement is archived once, as the stay it closed, in the
+//! [`crate::binval`] records block. Segments written before that carried
+//! a second copy of each — its enter and exit events, in the WAL event
+//! codec — in the events block; this version writes the block empty
+//! (`events_len` 0) and, reading an older segment, verifies the block
+//! under the CRC and skips it undecoded. The header did not change, so
+//! the version did not either. Version 1 carried the records block as
+//! JSON; like WAL v1 and snapshot v1 it has no reader — any version but
+//! the current one is refused outright.
 //!
 //! The CRC covers both blocks. Unlike snapshots — where a corrupt file
 //! falls back to an older one — a corrupt archive segment is the *only*
@@ -52,12 +56,10 @@
 //! superseded same-start segment if a crash strands one.
 
 use crate::binval;
-use crate::codec::{decode_event, encode_event};
 use crate::crc::crc32;
 use crate::wal::sync_dir;
 use ltam_core::subject::SubjectId;
-use ltam_engine::batch::Event;
-use ltam_engine::movement::{stays_overlapping, MovementEvent, MovementKind, Stay};
+use ltam_engine::movement::{stays_overlapping, Stay};
 use ltam_engine::retention::PrunedHistory;
 use ltam_engine::AuditRecord;
 use ltam_engine::Violation;
@@ -75,8 +77,8 @@ pub const ARCHIVE_VERSION: u16 = 2;
 /// Bytes of the archive segment header.
 pub const ARCHIVE_HEADER_LEN: usize = 44;
 
-/// The records block of a segment (movement events travel in the
-/// events block; see the module docs).
+/// The records block of a segment: everything a segment holds (see the
+/// module docs).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 struct ArchiveRecords {
     stays: Vec<(SubjectId, Stay)>,
@@ -92,7 +94,8 @@ pub struct ArchiveRunReport {
     pub from: u64,
     /// The new watermark the run advanced to (the chain end).
     pub to: u64,
-    /// Records written (all classes).
+    /// Records written (all classes; a pruned movement is one stay, not
+    /// its two events).
     pub records: usize,
 }
 
@@ -293,29 +296,10 @@ impl ArchiveStore {
         // records whose (per-subject monotone) timestamps precede
         // `from`.
         let in_range = |t: Time| t.get() < horizon;
-        // Both blocks are encoded behind a blank header, filled in once
-        // their lengths and CRC are known: the file's bytes in one
-        // buffer, no copy of either block.
+        // The records block is encoded behind a blank header, filled in
+        // once its length and CRC are known: the file's bytes in one
+        // buffer, no copy of the block.
         let mut bytes = vec![0u8; ARCHIVE_HEADER_LEN];
-        let mut written = 0usize;
-        for e in &records.events {
-            if in_range(e.time) {
-                let kind = match e.kind {
-                    MovementKind::Enter => Event::Enter {
-                        time: e.time,
-                        subject: e.subject,
-                        location: e.location,
-                    },
-                    MovementKind::Exit => Event::Exit {
-                        time: e.time,
-                        subject: e.subject,
-                        location: e.location,
-                    },
-                };
-                encode_event(&kind, &mut bytes);
-                written += 1;
-            }
-        }
         let records = ArchiveRecords {
             stays: records
                 .stays
@@ -336,16 +320,15 @@ impl ArchiveStore {
                 .copied()
                 .collect(),
         };
-        written += records.stays.len() + records.audit.len() + records.violations.len();
-        let events_len = bytes.len() - ARCHIVE_HEADER_LEN;
+        let written = records.stays.len() + records.audit.len() + records.violations.len();
         binval::encode_into(&records, &mut bytes);
         let (header, payload) = bytes.split_at_mut(ARCHIVE_HEADER_LEN);
-        let records_len = payload.len() - events_len;
+        let records_len = payload.len();
         header[0..4].copy_from_slice(&ARCHIVE_MAGIC);
         header[4..6].copy_from_slice(&ARCHIVE_VERSION.to_le_bytes());
         header[8..16].copy_from_slice(&from.to_le_bytes());
         header[16..24].copy_from_slice(&horizon.to_le_bytes());
-        header[24..32].copy_from_slice(&(events_len as u64).to_le_bytes());
+        // Bytes 24..32, the events block's length, stay 0.
         header[32..40].copy_from_slice(&(records_len as u64).to_le_bytes());
         header[40..44].copy_from_slice(&crc32(payload).to_le_bytes());
 
@@ -413,7 +396,7 @@ impl ArchiveStore {
 /// segment can hold rows that predate an earlier segment's, but mostly a
 /// segment's rows are the newest and land at the end: merging costs what
 /// the segment holds, not what the archive holds.
-fn merge_segment(data: &mut ArchiveData, from: u64, seg: SegmentData) {
+fn merge_segment(data: &mut ArchiveData, from: u64, seg: ArchiveRecords) {
     for (s, stay) in seg.stays {
         let key = (stay.enter, stay.exit, s);
         let rows = data.stays.entry(s).or_default();
@@ -436,7 +419,6 @@ fn merge_segment(data: &mut ArchiveData, from: u64, seg: SegmentData) {
         data.violations_by_time.insert(at, position);
         data.violations.push((from, v));
     }
-    data.events.extend(seg.events);
 }
 
 /// `exit − enter` of an archived stay. Only closed stays are written; an
@@ -566,14 +548,7 @@ impl LazyArchive {
     }
 }
 
-struct SegmentData {
-    stays: Vec<(SubjectId, Stay)>,
-    audit: Vec<AuditRecord>,
-    violations: Vec<Violation>,
-    events: Vec<MovementEvent>,
-}
-
-fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result<SegmentData> {
+fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result<ArchiveRecords> {
     let bytes = fs::read(path)?;
     if bytes.len() < ARCHIVE_HEADER_LEN || bytes[0..4] != ARCHIVE_MAGIC {
         return Err(corrupt(path, "bad magic or truncated header"));
@@ -605,51 +580,11 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
     if crc32(payload) != crc {
         return Err(corrupt(path, "CRC mismatch"));
     }
-    let (events_block, records_block) = payload.split_at(events_len as usize);
-    let mut events = Vec::new();
-    let mut at = 0usize;
-    while at < events_block.len() {
-        let (event, used) = decode_event(&events_block[at..])
-            .map_err(|e| corrupt(path, &format!("undecodable event record: {e}")))?;
-        at += used;
-        let movement = match event {
-            Event::Enter {
-                time,
-                subject,
-                location,
-            } => MovementEvent {
-                time,
-                subject,
-                location,
-                kind: MovementKind::Enter,
-            },
-            Event::Exit {
-                time,
-                subject,
-                location,
-            } => MovementEvent {
-                time,
-                subject,
-                location,
-                kind: MovementKind::Exit,
-            },
-            other => {
-                return Err(corrupt(
-                    path,
-                    &format!("non-movement event {other:?} in the events block"),
-                ))
-            }
-        };
-        events.push(movement);
-    }
-    let records: ArchiveRecords = binval::decode(records_block)
-        .map_err(|e| corrupt(path, &format!("undecodable records block: {e}")))?;
-    Ok(SegmentData {
-        stays: records.stays,
-        audit: records.audit,
-        violations: records.violations,
-        events,
-    })
+    // An older segment's events block duplicates its stays: verified by
+    // the CRC above, never decoded.
+    let records_block = &payload[events_len as usize..];
+    binval::decode(records_block)
+        .map_err(|e| corrupt(path, &format!("undecodable records block: {e}")))
 }
 
 /// The archive tier, loaded and indexed for queries. Produced by
@@ -682,7 +617,7 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
 /// stay only makes that location's reads walk further, never answer
 /// wrongly — and the violations through a by-time view beside their
 /// stored order. The queries add the rows they looked at to `examined`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ArchiveData {
     /// Watermark-chain end (exclusive): when this reaches the live
     /// watermark, the two tiers together hold all history ever
@@ -700,12 +635,10 @@ pub struct ArchiveData {
     pub violations: Vec<(u64, Violation)>,
     /// Positions into `violations`, ordered by violation time.
     violations_by_time: Vec<u32>,
-    /// Archived raw movement events (the pruned slice of the log).
-    pub events: Vec<MovementEvent>,
 }
 
 /// One location's archived stays.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LocationStays {
     /// `(segment start, subject, stay)` rows ordered by
     /// `(enter, exit, subject)`.
@@ -815,13 +748,14 @@ impl ArchiveData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::encode_event;
     use crate::scratch::ScratchDir;
+    use ltam_engine::batch::Event;
     use ltam_graph::LocationId;
 
     fn history(times: &[(u64, u64)]) -> PrunedHistory {
-        // One closed stay (and its two events) per (enter, exit) pair,
-        // all for subject 1 in location 2, plus one violation at each
-        // exit time.
+        // One closed stay per (enter, exit) pair, all for subject 1 in
+        // location 2, plus one violation at each enter time.
         let s = SubjectId(1);
         let l = LocationId(2);
         let mut out = PrunedHistory::default();
@@ -834,18 +768,6 @@ mod tests {
                     exit: Some(Time(b)),
                 },
             ));
-            out.events.push(MovementEvent {
-                time: Time(a),
-                subject: s,
-                location: l,
-                kind: MovementKind::Enter,
-            });
-            out.events.push(MovementEvent {
-                time: Time(b),
-                subject: s,
-                location: l,
-                kind: MovementKind::Exit,
-            });
             out.violations.push(Violation::UnauthorizedEntry {
                 time: Time(a),
                 subject: s,
@@ -868,7 +790,7 @@ mod tests {
             Some(ArchiveRunReport {
                 from: 0,
                 to: 50,
-                records: 8 // 4 events + 2 stays + 2 violations
+                records: 4 // 2 stays + 2 violations
             })
         );
         let data = store.load().unwrap();
@@ -883,7 +805,6 @@ mod tests {
         // A watermark at the segment's start marks it stranded (its
         // prune never applied): the provenance filter excludes it.
         assert_eq!(data.whereabouts(SubjectId(1), Time(7), Time(0)), None);
-        assert_eq!(data.events.len(), 4);
         assert_eq!(
             data.violations_in(Interval::lit(0, 10), Time::MAX, &mut 0)
                 .len(),
@@ -977,7 +898,7 @@ mod tests {
         let superset = history(&[(5, 10), (20, 30), (12, 15), (60, 70)]);
         let r = store.append_run(0, 100, &superset).unwrap().unwrap();
         assert_eq!((r.from, r.to), (0, 100));
-        assert_eq!(r.records, 16, "all four stays travel in the replacement");
+        assert_eq!(r.records, 8, "all four stays travel in the replacement");
         let data = store.load().unwrap();
         assert_eq!(data.covered_to, 100);
         assert_eq!(data.stays_of(SubjectId(1)).len(), 4, "no duplicates");
@@ -1030,7 +951,7 @@ mod tests {
             .append_run(0, 50, &history(&[(5, 10), (20, 30), (60, 70)]))
             .unwrap()
             .unwrap();
-        assert_eq!(r.records, 8);
+        assert_eq!(r.records, 4);
         assert_eq!(store.load().unwrap().stays_of(SubjectId(1)).len(), 2);
     }
 
@@ -1071,6 +992,77 @@ mod tests {
         // Truncation is caught too.
         std::fs::write(&seg, &bytes[..bytes.len() / 2]).unwrap();
         assert!(store.load().is_err());
+    }
+
+    /// A segment as written before the events block went empty: the
+    /// records block as today, and each stay's enter and exit events in
+    /// the events block ahead of it, all under one CRC.
+    fn segment_with_events(history: &PrunedHistory, from: u64, to: u64) -> Vec<u8> {
+        let mut events = Vec::new();
+        for &(subject, stay) in &history.stays {
+            let (time, location) = (stay.enter, stay.location);
+            let enter = Event::Enter {
+                time,
+                subject,
+                location,
+            };
+            encode_event(&enter, &mut events);
+            let time = stay.exit.expect("archived stays are closed");
+            let exit = Event::Exit {
+                time,
+                subject,
+                location,
+            };
+            encode_event(&exit, &mut events);
+        }
+        let records = binval::encode(&ArchiveRecords {
+            stays: history.stays.clone(),
+            audit: history.audit.clone(),
+            violations: history.violations.clone(),
+        });
+        let payload = [events.as_slice(), &records].concat();
+        let mut bytes = ARCHIVE_MAGIC.to_vec();
+        bytes.extend_from_slice(&ARCHIVE_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&[0, 0]);
+        for n in [from, to, events.len() as u64, records.len() as u64] {
+            bytes.extend_from_slice(&n.to_le_bytes());
+        }
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes
+    }
+
+    #[test]
+    fn a_segment_with_an_events_block_loads_like_one_without() {
+        let history = history(&[(5, 10), (20, 30), (12, 40)]);
+        let (old_dir, new_dir) = (ScratchDir::new("arch-old"), ScratchDir::new("arch-new"));
+        let old = ArchiveStore::with_fsync(old_dir.path(), false);
+        let new = ArchiveStore::with_fsync(new_dir.path(), false);
+        let seg = segment_path(old_dir.path(), 0, 50);
+        let bytes = segment_with_events(&history, 0, 50);
+        std::fs::write(&seg, &bytes).unwrap();
+        new.append_run(0, 50, &history).unwrap();
+        let written = std::fs::read(segment_path(new_dir.path(), 0, 50)).unwrap();
+        // Today's segment: the same header but for an empty events block
+        // and the CRC, and the same records block byte for byte.
+        let events_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+        assert!(events_len > 0);
+        assert_eq!(written[..24], bytes[..24]);
+        assert_eq!(written[24..32], [0; 8]);
+        assert_eq!(written[32..40], bytes[32..40]);
+        assert_eq!(
+            written[ARCHIVE_HEADER_LEN..],
+            bytes[ARCHIVE_HEADER_LEN + events_len..]
+        );
+        assert_eq!(old.load().unwrap(), new.load().unwrap());
+        // Skipping the block's decode skips none of its integrity check:
+        // one flipped bit inside it fails the CRC.
+        let mut rotten = bytes.clone();
+        rotten[ARCHIVE_HEADER_LEN + events_len / 2] ^= 0x10;
+        std::fs::write(&seg, &rotten).unwrap();
+        let err = old.load().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("CRC mismatch"), "{err}");
     }
 
     #[test]

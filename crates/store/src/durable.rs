@@ -47,7 +47,7 @@ use ltam_core::AuthorizationDb;
 use ltam_engine::batch::{
     shard_of, BatchOutcome, Event, PolicyCore, PolicyOp, PolicyOutcome, ShardedEngine,
 };
-use ltam_engine::movement::{Contact, MovementKind};
+use ltam_engine::movement::Contact;
 use ltam_engine::shard::{ShardState, ShardStateImage};
 use ltam_engine::violation::Alert;
 use ltam_engine::Violation;
@@ -1413,7 +1413,8 @@ impl ReadView {
 pub struct RetentionOutcome {
     /// The history watermark after the pass.
     pub watermark: Time,
-    /// Records dropped from live state (all classes).
+    /// Records dropped from live state (all classes; a pruned movement
+    /// is one stay, not its two events).
     pub pruned: usize,
     /// Records written to the archive by this pass (0 when the range
     /// was already covered by a crash-era segment).
@@ -1448,17 +1449,18 @@ pub fn redistribute(
     let audit_pruned: u64 = images.iter().map(|i| i.audit_pruned).sum();
     let violations_pruned: u64 = images.iter().map(|i| i.violations_pruned).sum();
     for image in images {
-        for event in image.movements.log() {
-            let target = &mut out[shard_of(event.subject, shards)].movements;
-            // Each subject's log replays in original order on its new
-            // shard, so the physical-consistency checks cannot fire.
-            let replayed = match event.kind {
-                MovementKind::Enter => {
-                    target.record_enter(event.time, event.subject, event.location)
-                }
-                MovementKind::Exit => target.record_exit(event.time, event.subject, event.location),
-            };
-            debug_assert!(replayed.is_ok(), "shard-local movement logs replay cleanly");
+        for (subject, timeline) in image.movements.timelines() {
+            let target = &mut out[shard_of(subject, shards)].movements;
+            // Each subject's stays replay in order on its new shard —
+            // per-subject order is all the physical-consistency checks
+            // look at, so they cannot fire.
+            for stay in timeline {
+                let entered = target.record_enter(stay.enter, subject, stay.location);
+                let left = stay
+                    .exit
+                    .map_or(Ok(()), |t| target.record_exit(t, subject, stay.location));
+                debug_assert!(entered.and(left).is_ok(), "a timeline replays cleanly");
+            }
         }
         // After the replay (which rebuilds the guard for surviving
         // events), merge the source's latest-time guards so subjects
@@ -1514,9 +1516,12 @@ mod tests {
     use crate::scratch::ScratchDir;
     use ltam_core::model::{Authorization, EntryLimit};
     use ltam_core::subject::SubjectId;
+    use ltam_engine::movement::Stay;
     use ltam_graph::examples::ntu_campus;
     use ltam_graph::LocationId;
     use ltam_time::{Interval, Time};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn campus_core() -> (PolicyCore, SubjectId, LocationId) {
         let ntu = ntu_campus();
@@ -2596,6 +2601,77 @@ mod tests {
                 durable.engine().observe_exit(Time(20), s, cais).is_none(),
                 "{s} lost its active stay in redistribution"
             );
+        }
+    }
+
+    /// The movements state of a set of shards, as the union of what each
+    /// holds: timelines and latest-time guards by subject, occupants by
+    /// location, the watermarks, and the live and pruned event counts.
+    type MovementsView = (
+        BTreeMap<SubjectId, Vec<Stay>>,
+        Vec<Vec<SubjectId>>,
+        BTreeMap<SubjectId, Time>,
+        BTreeSet<Time>,
+        (usize, u64),
+    );
+
+    fn movements_view(images: &[ShardStateImage]) -> MovementsView {
+        let mut view = MovementsView::default();
+        view.1 = vec![Vec::new(); 3];
+        for db in images.iter().map(|i| &i.movements) {
+            view.0.extend(db.timelines().map(|(s, t)| (s, t.to_vec())));
+            for (l, occupants) in view.1.iter_mut().enumerate() {
+                occupants.extend(db.occupants(LocationId(l as u32)));
+                occupants.sort();
+            }
+            view.2.extend(db.latest_times());
+            view.3.insert(db.watermark());
+            view.4 .0 += db.len();
+            view.4 .1 += db.pruned_events();
+        }
+        view
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever movements a shard recorded — entries and exits for
+        /// random subjects and rooms, clocks that run backwards, a prune
+        /// somewhere in between — redistributing it onto 1–4 shards puts
+        /// each subject's timeline on the shard its id maps to, and
+        /// there and back again keeps every timeline, the occupancy, the
+        /// latest-time guards, the watermark and the pruned count.
+        #[test]
+        fn redistribution_keeps_every_timeline(
+            steps in prop::collection::vec((0u32..6, 0u32..3, any::<bool>(), -2i64..6), 1..120),
+            prune in (0usize..120, 0u64..60),
+            shards in 1usize..=4,
+        ) {
+            let mut source = ShardStateImage::default();
+            let db = &mut source.movements;
+            for (i, &(s, l, enter, dt)) in steps.iter().enumerate() {
+                if i == prune.0 {
+                    db.apply_prune(Time(prune.1));
+                }
+                let (subject, location) = (SubjectId(s), LocationId(l));
+                let last = db.latest_times().find(|&(who, _)| who == subject);
+                let t = Time(last.map_or(0, |(_, t)| t.get()).saturating_add_signed(dt));
+                let _ = if enter {
+                    db.record_enter(t, subject, location)
+                } else {
+                    db.record_exit(t, subject, location)
+                };
+            }
+            let auths = AuthorizationDb::new();
+            let spread = redistribute(vec![source.clone()], shards, &auths);
+            prop_assert_eq!(spread.len(), shards);
+            for (s, timeline) in source.movements.timelines() {
+                prop_assert_eq!(spread[shard_of(s, shards)].movements.timeline(s), timeline);
+            }
+            let want = movements_view(std::slice::from_ref(&source));
+            prop_assert_eq!(movements_view(&spread), want.clone());
+            let back = redistribute(spread, 1, &auths);
+            prop_assert_eq!(movements_view(&back), want);
         }
     }
 }

@@ -22,7 +22,7 @@
 //!   apply routine the live path uses) and compaction,
 //! * [`archive`] — the cold tier: segmented, CRC'd archive files holding
 //!   history that retention pruned from live state (stays, audit records,
-//!   violations, raw events in the WAL codec), written atomically
+//!   violations), written atomically
 //!   *before* any in-memory drop,
 //! * [`history`] — tier-aware historical queries (whereabouts, presence,
 //!   contact tracing, violation reports): live within the retention

@@ -8,17 +8,21 @@
 //! below-watermark queries from the old segment, and write the same
 //! bytes back — formats did not move in either direction.
 //!
-//! Three keys have left the snapshot since: `enforcement_epoch`, the
+//! Four keys have left the snapshot since: `enforcement_epoch`, the
 //! count of closure policy edits a follower could not tail across (such
-//! an edit is a WAL record now), and each shard state's `audit_from` /
+//! an edit is a WAL record now); each shard state's `audit_from` /
 //! `violations_from`, the per-class retention watermarks (one horizon
 //! prunes every class, so the movements watermark is the one
-//! watermark). The directory is deliberately **not** rewritten for them
-//! — data on disk outlives binaries, so the old snapshots, keys
-//! included, are the upgrade-path fixture: they must still open, and
-//! what is written today must be what was written then minus exactly
-//! those keys. This store is also the oldest generation a reader
-//! supports: every field it carries is a plain field today.
+//! watermark); and each shard state's `movements.log`, a second copy of
+//! every movement its stays already hold. With the log went the archive
+//! segment's events block, the same copy of each pruned movement: it is
+//! written empty now. The directory is deliberately **not** rewritten
+//! for any of them — data on disk outlives binaries, so the old files,
+//! keys and events included, are the upgrade-path fixture: they must
+//! still open, and what is written today must be what was written then
+//! minus exactly those keys and that block. This store is also the
+//! oldest generation a reader supports: every field it carries is a
+//! plain field today.
 //!
 //! `cargo test -p ltam-store --test golden -- --ignored` rewrites the
 //! directory from the script (only ever needed on a format version bump).
@@ -33,6 +37,7 @@ use ltam_core::subject::SubjectId;
 use ltam_engine::batch::{Event, PolicyCore, PolicyOp};
 use ltam_graph::LocationId;
 use ltam_situate::{SituationMode, SituationOp, WorkflowConstraint};
+use ltam_store::archive::ARCHIVE_HEADER_LEN;
 use ltam_store::snapshot::SNAPSHOT_HEADER_LEN;
 use ltam_store::{binval, copy_flat_dir, DurableEngine, ScratchDir, StoreConfig};
 use ltam_time::{Interval, Time};
@@ -171,6 +176,32 @@ fn fingerprint(store: &DurableEngine) -> String {
     )
 }
 
+/// The events a serialized `timelines` map (`[subject, stays]` pairs)
+/// records: an entry per stay and an exit per closed one — what
+/// `MovementsDb::len` counts.
+fn events_in(timelines: &Value) -> usize {
+    let Value::Array(pairs) = timelines else {
+        panic!("timelines are a map");
+    };
+    let mut events = 0;
+    for pair in pairs {
+        let Value::Array(pair) = pair else {
+            panic!("a map entry is a pair");
+        };
+        let Value::Array(stays) = &pair[1] else {
+            panic!("a timeline is an array");
+        };
+        for stay in stays {
+            let Value::Object(fields) = stay else {
+                panic!("a stay is an object");
+            };
+            let open = fields.iter().any(|(k, v)| k == "exit" && *v == Value::Null);
+            events += if open { 1 } else { 2 };
+        }
+    }
+    events
+}
+
 fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     std::fs::read_dir(dir)
         .expect("list store")
@@ -242,11 +273,44 @@ fn the_same_script_still_writes_the_same_bytes() {
                     before,
                     "{name}: the old watermarks are there"
                 );
+                let movements = fields.iter_mut().find(|(key, _)| key == "movements");
+                let Some((_, Value::Object(movements))) = movements else {
+                    panic!("{name}: a shard state's movements are an object");
+                };
+                let field = |key: &str| movements.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+                let (Some(Value::Array(log)), Some(timelines)) = (field("log"), field("timelines"))
+                else {
+                    panic!("{name}: the old log is there");
+                };
+                assert_eq!(
+                    log.len(),
+                    events_in(timelines),
+                    "{name}: the log held the events the stays count"
+                );
+                movements.retain(|(key, _)| key != "log");
             }
             assert_eq!(Value::Object(old_pairs), tree(new_bytes), "{name}");
+        } else if name.ends_with(".arch") {
+            // Magic, version, reserved, `from`, `to`; `records_len`; and
+            // the records block: the same. The events block held each
+            // pruned movement's two events then and is empty now (so the
+            // CRC differs too).
+            let len = |bytes: &[u8], at: usize| {
+                u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+            };
+            assert_eq!(old_bytes[..24], new_bytes[..24], "{name}");
+            assert_eq!(old_bytes[32..40], new_bytes[32..40], "{name}");
+            let (old_events, new_events) = (len(old_bytes, 24), len(new_bytes, 24));
+            assert!(old_events > 0, "{name}: the old events block is there");
+            assert_eq!(new_events, 0, "{name}: the new events block is empty");
+            assert_eq!(
+                old_bytes[ARCHIVE_HEADER_LEN + old_events..],
+                new_bytes[ARCHIVE_HEADER_LEN..],
+                "{name}: the records block"
+            );
         } else {
-            // WAL segments (event and policy records), the archive
-            // segment and the epoch marker: byte for byte.
+            // WAL segments (event and policy records) and the epoch
+            // marker: byte for byte.
             assert_eq!(old_bytes, new_bytes, "{name}");
         }
     }

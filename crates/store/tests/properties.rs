@@ -20,7 +20,7 @@ use ltam_core::prohibition::Prohibition;
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::{Event, PolicyCore, PolicyOp, QuarantinedEvent, ShardedEngine};
 use ltam_engine::engine::EngineConfig;
-use ltam_engine::movement::{MovementEvent, MovementKind, Stay};
+use ltam_engine::movement::Stay;
 use ltam_engine::retention::PrunedHistory;
 use ltam_engine::{AuditRecord, Violation};
 use ltam_graph::LocationId;
@@ -699,7 +699,7 @@ fn a_torn_mixed_group_recovers_to_a_whole_record_prefix() {
     );
 }
 
-// --- the archive segment (format v2: events block + binval records block) --
+// --- the archive segment (format v2: an empty events block + binval records) -
 
 /// Every archived record is stamped below this horizon.
 const HORIZON: u64 = 1_000_000;
@@ -713,16 +713,6 @@ fn arb_history() -> impl Strategy<Value = PrunedHistory> {
             exit: Some(Time(a.max(b))),
         };
         (SubjectId(s), stay)
-    });
-    let event = (ids(), any::<bool>()).prop_map(|((t, s, l), enter)| MovementEvent {
-        time: Time(t),
-        subject: SubjectId(s),
-        location: LocationId(l),
-        kind: if enter {
-            MovementKind::Enter
-        } else {
-            MovementKind::Exit
-        },
     });
     let audit = (ids(), 0u8..4, any::<u64>()).prop_map(|((t, s, l), pick, n)| AuditRecord {
         request: AccessRequest {
@@ -769,13 +759,11 @@ fn arb_history() -> impl Strategy<Value = PrunedHistory> {
         }
     });
     (
-        prop::collection::vec(event, 0..6),
         prop::collection::vec(stay, 0..6),
         prop::collection::vec(audit, 0..6),
         prop::collection::vec(violation, 0..6),
     )
-        .prop_map(|(events, stays, audit, violations)| PrunedHistory {
-            events,
+        .prop_map(|(stays, audit, violations)| PrunedHistory {
             stays,
             audit,
             violations,
@@ -786,8 +774,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A v2 segment gives back exactly the records it was written
-    /// with, and damage to any single byte of the file — header, events
-    /// block or binval records block — makes the load refuse (the CRC,
+    /// with, and damage to any single byte of the file — header or
+    /// binval records block — makes the load refuse (the CRC,
     /// or the header check the byte belongs to) instead of answering
     /// from a rotten segment.
     #[test]
@@ -798,14 +786,9 @@ proptest! {
         let dir = ScratchDir::new("prop-archive");
         let store = ArchiveStore::with_fsync(dir.path(), false);
         let report = store.append_run(0, HORIZON, &history).expect("write").expect("segment");
-        let total = history.events.len()
-            + history.stays.len()
-            + history.audit.len()
-            + history.violations.len();
-        prop_assert_eq!(report.records, total);
+        prop_assert_eq!(report.records, history.len());
 
         let data = store.load().expect("intact segment loads");
-        prop_assert_eq!(&data.events, &history.events);
         prop_assert_eq!(&data.audit, &history.audit);
         let violations: Vec<Violation> = data.violations.iter().map(|&(_, v)| v).collect();
         prop_assert_eq!(&violations, &history.violations);
@@ -982,8 +965,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The largest value the store decodes: a whole-engine snapshot
-    /// after an arbitrary mixed group (so the movement log, the
-    /// timelines, the ledgers, the quarantine and every policy section
+    /// after an arbitrary mixed group (so the movement timelines, the
+    /// ledgers, the quarantine and every policy section
     /// are populated). Ten kilobytes, so each case damages every 16th
     /// byte from its own offset rather than every byte.
     #[test]

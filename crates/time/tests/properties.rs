@@ -2,6 +2,7 @@
 
 use ltam_time::{Bound, EntryId, Interval, IntervalSet, IntervalTree, TemporalOp, Time};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
 
 /// Bounded or occasionally unbounded intervals over a small domain so that
 /// overlaps and adjacency are common.
@@ -230,8 +231,7 @@ proptest! {
 
     #[test]
     fn serde_round_trip_interval_set(s in arb_set()) {
-        let json = serde_json::to_string(&s).unwrap();
-        let back: IntervalSet = serde_json::from_str(&json).unwrap();
+        let back = IntervalSet::from_value(&s.to_value()).unwrap();
         prop_assert_eq!(s, back);
     }
 

@@ -111,7 +111,7 @@ fn authorization_db_persistence() {
 }
 
 /// A mixed population runs against both engines fed identical streams; the
-/// baseline's movement log matches LTAM's (same physics), while only LTAM
+/// baseline's movement history matches LTAM's (same physics), while only LTAM
 /// reports violations.
 #[test]
 fn identical_streams_differential_visibility() {
