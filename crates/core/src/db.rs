@@ -1,7 +1,8 @@
 //! The authorization database (Figure 3's first component).
 //!
 //! Stores every [`Authorization`] with provenance (explicitly created by an
-//! administrator, or derived by a rule), indexed three ways:
+//! administrator, or derived by a rule) in a record table addressed by
+//! id, indexed three ways:
 //!
 //! * by `(subject, location)` — the hot path of Definition 7's access check,
 //! * by subject — feeds Algorithm 1's per-location authorization lookup,
@@ -28,6 +29,18 @@
 //! the original did or a recovered store would diverge from the one that
 //! crashed. Ids are issued ascending and never reissued, which makes
 //! "insertion order" and "id order" the same thing.
+//!
+//! ## Records by id
+//!
+//! Every decision resolves each candidate id to its row, and every
+//! observed entry, exit and overstay tick resolves the granted id again,
+//! so that lookup is one indexed load: a slot per id ever issued holds
+//! the row's position in a dense row vector. The bound is 4 bytes per
+//! issued id (revoked ones included, up to the largest id filed) plus
+//! one row per live authorization. A revocation moves the last row into
+//! the hole, so the rows carry no order; the ordered walks
+//! ([`AuthorizationDb::iter`], the exports, the provenance queries)
+//! go through the slots, which are in id order.
 
 use crate::model::Authorization;
 use crate::subject::SubjectId;
@@ -161,14 +174,28 @@ fn unfile<K: Eq + Hash>(index: &mut HashMap<K, IdList>, key: K, id: AuthId) {
     }
 }
 
+/// The slot of an id that is not filed: never issued here, or revoked.
+/// No row sits at this position — [`AuthorizationDb`] holds fewer than
+/// `u32::MAX` rows — so looking it up in the rows finds nothing.
+const VACANT: u32 = u32::MAX;
+
+/// `id` as an index into the slots.
+fn slot_of(id: AuthId) -> usize {
+    usize::try_from(id.0).expect("an issued id fits the address space")
+}
+
 /// The authorization database.
 #[derive(Debug, Clone, Default)]
 pub struct AuthorizationDb {
-    records: BTreeMap<AuthId, AuthRecord>,
+    /// `slot[i]` is the position of `AuthId(i)`'s row in `rows`, or
+    /// [`VACANT`]; ids past the end are vacant too.
+    slot: Vec<u32>,
+    /// The live rows, dense and unordered (see the module docs).
+    rows: Vec<(AuthId, AuthRecord)>,
     next: u64,
     by_subject_location: HashMap<(SubjectId, LocationId), IdList>,
     by_subject: HashMap<SubjectId, IdList>,
-    /// Derived from `records` by the first time-sliced query (see the
+    /// Derived from the rows by the first time-sliced query (see the
     /// module docs); unset until then and after a revocation.
     entry_index: OnceLock<IntervalTree<AuthId>>,
 }
@@ -181,12 +208,45 @@ impl AuthorizationDb {
 
     /// Number of stored authorizations.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.rows.len()
     }
 
     /// True if no authorizations are stored.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.rows.is_empty()
+    }
+
+    /// The row filed under `id`, if any: one load from the slots, one
+    /// from the rows.
+    fn record(&self, id: AuthId) -> Option<&AuthRecord> {
+        let at = *self.slot.get(usize::try_from(id.0).ok()?)?;
+        self.rows.get(at as usize).map(|(_, r)| r)
+    }
+
+    /// File `record` under `id` — replacing the row already there, if
+    /// any — growing the slots to reach it.
+    fn put(&mut self, id: AuthId, record: AuthRecord) {
+        let i = slot_of(id);
+        if i >= self.slot.len() {
+            self.slot.resize(i + 1, VACANT);
+        }
+        match self.rows.get_mut(self.slot[i] as usize) {
+            Some(row) => row.1 = record,
+            None => {
+                self.slot[i] = u32::try_from(self.rows.len())
+                    .ok()
+                    .filter(|&at| at != VACANT)
+                    .expect("fewer than u32::MAX authorizations");
+                self.rows.push((id, record));
+            }
+        }
+    }
+
+    /// The live rows in ascending id order.
+    fn ordered(&self) -> impl Iterator<Item = &(AuthId, AuthRecord)> + '_ {
+        self.slot
+            .iter()
+            .filter_map(|&at| self.rows.get(at as usize))
     }
 
     /// Insert an explicitly created authorization.
@@ -202,7 +262,7 @@ impl AuthorizationDb {
     ) -> AuthId {
         let id = AuthId(self.next);
         self.next += 1;
-        self.records.insert(id, AuthRecord { auth, provenance });
+        self.put(id, AuthRecord { auth, provenance });
         file(
             &mut self.by_subject_location,
             (auth.subject(), auth.location()),
@@ -217,7 +277,13 @@ impl AuthorizationDb {
 
     /// Remove an authorization; returns it if it existed.
     pub fn revoke(&mut self, id: AuthId) -> Option<Authorization> {
-        let AuthRecord { auth, .. } = self.records.remove(&id)?;
+        self.record(id)?;
+        let at = std::mem::replace(&mut self.slot[slot_of(id)], VACANT);
+        let (_, AuthRecord { auth, .. }) = self.rows.swap_remove(at as usize);
+        // The last row moved into the hole: point its slot there.
+        if let Some(&(moved, _)) = self.rows.get(at as usize) {
+            self.slot[slot_of(moved)] = at;
+        }
         unfile(
             &mut self.by_subject_location,
             (auth.subject(), auth.location()),
@@ -233,12 +299,18 @@ impl AuthorizationDb {
 
     /// Look up an authorization.
     pub fn get(&self, id: AuthId) -> Option<&Authorization> {
-        self.records.get(&id).map(|r| &r.auth)
+        self.record(id).map(|r| &r.auth)
     }
 
     /// Provenance of an authorization.
     pub fn provenance(&self, id: AuthId) -> Option<Provenance> {
-        self.records.get(&id).map(|r| r.provenance)
+        self.record(id).map(|r| r.provenance)
+    }
+
+    /// The authorization filed under `id`, which an index holds, so it
+    /// is live.
+    fn live(&self, id: AuthId) -> &Authorization {
+        &self.rows[self.slot[slot_of(id)] as usize].1.auth
     }
 
     fn listed<'a>(
@@ -247,7 +319,7 @@ impl AuthorizationDb {
     ) -> impl Iterator<Item = (AuthId, &'a Authorization)> + 'a {
         list.map_or(&[][..], IdList::as_slice)
             .iter()
-            .map(move |&id| (id, &self.records[&id].auth))
+            .map(move |&id| (id, self.live(id)))
     }
 
     /// Authorizations for a `(subject, location)` pair — Definition 7's
@@ -282,13 +354,12 @@ impl AuthorizationDb {
         out
     }
 
-    /// The entry-window index, built from the records by whoever asks
+    /// The entry-window index, built from the rows by whoever asks
     /// first.
     fn entry_index(&self) -> &IntervalTree<AuthId> {
         self.entry_index.get_or_init(|| {
-            self.records
-                .iter()
-                .map(|(&id, r)| (r.auth.entry_window(), id))
+            self.ordered()
+                .map(|(id, r)| (r.auth.entry_window(), *id))
                 .collect()
         })
     }
@@ -298,7 +369,7 @@ impl AuthorizationDb {
         self.entry_index()
             .stab(t)
             .into_iter()
-            .map(|(_, &id)| (id, &self.records[&id].auth))
+            .map(|(_, &id)| (id, self.live(id)))
             .collect()
     }
 
@@ -307,44 +378,39 @@ impl AuthorizationDb {
         self.entry_index()
             .overlapping(window)
             .into_iter()
-            .map(|(_, &id)| (id, &self.records[&id].auth))
+            .map(|(_, &id)| (id, self.live(id)))
             .collect()
     }
 
     /// All authorizations derived from `base` by any rule.
     pub fn derived_from(&self, base: AuthId) -> Vec<AuthId> {
-        self.records
-            .iter()
+        self.ordered()
             .filter(
                 |(_, r)| matches!(r.provenance, Provenance::Derived { base: b, .. } if b == base),
             )
-            .map(|(&id, _)| id)
+            .map(|&(id, _)| id)
             .collect()
     }
 
     /// All authorizations produced by `rule`.
     pub fn derived_by_rule(&self, rule: RuleId) -> Vec<AuthId> {
-        self.records
-            .iter()
+        self.ordered()
             .filter(
                 |(_, r)| matches!(r.provenance, Provenance::Derived { rule: q, .. } if q == rule),
             )
-            .map(|(&id, _)| id)
+            .map(|&(id, _)| id)
             .collect()
     }
 
     /// Iterate all `(id, authorization, provenance)` rows in id order.
     pub fn iter(&self) -> impl Iterator<Item = (AuthId, &Authorization, Provenance)> + '_ {
-        self.records
-            .iter()
-            .map(|(&id, r)| (id, &r.auth, r.provenance))
+        self.ordered().map(|(id, r)| (*id, &r.auth, r.provenance))
     }
 
     /// Export all rows for persistence (id order).
     pub fn export(&self) -> Vec<(Authorization, Provenance)> {
-        self.records
-            .values()
-            .map(|r| (r.auth, r.provenance))
+        self.ordered()
+            .map(|(_, r)| (r.auth, r.provenance))
             .collect()
     }
 
@@ -361,9 +427,8 @@ impl AuthorizationDb {
     /// Export all rows *with their ids* (id order) — for snapshots where
     /// external state (usage counters, rule provenance) references the ids.
     pub fn export_rows(&self) -> Vec<(AuthId, Authorization, Provenance)> {
-        self.records
-            .iter()
-            .map(|(&id, r)| (id, r.auth, r.provenance))
+        self.ordered()
+            .map(|(id, r)| (*id, r.auth, r.provenance))
             .collect()
     }
 
@@ -392,8 +457,8 @@ impl AuthorizationDb {
     /// [`AuthorizationDb::reserve_ids_through`]).
     ///
     /// This is the bulk build every policy load goes through: the
-    /// record table is collected from the rows (already in id order in
-    /// every image, which makes that linear), both candidate indexes
+    /// rows are filed in one pass (already in id order in every image,
+    /// so the slots grow at the end only), both candidate indexes
     /// come out of one sort of `(subject, location, id)`, and the
     /// entry-window index is left to its first reader. The result is
     /// the database one [`AuthorizationDb::insert_with_provenance`] per
@@ -402,24 +467,26 @@ impl AuthorizationDb {
     pub fn import_rows(
         rows: impl IntoIterator<Item = (AuthId, Authorization, Provenance)>,
     ) -> AuthorizationDb {
-        let records: BTreeMap<AuthId, AuthRecord> = rows
-            .into_iter()
-            .map(|(id, auth, provenance)| (id, AuthRecord { auth, provenance }))
-            .collect();
-        let mut index: Vec<IndexRow> = records
+        let rows = rows.into_iter();
+        let hint = rows.size_hint().0;
+        let mut db = AuthorizationDb {
+            slot: Vec::with_capacity(hint),
+            rows: Vec::with_capacity(hint),
+            ..AuthorizationDb::default()
+        };
+        for (id, auth, provenance) in rows {
+            db.put(id, AuthRecord { auth, provenance });
+            db.next = db.next.max(id.0.saturating_add(1));
+        }
+        let mut index: Vec<IndexRow> = db
+            .rows
             .iter()
-            .map(|(&id, r)| (r.auth.subject(), r.auth.location(), id))
+            .map(|(id, r)| (r.auth.subject(), r.auth.location(), *id))
             .collect();
         index.sort_unstable();
-        AuthorizationDb {
-            next: records
-                .last_key_value()
-                .map_or(0, |(id, _)| id.0.saturating_add(1)),
-            by_subject_location: grouped(&index, |row| (row.0, row.1)),
-            by_subject: grouped(&index, |row| row.0),
-            records,
-            entry_index: OnceLock::new(),
-        }
+        db.by_subject_location = grouped(&index, |row| (row.0, row.1));
+        db.by_subject = grouped(&index, |row| row.0);
+        db
     }
 }
 
@@ -456,6 +523,38 @@ mod tests {
         assert!(db.is_empty());
         assert_eq!(db.revoke(id), None);
         assert_eq!(db.get(id), None);
+    }
+
+    #[test]
+    fn a_sparse_image_files_its_rows_by_id() {
+        let (a, b) = (auth(ALICE, CAIS, 10, 20, 2), auth(BOB, CHIPES, 5, 35, 1));
+        let far = AuthId(1_000_000);
+        let mut db = AuthorizationDb::import_rows([
+            (AuthId(0), a, Provenance::Explicit),
+            (far, b, Provenance::Explicit),
+        ]);
+        assert_eq!(db.get(AuthId(0)), Some(&a));
+        assert_eq!(db.get(far), Some(&b));
+        for gap in [1, 999_999, 1_000_001, u64::MAX] {
+            assert_eq!(db.get(AuthId(gap)), None);
+        }
+        let c = auth(ALICE, CHIPES, 30, 40, 1);
+        let next = db.insert(c);
+        assert_eq!(next, AuthId(1_000_001));
+        // Revoking the first row moves the last one into its place; the
+        // revoked id resolves to nothing, the moved one still to itself.
+        assert_eq!(db.revoke(AuthId(0)), Some(a));
+        assert_eq!(db.get(AuthId(0)), None);
+        assert_eq!(db.provenance(AuthId(0)), None);
+        assert_eq!(db.get(next), Some(&c));
+        assert_eq!(db.get(far), Some(&b));
+        assert_eq!(db.revoke(far), Some(b));
+        assert_eq!(db.get(far), None);
+        assert_eq!(db.revoke(far), None);
+        assert_eq!(db.get(next), Some(&c));
+        let ids: Vec<AuthId> = db.iter().map(|(id, _, _)| id).collect();
+        assert_eq!(ids, vec![next]);
+        assert_eq!(db.for_subject(ALICE).collect::<Vec<_>>(), vec![(next, &c)]);
     }
 
     #[test]

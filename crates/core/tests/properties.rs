@@ -11,6 +11,7 @@ use ltam_graph::{route, EffectiveGraph, LocationId, LocationModel};
 use ltam_time::{Interval, IntervalSet, Time};
 use proptest::prelude::*;
 use serde::{Deserialize, Value};
+use std::collections::BTreeMap;
 
 const ALICE: SubjectId = SubjectId(0);
 
@@ -142,6 +143,100 @@ fn answers(db: &AuthorizationDb, time_sliced: bool) -> Vec<String> {
                 "{:?}",
                 ids(db.enterable_during(Interval::lit(t, t + 5)))
             ));
+        }
+    }
+    out
+}
+
+/// One step of `the_record_table_is_an_ordered_map`'s script.
+#[derive(Debug, Clone)]
+enum TableOp {
+    Insert(Authorization, Provenance),
+    Revoke(prop::sample::Index),
+    /// Replace the database with an image: ascending ids after the given
+    /// gaps, then a second row under the id of the row picked by the
+    /// first index, filed at the position the second picks.
+    Import(
+        Vec<(u64, (Authorization, Provenance))>,
+        prop::sample::Index,
+        prop::sample::Index,
+    ),
+    Reserve(u64),
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    let gap = prop_oneof![9 => 0u64..3, 1 => Just(1_000u64)];
+    prop_oneof![
+        4 => arb_row().prop_map(|(auth, provenance)| TableOp::Insert(auth, provenance)),
+        3 => any::<prop::sample::Index>().prop_map(TableOp::Revoke),
+        1 => (
+            prop::collection::vec((gap, arb_row()), 1..10),
+            any::<prop::sample::Index>(),
+            any::<prop::sample::Index>(),
+        )
+            .prop_map(|(rows, dup, at)| TableOp::Import(rows, dup, at)),
+        1 => (0u64..1_040).prop_map(TableOp::Reserve),
+    ]
+}
+
+/// Everything [`AuthorizationDb`] answers about its records and
+/// candidates, as ordered sequences, from the database itself.
+fn table_answers(db: &AuthorizationDb) -> Vec<String> {
+    let mut out = vec![
+        format!("len {} next {}", db.len(), db.next_id()),
+        format!("{:?}", db.iter().collect::<Vec<_>>()),
+        format!("{:?}", db.export_rows()),
+    ];
+    for id in (0..db.next_id() + 2).map(AuthId) {
+        out.push(format!("{id}: {:?} {:?}", db.get(id), db.provenance(id)));
+    }
+    for s in (0..4).map(SubjectId) {
+        out.push(format!("{:?}", db.for_subject(s).collect::<Vec<_>>()));
+        for l in (0..4).map(LocationId) {
+            out.push(format!(
+                "{:?}",
+                db.for_subject_location(s, l).collect::<Vec<_>>()
+            ));
+        }
+    }
+    out
+}
+
+/// [`table_answers`] from an ordered map of the rows and the id counter.
+fn model_answers(rows: &BTreeMap<AuthId, (Authorization, Provenance)>, next: u64) -> Vec<String> {
+    let mut out = vec![
+        format!("len {} next {next}", rows.len()),
+        format!(
+            "{:?}",
+            rows.iter()
+                .map(|(&id, (a, p))| (id, a, *p))
+                .collect::<Vec<_>>()
+        ),
+        format!(
+            "{:?}",
+            rows.iter()
+                .map(|(&id, &(a, p))| (id, a, p))
+                .collect::<Vec<_>>()
+        ),
+    ];
+    for id in (0..next + 2).map(AuthId) {
+        let row = rows.get(&id);
+        out.push(format!(
+            "{id}: {:?} {:?}",
+            row.map(|(a, _)| a),
+            row.map(|&(_, p)| p)
+        ));
+    }
+    for s in (0..4).map(SubjectId) {
+        let of = |l: Option<LocationId>| {
+            rows.iter()
+                .filter(|(_, (a, _))| a.subject() == s && l.is_none_or(|l| a.location() == l))
+                .map(|(&id, (a, _))| (id, a))
+                .collect::<Vec<_>>()
+        };
+        out.push(format!("{:?}", of(None)));
+        for l in (0..4).map(LocationId) {
+            out.push(format!("{:?}", of(Some(l))));
         }
     }
     out
@@ -408,6 +503,48 @@ proptest! {
         let mut reloaded = AuthorizationDb::import_rows(oracle.export_rows());
         reloaded.reserve_ids_through(oracle.next_id());
         prop_assert_eq!(answers(&reloaded, true), answers(&oracle, true));
+    }
+
+    #[test]
+    fn the_record_table_is_an_ordered_map(ops in prop::collection::vec(arb_table_op(), 1..40)) {
+        let mut db = AuthorizationDb::new();
+        let mut rows: BTreeMap<AuthId, (Authorization, Provenance)> = BTreeMap::new();
+        let mut next = 0u64;
+        for op in ops {
+            match op {
+                TableOp::Insert(auth, provenance) => {
+                    prop_assert_eq!(db.insert_with_provenance(auth, provenance), AuthId(next));
+                    rows.insert(AuthId(next), (auth, provenance));
+                    next += 1;
+                }
+                TableOp::Revoke(pick) => {
+                    let id = AuthId(pick.index(next as usize + 1) as u64);
+                    prop_assert_eq!(db.revoke(id), rows.remove(&id).map(|(a, _)| a));
+                }
+                TableOp::Import(gapped, dup, at) => {
+                    let mut id = 0;
+                    let mut image: Vec<(AuthId, Authorization, Provenance)> = gapped
+                        .into_iter()
+                        .map(|(gap, (auth, provenance))| {
+                            id += gap + 1;
+                            (AuthId(id - 1), auth, provenance)
+                        })
+                        .collect();
+                    let copied = dup.index(image.len());
+                    let (_, auth, provenance) = image[(copied + 1) % image.len()];
+                    let at = copied + 1 + at.index(image.len() - copied);
+                    image.insert(at, (image[copied].0, auth, provenance));
+                    rows = image.iter().map(|&(id, a, p)| (id, (a, p))).collect();
+                    next = rows.keys().next_back().map_or(0, |id| id.0 + 1);
+                    db = AuthorizationDb::import_rows(image);
+                }
+                TableOp::Reserve(through) => {
+                    db.reserve_ids_through(through);
+                    next = next.max(through);
+                }
+            }
+            prop_assert_eq!(table_answers(&db), model_answers(&rows, next));
+        }
     }
 
     #[test]

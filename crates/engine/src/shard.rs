@@ -230,14 +230,16 @@ impl ShardState {
         if policy.situation.is_inert() {
             return (base, SituationEffect::None);
         }
-        // "Entered `l` at or after `since`" against this subject's own
+        // "Entered `l` in `[since, t]`" against this subject's own
         // timeline — all the history a workflow constraint may consult,
-        // and all of it lives on this shard.
+        // and all of it lives on this shard. The timeline is in entry
+        // order, so only the stays entered inside the window are read.
         let entered = |l: LocationId, since: Time| {
-            self.movements
-                .timeline(subject)
+            let stays = self.movements.timeline(subject);
+            stays[stays.partition_point(|s| s.enter < since)..]
                 .iter()
-                .any(|s| s.location == l && s.enter >= since && s.enter <= t)
+                .take_while(|s| s.enter <= t)
+                .any(|s| s.location == l)
         };
         judge(policy.situation, subject, location, t, base, &entered)
     }
@@ -622,6 +624,7 @@ mod tests {
     use super::*;
     use crate::movement::Stay;
     use ltam_core::model::{Authorization, EntryLimit};
+    use ltam_situate::{SituationOp, WorkflowConstraint};
     use ltam_time::Interval;
 
     const ALICE: SubjectId = SubjectId(0);
@@ -843,5 +846,74 @@ mod tests {
             s.observe_enter(&policy, Time(11), ALICE, CAIS),
             Some(Violation::UnauthorizedEntry { .. })
         ));
+    }
+
+    const PHARMACY: LocationId = LocationId(4);
+    const STOCKROOM: LocationId = LocationId(5);
+
+    /// Whether Alice, who entered the pharmacy at `enter` and left at
+    /// `exit`, is granted the stockroom at `t`. She holds an unbounded
+    /// authorization for both rooms over `[0, 1000]`, so `constraint` is
+    /// the only thing that can refuse her.
+    fn stockroom_after_pharmacy(
+        constraint: &WorkflowConstraint,
+        enter: u64,
+        exit: u64,
+        t: u64,
+    ) -> bool {
+        let mut db = AuthorizationDb::new();
+        for location in [PHARMACY, STOCKROOM] {
+            let window = Interval::lit(0, 1000);
+            let auth = Authorization::new(window, window, ALICE, location, EntryLimit::Unbounded);
+            db.insert(auth.unwrap());
+        }
+        let mut situation = SituationPolicy::new();
+        situation.apply(&SituationOp::AddConstraint(constraint.clone()));
+        let prohibitions = ProhibitionDb::new();
+        let policy = PolicyView {
+            db: &db,
+            prohibitions: &prohibitions,
+            config: EngineConfig::default(),
+            situation: &situation,
+        };
+        let mut s = ShardState::new();
+        assert!(s
+            .request_enter(&policy, Time(enter), ALICE, PHARMACY)
+            .is_granted());
+        assert_eq!(s.observe_enter(&policy, Time(enter), ALICE, PHARMACY), None);
+        assert_eq!(s.observe_exit(&policy, Time(exit), ALICE, PHARMACY), None);
+        s.request_enter(&policy, Time(t), ALICE, STOCKROOM)
+            .is_granted()
+    }
+
+    // A workflow constraint's window of `w` at request time `t` is the
+    // closed `[t - w, t]`: an entry at either end is inside it.
+
+    #[test]
+    fn a_separation_of_duty_window_binds_at_both_ends() {
+        let sod = WorkflowConstraint::SeparationOfDuty {
+            first: PHARMACY,
+            second: STOCKROOM,
+            window: 20,
+        };
+        // Entered at exactly t - 20: still tainted; a chronon later, not.
+        assert!(!stockroom_after_pharmacy(&sod, 10, 12, 30));
+        assert!(stockroom_after_pharmacy(&sod, 10, 12, 31));
+        // Entered and left at the request's own chronon: tainted.
+        assert!(!stockroom_after_pharmacy(&sod, 30, 30, 30));
+    }
+
+    #[test]
+    fn an_ordered_steps_window_binds_at_both_ends() {
+        let steps = WorkflowConstraint::OrderedSteps {
+            steps: vec![PHARMACY, STOCKROOM],
+            window: 20,
+        };
+        // The previous step entered at exactly t - 20 still counts; a
+        // chronon later it has lapsed.
+        assert!(stockroom_after_pharmacy(&steps, 10, 12, 30));
+        assert!(!stockroom_after_pharmacy(&steps, 10, 12, 31));
+        // Entered and left at the request's own chronon: it counts.
+        assert!(stockroom_after_pharmacy(&steps, 30, 30, 30));
     }
 }

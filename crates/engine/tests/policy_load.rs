@@ -6,6 +6,8 @@
 //! tree, which no enforcement path ever queries. Its own test binary,
 //! because it swaps the global allocator for one that counts.
 
+use ltam_core::decision::AccessRequest;
+use ltam_core::ledger::UsageLedger;
 use ltam_core::model::{Authorization, EntryLimit};
 use ltam_core::subject::SubjectId;
 use ltam_core::AuthId;
@@ -56,6 +58,7 @@ fn recorded<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
 }
 
 const ROWS: usize = 50_000;
+const DECISIONS: usize = 10_000;
 
 /// 1 000 subjects × 50 locations, one authorization a pair (the shape
 /// the perf ledger's workloads load), windows from a seeded xorshift.
@@ -95,10 +98,9 @@ fn a_policy_load_allocates_per_table_not_per_row() {
     let rows = seeded_rows();
 
     // Set-up: one `add_authorization` per row. One-id candidate lists
-    // are inline and nothing feeds a tree, which leaves a `BTreeMap` node
-    // per ~5.5 ascending inserts, each subject's list doubling and the
-    // tables' growth: 0.29 calls a row (row by row into all three
-    // indexes it was 1.27).
+    // are inline, the record table's two vectors double, and nothing
+    // feeds a tree, which leaves each subject's list doubling and the
+    // tables' growth: 0.125 calls a row.
     let (mut core, calls, _) = recorded(|| {
         let mut core = PolicyCore::new(ntu_campus().model);
         for auth in &rows {
@@ -107,7 +109,7 @@ fn a_policy_load_allocates_per_table_not_per_row() {
         core
     });
     assert!(
-        calls <= ROWS * 3 / 10,
+        calls <= ROWS * 13 / 100,
         "{ROWS} add_authorization calls made {calls} allocator calls"
     );
     let (hits, _, grew) = recorded(|| core.db().enterable_at(Time(50_000)).len());
@@ -125,14 +127,13 @@ fn a_policy_load_allocates_per_table_not_per_row() {
     let freed = before.saturating_sub(LIVE.load(Ordering::Relaxed));
     assert!(freed >= TREE_BYTES, "a revocation freed only {freed} bytes");
 
-    // Load: the whole image in one pass — a packed `BTreeMap` node per
-    // 11 rows, one exactly sized list per subject, one exactly sized
-    // table per index: 0.11 calls a row, where loading went row by row
-    // through the same inserts as set-up.
+    // Load: the whole image in one pass — the record table's two
+    // vectors sized from the image, one exactly sized list per subject, one
+    // exactly sized table per index: 0.021 calls a row.
     let image = core.image();
     let (loaded, calls, _) = recorded(|| PolicyCore::from_image(image));
     assert!(
-        calls <= ROWS * 12 / 100,
+        calls <= ROWS * 25 / 1000,
         "from_image of {ROWS} rows made {calls} allocator calls"
     );
     let (_, _, grew) = recorded(|| loaded.db().enterable_at(Time(50_000)).len());
@@ -141,4 +142,48 @@ fn a_policy_load_allocates_per_table_not_per_row() {
         "the first enterable_at left {grew} bytes: from_image built the tree"
     );
     assert_eq!(loaded.db().len(), ROWS - 1);
+
+    // Deciding reads the indexes and allocates nothing: not the
+    // candidate walk, not the lookup by id an entry or exit makes.
+    let mut x = 0x2545_F491_4F6C_DD1D_u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let requests: Vec<AccessRequest> = (0..DECISIONS)
+        .map(|_| AccessRequest {
+            time: Time(next() % 100_500),
+            subject: SubjectId((next() % 1_000) as u32),
+            location: LocationId((next() % 50) as u32),
+        })
+        .collect();
+    // Any id but `AuthId(0)`, revoked above.
+    let ids: Vec<AuthId> = (0..DECISIONS)
+        .map(|_| AuthId(1 + next() % (ROWS as u64 - 1)))
+        .collect();
+    let context = loaded.view().decision_context();
+    let ledger = UsageLedger::new();
+    let (granted, calls, _) = recorded(|| {
+        requests
+            .iter()
+            .filter(|request| context.decide(&ledger, request).is_granted())
+            .count()
+    });
+    assert!(granted > 0, "some requests fall inside their pair's window");
+    assert_eq!(
+        calls, 0,
+        "{DECISIONS} decisions made {calls} allocator calls"
+    );
+    let (found, calls, _) = recorded(|| {
+        ids.iter()
+            .filter(|&&id| loaded.db().get(id).is_some())
+            .count()
+    });
+    assert_eq!(found, DECISIONS);
+    assert_eq!(
+        calls, 0,
+        "{DECISIONS} lookups by id made {calls} allocator calls"
+    );
 }

@@ -149,6 +149,14 @@ impl ReplicaShared {
         self.publish_lag();
     }
 
+    /// Raise what this follower knows of the primary's position to
+    /// `applied` / `policy_epoch` (never lowers either).
+    fn observe_primary(&self, applied: u64, policy_epoch: u64) {
+        self.primary_applied.fetch_max(applied, Ordering::AcqRel);
+        self.primary_epoch.fetch_max(policy_epoch, Ordering::AcqRel);
+        self.publish_lag();
+    }
+
     /// Refresh the `repl_lag_events` gauge from the two published
     /// counters. Called from both sides of the race (watermark rises,
     /// primary advances) so the gauge tracks whichever moved last.
@@ -393,13 +401,7 @@ pub(crate) fn replicate_loop(
                 continue; // client dropped; reconnect next pass
             }
         };
-        shared
-            .primary_applied
-            .fetch_max(manifest.applied, Ordering::AcqRel);
-        shared.publish_lag();
-        shared
-            .primary_epoch
-            .fetch_max(manifest.policy_epoch, Ordering::AcqRel);
+        shared.observe_primary(manifest.applied, manifest.policy_epoch);
         if scanner.is_none() {
             scanner = TailScanner::start(view.applied(), &manifest.wal_segments);
             if scanner.is_none() {
@@ -457,13 +459,7 @@ pub(crate) fn replicate_loop(
                     break false; // reconnect via the outer loop
                 }
             };
-            shared
-                .primary_applied
-                .fetch_max(chunk.meta.applied, Ordering::AcqRel);
-            shared.publish_lag();
-            shared
-                .primary_epoch
-                .fetch_max(chunk.meta.policy_epoch, Ordering::AcqRel);
+            shared.observe_primary(chunk.meta.applied, chunk.meta.policy_epoch);
             let step = scanner.as_mut().expect("scanner positioned above").apply(
                 &chunk.bytes,
                 chunk.meta.file_len,
@@ -497,6 +493,11 @@ pub(crate) fn replicate_loop(
                     sleep_while(&stop, config.poll_interval);
                     break true;
                 }
+                // The meta can lag the records it came with: the
+                // primary appends to its WAL before it publishes the
+                // counters that count them. Whatever this follower has
+                // applied from the primary, the primary had applied.
+                shared.observe_primary(view.applied(), view.policy_epoch());
                 shared.publish(view.applied());
             }
             if let Some(fault) = step.fault {

@@ -1475,8 +1475,12 @@ fn answer_repl(conn: &mut Conn, request: ReplRequest, shared: &Shared) {
             let cap = shared.config.max_frame_bytes.saturating_sub(4096).max(1);
             match read_file_chunk(dir, file, offset, len.min(cap)) {
                 Ok(Some(read)) => {
-                    // Bytes were read BEFORE these counters:
-                    // everything in them is at-or-before `applied`.
+                    // Read after the bytes, these counters can still
+                    // lag them: a commit appends to the WAL before its
+                    // apply publishes `applied` / `policy_epoch`, so the
+                    // chunk may hold records they do not count yet. The
+                    // follower raises its view of the primary to its own
+                    // counters once it has committed the chunk.
                     let sealed = match file {
                         ReplFileId::WalSegment { first_seq } => wal_segment_ids(dir)
                             .map(|ids| ids.iter().any(|&id| id > first_seq))

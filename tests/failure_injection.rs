@@ -173,6 +173,7 @@ mod follower_faults {
     use std::net::TcpListener;
     use std::time::{Duration, Instant};
 
+    use ltam::core::subject::SubjectId;
     use ltam::engine::batch::{apply_to_engine, Event};
     use ltam::serve::wire::{
         decode_request, encode_repl_chunk, encode_response, read_frame, write_frame, ReplChunk,
@@ -180,6 +181,7 @@ mod follower_faults {
         DEFAULT_MAX_FRAME_BYTES,
     };
     use ltam::serve::{bootstrap_follower, LtamClient, ReplicaConfig, Server, ServerConfig};
+    use ltam::situate::SituationOp;
     use ltam::store::{DurableEngine, ReplFile, ReplFileId, ScratchDir, StoreConfig};
     use ltam::time::{Interval, Time};
     use ltam_bench::relay::TcpRelay;
@@ -494,6 +496,99 @@ mod follower_faults {
         drop(follower.abort().unwrap());
         drop(primary.abort().unwrap());
         relay.stop();
+    }
+
+    /// A primary's commit appends to its WAL before its apply publishes
+    /// `applied` / `policy_epoch`, so a chunk can carry a policy record
+    /// its meta does not count yet. This fake primary relays a real one
+    /// but always reports the counters as they stood before its last
+    /// policy op. The follower applies that op all the same, and must
+    /// then report the primary at least where it stands itself — not one
+    /// epoch behind until some later poll.
+    #[test]
+    fn a_chunk_whose_meta_lags_its_records_never_reports_the_primary_behind() {
+        let trace = multi_shard_trace(&serve_workload(16, 600));
+        let half = trace.events.len() / 2;
+        let p_dir = ScratchDir::new("lagging-meta-primary");
+        let f_dir = ScratchDir::new("lagging-meta-follower");
+        let (engine, _alerts) =
+            DurableEngine::create(p_dir.path(), trace.build_policy_core(), 2, primary_store())
+                .unwrap();
+        let config = ServerConfig {
+            root_token: Some("lagging-meta-root".to_string()),
+            ..ServerConfig::default()
+        };
+        let primary = Server::start(engine, "127.0.0.1:0", config).unwrap();
+        let p_addr = primary.local_addr().to_string();
+        let mut loader = LtamClient::connect(&p_addr).unwrap();
+        loader.hello("lagging-meta-root").unwrap();
+        for chunk in trace.events[..half].chunks(64) {
+            loader.ingest(chunk).unwrap();
+        }
+        let f_engine = bootstrap_follower(f_dir.path(), &p_addr, follower_store()).unwrap();
+        let lagging = loader.status().unwrap();
+        loader
+            .situation(SituationOp::AddResponder(SubjectId(9_000)))
+            .unwrap();
+        for chunk in trace.events[half..].chunks(64) {
+            loader.ingest(chunk).unwrap();
+        }
+        let p_status = loader.status().unwrap();
+        assert_eq!(p_status.policy_epoch, lagging.policy_epoch + 1);
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let upstream_addr = p_addr.clone();
+        std::thread::spawn(move || {
+            for sock in listener.incoming() {
+                let Ok(mut sock) = sock else { return };
+                let mut upstream = LtamClient::connect(&upstream_addr).unwrap();
+                while let Ok(payload) = read_frame(&mut sock, DEFAULT_MAX_FRAME_BYTES) {
+                    let frame = match decode_request(&payload).unwrap() {
+                        Request::Repl(ReplRequest::Fetch { file, offset, len }) => {
+                            let mut chunk = upstream.repl_fetch(file, offset, len).unwrap();
+                            chunk.meta.applied = lagging.events_ingested;
+                            chunk.meta.policy_epoch = lagging.policy_epoch;
+                            encode_repl_chunk(&chunk)
+                        }
+                        request => {
+                            let mut response = upstream.call(&request).unwrap();
+                            if let Response::ReplManifest { manifest } = &mut response {
+                                manifest.applied = lagging.events_ingested;
+                                manifest.policy_epoch = lagging.policy_epoch;
+                            }
+                            encode_response(&response)
+                        }
+                    };
+                    if write_frame(&mut sock, &frame).is_err() {
+                        break;
+                    }
+                }
+            }
+        });
+
+        let follower = Server::start_follower(
+            f_engine,
+            "127.0.0.1:0",
+            ServerConfig::default(),
+            fast_replica(&addr),
+        )
+        .unwrap();
+        let mut probe = LtamClient::connect(&follower.local_addr().to_string()).unwrap();
+        probe
+            .wait_for_watermark(p_status.events_ingested, Duration::from_secs(20))
+            .unwrap();
+        let f_status = probe.status().unwrap();
+        assert_eq!(f_status.policy_epoch, p_status.policy_epoch);
+        let replica = f_status.replica.unwrap();
+        assert_eq!(
+            (replica.primary_applied, replica.primary_epoch),
+            (p_status.events_ingested, p_status.policy_epoch),
+            "the follower reports the primary behind what it applied from it"
+        );
+
+        drop(follower.abort().unwrap());
+        drop(primary.abort().unwrap());
     }
 }
 
