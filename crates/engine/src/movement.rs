@@ -5,20 +5,21 @@
 //! validation, system status checking, etc."
 //!
 //! A movement is stored once, as a *stay*: an entry opens one on the
-//! subject's timeline and the matching exit closes it. The timelines are
-//! the whole recorded history — current position per subject, live
-//! occupancy per location and the per-subject latest-time guard sit
-//! beside them — and they answer the historical queries (`where was s at
-//! t`, `who was in l during w`) and the co-location joins behind contact
-//! tracing (the paper's SARS motivation). The raw enter/exit stream is
-//! the write-ahead log's, not this store's.
+//! subject's timeline and the matching exit closes it. The store keeps
+//! **one row per subject** — its timeline (the whole recorded history),
+//! its latest-time guard and its place in an occupant list — and one
+//! unordered occupant list per location; [`MovementsDb`] has what an
+//! event and a read cost. The timelines answer the historical queries
+//! (`where was s at t`, `who was in l during w`) and the co-location
+//! joins behind contact tracing (the paper's SARS motivation). The raw
+//! enter/exit stream is the write-ahead log's, not this store's.
 
 use ltam_core::subject::SubjectId;
 use ltam_graph::LocationId;
 use ltam_time::{Bound, Interval, Time};
 use parking_lot::Mutex;
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// A contiguous presence of a subject in one location.
@@ -149,11 +150,64 @@ impl LocationRun {
     }
 }
 
-/// Per-location closed stays by time: derived from `timelines`, never
+/// Per-location closed stays by time: derived from the timelines, never
 /// serialized, compared or cloned. `None` until a reader needs it.
 type StayRows = Option<BTreeMap<LocationId, LocationRun>>;
 
+/// Everything the store records about one subject.
+#[derive(Debug, Clone, Default)]
+struct SubjectRow {
+    /// The subject's stays, chronological, exits nondecreasing; only the
+    /// last can be open.
+    stays: Vec<Stay>,
+    /// The time-regression guard: the subject's latest recorded time.
+    /// It outlives the stays a prune drops.
+    latest: Option<Time>,
+    /// While the last stay is open, the subject's index in that
+    /// location's occupant list; meaningless otherwise.
+    slot: usize,
+}
+
+impl SubjectRow {
+    /// The location of the open stay, if any.
+    fn inside(&self) -> Option<LocationId> {
+        self.stays
+            .last()
+            .filter(|s| s.exit.is_none())
+            .map(|s| s.location)
+    }
+
+    fn check_time(&self, t: Time) -> Result<(), MovementError> {
+        match self.latest {
+            Some(latest) if t < latest => Err(MovementError::TimeRegression { latest, event: t }),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// The movements store.
+///
+/// ## Layout
+///
+/// A hash table of one row per subject — its stays, its latest-time
+/// guard and its place in an occupant list (the std hasher, keyed per
+/// table: subject ids come off the wire) — and one unordered occupant
+/// list per location. An entry is a probe of each and a push; an exit is
+/// a probe of each, a `swap_remove`, and one more probe when that moves
+/// another occupant, whose row must learn its new place. Neither
+/// allocates once a timeline and a list have the capacity, which a prune
+/// keeps. Readers that promise an order ([`MovementsDb::timelines`],
+/// [`MovementsDb::latest_times`], [`MovementsDb::collect_prunable`],
+/// [`MovementsDb::occupants`], [`MovementsDb::inside_now`], the
+/// serialized form) sort when they read — per query, snapshot, retention
+/// run or redistribution, never per event.
+///
+/// The serialized form is five fields — `timelines`, `occupancy`
+/// (emptied locations included), `latest`, `watermark` and
+/// `pruned_events` — each map in key order. Decoding
+/// derives the occupant lists from the open stays and refuses an image
+/// whose `occupancy` disagrees with them; an empty timeline records
+/// nothing and is dropped.
 ///
 /// ## Retention
 ///
@@ -170,14 +224,14 @@ type StayRows = Option<BTreeMap<LocationId, LocationRun>>;
 ///
 /// ## What a historical read costs
 ///
-/// `whereabouts` and the subject side of `contacts` binary-search the
-/// subject's timeline (stays are chronological with nondecreasing
+/// `whereabouts` and the subject side of `contacts` probe the subject's
+/// row and binary-search its stays (chronological with nondecreasing
 /// exits). `present_during` reads a **derived** per-location run of
 /// closed stays ordered by `(enter, exit, subject)`: a binary search to
 /// `window.start − longest` (the longest closed stay that location has
 /// seen), a walk that stops at the first `enter` past the window, plus
-/// the location's current occupants — O(log n + rows near the window),
-/// not O(every stay in the store).
+/// the open stays of the location's occupant list — O(log n + rows near
+/// the window), not O(every stay in the store).
 ///
 /// The runs are a reader-built cache, not recorded state: the first
 /// `present_during` after construction, decoding, `Clone` or
@@ -191,20 +245,15 @@ type StayRows = Option<BTreeMap<LocationId, LocationRun>>;
 /// queries pays one branch per exit and no memory. The cache sits behind
 /// a mutex only so queries can stay `&self`; it is left out of the
 /// serialized form, of `Clone` (an image never copies it) and of `==`
-/// (which still means "same recorded history").
+/// (which still means "same recorded history", whatever the lists'
+/// order).
 #[derive(Debug, Default)]
 pub struct MovementsDb {
-    rec: Recorded,
-    stay_rows: Mutex<StayRows>,
-}
-
-/// The recorded state of a [`MovementsDb`] — all of what it serializes,
-/// clones and compares.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct Recorded {
-    timelines: BTreeMap<SubjectId, Vec<Stay>>,
-    occupancy: BTreeMap<LocationId, BTreeSet<SubjectId>>,
-    latest: BTreeMap<SubjectId, Time>,
+    /// A row for every subject with stays or a latest-time guard.
+    subjects: HashMap<SubjectId, SubjectRow>,
+    /// The subjects inside each location, unordered; a location stays
+    /// here once anyone has entered it.
+    inside: HashMap<LocationId, Vec<SubjectId>>,
     /// Retention watermark; `None` means never pruned (complete from
     /// the epoch). Optional so images from before retention existed
     /// still deserialize.
@@ -212,69 +261,152 @@ struct Recorded {
     /// Events dropped by pruning ([`MovementsDb::len`] plus this is the
     /// total ever recorded). Optional for the same compatibility reason.
     pruned_events: Option<u64>,
+    stay_rows: Mutex<StayRows>,
 }
 
-impl Recorded {
-    /// Every closed stay, by location, each run unsorted: the one-off
-    /// build of [`StayRows`].
-    fn closed_stays_by_location(&self) -> BTreeMap<LocationId, LocationRun> {
-        let mut runs: BTreeMap<LocationId, LocationRun> = BTreeMap::new();
-        for (&subject, stays) in &self.timelines {
-            for s in stays {
-                if let Some(exit) = s.exit {
-                    runs.entry(s.location).or_default().push(ClosedStay {
-                        enter: s.enter,
-                        exit,
-                        subject,
-                    });
+/// A [`MovementsDb`] image as decoded: the ordered tables it is
+/// written as. Older images also carry an event log under `log`; the
+/// derive skips the unknown key.
+#[derive(Deserialize)]
+struct Image {
+    timelines: BTreeMap<SubjectId, Vec<Stay>>,
+    occupancy: BTreeMap<LocationId, BTreeSet<SubjectId>>,
+    latest: BTreeMap<SubjectId, Time>,
+    watermark: Option<Time>,
+    pruned_events: Option<u64>,
+}
+
+/// The ordered tables of the serialized form, borrowed from the rows.
+struct Tables<'a> {
+    timelines: Vec<(SubjectId, &'a [Stay])>,
+    occupancy: Vec<(LocationId, Vec<SubjectId>)>,
+    latest: Vec<(SubjectId, Time)>,
+}
+
+impl TryFrom<Image> for MovementsDb {
+    type Error = serde::Error;
+
+    /// The rows of an image, with the occupant lists derived from the
+    /// open stays and checked against the stored `occupancy`.
+    fn try_from(image: Image) -> Result<MovementsDb, serde::Error> {
+        let mut inside: HashMap<LocationId, Vec<SubjectId>> =
+            image.occupancy.keys().map(|&l| (l, Vec::new())).collect();
+        let mut subjects = HashMap::with_capacity(image.timelines.len().max(image.latest.len()));
+        for (subject, stays) in image.timelines {
+            if stays.is_empty() {
+                continue;
+            }
+            let mut row = SubjectRow {
+                stays,
+                ..SubjectRow::default()
+            };
+            if let Some(l) = row.inside() {
+                if !image
+                    .occupancy
+                    .get(&l)
+                    .is_some_and(|s| s.contains(&subject))
+                {
+                    return Err(serde::Error::custom(format!(
+                        "movements: {subject}'s open stay in {l} is missing from occupancy"
+                    )));
                 }
+                let occupants = inside.entry(l).or_default();
+                row.slot = occupants.len();
+                occupants.push(subject);
+            }
+            subjects.insert(subject, row);
+        }
+        for (subject, t) in image.latest {
+            subjects.entry(subject).or_default().latest = Some(t);
+        }
+        for (&l, listed) in &image.occupancy {
+            let open_there =
+                |s: &SubjectId| subjects.get(s).and_then(SubjectRow::inside) == Some(l);
+            if let Some(s) = listed.iter().find(|s| !open_there(s)) {
+                return Err(serde::Error::custom(format!(
+                    "movements: occupancy lists {s} in {l}, where it has no open stay"
+                )));
             }
         }
-        runs
-    }
-}
-
-impl From<Recorded> for MovementsDb {
-    /// The stay rows start unbuilt: the first reader derives them.
-    fn from(rec: Recorded) -> MovementsDb {
-        MovementsDb {
-            rec,
+        Ok(MovementsDb {
+            subjects,
+            inside,
+            watermark: image.watermark,
+            pruned_events: image.pruned_events,
             stay_rows: Mutex::default(),
-        }
+        })
     }
 }
 
-// The vendored derive cannot skip a field, so `MovementsDb` is, by hand,
-// transparent over its recorded state: the serialized form is an object
-// of its five named fields. Older images also carry an event log under
-// `log`; the derive skips the unknown key.
+// The vendored derive cannot skip a field or borrow, so `MovementsDb`
+// writes its serialized form by hand, straight from the rows.
 impl Serialize for MovementsDb {
     fn to_value(&self) -> Value {
-        self.rec.to_value()
+        let t = self.tables();
+        Value::Object(vec![
+            ("timelines".to_string(), t.timelines.to_value()),
+            ("occupancy".to_string(), t.occupancy.to_value()),
+            ("latest".to_string(), t.latest.to_value()),
+            ("watermark".to_string(), self.watermark.to_value()),
+            ("pruned_events".to_string(), self.pruned_events.to_value()),
+        ])
     }
     fn serialize<S: Serializer + ?Sized>(&self, s: &mut S) {
-        self.rec.serialize(s);
+        let t = self.tables();
+        s.begin_object(5);
+        s.field(0, "timelines");
+        t.timelines.serialize(s);
+        s.field(1, "occupancy");
+        t.occupancy.serialize(s);
+        s.field(2, "latest");
+        t.latest.serialize(s);
+        s.field(3, "watermark");
+        self.watermark.serialize(s);
+        s.field(4, "pruned_events");
+        self.pruned_events.serialize(s);
+        s.end_object();
     }
 }
 
 impl Deserialize for MovementsDb {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Recorded::from_value(value).map(MovementsDb::from)
+        Image::from_value(value).and_then(MovementsDb::try_from)
     }
     fn deserialize<D: Deserializer + ?Sized>(d: &mut D) -> Result<Self, serde::Error> {
-        Recorded::deserialize(d).map(MovementsDb::from)
+        Image::deserialize(d).and_then(MovementsDb::try_from)
     }
 }
 
 impl Clone for MovementsDb {
+    /// The recorded state; the stay rows start unbuilt.
     fn clone(&self) -> MovementsDb {
-        MovementsDb::from(self.rec.clone())
+        MovementsDb {
+            subjects: self.subjects.clone(),
+            inside: self.inside.clone(),
+            watermark: self.watermark,
+            pruned_events: self.pruned_events,
+            stay_rows: Mutex::default(),
+        }
     }
 }
 
 impl PartialEq for MovementsDb {
+    /// Same rows (stays and guard) and the same locations listed. The
+    /// occupant lists need no comparing beyond their keys: they are the
+    /// open stays, which the rows already compare.
     fn eq(&self, other: &MovementsDb) -> bool {
-        self.rec == other.rec
+        let same_row = |(s, row): (&SubjectId, &SubjectRow)| {
+            other
+                .subjects
+                .get(s)
+                .is_some_and(|o| o.stays == row.stays && o.latest == row.latest)
+        };
+        self.subjects.len() == other.subjects.len()
+            && self.subjects.iter().all(same_row)
+            && self.inside.len() == other.inside.len()
+            && self.inside.keys().all(|l| other.inside.contains_key(l))
+            && self.watermark == other.watermark
+            && self.pruned_events == other.pruned_events
     }
 }
 
@@ -289,28 +421,44 @@ impl MovementsDb {
     /// Number of recorded (live, unpruned) events: an entry per stay and
     /// an exit per closed one. Only a timeline's last stay can be open.
     pub fn len(&self) -> usize {
-        let events =
-            |t: &Vec<Stay>| 2 * t.len() - usize::from(t.last().is_some_and(|s| s.exit.is_none()));
-        self.rec.timelines.values().map(events).sum()
+        let events = |r: &SubjectRow| 2 * r.stays.len() - usize::from(r.inside().is_some());
+        self.subjects.values().map(events).sum()
     }
 
     /// True if no events are recorded.
     pub fn is_empty(&self) -> bool {
-        self.rec.timelines.is_empty()
+        self.subjects.values().all(|r| r.stays.is_empty())
     }
 
     /// Every subject's stay history, by subject.
     pub fn timelines(&self) -> impl Iterator<Item = (SubjectId, &[Stay])> + '_ {
-        self.rec.timelines.iter().map(|(&s, t)| (s, t.as_slice()))
+        let mut timelines: Vec<_> = self
+            .subjects
+            .iter()
+            .filter(|(_, r)| !r.stays.is_empty())
+            .map(|(&s, r)| (s, r.stays.as_slice()))
+            .collect();
+        timelines.sort_unstable_by_key(|&(s, _)| s);
+        timelines.into_iter()
     }
 
-    fn check_time(&self, subject: SubjectId, t: Time) -> Result<(), MovementError> {
-        if let Some(&latest) = self.rec.latest.get(&subject) {
-            if t < latest {
-                return Err(MovementError::TimeRegression { latest, event: t });
-            }
+    /// The serialized tables, each in key order.
+    fn tables(&self) -> Tables<'_> {
+        let mut occupancy: Vec<_> = self
+            .inside
+            .iter()
+            .map(|(&l, occupants)| {
+                let mut occupants = occupants.clone();
+                occupants.sort_unstable();
+                (l, occupants)
+            })
+            .collect();
+        occupancy.sort_unstable_by_key(|&(l, _)| l);
+        Tables {
+            timelines: self.timelines().collect(),
+            occupancy,
+            latest: self.latest_times().collect(),
         }
-        Ok(())
     }
 
     /// Record that `subject` entered `location` at `t`.
@@ -320,21 +468,22 @@ impl MovementsDb {
         subject: SubjectId,
         location: LocationId,
     ) -> Result<(), MovementError> {
-        self.check_time(subject, t)?;
-        if let Some(at) = self.current_location(subject) {
+        // A new subject passes both checks, so a rejection never leaves
+        // an empty row behind.
+        let row = self.subjects.entry(subject).or_default();
+        row.check_time(t)?;
+        if let Some(at) = row.inside() {
             return Err(MovementError::EnterWhileInside { at });
         }
-        self.rec.timelines.entry(subject).or_default().push(Stay {
+        let occupants = self.inside.entry(location).or_default();
+        row.slot = occupants.len();
+        occupants.push(subject);
+        row.stays.push(Stay {
             location,
             enter: t,
             exit: None,
         });
-        self.rec
-            .occupancy
-            .entry(location)
-            .or_default()
-            .insert(subject);
-        self.rec.latest.insert(subject, t);
+        row.latest = Some(t);
         Ok(())
     }
 
@@ -345,17 +494,17 @@ impl MovementsDb {
         subject: SubjectId,
         location: LocationId,
     ) -> Result<(), MovementError> {
-        self.check_time(subject, t)?;
-        let at = self.current_location(subject);
+        let Some(row) = self.subjects.get_mut(&subject) else {
+            return Err(MovementError::ExitWithoutEntry { at: None });
+        };
+        row.check_time(t)?;
+        let at = row.inside();
         if at != Some(location) {
             return Err(MovementError::ExitWithoutEntry { at });
         }
-        let stay = self
-            .rec
-            .timelines
-            .get_mut(&subject)
-            .and_then(|v| v.last_mut())
-            .expect("open stay exists");
+        row.latest = Some(t);
+        let slot = row.slot;
+        let stay = row.stays.last_mut().expect("open stay exists");
         stay.exit = Some(t);
         if let Some(runs) = self.stay_rows.get_mut() {
             runs.entry(location).or_default().push(ClosedStay {
@@ -364,46 +513,47 @@ impl MovementsDb {
                 subject,
             });
         }
-        self.rec
-            .occupancy
+        let occupants = self
+            .inside
             .get_mut(&location)
-            .expect("occupancy entry exists")
-            .remove(&subject);
-        self.rec.latest.insert(subject, t);
+            .expect("an open stay's location is listed");
+        occupants.swap_remove(slot);
+        if let Some(&moved) = occupants.get(slot) {
+            self.subjects
+                .get_mut(&moved)
+                .expect("an occupant has a row")
+                .slot = slot;
+        }
         Ok(())
     }
 
     /// Where the subject currently is, if inside any location.
     pub fn current_location(&self, subject: SubjectId) -> Option<LocationId> {
-        self.rec
-            .timelines
-            .get(&subject)
-            .and_then(|v| v.last())
-            .filter(|s| s.exit.is_none())
-            .map(|s| s.location)
+        self.subjects.get(&subject).and_then(SubjectRow::inside)
     }
 
-    /// Subjects currently inside `location`.
+    /// Subjects currently inside `location`, by id.
     pub fn occupants(&self, location: LocationId) -> Vec<SubjectId> {
-        self.rec
-            .occupancy
-            .get(&location)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        let mut occupants = self.inside.get(&location).cloned().unwrap_or_default();
+        occupants.sort_unstable();
+        occupants
     }
 
     /// The subject's full stay history.
     pub fn timeline(&self, subject: SubjectId) -> &[Stay] {
-        self.rec
-            .timelines
+        self.subjects
             .get(&subject)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+            .map_or(&[], |r| r.stays.as_slice())
+    }
+
+    /// An occupant's open stay: the last of its timeline.
+    fn open_stay(&self, occupant: SubjectId) -> Stay {
+        *self.timeline(occupant).last().expect("occupant has a stay")
     }
 
     /// Where the subject was at time `t` (historically).
     pub fn whereabouts(&self, subject: SubjectId, t: Time) -> Option<LocationId> {
-        let stays = self.rec.timelines.get(&subject)?;
+        let stays = self.timeline(subject);
         let idx = stays.partition_point(|s| s.enter <= t);
         // Exits never decrease along a timeline, so if the last stay
         // entered by `t` had ended before it, so had every earlier one.
@@ -444,7 +594,7 @@ impl MovementsDb {
             out.extend(stay.intersect(window).map(|i| (subject, i)));
         };
         let mut rows = self.stay_rows.lock();
-        let runs = rows.get_or_insert_with(|| self.rec.closed_stays_by_location());
+        let runs = rows.get_or_insert_with(|| self.closed_stays_by_location());
         if let Some(run) = runs.get_mut(&location) {
             run.sort_in();
             let from = window.start().get().saturating_sub(run.longest);
@@ -460,12 +610,29 @@ impl MovementsDb {
         drop(rows);
         // Open stays last: a subject's open stay follows its closed ones,
         // and the stable sort below keeps that order on equal starts.
-        for &subject in self.rec.occupancy.get(&location).into_iter().flatten() {
-            let open = self.timeline(subject).last().expect("occupant has a stay");
-            overlap(subject, open.interval());
+        for &subject in self.inside.get(&location).into_iter().flatten() {
+            overlap(subject, self.open_stay(subject).interval());
         }
         out.sort_by_key(|&(s, i)| (s, i.start()));
         out
+    }
+
+    /// Every closed stay, by location, each run unsorted: the one-off
+    /// build of [`StayRows`].
+    fn closed_stays_by_location(&self) -> BTreeMap<LocationId, LocationRun> {
+        let mut runs: BTreeMap<LocationId, LocationRun> = BTreeMap::new();
+        for (&subject, row) in &self.subjects {
+            for s in &row.stays {
+                if let Some(exit) = s.exit {
+                    runs.entry(s.location).or_default().push(ClosedStay {
+                        enter: s.enter,
+                        exit,
+                        subject,
+                    });
+                }
+            }
+        }
+        runs
     }
 
     /// Everyone who was co-located with `subject` during `window` — the
@@ -488,11 +655,15 @@ impl MovementsDb {
         out
     }
 
-    /// Subjects with an open (ongoing) stay, with the stay.
+    /// Subjects with an open (ongoing) stay, with the stay, by subject.
     pub fn inside_now(&self) -> Vec<(SubjectId, Stay)> {
-        let open = |&s: &SubjectId| (s, *self.timeline(s).last().expect("occupant has a stay"));
-        let mut inside: Vec<_> = self.rec.occupancy.values().flatten().map(open).collect();
-        inside.sort_by_key(|&(s, _)| s);
+        let mut inside: Vec<_> = self
+            .inside
+            .values()
+            .flatten()
+            .map(|&s| (s, self.open_stay(s)))
+            .collect();
+        inside.sort_unstable_by_key(|&(s, _)| s);
         inside
     }
 
@@ -502,12 +673,12 @@ impl MovementsDb {
     /// chronon onward; earlier history may have been pruned. `Time::ZERO`
     /// for a never-pruned store.
     pub fn watermark(&self) -> Time {
-        self.rec.watermark.unwrap_or(Time::ZERO)
+        self.watermark.unwrap_or(Time::ZERO)
     }
 
     /// Events dropped by pruning since the store was created.
     pub fn pruned_events(&self) -> u64 {
-        self.rec.pruned_events.unwrap_or(0)
+        self.pruned_events.unwrap_or(0)
     }
 
     /// Events ever recorded: the live ones plus everything pruned.
@@ -526,13 +697,20 @@ impl MovementsDb {
 
     /// The stays [`MovementsDb::apply_prune`] at `horizon` would drop,
     /// with their subjects, without mutating anything: each subject's
-    /// prunable prefix in timeline order, subjects in id order. A
-    /// durable deployment archives these *before* pruning.
+    /// prunable prefix in timeline order, subjects in id order (only
+    /// the subjects with something to prune are sorted). A durable
+    /// deployment archives these *before* pruning.
     pub fn collect_prunable(&self, horizon: Time) -> Vec<(SubjectId, Stay)> {
-        let mut stays = Vec::new();
-        for (&subject, timeline) in &self.rec.timelines {
-            let k = Self::prunable_prefix(timeline, horizon);
-            stays.extend(timeline[..k].iter().map(|&s| (subject, s)));
+        let mut prefixes: Vec<(SubjectId, &[Stay])> = self
+            .subjects
+            .iter()
+            .map(|(&s, r)| (s, &r.stays[..Self::prunable_prefix(&r.stays, horizon)]))
+            .filter(|(_, prefix)| !prefix.is_empty())
+            .collect();
+        prefixes.sort_unstable_by_key(|&(s, _)| s);
+        let mut stays = Vec::with_capacity(prefixes.iter().map(|(_, p)| p.len()).sum());
+        for (subject, prefix) in prefixes {
+            stays.extend(prefix.iter().map(|&s| (subject, s)));
         }
         stays
     }
@@ -543,38 +721,44 @@ impl MovementsDb {
     /// pruned stay is closed, so two — its entry and its exit.
     ///
     /// Enforcement state is untouched: open stays, current occupancy
-    /// and the per-subject latest-time map (which guards against time
-    /// regression) all survive, so pruning is invisible to
-    /// `record_enter`/`record_exit`.
+    /// and the per-subject latest-time guard all survive, so pruning is
+    /// invisible to `record_enter`/`record_exit`. A row keeps its
+    /// timeline's capacity for the stays to come.
     pub fn apply_prune(&mut self, horizon: Time) -> u64 {
         let mut dropped = 0;
-        for timeline in self.rec.timelines.values_mut() {
-            let k = Self::prunable_prefix(timeline, horizon);
-            timeline.drain(..k);
+        self.subjects.retain(|_, row| {
+            let k = Self::prunable_prefix(&row.stays, horizon);
+            row.stays.drain(..k);
             dropped += 2 * k as u64;
-        }
-        self.rec.timelines.retain(|_, t| !t.is_empty());
+            !row.stays.is_empty() || row.latest.is_some()
+        });
         // The next reader rebuilds the rows from what is left.
         *self.stay_rows.get_mut() = None;
-        self.rec.pruned_events = Some(self.pruned_events() + dropped);
-        self.rec.watermark = Some(self.watermark().max(horizon));
+        self.pruned_events = Some(self.pruned_events() + dropped);
+        self.watermark = Some(self.watermark().max(horizon));
         dropped
     }
 
     // --- persistence / redistribution support -------------------------------
 
     /// The per-subject latest recorded times (the time-regression
-    /// guard). Exposed so shard redistribution can preserve the guard
-    /// for subjects whose events were all pruned.
+    /// guard), by subject. Exposed so shard redistribution can preserve
+    /// the guard for subjects whose events were all pruned.
     pub fn latest_times(&self) -> impl Iterator<Item = (SubjectId, Time)> + '_ {
-        self.rec.latest.iter().map(|(&s, &t)| (s, t))
+        let mut latest: Vec<_> = self
+            .subjects
+            .iter()
+            .filter_map(|(&s, r)| r.latest.map(|t| (s, t)))
+            .collect();
+        latest.sort_unstable_by_key(|&(s, _)| s);
+        latest.into_iter()
     }
 
     /// Raise `subject`'s latest-time guard to at least `t`
     /// (redistribution import; never lowers it).
     pub fn observe_latest(&mut self, subject: SubjectId, t: Time) {
-        let entry = self.rec.latest.entry(subject).or_insert(t);
-        *entry = (*entry).max(t);
+        let row = self.subjects.entry(subject).or_default();
+        row.latest = row.latest.max(Some(t));
     }
 
     /// Raise the retention watermark to at least `w` without pruning
@@ -582,14 +766,14 @@ impl MovementsDb {
     /// already-pruned history).
     pub fn set_watermark(&mut self, w: Time) {
         if w > self.watermark() {
-            self.rec.watermark = Some(w);
+            self.watermark = Some(w);
         }
     }
 
     /// Add `n` to the pruned-events counter (redistribution import).
     pub fn add_pruned_events(&mut self, n: u64) {
         if n > 0 {
-            self.rec.pruned_events = Some(self.pruned_events() + n);
+            self.pruned_events = Some(self.pruned_events() + n);
         }
     }
 }
@@ -615,7 +799,7 @@ mod tests {
             window: Interval,
         ) -> Vec<(SubjectId, Interval)> {
             let mut out = Vec::new();
-            for (&subject, stays) in &self.rec.timelines {
+            for (subject, stays) in self.timelines() {
                 for s in stays {
                     if s.location == location {
                         if let Some(overlap) = s.interval().intersect(window) {
@@ -655,6 +839,250 @@ mod tests {
                 .find(|s| s.interval().contains(t))
                 .map(|s| s.location)
         }
+    }
+
+    /// The store as it was before it kept rows — three ordered maps,
+    /// written by the derive — with its write paths as they were. The
+    /// model the row layout is tested against.
+    #[derive(Debug, Clone, Default, Serialize)]
+    struct Ordered {
+        timelines: BTreeMap<SubjectId, Vec<Stay>>,
+        occupancy: BTreeMap<LocationId, BTreeSet<SubjectId>>,
+        latest: BTreeMap<SubjectId, Time>,
+        watermark: Option<Time>,
+        pruned_events: Option<u64>,
+    }
+
+    impl Ordered {
+        fn check_time(&self, subject: SubjectId, t: Time) -> Result<(), MovementError> {
+            match self.latest.get(&subject) {
+                Some(&latest) if t < latest => {
+                    Err(MovementError::TimeRegression { latest, event: t })
+                }
+                _ => Ok(()),
+            }
+        }
+
+        fn current_location(&self, subject: SubjectId) -> Option<LocationId> {
+            let last = self.timelines.get(&subject).and_then(|v| v.last());
+            last.filter(|s| s.exit.is_none()).map(|s| s.location)
+        }
+
+        fn record_enter(
+            &mut self,
+            t: Time,
+            s: SubjectId,
+            l: LocationId,
+        ) -> Result<(), MovementError> {
+            self.check_time(s, t)?;
+            if let Some(at) = self.current_location(s) {
+                return Err(MovementError::EnterWhileInside { at });
+            }
+            let stay = Stay {
+                location: l,
+                enter: t,
+                exit: None,
+            };
+            self.timelines.entry(s).or_default().push(stay);
+            self.occupancy.entry(l).or_default().insert(s);
+            self.latest.insert(s, t);
+            Ok(())
+        }
+
+        fn record_exit(
+            &mut self,
+            t: Time,
+            s: SubjectId,
+            l: LocationId,
+        ) -> Result<(), MovementError> {
+            self.check_time(s, t)?;
+            let at = self.current_location(s);
+            if at != Some(l) {
+                return Err(MovementError::ExitWithoutEntry { at });
+            }
+            let open = self.timelines.get_mut(&s).and_then(|v| v.last_mut());
+            open.expect("open stay exists").exit = Some(t);
+            self.occupancy
+                .get_mut(&l)
+                .expect("occupancy entry exists")
+                .remove(&s);
+            self.latest.insert(s, t);
+            Ok(())
+        }
+
+        fn inside_now(&self) -> Vec<(SubjectId, Stay)> {
+            let open = |&s: &SubjectId| (s, *self.timelines[&s].last().expect("a stay"));
+            let mut inside: Vec<_> = self.occupancy.values().flatten().map(open).collect();
+            inside.sort_by_key(|&(s, _)| s);
+            inside
+        }
+
+        fn len(&self) -> usize {
+            let events = |t: &Vec<Stay>| {
+                2 * t.len() - usize::from(t.last().is_some_and(|s| s.exit.is_none()))
+            };
+            self.timelines.values().map(events).sum()
+        }
+
+        fn collect_prunable(&self, horizon: Time) -> Vec<(SubjectId, Stay)> {
+            let mut stays = Vec::new();
+            for (&s, timeline) in &self.timelines {
+                let k = MovementsDb::prunable_prefix(timeline, horizon);
+                stays.extend(timeline[..k].iter().map(|&stay| (s, stay)));
+            }
+            stays
+        }
+
+        fn apply_prune(&mut self, horizon: Time) -> u64 {
+            let mut dropped = 0;
+            for timeline in self.timelines.values_mut() {
+                let k = MovementsDb::prunable_prefix(timeline, horizon);
+                timeline.drain(..k);
+                dropped += 2 * k as u64;
+            }
+            self.timelines.retain(|_, t| !t.is_empty());
+            self.pruned_events = Some(self.pruned_events.unwrap_or(0) + dropped);
+            self.watermark = Some(self.watermark.unwrap_or(Time::ZERO).max(horizon));
+            dropped
+        }
+
+        fn observe_latest(&mut self, s: SubjectId, t: Time) {
+            let entry = self.latest.entry(s).or_insert(t);
+            *entry = (*entry).max(t);
+        }
+    }
+
+    /// One step against both layouts: every subject's next movement at
+    /// its latest time plus `dt` (negative: a clock regression).
+    #[derive(Debug, Clone)]
+    enum Op {
+        Enter(u32, u32, i64),
+        /// From the location given (often the wrong room)…
+        Exit(u32, u32, i64),
+        /// …or from wherever the subject is.
+        Leave(u32, i64),
+        Prune(u64),
+        Observe(u32, u64),
+        Restart,
+        Clone,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            5 => (0u32..6, 0u32..3, -2i64..6).prop_map(|(s, l, dt)| Op::Enter(s, l, dt)),
+            2 => (0u32..6, 0u32..3, -2i64..6).prop_map(|(s, l, dt)| Op::Exit(s, l, dt)),
+            4 => (0u32..6, -2i64..6).prop_map(|(s, dt)| Op::Leave(s, dt)),
+            1 => (0u64..80).prop_map(Op::Prune),
+            1 => (0u32..7, 0u64..80).prop_map(|(s, t)| Op::Observe(s, t)),
+            1 => Just(Op::Restart),
+            1 => Just(Op::Clone),
+        ]
+    }
+
+    /// A `Serializer` that builds the tree a streamed value describes,
+    /// checking every announced length: what a streaming format writes,
+    /// made comparable with `to_value`.
+    #[derive(Default)]
+    struct Tree {
+        /// Open containers: the container, its announced length and, in
+        /// an object, the key of the value that comes next.
+        open: Vec<(Value, usize, Option<String>)>,
+        done: Option<Value>,
+    }
+
+    impl Tree {
+        fn put(&mut self, v: Value) {
+            match self.open.last_mut() {
+                Some((Value::Array(items), ..)) => items.push(v),
+                Some((Value::Object(fields), _, key)) => fields.push((key.take().unwrap(), v)),
+                _ => self.done = Some(v),
+            }
+        }
+
+        fn close(&mut self) {
+            let (v, len, _) = self.open.pop().unwrap();
+            let got = match &v {
+                Value::Array(items) => items.len(),
+                Value::Object(fields) => fields.len(),
+                _ => unreachable!("only containers are open"),
+            };
+            assert_eq!(got, len, "announced length");
+            self.put(v);
+        }
+    }
+
+    impl Serializer for Tree {
+        fn emit_null(&mut self) {
+            self.put(Value::Null);
+        }
+        fn emit_bool(&mut self, b: bool) {
+            self.put(Value::Bool(b));
+        }
+        fn emit_u64(&mut self, n: u64) {
+            self.put(Value::U64(n));
+        }
+        fn emit_i64(&mut self, n: i64) {
+            self.put(Value::I64(n));
+        }
+        fn emit_f64(&mut self, n: f64) {
+            self.put(Value::F64(n));
+        }
+        fn emit_str(&mut self, s: &str) {
+            self.put(Value::Str(s.to_string()));
+        }
+        fn begin_array(&mut self, len: usize) {
+            self.open.push((Value::Array(Vec::new()), len, None));
+        }
+        fn elem(&mut self, _: usize) {}
+        fn end_array(&mut self) {
+            self.close();
+        }
+        fn begin_object(&mut self, len: usize) {
+            self.open.push((Value::Object(Vec::new()), len, None));
+        }
+        fn field(&mut self, _: usize, key: &str) {
+            self.open.last_mut().unwrap().2 = Some(key.to_string());
+        }
+        fn end_object(&mut self) {
+            self.close();
+        }
+    }
+
+    /// `value` streamed through [`Serialize::serialize`], as a tree.
+    fn streamed(value: &impl Serialize) -> Value {
+        let mut tree = Tree::default();
+        value.serialize(&mut tree);
+        tree.done.unwrap()
+    }
+
+    /// Every read of `db` equals the model's, and so do both serialized
+    /// forms; the model's image decodes to an equal store.
+    fn same_as_model(db: &MovementsDb, model: &Ordered) -> Result<(), TestCaseError> {
+        for s in (0..7).map(SubjectId) {
+            prop_assert_eq!(db.current_location(s), model.current_location(s));
+        }
+        for l in (0..4).map(LocationId) {
+            let listed = model.occupancy.get(&l).into_iter().flatten().copied();
+            prop_assert_eq!(db.occupants(l), listed.collect::<Vec<_>>());
+        }
+        prop_assert_eq!(db.inside_now(), model.inside_now());
+        let timelines = model.timelines.iter().map(|(&s, t)| (s, t.as_slice()));
+        prop_assert!(db.timelines().eq(timelines));
+        prop_assert!(db
+            .latest_times()
+            .eq(model.latest.iter().map(|(&s, &t)| (s, t))));
+        prop_assert_eq!(db.len(), model.len());
+        prop_assert_eq!(db.is_empty(), model.timelines.is_empty());
+        for horizon in [5, 20, 45].map(Time) {
+            prop_assert_eq!(
+                db.collect_prunable(horizon),
+                model.collect_prunable(horizon)
+            );
+        }
+        prop_assert_eq!(db.to_value(), model.to_value());
+        prop_assert_eq!(streamed(db), model.to_value());
+        prop_assert_eq!(&MovementsDb::from_value(&model.to_value()).unwrap(), db);
+        Ok(())
     }
 
     /// One step of a random trace over 5 subjects and 3 locations.
@@ -700,7 +1128,7 @@ mod tests {
                 match step {
                     Step::Move(s, l, dt) => {
                         let subject = SubjectId(s);
-                        let last = db.rec.latest.get(&subject).copied();
+                        let last = db.subjects.get(&subject).and_then(|r| r.latest);
                         let t = Time(last.map_or(u64::from(s) * 9 % 31, |t| t.get() + dt));
                         match db.current_location(subject) {
                             Some(at) => db.record_exit(t, subject, at).unwrap(),
@@ -763,7 +1191,7 @@ mod tests {
                 match step {
                     Some((s, l, enter, dt)) => {
                         let subject = SubjectId(s);
-                        let last = db.rec.latest.get(&subject).map_or(0, |t| t.get());
+                        let last = db.subjects.get(&subject).and_then(|r| r.latest).map_or(0, |t| t.get());
                         let t = Time(last.saturating_add_signed(dt));
                         let outcome = if enter {
                             db.record_enter(t, subject, LocationId(l))
@@ -782,6 +1210,49 @@ mod tests {
                 prop_assert_eq!(db.len() as u64 + db.pruned_events(), accepted);
                 prop_assert_eq!(db.total_recorded(), accepted);
                 prop_assert_eq!(db.is_empty(), accepted == db.pruned_events());
+            }
+        }
+
+        /// Whatever the trace — entries, exits from the right and the
+        /// wrong room, entries while inside, clocks that run backwards,
+        /// prunes, guards raised from outside, restarts and clones — the
+        /// rows answer every call and
+        /// every read exactly as the ordered maps did, and serialize to
+        /// the same image.
+        #[test]
+        fn the_rows_equal_the_ordered_model(steps in prop::collection::vec(arb_op(), 1..150)) {
+            let (mut db, mut model) = (MovementsDb::new(), Ordered::default());
+            for step in steps {
+                let at = |db: &MovementsDb, s: u32, dt: i64| {
+                    let last = db.subjects.get(&SubjectId(s)).and_then(|r| r.latest);
+                    Time(last.map_or(u64::from(s) * 7, |t| t.get().saturating_add_signed(dt)))
+                };
+                match step {
+                    Op::Enter(s, l, dt) => {
+                        let (t, s, l) = (at(&db, s, dt), SubjectId(s), LocationId(l));
+                        prop_assert_eq!(db.record_enter(t, s, l), model.record_enter(t, s, l));
+                    }
+                    Op::Exit(s, l, dt) => {
+                        let (t, s, l) = (at(&db, s, dt), SubjectId(s), LocationId(l));
+                        prop_assert_eq!(db.record_exit(t, s, l), model.record_exit(t, s, l));
+                    }
+                    Op::Leave(s, dt) => {
+                        let (t, s) = (at(&db, s, dt), SubjectId(s));
+                        let l = db.current_location(s).unwrap_or(LocationId(0));
+                        prop_assert_eq!(db.record_exit(t, s, l), model.record_exit(t, s, l));
+                    }
+                    Op::Prune(horizon) => {
+                        let horizon = Time(horizon);
+                        prop_assert_eq!(db.apply_prune(horizon), model.apply_prune(horizon));
+                    }
+                    Op::Observe(s, t) => {
+                        db.observe_latest(SubjectId(s), Time(t));
+                        model.observe_latest(SubjectId(s), Time(t));
+                    }
+                    Op::Restart => db = MovementsDb::from_value(&db.to_value()).unwrap(),
+                    Op::Clone => (db, model) = (db.clone(), model.clone()),
+                }
+                same_as_model(&db, &model)?;
             }
         }
     }
@@ -1009,6 +1480,73 @@ mod tests {
         let back = MovementsDb::from_value(&db.to_value()).unwrap();
         assert_eq!(back.current_location(ALICE), Some(CAIS));
         assert_eq!(back.len(), 1);
+    }
+
+    /// `image` with its `occupancy` replaced.
+    fn with_occupancy(image: &Value, occupancy: &[(LocationId, &[SubjectId])]) -> Value {
+        let Value::Object(mut fields) = image.clone() else {
+            panic!("an object");
+        };
+        fields.iter_mut().find(|(k, _)| k == "occupancy").unwrap().1 = occupancy.to_value();
+        Value::Object(fields)
+    }
+
+    #[test]
+    fn decoding_refuses_an_occupancy_the_open_stays_disagree_with() {
+        // Alice is open in CAIS; Bob's one stay, in GO, is closed.
+        let image = pruneable_db().to_value();
+        let error = |occupancy: &[(LocationId, &[SubjectId])]| {
+            MovementsDb::from_value(&with_occupancy(&image, occupancy))
+                .expect_err("refused")
+                .to_string()
+        };
+        // An occupant with no stay at all (`present_during` would panic)
+        // and one whose last stay is closed (it would report that stay
+        // twice: from the run, and as "open").
+        assert_eq!(
+            error(&[(CAIS, &[ALICE, SubjectId(2)]), (GO, &[])]),
+            "movements: occupancy lists S2 in L10, where it has no open stay"
+        );
+        assert_eq!(
+            error(&[(CAIS, &[ALICE]), (GO, &[BOB])]),
+            "movements: occupancy lists S1 in L11, where it has no open stay"
+        );
+        // An open stay nobody listed, in an emptied set or a missing one.
+        let missing = "movements: S0's open stay in L10 is missing from occupancy";
+        assert_eq!(error(&[(CAIS, &[]), (GO, &[])]), missing);
+        assert_eq!(error(&[(GO, &[])]), missing);
+        // Empty sets still load, a location nobody is in included, and
+        // they are written back.
+        let extra = with_occupancy(
+            &image,
+            &[(CAIS, &[ALICE]), (GO, &[]), (LocationId(12), &[])],
+        );
+        let db = MovementsDb::from_value(&extra).unwrap();
+        assert_eq!(db.to_value(), extra);
+        assert!(db.occupants(LocationId(12)).is_empty());
+    }
+
+    #[test]
+    fn equal_histories_are_equal_whatever_the_list_order() {
+        let mut a = MovementsDb::new();
+        let mut b = MovementsDb::new();
+        let carol = SubjectId(2);
+        for s in [ALICE, BOB, carol] {
+            a.record_enter(Time(u64::from(s.0)), s, CAIS).unwrap();
+        }
+        for s in [BOB, carol, ALICE] {
+            b.record_enter(Time(u64::from(s.0)), s, CAIS).unwrap();
+        }
+        // Alice's exit moves Carol into her place in `a` only.
+        a.record_exit(Time(5), ALICE, CAIS).unwrap();
+        b.record_exit(Time(5), ALICE, CAIS).unwrap();
+        assert_ne!(a.inside[&CAIS], b.inside[&CAIS]);
+        assert_eq!(a, b);
+        assert_eq!(a.to_value(), b.to_value());
+        assert_eq!(a.occupants(CAIS), [BOB, carol]);
+        a.record_exit(Time(6), carol, CAIS).unwrap();
+        assert_eq!(a.occupants(CAIS), [BOB]);
+        assert_ne!(a, b);
     }
 
     /// Alice: two closed stays + one open; Bob: one closed stay.

@@ -4,10 +4,10 @@ use ltam_store::binval;
 use serde::Value;
 
 /// `HashMap`-backed sections of the engine images (`UsageLedger`,
-/// `ProhibitionDb`, `LocationModel`) are written in per-instance
-/// iteration order, so two equal values can encode differently: compare
-/// value trees with every entry array (an array of 2-element arrays)
-/// sorted.
+/// `ProhibitionDb`, `LocationModel`) are written in key order today, but
+/// the checked-in golden store was written when they came out in
+/// per-instance iteration order: compare value trees with every entry
+/// array (an array of 2-element arrays) sorted.
 pub fn canonical(v: Value) -> Value {
     match v {
         Value::Array(items) => {

@@ -316,6 +316,23 @@ fn the_same_script_still_writes_the_same_bytes() {
     }
 }
 
+/// Equal states write equal bytes: two runs of the script in one
+/// process, snapshots and all, with nothing canonicalized.
+#[test]
+fn the_script_writes_the_same_bytes_twice() {
+    let (a, b) = (
+        ScratchDir::new("golden-twice-a"),
+        ScratchDir::new("golden-twice-b"),
+    );
+    drop(write_store(a.path()));
+    drop(write_store(b.path()));
+    let (a, b) = (files(a.path()), files(b.path()));
+    assert_eq!(a.keys().collect::<Vec<_>>(), b.keys().collect::<Vec<_>>());
+    for (name, bytes) in &a {
+        assert!(*bytes == b[name], "{name}");
+    }
+}
+
 #[test]
 #[ignore = "rewrites tests/golden/store from the script"]
 fn bless() {
