@@ -12,6 +12,7 @@
 pub mod args;
 pub mod loadgen;
 pub mod relay;
+pub mod spec;
 
 use ltam_core::db::AuthId;
 use ltam_core::inaccessible::AuthsByLocation;

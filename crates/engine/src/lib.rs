@@ -8,6 +8,8 @@
 //! * [`movement`] — the **location & movements database**: each subject's
 //!   movements as a timeline of stays, with occupancy, whereabouts,
 //!   presence and contact-tracing queries,
+//! * [`index`] — the one history index those queries, the violation
+//!   report and the archive tier (`ltam-store`) all read through,
 //! * [`engine`] — the **access control engine**: request checking
 //!   (Definition 7), continuous movement monitoring, violation detection
 //!   (tailgating, exit-window breaches, overstays), rule derivation and
@@ -38,6 +40,7 @@
 pub mod baseline;
 pub mod batch;
 pub mod engine;
+pub mod index;
 pub mod movement;
 pub mod profile;
 pub mod query;

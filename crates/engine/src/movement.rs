@@ -9,11 +9,13 @@
 //! **one row per subject** — its timeline (the whole recorded history),
 //! its latest-time guard and its place in an occupant list — and one
 //! unordered occupant list per location; [`MovementsDb`] has what an
-//! event and a read cost. The timelines answer the historical queries
-//! (`where was s at t`, `who was in l during w`) and the co-location
-//! joins behind contact tracing (the paper's SARS motivation). The raw
-//! enter/exit stream is the write-ahead log's, not this store's.
+//! event costs. The historical queries (`where was s at t`, `who was in
+//! l during w`, the contact tracing of the paper's SARS motivation) read
+//! the timelines and the occupant lists through the history index both
+//! tiers share ([`crate::index`]). The raw enter/exit stream is the
+//! write-ahead log's, not this store's.
 
+use crate::index::{self, stays_overlapping, HistoryIndex};
 use ltam_core::subject::SubjectId;
 use ltam_graph::LocationId;
 use ltam_time::{Bound, Interval, Time};
@@ -41,16 +43,6 @@ impl Stay {
             None => Interval::from_start(self.enter),
         }
     }
-}
-
-/// The stays among `rows` that overlap `window`, for rows holding one
-/// subject's stays in order: chronological, so with exits that never
-/// decrease (an open stay is the last), which makes the overlapping
-/// ones a contiguous slice two binary searches find.
-pub fn stays_overlapping<T>(rows: &[T], stay: impl Fn(&T) -> Stay, window: Interval) -> &[T] {
-    let lo = rows.partition_point(|r| matches!(stay(r).exit, Some(e) if e < window.start()));
-    let hi = rows.partition_point(|r| window.end().admits(stay(r).enter));
-    &rows[lo..hi.max(lo)]
 }
 
 /// A co-location record returned by contact queries.
@@ -104,55 +96,6 @@ impl fmt::Display for MovementError {
 }
 
 impl std::error::Error for MovementError {}
-
-/// One closed stay in a location's run of [`StayRows`] (24 bytes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ClosedStay {
-    enter: Time,
-    exit: Time,
-    subject: SubjectId,
-}
-
-/// The closed stays of one location, ordered by `(enter, exit, subject)`.
-#[derive(Debug, Default)]
-struct LocationRun {
-    /// Ordered up to `sorted`; `record_exit` appends past it in arrival
-    /// order and the next reader of this location sorts the tail in.
-    rows: Vec<ClosedStay>,
-    sorted: usize,
-    /// `exit − enter` of the longest stay ever put in `rows`: no row
-    /// entered before `t − longest` can still be inside at `t`, which is
-    /// what lets a reader binary-search to the start of its window. Only
-    /// ever an upper bound, so one very long stay makes this location's
-    /// reads walk further — never answer wrongly.
-    longest: u64,
-}
-
-impl LocationRun {
-    fn push(&mut self, row: ClosedStay) {
-        self.longest = self
-            .longest
-            .max(row.exit.get().saturating_sub(row.enter.get()));
-        self.rows.push(row);
-    }
-
-    /// Sort the appended tail in. Exits arrive roughly in time order, so
-    /// only the part of the run from where the earliest new row lands is
-    /// re-sorted, not the run.
-    fn sort_in(&mut self) {
-        let (head, tail) = self.rows.split_at(self.sorted);
-        let Some(first) = tail.iter().min() else {
-            return;
-        };
-        let lo = head.partition_point(|r| r <= first);
-        self.rows[lo..].sort();
-        self.sorted = self.rows.len();
-    }
-}
-
-/// Per-location closed stays by time: derived from the timelines, never
-/// serialized, compared or cloned. `None` until a reader needs it.
-type StayRows = Option<BTreeMap<LocationId, LocationRun>>;
 
 /// Everything the store records about one subject.
 #[derive(Debug, Clone, Default)]
@@ -224,29 +167,13 @@ impl SubjectRow {
 ///
 /// ## What a historical read costs
 ///
-/// `whereabouts` and the subject side of `contacts` probe the subject's
-/// row and binary-search its stays (chronological with nondecreasing
-/// exits). `present_during` reads a **derived** per-location run of
-/// closed stays ordered by `(enter, exit, subject)`: a binary search to
-/// `window.start − longest` (the longest closed stay that location has
-/// seen), a walk that stops at the first `enter` past the window, plus
-/// the open stays of the location's occupant list — O(log n + rows near
-/// the window), not O(every stay in the store).
-///
-/// The runs are a reader-built cache, not recorded state: the first
-/// `present_during` after construction, decoding, `Clone` or
-/// [`MovementsDb::apply_prune`] builds them from the timelines and each
-/// reader sorts the run it touches; from then on `record_exit` appends
-/// one row to its location's unsorted tail and the next reader of that
-/// location sorts it in. Sensor clocks are only per-subject monotone, so
-/// exits arrive out of time order and keeping the runs sorted on the
-/// write path would cost every ingest a search and a shift; an append
-/// costs nothing a reader would not pay anyway, and a store nobody
-/// queries pays one branch per exit and no memory. The cache sits behind
-/// a mutex only so queries can stay `&self`; it is left out of the
-/// serialized form, of `Clone` (an image never copies it) and of `==`
-/// (which still means "same recorded history", whatever the lists'
-/// order).
+/// The reads go through the history index both tiers share
+/// ([`crate::index`]). This store's [`HistoryIndex`] of closed stays is
+/// built by the first `present_during` after construction, decoding,
+/// `Clone` or [`MovementsDb::apply_prune`], and `record_exit` appends to
+/// it from then on. It sits behind a mutex only so queries can stay
+/// `&self`, and is left out of the serialized form, of `Clone` and of
+/// `==` (which means "same recorded history", whatever the lists' order).
 #[derive(Debug, Default)]
 pub struct MovementsDb {
     /// A row for every subject with stays or a latest-time guard.
@@ -261,7 +188,7 @@ pub struct MovementsDb {
     /// Events dropped by pruning ([`MovementsDb::len`] plus this is the
     /// total ever recorded). Optional for the same compatibility reason.
     pruned_events: Option<u64>,
-    stay_rows: Mutex<StayRows>,
+    index: Mutex<Option<HistoryIndex<()>>>,
 }
 
 /// A [`MovementsDb`] image as decoded: the ordered tables it is
@@ -333,7 +260,7 @@ impl TryFrom<Image> for MovementsDb {
             inside,
             watermark: image.watermark,
             pruned_events: image.pruned_events,
-            stay_rows: Mutex::default(),
+            index: Mutex::default(),
         })
     }
 }
@@ -378,14 +305,14 @@ impl Deserialize for MovementsDb {
 }
 
 impl Clone for MovementsDb {
-    /// The recorded state; the stay rows start unbuilt.
+    /// The recorded state; the index starts unbuilt.
     fn clone(&self) -> MovementsDb {
         MovementsDb {
             subjects: self.subjects.clone(),
             inside: self.inside.clone(),
             watermark: self.watermark,
             pruned_events: self.pruned_events,
-            stay_rows: Mutex::default(),
+            index: Mutex::default(),
         }
     }
 }
@@ -506,12 +433,8 @@ impl MovementsDb {
         let slot = row.slot;
         let stay = row.stays.last_mut().expect("open stay exists");
         stay.exit = Some(t);
-        if let Some(runs) = self.stay_rows.get_mut() {
-            runs.entry(location).or_default().push(ClosedStay {
-                enter: stay.enter,
-                exit: t,
-                subject,
-            });
+        if let Some(built) = self.index.get_mut() {
+            built.push(subject, stay, ());
         }
         let occupants = self
             .inside
@@ -553,14 +476,7 @@ impl MovementsDb {
 
     /// Where the subject was at time `t` (historically).
     pub fn whereabouts(&self, subject: SubjectId, t: Time) -> Option<LocationId> {
-        let stays = self.timeline(subject);
-        let idx = stays.partition_point(|s| s.enter <= t);
-        // Exits never decrease along a timeline, so if the last stay
-        // entered by `t` had ended before it, so had every earlier one.
-        stays[..idx]
-            .last()
-            .filter(|s| s.interval().contains(t))
-            .map(|s| s.location)
+        index::whereabouts(self.timeline(subject), |&s| ((), s), t, Time::MAX)
     }
 
     /// The subject's stays that overlap `window` (a binary search, see
@@ -589,70 +505,32 @@ impl MovementsDb {
         examined: &mut u64,
     ) -> Vec<(SubjectId, Interval)> {
         let mut out = Vec::new();
-        let mut overlap = |subject, stay: Interval| {
-            *examined += 1;
-            out.extend(stay.intersect(window).map(|i| (subject, i)));
-        };
-        let mut rows = self.stay_rows.lock();
-        let runs = rows.get_or_insert_with(|| self.closed_stays_by_location());
-        if let Some(run) = runs.get_mut(&location) {
-            run.sort_in();
-            let from = window.start().get().saturating_sub(run.longest);
-            let lo = run.rows.partition_point(|r| r.enter.get() < from);
-            for r in run.rows[lo..]
-                .iter()
-                .take_while(|r| window.end().admits(r.enter))
-            {
-                let stay = Interval::new(r.enter, Bound::At(r.exit)).expect("exit >= enter");
-                overlap(r.subject, stay);
+        let mut cache = self.index.lock();
+        let built = cache.get_or_insert_with(|| {
+            let mut built = HistoryIndex::default();
+            for (&subject, row) in &self.subjects {
+                row.stays.iter().for_each(|s| built.push(subject, s, ()));
             }
-        }
-        drop(rows);
+            built
+        });
+        built.sort_in(location);
+        built.present_during(location, window, Time::MAX, examined, &mut out);
         // Open stays last: a subject's open stay follows its closed ones,
         // and the stable sort below keeps that order on equal starts.
         for &subject in self.inside.get(&location).into_iter().flatten() {
-            overlap(subject, self.open_stay(subject).interval());
+            *examined += 1;
+            let stay = self.open_stay(subject).interval();
+            out.extend(stay.intersect(window).map(|i| (subject, i)));
         }
         out.sort_by_key(|&(s, i)| (s, i.start()));
         out
     }
 
-    /// Every closed stay, by location, each run unsorted: the one-off
-    /// build of [`StayRows`].
-    fn closed_stays_by_location(&self) -> BTreeMap<LocationId, LocationRun> {
-        let mut runs: BTreeMap<LocationId, LocationRun> = BTreeMap::new();
-        for (&subject, row) in &self.subjects {
-            for s in &row.stays {
-                if let Some(exit) = s.exit {
-                    runs.entry(s.location).or_default().push(ClosedStay {
-                        enter: s.enter,
-                        exit,
-                        subject,
-                    });
-                }
-            }
-        }
-        runs
-    }
-
     /// Everyone who was co-located with `subject` during `window` — the
     /// contact-tracing join (§1's SARS scenario).
     pub fn contacts(&self, subject: SubjectId, window: Interval) -> Vec<Contact> {
-        let mut out = Vec::new();
-        for s in self.stays_during(subject, window) {
-            let exposure = s.interval().intersect(window).expect("stay overlaps");
-            for (other, overlap) in self.present_during(s.location, exposure) {
-                if other != subject {
-                    out.push(Contact {
-                        other,
-                        location: s.location,
-                        overlap,
-                    });
-                }
-            }
-        }
-        out.sort_by_key(|c| (c.other, c.overlap.start()));
-        out
+        let stays = self.stays_during(subject, window);
+        index::contacts(subject, window, stays, |l, w| self.present_during(l, w))
     }
 
     /// Subjects with an open (ongoing) stay, with the stay, by subject.
@@ -732,8 +610,8 @@ impl MovementsDb {
             dropped += 2 * k as u64;
             !row.stays.is_empty() || row.latest.is_some()
         });
-        // The next reader rebuilds the rows from what is left.
-        *self.stay_rows.get_mut() = None;
+        // The next reader rebuilds the index from what is left.
+        *self.index.get_mut() = None;
         self.pruned_events = Some(self.pruned_events() + dropped);
         self.watermark = Some(self.watermark().max(horizon));
         dropped
@@ -1263,18 +1141,18 @@ mod tests {
         let image = db.to_value();
         // A reader builds the rows; nothing recorded changes.
         assert_eq!(db.present_during(GO, Interval::lit(0, 100)).len(), 2);
-        assert!(db.stay_rows.lock().is_some());
+        assert!(db.index.lock().is_some());
         assert_eq!(db.to_value(), image);
         assert_eq!(db, pruneable_db());
         // Neither a clone nor a decoded image carries them; a prune drops
         // them; and an unqueried store never builds them.
-        assert!(db.clone().stay_rows.lock().is_none());
+        assert!(db.clone().index.lock().is_none());
         let back = MovementsDb::from_value(&image).unwrap();
-        assert!(back.stay_rows.lock().is_none());
+        assert!(back.index.lock().is_none());
         db.apply_prune(Time(30));
-        assert!(db.stay_rows.lock().is_none());
+        assert!(db.index.lock().is_none());
         db.record_exit(Time(60), ALICE, CAIS).unwrap();
-        assert!(db.stay_rows.lock().is_none());
+        assert!(db.index.lock().is_none());
         // The serialized form is the five recorded fields, in this order;
         // an image from before retention (no watermark, no pruned count)
         // still loads, and so does one carrying the event log older

@@ -24,6 +24,7 @@
 //! security-desk alerts.
 
 use crate::engine::{AuditRecord, EngineConfig};
+use crate::index::ByTime;
 use crate::movement::MovementsDb;
 use crate::retention::PrunedHistory;
 use crate::violation::Violation;
@@ -34,7 +35,8 @@ use ltam_core::prohibition::ProhibitionDb;
 use ltam_core::subject::SubjectId;
 use ltam_graph::LocationId;
 use ltam_situate::{judge, IncidentId, SituationEffect, SituationPolicy};
-use ltam_time::{Bound, Time};
+use ltam_time::{Bound, Interval, Time};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -107,6 +109,10 @@ pub struct ShardState {
     /// Violations dropped by retention — still counted toward the alert
     /// sequence, so restart alerts stay monotone after pruning.
     pub(crate) violations_pruned: u64,
+    /// `violations` by time: derived state ([`crate::index`]), built by
+    /// the first [`ShardState::violations_in`], so a shard nobody
+    /// queries pays one branch per detection and no memory.
+    by_time: Mutex<Option<ByTime>>,
 }
 
 impl ShardState {
@@ -130,6 +136,18 @@ impl ShardState {
     /// Violations detected by this shard, in detection order.
     pub fn violations(&self) -> &[Violation] {
         &self.violations
+    }
+
+    /// The violations detected in `window`, by time — ties in detection
+    /// order — each one read added to `examined`.
+    pub fn violations_in(&self, window: Interval, examined: &mut u64) -> Vec<Violation> {
+        let mut view = self.by_time.lock();
+        let view =
+            view.get_or_insert_with(|| ByTime::of(self.violations.iter().map(Violation::time)));
+        view.sort_in();
+        view.pick(&self.violations, window, examined)
+            .copied()
+            .collect()
     }
 
     /// The audited request decisions taken by this shard.
@@ -197,6 +215,8 @@ impl ShardState {
         let before = self.violations.len();
         self.violations.retain(|v| v.time() >= horizon);
         self.violations_pruned += (before - self.violations.len()) as u64;
+        // The positions moved: the next reader rebuilds the view.
+        *self.by_time.get_mut() = None;
     }
 
     /// Collect-then-drop in one call (the volatile path; the caller
@@ -281,6 +301,9 @@ impl ShardState {
     }
 
     fn record(&mut self, violation: Violation) -> Violation {
+        if let Some(view) = self.by_time.get_mut() {
+            view.push((violation.time(), self.violations.len()));
+        }
         self.violations.push(violation);
         violation
     }
@@ -536,6 +559,7 @@ impl ShardState {
             audit: image.audit,
             audit_pruned: image.audit_pruned,
             violations_pruned: image.violations_pruned,
+            by_time: Mutex::default(),
         }
     }
 }
@@ -691,6 +715,40 @@ mod tests {
             Some(Violation::InconsistentMovement { .. })
         ));
         assert_eq!(s.violations().len(), 2);
+    }
+
+    #[test]
+    fn the_violation_view_follows_detection_and_prunes() {
+        let (db, prohibitions) = policy_db();
+        let situation = SituationPolicy::new();
+        let policy = PolicyView {
+            db: &db,
+            prohibitions: &prohibitions,
+            config: EngineConfig::default(),
+            situation: &situation,
+        };
+        let mut s = ShardState::new();
+        // Tailgates detected out of time order across subjects.
+        for (t, who) in [(30, 1), (10, 2), (20, 3), (10, 4)] {
+            s.observe_enter(&policy, Time(t), SubjectId(who), CAIS);
+        }
+        let times = |s: &ShardState, window| {
+            let found = s.violations_in(window, &mut 0);
+            found.iter().map(|v| v.time().get()).collect::<Vec<_>>()
+        };
+        assert_eq!(times(&s, Interval::ALL), [10, 10, 20, 30]);
+        assert!(s.by_time.lock().is_some(), "the first query built the view");
+        // Detection after the build is appended; a prune moves every
+        // position, so the view goes and the next query rebuilds it.
+        s.observe_enter(&policy, Time(15), SubjectId(5), CAIS);
+        assert_eq!(times(&s, Interval::lit(10, 20)), [10, 10, 15, 20]);
+        s.apply_retention(Time(12));
+        assert!(s.by_time.lock().is_none());
+        assert_eq!(times(&s, Interval::ALL), [15, 20, 30]);
+        // A restored shard starts without one.
+        let back = ShardState::from_image(s.image());
+        assert!(back.by_time.lock().is_none());
+        assert_eq!(times(&back, Interval::lit(16, 30)), [20, 30]);
     }
 
     #[test]

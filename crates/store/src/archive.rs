@@ -59,11 +59,12 @@ use crate::binval;
 use crate::crc::crc32;
 use crate::wal::sync_dir;
 use ltam_core::subject::SubjectId;
-use ltam_engine::movement::{stays_overlapping, Stay};
+use ltam_engine::index::{ByTime, HistoryIndex, Provenance, Run};
+use ltam_engine::movement::Stay;
 use ltam_engine::retention::PrunedHistory;
 use ltam_engine::AuditRecord;
 use ltam_engine::Violation;
-use ltam_time::{Interval, Time};
+use ltam_time::Time;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
@@ -378,55 +379,35 @@ impl ArchiveStore {
     /// [`LazyArchive`] instead, which loads (and caches) only the
     /// segments a query can actually touch.
     pub fn load(&self) -> io::Result<ArchiveData> {
-        let chain = self.scan()?;
-        let mut data = ArchiveData {
-            covered_to: chain.end(),
-            ..ArchiveData::default()
-        };
-        for &(from, to, ref path) in &chain.rows {
-            let seg = read_segment(path, from, to)?;
-            merge_segment(&mut data, from, seg);
-        }
-        Ok(data)
+        let mut all = LazyArchive::new();
+        all.view_for(self, Time::ZERO, Time::MAX)?;
+        Ok(all.data)
     }
 }
 
-/// Fold one segment's records into `data`, each row at its place in the
-/// time order its vector keeps. Late-arriving records mean a later
+/// Fold one segment's records into `data`: append them, then sort each
+/// run the segment touched once. Late-arriving records mean a later
 /// segment can hold rows that predate an earlier segment's, but mostly a
-/// segment's rows are the newest and land at the end: merging costs what
-/// the segment holds, not what the archive holds.
+/// segment's rows are the newest and the sort finds them in place:
+/// merging costs what the segment holds, not what the archive holds.
 fn merge_segment(data: &mut ArchiveData, from: u64, seg: ArchiveRecords) {
-    for (s, stay) in seg.stays {
-        let key = (stay.enter, stay.exit, s);
-        let rows = data.stays.entry(s).or_default();
-        let at = rows.partition_point(|&(_, r)| (r.enter, r.exit) <= (stay.enter, stay.exit));
-        rows.insert(at, (from, stay));
-        let here = data.by_location.entry(stay.location).or_default();
-        let at = here
-            .rows
-            .partition_point(|&(_, who, r)| (r.enter, r.exit, who) <= key);
-        here.rows.insert(at, (from, s, stay));
-        here.longest = here.longest.max(stay_length(&stay));
+    for &(subject, stay) in &seg.stays {
+        data.stays.entry(subject).or_default().push((from, stay));
+        data.index.push(subject, &stay, from);
     }
-    data.audit.extend(seg.audit);
+    // The first row of a run sorts it; the rest find it sorted.
+    for &(subject, stay) in &seg.stays {
+        if let Some(rows) = data.stays.get_mut(&subject) {
+            rows.sort_in_by_key(|(f, s)| (s.enter, s.exit, f));
+        }
+        data.index.sort_in(stay.location);
+    }
     for v in seg.violations {
-        let at = data
-            .violations_by_time
-            .partition_point(|&i| data.violations[i as usize].1.time() <= v.time());
-        let position =
-            u32::try_from(data.violations.len()).expect("under 2^32 archived violations");
-        data.violations_by_time.insert(at, position);
+        data.by_time.push((v.time(), data.violations.len()));
         data.violations.push((from, v));
     }
-}
-
-/// `exit − enter` of an archived stay. Only closed stays are written; an
-/// open one in a file counts as endless, so it costs its location the
-/// binary search and not the answer.
-fn stay_length(stay: &Stay) -> u64 {
-    stay.exit
-        .map_or(u64::MAX, |exit| exit.get().saturating_sub(stay.enter.get()))
+    data.by_time.sort_in();
+    data.audit.extend(seg.audit);
 }
 
 /// The archive tier with per-segment lazy loading: the chain is scanned
@@ -446,14 +427,12 @@ fn stay_length(stay: &Stay) -> u64 {
 /// * `to > needs_from` — it can hold records at or past the query's
 ///   lower edge (no segment can hold records at or past its own `to`,
 ///   so segments wholly below the window stay cold), and
-/// * `from < applied_below` — the live watermark; a
-///   segment starting at or past it is *stranded* (its prune never
-///   applied, recovery resurrected its records into live state) and
-///   every record it holds would be filtered by the provenance check
-///   anyway, so it never needs loading.
+/// * its start is applied at `applied_below`, the live watermark
+///   ([`Provenance`]): every record of a *stranded* segment would be
+///   filtered out anyway, so it never needs loading.
 ///
 /// Loaded segments accumulate monotonically: loading a superset is
-/// always sound because the per-record provenance filter still applies at query
+/// always sound because the provenance filter still applies at query
 /// time. A retention run does not empty the cache of a store that is
 /// being queried — see [`LazyArchive::chain_changed`].
 #[derive(Debug, Default)]
@@ -535,7 +514,7 @@ impl LazyArchive {
             .expect("chain scanned")
             .iter()
             .filter(|&&(from, to, _)| {
-                to > needs_from.get() && from < applied_below.get() && !self.loaded.contains(&from)
+                to > needs_from.get() && from.applied(applied_below) && !self.loaded.contains(&from)
             })
             .cloned()
             .collect();
@@ -592,66 +571,43 @@ fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result
 /// stays are ever pruned), and every record carries the chain start of
 /// the segment it came from.
 ///
-/// Every query takes an `applied_below` bound — the **live
-/// watermark** — and ignores records from segments starting at
-/// or past it. The segment start is the exact "was this prune ever
-/// applied?" discriminator: an applied segment's start is always below
-/// the watermark its apply advanced, while a *stranded* segment (its
-/// run crashed between archive-write and the snapshot persisting the
-/// prune) starts exactly at the watermark, and recovery has resurrected
-/// its entire contents — including late-arriving records whose
-/// timestamps predate the watermark — into live state. Filtering by
-/// record *time* would miss those; filtering by segment start never
-/// does. In steady state every segment is applied and the bound is
-/// vacuous. Pass [`Time::MAX`] to read the archive standalone.
-///
-/// ## What a read costs
-///
-/// Every vector a query reads is kept in time order as segments are
-/// merged (see `merge_segment`), so a read is a binary search plus the
-/// rows near its window, whatever the number of retained segments: a
-/// subject's stays by `(enter, exit)` (their exits never decrease
-/// either), a location's stays by `(enter, exit, subject)` beside the
-/// longest stay that location holds — nothing entered before
-/// `window.start − longest` can reach the window, and one very long
-/// stay only makes that location's reads walk further, never answer
-/// wrongly — and the violations through a by-time view beside their
-/// stored order. The queries add the rows they looked at to `examined`.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// It is read through the history index both tiers share
+/// ([`ltam_engine::index`]), kept sorted as segments merge, with the
+/// archived rows' segment starts as their [`Provenance`]: a reader counts
+/// a record only if its segment's prune was applied below the live
+/// watermark (a stranded segment's records are live). In steady state
+/// every segment is applied; pass [`Time::MAX`] to read the archive
+/// standalone.
+#[derive(Debug, Default)]
 pub struct ArchiveData {
     /// Watermark-chain end (exclusive): when this reaches the live
     /// watermark, the two tiers together hold all history ever
     /// recorded.
     pub covered_to: u64,
-    /// Archived `(segment start, stay)` rows per subject,
-    /// chronological by enter time.
-    pub stays: BTreeMap<SubjectId, Vec<(u64, Stay)>>,
-    /// The same stays per location, for presence/contact joins.
-    pub by_location: BTreeMap<ltam_graph::LocationId, LocationStays>,
+    /// Archived `(segment start, stay)` rows per subject, chronological.
+    pub stays: BTreeMap<SubjectId, Run<(u64, Stay)>>,
     /// Archived audit records.
     pub audit: Vec<AuditRecord>,
     /// Archived `(segment start, violation)` rows, in stored order:
     /// segment by segment, as written.
     pub violations: Vec<(u64, Violation)>,
-    /// Positions into `violations`, ordered by violation time.
-    violations_by_time: Vec<u32>,
+    /// Every location's archived stays.
+    pub index: HistoryIndex<u64>,
+    /// `violations` by time.
+    pub by_time: ByTime,
 }
 
-/// One location's archived stays.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LocationStays {
-    /// `(segment start, subject, stay)` rows ordered by
-    /// `(enter, exit, subject)`.
-    pub rows: Vec<(u64, SubjectId, Stay)>,
-    /// `exit − enter` of the longest stay in `rows`.
-    pub longest: u64,
-}
-
-/// The segment-provenance filter (see [`ArchiveData`]): a record
-/// counts only if its segment's prune was applied before the live
-/// watermark.
-fn applied(seg_from: u64, applied_below: Time) -> bool {
-    seg_from < applied_below.get()
+impl PartialEq for ArchiveData {
+    /// The same records; the index is derived from them.
+    fn eq(&self, other: &ArchiveData) -> bool {
+        (self.covered_to, &self.stays, &self.audit, &self.violations)
+            == (
+                other.covered_to,
+                &other.stays,
+                &other.audit,
+                &other.violations,
+            )
+    }
 }
 
 impl ArchiveData {
@@ -664,84 +620,7 @@ impl ArchiveData {
     /// merging with live state must skip rows whose segment start is at
     /// or past the movements watermark (stranded: those stays are live).
     pub fn stays_of(&self, subject: SubjectId) -> &[(u64, Stay)] {
-        self.stays.get(&subject).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The rows of [`ArchiveData::stays_of`] that overlap `window` (a
-    /// binary search, see [`stays_overlapping`]).
-    pub fn stays_during(&self, subject: SubjectId, window: Interval) -> &[(u64, Stay)] {
-        stays_overlapping(self.stays_of(subject), |&(_, s)| s, window)
-    }
-
-    /// Where `subject` was at `t`, per applied archived stays (mirrors
-    /// [`ltam_engine::movement::MovementsDb::whereabouts`]: the latest
-    /// stay containing `t` wins).
-    pub fn whereabouts(
-        &self,
-        subject: SubjectId,
-        t: Time,
-        applied_below: Time,
-    ) -> Option<ltam_graph::LocationId> {
-        let stays = self.stays.get(&subject)?;
-        let idx = stays.partition_point(|&(_, s)| s.enter <= t);
-        // Exits never decrease along a subject's stays: if the last
-        // applied stay entered by `t` had ended before it, so had every
-        // earlier one.
-        stays[..idx]
-            .iter()
-            .rev()
-            .find(|&&(f, _)| applied(f, applied_below))
-            .filter(|(_, s)| s.interval().contains(t))
-            .map(|(_, s)| s.location)
-    }
-
-    /// Applied archived presences in `location` overlapping `window`,
-    /// clipped, sorted by `(subject, start)` (mirrors the live query).
-    pub fn present_during(
-        &self,
-        location: ltam_graph::LocationId,
-        window: Interval,
-        applied_below: Time,
-        examined: &mut u64,
-    ) -> Vec<(SubjectId, Interval)> {
-        let Some(here) = self.by_location.get(&location) else {
-            return Vec::new();
-        };
-        let from = window.start().get().saturating_sub(here.longest);
-        let lo = here.rows.partition_point(|(_, _, s)| s.enter.get() < from);
-        let mut out = Vec::new();
-        for &(f, subject, s) in here.rows[lo..]
-            .iter()
-            .take_while(|(_, _, s)| window.end().admits(s.enter))
-        {
-            *examined += 1;
-            if applied(f, applied_below) {
-                out.extend(s.interval().intersect(window).map(|i| (subject, i)));
-            }
-        }
-        out.sort_by_key(|&(s, i)| (s, i.start()));
-        out
-    }
-
-    /// Applied archived violations inside `window`, by time.
-    pub fn violations_in(
-        &self,
-        window: Interval,
-        applied_below: Time,
-        examined: &mut u64,
-    ) -> Vec<Violation> {
-        let row = |&i: &u32| self.violations[i as usize];
-        let lo = self
-            .violations_by_time
-            .partition_point(|i| row(i).1.time() < window.start());
-        self.violations_by_time[lo..]
-            .iter()
-            .map(row)
-            .take_while(|(_, v)| window.end().admits(v.time()))
-            .inspect(|_| *examined += 1)
-            .filter(|&(f, _)| applied(f, applied_below))
-            .map(|(_, v)| v)
-            .collect()
+        self.stays.get(&subject).map_or(&[], Run::rows)
     }
 }
 
@@ -749,9 +628,22 @@ impl ArchiveData {
 mod tests {
     use super::*;
     use crate::codec::encode_event;
+    use crate::history::Tiers;
     use crate::scratch::ScratchDir;
-    use ltam_engine::batch::Event;
-    use ltam_graph::LocationId;
+    use ltam_engine::batch::{Event, PolicyCore, ShardedEngine};
+    use ltam_graph::{LocationId, LocationModel};
+    use ltam_time::Interval;
+
+    /// `data` read through the tier merge, beside an empty live tier
+    /// whose watermark is `applied_below`.
+    fn tiers<T>(data: &ArchiveData, applied_below: Time, ask: impl FnOnce(&Tiers<'_>) -> T) -> T {
+        let (engine, _alerts) = ShardedEngine::new(PolicyCore::new(LocationModel::new("W")), 1);
+        ask(&Tiers {
+            engine: &engine,
+            archive: Some(data),
+            live_from: applied_below,
+        })
+    }
 
     fn history(times: &[(u64, u64)]) -> PrunedHistory {
         // One closed stay per (enter, exit) pair, all for subject 1 in
@@ -798,24 +690,34 @@ mod tests {
         assert!(data.covers(Time(49)) && !data.covers(Time(50)));
         assert_eq!(data.stays_of(SubjectId(1)).len(), 2);
         assert_eq!(
-            data.whereabouts(SubjectId(1), Time(7), Time::MAX),
+            tiers(&data, Time::MAX, |r| r.whereabouts(SubjectId(1), Time(7))),
             Some(LocationId(2))
         );
-        assert_eq!(data.whereabouts(SubjectId(1), Time(15), Time::MAX), None);
+        assert_eq!(
+            tiers(&data, Time::MAX, |r| r.whereabouts(SubjectId(1), Time(15))),
+            None
+        );
         // A watermark at the segment's start marks it stranded (its
         // prune never applied): the provenance filter excludes it.
-        assert_eq!(data.whereabouts(SubjectId(1), Time(7), Time(0)), None);
         assert_eq!(
-            data.violations_in(Interval::lit(0, 10), Time::MAX, &mut 0)
-                .len(),
+            tiers(&data, Time(0), |r| r.whereabouts(SubjectId(1), Time(7))),
+            None
+        );
+        assert_eq!(
+            tiers(&data, Time::MAX, |r| r
+                .violations_in(Interval::lit(0, 10), &mut 0)
+                .len()),
             1
         );
         assert_eq!(
-            data.violations_in(Interval::lit(0, 10), Time(0), &mut 0)
-                .len(),
+            tiers(&data, Time(0), |r| r
+                .violations_in(Interval::lit(0, 10), &mut 0)
+                .len()),
             0
         );
-        let rows = data.present_during(LocationId(2), Interval::lit(8, 25), Time::MAX, &mut 0);
+        let rows = tiers(&data, Time::MAX, |r| {
+            r.present_during(LocationId(2), Interval::lit(8, 25), &mut 0)
+        });
         assert_eq!(
             rows,
             vec![
@@ -855,7 +757,7 @@ mod tests {
         let second = [(a, 20, 20), (b, 30, 40), (a, 60, 70)];
         store.append_run(50, 100, &run(&second)).unwrap();
         let data = store.load().unwrap();
-        let at = |t, applied_below| data.whereabouts(s, Time(t), applied_below);
+        let at = |t, applied_below| tiers(&data, applied_below, |r| r.whereabouts(s, Time(t)));
         for (t, want) in [
             (4, None),
             (7, Some(a)),  // hit
@@ -1098,10 +1000,8 @@ mod tests {
         assert_eq!(lazy.segments_loaded(), 0, "coverage is a directory listing");
 
         // A query reaching down to t=110 touches only the last segment.
-        let loc = lazy
-            .view_for(&store, Time(110), Time::MAX)
-            .unwrap()
-            .whereabouts(SubjectId(1), Time(115), Time::MAX);
+        let view = lazy.view_for(&store, Time(110), Time::MAX).unwrap();
+        let loc = tiers(view, Time::MAX, |r| r.whereabouts(SubjectId(1), Time(115)));
         assert_eq!(loc, Some(LocationId(2)));
         assert_eq!(lazy.segments_loaded(), 1);
 
@@ -1165,10 +1065,8 @@ mod tests {
         // A query at t=25 must load the [50, 100) segment too — the
         // selection rule keys on each segment's *end* (records are
         // bounded above by it, not below by its start).
-        let loc = lazy
-            .view_for(&store, Time(25), Time::MAX)
-            .unwrap()
-            .whereabouts(SubjectId(1), Time(25), Time::MAX);
+        let view = lazy.view_for(&store, Time(25), Time::MAX).unwrap();
+        let loc = tiers(view, Time::MAX, |r| r.whereabouts(SubjectId(1), Time(25)));
         assert_eq!(loc, Some(LocationId(2)), "late-arriving stay found");
         assert_eq!(lazy.segments_loaded(), 2);
     }

@@ -1,23 +1,19 @@
 //! Tier-aware historical queries: live state within the retention
 //! horizon, transparently merged with archive reads beyond it.
 //!
-//! The merge is sound because retention partitions history cleanly: a
-//! stay (or audit record, or violation) lives in **exactly one** tier —
-//! it is pruned to the archive only when it can no longer intersect the
-//! live window (a stay's *exit* precedes the watermark), and a stay
-//! straddling the watermark stays live. One crash window breaks the
-//! partition: between a run's archive-write and the snapshot that
-//! persists its prune, recovery resurrects the stranded segment's
-//! records into live state while the archive also holds them. The
-//! merges therefore filter the archive side by **segment provenance**:
-//! a record counts only if its segment starts below the live
-//! watermark — applied segments always do, while a stranded segment
-//! starts exactly at the watermark and its contents
-//! (including late-arriving records whose *timestamps* sit below the
-//! watermark) are counted from the live side only. In steady state the
-//! filter is vacuous. Union-then-sort then reproduces exactly what an
-//! unpruned engine would answer; the workspace's
-//! `retention_equivalence` test asserts this on a 100k-event trace
+//! Both tiers answer through the one history index
+//! ([`ltam_engine::index`]), so a merged query is the same call on each
+//! tier, then a union. The union is sound because retention partitions
+//! history cleanly: a stay (or audit record, or violation) lives in
+//! **exactly one** tier — it is pruned to the archive only when it can no
+//! longer intersect the live window (a stay's *exit* precedes the
+//! watermark), and a stay straddling the watermark stays live. One crash
+//! window breaks the partition, a segment stranded between its
+//! archive-write and the snapshot that persists its prune; the archive
+//! side is filtered by segment provenance
+//! ([`ltam_engine::index::Provenance`]) so those records count from the
+//! live side only. The workspace's `retention_equivalence` test asserts
+//! the union equals an unpruned engine's answers on a 100k-event trace
 //! with a mid-trace crash.
 //!
 //! When the merge *cannot* be sound — the query dips below the
@@ -31,6 +27,7 @@
 use crate::archive::ArchiveData;
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::ShardedEngine;
+use ltam_engine::index::{contacts, stays_overlapping, whereabouts, Provenance};
 use ltam_engine::movement::{Contact, Stay};
 use ltam_engine::Violation;
 use ltam_graph::LocationId;
@@ -106,10 +103,7 @@ impl Tiers<'_> {
         let shard = self.engine.shard_for(subject);
         self.engine
             .read_shard(shard, |st| st.movements().whereabouts(subject, t))
-            .or_else(|| {
-                self.archive
-                    .and_then(|a| a.whereabouts(subject, t, self.live_from))
-            })
+            .or_else(|| whereabouts(self.archive?.stays_of(subject), |&r| r, t, self.live_from))
     }
 
     /// Tier-merged presence rows, clipped to `window` and sorted by
@@ -120,10 +114,11 @@ impl Tiers<'_> {
         window: Interval,
         examined: &mut u64,
     ) -> Vec<(SubjectId, Interval)> {
-        let mut out = self
-            .archive
-            .map(|a| a.present_during(location, window, self.live_from, examined))
-            .unwrap_or_default();
+        let mut out = Vec::new();
+        if let Some(a) = self.archive {
+            a.index
+                .present_during(location, window, self.live_from, examined, &mut out);
+        }
         for shard in 0..self.engine.shard_count() {
             out.extend(self.engine.read_shard(shard, |st| {
                 st.movements()
@@ -134,22 +129,19 @@ impl Tiers<'_> {
         out
     }
 
-    /// Tier-merged contact tracing: the subject's archived + live stays
-    /// drive the same co-location join
-    /// [`MovementsDb::contacts`](ltam_engine::movement::MovementsDb::contacts)
-    /// runs, with each exposure's presence lookup itself tier-merged.
+    /// Tier-merged contact tracing: the subject's applied archived and
+    /// live stays drive the one contact join, each exposure's presence
+    /// lookup itself tier-merged.
     pub fn contacts(
         &self,
         subject: SubjectId,
         window: Interval,
         examined: &mut u64,
     ) -> Vec<Contact> {
-        let archived = self
-            .archive
-            .map_or(&[][..], |a| a.stays_during(subject, window));
-        let mut stays: Vec<Stay> = archived
+        let archived = self.archive.map_or(&[][..], |a| a.stays_of(subject));
+        let mut stays: Vec<Stay> = stays_overlapping(archived, |&(_, s)| s, window)
             .iter()
-            .filter(|&&(seg_from, _)| seg_from < self.live_from.get())
+            .filter(|(from, _)| from.applied(self.live_from))
             .map(|&(_, s)| s)
             .collect();
         // One shard holds all of the subject's live stays.
@@ -158,43 +150,28 @@ impl Tiers<'_> {
                 stays.extend(st.movements().stays_during(subject, window))
             });
         *examined += stays.len() as u64;
-        let mut out = Vec::new();
-        for s in &stays {
-            let exposure = s.interval().intersect(window).expect("stay overlaps");
-            for (other, overlap) in self.present_during(s.location, exposure, examined) {
-                if other != subject {
-                    out.push(Contact {
-                        other,
-                        location: s.location,
-                        overlap,
-                    });
-                }
-            }
-        }
-        out.sort_by_key(|c| (c.other, c.overlap.start()));
-        out
+        contacts(subject, window, &stays, |l, w| {
+            self.present_during(l, w, examined)
+        })
     }
 
-    /// Tier-merged violation report over `window` (archived first, by
-    /// time, then live in shard order, detection order within a shard;
-    /// compare as a multiset).
+    /// Tier-merged violation report over `window`: archived first, then
+    /// live in shard order, each by time with ties in stored (archive) or
+    /// detection (live) order; compare as a multiset.
     pub fn violations_in(&self, window: Interval, examined: &mut u64) -> Vec<Violation> {
-        let mut out = self
-            .archive
-            .map(|a| a.violations_in(window, self.live_from, examined))
-            .unwrap_or_default();
-        // Filter under each shard's lock and copy only the rows in the
-        // window — not a clone of every live violation per query.
+        let mut out = Vec::new();
+        if let Some(a) = self.archive {
+            let rows = a.by_time.pick(&a.violations, window, examined);
+            out.extend(
+                rows.filter(|(from, _)| from.applied(self.live_from))
+                    .map(|&(_, v)| v),
+            );
+        }
         for shard in 0..self.engine.shard_count() {
-            self.engine.read_shard(shard, |st| {
-                *examined += st.violations().len() as u64;
-                out.extend(
-                    st.violations()
-                        .iter()
-                        .filter(|v| window.contains(v.time()))
-                        .copied(),
-                )
-            });
+            out.extend(
+                self.engine
+                    .read_shard(shard, |st| st.violations_in(window, examined)),
+            );
         }
         out
     }

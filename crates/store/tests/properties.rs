@@ -796,7 +796,7 @@ proptest! {
         let mut stays: Vec<(SubjectId, Stay)> = data
             .stays
             .iter()
-            .flat_map(|(&s, rows)| rows.iter().map(move |&(_, stay)| (s, stay)))
+            .flat_map(|(&s, rows)| rows.rows().iter().map(move |&(_, stay)| (s, stay)))
             .collect();
         stays.sort_by_key(key);
         let mut want = history.stays.clone();

@@ -8,9 +8,10 @@
 //! lap of both, and `store_view_rows_examined_total` (read as deltas:
 //! the registry is process-wide, which is why this file holds one test)
 //! must count exactly the same rows in the short history as in the long
-//! one: the rows of a binary search's landing zone, not of a scan. One
-//! scan remains and is pinned as such: a live-tier `ViolationsIn`
-//! filters every live violation, which the retention window bounds.
+//! one: the rows of a binary search's landing zone, not of a scan. That
+//! holds in both tiers for all three: a live-tier `ViolationsIn` reads
+//! each shard's by-time view of its violations, like the archive's, so
+//! it examines the violations in its window and no other.
 
 use ltam_core::retention::RetentionPolicy;
 use ltam_core::subject::SubjectId;
@@ -138,8 +139,8 @@ fn what_a_read_examines_does_not_grow_with_history() {
     // What the bounds promise, from the generator alone. PresentDuring
     // walks the room's stays entered in [start − longest, end] (every
     // stay here is closed and laps are identical, so `longest` is the
-    // lap's, in either tier); ViolationsIn sees exactly the archived
-    // violations in its window.
+    // lap's, in either tier); ViolationsIn sees exactly the violations
+    // in its window, in either tier.
     let longest = here().map(|&(_, _, a, b)| b - a).max().unwrap();
     assert!(longest < 100, "windows below stay clear of the lap's edges");
     let in_reach = here()
@@ -166,10 +167,13 @@ fn what_a_read_examines_does_not_grow_with_history() {
                 "Contacts, {laps} laps"
             );
         }
-        // Either tier's ViolationsIn also filters every live violation.
-        let (in_window, live_total) = (entered(600, 620), stays.len() as u64);
-        assert_eq!(archived[2], (in_window + live_total, in_window));
-        assert_eq!(live[2], (live_total, in_window));
+        let in_window = entered(600, 620);
+        assert_eq!(
+            archived[2],
+            (in_window, in_window),
+            "ViolationsIn, {laps} laps"
+        );
+        assert_eq!(live[2], (in_window, in_window), "ViolationsIn, {laps} laps");
         seen.push((archived, live));
     }
     assert_eq!(seen[0], seen[1], "1 archived lap against 10");

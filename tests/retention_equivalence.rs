@@ -8,15 +8,20 @@
 //! Query-by-query this covers the paper's history workloads:
 //! `whereabouts` (§5's "where was s at t"), presence windows, contact
 //! tracing across the horizon boundary (§1's SARS scenario), and the
-//! violation report. The refusal half of the contract is asserted too:
+//! violation report. Each sampled answer is also held to the paper's
+//! specification of these questions ([`ltam_bench::spec`]), which scans
+//! the trace's movements and shares no code with either engine. The
+//! refusal half of the contract is asserted too:
 //! destroy the archive and queries below the watermark return
 //! [`HistoryError::Unarchived`] rather than silently under-reporting.
 
 use ltam::core::retention::RetentionPolicy;
 use ltam::core::subject::SubjectId;
 use ltam::engine::batch::apply_to_engine;
+use ltam::engine::Violation;
 use ltam::graph::LocationId;
 use ltam::time::{Interval, Time};
+use ltam_bench::spec::{self, History};
 use ltam_bench::{contact_multiset, live_history_records, violation_multiset};
 use ltam_sim::{multi_shard_trace, TraceConfig};
 use ltam_store::{DurableEngine, HistoryError, ScratchDir, StoreConfig};
@@ -59,6 +64,15 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
     }
     let total_records =
         reference.movements().len() + reference.audit().len() + reference.violations().len();
+    // The specification, and the movements it rejects: the reference
+    // reported each as an inconsistent movement.
+    let spec = History::fold(&trace.events);
+    let inconsistent = reference
+        .violations()
+        .iter()
+        .filter(|v| matches!(v, Violation::InconsistentMovement { .. }))
+        .count();
+    assert_eq!(inconsistent, spec.rejected(), "rejected movements");
 
     // The pruned durable run, crashed at ~60% and recovered. The crash
     // point deliberately avoids the snapshot cadence (10k), so the
@@ -114,6 +128,8 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
     let want = violation_multiset(reference.violations().to_vec());
     assert_eq!(got.len(), want.len());
     assert_eq!(got, want, "violation multisets diverge");
+    let want = violation_multiset(spec::violations_in(reference.violations(), all));
+    assert_eq!(got, want, "violations diverge from the specification");
 
     // 2. Whereabouts at sampled (subject, time) points across the whole
     // span — inside the horizon AND deep below the watermark.
@@ -127,6 +143,7 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
                 .expect("tiered whereabouts");
             let want = reference.movements().whereabouts(s, t);
             assert_eq!(got, want, "whereabouts({s}, {t})");
+            assert_eq!(got, spec.whereabouts(s, t), "spec whereabouts({s}, {t})");
         }
     }
 
@@ -141,6 +158,13 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
         );
         let want = contact_multiset(reference.movements().contacts(s, all));
         assert_eq!(got, want, "contacts({s}) diverge");
+        let mut got = got;
+        got.sort_by_key(spec::contact_key);
+        assert_eq!(
+            got,
+            spec.contacts(s, all),
+            "contacts({s}) diverge from the specification"
+        );
         assert!(
             i != 41 || !got.is_empty(),
             "sampled subject should have contacts in a dense trace"
@@ -155,11 +179,15 @@ fn pruned_crashed_recovered_store_answers_like_an_unpruned_run() {
             .present_during(l, boundary)
             .expect("tiered presence");
         let mut want = reference.movements().present_during(l, boundary);
-        let key =
-            |r: &(SubjectId, Interval)| (r.0, r.1.start(), r.1.end().finite().unwrap_or(Time::MAX));
+        let key = |r: &(SubjectId, Interval)| (r.0, r.1.start(), r.1.end());
         got.sort_by_key(key);
         want.sort_by_key(key);
         assert_eq!(got, want, "presence in {l} diverges");
+        assert_eq!(
+            got,
+            spec.present_during(l, boundary),
+            "presence in {l} diverges from the specification"
+        );
     }
 
     // 5. The refusal half: with the archive destroyed, queries below
