@@ -64,7 +64,7 @@ struct ReplicateReport {
     violations: usize,
     violations_match: bool,
     whereabouts_match: bool,
-    state_digest_match: bool,
+    digest_match: bool,
     write_refused_with_redirect: bool,
     metrics: ReplicateMetricsBlock,
 }
@@ -256,8 +256,8 @@ pub fn run(args: &[String]) {
     let whereabouts_match = served_whereabouts_match(&mut f_probe, &reference, subjects, span);
     let p_status = primary_probe.status().expect("primary final status");
     let f_status = f_probe.status().expect("follower final status");
-    let state_digest_match = p_status.state_digest == f_status.state_digest
-        && p_status.events_ingested == f_status.events_ingested;
+    let digest_match = primary_probe.digest().expect("primary digest")
+        == f_probe.digest().expect("follower digest");
 
     // Writes at the follower: refused loudly, with the typed redirect.
     let write_refused_with_redirect = matches!(
@@ -332,7 +332,7 @@ pub fn run(args: &[String]) {
             violations: got.len(),
             violations_match,
             whereabouts_match,
-            state_digest_match,
+            digest_match,
             write_refused_with_redirect,
             metrics: repl_metrics,
         };
@@ -351,11 +351,11 @@ pub fn run(args: &[String]) {
             if watermark_monotone { "YES" } else { "VIOLATED" }
         );
         println!(
-            "follower vs reference: violations {} ({} of them), whereabouts {}; follower vs primary state digest: {}",
+            "follower vs reference: violations {} ({} of them), whereabouts {}; follower vs primary digest: {}",
             match_mismatch(violations_match),
             got.len(),
             match_mismatch(whereabouts_match),
-            match_mismatch(state_digest_match)
+            match_mismatch(digest_match)
         );
         println!(
             "write at follower: {}",
@@ -375,7 +375,7 @@ pub fn run(args: &[String]) {
     }
     let mut verdict = Verdict::of("replicate");
     verdict.require(
-        violations_match && whereabouts_match && state_digest_match,
+        violations_match && whereabouts_match && digest_match,
         "follower diverges from the primary/reference",
     );
     verdict.require(lag_scrape_valid, "follower exposition is malformed");

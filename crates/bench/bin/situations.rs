@@ -387,11 +387,13 @@ pub fn run(args: &[String]) {
             .expect("follower violations"),
     );
     let f_status = f_probe.status().expect("follower status");
+    let digests_match =
+        root.digest().expect("primary digest") == f_probe.digest().expect("follower digest");
     let revoked_at_follower =
         refused_with(f_probe.hello(SENSOR_SECRET), ErrorCode::Unauthenticated);
     let follower_state_match = follower_converged
         && p_violations == f_violations
-        && status.state_digest == f_status.state_digest
+        && digests_match
         && status.policy_epoch == f_status.policy_epoch
         && revoked_at_follower;
     let follower_rebootstraps = ltam_obs::counter_value(

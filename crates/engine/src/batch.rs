@@ -590,6 +590,107 @@ pub fn shard_of(subject: SubjectId, shards: usize) -> usize {
     ((h >> 32) % shards as u64) as usize
 }
 
+/// Re-key per-subject state onto a different shard count: every piece of
+/// a [`ShardStateImage`] is either keyed by subject (movements, pending
+/// grants, active stays, overstay flags, violations, audit) or owned by
+/// exactly one subject's authorization (ledger counters), so images can
+/// be split and re-dealt without touching enforcement semantics.
+pub fn redistribute(
+    images: Vec<ShardStateImage>,
+    shards: usize,
+    db: &AuthorizationDb,
+) -> Vec<ShardStateImage> {
+    assert!(shards >= 1, "need at least one shard");
+    let mut out: Vec<ShardStateImage> = (0..shards).map(|_| ShardStateImage::default()).collect();
+    // Retention bookkeeping redistributes too: the watermark joins to
+    // the max (sources pruned in lockstep, but a max is always sound —
+    // claiming completeness below any source's watermark would not be),
+    // and the pruned-record counters are global totals, parked on
+    // shard 0 like revoked-authorization ledger counters.
+    let watermark = images
+        .iter()
+        .map(|i| i.movements.watermark())
+        .max()
+        .unwrap_or(Time::ZERO);
+    let events_pruned: u64 = images.iter().map(|i| i.movements.pruned_events()).sum();
+    let audit_pruned: u64 = images.iter().map(|i| i.audit_pruned).sum();
+    let violations_pruned: u64 = images.iter().map(|i| i.violations_pruned).sum();
+    for image in images {
+        for (subject, timeline) in image.movements.timelines() {
+            let target = &mut out[shard_of(subject, shards)].movements;
+            // Each subject's stays replay in order on its new shard —
+            // per-subject order is all the physical-consistency checks
+            // look at, so they cannot fire.
+            for stay in timeline {
+                let entered = target.record_enter(stay.enter, subject, stay.location);
+                let left = stay
+                    .exit
+                    .map_or(Ok(()), |t| target.record_exit(t, subject, stay.location));
+                debug_assert!(entered.and(left).is_ok(), "a timeline replays cleanly");
+            }
+        }
+        // After the replay (which rebuilds the guard for surviving
+        // events), merge the source's latest-time guards so subjects
+        // whose history was entirely pruned keep their time-regression
+        // protection on the new shard.
+        for (s, t) in image.movements.latest_times() {
+            out[shard_of(s, shards)].movements.observe_latest(s, t);
+        }
+        for p in image.pending {
+            out[shard_of(p.subject, shards)].pending.push(p);
+        }
+        for entry in image.active {
+            out[shard_of(entry.0, shards)].active.push(entry);
+        }
+        for s in image.overstay_alerted {
+            out[shard_of(s, shards)].overstay_alerted.push(s);
+        }
+        for v in image.violations {
+            out[shard_of(v.subject(), shards)].violations.push(v);
+        }
+        for record in image.audit {
+            out[shard_of(record.request.subject, shards)]
+                .audit
+                .push(record);
+        }
+        for (id, count) in image.ledger.counts() {
+            // An authorization belongs to exactly one subject; counters
+            // for revoked (absent) authorizations land on shard 0, where
+            // they are as inert as they were on their old shard.
+            let target = db
+                .get(id)
+                .map(|auth| shard_of(auth.subject(), shards))
+                .unwrap_or(0);
+            let merged = out[target].ledger.used(id).saturating_add(count);
+            out[target].ledger.restore_count(id, merged);
+        }
+    }
+    for image in &mut out {
+        image.pending.sort_by_key(|p| p.subject);
+        image.active.sort_by_key(|&(s, _, _)| s);
+        image.overstay_alerted.sort();
+        image.movements.set_watermark(watermark);
+    }
+    out[0].movements.add_pruned_events(events_pruned);
+    out[0].audit_pruned = audit_pruned;
+    out[0].violations_pruned = violations_pruned;
+    out
+}
+
+/// The engine's canonical state, its one definition of state equality:
+/// `images` dealt onto one shard by [`redistribute`], violations and audit
+/// records stably sorted by `(time, subject)` (a tick raises a shard's
+/// overstays in hash-map order). A subject's records keep their detection
+/// order, which no shard count changes: one history, one canonical image.
+pub fn canonical(images: Vec<ShardStateImage>, db: &AuthorizationDb) -> ShardStateImage {
+    let mut image = redistribute(images, 1, db).pop().unwrap_or_default();
+    image.violations.sort_by_key(|v| (v.time(), v.subject()));
+    image
+        .audit
+        .sort_by_key(|r| (r.request.time, r.request.subject));
+    image
+}
+
 /// A subject-sharded, batch-ingesting enforcement engine.
 ///
 /// See the [module docs](crate::batch) for the architecture: `N` worker
@@ -785,6 +886,12 @@ impl ShardedEngine {
     /// point-in-time snapshot.
     pub fn export_images(&self) -> Vec<ShardStateImage> {
         self.shards.iter().map(|s| s.lock().image()).collect()
+    }
+
+    /// This engine's [`canonical`] image; like [`ShardedEngine::export_images`],
+    /// a consistent cut only between batches.
+    pub fn canonical_image(&self) -> ShardStateImage {
+        canonical(self.export_images(), self.policy().db())
     }
 
     /// Number of shards.
@@ -1173,66 +1280,6 @@ impl ShardedEngine {
         }
         out
     }
-
-    /// Number of violations detected so far.
-    pub fn violation_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().violations().len())
-            .sum()
-    }
-
-    /// A deterministic digest of the engine's observable enforcement
-    /// state: shard count, entry/violation totals, the retention watermark
-    /// and the full violation list in shard-merge order, folded through
-    /// FNV-1a. Two engines that ingested the same events in the same
-    /// batches with the same shard count produce the same digest — the
-    /// replication drill's cheap "is the follower byte-for-byte honest"
-    /// check at a matched watermark. Not a cryptographic hash.
-    pub fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut fold = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        fold(&(self.shard_count() as u64).to_le_bytes());
-        fold(&self.total_entries().to_le_bytes());
-        fold(&(self.violation_count() as u64).to_le_bytes());
-        // The watermark is folded three times, where the movements,
-        // audit and violations watermarks were folded when each class
-        // had its own: the digest crosses builds, so its value stays.
-        let watermark = self.retention_watermark().0.to_le_bytes();
-        for _ in 0..3 {
-            fold(&watermark);
-        }
-        for v in self.violations() {
-            // `Violation`'s Debug form is a pure function of its fields
-            // (ids and chronons, no addresses), so it is a stable,
-            // process-independent serialization for hashing.
-            fold(format!("{v:?}").as_bytes());
-            fold(&[0xff]);
-        }
-        // The quarantine ledger is observable state too: a follower
-        // that dropped (or double-applied) a quarantine record must not
-        // digest equal to its primary.
-        for q in self.export_quarantine() {
-            fold(format!("{q:?}").as_bytes());
-            fold(&[0xfe]);
-        }
-        h
-    }
-
-    /// Total entries recorded across all shards' ledgers.
-    pub fn total_entries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().ledger().total_entries())
-            .sum()
-    }
 }
 
 impl Drop for ShardedEngine {
@@ -1327,7 +1374,7 @@ mod tests {
         assert_eq!(out.granted, 1);
         assert_eq!(out.denied, 0);
         assert!(out.violations.is_empty());
-        assert_eq!(engine.total_entries(), 1);
+        assert_eq!(engine.status().total_entries, 1);
         // Exactly one shard saw traffic.
         assert_eq!(out.per_shard.len(), 1);
         assert_eq!(out.per_shard[0].events, 3);
@@ -1522,12 +1569,12 @@ mod tests {
                 location: cais,
             },
         ]);
-        assert_eq!(engine.violation_count(), 2);
+        assert_eq!(engine.violations().len(), 2);
         let policy = RetentionPolicy::keep_last(10);
         let pruned = engine.run_retention(&policy, Time(100));
         assert_eq!(pruned.violations.len(), 2);
         assert_eq!(pruned.stays.len(), 2);
-        assert_eq!(engine.violation_count(), 0);
+        assert_eq!(engine.violations().len(), 0);
         assert_eq!(engine.retention_watermark(), Time(90));
         // Restart from images: the alert sequence resumes past the two
         // pruned violations, so the next alert's seq is 2, not 0.
@@ -1544,7 +1591,7 @@ mod tests {
         // collect_prunable alone must not mutate.
         let again = restarted.collect_prunable(Time(201));
         assert_eq!(again.violations.len(), 1);
-        assert_eq!(restarted.violation_count(), 1);
+        assert_eq!(restarted.violations().len(), 1);
     }
 
     #[test]
@@ -1621,7 +1668,7 @@ mod tests {
         let (engine, _alerts) = ShardedEngine::new(core, 2);
         let engine = Arc::new(engine);
         let reader = Arc::clone(&engine);
-        assert_eq!(reader.total_entries(), 0);
+        assert_eq!(reader.status().total_entries, 0);
         engine.ingest(&[
             Event::Request {
                 time: Time(10),
@@ -1639,8 +1686,8 @@ mod tests {
                 location: cais,
             },
         ]);
-        assert_eq!(reader.total_entries(), 1);
-        assert_eq!(reader.violation_count(), 1);
+        assert_eq!(reader.status().total_entries, 1);
+        assert_eq!(reader.violations().len(), 1);
         assert_eq!(reader.status().live_violations, 1);
     }
 
@@ -1711,9 +1758,9 @@ mod tests {
             }
         });
         assert!(
-            engine.total_entries() <= 4,
+            engine.status().total_entries <= 4,
             "entry budget exceeded: {}",
-            engine.total_entries()
+            engine.status().total_entries
         );
     }
 
@@ -1726,6 +1773,6 @@ mod tests {
         engine.observe_enter(Time(5), mallory, cais);
         let alert = alerts.try_recv().unwrap();
         assert_eq!(alert.violation.subject(), mallory);
-        assert_eq!(engine.violation_count(), 1);
+        assert_eq!(engine.violations().len(), 1);
     }
 }

@@ -21,7 +21,7 @@
 use crate::batch::PolicyCore;
 use crate::movement::MovementsDb;
 use crate::profile::UserProfileDb;
-use crate::shard::ShardState;
+use crate::shard::{ShardState, ShardStateImage};
 use crate::violation::{Alert, Violation};
 use crossbeam::channel::Sender;
 use ltam_core::db::{AuthId, AuthorizationDb};
@@ -163,6 +163,12 @@ impl AccessControlEngine {
     /// The audited request decisions.
     pub fn audit(&self) -> &[AuditRecord] {
         self.state.audit()
+    }
+
+    /// The [canonical](crate::batch::canonical) image of this engine's
+    /// one shard: what a sharded engine with the same history has.
+    pub fn canonical_image(&self) -> ShardStateImage {
+        crate::batch::canonical(vec![self.state.image()], self.db())
     }
 
     // --- administration -----------------------------------------------------

@@ -618,8 +618,8 @@ pub struct PendingImage {
 /// Produced by [`ShardState::image`], consumed by
 /// [`ShardState::from_image`]; `ltam-store` persists a vector of these
 /// (one per shard) inside every engine snapshot. All fields are public so
-/// the store layer can redistribute subject-keyed state when an engine is
-/// recovered onto a different shard count.
+/// [`redistribute`](crate::batch::redistribute) can re-deal subject-keyed
+/// state onto another shard count (recovery, and the canonical image).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShardStateImage {
     /// Per-authorization entry counters.

@@ -510,6 +510,15 @@ impl LtamClient {
         }
     }
 
+    /// The server's `(watermark, digest)` ([`HistoryQuery::Digest`]): two
+    /// nodes agree when the pairs are equal. Ask once neither is ingesting.
+    pub fn digest(&mut self) -> Result<(u64, u64), ClientError> {
+        match self.call(&Request::Query(HistoryQuery::Digest))? {
+            Response::Digest { watermark, digest } => Ok((watermark, digest)),
+            other => Err(ClientError::UnexpectedResponse(Box::new(other))),
+        }
+    }
+
     /// Scrape the server's metric registry: the Prometheus-style text
     /// exposition of every series the process has registered (parse it
     /// with `ltam_obs::parse_text`, or check it with

@@ -1425,6 +1425,10 @@ fn answer_query(query: HistoryQuery, shared: &Shared) -> Response {
         HistoryQuery::Status => Response::Status {
             status: status_of(shared),
         },
+        HistoryQuery::Digest => Response::Digest {
+            watermark: view.applied(),
+            digest: ltam_store::digest(view.engine()),
+        },
     }
 }
 
@@ -1546,7 +1550,6 @@ fn status_of(shared: &Shared) -> ServerStatus {
     };
     ServerStatus {
         role: shared.role,
-        state_digest: view.engine().state_digest(),
         replica: shared.replica.as_ref().map(|r| r.status(view.applied())),
         events_ingested: view.applied(),
         snapshot_seq: view.last_snapshot_seq(),

@@ -329,6 +329,11 @@ pub enum HistoryQuery {
     },
     /// Operational counters (see [`ServerStatus`]).
     Status,
+    /// The state digest (`ltam_store::digest`) of the policy, each
+    /// subject's stays, entry counts, grants, audit records and violations,
+    /// and the quarantine ledger, at any shard count. A consistent cut only
+    /// with no commit group in flight: compare two nodes at quiescence.
+    Digest,
 }
 
 /// Machine-readable classes of server-reported errors.
@@ -462,6 +467,13 @@ pub enum Response {
         /// The counters.
         status: ServerStatus,
     },
+    /// Answer to [`HistoryQuery::Digest`].
+    Digest {
+        /// The sequence the digest was taken at (`events_ingested`).
+        watermark: u64,
+        /// The digest.
+        digest: u64,
+    },
     /// Answer to [`ReplRequest::Manifest`].
     ReplManifest {
         /// The primary's shippable-file inventory.
@@ -491,7 +503,8 @@ pub enum Response {
 
 /// Operational counters exposed by the `Status` RPC: store-level
 /// durability positions, the engine's [`EngineStatus`], and the serving
-/// tier's connection/request accounting.
+/// tier's connection/request accounting: counters only, cheap to poll.
+/// Whether two nodes hold one state is [`HistoryQuery::Digest`]'s question.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStatus {
     /// Events durably applied (the WAL sequence).
@@ -537,11 +550,6 @@ pub struct ServerStatus {
     pub per_connection: Vec<(u64, u64)>,
     /// Which role this server runs in.
     pub role: ServerRole,
-    /// Deterministic digest of the engine's enforcement state (see
-    /// `ShardedEngine::state_digest`): equal digests at an equal
-    /// watermark mean a primary and follower agree on every violation,
-    /// entry total and retention mark.
-    pub state_digest: u64,
     /// Replication health — `Some` only on a follower.
     pub replica: Option<ReplicaStatus>,
     /// Whole seconds since this server process started serving (the

@@ -7,12 +7,15 @@
 //! direction.
 //!
 //! `cargo test -p ltam-serve --test golden -- --ignored` rewrites the
-//! file (only ever needed on a deliberate wire change). Rewritten twice
-//! since: the status, manifest and chunk-meta frames each lost the one
-//! key that told followers a closure policy edit had happened (such an
-//! edit is a WAL record now), and the status frame then lost the
-//! engine's per-class retention watermarks (`retention_watermark` is the
-//! one watermark); the other 23 frames are the original bytes.
+//! file (only ever needed on a deliberate wire change). Rewritten three
+//! times since. First the status, manifest and chunk-meta frames each
+//! lost the one key that told followers a closure policy edit had
+//! happened (such an edit is a WAL record now). Then the status frame
+//! lost the engine's per-class retention watermarks
+//! (`retention_watermark` is the one watermark). Then it lost the state
+//! digest, which hashes the whole state and so is its own query now; a
+//! `Digest` request and response were appended after the chunk. The
+//! other 23 frames are the original bytes.
 
 use ltam_core::capability::{AdminOp, AdminOutcome, Scope, TokenId};
 use ltam_core::subject::SubjectId;
@@ -190,7 +193,6 @@ fn messages() -> Vec<Message> {
                 archive_error: Some("coverage gap".into()),
                 per_connection: vec![(1, 10), (2, 20)],
                 role: ServerRole::Follower,
-                state_digest: u64::MAX,
                 replica: Some(ReplicaStatus {
                     primary_addr: "127.0.0.1:7000".into(),
                     watermark: 999_000,
@@ -245,6 +247,11 @@ fn messages() -> Vec<Message> {
     let mut all: Vec<Message> = requests.into_iter().map(Message::Request).collect();
     all.extend(responses.into_iter().map(Message::Response));
     all.push(Message::Chunk(chunk));
+    all.push(Message::Request(Request::Query(HistoryQuery::Digest)));
+    all.push(Message::Response(Response::Digest {
+        watermark: 1_000_000,
+        digest: u64::MAX,
+    }));
     all
 }
 

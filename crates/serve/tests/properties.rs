@@ -203,6 +203,7 @@ fn arb_history_query() -> impl Strategy<Value = HistoryQuery> {
         (arb_opt(arb_subject()), arb_window())
             .prop_map(|(source, window)| HistoryQuery::Quarantine { source, window }),
         Just(HistoryQuery::Status),
+        Just(HistoryQuery::Digest),
     ]
 }
 
@@ -336,7 +337,7 @@ fn arb_status() -> impl Strategy<Value = ServerStatus> {
                 .collect(),
         });
     (
-        prop::collection::vec(any::<u64>(), 15),
+        prop::collection::vec(any::<u64>(), 14),
         (any::<bool>(), any::<bool>(), any::<u16>()),
         arb_opt(arb_text(40)),
         engine,
@@ -375,9 +376,8 @@ fn arb_status() -> impl Strategy<Value = ServerStatus> {
                     } else {
                         ServerRole::Primary
                     },
-                    state_digest: n[13],
                     replica,
-                    uptime_chronons: n[14],
+                    uptime_chronons: n[13],
                     snapshot_format_version: version,
                 }
             },
@@ -490,6 +490,8 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_situation_outcome().prop_map(|outcome| Response::Situation { outcome }),
         any::<usize>().prop_map(|held| Response::Quarantined { held }),
         arb_status().prop_map(|status| Response::Status { status }),
+        (any::<u64>(), any::<u64>())
+            .prop_map(|(watermark, digest)| Response::Digest { watermark, digest }),
         arb_manifest().prop_map(|manifest| Response::ReplManifest { manifest }),
         arb_text(200).prop_map(|text| Response::Metrics { text }),
         (code, arb_text(60), role).prop_map(|(code, message, role)| Response::Error {

@@ -104,7 +104,7 @@ fn serves_swipes_ingest_and_queries_end_to_end() {
     let engine = server.shutdown().unwrap();
     assert_eq!(engine.applied(), 3);
     assert_eq!(engine.last_snapshot_seq(), 3);
-    assert_eq!(engine.engine().violation_count(), 1);
+    assert_eq!(engine.engine().violations().len(), 1);
 }
 
 #[test]
@@ -511,8 +511,8 @@ fn pipelined_one_event_frames_keep_their_own_replies(connections: u32) {
     let engine = server.shutdown().unwrap();
     assert_eq!(engine.applied(), FRAMES * connections as u64);
     assert_eq!(
-        engine.engine().violation_count(),
-        reference.violation_count()
+        engine.engine().violations().len(),
+        reference.violations().len()
     );
 }
 

@@ -43,12 +43,11 @@ use ltam_core::capability::{AdminOp, AdminOutcome};
 use ltam_core::db::AuthId;
 use ltam_core::retention::RetentionPolicy;
 use ltam_core::subject::SubjectId;
-use ltam_core::AuthorizationDb;
 use ltam_engine::batch::{
-    shard_of, BatchOutcome, Event, PolicyCore, PolicyOp, PolicyOutcome, ShardedEngine,
+    redistribute, BatchOutcome, Event, PolicyCore, PolicyOp, PolicyOutcome, ShardedEngine,
 };
 use ltam_engine::movement::Contact;
-use ltam_engine::shard::{ShardState, ShardStateImage};
+use ltam_engine::shard::ShardState;
 use ltam_engine::violation::Alert;
 use ltam_engine::Violation;
 use ltam_graph::LocationId;
@@ -1423,100 +1422,16 @@ pub struct RetentionOutcome {
     pub archive_to: u64,
 }
 
-/// Re-key per-subject state onto a different shard count: every piece of
-/// a [`ShardStateImage`] is either keyed by subject (movements, pending
-/// grants, active stays, overstay flags, violations, audit) or owned by
-/// exactly one subject's authorization (ledger counters), so images can
-/// be split and re-dealt without touching enforcement semantics.
-pub fn redistribute(
-    images: Vec<ShardStateImage>,
-    shards: usize,
-    db: &AuthorizationDb,
-) -> Vec<ShardStateImage> {
-    assert!(shards >= 1, "need at least one shard");
-    let mut out: Vec<ShardStateImage> = (0..shards).map(|_| ShardStateImage::default()).collect();
-    // Retention bookkeeping redistributes too: the watermark joins to
-    // the max (sources pruned in lockstep, but a max is always sound —
-    // claiming completeness below any source's watermark would not be),
-    // and the pruned-record counters are global totals, parked on
-    // shard 0 like revoked-authorization ledger counters.
-    let watermark = images
-        .iter()
-        .map(|i| i.movements.watermark())
-        .max()
-        .unwrap_or(Time::ZERO);
-    let events_pruned: u64 = images.iter().map(|i| i.movements.pruned_events()).sum();
-    let audit_pruned: u64 = images.iter().map(|i| i.audit_pruned).sum();
-    let violations_pruned: u64 = images.iter().map(|i| i.violations_pruned).sum();
-    for image in images {
-        for (subject, timeline) in image.movements.timelines() {
-            let target = &mut out[shard_of(subject, shards)].movements;
-            // Each subject's stays replay in order on its new shard —
-            // per-subject order is all the physical-consistency checks
-            // look at, so they cannot fire.
-            for stay in timeline {
-                let entered = target.record_enter(stay.enter, subject, stay.location);
-                let left = stay
-                    .exit
-                    .map_or(Ok(()), |t| target.record_exit(t, subject, stay.location));
-                debug_assert!(entered.and(left).is_ok(), "a timeline replays cleanly");
-            }
-        }
-        // After the replay (which rebuilds the guard for surviving
-        // events), merge the source's latest-time guards so subjects
-        // whose history was entirely pruned keep their time-regression
-        // protection on the new shard.
-        for (s, t) in image.movements.latest_times() {
-            out[shard_of(s, shards)].movements.observe_latest(s, t);
-        }
-        for p in image.pending {
-            out[shard_of(p.subject, shards)].pending.push(p);
-        }
-        for entry in image.active {
-            out[shard_of(entry.0, shards)].active.push(entry);
-        }
-        for s in image.overstay_alerted {
-            out[shard_of(s, shards)].overstay_alerted.push(s);
-        }
-        for v in image.violations {
-            out[shard_of(v.subject(), shards)].violations.push(v);
-        }
-        for record in image.audit {
-            out[shard_of(record.request.subject, shards)]
-                .audit
-                .push(record);
-        }
-        for (id, count) in image.ledger.counts() {
-            // An authorization belongs to exactly one subject; counters
-            // for revoked (absent) authorizations land on shard 0, where
-            // they are as inert as they were on their old shard.
-            let target = db
-                .get(id)
-                .map(|auth| shard_of(auth.subject(), shards))
-                .unwrap_or(0);
-            let merged = out[target].ledger.used(id).saturating_add(count);
-            out[target].ledger.restore_count(id, merged);
-        }
-    }
-    for image in &mut out {
-        image.pending.sort_by_key(|p| p.subject);
-        image.active.sort_by_key(|&(s, _, _)| s);
-        image.overstay_alerted.sort();
-        image.movements.set_watermark(watermark);
-    }
-    out[0].movements.add_pruned_events(events_pruned);
-    out[0].audit_pruned = audit_pruned;
-    out[0].violations_pruned = violations_pruned;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scratch::ScratchDir;
     use ltam_core::model::{Authorization, EntryLimit};
     use ltam_core::subject::SubjectId;
+    use ltam_core::AuthorizationDb;
+    use ltam_engine::batch::shard_of;
     use ltam_engine::movement::Stay;
+    use ltam_engine::shard::ShardStateImage;
     use ltam_graph::examples::ntu_campus;
     use ltam_graph::LocationId;
     use ltam_time::{Interval, Time};
@@ -1578,7 +1493,7 @@ mod tests {
         assert_eq!(report.snapshot_seq, 0);
         assert_eq!(report.replayed, 2);
         assert_eq!(durable.applied(), 2);
-        assert_eq!(durable.engine().total_entries(), 1);
+        assert_eq!(durable.engine().status().total_entries, 1);
         // The recovered stay is live: an early exit still violates.
         let v = durable.engine().observe_exit(Time(15), alice, cais);
         assert!(v.is_some(), "recovered active stay enforces exit windows");
@@ -2594,7 +2509,7 @@ mod tests {
         let (durable, _alerts, _) =
             DurableEngine::open_with_shards(dir.path(), test_config(), 5).unwrap();
         assert_eq!(durable.engine().shard_count(), 5);
-        assert_eq!(durable.engine().total_entries(), 16);
+        assert_eq!(durable.engine().status().total_entries, 16);
         // Every subject's stay is still live and exits clean.
         for &s in &subjects {
             assert!(

@@ -16,7 +16,8 @@
 //!   torn-tail truncation on open,
 //! * [`snapshot`] — versioned, atomically-written snapshots of the full
 //!   engine state (policy epoch + every shard's mutable state) stamped
-//!   with the WAL position they cover,
+//!   with the WAL position they cover, and [`digest`], the hash of that
+//!   state nodes compare to show they agree,
 //! * [`durable`] — [`DurableEngine`]: WAL-append before apply, periodic
 //!   snapshots, recovery (snapshot + WAL-tail replay through the same
 //!   apply routine the live path uses) and compaction,
@@ -63,12 +64,11 @@ pub use codec::{
 };
 pub use crc::crc32;
 pub use durable::{
-    redistribute, DurableEngine, ReadView, RecordOutcome, RecoveryReport, RetentionOutcome,
-    StoreConfig,
+    DurableEngine, ReadView, RecordOutcome, RecoveryReport, RetentionOutcome, StoreConfig,
 };
 pub use group::{CommitHandle, GroupCommit};
 pub use history::HistoryError;
 pub use replica::{ChunkRead, ReplFile, ReplFileId, TailFault, TailScanner, TailStep};
 pub use scratch::{copy_flat_dir, ScratchDir};
-pub use snapshot::{SnapshotStore, StoreSnapshot, SNAPSHOT_VERSION};
+pub use snapshot::{digest, SnapshotStore, StoreSnapshot, SNAPSHOT_VERSION};
 pub use wal::{Wal, WalBatch, WalConfig, WalRecovery, WAL_VERSION};

@@ -23,7 +23,7 @@
 
 use crate::crc::crc32;
 use crate::wal::sync_dir;
-use ltam_engine::batch::{PolicyImage, QuarantinedEvent};
+use ltam_engine::batch::{PolicyImage, QuarantinedEvent, ShardedEngine};
 use ltam_engine::shard::ShardStateImage;
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
@@ -39,10 +39,9 @@ pub const SNAPSHOT_HEADER_LEN: usize = 28;
 /// Valid snapshots kept on disk (newest first); older ones are pruned.
 pub const SNAPSHOTS_KEPT: usize = 2;
 
-/// A point-in-time image of a whole
-/// [`ShardedEngine`](ltam_engine::batch::ShardedEngine): the policy
-/// epoch plus every shard's mutable state, stamped with the WAL position
-/// it covers.
+/// A point-in-time image of a whole [`ShardedEngine`]: the policy epoch
+/// plus every shard's mutable state, stamped with the WAL position it
+/// covers.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StoreSnapshot {
     /// WAL events applied to this state (replay resumes here).
@@ -68,6 +67,20 @@ pub struct StoreSnapshot {
     /// token would be accepted again until traffic re-advanced the
     /// clock.
     pub clock: u64,
+}
+
+/// The engine's state digest: FNV-1a-64 (not a cryptographic hash) over
+/// the `binval` encoding of what a snapshot writes — the policy image,
+/// the [canonical](ltam_engine::batch::canonical) shard image and the
+/// quarantine ledger — so equal states digest equal at any shard count.
+/// Like [`ShardedEngine::export_images`], a consistent cut only between batches.
+pub fn digest(engine: &ShardedEngine) -> u64 {
+    let policy = engine.policy().image();
+    let state = (policy, engine.canonical_image(), engine.export_quarantine());
+    let fnv = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    crate::binval::encode(&state)
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, fnv)
 }
 
 /// Reads and writes [`StoreSnapshot`]s in a store directory.

@@ -39,7 +39,7 @@ use ltam_graph::LocationId;
 use ltam_situate::{SituationMode, SituationOp, WorkflowConstraint};
 use ltam_store::archive::ARCHIVE_HEADER_LEN;
 use ltam_store::snapshot::SNAPSHOT_HEADER_LEN;
-use ltam_store::{binval, copy_flat_dir, DurableEngine, ScratchDir, StoreConfig};
+use ltam_store::{binval, copy_flat_dir, digest, DurableEngine, ScratchDir, StoreConfig};
 use ltam_time::{Interval, Time};
 use serde::Value;
 use std::collections::BTreeMap;
@@ -163,7 +163,7 @@ fn fingerprint(store: &DurableEngine) -> String {
         "{:#?}",
         (
             (store.applied(), store.policy_epoch(), store.clock()),
-            (store.retention_watermark(), view.engine().state_digest()),
+            (store.retention_watermark(), digest(view.engine())),
             store.engine().export_quarantine(),
             (policy.wire(), policy.situation(), policy.db().export_rows()),
             // Below the watermark: answered from the archive segment.
@@ -229,11 +229,21 @@ fn a_store_written_before_the_streaming_decoder_opens_to_the_same_state() {
     assert_eq!(old.archive_segments_loaded(), 0);
     assert_eq!(fingerprint(&old), want);
     assert!(old.archive_segments_loaded() > 0, "the archive answered");
-    // The digest crosses processes (a primary and a follower built from
-    // different commits compare it over the wire), so it is pinned as a
-    // literal, computed by the commit before `state_digest` moved onto
-    // `ShardedEngine`.
-    assert_eq!(old.engine().state_digest(), 0x60fa_7d14_a625_5665);
+    // The digest crosses processes and builds: a primary and a follower
+    // built from different commits compare it over the wire. So it is
+    // pinned as a literal, which any change to the state or to its
+    // encoding breaks. It hashes the canonical image, so the store
+    // reopened at any shard count digests to it too.
+    const DIGEST: u64 = 0x5e02_89d4_9fb3_1b40;
+    assert_eq!(digest(old.engine()), DIGEST);
+    for shards in [1, 4] {
+        let dir = ScratchDir::new("golden-reshard");
+        copy_flat_dir(&golden_dir(), dir.path()).expect("copy the golden store");
+        let (store, _alerts, _) =
+            DurableEngine::open_with_shards(dir.path(), config(), shards).expect("open");
+        assert_eq!(store.engine().shard_count(), shards);
+        assert_eq!(digest(store.engine()), DIGEST, "at {shards} shards");
+    }
 }
 
 #[test]

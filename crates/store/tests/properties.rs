@@ -29,7 +29,7 @@ use ltam_store::archive::ARCHIVE_HEADER_LEN;
 use ltam_store::codec::{decode_record_payload, encode_policy_op, WalRecord, POLICY_SENTINEL};
 use ltam_store::replica::wal_segment_ids;
 use ltam_store::{
-    binval, copy_flat_dir, decode_event, decode_event_exact, event_bytes, ArchiveStore,
+    binval, copy_flat_dir, decode_event, decode_event_exact, digest, event_bytes, ArchiveStore,
     DurableEngine, ReplFileId, ScratchDir, StoreConfig, StoreSnapshot, TailScanner, Wal, WalBatch,
     WalConfig,
 };
@@ -498,7 +498,7 @@ type Fingerprint = (u64, Vec<QuarantinedEvent>, String, (u64, u64, Time));
 fn fingerprint(engine: &DurableEngine) -> Fingerprint {
     let policy = engine.engine().policy();
     (
-        engine.engine().state_digest(),
+        digest(engine.engine()),
         engine.engine().export_quarantine(),
         format!(
             "{:?} {:?} {:?} {}",
@@ -625,7 +625,7 @@ proptest! {
         let (mut engine, _alerts, report) = DurableEngine::open(dir.path(), config).expect("recover");
         prop_assert_eq!((report.snapshot_seq, report.replayed_policy_ops), (0, edits.len()));
         prop_assert_eq!(engine.ingest(&after).expect("ingest"), want);
-        prop_assert_eq!(engine.engine().state_digest(), memory.state_digest());
+        prop_assert_eq!(digest(engine.engine()), digest(&memory));
     }
 }
 

@@ -15,7 +15,8 @@
 #   scripts/mutants.sh [<rev>]   # default HEAD; exits 1 if any row survived
 #
 # Environment: MUTANTS_DIR (the copy and its build; default a temporary
-# directory, removed afterwards), MUTANTS_ONLY=<n> (row n only, 1-based).
+# directory, removed afterwards), MUTANTS_ONLY=<n>[,<n>...] (those rows
+# only, 1-based: MUTANTS_ONLY=15,16,17).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 shopt -u patsub_replacement 2>/dev/null || true
@@ -45,7 +46,7 @@ killed=0 survived=0 equivalent=0 n=0
 while IFS=$'\t' read -r file original replacement invariant; do
     [[ -z "$file" || "$file" == \#* ]] && continue
     n=$((n + 1))
-    [[ -n "${MUTANTS_ONLY:-}" && "$MUTANTS_ONLY" != "$n" ]] && continue
+    [[ -n "${MUTANTS_ONLY:-}" && ",$MUTANTS_ONLY," != *",$n,"* ]] && continue
     path=$work/tree/$file
     pristine=$(
         cat "$path"

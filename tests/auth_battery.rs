@@ -147,6 +147,11 @@ fn refuse_every_frame_kind(
         &format!("{context}: query"),
     ));
     roles.push(expect_refusal(
+        client.digest(),
+        code,
+        &format!("{context}: digest"),
+    ));
+    roles.push(expect_refusal(
         client.metrics(),
         code,
         &format!("{context}: metrics"),

@@ -395,12 +395,13 @@ mod follower_faults {
             expected,
             "follower diverged from the uninterrupted reference"
         );
-        let p_status = LtamClient::connect(&primary.local_addr().to_string())
+        let p_digest = LtamClient::connect(&primary.local_addr().to_string())
             .unwrap()
-            .status()
+            .digest()
             .unwrap();
         assert_eq!(
-            status.state_digest, p_status.state_digest,
+            probe.digest().unwrap(),
+            p_digest,
             "follower state digest differs from the primary's"
         );
 
@@ -487,11 +488,11 @@ mod follower_faults {
             violation_multiset(probe.violations_in(Interval::ALL).unwrap()),
             expected
         );
-        let p_status = LtamClient::connect(&primary.local_addr().to_string())
+        let p_digest = LtamClient::connect(&primary.local_addr().to_string())
             .unwrap()
-            .status()
+            .digest()
             .unwrap();
-        assert_eq!(status.state_digest, p_status.state_digest);
+        assert_eq!(probe.digest().unwrap(), p_digest);
 
         drop(follower.abort().unwrap());
         drop(primary.abort().unwrap());
@@ -728,7 +729,7 @@ mod auth_faults {
         probe
             .wait_for_watermark(p_status.events_ingested, Duration::from_secs(30))
             .unwrap();
-        assert_eq!(probe.status().unwrap().state_digest, p_status.state_digest);
+        assert_eq!(probe.digest().unwrap(), root.digest().unwrap());
 
         drop(follower.abort().unwrap());
         drop(primary.abort().unwrap());
@@ -878,7 +879,7 @@ mod policy_log_faults {
     fn fingerprint(engine: &DurableEngine) -> (u64, Vec<Violation>, String, u64) {
         let policy = engine.engine().policy();
         (
-            engine.engine().state_digest(),
+            ltam::store::digest(engine.engine()),
             violation_multiset(engine.engine().violations()),
             format!(
                 "{:?} {:?} {:?} {} {} {:?}",

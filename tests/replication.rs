@@ -12,9 +12,10 @@ use ltam::core::capability::{AdminOp, AdminOutcome, Scope, TokenId};
 use ltam::core::prohibition::Prohibition;
 use ltam::core::subject::SubjectId;
 use ltam::engine::batch::Event;
+use ltam::serve::wire::ErrorCode;
 use ltam::serve::{
-    bootstrap_follower, bootstrap_follower_as, LtamClient, ReplicaConfig, ReplicaState, Server,
-    ServerConfig,
+    bootstrap_follower, bootstrap_follower_as, ClientError, LtamClient, ReplicaConfig,
+    ReplicaState, Server, ServerConfig,
 };
 use ltam::store::{DurableEngine, ScratchDir, StoreConfig};
 use ltam::time::{Interval, Time};
@@ -170,6 +171,40 @@ fn watermark_is_monotone_across_a_rebootstrap() {
     drop(primary.abort().unwrap());
 }
 
+/// The digest is a history query: a follower below its watermark floor
+/// refuses it `Stale`, as it refuses the others, while `Status` (how an
+/// operator watches the catch-up) still answers.
+#[test]
+fn a_follower_below_its_floor_refuses_the_digest() {
+    let trace = multi_shard_trace(&serve_workload(8, 100));
+    let p_dir = ScratchDir::new("digest-floor-primary");
+    let (engine, _alerts) =
+        DurableEngine::create(p_dir.path(), trace.build_policy_core(), 2, primary_store()).unwrap();
+    let primary = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let p_addr = primary.local_addr().to_string();
+    let f_dir = ScratchDir::new("digest-floor-follower");
+    let f_engine = bootstrap_follower(f_dir.path(), &p_addr, follower_store()).unwrap();
+    let follower = Server::start_follower(
+        f_engine,
+        "127.0.0.1:0",
+        ServerConfig::default(),
+        fast_replica(&p_addr, 1_000),
+    )
+    .unwrap();
+    let mut probe = LtamClient::connect(&follower.local_addr().to_string()).unwrap();
+    match probe.digest() {
+        Err(ClientError::Server {
+            code: ErrorCode::Stale,
+            ..
+        }) => {}
+        other => panic!("expected a Stale refusal, got {other:?}"),
+    }
+    assert_eq!(probe.status().unwrap().events_ingested, 0);
+
+    drop(follower.abort().unwrap());
+    drop(primary.abort().unwrap());
+}
+
 /// Times the replication loop entered `NeedsBootstrap` in this process.
 fn parks() -> u64 {
     ltam::obs::counter_value(
@@ -255,7 +290,7 @@ fn watermark_is_monotone_across_a_policy_epoch_swap() {
     last = assert_monotone(&mut probe, last, "after the closure edit");
     let f_status = probe.status().unwrap();
     assert_eq!(f_status.events_ingested, p_status.events_ingested);
-    assert_eq!(f_status.state_digest, p_status.state_digest);
+    assert_eq!(probe.digest().unwrap(), loader.digest().unwrap());
     assert_eq!((f_status.policy_epoch, p_status.policy_epoch), (1, 1));
     assert_eq!(f_status.replica.unwrap().primary_epoch, 1);
     assert_eq!(
@@ -320,10 +355,7 @@ fn watermark_is_monotone_across_a_policy_epoch_swap() {
         .wait_for_watermark(n as u64 + 1, Duration::from_secs(30))
         .unwrap();
     assert_monotone(&mut probe, last, "after convergence");
-    assert_eq!(
-        probe.status().unwrap().state_digest,
-        loader.status().unwrap().state_digest
-    );
+    assert_eq!(probe.digest().unwrap(), loader.digest().unwrap());
 
     drop(follower2.abort().unwrap());
     drop(primary.abort().unwrap());
@@ -466,7 +498,7 @@ fn admin_and_situation_storm_never_parks_a_tailing_follower() {
     // Every op replayed in-stream: same judged history, same policy
     // log position — and the follower reports the primary's.
     let f_status = probe.status().unwrap();
-    assert_eq!(f_status.state_digest, p_status.state_digest);
+    assert_eq!(probe.digest().unwrap(), root.digest().unwrap());
     assert_eq!(f_status.policy_epoch, p_status.policy_epoch);
     let replica = f_status.replica.unwrap();
     assert_ne!(replica.state, ReplicaState::NeedsBootstrap);
@@ -606,7 +638,7 @@ fn replication_under_auth_revocation_parks_disconnected_and_remint_resumes() {
 
     // No divergence: digests match across primary and follower.
     let f_status = probe.status().unwrap();
-    assert_eq!(f_status.state_digest, p_status.state_digest);
+    assert_eq!(probe.digest().unwrap(), root.digest().unwrap());
     assert_eq!(f_status.replica.unwrap().state, ReplicaState::Streaming);
 
     drop(follower.abort().unwrap());
@@ -662,9 +694,8 @@ fn follower_commits_tailed_one_event_records_in_runs() {
         std::thread::sleep(Duration::from_millis(1));
     }
     let f_status = probe.status().unwrap();
-    let p_status = loader.status().unwrap();
     assert_eq!(f_status.events_ingested, RECORDS as u64);
-    assert_eq!(f_status.state_digest, p_status.state_digest);
+    assert_eq!(probe.digest().unwrap(), loader.digest().unwrap());
     assert!(
         f_status.wal_fsyncs < 500,
         "{} fsyncs for {RECORDS} tailed records: the follower is committing them one by one",

@@ -5,17 +5,24 @@
 //!
 //! This holds because every per-subject invariant lives entirely on one
 //! shard (see `ltam_engine::shard`); these tests are the executable
-//! proof obligation behind that claim.
+//! proof obligation behind that claim. Beside the violation multisets
+//! they compare whole states: the canonical images
+//! (`ltam_engine::batch::canonical`) of stays, entry counts, pending
+//! grants, audit records and violations.
 
 use ltam_bench::violation_multiset as as_multiset;
 use ltam_engine::batch::apply_to_engine;
+use ltam_engine::shard::ShardStateImage;
 use ltam_engine::violation::Violation;
 use ltam_sim::{multi_shard_trace, TraceConfig};
 use proptest::prelude::*;
 
+/// One engine's run: its violation multiset and its canonical image.
+type Run = (Vec<Violation>, ShardStateImage);
+
 /// Replay `cfg`'s trace through the reference engine and through a
-/// sharded engine, returning both violation multisets.
-fn run_both(cfg: &TraceConfig, shards: usize) -> (Vec<Violation>, Vec<Violation>) {
+/// sharded engine, returning both runs.
+fn run_both(cfg: &TraceConfig, shards: usize) -> (Run, Run) {
     let trace = multi_shard_trace(cfg);
 
     let mut reference = trace.build_engine();
@@ -28,8 +35,11 @@ fn run_both(cfg: &TraceConfig, shards: usize) -> (Vec<Violation>, Vec<Violation>
     assert_eq!(outcome.processed, trace.events.len());
 
     (
-        as_multiset(reference.violations().to_vec()),
-        as_multiset(sharded.violations()),
+        (
+            as_multiset(reference.violations().to_vec()),
+            reference.canonical_image(),
+        ),
+        (as_multiset(sharded.violations()), sharded.canonical_image()),
     )
 }
 
@@ -45,7 +55,7 @@ fn sharded_matches_single_engine_on_100k_events() {
         overstayer_fraction: 0.1,
         seed: 42,
     };
-    let (reference, sharded) = run_both(&cfg, 4);
+    let ((reference, reference_state), (sharded, sharded_state)) = run_both(&cfg, 4);
     assert!(
         !reference.is_empty(),
         "trace should exercise the violation taxonomy"
@@ -56,6 +66,8 @@ fn sharded_matches_single_engine_on_100k_events() {
         "violation counts diverge between single and sharded enforcement"
     );
     assert_eq!(reference, sharded);
+    assert!(!reference_state.audit.is_empty());
+    assert!(reference_state == sharded_state, "the states diverge");
 }
 
 /// The same equivalence across batch boundaries: splitting one trace
@@ -81,6 +93,7 @@ fn batch_boundaries_are_invisible() {
         as_multiset(one_batch.violations()),
         as_multiset(chunked.violations())
     );
+    assert!(one_batch.canonical_image() == chunked.canonical_image());
 }
 
 /// A policy loaded from its image is the policy it was imaged from, as
@@ -156,7 +169,8 @@ proptest! {
             overstayer_fraction: 0.2,
             seed,
         };
-        let (reference, sharded) = run_both(&cfg, shards);
+        let ((reference, reference_state), (sharded, sharded_state)) = run_both(&cfg, shards);
         prop_assert_eq!(reference, sharded);
+        prop_assert!(reference_state == sharded_state, "the states diverge");
     }
 }
