@@ -200,6 +200,23 @@ pub struct AuthorizationDb {
     entry_index: OnceLock<IntervalTree<AuthId>>,
 }
 
+/// Serializes as its rows do in [`AuthorizationDb::export_rows`] — `(id,
+/// authorization, provenance)` in id order — without copying them;
+/// [`AuthorizationDb::import_rows`] rebuilds it.
+impl Serialize for AuthorizationDb {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Array(self.iter().map(|row| row.to_value()).collect())
+    }
+    fn serialize<S: serde::Serializer + ?Sized>(&self, s: &mut S) {
+        s.begin_array(self.len());
+        for (i, row) in self.iter().enumerate() {
+            s.elem(i);
+            row.serialize(s);
+        }
+        s.end_array();
+    }
+}
+
 impl AuthorizationDb {
     /// An empty database.
     pub fn new() -> AuthorizationDb {

@@ -309,6 +309,20 @@ impl PolicyCore {
         }
     }
 
+    /// This epoch as its [`PolicyImage`], borrowed: the bytes
+    /// [`PolicyCore::image`] serializes to, without copying a row.
+    pub fn image_ref(&self) -> PolicyImageRef<'_> {
+        PolicyImageRef {
+            model: &self.model,
+            authorizations: &self.db,
+            next_auth_id: self.db.next_id(),
+            prohibitions: &self.prohibitions,
+            config: self.config,
+            wire: &self.wire,
+            situation: &self.situation,
+        }
+    }
+
     /// Rebuild a policy core from an exported image (inverse of
     /// [`PolicyCore::image`]); authorization ids are preserved, so
     /// external state referencing them (ledgers, pending grants) stays
@@ -365,27 +379,45 @@ pub enum PolicyOutcome {
 
 /// Serializable image of a [`PolicyCore`] — the read-mostly half of an
 /// engine snapshot. Produced by [`PolicyCore::image`], consumed by
-/// [`PolicyCore::from_image`].
+/// [`PolicyCore::from_image`]. The type parameters are its sections,
+/// owned by default; [`PolicyImageRef`] borrows them, so the owned image
+/// and a live epoch's share one definition and one serialization.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PolicyImage {
+pub struct PolicyImage<
+    Model = LocationModel,
+    Rows = Vec<(AuthId, Authorization, Provenance)>,
+    Prohibitions = ProhibitionDb,
+    Wire = WireAuth,
+    Situation = SituationPolicy,
+> {
     /// The location layout.
-    pub model: LocationModel,
+    pub model: Model,
     /// Authorization rows with their ids and provenance, in id order.
-    pub authorizations: Vec<(AuthId, Authorization, Provenance)>,
+    pub authorizations: Rows,
     /// The id-allocator high-water mark (see
     /// [`ltam_core::AuthorizationDb::next_id`]): restoring it prevents
     /// ids of revoked authorizations from being reissued after recovery.
     pub next_auth_id: u64,
     /// Prohibitions (denial takes precedence).
-    pub prohibitions: ProhibitionDb,
+    pub prohibitions: Prohibitions,
     /// Enforcement tunables.
     pub config: EngineConfig,
     /// Wire auth policy (tokens, trust levels, enforcement switch).
-    pub wire: WireAuth,
+    pub wire: Wire,
     /// Situation overlay (mode, responders, pins, workflow
     /// constraints).
-    pub situation: SituationPolicy,
+    pub situation: Situation,
 }
+
+/// A live epoch's [`PolicyImage`], borrowed ([`PolicyCore::image_ref`]):
+/// its rows serialize where they are, in id order, with no copy.
+pub type PolicyImageRef<'a> = PolicyImage<
+    &'a LocationModel,
+    &'a AuthorizationDb,
+    &'a ProhibitionDb,
+    &'a WireAuth,
+    &'a SituationPolicy,
+>;
 
 /// One event held on the quarantine ledger: accepted from a
 /// below-trust-threshold source, recorded verbatim, **never** applied

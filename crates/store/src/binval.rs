@@ -64,7 +64,28 @@ pub fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// [`encode`], appending to `out` (a wire frame writes its kind byte
 /// first and the body straight after it).
 pub fn encode_into<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
-    value.serialize(&mut BinSerializer { out });
+    value.serialize(&mut BinSerializer {
+        out,
+        spill_at: usize::MAX,
+        sink: &mut |_| {},
+    });
+}
+
+/// [`encode`], handed to `sink` in pieces that concatenate to its bytes:
+/// the buffer spills at the first value boundary past `chunk` bytes and
+/// once at the end, so it holds `chunk` bytes and a sixteenth of slack
+/// however large the value (a snapshot streams into its file this way).
+pub fn encode_chunked<T: Serialize + ?Sized>(value: &T, chunk: usize, sink: &mut dyn FnMut(&[u8])) {
+    let mut out = Vec::with_capacity(chunk.saturating_add(chunk / 16));
+    let mut s = BinSerializer {
+        out: &mut out,
+        spill_at: chunk,
+        sink,
+    };
+    value.serialize(&mut s);
+    if !s.out.is_empty() {
+        (s.sink)(s.out);
+    }
 }
 
 /// Decode a value previously produced by [`encode`]. Trailing bytes are
@@ -78,6 +99,19 @@ pub fn decode<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
 
 struct BinSerializer<'a> {
     out: &'a mut Vec<u8>,
+    /// Length at which `out` spills into `sink` (`usize::MAX`: never).
+    spill_at: usize,
+    sink: &'a mut dyn FnMut(&[u8]),
+}
+
+impl BinSerializer<'_> {
+    /// Between two values: spill a full buffer.
+    fn boundary(&mut self) {
+        if self.out.len() >= self.spill_at {
+            (self.sink)(self.out);
+            self.out.clear();
+        }
+    }
 }
 
 impl Serializer for BinSerializer<'_> {
@@ -108,13 +142,16 @@ impl Serializer for BinSerializer<'_> {
         self.out.push(TAG_ARRAY);
         put_varint(self.out, len as u64);
     }
-    fn elem(&mut self, _index: usize) {}
+    fn elem(&mut self, _index: usize) {
+        self.boundary();
+    }
     fn end_array(&mut self) {}
     fn begin_object(&mut self, len: usize) {
         self.out.push(TAG_OBJECT);
         put_varint(self.out, len as u64);
     }
     fn field(&mut self, _index: usize, key: &str) {
+        self.boundary();
         put_varint(self.out, key.len() as u64);
         self.out.extend_from_slice(key.as_bytes());
     }
@@ -322,6 +359,23 @@ mod tests {
         let bytes = encode(&v);
         let back: Vec<(u32, Option<String>)> = decode(&bytes).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn chunked_encoding_concatenates_to_the_whole() {
+        let v: Vec<(u32, String, Vec<i64>)> = (0..50)
+            .map(|i| (i, "x".repeat(i as usize), vec![-(i as i64); 3]))
+            .collect();
+        let whole = encode(&v);
+        for chunk in [1, 2, 7, 64, whole.len(), whole.len() + 1] {
+            let mut pieces = Vec::new();
+            encode_chunked(&v, chunk, &mut |piece| pieces.push(piece.to_vec()));
+            assert_eq!(pieces.concat(), whole, "chunk {chunk}");
+            // Every piece but the last spilled a full buffer.
+            let (last, full) = pieces.split_last().unwrap();
+            assert!(!last.is_empty());
+            assert!(full.iter().all(|p| p.len() >= chunk), "chunk {chunk}");
+        }
     }
 
     #[test]

@@ -47,7 +47,13 @@ static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 of `bytes` (IEEE, reflected, init and final XOR `0xFFFFFFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+    crc32_update(0, bytes)
+}
+
+/// The CRC-32 of `a ++ bytes` given `crc == crc32(a)`, as zlib's
+/// `crc32(crc, buf, len)`: a payload checked piece by piece as it passes.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let mut crc = !crc;
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
@@ -79,6 +85,15 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn updating_over_any_split_equals_the_whole() {
+        let bytes: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for split in 0..=bytes.len() {
+            let (a, b) = bytes.split_at(split);
+            assert_eq!(crc32_update(crc32(a), b), crc32(&bytes), "split at {split}");
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::archive::{ArchiveStore, LazyArchive};
 use crate::codec::WalRecord;
 use crate::crc::crc32;
 use crate::history::{HistoryError, Tiers};
-use crate::snapshot::{SnapshotStore, StoreSnapshot};
+use crate::snapshot::{SnapshotStore, SnapshotView};
 use crate::wal::{sync_dir, Wal, WalBatch, WalConfig};
 use ltam_core::capability::{AdminOp, AdminOutcome};
 use ltam_core::db::AuthId;
@@ -350,6 +350,28 @@ fn write_epoch_marker(dir: &Path, fsync: bool, epoch: u64) -> io::Result<()> {
     Ok(())
 }
 
+/// Delete the temp files a crash mid-write left in `dir` (no later write
+/// reuses their names; none is read or shipped), counted by kind. Under
+/// the store lock only: a live writer's temp file is not an orphan.
+fn remove_orphans(dir: &Path) -> io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let kind = match name.strip_suffix(".tmp") {
+            Some(stem) if stem.starts_with("snap-") => "snapshot",
+            Some(stem) if stem.starts_with("arch-") => "archive",
+            Some(EPOCH_MARKER) => "epoch",
+            _ => continue,
+        };
+        std::fs::remove_file(&path)?;
+        let help = "Temp files a crash mid-write left behind, removed at open, by kind";
+        ltam_obs::registry()
+            .counter("store_orphans_removed_total", &[("kind", kind)], help)
+            .inc();
+    }
+    Ok(())
+}
+
 /// The recorded epoch, or `None` for a missing/corrupt marker (best
 /// effort: a corrupt marker degrades to the pre-marker behavior, it
 /// never blocks recovery on its own).
@@ -449,6 +471,7 @@ impl DurableEngine {
         RecoveryReport,
     )> {
         let lock = StoreLock::acquire(dir)?;
+        remove_orphans(dir)?;
         let snapshots = SnapshotStore::with_fsync(dir, config.fsync);
         let snap = snapshots.load_latest()?.ok_or_else(|| {
             io::Error::new(
@@ -902,8 +925,7 @@ impl DurableEngine {
     /// WAL records between the two.
     pub fn snapshot(&mut self) -> io::Result<u64> {
         self.snapshot_finish()?;
-        let snapshot = self.image()();
-        self.snapshots.write(&snapshot)?;
+        self.capture()(&self.snapshots)?;
         self.wal.rotate()?;
         self.compact_behind_snapshots()?;
         self.since_snapshot = 0;
@@ -912,9 +934,9 @@ impl DurableEngine {
     }
 
     /// Capture the engine at the current WAL position **synchronously**,
-    /// then hand the rest — imaging the policy, encoding and durably
-    /// writing the multi-megabyte snapshot file — to a background
-    /// thread. Returns the covered sequence.
+    /// then hand the rest — streaming the policy epoch and the shard
+    /// images durably into the multi-megabyte snapshot file — to a
+    /// background thread. Returns the covered sequence.
     ///
     /// Unlike [`DurableEngine::snapshot`], the WAL is **not** rotated
     /// here: rotation costs several journal commits (seal + create +
@@ -930,7 +952,7 @@ impl DurableEngine {
     /// surfaced — by the next snapshot or drop.
     pub fn snapshot_async(&mut self) -> io::Result<u64> {
         self.snapshot_finish()?;
-        let image = self.image();
+        let write = self.capture();
         let store = self.snapshots.clone();
         self.pending_snapshot = Some(PendingSnapshot {
             join: std::thread::spawn(move || {
@@ -940,7 +962,7 @@ impl DurableEngine {
                 // group-commit. Let their fsyncs hit a quiet journal
                 // before this thread starts competing for CPU and disk.
                 std::thread::sleep(std::time::Duration::from_millis(10));
-                store.write(&image())
+                write(&store)
             }),
         });
         self.since_snapshot = 0;
@@ -962,26 +984,26 @@ impl DurableEngine {
         }
     }
 
-    /// Capture what a snapshot at the current WAL position holds. Shard
-    /// state and the quarantine ledger are exported here and now; the
-    /// policy is an immutable epoch, so holding it is capturing it, and
-    /// cloning its every authorization row into a [`PolicyImage`] is left
-    /// to whoever calls the result — the background writer, not the
-    /// commit thread with every group queued behind it.
-    fn image(&self) -> impl FnOnce() -> StoreSnapshot + Send + 'static {
+    /// Capture what a snapshot at the current WAL position holds, and
+    /// return its write. Shard state and the quarantine ledger are
+    /// exported here and now; the policy is an immutable epoch, so
+    /// holding it is capturing it, and the write streams its rows.
+    fn capture(&self) -> impl FnOnce(&SnapshotStore) -> io::Result<PathBuf> + Send + 'static {
         let policy = self.engine.policy();
         let (seq, policy_epoch, clock) = (self.applied, self.policy_epoch, self.clock.get());
         let shards = self.engine.shard_count();
         let states = self.engine.export_images();
         let quarantine = self.engine.export_quarantine();
-        move || StoreSnapshot {
-            seq,
-            policy_epoch,
-            shards,
-            policy: policy.image(),
-            states,
-            quarantine,
-            clock,
+        move |store: &SnapshotStore| {
+            store.write(&SnapshotView {
+                seq,
+                policy_epoch,
+                shards,
+                policy: policy.image_ref(),
+                states: &states,
+                quarantine: &quarantine,
+                clock,
+            })
         }
     }
 

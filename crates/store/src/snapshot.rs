@@ -20,15 +20,21 @@
 //! the previous snapshot around precisely so a crash mid-write (already
 //! mitigated by write-to-temp-then-rename) or a corrupted newest file
 //! falls back to the older one.
+//!
+//! The payload is never whole in memory: [`SnapshotStore::write`]
+//! streams a borrowed [`SnapshotView`] of the live policy epoch and the
+//! shard images, chunk by chunk, into a temp file, and writes the header
+//! — length and CRC folded over the chunks — last, at offset 0.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::wal::sync_dir;
-use ltam_engine::batch::{PolicyImage, QuarantinedEvent, ShardedEngine};
+use ltam_engine::batch::{PolicyImage, PolicyImageRef, QuarantinedEvent, ShardedEngine};
 use ltam_engine::shard::ShardStateImage;
 use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LTSN";
@@ -38,12 +44,19 @@ pub const SNAPSHOT_VERSION: u16 = 2;
 pub const SNAPSHOT_HEADER_LEN: usize = 28;
 /// Valid snapshots kept on disk (newest first); older ones are pruned.
 pub const SNAPSHOTS_KEPT: usize = 2;
+/// The chunk a snapshot payload is encoded and written in.
+pub const SNAPSHOT_WRITE_CHUNK: usize = 256 * 1024;
 
 /// A point-in-time image of a whole [`ShardedEngine`]: the policy epoch
 /// plus every shard's mutable state, stamped with the WAL position it
-/// covers.
+/// covers. The sections are owned by default; [`SnapshotView`] borrows
+/// them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StoreSnapshot {
+pub struct StoreSnapshot<
+    Policy = PolicyImage,
+    States = Vec<ShardStateImage>,
+    Quarantine = Vec<QuarantinedEvent>,
+> {
     /// WAL events applied to this state (replay resumes here).
     pub seq: u64,
     /// Policy edits acknowledged up to this state. Recovery compares
@@ -55,12 +68,12 @@ pub struct StoreSnapshot {
     /// Shard count the states were captured under.
     pub shards: usize,
     /// The read-mostly policy epoch.
-    pub policy: PolicyImage,
+    pub policy: Policy,
     /// Per-shard mutable state, in shard order (`states.len() == shards`).
-    pub states: Vec<ShardStateImage>,
+    pub states: States,
     /// The quarantine ledger: events from below-trust-threshold sensors
     /// held out of enforcement state.
-    pub quarantine: Vec<QuarantinedEvent>,
+    pub quarantine: Quarantine,
     /// The monitoring clock (highest trusted event time) at this state.
     /// Token validity is judged against it, so it must survive a
     /// restart whose WAL tail holds no event: without it an expired
@@ -69,18 +82,27 @@ pub struct StoreSnapshot {
     pub clock: u64,
 }
 
+/// A [`StoreSnapshot`] borrowed from what it images — a live policy
+/// epoch ([`ltam_engine::batch::PolicyCore::image_ref`]) and exported
+/// shard images: what a snapshot is written from, with no row copied.
+pub type SnapshotView<'a> =
+    StoreSnapshot<PolicyImageRef<'a>, &'a [ShardStateImage], &'a [QuarantinedEvent]>;
+
 /// The engine's state digest: FNV-1a-64 (not a cryptographic hash) over
 /// the `binval` encoding of what a snapshot writes — the policy image,
 /// the [canonical](ltam_engine::batch::canonical) shard image and the
 /// quarantine ledger — so equal states digest equal at any shard count.
+/// The encoding is hashed chunk by chunk as it streams, never whole.
 /// Like [`ShardedEngine::export_images`], a consistent cut only between batches.
 pub fn digest(engine: &ShardedEngine) -> u64 {
-    let policy = engine.policy().image();
-    let state = (policy, engine.canonical_image(), engine.export_quarantine());
+    let (policy, quarantine) = (engine.policy(), engine.export_quarantine());
+    let state = (policy.image_ref(), engine.canonical_image(), quarantine);
     let fnv = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    crate::binval::encode(&state)
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, fnv)
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    crate::binval::encode_chunked(&state, SNAPSHOT_WRITE_CHUNK, &mut |chunk| {
+        hash = chunk.iter().fold(hash, fnv);
+    });
+    hash
 }
 
 /// Reads and writes [`StoreSnapshot`]s in a store directory.
@@ -160,81 +182,81 @@ impl SnapshotStore {
         Ok(self.listing()?.last().map(|&(seq, _, _)| seq))
     }
 
-    /// Serialize and durably write `snapshot`, then prune old snapshots
+    /// Stream `snapshot` durably to disk, then prune old snapshots
     /// down to [`SNAPSHOTS_KEPT`]. Returns the written path.
     ///
     /// The write is atomic: payload goes to a temp file which is fsynced
     /// and renamed into place, then the directory is fsynced, so a crash
     /// leaves either the old listing or the new one — never a half
     /// snapshot under the final name.
-    pub fn write(&self, snapshot: &StoreSnapshot) -> io::Result<PathBuf> {
+    pub fn write<P, S, Q>(&self, snapshot: &StoreSnapshot<P, S, Q>) -> io::Result<PathBuf>
+    where
+        StoreSnapshot<P, S, Q>: Serialize,
+    {
         fs::create_dir_all(&self.dir)?;
-        let encode_span = ltam_obs::timed!(
-            "store_snapshot_encode_seconds",
-            "Snapshot phase: encoding the engine image to bytes"
-        );
-        // The payload is encoded behind a blank header, which is filled
-        // in once its length and CRC are known: the file's bytes in one
-        // buffer, with no second copy of a multi-megabyte image.
-        let mut bytes = vec![0u8; SNAPSHOT_HEADER_LEN];
-        crate::binval::encode_into(snapshot, &mut bytes);
-        drop(encode_span);
-        let (header, payload) = bytes.split_at_mut(SNAPSHOT_HEADER_LEN);
-        header[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
-        header[4..6].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        header[8..16].copy_from_slice(&snapshot.seq.to_le_bytes());
-        header[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        header[24..28].copy_from_slice(&crc32(payload).to_le_bytes());
-
         let tmp = self.dir.join(format!(
             "snap-{:020}-{:010}.tmp",
             snapshot.seq, snapshot.policy_epoch
         ));
-        let write_span = ltam_obs::timed!(
+        let mut file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(true)
+            .open(&tmp)?;
+        file.write_all(&[0; SNAPSHOT_HEADER_LEN])?;
+        let (mut len, mut crc, mut writing) = (0u64, 0u32, Duration::ZERO);
+        let mut written = Ok(());
+        let started = Instant::now();
+        crate::binval::encode_chunked(snapshot, SNAPSHOT_WRITE_CHUNK, &mut |chunk| {
+            if written.is_err() {
+                return;
+            }
+            crc = crc32_update(crc, chunk);
+            let write_started = Instant::now();
+            // Start writeback of the previous chunk, and pause, before
+            // dirtying this one: on journaling filesystems in ordered
+            // mode *any* fsync's journal commit first flushes the dirty
+            // data the running transaction pins, so megabytes of
+            // unsynced snapshot would stall whichever WAL group-commit
+            // fsync lands next — without a journal commit per chunk,
+            // which would serialize against every WAL fsync instead.
+            if self.fsync && len > 0 {
+                start_writeback(&file);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            len += chunk.len() as u64;
+            written = file.write_all(chunk);
+            writing += write_started.elapsed();
+        });
+        written?;
+        ltam_obs::histogram!(
+            "store_snapshot_encode_seconds",
+            "Snapshot phase: encoding the engine image and its CRC, summed over its chunks",
+            SecondsFromMicros
+        )
+        .observe(started.elapsed().saturating_sub(writing).as_micros() as u64);
+        ltam_obs::histogram!(
             "store_snapshot_write_seconds",
-            "Snapshot phase: paced chunked write of the image file"
-        );
-        {
-            let mut f = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)?;
-            // Stream the multi-megabyte image in bounded chunks, kicking
-            // off data writeback after each one, then settle everything
-            // with a single sync at the end. This is not about the
-            // writer's own latency (it runs on a background thread): on
-            // journaling filesystems in ordered mode, *any* fsync's
-            // journal commit first flushes the dirty data blocks the
-            // running transaction pins — so megabytes of unsynced
-            // snapshot would be paid for by whichever WAL group-commit
-            // fsync lands next, stalling the ingest path by tens of
-            // milliseconds. Early writeback keeps those pages clean so
-            // concurrent fsyncs find (almost) nothing of ours to flush,
-            // without issuing a journal commit per chunk (which would
-            // serialize against every WAL fsync instead).
-            const SNAPSHOT_WRITE_CHUNK: usize = 256 * 1024;
-            let chunks = bytes.chunks(SNAPSHOT_WRITE_CHUNK);
-            let paced = chunks.len() > 1;
-            for chunk in chunks {
-                f.write_all(chunk)?;
-                if self.fsync && paced {
-                    start_writeback(&f);
-                    // Give the device a moment to drain this chunk
-                    // before dirtying the next one — bounds how much
-                    // data a concurrent journal commit can inherit.
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-            }
-            drop(write_span);
-            if self.fsync {
-                let _span = ltam_obs::timed!(
-                    "store_snapshot_fsync_seconds",
-                    "Snapshot phase: final data sync of the image file"
-                );
-                f.sync_data()?;
-            }
+            "Snapshot phase: paced writes of the image file, summed over its chunks",
+            SecondsFromMicros
+        )
+        .observe(writing.as_micros() as u64);
+        let mut header = [0u8; SNAPSHOT_HEADER_LEN];
+        header[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
+        header[4..6].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header[8..16].copy_from_slice(&snapshot.seq.to_le_bytes());
+        header[16..24].copy_from_slice(&len.to_le_bytes());
+        header[24..28].copy_from_slice(&crc.to_le_bytes());
+        file.seek(SeekFrom::Start(0))?;
+        file.write_all(&header)?;
+        if self.fsync {
+            let _span = ltam_obs::timed!(
+                "store_snapshot_fsync_seconds",
+                "Snapshot phase: final data sync of the image file"
+            );
+            file.sync_data()?;
         }
+        drop(file);
         let path = self
             .dir
             .join(snapshot_file_name(snapshot.seq, snapshot.policy_epoch));
@@ -250,7 +272,7 @@ impl SnapshotStore {
             "Size of a written snapshot image in bytes",
             None
         )
-        .observe(bytes.len() as u64);
+        .observe(SNAPSHOT_HEADER_LEN as u64 + len);
         ltam_obs::counter!("store_snapshots_total", "Snapshots written").inc();
         self.prune()?;
         Ok(path)
