@@ -216,41 +216,39 @@ fn replication_error(e: ClientError) -> io::Error {
     io::Error::other(format!("replication: {e}"))
 }
 
-/// Fetch one immutable store file from the primary into `dir`,
-/// written to a temp name and renamed only once complete — a killed
-/// bootstrap leaves no half-file a later open could mistake for the
-/// real thing.
+/// Fetch one immutable store file from the primary into `dir` through
+/// the store's atomic replace ([`ltam_store::whole::replace`]): a killed
+/// bootstrap leaves no half-file a later open could mistake for the real
+/// thing, only a temp that open deletes.
 fn fetch_file(
     client: &mut LtamClient,
     dir: &Path,
     file: ReplFile,
     chunk_bytes: u32,
+    fsync: bool,
 ) -> io::Result<()> {
-    let path = file.file.path(dir);
-    let tmp = dir.join(format!("{}.fetch", file.file.file_name()));
-    let mut out = fs::File::create(&tmp)?;
-    let mut offset = 0u64;
-    loop {
-        let chunk = client
-            .repl_fetch(file.file, offset, chunk_bytes)
-            .map_err(replication_error)?;
-        if chunk.bytes.is_empty() {
-            break;
+    let name = file.file.file_name();
+    ltam_store::whole::replace(dir, &name, fsync, |out| {
+        let mut offset = 0u64;
+        loop {
+            let chunk = client
+                .repl_fetch(file.file, offset, chunk_bytes)
+                .map_err(replication_error)?;
+            if chunk.bytes.is_empty() {
+                break;
+            }
+            out.write_all(&chunk.bytes)?;
+            offset += chunk.bytes.len() as u64;
         }
-        out.write_all(&chunk.bytes)?;
-        offset += chunk.bytes.len() as u64;
-    }
-    if offset < file.len {
-        return Err(io::Error::other(format!(
-            "short transfer of {}: got {offset} of {} bytes",
-            file.file.file_name(),
-            file.len
-        )));
-    }
-    out.sync_data()?;
-    drop(out);
-    fs::rename(&tmp, &path)?;
-    Ok(())
+        if offset < file.len {
+            return Err(io::Error::other(format!(
+                "short transfer of {name}: got {offset} of {} bytes",
+                file.len
+            )));
+        }
+        Ok(())
+    })
+    .map(drop)
 }
 
 /// Bootstrap a follower store in `dir` from the primary at
@@ -303,9 +301,9 @@ pub fn bootstrap_follower_as(
     };
     let chunk_bytes = 1 << 20;
     for archive in &manifest.archives {
-        fetch_file(&mut client, dir, *archive, chunk_bytes)?;
+        fetch_file(&mut client, dir, *archive, chunk_bytes, config.fsync)?;
     }
-    fetch_file(&mut client, dir, snapshot, chunk_bytes)?;
+    fetch_file(&mut client, dir, snapshot, chunk_bytes, config.fsync)?;
     // The WAL from the snapshot's cover point on: policy edits since
     // the snapshot exist only there, and a follower must not come up
     // — and start answering frames — under an older policy
@@ -321,7 +319,8 @@ pub fn bootstrap_follower_as(
     let from = manifest.wal_segments.iter().rposition(|&s| s <= covered);
     for &first_seq in &manifest.wal_segments[from.unwrap_or(0)..] {
         let file = ReplFileId::WalSegment { first_seq };
-        fetch_file(&mut client, dir, ReplFile { file, len: 0 }, chunk_bytes)?;
+        let file = ReplFile { file, len: 0 };
+        fetch_file(&mut client, dir, file, chunk_bytes, config.fsync)?;
     }
     let (engine, _alerts, report) = DurableEngine::open(dir, config)?;
     if let Some(e) = report.archive_error {

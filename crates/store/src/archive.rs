@@ -17,16 +17,11 @@
 //! watermark the previous one established — so the set of segment
 //! names is also the coverage index.
 //!
-//! ```text
-//! ┌──────────────── header (44 bytes) ────────────────────────────────┐
-//! │ magic "LTAR" │ version u16 LE │ reserved u16 │ from u64 │ to u64  │
-//! │ events_len u64 LE │ records_len u64 LE │ crc32 u32 LE            │
-//! ├──────────────── events block (events_len bytes) ──────────────────┤
-//! │ empty when written by this version (see below)                    │
-//! ├──────────────── records block (records_len bytes) ────────────────┤
-//! │ one binval value — ArchiveRecords: stays, audit, violations       │
-//! └───────────────────────────────────────────────────────────────────┘
-//! ```
+//! A segment is a checksummed whole file ([`crate::whole`], whose kind
+//! table spells the header: `from`, `to` and the lengths of its two
+//! blocks). Its payload is an events block (`events_len` bytes, empty
+//! when written by this version; see below) followed by the records
+//! block: one binval value, `ArchiveRecords` — stays, audit, violations.
 //!
 //! A pruned movement is archived once, as the stay it closed, in the
 //! [`crate::binval`] records block. Segments written before that carried
@@ -56,8 +51,7 @@
 //! superseded same-start segment if a crash strands one.
 
 use crate::binval;
-use crate::crc::crc32;
-use crate::wal::sync_dir;
+use crate::whole::{self, SEGMENT};
 use ltam_core::subject::SubjectId;
 use ltam_engine::index::{ByTime, HistoryIndex, Provenance, Run};
 use ltam_engine::movement::Stay;
@@ -67,16 +61,14 @@ use ltam_engine::Violation;
 use ltam_time::Time;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fs::{self, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
-/// Magic bytes opening every archive segment.
-pub const ARCHIVE_MAGIC: [u8; 4] = *b"LTAR";
 /// On-disk archive format version.
-pub const ARCHIVE_VERSION: u16 = 2;
+pub const ARCHIVE_VERSION: u16 = SEGMENT.version;
 /// Bytes of the archive segment header.
-pub const ARCHIVE_HEADER_LEN: usize = 44;
+pub const ARCHIVE_HEADER_LEN: usize = SEGMENT.header_len();
 
 /// The records block of a segment: everything a segment holds (see the
 /// module docs).
@@ -113,16 +105,6 @@ pub(crate) fn segment_file_name(from: u64, to: u64) -> String {
     format!("arch-{from:020}-{to:020}.arch")
 }
 
-fn segment_path(dir: &Path, from: u64, to: u64) -> PathBuf {
-    dir.join(segment_file_name(from, to))
-}
-
-fn parse_segment_name(name: &str) -> Option<(u64, u64)> {
-    let body = name.strip_prefix("arch-")?.strip_suffix(".arch")?;
-    let (from, to) = body.split_once('-')?;
-    Some((from.parse().ok()?, to.parse().ok()?))
-}
-
 /// One `(from, to, path)` row of the segment listing.
 type SegmentRow = (u64, u64, PathBuf);
 
@@ -144,15 +126,15 @@ impl Chain {
     }
 }
 
+/// A segment that cannot be used is the only copy of its history.
+fn only_copy(e: io::Error) -> io::Error {
+    let why = "it is the only copy of its history — refusing to answer rather than under-report";
+    io::Error::new(e.kind(), format!("{e}; {why}"))
+}
+
 fn corrupt(path: &Path, what: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!(
-            "archive segment {} is unusable ({what}); it is the only copy of its history — \
-             refusing to answer rather than under-report",
-            path.display()
-        ),
-    )
+    let what = format!("archive segment {} is unusable ({what})", path.display());
+    only_copy(io::Error::new(io::ErrorKind::InvalidData, what))
 }
 
 impl ArchiveStore {
@@ -174,23 +156,7 @@ impl ArchiveStore {
     /// sorted by coverage — superseded files included, chain validity
     /// not checked (what replication ships verbatim).
     pub(crate) fn listing(&self) -> io::Result<Vec<(u64, u64, PathBuf)>> {
-        let mut all = Vec::new();
-        match fs::read_dir(&self.dir) {
-            Ok(entries) => {
-                for entry in entries {
-                    let entry = entry?;
-                    let name = entry.file_name();
-                    let name = name.to_string_lossy();
-                    if let Some((from, to)) = parse_segment_name(&name) {
-                        all.push((from, to, entry.path()));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        all.sort_by_key(|&(from, to, _)| (from, to));
-        Ok(all)
+        whole::list(&self.dir, &SEGMENT.names)
     }
 
     /// Segment files split into the **active chain** (sorted, one
@@ -297,10 +263,6 @@ impl ArchiveStore {
         // records whose (per-subject monotone) timestamps precede
         // `from`.
         let in_range = |t: Time| t.get() < horizon;
-        // The records block is encoded behind a blank header, filled in
-        // once its length and CRC are known: the file's bytes in one
-        // buffer, no copy of the block.
-        let mut bytes = vec![0u8; ARCHIVE_HEADER_LEN];
         let records = ArchiveRecords {
             stays: records
                 .stays
@@ -322,42 +284,22 @@ impl ArchiveStore {
                 .collect(),
         };
         let written = records.stays.len() + records.audit.len() + records.violations.len();
-        binval::encode_into(&records, &mut bytes);
-        let (header, payload) = bytes.split_at_mut(ARCHIVE_HEADER_LEN);
-        let records_len = payload.len();
-        header[0..4].copy_from_slice(&ARCHIVE_MAGIC);
-        header[4..6].copy_from_slice(&ARCHIVE_VERSION.to_le_bytes());
-        header[8..16].copy_from_slice(&from.to_le_bytes());
-        header[16..24].copy_from_slice(&horizon.to_le_bytes());
-        // Bytes 24..32, the events block's length, stay 0.
-        header[32..40].copy_from_slice(&(records_len as u64).to_le_bytes());
-        header[40..44].copy_from_slice(&crc32(payload).to_le_bytes());
-
-        fs::create_dir_all(&self.dir)?;
-        let tmp = self.dir.join(format!("arch-{from:020}-{horizon:020}.tmp"));
-        {
-            let mut f = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)?;
-            f.write_all(&bytes)?;
-            if self.fsync {
-                f.sync_data()?;
-            }
-        }
-        fs::rename(&tmp, segment_path(&self.dir, from, horizon))?;
-        if self.fsync {
-            // The rename's dirent must be durable before the caller
-            // prunes live state: losing it would lose the only copy.
-            sync_dir(&self.dir)?;
-        }
+        // The rename's dirent is durable before the caller prunes live
+        // state: losing it would lose the only copy.
+        let new_path = whole::write_atomic(
+            &self.dir,
+            &SEGMENT,
+            &segment_file_name(from, horizon),
+            &[from, horizon],
+            self.fsync,
+            |sink| binval::encode_chunked(&records, whole::WRITE_CHUNK, sink),
+        )?
+        .path;
         // Only after the replacement is durable may the superseded
         // same-start segments go; a crash in between leaves both, and
         // readers prefer the larger (superset) one. A same-range
         // replacement was already overwritten in place by the rename —
         // deleting that path now would delete the fresh segment.
-        let new_path = segment_path(&self.dir, from, horizon);
         for stale in replaced {
             if stale != new_path {
                 fs::remove_file(stale)?;
@@ -528,40 +470,11 @@ impl LazyArchive {
 }
 
 fn read_segment(path: &Path, expected_from: u64, expected_to: u64) -> io::Result<ArchiveRecords> {
-    let bytes = fs::read(path)?;
-    if bytes.len() < ARCHIVE_HEADER_LEN || bytes[0..4] != ARCHIVE_MAGIC {
-        return Err(corrupt(path, "bad magic or truncated header"));
-    }
-    if u16::from_le_bytes([bytes[4], bytes[5]]) != ARCHIVE_VERSION || bytes[6..8] != [0, 0] {
-        return Err(corrupt(path, "unsupported format version"));
-    }
-    let from = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let to = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    if from != expected_from || to != expected_to {
-        return Err(corrupt(path, "header range disagrees with the file name"));
-    }
-    let events_len = u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"));
-    let records_len = u64::from_le_bytes(bytes[32..40].try_into().expect("8 bytes"));
-    let crc = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes"));
-    // Corrupted length fields can hold anything; all arithmetic checked.
-    let total = usize::try_from(events_len)
-        .ok()
-        .zip(usize::try_from(records_len).ok())
-        .and_then(|(e, r)| e.checked_add(r))
-        .and_then(|p| p.checked_add(ARCHIVE_HEADER_LEN));
-    let Some(total) = total else {
-        return Err(corrupt(path, "length fields overflow"));
-    };
-    if bytes.len() != total {
-        return Err(corrupt(path, "payload length disagrees with the file size"));
-    }
-    let payload = &bytes[ARCHIVE_HEADER_LEN..];
-    if crc32(payload) != crc {
-        return Err(corrupt(path, "CRC mismatch"));
-    }
+    let (fields, payload) =
+        whole::read_checked(path, &SEGMENT, &[expected_from, expected_to]).map_err(only_copy)?;
     // An older segment's events block duplicates its stays: verified by
-    // the CRC above, never decoded.
-    let records_block = &payload[events_len as usize..];
+    // the CRC, never decoded. (Its length is within the payload's.)
+    let records_block = &payload[fields[2] as usize..];
     binval::decode(records_block)
         .map_err(|e| corrupt(path, &format!("undecodable records block: {e}")))
 }
@@ -896,6 +809,10 @@ mod tests {
         assert!(store.load().is_err());
     }
 
+    fn segment_path(dir: &Path, from: u64, to: u64) -> PathBuf {
+        dir.join(segment_file_name(from, to))
+    }
+
     /// A segment as written before the events block went empty: the
     /// records block as today, and each stay's enter and exit events in
     /// the events block ahead of it, all under one CRC.
@@ -922,16 +839,13 @@ mod tests {
             audit: history.audit.clone(),
             violations: history.violations.clone(),
         });
-        let payload = [events.as_slice(), &records].concat();
-        let mut bytes = ARCHIVE_MAGIC.to_vec();
-        bytes.extend_from_slice(&ARCHIVE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&[0, 0]);
-        for n in [from, to, events.len() as u64, records.len() as u64] {
-            bytes.extend_from_slice(&n.to_le_bytes());
-        }
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes
+        let dir = ScratchDir::new("arch-with-events");
+        let fields = [from, to, events.len() as u64];
+        let written = whole::write_atomic(dir.path(), &SEGMENT, "old", &fields, false, |sink| {
+            sink(&events);
+            sink(&records);
+        });
+        std::fs::read(written.unwrap().path).unwrap()
     }
 
     #[test]

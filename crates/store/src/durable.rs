@@ -35,10 +35,10 @@
 
 use crate::archive::{ArchiveStore, LazyArchive};
 use crate::codec::WalRecord;
-use crate::crc::crc32;
 use crate::history::{HistoryError, Tiers};
 use crate::snapshot::{SnapshotStore, SnapshotView};
-use crate::wal::{sync_dir, Wal, WalBatch, WalConfig};
+use crate::wal::{Wal, WalBatch, WalConfig};
+use crate::whole::{self, MARKER};
 use ltam_core::capability::{AdminOp, AdminOutcome};
 use ltam_core::db::AuthId;
 use ltam_core::retention::RetentionPolicy;
@@ -133,6 +133,11 @@ pub struct RecoveryReport {
     /// but below-watermark queries will fail until it is repaired, so
     /// operators should alert on this (see `docs/OPERATIONS.md` §6.6).
     pub archive_error: Option<String>,
+    /// `Some(message)` naming the file and the failed check if the
+    /// acked-epoch marker exists but does not read. Recovery proceeds
+    /// without the policy-revert check it guards, so operators should
+    /// alert on this too (see `docs/OPERATIONS.md` §6.4).
+    pub epoch_marker_error: Option<String>,
 }
 
 /// What applying one WAL record produced — one per record of a
@@ -314,75 +319,27 @@ impl Drop for StoreLock {
     }
 }
 
-/// Marker file recording the highest **acknowledged** policy epoch
-/// (`"LTPE"` magic, version, epoch u64, CRC). Written after the WAL
-/// record carrying a policy edit is durable, so recovery can detect —
-/// and refuse — coming up in a state that silently reverts an acked
-/// edit.
-pub(crate) const EPOCH_MARKER: &str = "policy.epoch";
+/// Marker file recording the highest **acknowledged** policy epoch (a
+/// checksummed whole file, [`crate::whole::MARKER`]). Written after the
+/// WAL record carrying a policy edit is durable, so recovery can detect
+/// — and refuse — coming up in a state that silently reverts an acked
+/// edit. Its rename is durable before the edit is acked: a lost one
+/// would let a power cut silently revert an acknowledged edit, the
+/// exact hole this marker closes.
+pub(crate) const EPOCH_MARKER: &str = MARKER.names.1;
 
 fn write_epoch_marker(dir: &Path, fsync: bool, epoch: u64) -> io::Result<()> {
-    let mut bytes = Vec::with_capacity(20);
-    bytes.extend_from_slice(b"LTPE");
-    bytes.extend_from_slice(&1u16.to_le_bytes());
-    bytes.extend_from_slice(&0u16.to_le_bytes());
-    bytes.extend_from_slice(&epoch.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&epoch.to_le_bytes()).to_le_bytes());
-    let tmp = dir.join(format!("{EPOCH_MARKER}.tmp"));
-    {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        f.write_all(&bytes)?;
-        if fsync {
-            f.sync_data()?;
-        }
-    }
-    std::fs::rename(&tmp, dir.join(EPOCH_MARKER))?;
-    if fsync {
-        // The rename's dirent must be durable before the edit is acked —
-        // a swallowed failure here would let a power cut silently revert
-        // an acknowledged policy edit, the exact hole this marker closes.
-        sync_dir(dir)?;
-    }
-    Ok(())
+    whole::write_atomic(dir, &MARKER, EPOCH_MARKER, &[epoch], fsync, |_| {}).map(drop)
 }
 
-/// Delete the temp files a crash mid-write left in `dir` (no later write
-/// reuses their names; none is read or shipped), counted by kind. Under
-/// the store lock only: a live writer's temp file is not an orphan.
-fn remove_orphans(dir: &Path) -> io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let kind = match name.strip_suffix(".tmp") {
-            Some(stem) if stem.starts_with("snap-") => "snapshot",
-            Some(stem) if stem.starts_with("arch-") => "archive",
-            Some(EPOCH_MARKER) => "epoch",
-            _ => continue,
-        };
-        std::fs::remove_file(&path)?;
-        let help = "Temp files a crash mid-write left behind, removed at open, by kind";
-        ltam_obs::registry()
-            .counter("store_orphans_removed_total", &[("kind", kind)], help)
-            .inc();
+/// The recorded epoch, `None` if no marker was ever written, or the
+/// error that names why the marker does not read.
+fn read_epoch_marker(dir: &Path) -> io::Result<Option<u64>> {
+    match whole::read_checked(&dir.join(EPOCH_MARKER), &MARKER, &[]) {
+        Ok((fields, _)) => Ok(fields.first().copied()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     }
-    Ok(())
-}
-
-/// The recorded epoch, or `None` for a missing/corrupt marker (best
-/// effort: a corrupt marker degrades to the pre-marker behavior, it
-/// never blocks recovery on its own).
-fn read_epoch_marker(dir: &Path) -> Option<u64> {
-    let bytes = std::fs::read(dir.join(EPOCH_MARKER)).ok()?;
-    if bytes.len() != 20 || &bytes[0..4] != b"LTPE" {
-        return None;
-    }
-    let epoch = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    let crc = u32::from_le_bytes(bytes[16..20].try_into().ok()?);
-    (crc32(&epoch.to_le_bytes()) == crc).then_some(epoch)
 }
 
 impl DurableEngine {
@@ -396,8 +353,7 @@ impl DurableEngine {
     ) -> io::Result<(DurableEngine, crossbeam::channel::Receiver<Alert>)> {
         std::fs::create_dir_all(dir)?;
         let lock = StoreLock::acquire(dir)?;
-        let snapshots = SnapshotStore::with_fsync(dir, config.fsync);
-        if snapshots.any_present()? {
+        if SnapshotStore::new(dir).any_present()? {
             return Err(io::Error::new(
                 io::ErrorKind::AlreadyExists,
                 format!("{} already holds an ltam-store; use open()", dir.display()),
@@ -411,12 +367,26 @@ impl DurableEngine {
             ));
         }
         let (engine, alerts) = ShardedEngine::new(core, shards);
-        let mut durable = DurableEngine {
+        let mut durable = DurableEngine::assemble(dir, config, engine, wal, lock);
+        durable.snapshot()?;
+        Ok((durable, alerts))
+    }
+
+    /// The engine over `dir` at WAL position 0 and policy epoch 0 (where
+    /// recovery moves it on to the snapshot it loaded).
+    fn assemble(
+        dir: &Path,
+        config: StoreConfig,
+        engine: ShardedEngine,
+        wal: Wal,
+        lock: StoreLock,
+    ) -> DurableEngine {
+        DurableEngine {
             dir: dir.to_path_buf(),
             config,
             engine: Arc::new(engine),
             wal,
-            snapshots,
+            snapshots: SnapshotStore::with_fsync(dir, config.fsync),
             archive: Arc::new(ArchiveStore::with_fsync(dir, config.fsync)),
             archive_cache: Arc::new(parking_lot::Mutex::new(LazyArchive::new())),
             cells: Arc::new(StatusCells::default()),
@@ -428,9 +398,7 @@ impl DurableEngine {
             snapshot_error: None,
             retention_error: None,
             _lock: lock,
-        };
-        durable.snapshot()?;
-        Ok((durable, alerts))
+        }
     }
 
     /// Recover a store from `dir` with the shard count it was
@@ -471,9 +439,8 @@ impl DurableEngine {
         RecoveryReport,
     )> {
         let lock = StoreLock::acquire(dir)?;
-        remove_orphans(dir)?;
-        let snapshots = SnapshotStore::with_fsync(dir, config.fsync);
-        let snap = snapshots.load_latest()?.ok_or_else(|| {
+        whole::remove_orphans(dir)?;
+        let snap = SnapshotStore::new(dir).load_latest()?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::NotFound,
                 format!("{} holds no valid snapshot; use create()", dir.display()),
@@ -537,11 +504,19 @@ impl DurableEngine {
         let (engine, alerts) = ShardedEngine::with_states(policy, states);
         engine.load_quarantine(snap.quarantine);
 
-        let archive = ArchiveStore::with_fsync(dir, config.fsync);
+        let watermark = engine.retention_watermark();
+        let mut durable = DurableEngine::assemble(dir, config, engine, wal, lock);
+        // Token validity is judged against the clock, so it must not
+        // restart at zero: the snapshot's, floored by the retention
+        // watermark; the replay below advances it past whatever the
+        // tail holds.
+        let clock = Time(snap.clock).max(watermark);
+        (durable.applied, durable.policy_epoch, durable.clock) =
+            (snap.seq, snap.policy_epoch, clock);
         // A broken archive chain must not hide behind a healthy-looking
         // zero: it means below-watermark queries will refuse until the
         // segments are restored.
-        let (archive_covered_to, archive_error) = match archive.coverage_end() {
+        let (archive_covered_to, archive_error) = match durable.archive.coverage_end() {
             Ok(covered) => (covered, None),
             Err(e) => (0, Some(e.to_string())),
         };
@@ -549,33 +524,10 @@ impl DurableEngine {
             snapshot_seq: snap.seq,
             truncated_bytes: recovered.truncated_bytes,
             dropped_segments: recovered.dropped_segments,
-            retention_watermark: engine.retention_watermark().get(),
+            retention_watermark: watermark.get(),
             archive_covered_to,
             archive_error,
             ..RecoveryReport::default()
-        };
-        // Token validity is judged against the clock, so it must not
-        // restart at zero: the snapshot's, floored by the retention
-        // watermark; the replay below advances it past whatever the
-        // tail holds.
-        let clock = Time(snap.clock).max(engine.retention_watermark());
-        let mut durable = DurableEngine {
-            dir: dir.to_path_buf(),
-            config,
-            engine: Arc::new(engine),
-            wal,
-            snapshots,
-            archive: Arc::new(archive),
-            archive_cache: Arc::new(parking_lot::Mutex::new(LazyArchive::new())),
-            cells: Arc::new(StatusCells::default()),
-            pending_snapshot: None,
-            applied: snap.seq,
-            since_snapshot: 0,
-            policy_epoch: snap.policy_epoch,
-            clock,
-            snapshot_error: None,
-            retention_error: None,
-            _lock: lock,
         };
         // Replay the WAL tail from the snapshot's cover point on, in
         // log order, through the routine the live path applies with.
@@ -606,8 +558,15 @@ impl DurableEngine {
         // Every edit is in the WAL, so a snapshot fallback replays it.
         // Coming up below the acknowledged epoch means the records
         // carrying an acked edit are gone, and enforcing under the
-        // reverted policy would be silent. Refuse.
-        if let Some(acked_epoch) = read_epoch_marker(dir) {
+        // reverted policy would be silent. Refuse. A marker that does
+        // not read is reported and recovery goes on without the check:
+        // the snapshot and the WAL hold the state, the marker only
+        // guards them (see `docs/OPERATIONS.md` §6.4).
+        let acked = read_epoch_marker(dir).unwrap_or_else(|e| {
+            report.epoch_marker_error = Some(e.to_string());
+            None
+        });
+        if let Some(acked_epoch) = acked {
             if durable.policy_epoch < acked_epoch {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -1936,7 +1895,7 @@ mod tests {
         assert!(ran && refused.is_err());
         assert!(Arc::ptr_eq(&before, &durable.engine().policy()));
         assert_eq!((durable.policy_epoch(), durable.applied()), (0, 0));
-        assert_eq!(read_epoch_marker(dir.path()), None);
+        assert_eq!(read_epoch_marker(dir.path()).unwrap(), None);
     }
 
     #[test]

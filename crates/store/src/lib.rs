@@ -10,7 +10,7 @@
 //!   arbitrary bytes decode or error, never panic) and [`WalRecord`],
 //!   the one owned shape of a WAL record — the unit of commit, recovery
 //!   and replication,
-//! * [`crc`] — CRC-32 (IEEE) for record and snapshot integrity,
+//! * [`crc`] — CRC-32 (IEEE) for record and whole-file integrity,
 //! * [`wal`] — a segmented, append-only write-ahead log: length-prefixed
 //!   CRC'd records, fsync-per-batch, byte-threshold segment rotation, and
 //!   torn-tail truncation on open,
@@ -36,6 +36,10 @@
 //!   state machine that verifies shipped WAL bytes record-by-record
 //!   (CRC + total decoding) and can never yield a wrong-but-valid
 //!   record,
+//! * [`whole`] — the one checksummed whole file: the header every
+//!   snapshot, archive segment and epoch marker shares, its one atomic
+//!   writer (temp, `sync_data`, rename, directory sync) and its one
+//!   checked reader,
 //! * [`scratch`] — unique temp directories for tests and benches.
 //!
 //! The correctness bar, proven by the workspace's `durable_recovery`
@@ -56,6 +60,7 @@ pub mod replica;
 pub mod scratch;
 pub mod snapshot;
 pub mod wal;
+pub mod whole;
 
 pub use archive::{ArchiveData, ArchiveRunReport, ArchiveStore, LazyArchive, ARCHIVE_VERSION};
 pub use codec::{

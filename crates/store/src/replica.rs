@@ -171,32 +171,19 @@ pub fn read_file_chunk(
     offset: u64,
     max_len: u32,
 ) -> io::Result<Option<ChunkRead>> {
-    let path = file.path(dir);
-    let mut f = match fs::File::open(&path) {
+    let mut f = match fs::File::open(file.path(dir)) {
         Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
     let file_len = f.metadata()?.len();
-    if offset >= file_len {
-        return Ok(Some(ChunkRead {
-            bytes: Vec::new(),
-            file_len,
-        }));
+    let want = file_len.saturating_sub(offset).min(u64::from(max_len));
+    let mut bytes = Vec::with_capacity(want as usize);
+    if want > 0 {
+        f.seek(SeekFrom::Start(offset))?;
+        // A file truncated under the read yields what it still held.
+        f.take(want).read_to_end(&mut bytes)?;
     }
-    let want = (file_len - offset).min(max_len as u64) as usize;
-    f.seek(SeekFrom::Start(offset))?;
-    let mut bytes = vec![0u8; want];
-    let mut read = 0usize;
-    while read < want {
-        match f.read(&mut bytes[read..]) {
-            Ok(0) => break, // truncated under us; return what we got
-            Ok(n) => read += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    bytes.truncate(read);
     Ok(Some(ChunkRead { bytes, file_len }))
 }
 

@@ -2,50 +2,40 @@
 //!
 //! ## On-disk format (version 2)
 //!
-//! A snapshot file `snap-<seq>-<epoch>.snap` is:
-//!
-//! ```text
-//! ┌──────────────── header (28 bytes) ────────────────────────────────┐
-//! │ magic "LTSN" │ version u16 LE │ reserved u16 │ seq u64 LE         │
-//! │ payload_len u64 LE │ crc32 u32 LE                                 │
-//! ├──────────────── payload ──────────────────────────────────────────┤
-//! │ StoreSnapshot in the binary value encoding ([`crate::binval`])    │
-//! └───────────────────────────────────────────────────────────────────┘
-//! ```
+//! A snapshot file `snap-<seq>-<epoch>.snap` is a checksummed whole file
+//! ([`crate::whole`], whose kind table spells the header: `seq` and the
+//! payload length) holding one `StoreSnapshot` in the binary value
+//! encoding ([`crate::binval`]).
 //!
 //! `seq` is the number of WAL events already **applied** to the captured
 //! state: recovery loads the snapshot and replays WAL records with
-//! sequence numbers `>= seq`. The CRC covers the payload; a snapshot that
-//! fails any header or CRC check is skipped, and [`SnapshotStore`] keeps
-//! the previous snapshot around precisely so a crash mid-write (already
-//! mitigated by write-to-temp-then-rename) or a corrupted newest file
-//! falls back to the older one.
+//! sequence numbers `>= seq`. A snapshot that fails any check of its
+//! header or CRC is skipped, and [`SnapshotStore`] keeps the previous
+//! snapshot around precisely so a crash mid-write (already mitigated by
+//! write-to-temp-then-rename) or a corrupted newest file falls back to
+//! the older one.
 //!
 //! The payload is never whole in memory: [`SnapshotStore::write`]
 //! streams a borrowed [`SnapshotView`] of the live policy epoch and the
 //! shard images, chunk by chunk, into a temp file, and writes the header
 //! — length and CRC folded over the chunks — last, at offset 0.
 
-use crate::crc::{crc32, crc32_update};
-use crate::wal::sync_dir;
+use crate::whole::{self, SNAPSHOT};
 use ltam_engine::batch::{PolicyImage, PolicyImageRef, QuarantinedEvent, ShardedEngine};
 use ltam_engine::shard::ShardStateImage;
 use serde::{Deserialize, Serialize};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, SeekFrom, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
-/// Magic bytes opening every snapshot file.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"LTSN";
 /// On-disk snapshot format version written by this build.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = SNAPSHOT.version;
 /// Bytes of the snapshot header.
-pub const SNAPSHOT_HEADER_LEN: usize = 28;
+pub const SNAPSHOT_HEADER_LEN: usize = SNAPSHOT.header_len();
 /// Valid snapshots kept on disk (newest first); older ones are pruned.
 pub const SNAPSHOTS_KEPT: usize = 2;
 /// The chunk a snapshot payload is encoded and written in.
-pub const SNAPSHOT_WRITE_CHUNK: usize = 256 * 1024;
+pub const SNAPSHOT_WRITE_CHUNK: usize = whole::WRITE_CHUNK;
 
 /// A point-in-time image of a whole [`ShardedEngine`]: the policy epoch
 /// plus every shard's mutable state, stamped with the WAL position it
@@ -122,12 +112,6 @@ pub(crate) fn snapshot_file_name(seq: u64, epoch: u64) -> String {
     format!("snap-{seq:020}-{epoch:010}.snap")
 }
 
-fn parse_snapshot_name(name: &str) -> Option<(u64, u64)> {
-    let body = name.strip_prefix("snap-")?.strip_suffix(".snap")?;
-    let (seq, epoch) = body.split_once('-')?;
-    Some((seq.parse().ok()?, epoch.parse().ok()?))
-}
-
 impl SnapshotStore {
     /// A snapshot store over `dir` (created on first write), `fsync`ing
     /// every written snapshot.
@@ -148,22 +132,8 @@ impl SnapshotStore {
     /// first — by `(seq, epoch)`, both of which are nondecreasing over a
     /// store's lifetime. Validity is not checked.
     pub(crate) fn listing(&self) -> io::Result<Vec<(u64, u64, PathBuf)>> {
-        let mut out = Vec::new();
-        match fs::read_dir(&self.dir) {
-            Ok(entries) => {
-                for entry in entries {
-                    let entry = entry?;
-                    let name = entry.file_name();
-                    let name = name.to_string_lossy();
-                    if let Some((seq, epoch)) = parse_snapshot_name(&name) {
-                        out.push((seq, epoch, entry.path()));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        out.sort_by_key(|&(seq, epoch, _)| std::cmp::Reverse((seq, epoch)));
+        let mut out = whole::list(&self.dir, &SNAPSHOT.names)?;
+        out.reverse();
         Ok(out)
     }
 
@@ -193,89 +163,44 @@ impl SnapshotStore {
     where
         StoreSnapshot<P, S, Q>: Serialize,
     {
-        fs::create_dir_all(&self.dir)?;
-        let tmp = self.dir.join(format!(
-            "snap-{:020}-{:010}.tmp",
-            snapshot.seq, snapshot.policy_epoch
-        ));
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)?;
-        file.write_all(&[0; SNAPSHOT_HEADER_LEN])?;
-        let (mut len, mut crc, mut writing) = (0u64, 0u32, Duration::ZERO);
-        let mut written = Ok(());
-        let started = Instant::now();
-        crate::binval::encode_chunked(snapshot, SNAPSHOT_WRITE_CHUNK, &mut |chunk| {
-            if written.is_err() {
-                return;
-            }
-            crc = crc32_update(crc, chunk);
-            let write_started = Instant::now();
-            // Start writeback of the previous chunk, and pause, before
-            // dirtying this one: on journaling filesystems in ordered
-            // mode *any* fsync's journal commit first flushes the dirty
-            // data the running transaction pins, so megabytes of
-            // unsynced snapshot would stall whichever WAL group-commit
-            // fsync lands next — without a journal commit per chunk,
-            // which would serialize against every WAL fsync instead.
-            if self.fsync && len > 0 {
-                start_writeback(&file);
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            len += chunk.len() as u64;
-            written = file.write_all(chunk);
-            writing += write_started.elapsed();
-        });
-        written?;
+        let name = snapshot_file_name(snapshot.seq, snapshot.policy_epoch);
+        let written = whole::write_atomic(
+            &self.dir,
+            &SNAPSHOT,
+            &name,
+            &[snapshot.seq],
+            self.fsync,
+            |sink| crate::binval::encode_chunked(snapshot, SNAPSHOT_WRITE_CHUNK, sink),
+        )?;
         ltam_obs::histogram!(
             "store_snapshot_encode_seconds",
             "Snapshot phase: encoding the engine image and its CRC, summed over its chunks",
             SecondsFromMicros
         )
-        .observe(started.elapsed().saturating_sub(writing).as_micros() as u64);
+        .observe(written.encoding.as_micros() as u64);
         ltam_obs::histogram!(
             "store_snapshot_write_seconds",
             "Snapshot phase: paced writes of the image file, summed over its chunks",
             SecondsFromMicros
         )
-        .observe(writing.as_micros() as u64);
-        let mut header = [0u8; SNAPSHOT_HEADER_LEN];
-        header[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
-        header[4..6].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        header[8..16].copy_from_slice(&snapshot.seq.to_le_bytes());
-        header[16..24].copy_from_slice(&len.to_le_bytes());
-        header[24..28].copy_from_slice(&crc.to_le_bytes());
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header)?;
+        .observe(written.writing.as_micros() as u64);
         if self.fsync {
-            let _span = ltam_obs::timed!(
+            ltam_obs::histogram!(
                 "store_snapshot_fsync_seconds",
-                "Snapshot phase: final data sync of the image file"
-            );
-            file.sync_data()?;
-        }
-        drop(file);
-        let path = self
-            .dir
-            .join(snapshot_file_name(snapshot.seq, snapshot.policy_epoch));
-        fs::rename(&tmp, &path)?;
-        if self.fsync {
-            // Propagate directory-fsync failures: callers ack durability
-            // on Ok, so a swallowed error here could lose the rename's
-            // dirent to a power cut after the ack.
-            sync_dir(&self.dir)?;
+                "Snapshot phase: final data sync of the image file",
+                SecondsFromMicros
+            )
+            .observe(written.syncing.as_micros() as u64);
         }
         ltam_obs::histogram!(
             "store_snapshot_bytes",
             "Size of a written snapshot image in bytes",
             None
         )
-        .observe(SNAPSHOT_HEADER_LEN as u64 + len);
+        .observe(written.bytes);
         ltam_obs::counter!("store_snapshots_total", "Snapshots written").inc();
         self.prune()?;
-        Ok(path)
+        Ok(written.path)
     }
 
     fn prune(&self) -> io::Result<()> {
@@ -318,28 +243,6 @@ fn skipped(reason: &'static str) -> &'static ltam_obs::Counter {
     )
 }
 
-/// Ask the kernel to start writing `f`'s dirty pages to disk without
-/// forcing a journal commit or waiting for completion (Linux
-/// `sync_file_range(SYNC_FILE_RANGE_WRITE)`). Best-effort: on other
-/// targets, or on failure, the caller's final `sync_data` still
-/// provides durability — this only loses the pacing benefit.
-fn start_writeback(f: &File) {
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::unix::io::AsRawFd;
-        extern "C" {
-            fn sync_file_range(fd: i32, offset: i64, nbytes: i64, flags: u32) -> i32;
-        }
-        const SYNC_FILE_RANGE_WRITE: u32 = 2;
-        // SAFETY: plain syscall on an open fd; nbytes 0 = "to EOF".
-        unsafe {
-            sync_file_range(f.as_raw_fd(), 0, 0, SYNC_FILE_RANGE_WRITE);
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    let _ = f;
-}
-
 /// Parse and validate one snapshot file; `None` if any check fails,
 /// `Err` if the file cannot be read.
 fn read_snapshot(
@@ -347,37 +250,14 @@ fn read_snapshot(
     expected_seq: u64,
     expected_epoch: u64,
 ) -> io::Result<Option<StoreSnapshot>> {
-    let bytes = fs::read(path)?;
-    if bytes.len() < SNAPSHOT_HEADER_LEN || bytes[0..4] != SNAPSHOT_MAGIC {
-        return Ok(None);
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != SNAPSHOT_VERSION {
-        return Ok(None);
-    }
-    let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-    let crc = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
-    if seq != expected_seq {
-        return Ok(None);
-    }
-    // A corrupted length field can hold anything up to u64::MAX; all
-    // arithmetic on it must be checked or the fallback path would panic.
-    let Some(end) = usize::try_from(len)
-        .ok()
-        .and_then(|len| SNAPSHOT_HEADER_LEN.checked_add(len))
-    else {
-        return Ok(None);
+    let payload = match whole::read_checked(path, &SNAPSHOT, &[expected_seq]) {
+        Ok((_, payload)) => payload,
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => return Ok(None),
+        Err(e) => return Err(e),
     };
-    let Some(payload) = bytes.get(SNAPSHOT_HEADER_LEN..end) else {
-        return Ok(None);
-    };
-    if bytes.len() != end || crc32(payload) != crc {
-        return Ok(None);
-    }
-    match crate::binval::decode::<StoreSnapshot>(payload) {
+    match crate::binval::decode::<StoreSnapshot>(&payload) {
         Ok(snap)
-            if snap.seq == seq
+            if snap.seq == expected_seq
                 && snap.policy_epoch == expected_epoch
                 && snap.states.len() == snap.shards =>
         {

@@ -205,6 +205,40 @@ fn a_follower_below_its_floor_refuses_the_digest() {
     drop(primary.abort().unwrap());
 }
 
+/// A bootstrap killed mid-fetch leaves its partial file under the
+/// store's temp naming, never the final name; the next bootstrap's open
+/// deletes it like any orphan (and leaves a file that is not the
+/// store's alone).
+#[test]
+fn a_killed_bootstraps_fetch_temps_are_removed_by_the_next() {
+    let trace = multi_shard_trace(&serve_workload(8, 100));
+    let p_dir = ScratchDir::new("fetch-temp-primary");
+    let (engine, _alerts) =
+        DurableEngine::create(p_dir.path(), trace.build_policy_core(), 2, primary_store()).unwrap();
+    let primary = Server::start(engine, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let p_addr = primary.local_addr().to_string();
+    let f_dir = ScratchDir::new("fetch-temp-follower");
+    let partial = [
+        format!("snap-{:020}-{:010}.tmp", 90, 3),
+        format!("arch-{:020}-{:020}.tmp", 0, 40),
+        format!("wal-{:020}.tmp", 90),
+    ];
+    for name in &partial {
+        std::fs::write(f_dir.path().join(name), b"partial").unwrap();
+    }
+    std::fs::write(f_dir.path().join("notes.tmp"), b"not the store's").unwrap();
+    let f_engine = bootstrap_follower(f_dir.path(), &p_addr, follower_store()).unwrap();
+    let mut temps: Vec<String> = std::fs::read_dir(f_dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    temps.sort();
+    assert_eq!(temps, ["notes.tmp"]);
+    drop(f_engine);
+    drop(primary.abort().unwrap());
+}
+
 /// Times the replication loop entered `NeedsBootstrap` in this process.
 fn parks() -> u64 {
     ltam::obs::counter_value(
