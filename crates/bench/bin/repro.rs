@@ -110,10 +110,62 @@ fn banner(title: &str) {
 
 /// Print a drill's `--json` report: one object on one line.
 fn print_json(report: &impl serde::Serialize) {
-    println!(
-        "{}",
-        serde_json::to_string(report).expect("report serializes")
-    );
+    let mut out = String::new();
+    write_json(&report.to_value(), &mut out);
+    println!("{out}");
+}
+
+/// Compact JSON text of `value`: object keys in field order, strings
+/// escaped, non-finite floats as `null` (JSON has no NaN or infinity).
+fn write_json(value: &serde::Value, out: &mut String) {
+    use serde::Value;
+    match value {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::U64(n) => out.push_str(&n.to_string()),
+        Value::I64(n) => out.push_str(&n.to_string()),
+        Value::F64(n) if n.is_finite() => out.push_str(&n.to_string()),
+        Value::F64(_) => out.push_str("null"),
+        Value::Str(s) => write_json_str(s, out),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(fields) => {
+            out.push('{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_str(key, out);
+                out.push(':');
+                write_json(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn write_json_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 fn yes_no(yes: bool) -> &'static str {
@@ -206,4 +258,50 @@ fn served_whereabouts_match(
         }
     }
     all_match
+}
+
+#[cfg(test)]
+mod tests {
+    use serde::{Serialize, Value};
+
+    #[derive(Serialize)]
+    struct Inner {
+        note: String,
+        none: Vec<u64>,
+        fields: Value,
+    }
+
+    #[derive(Serialize)]
+    struct Report {
+        zeta: u64,
+        alpha: i64,
+        inner: Inner,
+        ratio: f64,
+        nan: f64,
+        inf: f64,
+        ok: bool,
+    }
+
+    #[test]
+    fn json_report_pinned() {
+        let report = Report {
+            zeta: 7,
+            alpha: -3,
+            inner: Inner {
+                note: "a \"quoted\" \\ path\n\u{1}".into(),
+                none: Vec::new(),
+                fields: Value::Object(Vec::new()),
+            },
+            ratio: 0.5,
+            nan: f64::NAN,
+            inf: f64::INFINITY,
+            ok: true,
+        };
+        let mut out = String::new();
+        super::write_json(&report.to_value(), &mut out);
+        assert_eq!(
+            out,
+            r#"{"zeta":7,"alpha":-3,"inner":{"note":"a \"quoted\" \\ path\n\u0001","none":[],"fields":{}},"ratio":0.5,"nan":null,"inf":null,"ok":true}"#
+        );
+    }
 }

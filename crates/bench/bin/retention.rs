@@ -115,16 +115,14 @@ pub fn run(args: &[String]) {
         reference.movements().len() + reference.audit().len() + reference.violations().len();
 
     // What the UNPRUNED per-shard state weighs in a snapshot (a
-    // volatile sharded run serialized through the same image schema).
+    // volatile sharded run's images in binval, the encoding snapshots use).
     // The policy image is deliberately excluded from the bound: it is
     // invariant under retention and, on authorization-heavy workloads,
     // dominates whole-file snapshot size.
     let state_bytes_unpruned = {
         let (unpruned, _rx) = trace.build_sharded(shards);
         unpruned.ingest(&trace.events);
-        serde_json::to_string(&unpruned.export_images())
-            .expect("images serialize")
-            .len() as u64
+        ltam_store::binval::encode(&unpruned.export_images()).len() as u64
     };
 
     let dir = ScratchDir::new("repro-retention");
@@ -162,9 +160,8 @@ pub fn run(args: &[String]) {
     let watermark = durable.retention_watermark().get();
     let live_final = samples.last().map(|s| s.live_records).unwrap_or(0);
     let snapshot_bytes_final = samples.last().map(|s| s.snapshot_bytes).unwrap_or(0);
-    let state_bytes_final = serde_json::to_string(&durable.engine().export_images())
-        .expect("images serialize")
-        .len() as u64;
+    let state_bytes_final =
+        ltam_store::binval::encode(&durable.engine().export_images()).len() as u64;
     let archive_bytes: u64 = std::fs::read_dir(dir.path())
         .ok()
         .into_iter()

@@ -14,7 +14,7 @@
 //!
 //! Sensor events arrive in batches ([`ShardedEngine::ingest`]): the
 //! batch is grouped by shard, each group is processed on its shard's
-//! worker (fed over `crossbeam` channels), and the per-shard results are
+//! worker (fed over an `mpsc` channel), and the per-shard results are
 //! merged — in shard order, so the outcome is deterministic — into one
 //! [`BatchOutcome`] whose violations are forwarded to the security desk
 //! with globally monotone alert sequence numbers. Several batches can
@@ -35,7 +35,6 @@ use crate::engine::{AccessControlEngine, EngineConfig};
 use crate::retention::PrunedHistory;
 use crate::shard::{PolicyView, ShardState, ShardStateImage};
 use crate::violation::{Alert, Violation};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use ltam_core::capability::{AdminOp, AdminOutcome, WireAuth};
 use ltam_core::db::{AuthId, Provenance};
 use ltam_core::decision::Decision;
@@ -44,12 +43,13 @@ use ltam_core::prohibition::{Prohibition, ProhibitionDb};
 use ltam_core::subject::SubjectId;
 use ltam_core::AuthorizationDb;
 use ltam_graph::{EffectiveGraph, LocationId, LocationModel};
+use ltam_obs::locked;
 use ltam_situate::{SituationOp, SituationOutcome, SituationPolicy};
 use ltam_time::Time;
-use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
 /// One sensor or clock event, ready for batch ingestion.
@@ -591,7 +591,7 @@ fn worker_loop(shard: usize, state: Arc<Mutex<ShardState>>, jobs: Receiver<Job>)
         let started = (!ltam_obs::disabled()).then(std::time::Instant::now);
         let policy = epoch.view();
         let mut outs = Vec::with_capacity(cuts.len());
-        let mut guard = state.lock();
+        let mut guard = locked(state.lock(), "shard state");
         let mut start = 0;
         for &end in &cuts {
             let slice = &events[start..end];
@@ -810,7 +810,7 @@ impl ShardedEngine {
     ) -> (ShardedEngine, Receiver<Alert>) {
         let shards = states.len();
         assert!(shards >= 1, "need at least one shard");
-        let (alert_tx, alert_rx) = unbounded();
+        let (alert_tx, alert_rx) = channel();
         // Pruned violations still count: retention must not let alert
         // sequence numbers repeat after a restart.
         let seeded_seq: u64 = states
@@ -824,7 +824,7 @@ impl ShardedEngine {
         let mut workers = Vec::with_capacity(shards);
         let mut joins = Vec::with_capacity(shards);
         for (i, state) in states.iter().enumerate() {
-            let (tx, rx) = unbounded::<Job>();
+            let (tx, rx) = channel::<Job>();
             let state = Arc::clone(state);
             joins.push(std::thread::spawn(move || worker_loop(i, state, rx)));
             workers.push(tx);
@@ -850,7 +850,7 @@ impl ShardedEngine {
     /// trusted movement history — no decisions, no violations, no
     /// ledger counters.
     pub fn ingest_quarantined(&self, source: SubjectId, level: u8, events: &[Event]) {
-        let mut ledger = self.quarantine.lock();
+        let mut ledger = locked(self.quarantine.lock(), "quarantine");
         ledger.extend(events.iter().map(|&event| QuarantinedEvent {
             source,
             level,
@@ -866,18 +866,18 @@ impl ShardedEngine {
     /// Restore the quarantine ledger from a snapshot image (recovery;
     /// pairs with [`ShardedEngine::export_quarantine`]).
     pub fn load_quarantine(&self, entries: Vec<QuarantinedEvent>) {
-        *self.quarantine.lock() = entries;
+        *locked(self.quarantine.lock(), "quarantine") = entries;
     }
 
     /// The full quarantine ledger, in arrival order (persistence and
     /// triage).
     pub fn export_quarantine(&self) -> Vec<QuarantinedEvent> {
-        self.quarantine.lock().clone()
+        locked(self.quarantine.lock(), "quarantine").clone()
     }
 
     /// Number of quarantined events held.
     pub fn quarantine_len(&self) -> usize {
-        self.quarantine.lock().len()
+        locked(self.quarantine.lock(), "quarantine").len()
     }
 
     /// Quarantined events concerning `subject` (as the event's own
@@ -888,8 +888,7 @@ impl ShardedEngine {
         subject: SubjectId,
         window: ltam_time::Interval,
     ) -> Vec<QuarantinedEvent> {
-        self.quarantine
-            .lock()
+        locked(self.quarantine.lock(), "quarantine")
             .iter()
             .filter(|q| q.event.subject() == Some(subject) && window.contains(q.event.time()))
             .copied()
@@ -903,8 +902,7 @@ impl ShardedEngine {
         source: Option<SubjectId>,
         window: ltam_time::Interval,
     ) -> Vec<QuarantinedEvent> {
-        self.quarantine
-            .lock()
+        locked(self.quarantine.lock(), "quarantine")
             .iter()
             .filter(|q| source.is_none_or(|s| q.source == s) && window.contains(q.event.time()))
             .copied()
@@ -917,7 +915,10 @@ impl ShardedEngine {
     /// Each shard is locked and imaged in turn; call between batches for a
     /// point-in-time snapshot.
     pub fn export_images(&self) -> Vec<ShardStateImage> {
-        self.shards.iter().map(|s| s.lock().image()).collect()
+        self.shards
+            .iter()
+            .map(|s| locked(s.lock(), "shard state").image())
+            .collect()
     }
 
     /// This engine's [`canonical`] image; like [`ShardedEngine::export_images`],
@@ -938,7 +939,7 @@ impl ShardedEngine {
 
     /// A snapshot of the current policy epoch.
     pub fn policy(&self) -> Arc<PolicyCore> {
-        self.policy.read().clone()
+        locked(self.policy.read(), "policy epoch").clone()
     }
 
     // --- administration (the single-writer epoch-swap path) ---------------
@@ -948,7 +949,7 @@ impl ShardedEngine {
     /// policy lock; in-flight batches keep reading the epoch they started
     /// with.
     pub fn update_policy<R>(&self, f: impl FnOnce(&mut PolicyCore) -> R) -> R {
-        let mut guard = self.policy.write();
+        let mut guard = locked(self.policy.write(), "policy epoch");
         let mut next = (**guard).clone();
         let r = f(&mut next);
         *guard = Arc::new(next);
@@ -971,7 +972,7 @@ impl ShardedEngine {
     pub fn revoke_authorization(&self, id: AuthId) -> Option<Authorization> {
         let revoked = self.update_policy(|p| p.revoke_authorization(id));
         for shard in &self.shards {
-            shard.lock().invalidate_auth(id);
+            locked(shard.lock(), "shard state").invalidate_auth(id);
         }
         revoked
     }
@@ -989,7 +990,7 @@ impl ShardedEngine {
             }
             PolicyOp::Install(image) => {
                 let next = Arc::new(PolicyCore::from_image((**image).clone()));
-                *self.policy.write() = next;
+                *locked(self.policy.write(), "policy epoch") = next;
                 PolicyOutcome::Installed
             }
             _ => self.update_policy(|p| p.apply_op(op)),
@@ -1030,7 +1031,7 @@ impl ShardedEngine {
     /// carry no enforcement meaning, only result attribution. The whole
     /// group is judged under one policy epoch, as one batch is.
     pub fn ingest_group(&self, batches: &[&[Event]]) -> Vec<BatchOutcome> {
-        let epoch = self.policy.read().clone();
+        let epoch = locked(self.policy.read(), "policy epoch").clone();
         let n = self.shards.len();
         // Per shard: its events of the whole group, and where each
         // batch's slice of them ends.
@@ -1053,7 +1054,7 @@ impl ShardedEngine {
             }
         }
 
-        let (done_tx, done_rx) = unbounded();
+        let (done_tx, done_rx) = channel();
         let mut dispatched = 0usize;
         for (i, (events, cuts)) in groups.into_iter().enumerate() {
             if events.is_empty() {
@@ -1144,10 +1145,10 @@ impl ShardedEngine {
 
     /// Process one access request inline (no worker hop).
     pub fn request_enter(&self, t: Time, subject: SubjectId, location: LocationId) -> Decision {
-        let epoch = self.policy.read().clone();
+        let epoch = locked(self.policy.read(), "policy epoch").clone();
         let idx = shard_of(subject, self.shards.len());
         let decision = {
-            let mut state = self.shards[idx].lock();
+            let mut state = locked(self.shards[idx].lock(), "shard state");
             state.request_enter(&epoch.view(), t, subject, location)
         };
         let outcome_counter = match decision {
@@ -1174,10 +1175,10 @@ impl ShardedEngine {
         subject: SubjectId,
         location: LocationId,
     ) -> Option<Violation> {
-        let epoch = self.policy.read().clone();
+        let epoch = locked(self.policy.read(), "policy epoch").clone();
         let idx = shard_of(subject, self.shards.len());
         let raised = {
-            let mut state = self.shards[idx].lock();
+            let mut state = locked(self.shards[idx].lock(), "shard state");
             state.observe_enter(&epoch.view(), t, subject, location)
         };
         if let Some(v) = raised {
@@ -1194,10 +1195,10 @@ impl ShardedEngine {
         subject: SubjectId,
         location: LocationId,
     ) -> Option<Violation> {
-        let epoch = self.policy.read().clone();
+        let epoch = locked(self.policy.read(), "policy epoch").clone();
         let idx = shard_of(subject, self.shards.len());
         let raised = {
-            let mut state = self.shards[idx].lock();
+            let mut state = locked(self.shards[idx].lock(), "shard state");
             state.observe_exit(&epoch.view(), t, subject, location)
         };
         if let Some(v) = raised {
@@ -1208,10 +1209,10 @@ impl ShardedEngine {
 
     /// Advance the monitoring clock on every shard, in shard order.
     pub fn tick(&self, now: Time) -> Vec<Violation> {
-        let epoch = self.policy.read().clone();
+        let epoch = locked(self.policy.read(), "policy epoch").clone();
         let mut raised = Vec::new();
         for shard in &self.shards {
-            raised.extend(shard.lock().tick(&epoch.view(), now));
+            raised.extend(locked(shard.lock(), "shard state").tick(&epoch.view(), now));
         }
         for &v in &raised {
             self.alert(v);
@@ -1228,7 +1229,7 @@ impl ShardedEngine {
     pub fn collect_prunable(&self, horizon: Time) -> PrunedHistory {
         let mut out = PrunedHistory::default();
         for shard in &self.shards {
-            out.merge(shard.lock().collect_prunable(horizon));
+            out.merge(locked(shard.lock(), "shard state").collect_prunable(horizon));
         }
         out
     }
@@ -1239,7 +1240,7 @@ impl ShardedEngine {
     /// consistency guards all survive.
     pub fn apply_retention(&self, horizon: Time) {
         for shard in &self.shards {
-            shard.lock().apply_retention(horizon);
+            locked(shard.lock(), "shard state").apply_retention(horizon);
         }
     }
 
@@ -1252,7 +1253,7 @@ impl ShardedEngine {
         let horizon = policy.horizon_at(now);
         let mut out = PrunedHistory::default();
         for shard in &self.shards {
-            out.merge(shard.lock().prune(horizon));
+            out.merge(locked(shard.lock(), "shard state").prune(horizon));
         }
         out
     }
@@ -1262,7 +1263,7 @@ impl ShardedEngine {
     pub fn retention_watermark(&self) -> Time {
         self.shards
             .iter()
-            .map(|s| s.lock().watermark())
+            .map(|s| locked(s.lock(), "shard state").watermark())
             .max()
             .unwrap_or(Time::ZERO)
     }
@@ -1278,7 +1279,7 @@ impl ShardedEngine {
             ..EngineStatus::default()
         };
         for (i, shard) in self.shards.iter().enumerate() {
-            let s = shard.lock();
+            let s = locked(shard.lock(), "shard state");
             let row = ShardStatusRow {
                 shard: i,
                 movement_events: s.movements().len(),
@@ -1299,7 +1300,8 @@ impl ShardedEngine {
 
     /// Run read-only logic against one shard's state.
     pub fn read_shard<R>(&self, shard: usize, f: impl FnOnce(&ShardState) -> R) -> R {
-        f(&self.shards[shard].lock())
+        let state = locked(self.shards[shard].lock(), "shard state");
+        f(&state)
     }
 
     /// All violations detected so far, concatenated in shard order
@@ -1308,7 +1310,7 @@ impl ShardedEngine {
     pub fn violations(&self) -> Vec<Violation> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend_from_slice(shard.lock().violations());
+            out.extend_from_slice(locked(shard.lock(), "shard state").violations());
         }
         out
     }

@@ -23,7 +23,6 @@ use crate::movement::MovementsDb;
 use crate::profile::UserProfileDb;
 use crate::shard::{ShardState, ShardStateImage};
 use crate::violation::{Alert, Violation};
-use crossbeam::channel::Sender;
 use ltam_core::db::{AuthId, AuthorizationDb};
 use ltam_core::decision::{AccessRequest, Decision};
 use ltam_core::inaccessible::{find_inaccessible, InaccessibleReport};
@@ -37,6 +36,7 @@ use ltam_core::subject::SubjectId;
 use ltam_graph::{EffectiveGraph, LocationId, LocationModel};
 use ltam_time::{Interval, Time};
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc::Sender;
 
 /// Default [`EngineConfig::grant_ttl`], in **chronons** (the paper's
 /// smallest indivisible time unit — see `ltam-time`).
@@ -518,7 +518,7 @@ mod tests {
     #[test]
     fn alerts_flow_through_channel() {
         let (mut e, _, cais) = engine_with_alice();
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         e.set_alert_channel(tx);
         let mallory = e.profiles_mut().add_user("Mallory", "visitor");
         e.observe_enter(Time(12), mallory, cais);

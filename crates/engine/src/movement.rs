@@ -18,11 +18,12 @@
 use crate::index::{self, stays_overlapping, HistoryIndex};
 use ltam_core::subject::SubjectId;
 use ltam_graph::LocationId;
+use ltam_obs::locked;
 use ltam_time::{Bound, Interval, Time};
-use parking_lot::Mutex;
 use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Mutex;
 
 /// A contiguous presence of a subject in one location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -433,7 +434,7 @@ impl MovementsDb {
         let slot = row.slot;
         let stay = row.stays.last_mut().expect("open stay exists");
         stay.exit = Some(t);
-        if let Some(built) = self.index.get_mut() {
+        if let Some(built) = locked(self.index.get_mut(), "movement index") {
             built.push(subject, stay, ());
         }
         let occupants = self
@@ -505,7 +506,7 @@ impl MovementsDb {
         examined: &mut u64,
     ) -> Vec<(SubjectId, Interval)> {
         let mut out = Vec::new();
-        let mut cache = self.index.lock();
+        let mut cache = locked(self.index.lock(), "movement index");
         let built = cache.get_or_insert_with(|| {
             let mut built = HistoryIndex::default();
             for (&subject, row) in &self.subjects {
@@ -611,7 +612,7 @@ impl MovementsDb {
             !row.stays.is_empty() || row.latest.is_some()
         });
         // The next reader rebuilds the index from what is left.
-        *self.index.get_mut() = None;
+        *locked(self.index.get_mut(), "movement index") = None;
         self.pruned_events = Some(self.pruned_events() + dropped);
         self.watermark = Some(self.watermark().max(horizon));
         dropped
@@ -1141,18 +1142,18 @@ mod tests {
         let image = db.to_value();
         // A reader builds the rows; nothing recorded changes.
         assert_eq!(db.present_during(GO, Interval::lit(0, 100)).len(), 2);
-        assert!(db.index.lock().is_some());
+        assert!(locked(db.index.lock(), "movement index").is_some());
         assert_eq!(db.to_value(), image);
         assert_eq!(db, pruneable_db());
         // Neither a clone nor a decoded image carries them; a prune drops
         // them; and an unqueried store never builds them.
-        assert!(db.clone().index.lock().is_none());
+        assert!(locked(db.clone().index.lock(), "movement index").is_none());
         let back = MovementsDb::from_value(&image).unwrap();
-        assert!(back.index.lock().is_none());
+        assert!(locked(back.index.lock(), "movement index").is_none());
         db.apply_prune(Time(30));
-        assert!(db.index.lock().is_none());
+        assert!(locked(db.index.lock(), "movement index").is_none());
         db.record_exit(Time(60), ALICE, CAIS).unwrap();
-        assert!(db.index.lock().is_none());
+        assert!(locked(db.index.lock(), "movement index").is_none());
         // The serialized form is the five recorded fields, in this order;
         // an image from before retention (no watermark, no pruned count)
         // still loads, and so does one carrying the event log older

@@ -34,11 +34,12 @@ use ltam_core::ledger::UsageLedger;
 use ltam_core::prohibition::ProhibitionDb;
 use ltam_core::subject::SubjectId;
 use ltam_graph::LocationId;
+use ltam_obs::locked;
 use ltam_situate::{judge, IncidentId, SituationEffect, SituationPolicy};
 use ltam_time::{Bound, Interval, Time};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
+use std::sync::Mutex;
 
 /// Immutable borrows of everything a shard needs to decide and monitor:
 /// the read-mostly policy stores plus the enforcement tunables.
@@ -141,7 +142,7 @@ impl ShardState {
     /// The violations detected in `window`, by time — ties in detection
     /// order — each one read added to `examined`.
     pub fn violations_in(&self, window: Interval, examined: &mut u64) -> Vec<Violation> {
-        let mut view = self.by_time.lock();
+        let mut view = locked(self.by_time.lock(), "violation view");
         let view =
             view.get_or_insert_with(|| ByTime::of(self.violations.iter().map(Violation::time)));
         view.sort_in();
@@ -216,7 +217,7 @@ impl ShardState {
         self.violations.retain(|v| v.time() >= horizon);
         self.violations_pruned += (before - self.violations.len()) as u64;
         // The positions moved: the next reader rebuilds the view.
-        *self.by_time.get_mut() = None;
+        *locked(self.by_time.get_mut(), "violation view") = None;
     }
 
     /// Collect-then-drop in one call (the volatile path; the caller
@@ -301,7 +302,7 @@ impl ShardState {
     }
 
     fn record(&mut self, violation: Violation) -> Violation {
-        if let Some(view) = self.by_time.get_mut() {
+        if let Some(view) = locked(self.by_time.get_mut(), "violation view") {
             view.push((violation.time(), self.violations.len()));
         }
         self.violations.push(violation);
@@ -737,17 +738,20 @@ mod tests {
             found.iter().map(|v| v.time().get()).collect::<Vec<_>>()
         };
         assert_eq!(times(&s, Interval::ALL), [10, 10, 20, 30]);
-        assert!(s.by_time.lock().is_some(), "the first query built the view");
+        assert!(
+            locked(s.by_time.lock(), "violation view").is_some(),
+            "the first query built the view"
+        );
         // Detection after the build is appended; a prune moves every
         // position, so the view goes and the next query rebuilds it.
         s.observe_enter(&policy, Time(15), SubjectId(5), CAIS);
         assert_eq!(times(&s, Interval::lit(10, 20)), [10, 10, 15, 20]);
         s.apply_retention(Time(12));
-        assert!(s.by_time.lock().is_none());
+        assert!(locked(s.by_time.lock(), "violation view").is_none());
         assert_eq!(times(&s, Interval::ALL), [15, 20, 30]);
         // A restored shard starts without one.
         let back = ShardState::from_image(s.image());
-        assert!(back.by_time.lock().is_none());
+        assert!(locked(back.by_time.lock(), "violation view").is_none());
         assert_eq!(times(&back, Interval::lit(16, 30)), [20, 30]);
     }
 

@@ -53,7 +53,7 @@ fn sharded_world(
     shards: usize,
 ) -> (
     ShardedEngine,
-    crossbeam::channel::Receiver<ltam_engine::violation::Alert>,
+    std::sync::mpsc::Receiver<ltam_engine::violation::Alert>,
     Vec<ltam_graph::LocationId>,
 ) {
     let mut model = LocationModel::new("W");

@@ -50,3 +50,46 @@ pub use metric::{
 pub use registry::{
     disabled, registry, set_disabled, Metric, MetricKind, Registry, Series, Span, Unit,
 };
+
+/// The workspace's one way to take a `std` lock: pass what `lock()`,
+/// `read()`, `write()` or `get_mut()` returned and the lock's name.
+/// Fail-stop on poison: a holder panicked mid-update (a shard half
+/// through an event, an epoch mid-swap), so the data is not trusted —
+/// panic naming the lock, never hand the data out.
+pub fn locked<G>(acquired: std::sync::LockResult<G>, lock: &str) -> G {
+    match acquired {
+        Ok(guard) => guard,
+        Err(_) => poisoned(lock),
+    }
+}
+
+/// Out of line and cold, so no acquire site inlines the panic's
+/// formatting into the hot path around it.
+#[cold]
+#[inline(never)]
+fn poisoned(lock: &str) -> ! {
+    panic!("{lock} lock poisoned: a holder panicked mid-update")
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    /// A worker that panics while holding a lock poisons it; the next
+    /// acquire panics, naming the lock, instead of reading the
+    /// half-updated data.
+    #[test]
+    #[should_panic(expected = "shard state lock poisoned")]
+    fn a_poisoned_lock_fails_stop() {
+        let state = Arc::new(Mutex::new(0u64));
+        let worker = Arc::clone(&state);
+        let crashed = std::thread::spawn(move || {
+            let mut held = super::locked(worker.lock(), "shard state");
+            *held += 1;
+            panic!("worker dies mid-update");
+        })
+        .join();
+        assert!(crashed.is_err());
+        let _data = super::locked(state.lock(), "shard state");
+    }
+}

@@ -114,7 +114,7 @@ impl Registry {
     ) -> &'static Series {
         let mut labels: Vec<_> = labels.to_vec();
         labels.sort_unstable();
-        let mut map = self.series.lock().expect("registry lock");
+        let mut map = crate::locked(self.series.lock(), "metrics registry");
         if let Some(existing) = map.get(&(name, labels.clone())) {
             return existing;
         }
@@ -185,7 +185,7 @@ impl Registry {
     pub fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&'static Series> {
         let mut wanted: Vec<_> = labels.to_vec();
         wanted.sort_unstable();
-        let map = self.series.lock().expect("registry lock");
+        let map = crate::locked(self.series.lock(), "metrics registry");
         map.iter()
             .find(|((n, l), _)| {
                 *n == name && l.len() == wanted.len() && l.iter().zip(&wanted).all(|(a, b)| a == b)
@@ -195,7 +195,7 @@ impl Registry {
 
     /// Run `f` over every registered series, in (name, labels) order.
     pub fn for_each(&self, mut f: impl FnMut(&Series)) {
-        let map = self.series.lock().expect("registry lock");
+        let map = crate::locked(self.series.lock(), "metrics registry");
         for series in map.values() {
             f(series);
         }
@@ -203,7 +203,7 @@ impl Registry {
 
     /// Number of registered series.
     pub fn len(&self) -> usize {
-        self.series.lock().expect("registry lock").len()
+        crate::locked(self.series.lock(), "metrics registry").len()
     }
 
     /// True when nothing is registered yet.

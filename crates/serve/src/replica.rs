@@ -47,13 +47,14 @@
 
 use crate::client::{ClientError, LtamClient};
 use crate::wire::{ErrorCode, ReplManifest, ReplicaState, ReplicaStatus};
+use ltam_obs::locked;
 use ltam_store::replica::{ReplFile, ReplFileId, TailScanner};
 use ltam_store::{CommitHandle, DurableEngine, ReadView, RecordOutcome, StoreConfig};
-use parking_lot::Mutex;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Tunables for a follower's replication loop.
@@ -190,7 +191,7 @@ impl ReplicaShared {
                 .inc();
         }
         if error.is_some() || state == STATE_STREAMING || state == STATE_CATCHING_UP {
-            *self.last_error.lock() = error;
+            *locked(self.last_error.lock(), "replica error") = error;
         }
     }
 
@@ -207,7 +208,7 @@ impl ReplicaShared {
                 STATE_NEEDS_BOOTSTRAP => ReplicaState::NeedsBootstrap,
                 _ => ReplicaState::CatchingUp,
             },
-            last_error: self.last_error.lock().clone(),
+            last_error: locked(self.last_error.lock(), "replica error").clone(),
         }
     }
 }

@@ -86,6 +86,7 @@ use crate::wire::{
 use ltam_core::capability::{AuthRefusal, Capability, Scope, TokenId, WireAuth};
 use ltam_core::subject::SubjectId;
 use ltam_engine::batch::{Event, PolicyOp, PolicyOutcome};
+use ltam_obs::locked;
 use ltam_store::replica::{
     archive_files, epoch_marker_file, newest_snapshot, read_file_chunk, wal_segment_ids, ReplFileId,
 };
@@ -93,12 +94,11 @@ use ltam_store::{
     CommitHandle, DurableEngine, GroupCommit, HistoryError, ReadView, RecordOutcome, WalRecord,
 };
 use mio::{Events, Interest, Poll, Token, Waker};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -203,7 +203,7 @@ impl ThreadHandle {
     /// at its inbox: one `eventfd` write per inbox take, however many
     /// completions a commit group acks in between.
     fn complete(&self, completion: Completion) {
-        self.inbox.lock().push(completion);
+        locked(self.inbox.lock(), "completion inbox").push(completion);
         if !self.notified.swap(true, Ordering::SeqCst) {
             let _ = self.waker.wake();
         }
@@ -501,7 +501,7 @@ fn poll_loop(mut poll: Poll, listener: TcpListener, shared: Arc<Shared>, commit:
         //    woke). `notified` is cleared before the take — see
         //    `ThreadHandle::notified`.
         shared.poll.notified.store(false, Ordering::SeqCst);
-        let done = std::mem::take(&mut *shared.poll.inbox.lock());
+        let done = std::mem::take(&mut *locked(shared.poll.inbox.lock(), "completion inbox"));
         // A commit group acks many requests at once: fill every slot
         // first, then flush each touched connection once, so a group's
         // replies leave in one socket write per connection.
@@ -673,7 +673,7 @@ fn admit(
 
 /// Drop a connection's registry entries without ever having served it.
 fn forget_conn(id: u64, shared: &Shared) {
-    shared.stats.per_connection.lock().remove(&id);
+    locked(shared.stats.per_connection.lock(), "connection stats").remove(&id);
     shared.stats.active.fetch_sub(1, Ordering::SeqCst);
 }
 
@@ -729,7 +729,7 @@ fn accept_all(
         .inc();
         let id = *next_conn_id;
         *next_conn_id += 1;
-        shared.stats.per_connection.lock().insert(id, 0);
+        locked(shared.stats.per_connection.lock(), "connection stats").insert(id, 0);
         admit(stream, id, conns, by_id, poll, shared, now);
     }
 }
@@ -1263,7 +1263,9 @@ fn apply_completion(conn: &mut Conn, completion: Completion, role: ServerRole) {
 
 fn count_served(conn: &Conn, shared: &Shared) {
     shared.stats.requests_served.fetch_add(1, Ordering::SeqCst);
-    if let Some(n) = shared.stats.per_connection.lock().get_mut(&conn.id) {
+    if let Some(n) =
+        locked(shared.stats.per_connection.lock(), "connection stats").get_mut(&conn.id)
+    {
         *n += 1;
     }
 }
@@ -1567,10 +1569,7 @@ fn status_of(shared: &Shared) -> ServerStatus {
         refused_busy: shared.stats.refused_busy.load(Ordering::SeqCst),
         requests_served: shared.stats.requests_served.load(Ordering::SeqCst),
         protocol_errors: shared.stats.protocol_errors.load(Ordering::SeqCst),
-        per_connection: shared
-            .stats
-            .per_connection
-            .lock()
+        per_connection: locked(shared.stats.per_connection.lock(), "connection stats")
             .iter()
             .map(|(&id, &n)| (id, n))
             .collect(),

@@ -89,7 +89,7 @@ impl TraceWorld {
     pub fn build_sharded(
         &self,
         shards: usize,
-    ) -> (ShardedEngine, crossbeam::channel::Receiver<Alert>) {
+    ) -> (ShardedEngine, std::sync::mpsc::Receiver<Alert>) {
         ShardedEngine::new(self.build_policy_core(), shards)
     }
 

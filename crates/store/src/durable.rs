@@ -51,13 +51,15 @@ use ltam_engine::shard::ShardState;
 use ltam_engine::violation::Alert;
 use ltam_engine::Violation;
 use ltam_graph::LocationId;
+use ltam_obs::locked;
 use ltam_situate::{SituationOp, SituationOutcome};
 use ltam_time::{Interval, Time};
 use std::io;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::Receiver;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Tunables for a durable engine.
@@ -172,7 +174,7 @@ pub struct DurableEngine {
     /// appends a segment, has the chain rescanned. Interior mutability so the
     /// tier-aware queries take `&self` — shared with [`ReadView`]s,
     /// which answer reads concurrently while ingest proceeds here.
-    archive_cache: Arc<parking_lot::Mutex<LazyArchive>>,
+    archive_cache: Arc<Mutex<LazyArchive>>,
     /// Store-level counters mirrored for [`ReadView`]s after every
     /// mutation (a view must not reach into `Wal` or the sequence
     /// bookkeeping, which only this writer handle may touch).
@@ -350,7 +352,7 @@ impl DurableEngine {
         core: PolicyCore,
         shards: usize,
         config: StoreConfig,
-    ) -> io::Result<(DurableEngine, crossbeam::channel::Receiver<Alert>)> {
+    ) -> io::Result<(DurableEngine, Receiver<Alert>)> {
         std::fs::create_dir_all(dir)?;
         let lock = StoreLock::acquire(dir)?;
         if SnapshotStore::new(dir).any_present()? {
@@ -388,7 +390,7 @@ impl DurableEngine {
             wal,
             snapshots: SnapshotStore::with_fsync(dir, config.fsync),
             archive: Arc::new(ArchiveStore::with_fsync(dir, config.fsync)),
-            archive_cache: Arc::new(parking_lot::Mutex::new(LazyArchive::new())),
+            archive_cache: Arc::new(Mutex::new(LazyArchive::new())),
             cells: Arc::new(StatusCells::default()),
             pending_snapshot: None,
             applied: 0,
@@ -406,11 +408,7 @@ impl DurableEngine {
     pub fn open(
         dir: &Path,
         config: StoreConfig,
-    ) -> io::Result<(
-        DurableEngine,
-        crossbeam::channel::Receiver<Alert>,
-        RecoveryReport,
-    )> {
+    ) -> io::Result<(DurableEngine, Receiver<Alert>, RecoveryReport)> {
         Self::open_impl(dir, config, None)
     }
 
@@ -420,11 +418,7 @@ impl DurableEngine {
         dir: &Path,
         config: StoreConfig,
         shards: usize,
-    ) -> io::Result<(
-        DurableEngine,
-        crossbeam::channel::Receiver<Alert>,
-        RecoveryReport,
-    )> {
+    ) -> io::Result<(DurableEngine, Receiver<Alert>, RecoveryReport)> {
         assert!(shards >= 1, "need at least one shard");
         Self::open_impl(dir, config, Some(shards))
     }
@@ -433,11 +427,7 @@ impl DurableEngine {
         dir: &Path,
         config: StoreConfig,
         shards_override: Option<usize>,
-    ) -> io::Result<(
-        DurableEngine,
-        crossbeam::channel::Receiver<Alert>,
-        RecoveryReport,
-    )> {
+    ) -> io::Result<(DurableEngine, Receiver<Alert>, RecoveryReport)> {
         let lock = StoreLock::acquire(dir)?;
         whole::remove_orphans(dir)?;
         let snap = SnapshotStore::new(dir).load_latest()?.ok_or_else(|| {
@@ -1084,7 +1074,7 @@ impl DurableEngine {
         // the chain that covers it, or it refuses safely-archived
         // history as `Unarchived`. The other order is the
         // crash-between-steps overlap the tier merge already clips.
-        self.archive_cache.lock().chain_changed(live_from.get());
+        locked(self.archive_cache.lock(), "archive cache").chain_changed(live_from.get());
         self.engine.apply_retention(horizon);
         Ok(RetentionOutcome {
             watermark: horizon,
@@ -1098,13 +1088,13 @@ impl DurableEngine {
     /// surface and the laziness tests read this; it only grows as
     /// queries reach further back).
     pub fn archive_segments_loaded(&self) -> usize {
-        self.archive_cache.lock().segments_loaded()
+        locked(self.archive_cache.lock(), "archive cache").segments_loaded()
     }
 
     /// Archive chain coverage end (exclusive), from the cached chain
     /// scan — no segment payload is read.
     pub fn archive_covered_to(&self) -> io::Result<u64> {
-        self.archive_cache.lock().coverage_end(&self.archive)
+        locked(self.archive_cache.lock(), "archive cache").coverage_end(&self.archive)
     }
 }
 
@@ -1151,7 +1141,7 @@ macro_rules! count_rows {
 pub struct ReadView {
     engine: Arc<ShardedEngine>,
     archive: Arc<ArchiveStore>,
-    archive_cache: Arc<parking_lot::Mutex<LazyArchive>>,
+    archive_cache: Arc<Mutex<LazyArchive>>,
     cells: Arc<StatusCells>,
     dir: PathBuf,
 }
@@ -1207,12 +1197,12 @@ impl ReadView {
 
     /// Archive segments whose payloads are currently cached.
     pub fn archive_segments_loaded(&self) -> usize {
-        self.archive_cache.lock().segments_loaded()
+        locked(self.archive_cache.lock(), "archive cache").segments_loaded()
     }
 
     /// Archive chain coverage end (exclusive).
     pub fn archive_covered_to(&self) -> io::Result<u64> {
-        self.archive_cache.lock().coverage_end(&self.archive)
+        locked(self.archive_cache.lock(), "archive cache").coverage_end(&self.archive)
     }
 
     /// Run a tier-merging query that reaches down to `requested`: over
@@ -1237,7 +1227,7 @@ impl ReadView {
         if requested >= live_from {
             return Ok(merge(tiers));
         }
-        let mut cache = self.archive_cache.lock();
+        let mut cache = locked(self.archive_cache.lock(), "archive cache");
         let covered = cache.coverage_end(&self.archive)?;
         if covered < live_from.get() {
             return Err(HistoryError::Unarchived {

@@ -42,8 +42,8 @@
 use crate::codec::WalRecord;
 use crate::durable::{DurableEngine, RecordOutcome};
 use crate::wal::WalBatch;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::io;
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 
 /// Stop draining the queue once a group holds this many **events**
@@ -115,7 +115,7 @@ impl CommitHandle {
     /// — the shape for callers replaying an ordered stream (a follower
     /// tailing its primary), tests and other non-event-loop callers.
     pub fn commit(&self, records: Vec<WalRecord>) -> io::Result<Vec<RecordOutcome>> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.submit(records, move |result| {
             let _ = tx.send(result);
         })
@@ -135,7 +135,7 @@ impl GroupCommit {
     /// Move `engine` onto a new commit thread and return the owner plus
     /// the submission handle (clone it for more submitters).
     pub fn start(engine: DurableEngine) -> (GroupCommit, CommitHandle) {
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
         let join = std::thread::Builder::new()
             .name("ltam-commit".into())
             .spawn(move || commit_loop(engine, rx))
@@ -340,7 +340,7 @@ mod tests {
         const DENIED: u64 = 25;
         for i in 0..50u64 {
             let acked = Arc::clone(&acked);
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             let subject = if i == DENIED { 999 } else { (i % 4) as u32 };
             handle
                 .submit(swipe(i, subject), move |result| {
@@ -453,7 +453,7 @@ mod tests {
         // Three 20 000-event jobs queued before the loop runs: the first
         // two take the group past the cap, so the third waits for the
         // next one.
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for job in 0..3u64 {
             let events = (0..20_000u64)
                 .map(|i| request(job * 20_000 + i, (i % 64) as u32))

@@ -19,7 +19,7 @@ use ltam_time::{Interval, Time};
 use serde::{Serialize, Serializer, Value};
 use std::path::{Path, PathBuf};
 
-type Alerts = crossbeam::channel::Receiver<ltam_engine::Alert>;
+type Alerts = std::sync::mpsc::Receiver<ltam_engine::Alert>;
 
 fn config() -> StoreConfig {
     StoreConfig {

@@ -97,8 +97,9 @@ fn authorization_db_persistence() {
             .unwrap(),
         );
     }
-    let json = serde_json::to_string(&db.export()).unwrap();
-    let rows: Vec<(Authorization, ltam::core::Provenance)> = serde_json::from_str(&json).unwrap();
+    let bytes = ltam::store::binval::encode(&db.export());
+    let rows: Vec<(Authorization, ltam::core::Provenance)> =
+        ltam::store::binval::decode(&bytes).unwrap();
     let back = AuthorizationDb::import(rows);
     assert_eq!(back.len(), db.len());
     for t in [0u64, 5, 12, 25] {

@@ -9,7 +9,9 @@ use ltam::engine::movement::MovementsDb;
 use ltam::engine::violation::Violation;
 use ltam::graph::{GraphError, LocationId, LocationModel};
 use ltam::sim::grid_building;
+use ltam::store::binval;
 use ltam::time::{Interval, Time};
+use serde::Value;
 
 #[test]
 fn out_of_order_sensor_stream_is_flagged_not_stored() {
@@ -73,14 +75,41 @@ fn definition4_violations_cannot_enter_the_db() {
         EntryLimit::Finite(1),
     );
     assert!(matches!(bad, Err(AuthError::ExitStartsBeforeEntry { .. })));
-    // And not through serde either.
-    let json = r#"{
-        "entry_window": {"start": 10, "end": {"At": 20}},
-        "exit_window": {"start": 5, "end": {"At": 25}},
-        "subject": 0, "location": 0, "limit": {"Finite": 1}
-    }"#;
-    let parsed: Result<Authorization, _> = serde_json::from_str(json);
-    assert!(parsed.is_err());
+    // And not through a decoded wire frame or snapshot either: the same
+    // row with its exit window starting at entry start decodes.
+    let row = |exit_start| {
+        object(vec![
+            ("entry_window", interval_value(10, 20)),
+            ("exit_window", interval_value(exit_start, 25)),
+            ("subject", Value::U64(0)),
+            ("location", Value::U64(0)),
+            ("limit", object(vec![("Finite", Value::U64(1))])),
+        ])
+    };
+    assert!(decoded::<Authorization>(&row(10)).is_ok());
+    assert!(decoded::<Authorization>(&row(5)).is_err());
+}
+
+/// `value` through the binary codec wire frames and snapshots use.
+fn decoded<T: serde::Deserialize>(value: &Value) -> Result<T, serde::Error> {
+    binval::decode(&binval::encode(value))
+}
+
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// An interval as `[start, end]` serializes: `{"start": s, "end": {"At": e}}`.
+fn interval_value(start: u64, end: u64) -> Value {
+    object(vec![
+        ("start", Value::U64(start)),
+        ("end", object(vec![("At", Value::U64(end))])),
+    ])
 }
 
 #[test]
@@ -161,7 +190,8 @@ fn revocation_mid_stay_keeps_monitoring_consistent() {
 #[test]
 fn empty_and_inverted_intervals_are_unrepresentable() {
     assert!(Interval::closed(9u64, 2u64).is_err());
-    assert!(serde_json::from_str::<Interval>(r#"{"start": 9, "end": {"At": 2}}"#).is_err());
+    assert!(decoded::<Interval>(&interval_value(2, 9)).is_ok());
+    assert!(decoded::<Interval>(&interval_value(9, 2)).is_err());
 }
 
 /// Follower-side faults: the primary dies mid-snapshot-transfer,
